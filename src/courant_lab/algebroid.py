@@ -36,6 +36,8 @@ class AnchoredBracket:
         self.bundle = bundle
         self.anchor = anchor
         self.structure = [list(row) for row in structure]
+        # anchor images of the frame; the anchor is fixed once built
+        self._frame_rho = [anchor.apply(sec) for sec in bundle.frame_sections()]
 
     @classmethod
     def from_pairs(cls, bundle: Bundle, anchor: HomSection,
@@ -74,17 +76,18 @@ class AnchoredBracket:
             raise BundleError("bracket arguments must be sections of the bundle")
         out = self.bundle.zero_section()
         frames = self.bundle.frame_sections()
+        frame_rho = self._frame_rho
         for i, phi in enumerate(q1.coeffs):
             if phi.is_zero():
                 continue
-            rho_i = self.rho(frames[i])
+            rho_i = frame_rho[i]
             for j, psi in enumerate(q2.coeffs):
                 if not psi.is_zero():
                     out = out + self.structure[i][j].scale(phi * psi)
                     d_psi = _derive(rho_i, psi)
                     if not d_psi.is_zero():
                         out = out + frames[j].scale(phi * d_psi)
-                d_phi = _derive(self.rho(frames[j]), phi)
+                d_phi = _derive(frame_rho[j], phi)
                 if not (psi.is_zero() or d_phi.is_zero()):
                     out = out - frames[i].scale(psi * d_phi)
         return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -94,8 +95,20 @@ class Atom:
 
 @dataclass(frozen=True)
 class Bundle:
+    """A direct sum of atoms over a patch.
+
+    Immutable once built: the frame names and the rank are computed in
+    __post_init__, the frame sections on first use, and all are shared by
+    every caller afterwards.
+    """
+
     patch: Patch
     atoms: Tuple[Atom, ...]
+
+    def __post_init__(self):
+        frame = tuple(name for atom in self.atoms for name in atom.frame)
+        object.__setattr__(self, "_frame", frame)
+        object.__setattr__(self, "_rank", len(frame))
 
     @staticmethod
     def tangent(base: Patch) -> "Bundle":
@@ -121,14 +134,11 @@ class Bundle:
 
     @property
     def frame(self) -> Tuple[str, ...]:
-        names: Tuple[str, ...] = ()
-        for atom in self.atoms:
-            names += atom.frame
-        return names
+        return self._frame
 
     @property
     def rank(self) -> int:
-        return sum(len(a.frame) for a in self.atoms)
+        return self._rank
 
     def label(self) -> str:
         return "+".join(a.label() for a in self.atoms) if self.atoms else "0"
@@ -147,12 +157,16 @@ class Bundle:
         return Section(self, tuple(self.patch.zero() for _ in range(self.rank)))
 
     def frame_section(self, i: int) -> "Section":
-        coeffs = [self.patch.zero() for _ in range(self.rank)]
-        coeffs[i] = self.patch.one()
-        return Section(self, tuple(coeffs))
+        return self._frame_sections[i]
 
     def frame_sections(self) -> List["Section"]:
-        return [self.frame_section(i) for i in range(self.rank)]
+        return list(self._frame_sections)
+
+    @cached_property
+    def _frame_sections(self) -> Tuple["Section", ...]:
+        zero, one = self.patch.zero(), self.patch.one()
+        return tuple(Section(self, tuple(one if k == i else zero for k in range(self._rank)))
+                     for i in range(self._rank))
 
     def section(self, mapping: Dict[str, Union[str, ScalarPoly, Rational]] | None = None,
                 **by_name) -> "Section":
@@ -290,11 +304,14 @@ class HomSection:
         if section.bundle != self.source:
             raise BundleError("section is not in the source bundle")
         zero = self.source.patch.zero()
+        nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if not coeff.is_zero()]
         out = []
         for row in self.matrix:
             total = zero
-            for entry, coeff in zip(row, section.coeffs):
-                total = total + entry * coeff
+            for j, coeff in nonzero:
+                entry = row[j]
+                if not entry.is_zero():
+                    total = total + entry * coeff
             out.append(total)
         return Section(self.target, tuple(out))
 

@@ -26,7 +26,7 @@ from .prolong import (canonical_form_check, check_geometric_dirac,
                       linear_poisson_check, ta_generator_check,
                       verify_splitting_theorems)
 from .report import CheckReport, ERROR
-from .specfile import SpecError, StructureSpec
+from .specfile import CHECK_STATEMENTS, SpecError, StructureSpec
 
 
 class CheckArgError(ValueError):
@@ -218,33 +218,6 @@ REGISTRY: Dict[str, Callable] = {
     "ta-generators": run_ta_generators,
 }
 
-STATEMENTS: Dict[str, str] = {
-    "anchor-compat": "the anchor intertwines the bracket with vector fields",
-    "lie": "antisymmetry and the Jacobi identity",
-    "dorfman-axioms": "Dorfman connection axioms (a)-(c)",
-    "duality": "equivalence of the connection and its dull bracket",
-    "curvature": "curvature tensoriality and its Jacobiator pairing",
-    "skew": "properties of the symmetrization tensor",
-    "dirac": "sub-double-vector-bundle and Dirac conditions",
-    "geometric-dirac": "total-space Dirac verification",
-    "bracket-well-defined": "U-brackets agree across equivalent representatives",
-    "splitting-theorems": "total-space pairing and bracket identities",
-    "la-dirac": "LA-Dirac triple conditions",
-    "section4": "Omega, Dorfman-like bracket, basic connections and curvature",
-    "identity-lemmas": "basic-connection identity lemmas",
-    "ruth-compat": "mixed compatibility identities",
-    "k-algebroid": "induced Lie algebroid on K and its morphism to U",
-    "manin-pair": "Courant algebroid on the quotient, with axioms and extension",
-    "roundtrip": "triple to Manin pair and back",
-    "standard-iso": "isomorphism with the standard Courant algebroid",
-    "recover-perturbed": "recovery from a Manin pair with a broken core bracket",
-    "courant-axioms": "Courant algebroid axioms (1)-(5)",
-    "bott-dorfman": "quotient connection along an isotropic subalgebroid",
-    "linear-poisson": "sharp map of the fiberwise-linear dual bracket",
-    "canonical-form": "pullback canonical one- and two-forms",
-    "ta-generators": "generator calculus over TM + A*",
-}
-
 
 def run_check(spec: StructureSpec, name: str, args: List[str], seed: int) -> List[CheckReport]:
     if name not in REGISTRY:
@@ -253,9 +226,10 @@ def run_check(spec: StructureSpec, name: str, args: List[str], seed: int) -> Lis
     try:
         return REGISTRY[name](spec, args, seed)
     except (CheckArgError, SpecError, BundleError, PolyError, IndexError) as exc:
-        return [CheckReport(name, STATEMENTS.get(name, ""), ERROR,
+        return [CheckReport(name, CHECK_STATEMENTS.get(name, ""), ERROR,
                             details=[f"{type(exc).__name__}: {exc}"])]
-    except Exception as exc:  # pragma: no cover - safety net for fixtures
-        return [CheckReport(name, STATEMENTS.get(name, ""), ERROR,
-                            details=[f"unexpected {type(exc).__name__}: {exc}",
-                                     traceback.format_exc(limit=3)])]
+    except Exception as exc:  # safety net for fixtures
+        # the traceback names absolute paths, so it goes to stderr, not the report
+        traceback.print_exc()
+        return [CheckReport(name, CHECK_STATEMENTS.get(name, ""), ERROR,
+                            details=[f"unexpected {type(exc).__name__}: {exc}"])]

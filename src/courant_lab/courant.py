@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, battery_sections
+from .algebroid import AnchoredBracket, _derive, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
                      battery_functions, d_scalar)
 from .dirac import VBTriple, check_equivalent
@@ -51,8 +51,11 @@ class CourantData:
         self.bundle = bundle
         self.anchor = anchor
         self.pairing = [list(row) for row in pairing]
+        # symbols may be edited after construction, so nothing below derives from them
         self.symbols = [list(row) for row in symbols]
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
+        # anchor images of the frame; the anchor is fixed once built
+        self._frame_rho = [anchor.apply(sec) for sec in bundle.frame_sections()]
 
     # -- pairing and anchor ------------------------------------------------
 
@@ -108,6 +111,7 @@ class CourantData:
     def bracket(self, e1: Section, e2: Section) -> Section:
         out = self.bundle.zero_section()
         frames = self.bundle.frame_sections()
+        frame_rho = self._frame_rho
         for i, phi in enumerate(e1.coeffs):
             if phi.is_zero():
                 continue
@@ -115,10 +119,10 @@ class CourantData:
             for j, psi in enumerate(e2.coeffs):
                 if not psi.is_zero():
                     out = out + self.symbols[i][j].scale(phi * psi)
-                    d_psi = self.rho_d(frames[i], psi)
+                    d_psi = _derive(frame_rho[i], psi)
                     if not d_psi.is_zero():
                         out = out + frames[j].scale(phi * d_psi)
-                der = self.rho_d(frames[j], phi)
+                der = _derive(frame_rho[j], phi)
                 if not (psi.is_zero() or der.is_zero()):
                     out = out - frames[i].scale(psi * der)
                 if not (psi.is_zero() or self.pairing[i][j].is_zero()):

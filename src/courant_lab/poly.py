@@ -5,11 +5,21 @@ polynomials in the declared variables with Fraction coefficients, kept in
 normal form (no zero terms).  All geometry modules reduce their identities
 to equality of ScalarPoly normal forms, so there is no floating point
 anywhere.
+
+Validation happens at the boundary only.  The public constructor
+``ScalarPoly(vars, terms)``, ``const``, ``var`` and ``parse_poly`` check
+exponent widths, signs and coefficient types.  The ring operations (``+``,
+``-``, ``*``, ``**``, ``partial``, ``extend``) assume their operands are in
+normal form and build their results through ``_normal`` without checking
+them again; a zero operand returns at once, possibly as the other operand
+itself, which is safe because polynomials are never mutated (``terms``
+hands out a copy).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Tuple, Union
 
 Exponents = Tuple[int, ...]
@@ -49,8 +59,9 @@ class ScalarPoly:
     """A multivariate polynomial over Q in a fixed ordered variable list.
 
     Terms are stored as a map from exponent tuples to nonzero Fractions.
-    Instances are immutable by convention; every operation returns a new
-    normal-form polynomial.
+    Instances are immutable by convention; every operation returns a
+    normal-form polynomial, which may be one of its operands when the other
+    is zero.
     """
 
     __slots__ = ("vars", "_terms")
@@ -74,7 +85,7 @@ class ScalarPoly:
 
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "ScalarPoly":
-        return cls(vars)
+        return _normal(tuple(vars), {})
 
     @classmethod
     def const(cls, vars: Iterable[str], value: Rational) -> "ScalarPoly":
@@ -129,23 +140,36 @@ class ScalarPoly:
 
     def _coerce(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
         if isinstance(other, ScalarPoly):
-            if other.vars != self.vars:
+            if other.vars is not self.vars and other.vars != self.vars:
                 raise VariableMismatchError(
                     f"variable lists differ: {self.vars} vs {other.vars}")
             return other
         return ScalarPoly.const(self.vars, other)
 
     def __add__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
-        other = self._coerce(other)
+        if type(other) is not ScalarPoly or other.vars is not self.vars:
+            other = self._coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         terms = dict(self._terms)
         for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return ScalarPoly(self.vars, terms)
+            total = terms.get(exps)
+            if total is None:
+                terms[exps] = coeff
+            else:
+                total += coeff
+                if total:
+                    terms[exps] = total
+                else:
+                    del terms[exps]
+        return _normal(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly(self.vars, {e: -c for e, c in self._terms.items()})
+        return _normal(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
         return self + (-self._coerce(other))
@@ -154,13 +178,22 @@ class ScalarPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
-        other = self._coerce(other)
+        if type(other) is not ScalarPoly or other.vars is not self.vars:
+            other = self._coerce(other)
+        if not self._terms:
+            return self
+        if not other._terms:
+            return other
         terms: Dict[Exponents, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return ScalarPoly(self.vars, terms)
+                key = tuple(map(add, e1, e2))
+                total = terms.get(key)
+                terms[key] = c1 * c2 if total is None else total + c1 * c2
+        if len(terms) != len(self._terms) * len(other._terms):
+            # two products shared a monomial, so a sum may have cancelled
+            terms = {e: c for e, c in terms.items() if c}
+        return _normal(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -195,13 +228,11 @@ class ScalarPoly:
         i = self._index(name)
         terms: Dict[Exponents, Fraction] = {}
         for exps, coeff in self._terms.items():
-            if exps[i] == 0:
-                continue
-            lowered = list(exps)
-            lowered[i] -= 1
-            key = tuple(lowered)
-            terms[key] = terms.get(key, Fraction(0)) + coeff * exps[i]
-        return ScalarPoly(self.vars, terms)
+            e = exps[i]
+            if e:
+                # lowering one exponent is injective, so no two terms merge
+                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+        return _normal(self.vars, terms)
 
     def extend(self, new_vars: Iterable[str]) -> "ScalarPoly":
         """Reinterpret the polynomial over a larger variable list.
@@ -221,7 +252,7 @@ class ScalarPoly:
             for pos, e in zip(positions, exps):
                 widened[pos] = e
             terms[tuple(widened)] = coeff
-        return ScalarPoly(new_vars, terms)
+        return _normal(new_vars, terms)
 
     # -- printing -----------------------------------------------------
 
@@ -258,6 +289,19 @@ class ScalarPoly:
 
     def __repr__(self) -> str:
         return f"ScalarPoly({self})"
+
+
+def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> ScalarPoly:
+    """A ScalarPoly over terms already in normal form, unchecked.
+
+    The caller guarantees what the public constructor would check: every
+    exponent tuple has len(vars) nonnegative entries and every coefficient
+    is a nonzero Fraction.
+    """
+    poly = object.__new__(ScalarPoly)
+    poly.vars = vars
+    poly._terms = terms
+    return poly
 
 
 def _fraction_str(value: Fraction) -> str:

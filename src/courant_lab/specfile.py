@@ -181,6 +181,35 @@ def _check_ident(name: str, line: Optional[int]) -> str:
                         "(letter followed by letters or digits)", line)
     return name
 
+# The check names a [checks] line may use, with the statement each verifies;
+# checks.REGISTRY maps the same names to their runners.
+CHECK_STATEMENTS: Dict[str, str] = {
+    "anchor-compat": "the anchor intertwines the bracket with vector fields",
+    "lie": "antisymmetry and the Jacobi identity",
+    "dorfman-axioms": "Dorfman connection axioms (a)-(c)",
+    "duality": "equivalence of the connection and its dull bracket",
+    "curvature": "curvature tensoriality and its Jacobiator pairing",
+    "skew": "properties of the symmetrization tensor",
+    "dirac": "sub-double-vector-bundle and Dirac conditions",
+    "geometric-dirac": "total-space Dirac verification",
+    "bracket-well-defined": "U-brackets agree across equivalent representatives",
+    "splitting-theorems": "total-space pairing and bracket identities",
+    "la-dirac": "LA-Dirac triple conditions",
+    "section4": "Omega, Dorfman-like bracket, basic connections and curvature",
+    "identity-lemmas": "basic-connection identity lemmas",
+    "ruth-compat": "mixed compatibility identities",
+    "k-algebroid": "induced Lie algebroid on K and its morphism to U",
+    "manin-pair": "Courant algebroid on the quotient, with axioms and extension",
+    "roundtrip": "triple to Manin pair and back",
+    "standard-iso": "isomorphism with the standard Courant algebroid",
+    "recover-perturbed": "recovery from a Manin pair with a broken core bracket",
+    "courant-axioms": "Courant algebroid axioms (1)-(5)",
+    "bott-dorfman": "quotient connection along an isotropic subalgebroid",
+    "linear-poisson": "sharp map of the fiberwise-linear dual bracket",
+    "canonical-form": "pullback canonical one- and two-forms",
+    "ta-generators": "generator calculus over TM + A*",
+}
+
 
 def parse_spec(text: str) -> StructureSpec:
     sections = _tokenize(text)
@@ -320,6 +349,8 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if key.startswith("xfail "):
                 expect_fail = True
                 name = key[len("xfail "):].strip()
+            if name not in CHECK_STATEMENTS:
+                raise SpecError(f"unknown check {name!r}", lineno)
             args = [v.strip() for v in value.split(",") if v.strip()]
             spec.checks.append((name, args, expect_fail))
         return

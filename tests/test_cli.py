@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+from courant_lab import checks
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import main
-from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
+from courant_lab.specfile import CHECK_STATEMENTS, SpecError, parse_spec, parse_section_expr
 from courant_lab.bundle import Bundle, patch
 
 MINIMAL = """
@@ -70,6 +71,24 @@ def test_missing_object_reports_error():
     assert reports[0].status == "error"
 
 
+def test_every_registered_check_has_a_statement():
+    assert set(checks.REGISTRY) == set(CHECK_STATEMENTS)
+
+
+def test_unexpected_exception_keeps_traceback_out_of_report(monkeypatch, capsys):
+    def explode(spec, args, seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(checks.REGISTRY, "dorfman-axioms", explode)
+    reports = run_check(parse_spec(MINIMAL), "dorfman-axioms", ["Delta"], 7)
+    assert len(reports) == 1
+    assert reports[0].status == "error"
+    assert reports[0].details == ["unexpected RuntimeError: boom"]
+    assert not reports[0].witnesses
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 def test_catalog_entries_parse_and_have_checks():
     for name in catalog_names():
         spec = parse_spec(catalog_text(name))
@@ -129,6 +148,37 @@ def test_xfail_line_counts_as_expected(tmp_path, capsys):
     rc = main(["run", str(path)])
     capsys.readouterr()
     assert rc == 0
+
+
+COURANT = """
+[patch]
+coords = x1
+
+[courant.C]
+standard = yes
+
+[checks]
+xfail courant-axioms = C
+"""
+
+
+def test_xfail_with_unknown_check_name_is_a_spec_error(tmp_path, capsys):
+    text = COURANT.replace("xfail courant-axioms", "xfail courant-axiomz")
+    with pytest.raises(SpecError, match="courant-axiomz"):
+        parse_spec(text)
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "unknown check 'courant-axiomz'" in capsys.readouterr().err
+
+
+def test_xfail_is_not_met_by_an_error_without_witness(tmp_path, capsys):
+    path = tmp_path / "spec.clab"
+    path.write_text(COURANT.replace("= C", "= Typo"))
+    rc = main(["run", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "!! courant-axioms(Typo) (expected fail)" in out
 
 
 def test_single_entry_deterministic(tmp_path):
