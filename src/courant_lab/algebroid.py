@@ -13,7 +13,8 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, random_sections, vf_bracket, BATTERY_SEED)
+                     battery_functions, random_sections, vf_apply, vf_bracket,
+                     BATTERY_SEED)
 from .poly import ScalarPoly
 from .report import Checker, CheckReport
 
@@ -37,7 +38,7 @@ class AnchoredBracket:
         self.anchor = anchor
         self.structure = [list(row) for row in structure]
         # anchor images of the frame; the anchor is fixed once built
-        self._frame_rho = [anchor.apply(sec) for sec in bundle.frame_sections()]
+        self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
 
     @classmethod
     def from_pairs(cls, bundle: Bundle, anchor: HomSection,
@@ -58,11 +59,7 @@ class AnchoredBracket:
 
     def rho_d(self, q: Section, phi: ScalarPoly) -> ScalarPoly:
         """rho(q) acting as a derivation on a function."""
-        x = self.rho(q)
-        total = self.bundle.patch.zero()
-        for comp, coord in zip(x.coeffs, self.bundle.patch.coords):
-            total = total + comp * phi.partial(coord)
-        return total
+        return vf_apply(self.bundle.patch.coords, self.rho(q).coeffs, phi)
 
     # -- bracket ----------------------------------------------------------
 
@@ -76,19 +73,21 @@ class AnchoredBracket:
             raise BundleError("bracket arguments must be sections of the bundle")
         out = self.bundle.zero_section()
         frames = self.bundle.frame_sections()
+        coords = self.bundle.patch.coords
         frame_rho = self._frame_rho
         for i, phi in enumerate(q1.coeffs):
             if phi.is_zero():
                 continue
             rho_i = frame_rho[i]
             for j, psi in enumerate(q2.coeffs):
-                if not psi.is_zero():
-                    out = out + self.structure[i][j].scale(phi * psi)
-                    d_psi = _derive(rho_i, psi)
-                    if not d_psi.is_zero():
-                        out = out + frames[j].scale(phi * d_psi)
-                d_phi = _derive(frame_rho[j], phi)
-                if not (psi.is_zero() or d_phi.is_zero()):
+                if psi.is_zero():
+                    continue
+                out = out + self.structure[i][j].scale(phi * psi)
+                d_psi = vf_apply(coords, rho_i, psi)
+                if not d_psi.is_zero():
+                    out = out + frames[j].scale(phi * d_psi)
+                d_phi = vf_apply(coords, frame_rho[j], phi)
+                if not d_phi.is_zero():
                     out = out - frames[i].scale(psi * d_phi)
         return out
 
@@ -160,13 +159,6 @@ class AnchoredBracket:
         if not sub.rank:
             table = []
         return AnchoredBracket(small, anchor, table)
-
-
-def _derive(vector_field: Section, phi: ScalarPoly) -> ScalarPoly:
-    total = vector_field.bundle.patch.zero()
-    for comp, coord in zip(vector_field.coeffs, vector_field.bundle.patch.coords):
-        total = total + comp * phi.partial(coord)
-    return total
 
 
 def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:

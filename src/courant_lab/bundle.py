@@ -46,10 +46,27 @@ class Patch:
         return len(self.coords)
 
     def zero(self) -> ScalarPoly:
-        return ScalarPoly.zero(self.coords)
+        return self._zero
 
     def one(self) -> ScalarPoly:
+        return self._one
+
+    # polynomials and bundles are immutable, so each patch builds these once
+    @cached_property
+    def _zero(self) -> ScalarPoly:
+        return ScalarPoly.zero(self.coords)
+
+    @cached_property
+    def _one(self) -> ScalarPoly:
         return ScalarPoly.one(self.coords)
+
+    @cached_property
+    def _tangent(self) -> "Bundle":
+        return Bundle(self, (Atom(TM, "", tuple("D" + c for c in self.coords)),))
+
+    @cached_property
+    def _cotangent(self) -> "Bundle":
+        return Bundle(self, (Atom(COTM, "", tuple("d" + c for c in self.coords)),))
 
     def const(self, value: Rational) -> ScalarPoly:
         return ScalarPoly.const(self.coords, value)
@@ -98,8 +115,8 @@ class Bundle:
     """A direct sum of atoms over a patch.
 
     Immutable once built: the frame names and the rank are computed in
-    __post_init__, the frame sections on first use, and all are shared by
-    every caller afterwards.
+    __post_init__, the frame sections and the zero section on first use,
+    and all are shared by every caller afterwards.
     """
 
     patch: Patch
@@ -112,13 +129,11 @@ class Bundle:
 
     @staticmethod
     def tangent(base: Patch) -> "Bundle":
-        frame = tuple("D" + c for c in base.coords)
-        return Bundle(base, (Atom(TM, "", frame),))
+        return base._tangent
 
     @staticmethod
     def cotangent(base: Patch) -> "Bundle":
-        frame = tuple("d" + c for c in base.coords)
-        return Bundle(base, (Atom(COTM, "", frame),))
+        return base._cotangent
 
     @staticmethod
     def vector(base: Patch, name: str, frame: Iterable[str]) -> "Bundle":
@@ -154,13 +169,17 @@ class Bundle:
         return slice(start, start + len(self.atoms[index].frame))
 
     def zero_section(self) -> "Section":
-        return Section(self, tuple(self.patch.zero() for _ in range(self.rank)))
+        return self._zero_section
 
     def frame_section(self, i: int) -> "Section":
         return self._frame_sections[i]
 
     def frame_sections(self) -> List["Section"]:
         return list(self._frame_sections)
+
+    @cached_property
+    def _zero_section(self) -> "Section":
+        return Section(self, (self.patch.zero(),) * self._rank)
 
     @cached_property
     def _frame_sections(self) -> Tuple["Section", ...]:
@@ -207,7 +226,9 @@ class Section:
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
-        return Section(self.bundle, tuple(factor * a for a in self.coeffs))
+        zero = self.bundle.patch.zero()
+        return Section(self.bundle, tuple(zero if a.is_zero() else factor * a
+                                          for a in self.coeffs))
 
     def _same(self, other: "Section") -> None:
         if other.bundle != self.bundle:
@@ -382,6 +403,14 @@ def canonical_pairing(v: Section, s: Section) -> ScalarPoly:
     return total
 
 
+def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
+    """sum_k s1_k s2_k: the pairing of two sections over mutually dual frames."""
+    total = s1.bundle.patch.zero()
+    for a, b in zip(s1.coeffs, s2.coeffs):
+        total = total + a * b
+    return total
+
+
 def d_scalar(base: Patch, phi: ScalarPoly) -> Section:
     """The de Rham differential of a function, as a section of T*M."""
     ct = Bundle.cotangent(base)
@@ -397,14 +426,13 @@ def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
 
 # -- Cartan calculus (generic over a variable list) ----------------------
 
-def grad(vars_: Sequence[str], phi: ScalarPoly) -> List[ScalarPoly]:
-    return [phi.partial(v) for v in vars_]
-
-
 def vf_apply(vars_: Sequence[str], x_comps: Sequence[ScalarPoly], phi: ScalarPoly) -> ScalarPoly:
+    """X(phi) = sum_i X^i d phi / d vars_i, the one kernel for a vector field
+    acting on a function; a zero component costs neither a partial nor a product."""
     total = ScalarPoly.zero(phi.vars)
     for xi, v in zip(x_comps, vars_):
-        total = total + xi * phi.partial(v)
+        if not xi.is_zero():
+            total = total + xi * phi.partial(v)
     return total
 
 
@@ -419,7 +447,8 @@ def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
     for j, v in enumerate(vars_):
         term = vf_apply(vars_, x, theta[j])
         for i in range(len(vars_)):
-            term = term + theta[i] * x[i].partial(v)
+            if not theta[i].is_zero():
+                term = term + theta[i] * x[i].partial(v)
         out.append(term)
     return out
 
@@ -441,14 +470,6 @@ def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]
             total = piece if total is None else total + piece
         out.append(total)
     return out
-
-
-def interior_oneform(x: Sequence[ScalarPoly], theta: Sequence[ScalarPoly],
-                     zero: ScalarPoly) -> ScalarPoly:
-    total = zero
-    for xi, ti in zip(x, theta):
-        total = total + xi * ti
-    return total
 
 
 def vf_bracket(x: Section, y: Section) -> Section:

@@ -225,7 +225,7 @@ def run_check(spec: StructureSpec, name: str, args: List[str], seed: int) -> Lis
                             details=[f"no check named {name!r}"])]
     try:
         return REGISTRY[name](spec, args, seed)
-    except (CheckArgError, SpecError, BundleError, PolyError, IndexError) as exc:
+    except (CheckArgError, SpecError, BundleError, PolyError) as exc:
         return [CheckReport(name, CHECK_STATEMENTS.get(name, ""), ERROR,
                             details=[f"{type(exc).__name__}: {exc}"])]
     except Exception as exc:  # safety net for fixtures

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, _derive, battery_sections
+from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, d_scalar)
+                     battery_functions, d_scalar, vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import (LieAlgebroidData, basic_v, check_la_dirac,
@@ -55,7 +55,7 @@ class CourantData:
         self.symbols = [list(row) for row in symbols]
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
         # anchor images of the frame; the anchor is fixed once built
-        self._frame_rho = [anchor.apply(sec) for sec in bundle.frame_sections()]
+        self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
 
     # -- pairing and anchor ------------------------------------------------
 
@@ -70,11 +70,7 @@ class CourantData:
         return total
 
     def rho_d(self, e: Section, phi: ScalarPoly) -> ScalarPoly:
-        x = self.anchor.apply(e)
-        total = self.bundle.patch.zero()
-        for comp, coord in zip(x.coeffs, self.bundle.patch.coords):
-            total = total + comp * phi.partial(coord)
-        return total
+        return vf_apply(self.bundle.patch.coords, self.anchor.apply(e).coeffs, phi)
 
     def d_matrix(self) -> List[List[ScalarPoly]]:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
@@ -111,21 +107,23 @@ class CourantData:
     def bracket(self, e1: Section, e2: Section) -> Section:
         out = self.bundle.zero_section()
         frames = self.bundle.frame_sections()
+        coords = self.bundle.patch.coords
         frame_rho = self._frame_rho
         for i, phi in enumerate(e1.coeffs):
             if phi.is_zero():
                 continue
             d_phi = self.D(phi)
             for j, psi in enumerate(e2.coeffs):
-                if not psi.is_zero():
-                    out = out + self.symbols[i][j].scale(phi * psi)
-                    d_psi = _derive(frame_rho[i], psi)
-                    if not d_psi.is_zero():
-                        out = out + frames[j].scale(phi * d_psi)
-                der = _derive(frame_rho[j], phi)
-                if not (psi.is_zero() or der.is_zero()):
+                if psi.is_zero():
+                    continue
+                out = out + self.symbols[i][j].scale(phi * psi)
+                d_psi = vf_apply(coords, frame_rho[i], psi)
+                if not d_psi.is_zero():
+                    out = out + frames[j].scale(phi * d_psi)
+                der = vf_apply(coords, frame_rho[j], phi)
+                if not der.is_zero():
                     out = out - frames[i].scale(psi * der)
-                if not (psi.is_zero() or self.pairing[i][j].is_zero()):
+                if not self.pairing[i][j].is_zero():
                     out = out + d_phi.scale(psi * self.pairing[i][j])
         return out
 
@@ -192,10 +190,6 @@ def standard_courant(base) -> CourantData:
     symbols = [[bundle.zero_section() for _ in range(bundle.rank)]
                for _ in range(bundle.rank)]
     return CourantData(bundle, anchor, pairing, symbols)
-
-
-def courant_bracket_sections(data: CourantData, e1: Section, e2: Section) -> Section:
-    return data.bracket(e1, e2)
 
 
 # -- the Manin pair of an LA-Dirac triple -----------------------------------

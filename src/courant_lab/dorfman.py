@@ -24,7 +24,7 @@ from typing import List, Sequence
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
                      battery_functions, canonical_pairing, pairing_matrix,
-                     vf_bracket, lie_derivative_form)
+                     vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, ERROR
@@ -69,9 +69,7 @@ class Connection(object):
         base = self.bundle.patch
         comps = []
         for l in range(self.bundle.rank):
-            value = base.zero()
-            for i in range(base.dim):
-                value = value + x.coeffs[i] * xi.coeffs[l].partial(base.coords[i])
+            value = vf_apply(base.coords, x.coeffs, xi.coeffs[l])
             value = value - canonical_pairing(xi, self.nabla(x, self.bundle.frame_section(l)))
             comps.append(value)
         return Section(dual, tuple(comps))

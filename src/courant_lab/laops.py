@@ -21,15 +21,16 @@ and the basic curvature is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section,
                      battery_functions, courant_dorfman_form_part,
-                     db_canonical, lie_derivative_form, vf_bracket)
+                     db_canonical, dual_pair, lie_derivative_form, vf_apply,
+                     vf_bracket)
 from .dirac import VBTriple
 from .dorfman import DorfmanConnection
-from .poly import ScalarPoly
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
@@ -55,11 +56,11 @@ class LieAlgebroidData:
     def base(self):
         return self.a_bundle.patch
 
-    @property
+    @cached_property
     def v_bundle(self) -> Bundle:
         return Bundle.tangent(self.base) + self.a_bundle.dual()
 
-    @property
+    @cached_property
     def sigma_bundle(self) -> Bundle:
         return self.a_bundle + Bundle.cotangent(self.base)
 
@@ -138,17 +139,10 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     comps = []
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
         value = lad.bracket.rho_d(a, xi.coeffs[k])
-        value = value - _pair_dual(xi, lad.bracket.bracket(a, ek))
+        value = value - dual_pair(xi, lad.bracket.bracket(a, ek))
         comps.append(value)
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
     return lad.to_v(x=vf_bracket(lad.bracket.rho(a), x), xi=new_xi)
-
-
-def _pair_dual(xi: Section, a: Section) -> ScalarPoly:
-    total = xi.bundle.patch.zero()
-    for c1, c2 in zip(xi.coeffs, a.coeffs):
-        total = total + c1 * c2
-    return total
 
 
 def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Section:
@@ -224,19 +218,12 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                            omega(lad, delta, v.scale(phi), a) - base_val.scale(phi))
                 x = lad.x_part(v)
                 xi = lad.xi_part(v)
-                correction = (lad.to_sigma(a=a).scale(_vf_d(x, phi))
-                              - db_canonical(lad.sigma_bundle, phi).scale(_pair_dual(xi, a)))
+                correction = (lad.to_sigma(a=a).scale(vf_apply(lad.base.coords, x.coeffs, phi))
+                              - db_canonical(lad.sigma_bundle, phi).scale(dual_pair(xi, a)))
                 chk.record("derivation-in-a", f"({vname}; ({phi})*{aname})",
                            omega(lad, delta, v, a.scale(phi))
                            - base_val.scale(phi) - correction)
     return chk.report()
-
-
-def _vf_d(x: Section, phi: ScalarPoly) -> ScalarPoly:
-    total = x.bundle.patch.zero()
-    for comp, coord in zip(x.coeffs, x.bundle.patch.coords):
-        total = total + comp * phi.partial(coord)
-    return total
 
 
 def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
@@ -474,7 +461,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
     # morphism: anchors match and the pair map intertwines the brackets
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
-                   lad.bracket.rho(lad.a_part(k)) - _pr_tm(lad, pm.apply(k)))
+                   lad.bracket.rho(lad.a_part(k)) - lad.x_part(pm.apply(k)))
     for i, k1 in enumerate(k_sub.sections):
         for phi in battery_functions(lad.base):
             for j, k2 in enumerate(k_sub.sections):
@@ -482,10 +469,6 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
                 rhs = pm.apply(dorfman_like_bracket(lad, k1.scale(phi), k2))
                 chk.record("morphism-bracket", f"(({phi})*k{i + 1}; k{j + 1})", lhs - rhs)
     return k_bracket, chk.report()
-
-
-def _pr_tm(lad: LieAlgebroidData, v: Section) -> Section:
-    return Section(Bundle.tangent(lad.base), v.part(lad.v_bundle.atom_index("TM")))
 
 
 def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,

@@ -100,11 +100,6 @@ def invert(matrix: Sequence[Sequence]) -> Matrix:
     return [row[n:] for row in reduced]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
-
-
 def determinant(matrix: Sequence[Sequence]) -> Fraction:
     m = _frac_rows(matrix)
     n = len(m)

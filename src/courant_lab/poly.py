@@ -1,10 +1,19 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
 ScalarPoly is the function ring of every coordinate patch in this package:
-polynomials in the declared variables with Fraction coefficients, kept in
+polynomials in the declared variables with rational coefficients, kept in
 normal form (no zero terms).  All geometry modules reduce their identities
 to equality of ScalarPoly normal forms, so there is no floating point
 anywhere.
+
+A coefficient is stored as an ``int`` when it is integral and as a
+``Fraction`` otherwise, because nearly every coefficient is an integer and
+``int`` arithmetic is much cheaper.  The validating constructor, ``const``,
+``var``, ``/`` and the parser store integral values as ``int``; a ring
+operation may leave an integral ``Fraction`` (for example 1/2 * 2), which
+is harmless because ``==``, ``hash`` and printing treat both types alike.
+The public views hand out ``Fraction``: ``terms`` returns a copy with
+``Fraction`` values and ``constant_value`` returns a ``Fraction``.
 
 Validation happens at the boundary only.  The public constructor
 ``ScalarPoly(vars, terms)``, ``const``, ``var`` and ``parse_poly`` check
@@ -13,7 +22,9 @@ exponent widths, signs and coefficient types.  The ring operations (``+``,
 normal form and build their results through ``_normal`` without checking
 them again; a zero operand returns at once, possibly as the other operand
 itself, which is safe because polynomials are never mutated (``terms``
-hands out a copy).
+hands out a copy).  For the same reason ``bundle.Patch`` shares one zero
+and one unit polynomial per patch, and every vector field acting on a
+polynomial goes through the single kernel ``bundle.vf_apply``.
 """
 
 from __future__ import annotations
@@ -47,18 +58,20 @@ class VariableMismatchError(PolyError):
     pass
 
 
-def _as_fraction(value: Rational) -> Fraction:
+def _as_coeff(value: Rational) -> Rational:
+    """The stored form of a coefficient: int when integral, else Fraction."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise PolyError(f"not an exact rational: {value!r}")
 
 
 class ScalarPoly:
     """A multivariate polynomial over Q in a fixed ordered variable list.
 
-    Terms are stored as a map from exponent tuples to nonzero Fractions.
+    Terms are stored as a map from exponent tuples to nonzero rationals
+    (int or Fraction, see the module docstring).
     Instances are immutable by convention; every operation returns a
     normal-form polynomial, which may be one of its operands when the other
     is zero.
@@ -68,7 +81,7 @@ class ScalarPoly:
 
     def __init__(self, vars: Iterable[str], terms: Dict[Exponents, Rational] | None = None):
         self.vars: Tuple[str, ...] = tuple(vars)
-        clean: Dict[Exponents, Fraction] = {}
+        clean: Dict[Exponents, Rational] = {}
         if terms:
             width = len(self.vars)
             for exps, coeff in terms.items():
@@ -76,9 +89,9 @@ class ScalarPoly:
                     raise PolyError(f"exponent tuple {exps} does not match {width} variables")
                 if any(e < 0 for e in exps):
                     raise PolyError(f"negative exponent in {exps}")
-                frac = _as_fraction(coeff)
-                if frac != 0:
-                    clean[tuple(exps)] = frac
+                value = _as_coeff(coeff)
+                if value != 0:
+                    clean[tuple(exps)] = value
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -90,7 +103,7 @@ class ScalarPoly:
     @classmethod
     def const(cls, vars: Iterable[str], value: Rational) -> "ScalarPoly":
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): _as_fraction(value)})
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def one(cls, vars: Iterable[str]) -> "ScalarPoly":
@@ -102,13 +115,13 @@ class ScalarPoly:
         if name not in vars:
             raise UnknownVariableError(name, 0)
         exps = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {exps: Fraction(1)})
+        return cls(vars, {exps: 1})
 
     # -- inspection ---------------------------------------------------
 
     @property
     def terms(self) -> Dict[Exponents, Fraction]:
-        return dict(self._terms)
+        return {exps: Fraction(coeff) for exps, coeff in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -119,7 +132,7 @@ class ScalarPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError(f"not a constant polynomial: {self}")
-        return self._terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self._terms.get((0,) * len(self.vars), 0))
 
     def total_degree(self) -> int:
         if not self._terms:
@@ -172,7 +185,9 @@ class ScalarPoly:
         return _normal(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
-        return self + (-self._coerce(other))
+        if type(other) is not ScalarPoly or other.vars is not self.vars:
+            other = self._coerce(other)
+        return self + (-other)
 
     def __rsub__(self, other: Rational) -> "ScalarPoly":
         return self._coerce(other) - self
@@ -184,7 +199,7 @@ class ScalarPoly:
             return self
         if not other._terms:
             return other
-        terms: Dict[Exponents, Fraction] = {}
+        terms: Dict[Exponents, Rational] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 key = tuple(map(add, e1, e2))
@@ -206,10 +221,11 @@ class ScalarPoly:
         return result
 
     def __truediv__(self, other: Rational) -> "ScalarPoly":
-        frac = _as_fraction(other)
-        if frac == 0:
+        divisor = _as_coeff(other)
+        if divisor == 0:
             raise PolyError("division by zero")
-        return self * (Fraction(1) / frac)
+        return _normal(self.vars, {e: _as_coeff(Fraction(c, divisor))
+                                   for e, c in self._terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -226,7 +242,7 @@ class ScalarPoly:
     def partial(self, name: str) -> "ScalarPoly":
         """Formal partial derivative with respect to one variable."""
         i = self._index(name)
-        terms: Dict[Exponents, Fraction] = {}
+        terms: Dict[Exponents, Rational] = {}
         for exps, coeff in self._terms.items():
             e = exps[i]
             if e:
@@ -246,7 +262,7 @@ class ScalarPoly:
             if name not in new_vars:
                 raise UnknownVariableError(name, 0)
             positions.append(new_vars.index(name))
-        terms: Dict[Exponents, Fraction] = {}
+        terms: Dict[Exponents, Rational] = {}
         for exps, coeff in self._terms.items():
             widened = [0] * len(new_vars)
             for pos, e in zip(positions, exps):
@@ -291,12 +307,12 @@ class ScalarPoly:
         return f"ScalarPoly({self})"
 
 
-def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> ScalarPoly:
+def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, Rational]) -> ScalarPoly:
     """A ScalarPoly over terms already in normal form, unchecked.
 
     The caller guarantees what the public constructor would check: every
     exponent tuple has len(vars) nonnegative entries and every coefficient
-    is a nonzero Fraction.
+    is a nonzero int or Fraction.
     """
     poly = object.__new__(ScalarPoly)
     poly.vars = vars
@@ -304,7 +320,7 @@ def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, Fraction]) -> ScalarPo
     return poly
 
 
-def _fraction_str(value: Fraction) -> str:
+def _fraction_str(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -21,9 +21,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, courant_dorfman_form_part,
-                     lie_derivative_form, two_form_of_oneform, vf_bracket,
-                     vf_bracket_comps)
+                     battery_functions, courant_dorfman_form_part, dual_pair,
+                     lie_derivative_form, two_form_of_oneform, vf_apply,
+                     vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
 from .laops import (LieAlgebroidData, basic_curvature, basic_v, basic_sigma,
@@ -278,14 +278,14 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             ell = tp.zero()
             for k in range(es_bundle.rank):
                 ell = ell + tp.embed(eta.coeffs[k]) * tp.fiber(k)
-            lhs = _apply_vf(tp, x_lift, ell)
+            lhs = vf_apply(tp.allvars, x_lift, ell)
             rhs = tp.zero()
             for l in range(e_bundle.rank):
                 ef = b.frame_section(b.atom_slice(e_idx).start + l)
                 paired = tp.embed(
-                    delta.bracket.rho_d(v, _dual_pair(eta, Section(
+                    delta.bracket.rho_d(v, dual_pair(eta, Section(
                         e_bundle, ef.part(e_idx))))
-                    - _dual_pair(eta, Section(e_bundle,
+                    - dual_pair(eta, Section(e_bundle,
                                               delta.apply(v, ef).part(e_idx))))
                 rhs = rhs + paired * tp.fiber(l)
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
@@ -550,7 +550,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                            f"(Dx{i + 1}; ({phi})*Dx{j + 1})", lhs - ell_dual(value))
         for label_e, e in battery_sections(e_bundle):
             lhs = omega_eval(linear_lift(x), core_lift(e))
-            rhs = -tp.embed(_pair_form(sigma.apply(e), x))
+            rhs = -tp.embed(dual_pair(sigma.apply(e), x))
             chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", lhs - rhs)
     for label1, e1 in battery_sections(e_bundle):
         for label2, e2 in battery_sections(e_bundle):
@@ -588,12 +588,6 @@ def _basis(tp: TotalPatch, j: int) -> List[ScalarPoly]:
     out[j] = tp.one()
     return out
 
-
-def _pair_form(theta: Section, x: Section) -> ScalarPoly:
-    total = theta.bundle.patch.zero()
-    for a, b in zip(theta.coeffs, x.coeffs):
-        total = total + a * b
-    return total
 
 # -- the generator calculus over TM + A* ---------------------------------------
 
@@ -713,8 +707,8 @@ class GeneratorAlgebra:
             for j, v in enumerate(self.lad.v_bundle.frame_sections()):
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
-                col = (self.lad.to_sigma(a=e_k).scale(_vf_scalar(x, phi))
-                       - db_value(self.lad, phi).scale(_dual_pair(xi, e_k)))
+                col = (self.lad.to_sigma(a=e_k).scale(vf_apply(base.coords, x.coeffs, phi))
+                       - db_value(self.lad, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
             out = self.add(out, self.hom_dagger(
                 HomSection.from_columns(self.lad.v_bundle, cols)))
@@ -767,11 +761,7 @@ class GeneratorAlgebra:
         return out
 
     def theta_apply(self, elem: Dict, fun: ScalarPoly) -> ScalarPoly:
-        vf = self.theta(elem)
-        total = self.tp.zero()
-        for comp, var in zip(vf, self.tp.allvars):
-            total = total + comp * fun.partial(var)
-        return total
+        return vf_apply(self.tp.allvars, self.theta(elem), fun)
 
     # -- bracket ---------------------------------------------------------------
 
@@ -797,34 +787,13 @@ class GeneratorAlgebra:
             for k2, g in e2.items():
                 base = self.bracket_generators(k1, k2)
                 out = self.add(out, self.scale(base, f * g))
-                dg = _apply_vf(self.tp, theta1, g)
+                dg = vf_apply(self.tp.allvars, theta1, g)
                 if not dg.is_zero():
                     out = self.add(out, {k2: f * dg})
-                df = _apply_vf(self.tp, self.theta_generator(k2), f)
+                df = vf_apply(self.tp.allvars, self.theta_generator(k2), f)
                 if not df.is_zero():
                     out = self.add(out, {k1: -(g * df)})
         return out
-
-
-def _apply_vf(tp: TotalPatch, vf: Sequence[ScalarPoly], fun: ScalarPoly) -> ScalarPoly:
-    total = tp.zero()
-    for comp, var in zip(vf, tp.allvars):
-        total = total + comp * fun.partial(var)
-    return total
-
-
-def _vf_scalar(x: Section, phi: ScalarPoly) -> ScalarPoly:
-    total = x.bundle.patch.zero()
-    for comp, coord in zip(x.coeffs, x.bundle.patch.coords):
-        total = total + comp * phi.partial(coord)
-    return total
-
-
-def _dual_pair(xi: Section, a: Section) -> ScalarPoly:
-    total = xi.bundle.patch.zero()
-    for c1, c2 in zip(xi.coeffs, a.coeffs):
-        total = total + c1 * c2
-    return total
 
 
 def db_value(lad: LieAlgebroidData, phi: ScalarPoly) -> Section:

@@ -210,6 +210,18 @@ CHECK_STATEMENTS: Dict[str, str] = {
     "ta-generators": "generator calculus over TM + A*",
 }
 
+# The argument counts each check accepts; parse_spec rejects any other count.
+CHECK_ARITY: Dict[str, Tuple[int, ...]] = {
+    **dict.fromkeys(["anchor-compat", "lie", "dorfman-axioms", "duality", "curvature", "skew",
+                     "splitting-theorems", "courant-axioms", "linear-poisson"], (1,)),
+    **dict.fromkeys(["section4", "bott-dorfman", "canonical-form", "ta-generators"], (2,)),
+    **dict.fromkeys(["dirac", "geometric-dirac", "bracket-well-defined"], (3,)),
+    **dict.fromkeys(["la-dirac", "ruth-compat", "k-algebroid", "manin-pair", "roundtrip",
+                     "recover-perturbed"], (4,)),
+    "identity-lemmas": (2, 4),
+    "standard-iso": (5,),
+}
+
 
 def parse_spec(text: str) -> StructureSpec:
     sections = _tokenize(text)
@@ -352,6 +364,10 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if name not in CHECK_STATEMENTS:
                 raise SpecError(f"unknown check {name!r}", lineno)
             args = [v.strip() for v in value.split(",") if v.strip()]
+            if len(args) not in CHECK_ARITY[name]:
+                counts = " or ".join(map(str, CHECK_ARITY[name]))
+                raise SpecError(f"check {name!r} takes {counts} argument(s), "
+                                f"got {len(args)}", lineno)
             spec.checks.append((name, args, expect_fail))
         return
     raise SpecError(f"unknown section kind {sec.kind!r}", sec.line)

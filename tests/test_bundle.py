@@ -3,7 +3,7 @@ import pytest
 from courant_lab.bundle import (Bundle, BundleError, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
                                 db_canonical, lie_derivative_form, patch,
-                                vf_bracket)
+                                vf_apply, vf_bracket)
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -69,14 +69,13 @@ def test_lie_derivative_examples():
 
 def test_cartan_identity():
     # L_X theta = i_X d theta + d(i_X theta)
-    from courant_lab.bundle import (interior_oneform, interior_two_form,
-                                    two_form_of_oneform)
+    from courant_lab.bundle import dual_pair, interior_two_form, two_form_of_oneform
     x = TM.section(Dx1="x2", Dx2="x1")
     theta = CT.section(dx1="x1*x2", dx2="x2")
     lie = lie_derivative_form(x, theta)
     w = two_form_of_oneform(BASE.coords, theta.coeffs)
     contraction = interior_two_form(x.coeffs, w)
-    inner = interior_oneform(x.coeffs, theta.coeffs, BASE.zero())
+    inner = dual_pair(x, theta)
     d_inner = d_scalar(BASE, inner)
     for a, b, c in zip(lie.coeffs, contraction, d_inner.coeffs):
         assert a == b + c
@@ -125,3 +124,29 @@ def test_pairing_bilinear_over_polys():
     phi = BASE.poly("x1 + 2")
     assert canonical_pairing(v.scale(phi), s) == phi * canonical_pairing(v, s)
     assert canonical_pairing(v, s.scale(phi)) == phi * canonical_pairing(v, s)
+
+
+def test_vf_apply_with_zero_components_equals_the_full_sum():
+    phi = BASE.poly("x1^2*x2 + 3*x2")
+    for comps in ([BASE.zero(), BASE.poly("x1 - 1")], [BASE.poly("x2"), BASE.zero()],
+                  [BASE.zero(), BASE.zero()], [BASE.poly("x2"), BASE.poly("x1 - 1")]):
+        full = BASE.zero()
+        for comp, name in zip(comps, BASE.coords):
+            full = full + comp * phi.partial(name)
+        assert vf_apply(BASE.coords, comps, phi) == full
+    assert vf_apply(BASE.coords, [BASE.zero(), BASE.poly("x1 - 1")], phi) == \
+        BASE.poly("(x1 - 1)*(x1^2 + 3)")
+
+
+def test_zero_one_and_tangent_bundles_are_shared_per_patch():
+    p = patch("y1", "y2")
+    assert p.zero() is p.zero() and p.one() is p.one()
+    assert Bundle.tangent(p) is Bundle.tangent(p)
+    assert Bundle.cotangent(p) is Bundle.cotangent(p)
+    f = Bundle.vector(p, "F", ("f1", "f2"))
+    assert f.zero_section() is f.zero_section()
+    # an equal patch has its own objects, equal to these
+    twin = patch("y1", "y2")
+    assert Bundle.tangent(twin) == Bundle.tangent(p) and twin.zero() == p.zero()
+    scaled = f.section(f1="y1").scale(p.poly("y2"))
+    assert scaled.coeffs == (p.poly("y1*y2"), p.zero()) and scaled.coeffs[1] is p.zero()

@@ -8,7 +8,8 @@ from courant_lab import checks
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import main
-from courant_lab.specfile import CHECK_STATEMENTS, SpecError, parse_spec, parse_section_expr
+from courant_lab.specfile import (CHECK_ARITY, CHECK_STATEMENTS, SpecError, parse_spec,
+                                  parse_section_expr)
 from courant_lab.bundle import Bundle, patch
 
 MINIMAL = """
@@ -75,6 +76,10 @@ def test_every_registered_check_has_a_statement():
     assert set(checks.REGISTRY) == set(CHECK_STATEMENTS)
 
 
+def test_every_registered_check_has_an_arity():
+    assert set(checks.REGISTRY) == set(CHECK_ARITY)
+
+
 def test_unexpected_exception_keeps_traceback_out_of_report(monkeypatch, capsys):
     def explode(spec, args, seed):
         raise RuntimeError("boom")
@@ -87,6 +92,19 @@ def test_unexpected_exception_keeps_traceback_out_of_report(monkeypatch, capsys)
     assert not reports[0].witnesses
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_index_error_in_runner_is_unexpected(monkeypatch, capsys):
+    # arity is checked at parse time, so an IndexError is a bug, not a spec error
+    def out_of_range(spec, args, seed):
+        return [args[5]]
+
+    monkeypatch.setitem(checks.REGISTRY, "dorfman-axioms", out_of_range)
+    reports = run_check(parse_spec(MINIMAL), "dorfman-axioms", ["Delta"], 7)
+    assert [r.status for r in reports] == ["error"]
+    assert reports[0].details == ["unexpected IndexError: list index out of range"]
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "IndexError" in err
 
 
 def test_catalog_entries_parse_and_have_checks():
@@ -170,6 +188,27 @@ def test_xfail_with_unknown_check_name_is_a_spec_error(tmp_path, capsys):
     path.write_text(text)
     assert main(["run", str(path)]) == 2
     assert "unknown check 'courant-axiomz'" in capsys.readouterr().err
+
+
+def test_xfail_with_missing_arguments_is_a_spec_error(tmp_path, capsys):
+    text = COURANT.replace("xfail courant-axioms = C", "xfail dirac =")
+    with pytest.raises(SpecError, match="'dirac' takes 3 argument"):
+        parse_spec(text)
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "got 0" in captured.err and "Traceback" not in captured.err
+
+
+def test_extra_check_arguments_are_a_spec_error(tmp_path, capsys):
+    text = COURANT.replace("xfail courant-axioms = C", "courant-axioms = C, extra, args")
+    with pytest.raises(SpecError, match="'courant-axioms' takes 1 argument"):
+        parse_spec(text)
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "got 3" in capsys.readouterr().err
 
 
 def test_xfail_is_not_met_by_an_error_without_witness(tmp_path, capsys):

@@ -227,3 +227,10 @@ def test_lie_algebroid_data_rejects_non_lie():
                                       {(0, 0): a.section(e2=1)})
     with pytest.raises(BundleError):
         LieAlgebroidData(dull)
+
+
+def test_lie_algebroid_bundles_are_built_once(ex_b):
+    lad = ex_b[0]
+    assert lad.v_bundle is lad.v_bundle and lad.sigma_bundle is lad.sigma_bundle
+    assert lad.v_bundle == Bundle.tangent(PT) + lad.a_bundle.dual()
+    assert lad.sigma_bundle == lad.a_bundle + Bundle.cotangent(PT)

@@ -3,7 +3,8 @@
 The ring operations build their results without re-validating them, so
 every result here is also checked for the normal form the unchecked
 constructor relies on: no stored zero coefficient, exponent tuples of the
-right width, Fraction coefficients, and a `terms` view that is a copy.
+right width, stored coefficients that are int or Fraction, and a `terms`
+view that is a copy with Fraction values.
 Inputs are biased toward cancellation and zero operands, the cases the
 fast paths short-circuit.
 """
@@ -65,6 +66,7 @@ def expected_terms(expr, vars_):
 
 def assert_normal(poly, vars_=VARS):
     assert poly.vars == vars_
+    assert all(type(c) in (int, Fraction) for c in poly._terms.values())
     terms = poly.terms
     for exps, coeff in terms.items():
         assert len(exps) == len(vars_)
@@ -132,3 +134,33 @@ def test_print_parse_roundtrip_matches_sympy(pair):
     assert parsed == value
     reread = sympy.sympify(text.replace("^", "**"), locals=SYMBOLS)
     assert_matches(value, reread)
+
+
+def test_mixed_int_and_fraction_coefficients():
+    x, y = ScalarPoly.var(VARS, "x"), ScalarPoly.var(VARS, "y")
+    product = (x * Fraction(1, 2)) * (y * 2)   # 1/2 * 2 leaves an integral Fraction
+    plain = x * y
+    key = (1, 1, 0)
+    assert type(product._terms[key]) is Fraction and type(plain._terms[key]) is int
+    assert product == plain and hash(product) == hash(plain)
+    assert str(product) == str(plain) == "x*y"
+    assert_matches(product, SYMBOLS["x"] * SYMBOLS["y"])
+    assert_matches(product - plain, sympy.Integer(0))
+    # the validating entry points store integral values as int
+    for poly in (ScalarPoly(VARS, {(0, 0, 0): Fraction(4, 2)}),
+                 ScalarPoly.const(VARS, Fraction(2)), parse_poly("4/2", VARS),
+                 ScalarPoly.const(VARS, 6) / 3):
+        assert poly._terms == {(0, 0, 0): 2} and type(poly._terms[(0, 0, 0)]) is int
+        assert type(poly.constant_value()) is Fraction
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operand_pairs())
+def test_integral_fractions_behave_as_ints(pair):
+    a, b = pair
+    restored = (a * Fraction(1, 2)) * ScalarPoly.const(VARS, 2)
+    assert restored == a and hash(restored) == hash(a) and str(restored) == str(a)
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert_matches(restored * b, sympy.expand(sa * sb))
+    assert_matches(restored + b, sa + sb)
+    assert_matches(restored.partial("x"), sympy.diff(sa, SYMBOLS["x"]))
