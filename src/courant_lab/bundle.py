@@ -115,8 +115,8 @@ class Bundle:
     """A direct sum of atoms over a patch.
 
     Immutable once built: the frame names and the rank are computed in
-    __post_init__, the frame sections and the zero section on first use,
-    and all are shared by every caller afterwards.
+    __post_init__, the dual bundle, the frame sections and the zero section
+    on first use, and all are shared by every caller afterwards.
     """
 
     patch: Patch
@@ -140,7 +140,7 @@ class Bundle:
         return Bundle(base, (Atom(VEC, name, tuple(frame)),))
 
     def dual(self) -> "Bundle":
-        return Bundle(self.patch, tuple(a.dual() for a in self.atoms))
+        return self._dual
 
     def __add__(self, other: "Bundle") -> "Bundle":
         if other.patch != self.patch:
@@ -176,6 +176,10 @@ class Bundle:
 
     def frame_sections(self) -> List["Section"]:
         return list(self._frame_sections)
+
+    @cached_property
+    def _dual(self) -> "Bundle":
+        return Bundle(self.patch, tuple(a.dual() for a in self.atoms))
 
     @cached_property
     def _zero_section(self) -> "Section":
@@ -336,6 +340,11 @@ class HomSection:
             out.append(total)
         return Section(self.target, tuple(out))
 
+    def transpose(self) -> "HomSection":
+        """The map target* -> source* over the dual frames: <T* a, s> = <a, T s>."""
+        return HomSection(self.target.dual(), self.source.dual(),
+                          [[row[j] for row in self.matrix] for j in range(self.source.rank)])
+
     def compose(self, inner: "HomSection") -> "HomSection":
         if inner.target != self.source:
             raise BundleError("composition shape mismatch")
@@ -454,20 +463,20 @@ def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
 
 
 def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> List[List[ScalarPoly]]:
-    """Coefficients W[i][j] = d_i theta_j - d_j theta_i of d(theta)."""
-    n = len(vars_)
-    return [[theta[j].partial(vars_[i]) - theta[i].partial(vars_[j]) for j in range(n)]
-            for i in range(n)]
+    """Coefficients W[i][j] = d_i theta_j - d_j theta_i of d(theta); a zero
+    component of theta costs no partial derivative."""
+    grad = [[t] * len(vars_) if t.is_zero() else [t.partial(v) for v in vars_] for t in theta]
+    return [[grad[j][i] - grad[i][j] for j in range(len(vars_))] for i in range(len(vars_))]
 
 
 def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
-    n = len(x)
+    """(i_X W)_j = sum_i X^i W[i][j]; zero components of X are skipped."""
+    rows = [(c, w[i]) for i, c in enumerate(x) if not c.is_zero()]
     out = []
-    for j in range(n):
-        total = None
-        for i in range(n):
-            piece = x[i] * w[i][j]
-            total = piece if total is None else total + piece
+    for j in range(len(x)):
+        total = ScalarPoly.zero(x[j].vars)
+        for c, row in rows:
+            total = total + c * row[j]
         out.append(total)
     return out
 
@@ -489,11 +498,19 @@ def lie_derivative_form(x: Section, theta: Section) -> Section:
 
 
 def courant_dorfman_form_part(x1, theta1, x2, theta2, vars_):
-    """The T*M-component L_{X1} theta2 - i_{X2} d theta1, over any variable list."""
-    lie = lie_form_comps(vars_, x1, theta2)
-    dtheta = two_form_of_oneform(vars_, theta1)
-    contraction = interior_two_form(x2, dtheta)
-    return [a - b for a, b in zip(lie, contraction)]
+    """The T*M-component L_{X1} theta2 - i_{X2} d theta1, over any variable list.
+
+    i_{X2} d theta1 is taken as X2(theta1_j) - sum_i X2^i d_j theta1_i, so a
+    zero component of X2 or theta1 costs no partial derivative.
+    """
+    pairs = [(c, t) for c, t in zip(x2, theta1) if not (c.is_zero() or t.is_zero())]
+    out = []
+    for j, (v, lie) in enumerate(zip(vars_, lie_form_comps(vars_, x1, theta2))):
+        value = lie - vf_apply(vars_, x2, theta1[j])
+        for c, t in pairs:
+            value = value + c * t.partial(v)
+        out.append(value)
+    return out
 
 
 # -- annihilators and constant subbundles --------------------------------

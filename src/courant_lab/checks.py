@@ -8,6 +8,7 @@ rather than crashes, so negative fixtures always terminate cleanly.
 
 from __future__ import annotations
 
+import dataclasses
 import traceback
 from typing import Callable, Dict, List
 
@@ -159,8 +160,8 @@ def run_recover_perturbed(spec, args, seed):
         return [report]
     i = mp.u_sub.rank
     j = mp.c_bundle.rank - 1
-    mp.courant.symbols[i][j] = mp.courant.symbols[i][j] + mp.c_bundle.frame_section(j)
-    _, rec_report = recover_triple(mp)
+    perturbed = mp.courant.shifted(i, j, mp.c_bundle.frame_section(j))
+    _, rec_report = recover_triple(dataclasses.replace(mp, courant=perturbed))
     return [rec_report]
 
 

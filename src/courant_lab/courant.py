@@ -50,12 +50,17 @@ class CourantData:
             raise BundleError("bracket symbols must cover all ordered frame pairs")
         self.bundle = bundle
         self.anchor = anchor
-        self.pairing = [list(row) for row in pairing]
-        # symbols may be edited after construction, so nothing below derives from them
-        self.symbols = [list(row) for row in symbols]
+        self.pairing = tuple(tuple(row) for row in pairing)
+        self.symbols = tuple(tuple(row) for row in symbols)
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
         # anchor images of the frame; the anchor is fixed once built
         self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
+
+    def shifted(self, i: int, j: int, section: Section) -> "CourantData":
+        """A new CourantData whose (i, j) bracket symbol is moved by section."""
+        symbols = [list(row) for row in self.symbols]
+        symbols[i][j] = symbols[i][j] + section
+        return CourantData(self.bundle, self.anchor, self.pairing, symbols, self._dmat)
 
     # -- pairing and anchor ------------------------------------------------
 
@@ -532,15 +537,7 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     base = lad.base
     std = standard_courant(base)
     tangent = Bundle.tangent(base)
-
-    def sigma_star(x: Section) -> Section:
-        comps = []
-        for k in range(lad.a_bundle.rank):
-            value = base.zero()
-            for i in range(base.dim):
-                value = value + sigma.matrix[i][k] * x.coeffs[i]
-            comps.append(value)
-        return Section(lad.a_bundle.dual(), tuple(comps))
+    sigma_star = sigma.transpose()
 
     # Pi on the C-frame
     pi_cols = []
@@ -560,7 +557,7 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         t = std.bundle.frame_section(idx)
         x = Section(tangent, t.part(std.bundle.atom_index("TM")))
         th = Section(Bundle.cotangent(base), t.part(std.bundle.atom_index("T*M")))
-        u_sec = lad.to_v(x=x, xi=-sigma_star(x))
+        u_sec = lad.to_v(x=x, xi=-sigma_star.apply(x))
         theta_cols.append(mp.normalize(u_sec, lad.to_sigma(theta=th)))
     theta_hom = HomSection.from_columns(std.bundle, theta_cols)
 

@@ -23,8 +23,8 @@ from typing import List, Sequence
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, canonical_pairing, pairing_matrix,
-                     vf_apply, vf_bracket, lie_derivative_form)
+                     battery_functions, canonical_pairing, dual_pair,
+                     pairing_matrix, vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, ERROR
@@ -70,7 +70,7 @@ class Connection(object):
         comps = []
         for l in range(self.bundle.rank):
             value = vf_apply(base.coords, x.coeffs, xi.coeffs[l])
-            value = value - canonical_pairing(xi, self.nabla(x, self.bundle.frame_section(l)))
+            value = value - dual_pair(xi, self.nabla(x, self.bundle.frame_section(l)))
             comps.append(value)
         return Section(dual, tuple(comps))
 
@@ -425,45 +425,10 @@ class DorfmanConnection:
 
 
 def standard_dorfman(conn: Connection) -> DorfmanConnection:
-    """Delta_{(X,xi)}(e,theta) = (nabla_X e, L_X theta + <nabla*_. xi, e>)."""
+    """Delta_{(X,xi)}(e,theta) = (nabla_X e, L_X theta + <nabla*_. xi, e>):
+    the sigma = 0 case of im2form_dorfman."""
     e_bundle = conn.bundle
-    base = e_bundle.patch
-    predual = canonical_predual(e_bundle)
-    q, b = predual.q, predual.b
-    tangent = Bundle.tangent(base)
-    cotangent = Bundle.cotangent(base)
-    e_idx, ct_idx = b.atom_index("V"), b.atom_index("T*M")
-    tm_idx, es_idx = q.atom_index("TM"), q.atom_index("V*")
-    dual_frames = e_bundle.dual().frame_sections()
-    symbols = []
-    for i in range(q.rank):
-        row = []
-        in_tm = q.atom_slice(tm_idx).start <= i < q.atom_slice(tm_idx).stop
-        for j in range(b.rank):
-            value = b.zero_section()
-            in_e = b.atom_slice(e_idx).start <= j < b.atom_slice(e_idx).stop
-            if in_tm:
-                x = tangent.frame_section(i - q.atom_slice(tm_idx).start)
-                if in_e:
-                    e_sec = e_bundle.frame_section(j - b.atom_slice(e_idx).start)
-                    value = value.with_part(e_idx, conn.nabla(x, e_sec).coeffs)
-                else:
-                    theta = cotangent.frame_section(j - b.atom_slice(ct_idx).start)
-                    value = value.with_part(ct_idx, lie_derivative_form(x, theta).coeffs)
-            else:
-                xi = dual_frames[i - q.atom_slice(es_idx).start]
-                if in_e:
-                    e_sec = e_bundle.frame_section(j - b.atom_slice(e_idx).start)
-                    # the 1-form  X |-> <nabla*_X xi, e>
-                    comps = []
-                    for l in range(base.dim):
-                        xl = tangent.frame_section(l)
-                        comps.append(canonical_pairing(conn.nabla_dual(xl, xi), e_sec))
-                    value = value.with_part(ct_idx, comps)
-            row.append(value)
-        symbols.append(row)
-    helper = DorfmanConnection(predual, _zero_bracket(q), symbols)
-    return DorfmanConnection(predual, helper.dual_bracket(), symbols)
+    return im2form_dorfman(HomSection.zero(e_bundle, Bundle.cotangent(e_bundle.patch)), conn)
 
 
 def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
@@ -482,27 +447,17 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     e_idx, ct_idx = b.atom_index("V"), b.atom_index("T*M")
     tm_idx, es_idx = q.atom_index("TM"), q.atom_index("V*")
     dual_bundle = e_bundle.dual()
-
-    def sigma_star(x: Section) -> Section:
-        # <sigma* X, e> = <sigma e, X>
-        comps = [interior(sigma.column(l), x) for l in range(e_bundle.rank)]
-        return Section(dual_bundle, tuple(comps))
-
-    def interior(theta: Section, x: Section) -> ScalarPoly:
-        total = base.zero()
-        for a, c in zip(theta.coeffs, x.coeffs):
-            total = total + a * c
-        return total
+    sigma_star = sigma.transpose()
 
     def delta_value(x: Section, xi: Section, e_sec: Section, theta: Section) -> Section:
         nab = conn.nabla(x, e_sec)
         form = lie_derivative_form(x, theta - sigma.apply(e_sec))
-        shifted = sigma_star(x) + xi
-        corr = []
-        for l in range(base.dim):
-            xl = tangent.frame_section(l)
-            corr.append(canonical_pairing(conn.nabla_dual(xl, shifted), e_sec))
-        form = form + Section(form.bundle, tuple(corr)) + sigma.apply(nab)
+        shifted = sigma_star.apply(x) + xi
+        if not (shifted.is_zero() or e_sec.is_zero()):
+            corr = [dual_pair(conn.nabla_dual(xl, shifted), e_sec)
+                    for xl in tangent.frame_sections()]
+            form = form + Section(form.bundle, tuple(corr))
+        form = form + sigma.apply(nab)
         return b.zero_section().with_part(e_idx, nab.coeffs).with_part(ct_idx, form.coeffs)
 
     symbols = []

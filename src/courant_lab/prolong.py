@@ -7,6 +7,11 @@ TE + T*E are materialized componentwise, and the Courant-Dorfman calculus
 runs in full (n+r)-dimensional coordinates.  Agreement of the two routes
 is the package's master invariant.
 
+The total-space calculus runs on the shared kernels of `bundle` over the
+variable list of a `TotalPatch`: `vf_apply`, `dual_pair`,
+`interior_two_form` and `HomSection.transpose`; every fiberwise-linear
+function sum_k c_k(x) y_k is built by `TotalPatch.linear`.
+
 Sign conventions, fixed once: the two-form of a one-form theta is
 evaluated as d theta(v, w) = v(theta(w)) - w(theta(v)) - theta([v, w]);
 the pullback canonical two-form used below is exactly this differential
@@ -17,13 +22,14 @@ the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import battery_sections
-from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, courant_dorfman_form_part, dual_pair,
-                     lie_derivative_form, two_form_of_oneform, vf_apply,
-                     vf_bracket, vf_bracket_comps)
+from .bundle import (Bundle, BundleError, HomSection, Section, battery_functions,
+                     courant_dorfman_form_part, db_canonical, dual_pair,
+                     interior_two_form, lie_derivative_form, pairing_matrix,
+                     two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
 from .laops import (LieAlgebroidData, basic_curvature, basic_v, basic_sigma,
@@ -34,12 +40,17 @@ from .report import Checker, CheckReport
 
 @dataclass(frozen=True)
 class TotalPatch:
-    """Coordinates (x, y) on the total space of a trivialized bundle."""
+    """Coordinates (x, y) on the total space of a trivialized bundle.
+
+    Immutable, so the variable list, zero, one and the fiber variables are
+    built once, on first use, and shared: total-space polynomials all carry
+    the same variable tuple.
+    """
 
     base_coords: Tuple[str, ...]
     fiber_coords: Tuple[str, ...]
 
-    @property
+    @cached_property
     def allvars(self) -> Tuple[str, ...]:
         return self.base_coords + self.fiber_coords
 
@@ -51,13 +62,33 @@ class TotalPatch:
         return phi.extend(self.allvars)
 
     def zero(self) -> ScalarPoly:
-        return ScalarPoly.zero(self.allvars)
+        return self._zero
 
     def one(self) -> ScalarPoly:
-        return ScalarPoly.one(self.allvars)
+        return self._one
 
     def fiber(self, k: int) -> ScalarPoly:
-        return ScalarPoly.var(self.allvars, self.fiber_coords[k])
+        return self._fibers[k]
+
+    def linear(self, coeffs: Sequence[ScalarPoly]) -> ScalarPoly:
+        """The fiberwise-linear function sum_k c_k(x) y_k of base coefficients c_k."""
+        total = self._zero
+        for c, y in zip(coeffs, self._fibers, strict=True):
+            if not c.is_zero():
+                total = total + self.embed(c) * y
+        return total
+
+    @cached_property
+    def _zero(self) -> ScalarPoly:
+        return ScalarPoly.zero(self.allvars)
+
+    @cached_property
+    def _one(self) -> ScalarPoly:
+        return ScalarPoly.one(self.allvars)
+
+    @cached_property
+    def _fibers(self) -> Tuple[ScalarPoly, ...]:
+        return tuple(ScalarPoly.var(self.allvars, y) for y in self.fiber_coords)
 
 
 def total_patch_of(bundle: Bundle, prefix: str = "y") -> TotalPatch:
@@ -113,14 +144,7 @@ class LiftedSection:
 
 def lift_core(tp: TotalPatch, sigma: Section) -> LiftedSection:
     """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form."""
-    b = sigma.bundle
-    base = b.patch
-    e_part = sigma.part(b.atom_index("V"))
-    th_part = sigma.part(b.atom_index("T*M"))
-    n = base.dim
-    vf = [tp.zero()] * n + [tp.embed(c) for c in e_part]
-    form = [tp.embed(c) for c in th_part] + [tp.zero()] * len(tp.fiber_coords)
-    return LiftedSection(tp, vf, form)
+    return _core_section(tp, sigma.bundle, [tp.embed(c) for c in sigma.coeffs])
 
 
 def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section) -> LiftedSection:
@@ -131,56 +155,28 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section) -> LiftedS
     part d l_xi minus the pullback of the T*M-component.
     """
     q, b = delta.q, delta.b
-    base = q.patch
-    n, r = base.dim, len(tp.fiber_coords)
-    x_part = v.part(q.atom_index("TM"))
-    xi_part = v.part(q.atom_index("V*"))
-    e_idx, th_idx = b.atom_index("V"), b.atom_index("T*M")
-    e_frames = [b.frame_section(j) for j in range(*_slice_indices(b, e_idx))]
-
-    vf = [tp.embed(c) for c in x_part] + [tp.zero()] * r
-    form = [tp.zero()] * (n + r)
-    # d l_xi = sum d_i xi_k y_k dx_i + xi_k dy_k
-    for k in range(r):
-        xk = tp.embed(xi_part[k])
-        form[n + k] = form[n + k] + xk
-        for i in range(n):
-            form[i] = form[i] + tp.embed(xi_part[k].partial(base.coords[i])) * tp.fiber(k)
-    # - Delta_v(e, 0)^ with e the tautological section
-    for l, ef in enumerate(e_frames):
-        value = delta.apply(v, ef)
-        e_out = value.part(e_idx)
-        th_out = value.part(th_idx)
-        yl = tp.fiber(l)
-        for k in range(r):
-            vf[n + k] = vf[n + k] - tp.embed(e_out[k]) * yl
-        for i in range(n):
-            form[i] = form[i] - tp.embed(th_out[i]) * yl
-    return LiftedSection(tp, vf, form)
-
-
-def _slice_indices(bundle: Bundle, atom_idx: int) -> Tuple[int, int]:
-    sl = bundle.atom_slice(atom_idx)
-    return sl.start, sl.stop
+    e_sl = b.atom_slice(b.atom_index("V"))
+    ell = tp.linear(v.part(q.atom_index("V*")))
+    x_part = [tp.embed(c) for c in v.part(q.atom_index("TM"))]
+    horizontal = LiftedSection(tp, x_part + [tp.zero()] * len(tp.fiber_coords),
+                               [ell.partial(y) for y in tp.allvars])
+    # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
+    cols = [delta.apply(v, b.frame_section(m)) for m in range(e_sl.start, e_sl.stop)]
+    rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
+    return horizontal - _core_section(tp, b, rows)
 
 
 def vertical_hom(tp: TotalPatch, delta: DorfmanConnection, hom: HomSection) -> LiftedSection:
     """Phi^ for Phi: E -> E + T*M, evaluated on the tautological section."""
-    b = delta.b
-    e_idx, th_idx = b.atom_index("V"), b.atom_index("T*M")
+    return _core_section(tp, delta.b, [tp.linear(row) for row in hom.matrix])
+
+
+def _core_section(tp: TotalPatch, b: Bundle, comps: List[ScalarPoly]) -> LiftedSection:
+    # comps are total-space functions in B = E + T*M frame order: the E-part
+    # is a vertical vector field, the T*M-part a form along the base
     n, r = len(tp.base_coords), len(tp.fiber_coords)
-    vf = [tp.zero()] * (n + r)
-    form = [tp.zero()] * (n + r)
-    for l in range(hom.source.rank):
-        value = hom.column(l)
-        e_out = value.part(e_idx)
-        th_out = value.part(th_idx)
-        yl = tp.fiber(l)
-        for k in range(r):
-            vf[n + k] = vf[n + k] + tp.embed(e_out[k]) * yl
-        for i in range(n):
-            form[i] = form[i] + tp.embed(th_out[i]) * yl
-    return LiftedSection(tp, vf, form)
+    return LiftedSection(tp, [tp.zero()] * n + comps[b.atom_slice(b.atom_index("V"))],
+                         comps[b.atom_slice(b.atom_index("T*M"))] + [tp.zero()] * r)
 
 
 # -- total-space Courant calculus --------------------------------------------
@@ -220,31 +216,25 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     q, b = delta.q, delta.b
     functions = battery_functions(q.patch)
     q_frames = q.frame_sections()
-    b_frames = b.frame_sections()
     e_idx = b.atom_index("V")
-
-    lifts = {}
-    for i, v in enumerate(q_frames):
-        lifts[i] = lift_linear(tp, delta, v)
+    e_frames = [b.frame_section(m) for m in range(b.atom_slice(e_idx).start,
+                                                  b.atom_slice(e_idx).stop)]
+    lifts = [lift_linear(tp, delta, v) for v in q_frames]
+    cores = [(label, s, lift_core(tp, s)) for label, s in battery_sections(b)]
 
     for i, v1 in enumerate(q_frames):
         for j, v2 in enumerate(q_frames):
-            skew = delta.skew_symmetrization(v1, v2)
             # l of the E*-part of the symmetrization
-            es_part = skew.part(q.atom_index("V*"))
-            ell = tp.zero()
-            for k, c in enumerate(es_part):
-                ell = ell + tp.embed(c) * tp.fiber(k)
+            ell = tp.linear(delta.skew_symmetrization(v1, v2).part(q.atom_index("V*")))
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        total_pairing(lifts[i], lifts[j]) - ell)
     for i, v in enumerate(q_frames):
-        for label_s, s in battery_sections(b):
+        for label_s, s, core in cores:
             chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})",
-                       total_pairing(lifts[i], lift_core(tp, s))
+                       total_pairing(lifts[i], core)
                        - tp.embed(delta.predual.pair(v, s)))
-    for label1, s1 in battery_sections(b):
-        for label2, s2 in battery_sections(b):
-            c1, c2 = lift_core(tp, s1), lift_core(tp, s2)
+    for label1, _, c1 in cores:
+        for label2, _, c2 in cores:
             chk.record("pairing-core-core", f"({label1}; {label2})",
                        total_pairing(c1, c2))
             chk.record("bracket-core-core", f"({label1}; {label2})",
@@ -253,8 +243,8 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for phi in functions:
             lifted_v = lifts[i].scale(tp.embed(phi))
             scaled_v = v.scale(phi)
-            for label_s, s in battery_sections(b):
-                lhs = total_courant(lifted_v, lift_core(tp, s))
+            for label_s, s, core in cores:
+                lhs = total_courant(lifted_v, core)
                 rhs = lift_core(tp, delta.apply(scaled_v, s))
                 chk.record("bracket-linear-core", f"(({phi})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
@@ -263,31 +253,20 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             lhs = total_courant(lifts[i], lifts[j])
             dull = delta.bracket.bracket(v1, v2)
             hom_full = delta.curvature(v1, v2)
-            e_cols = [hom_full.apply(b_frames[m])
-                      for m in range(*_slice_indices(b, e_idx))]
+            e_cols = [hom_full.apply(ef) for ef in e_frames]
             correction = vertical_hom(tp, delta, HomSection.from_columns(e_bundle, e_cols))
             rhs = lift_linear(tp, delta, dull) - correction
             chk.record("bracket-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        lhs - rhs)
     # intermediate l-calculus: X~(l_eta) is the linear function of the
     # section with <psi, e> = X<eta, e> - <eta, pr_E Delta_v(e, 0)>
-    es_bundle = e_bundle.dual()
     for i, v in enumerate(q_frames):
-        x_lift = lifts[i].vf
-        for label_eta, eta in battery_sections(es_bundle):
-            ell = tp.zero()
-            for k in range(es_bundle.rank):
-                ell = ell + tp.embed(eta.coeffs[k]) * tp.fiber(k)
-            lhs = vf_apply(tp.allvars, x_lift, ell)
-            rhs = tp.zero()
-            for l in range(e_bundle.rank):
-                ef = b.frame_section(b.atom_slice(e_idx).start + l)
-                paired = tp.embed(
-                    delta.bracket.rho_d(v, dual_pair(eta, Section(
-                        e_bundle, ef.part(e_idx))))
-                    - dual_pair(eta, Section(e_bundle,
-                                              delta.apply(v, ef).part(e_idx))))
-                rhs = rhs + paired * tp.fiber(l)
+        for label_eta, eta in battery_sections(e_bundle.dual()):
+            lhs = vf_apply(tp.allvars, lifts[i].vf, tp.linear(eta.coeffs))
+            rhs = tp.linear([
+                delta.bracket.rho_d(v, c)
+                - dual_pair(eta, Section(e_bundle, delta.apply(v, ef).part(e_idx)))
+                for c, ef in zip(eta.coeffs, e_frames)])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
     return chk.report()
 
@@ -327,11 +306,10 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
         for name2, s2 in spanning:
             chk.record("isotropic", f"({name1}; {name2})", total_pairing(s1, s2))
 
-    decomposer = _LiftedDecomposer(tp, delta, u_sub, k_sub)
     for name1, s1 in spanning:
         for name2, s2 in spanning:
-            residual = decomposer.residual(total_courant(s1, s2))
-            chk.record("closure", f"[{name1}, {name2}]", residual)
+            chk.record("closure", f"[{name1}, {name2}]",
+                       _closure_residual(triple, u_lifts, total_courant(s1, s2)))
 
     verdicts = dirac_verdicts(check_dirac(triple))
     geometric = (chk.sub_passed("rank") and chk.sub_passed("isotropic")
@@ -343,49 +321,38 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
     return chk.report()
 
 
-class _LiftedDecomposer:
-    """Membership of a lifted section in the module spanned by D's frames."""
+def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
+                     section: LiftedSection) -> LiftedSection:
+    """The part of a lifted section outside the module spanned by D's frames.
 
-    def __init__(self, tp: TotalPatch, delta: DorfmanConnection,
-                 u_sub: SubBundle, k_sub: SubBundle):
-        self.tp = tp
-        self.delta = delta
-        self.u_sub = u_sub
-        self.k_sub = k_sub
-        self.n = len(tp.base_coords)
-        self.r = len(tp.fiber_coords)
-
-    def residual(self, section: LiftedSection) -> LiftedSection:
-        # the (d/dx, dy) components are constant-coefficient in the U-frame:
-        # solve for the linear coefficients, subtract, then match core parts
-        tp, n, r = self.tp, self.n, self.r
-        projected = list(section.vf[:n]) + list(section.form[n:])
-        u_coords, u_rest = self.u_sub.span.coords(projected)
-        if any(not c.is_zero() for c in u_rest):
-            # the projection already fails to lie over U
-            junk = LiftedSection(tp, list(section.vf[:n]) + [tp.zero()] * r,
-                                 [tp.zero()] * n + list(section.form[n:]))
-            return junk
-        remainder = section
-        for coeff, u in zip(u_coords, self.u_sub.sections):
-            remainder = remainder - lift_linear(tp, self.delta, u).scale(coeff)
-        # remainder must be a K-core combination: no d/dx, no dy components
-        for comp in list(remainder.vf[:n]) + list(remainder.form[n:]):
-            if not comp.is_zero():
-                return remainder
-        # order the core vector as (E-part, T*M-part) to match K's ambient
-        b = self.delta.b
-        e_sl = b.atom_slice(b.atom_index("V"))
-        th_sl = b.atom_slice(b.atom_index("T*M"))
-        ordered = [None] * b.rank
-        for k in range(r):
-            ordered[e_sl.start + k] = remainder.vf[n + k]
-        for i in range(n):
-            ordered[th_sl.start + i] = remainder.form[i]
-        _, rest = self.k_sub.span.coords(ordered)
-        if all(c.is_zero() for c in rest):
-            return LiftedSection(tp, [tp.zero()] * (n + r), [tp.zero()] * (n + r))
+    u_lifts are the linear lifts of the U-frame, in order; the result is
+    zero exactly when the section lies in D.
+    """
+    # the (d/dx, dy) components are constant-coefficient in the U-frame:
+    # solve for the linear coefficients, subtract, then match core parts
+    tp = section.total
+    n, r = len(tp.base_coords), len(tp.fiber_coords)
+    projected = list(section.vf[:n]) + list(section.form[n:])
+    u_coords, u_rest = triple.u_sub.span.coords(projected)
+    if any(not c.is_zero() for c in u_rest):
+        # the projection already fails to lie over U
+        return LiftedSection(tp, list(section.vf[:n]) + [tp.zero()] * r,
+                             [tp.zero()] * n + list(section.form[n:]))
+    remainder = section
+    for coeff, lift in zip(u_coords, u_lifts):
+        remainder = remainder - lift.scale(coeff)
+    # remainder must be a K-core combination: no d/dx, no dy components
+    if any(not c.is_zero() for c in remainder.vf[:n] + remainder.form[n:]):
         return remainder
+    # order the core vector as (E-part, T*M-part) to match K's ambient
+    b = triple.delta.b
+    ordered = [None] * b.rank
+    ordered[b.atom_slice(b.atom_index("V"))] = remainder.vf[n:]
+    ordered[b.atom_slice(b.atom_index("T*M"))] = remainder.form[:n]
+    _, rest = triple.k_sub.span.coords(ordered)
+    if all(c.is_zero() for c in rest):
+        return LiftedSection(tp, [tp.zero()] * (n + r), [tp.zero()] * (n + r))
+    return remainder
 
 
 # -- linear almost Poisson structure on the dual -------------------------------
@@ -410,60 +377,33 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
         if alpha < n and beta < n:
             return tp.zero()
         if alpha >= n and beta >= n:
-            k, l = alpha - n, beta - n
-            value = lad.bracket.structure[k][l]
-            total = tp.zero()
-            for m in range(r):
-                total = total + tp.embed(value.coeffs[m]) * tp.fiber(m)
-            return total
+            return tp.linear(lad.bracket.structure[alpha - n][beta - n].coeffs)
         if alpha >= n and beta < n:
             k = alpha - n
             return tp.embed(lad.bracket.rho(a_bundle.frame_section(k)).coeffs[beta])
         return -coord_bracket(beta, alpha)
 
+    # the Poisson bivector; sharp(form) = interior_two_form(form, table)
     table = [[coord_bracket(a, b) for b in range(n + r)] for a in range(n + r)]
-
-    def sharp(form: Sequence[ScalarPoly]) -> List[ScalarPoly]:
-        out = []
-        for beta in range(n + r):
-            total = tp.zero()
-            for alpha in range(n + r):
-                if not form[alpha].is_zero():
-                    total = total + form[alpha] * table[alpha][beta]
-            out.append(total)
-        return out
-
-    def d_total(phi: ScalarPoly) -> List[ScalarPoly]:
-        return [phi.partial(v) for v in tp.allvars]
 
     ct = Bundle.cotangent(base)
     for label, theta in battery_sections(ct):
         pulled = [tp.embed(c) for c in theta.coeffs] + [tp.zero()] * r
-        lhs = sharp(pulled)
+        lhs = interior_two_form(pulled, table)
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
-        rhs = [tp.zero()] * n
-        for k in range(r):
-            value = base.zero()
-            for c, x in zip(theta.coeffs, lad.bracket.rho(a_bundle.frame_section(k)).coeffs):
-                value = value + c * x
-            rhs.append(-tp.embed(value))
+        rhs = [tp.zero()] * n + [
+            -tp.embed(dual_pair(theta, lad.bracket.rho(a_bundle.frame_section(k))))
+            for k in range(r)]
         chk.record("sharp-of-pullback", label,
                    _vf_diff(tp, lhs, rhs))
     for label, a in battery_sections(a_bundle):
-        ell = tp.zero()
-        for k in range(r):
-            ell = ell + tp.embed(a.coeffs[k]) * tp.fiber(k)
-        lhs = sharp(d_total(ell))
+        ell = tp.linear(a.coeffs)
+        lhs = interior_two_form([ell.partial(v) for v in tp.allvars], table)
         # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi
-        rho_a = lad.bracket.rho(a)
-        rhs = [tp.embed(c) for c in rho_a.coeffs]
-        for l in range(r):
-            # <L_a xi, e_l> with xi the frozen tautological section
-            value = tp.zero()
-            for k in range(r):
-                bracket_al = lad.bracket.bracket(a, a_bundle.frame_section(l))
-                value = value + tp.fiber(k) * tp.embed(bracket_al.coeffs[k])
-            rhs.append(value)
+        rhs = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
+        # <L_a xi, e_l> with xi the frozen tautological section
+        rhs += [tp.linear(lad.bracket.bracket(a, a_bundle.frame_section(l)).coeffs)
+                for l in range(r)]
         chk.record("sharp-of-linear", label, _vf_diff(tp, lhs, rhs))
     return chk.report()
 
@@ -491,65 +431,43 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     tp = total_patch_of(e_bundle)
     n, r = base.dim, e_bundle.rank
     tangent = Bundle.tangent(base)
+    e_frames = e_bundle.frame_sections()
+    sigma_star = sigma.transpose()
 
     # theta = sum_i (sum_k sigma_{ik}(x) y_k) dx_i
-    theta = [tp.zero()] * (n + r)
-    for i in range(n):
-        for k in range(r):
-            theta[i] = theta[i] + tp.embed(sigma.matrix[i][k]) * tp.fiber(k)
+    theta = [tp.linear(row) for row in sigma.matrix] + [tp.zero()] * r
     w = two_form_of_oneform(tp.allvars, theta)
 
     def omega_eval(v1: Sequence[ScalarPoly], v2: Sequence[ScalarPoly]) -> ScalarPoly:
         total = tp.zero()
-        for i in range(n + r):
-            if v1[i].is_zero():
-                continue
-            for j in range(n + r):
-                if not (v2[j].is_zero() or w[i][j].is_zero()):
-                    total = total + v1[i] * v2[j] * w[i][j]
+        for a, b in zip(interior_two_form(v1, w), v2):
+            total = total + a * b
         return total
 
     def linear_lift(x: Section) -> List[ScalarPoly]:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
-        out = [tp.embed(c) for c in x.coeffs] + [tp.zero()] * r
-        for l in range(r):
-            value = conn.nabla(x, e_bundle.frame_section(l))
-            for k in range(r):
-                out[n + k] = out[n + k] - tp.embed(value.coeffs[k]) * tp.fiber(l)
-        return out
+        cols = [conn.nabla(x, e) for e in e_frames]
+        return ([tp.embed(c) for c in x.coeffs]
+                + [-tp.linear([col.coeffs[k] for col in cols]) for k in range(r)])
 
     def core_lift(e: Section) -> List[ScalarPoly]:
         return [tp.zero()] * n + [tp.embed(c) for c in e.coeffs]
 
-    def ell_dual(xi: Section) -> ScalarPoly:
-        total = tp.zero()
-        for k in range(r):
-            total = total + tp.embed(xi.coeffs[k]) * tp.fiber(k)
-        return total
-
-    def sigma_star(x: Section) -> Section:
-        comps = []
-        for k in range(r):
-            value = base.zero()
-            for i in range(n):
-                value = value + sigma.matrix[i][k] * x.coeffs[i]
-            comps.append(value)
-        return Section(e_bundle.dual(), tuple(comps))
-
     x_frames = tangent.frame_sections()
     functions = battery_functions(base)
     for i, x in enumerate(x_frames):
+        x_lift = linear_lift(x)
         for j, y in enumerate(x_frames):
             for phi in functions:
                 ys = y.scale(phi)
-                lhs = omega_eval(linear_lift(x), linear_lift(ys))
-                value = (conn.nabla_dual(x, sigma_star(ys))
-                         - conn.nabla_dual(ys, sigma_star(x))
-                         - sigma_star(vf_bracket(x, ys)))
+                lhs = omega_eval(x_lift, linear_lift(ys))
+                value = (conn.nabla_dual(x, sigma_star.apply(ys))
+                         - conn.nabla_dual(ys, sigma_star.apply(x))
+                         - sigma_star.apply(vf_bracket(x, ys)))
                 chk.record("two-form-linear-linear",
-                           f"(Dx{i + 1}; ({phi})*Dx{j + 1})", lhs - ell_dual(value))
+                           f"(Dx{i + 1}; ({phi})*Dx{j + 1})", lhs - tp.linear(value.coeffs))
         for label_e, e in battery_sections(e_bundle):
-            lhs = omega_eval(linear_lift(x), core_lift(e))
+            lhs = omega_eval(x_lift, core_lift(e))
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
             chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", lhs - rhs)
     for label1, e1 in battery_sections(e_bundle):
@@ -559,34 +477,21 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 
     # flat maps: omega-flat(X~) = d l_{-sigma* X} + (L_X(sigma .) - sigma(nabla_X .))^
     for i, x in enumerate(x_frames):
-        lifted = linear_lift(x)
-        flat = [omega_eval(lifted, _basis(tp, j)) for j in range(n + r)]
-        ell = ell_dual(sigma_star(x))
-        expected = [-(ell.partial(v)) for v in tp.allvars]
-        for l in range(r):
-            e_l = e_bundle.frame_section(l)
-            corr = (lie_derivative_form(x, sigma.apply(e_l))
-                    - sigma.apply(conn.nabla(x, e_l)))
-            for jj in range(n):
-                expected[jj] = expected[jj] + tp.embed(corr.coeffs[jj]) * tp.fiber(l)
-        diff = [a - b for a, b in zip(flat, expected)]
+        flat = interior_two_form(linear_lift(x), w)
+        ell = tp.linear(sigma_star.apply(x).coeffs)
+        cols = [lie_derivative_form(x, sigma.apply(e)) - sigma.apply(conn.nabla(x, e))
+                for e in e_frames]
+        pulled = [tp.linear([col.coeffs[m] for col in cols]) for m in range(n)] + [tp.zero()] * r
+        diff = [a + ell.partial(v) - b for a, v, b in zip(flat, tp.allvars, pulled)]
         chk.record("flat-of-linear", f"Dx{i + 1}",
                    LiftedSection(tp, [tp.zero()] * (n + r), diff))
-    for l in range(r):
-        e_l = e_bundle.frame_section(l)
-        flat = [omega_eval(core_lift(e_l), _basis(tp, j)) for j in range(n + r)]
-        pulled = sigma.apply(e_l)
-        expected = [tp.embed(c) for c in pulled.coeffs] + [tp.zero()] * r
+    for l, e_l in enumerate(e_frames):
+        flat = interior_two_form(core_lift(e_l), w)
+        expected = [tp.embed(c) for c in sigma.apply(e_l).coeffs] + [tp.zero()] * r
         diff = [a - b for a, b in zip(flat, expected)]
         chk.record("flat-of-core", e_bundle.frame[l],
                    LiftedSection(tp, [tp.zero()] * (n + r), diff))
     return chk.report()
-
-
-def _basis(tp: TotalPatch, j: int) -> List[ScalarPoly]:
-    out = [tp.zero()] * tp.dim
-    out[j] = tp.one()
-    return out
 
 
 # -- the generator calculus over TM + A* ---------------------------------------
@@ -616,9 +521,6 @@ class GeneratorAlgebra:
         self.delta = delta
         self.tp = total_patch_of(lad.v_bundle, prefix="w")
         self.r = lad.a_bundle.rank
-        self.sigma_rank = lad.sigma_bundle.rank
-        from .bundle import pairing_matrix
-
         # partner[j] = index m with <v_j, tau_m> = 1 (canonical permutation)
         p = pairing_matrix(lad.v_bundle, lad.sigma_bundle)
         self.partner = []
@@ -627,9 +529,6 @@ class GeneratorAlgebra:
             self.partner.append(hits[0])
 
     # -- element builders ---------------------------------------------------
-
-    def zero_element(self) -> Dict:
-        return {}
 
     def _add_term(self, elem: Dict, key, coeff: ScalarPoly) -> None:
         if key in elem:
@@ -684,12 +583,8 @@ class GeneratorAlgebra:
     def hom_dagger(self, hom: HomSection) -> Dict:
         """Phi! for Phi: TM + A* -> A + T*M: core coefficients linear in w."""
         out = {}
-        for j in range(self.lad.v_bundle.rank):
-            col = hom.column(j)
-            wj = self.tp.fiber(j)
-            for m, coeff in enumerate(col.coeffs):
-                if not coeff.is_zero():
-                    self._add_term(out, (self.CORE, m), self.tp.embed(coeff) * wj)
+        for m, row in enumerate(hom.matrix):
+            self._add_term(out, (self.CORE, m), self.tp.linear(row))
         return out
 
     def tilde_of(self, a: Section) -> Dict:
@@ -708,7 +603,7 @@ class GeneratorAlgebra:
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
                 col = (self.lad.to_sigma(a=e_k).scale(vf_apply(base.coords, x.coeffs, phi))
-                       - db_value(self.lad, phi).scale(dual_pair(xi, e_k)))
+                       - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
             out = self.add(out, self.hom_dagger(
                 HomSection.from_columns(self.lad.v_bundle, cols)))
@@ -739,11 +634,8 @@ class GeneratorAlgebra:
                 tau = self.lad.sigma_bundle.frame_section(self.partner[j])
                 lied = lie_der_sigma(self.lad, a, tau)
                 # l_{L_a tau} = sum_j' w_j' <v_j', L_a tau>
-                value = self.tp.zero()
-                for jp, v in enumerate(self.lad.v_bundle.frame_sections()):
-                    value = value + self.tp.fiber(jp) * self.tp.embed(
-                        self.delta.predual.pair(v, lied))
-                out[n + j] = value
+                out[n + j] = self.tp.linear([self.delta.predual.pair(v, lied)
+                                             for v in self.lad.v_bundle.frame_sections()])
         else:
             sigma = self.lad.sigma_bundle.frame_section(idx)
             up = self.lad.pair_map().apply(sigma)
@@ -759,9 +651,6 @@ class GeneratorAlgebra:
             for i in range(self.tp.dim):
                 out[i] = out[i] + coeff * gen[i]
         return out
-
-    def theta_apply(self, elem: Dict, fun: ScalarPoly) -> ScalarPoly:
-        return vf_apply(self.tp.allvars, self.theta(elem), fun)
 
     # -- bracket ---------------------------------------------------------------
 
@@ -796,12 +685,6 @@ class GeneratorAlgebra:
         return out
 
 
-def db_value(lad: LieAlgebroidData, phi: ScalarPoly) -> Section:
-    from .bundle import db_canonical
-
-    return db_canonical(lad.sigma_bundle, phi)
-
-
 def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     """Consistency of the generator table and the five bracket identities.
 
@@ -832,9 +715,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                        _as_witness(alg, alg.add(alg.bracket(e1, e2), alg.bracket(e2, e1))))
             lhs = alg.theta(alg.bracket(e1, e2))
             rhs = vf_bracket_comps(tp.allvars, alg.theta(e1), alg.theta(e2))
-            chk.record("anchor-morphism", f"({n1}; {n2})",
-                       LiftedSection(tp, [a - b for a, b in zip(lhs, rhs)],
-                                     [tp.zero()] * tp.dim))
+            chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
     for e1, n1 in named:
         for e2, n2 in named:
             for e3, n3 in named + weighted[:2]:
@@ -867,7 +748,9 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                        _as_witness(alg, alg.sub(lhs, rhs)))
     if len(homs) >= 2:
         lhs = alg.bracket(alg.hom_dagger(homs[0]), alg.hom_dagger(homs[1]))
-        rhs = alg.hom_dagger(_hom_commutator(homs[0], homs[1], pm))
+        # Psi o (rho,rho*) o Phi - Phi o (rho,rho*) o Psi
+        rhs = alg.hom_dagger(homs[1].compose(pm.compose(homs[0]))
+                             - homs[0].compose(pm.compose(homs[1])))
         chk.record("row-hom-hom", "(Phi1!; Phi2!)", _as_witness(alg, alg.sub(lhs, rhs)))
 
     # (ii) the five identities for Sigma
@@ -904,15 +787,11 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         expected = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
-            value = tp.zero()
-            for jp, v in enumerate(lad.v_bundle.frame_sections()):
-                inner = (lad.bracket.rho_d(a, delta.predual.pair(v, tau))
-                         - delta.predual.pair(basic_v(lad, delta, a, v), tau))
-                value = value + tp.fiber(jp) * tp.embed(inner)
-            expected.append(value)
-        chk.record("anchor-of-sigma", f"a{i + 1}",
-                   LiftedSection(tp, [x - y for x, y in zip(vf, expected)],
-                                 [tp.zero()] * tp.dim))
+            expected.append(tp.linear([
+                lad.bracket.rho_d(a, delta.predual.pair(v, tau))
+                - delta.predual.pair(basic_v(lad, delta, a, v), tau)
+                for v in lad.v_bundle.frame_sections()]))
+        chk.record("anchor-of-sigma", f"a{i + 1}", _vf_diff(tp, vf, expected))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
         vf = alg.theta(alg.dagger_of(sigma))
         up = lad.pair_map().apply(sigma)
@@ -921,8 +800,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.embed(delta.predual.pair(up, tau)))
         chk.record("anchor-of-core", f"{lad.sigma_bundle.frame[m]}!",
-                   LiftedSection(tp, [x - y for x, y in zip(vf, expected)],
-                                 [tp.zero()] * tp.dim))
+                   _vf_diff(tp, vf, expected))
     return chk.report()
 
 
@@ -961,12 +839,3 @@ def _battery_homs(lad: LieAlgebroidData) -> List[HomSection]:
             cols.append(sec.scale(functions[(j + shift) % len(functions)]))
         out.append(HomSection.from_columns(src, cols))
     return out
-
-
-def _hom_commutator(phi: HomSection, psi: HomSection, pm: HomSection) -> HomSection:
-    """Psi o (rho,rho*) o Phi - Phi o (rho,rho*) o Psi."""
-    return _compose3(psi, pm, phi) - _compose3(phi, pm, psi)
-
-
-def _compose3(outer: HomSection, middle: HomSection, inner: HomSection) -> HomSection:
-    return outer.compose(middle.compose(inner))

@@ -350,8 +350,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if f1 not in courant.bundle.frame or f2 not in courant.bundle.frame:
                 raise SpecError(f"bad shift key {key!r}", lineno)
             i, j = courant.bundle.frame.index(f1), courant.bundle.frame.index(f2)
-            courant.symbols[i][j] = courant.symbols[i][j] + \
-                spec.parse_section(value, courant.bundle, lineno)
+            courant = courant.shifted(i, j, spec.parse_section(value, courant.bundle, lineno))
         spec.courants[sec.name] = courant
         return
     if sec.kind == "checks":

@@ -28,7 +28,7 @@ from courant_lab.prolong import (canonical_form_check, check_geometric_dirac,
                                  lift_linear, linear_poisson_check,
                                  ta_generator_check, total_courant,
                                  total_patch_of, vertical_hom,
-                                 verify_splitting_theorems, _LiftedDecomposer)
+                                 verify_splitting_theorems, _closure_residual)
 from courant_lab.specfile import parse_spec
 
 BASE = patch("x1", "x2")
@@ -168,10 +168,10 @@ def test_criterion_04_dirac_triples():
     ok = ok and not dirac_verdicts(algebraic)["dirac"]
     # geometric closure residual of [d1~, d2~] is exactly the lifted curvature
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
-    decomposer = _LiftedDecomposer(tp, delta_a, triple_a.u_sub, triple_a.k_sub)
+    u_lifts = [lift_linear(tp, delta_a, u) for u in triple_a.u_sub.sections]
     l1 = lift_linear(tp, delta_a, delta_a.q.section(Dx1=1))
     l2 = lift_linear(tp, delta_a, delta_a.q.section(Dx2=1))
-    residual = decomposer.residual(total_courant(l1, l2))
+    residual = _closure_residual(triple_a, u_lifts, total_courant(l1, l2))
     hom = delta_a.curvature(delta_a.q.section(Dx1=1), delta_a.q.section(Dx2=1))
     e_cols = [hom.apply(delta_a.b.frame_section(0))]
     lifted_curv = vertical_hom(tp, delta_a, HomSection.from_columns(

@@ -1,9 +1,10 @@
 import pytest
 
-from courant_lab.bundle import (Bundle, BundleError, SubBundle,
+from courant_lab.algebroid import battery_sections
+from courant_lab.bundle import (Bundle, BundleError, HomSection, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
-                                db_canonical, lie_derivative_form, patch,
-                                vf_apply, vf_bracket)
+                                db_canonical, dual_pair, lie_derivative_form,
+                                patch, vf_apply, vf_bracket)
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -68,17 +69,26 @@ def test_lie_derivative_examples():
 
 
 def test_cartan_identity():
-    # L_X theta = i_X d theta + d(i_X theta)
-    from courant_lab.bundle import dual_pair, interior_two_form, two_form_of_oneform
-    x = TM.section(Dx1="x2", Dx2="x1")
-    theta = CT.section(dx1="x1*x2", dx2="x2")
-    lie = lie_derivative_form(x, theta)
-    w = two_form_of_oneform(BASE.coords, theta.coeffs)
-    contraction = interior_two_form(x.coeffs, w)
-    inner = dual_pair(x, theta)
-    d_inner = d_scalar(BASE, inner)
-    for a, b, c in zip(lie.coeffs, contraction, d_inner.coeffs):
-        assert a == b + c
+    # L_X theta = i_X d theta + d(i_X theta), also where X or theta has zero components
+    from courant_lab.bundle import (courant_dorfman_form_part, dual_pair,
+                                    interior_two_form, two_form_of_oneform)
+    xs = [TM.section(Dx1="x2", Dx2="x1"), TM.section(Dx2="x1*x1"), TM.zero_section()]
+    thetas = [CT.section(dx1="x1*x2", dx2="x2"), CT.section(dx1="x2"), CT.zero_section()]
+    for x in xs:
+        for theta in thetas:
+            lie = lie_derivative_form(x, theta)
+            w = two_form_of_oneform(BASE.coords, theta.coeffs)
+            contraction = interior_two_form(x.coeffs, w)
+            inner = dual_pair(x, theta)
+            d_inner = d_scalar(BASE, inner)
+            for a, b, c in zip(lie.coeffs, contraction, d_inner.coeffs):
+                assert a == b + c
+            # the form part of the Courant-Dorfman bracket: L_Y eta - i_X d theta
+            for y in xs:
+                for eta in thetas:
+                    assert courant_dorfman_form_part(y.coeffs, theta.coeffs, x.coeffs,
+                                                     eta.coeffs, BASE.coords) == \
+                        [a - b for a, b in zip(lie_derivative_form(y, eta).coeffs, contraction)]
 
 
 def test_annihilator_examples():
@@ -150,3 +160,24 @@ def test_zero_one_and_tangent_bundles_are_shared_per_patch():
     assert Bundle.tangent(twin) == Bundle.tangent(p) and twin.zero() == p.zero()
     scaled = f.section(f1="y1").scale(p.poly("y2"))
     assert scaled.coeffs == (p.poly("y1*y2"), p.zero()) and scaled.coeffs[1] is p.zero()
+
+
+def test_dual_bundle_is_shared():
+    for b in (E, Q, B, CT, Bundle.vector(BASE, "F", ("f1", "f2"))):
+        assert b.dual() is b.dual()
+        assert b.dual().dual() == b
+    assert Q.dual() == TM.dual() + E
+
+
+def test_transpose_is_the_adjoint_map():
+    f = Bundle.vector(BASE, "F", ("f1", "f2"))
+    sigma = HomSection(f, CT, [[BASE.poly("x1"), BASE.one()],
+                               [BASE.zero(), BASE.poly("x1*x2 - 1")]])
+    sigma_star = sigma.transpose()
+    assert sigma_star.source == TM and sigma_star.target == f.dual()
+    # <sigma* X, e> = <sigma e, X>
+    for _, x in battery_sections(TM):
+        for _, e in battery_sections(f):
+            assert dual_pair(sigma_star.apply(x), e) == dual_pair(sigma.apply(e), x)
+    back = sigma_star.transpose()
+    assert (back.source, back.target, back.matrix) == (sigma.source, sigma.target, sigma.matrix)

@@ -67,9 +67,20 @@ def test_rank_zero_courant_over_point():
     assert c.check_axioms().passed
 
 
-def test_perturbed_bracket_fails_axioms():
+def test_courant_symbols_are_immutable():
     c = standard_courant(BASE)
-    c.symbols[0][1] = c.symbols[0][1] + c.bundle.section(dx1=1)
+    with pytest.raises(TypeError):
+        c.symbols[0][1] = c.bundle.section(dx1=1)
+    with pytest.raises(TypeError):
+        c.symbols[0] = c.symbols[1]
+    shifted = c.shifted(0, 1, c.bundle.section(dx1=1))
+    assert shifted.symbols[0][1] == c.bundle.section(dx1=1)
+    assert c.symbols[0][1].is_zero()
+
+
+def test_perturbed_bracket_fails_axioms():
+    standard = standard_courant(BASE)
+    c = standard.shifted(0, 1, standard.bundle.section(dx1=1))
     report = c.check_axioms()
     assert not report.passed
     kinds = {w.identity for w in report.witnesses}
@@ -124,7 +135,7 @@ def test_recover_triple_errors_on_broken_core_bracket(ex_b):
     mp, _ = build_manin_pair(lad, triple)
     p = mp.u_sub.rank
     j = mp.c_bundle.rank - 1
-    mp.courant.symbols[p][j] = mp.courant.symbols[p][j] + mp.c_bundle.frame_section(j)
+    mp.courant = mp.courant.shifted(p, j, mp.c_bundle.frame_section(j))
     recovered, report = recover_triple(mp)
     assert recovered is None
     assert report.status == "error"

@@ -143,8 +143,8 @@ def test_bott_dorfman_rejects_non_isotropic():
 def test_bott_dorfman_rejects_non_closed():
     # brackets of constant sections vanish for the standard structure, so
     # closedness can only break after perturbing a frame symbol
-    courant = standard_courant(BASE)
-    courant.symbols[0][1] = courant.symbols[0][1] + courant.bundle.section(dx1=1)
+    standard = standard_courant(BASE)
+    courant = standard.shifted(0, 1, standard.bundle.section(dx1=1))
     bad = SubBundle("K", [courant.bundle.section(Dx1=1),
                           courant.bundle.section(Dx2=1)], courant.bundle)
     delta, report = bott_dorfman(courant, bad)

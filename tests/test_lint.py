@@ -1,0 +1,58 @@
+"""Static hygiene of the package, read with the standard library's `ast`.
+
+Two kinds of dead weight fail this test: a module-level import that its
+module never uses, and a private (`_name`) function, class or method under
+`src/courant_lab/` that nothing in the package references.  A helper
+deleted from its callers must go with its imports.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "courant_lab"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(tree):
+    """How often each identifier is read in tree, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _private_defs(tree):
+    """Private functions and classes, at module level and in module-level classes."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                yield node
+
+
+def test_no_unused_module_level_imports():
+    unused = []
+    for module, tree in TREES.items():
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        used = {node.id for top in tree.body if top not in imports
+                for node in ast.walk(top) if isinstance(node, ast.Name)}
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{module}: {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_helpers():
+    reads = sum((_read_names(tree) for tree in TREES.values()), Counter())
+    unreferenced = []
+    for module, tree in TREES.items():
+        for definition in _private_defs(tree):
+            # reads inside the helper's own body (recursion) do not count
+            if reads[definition.name] == _read_names(definition)[definition.name]:
+                unreferenced.append(f"{module}: {definition.name}")
+    assert unreferenced == []

@@ -24,6 +24,25 @@ def ex_a():
     return standard_dorfman(conn)
 
 
+def test_total_patch_shares_its_polynomials():
+    tp = total_patch_of(Bundle.vector(BASE, "F", ("f1", "f2")))
+    assert tp.allvars is tp.allvars
+    assert tp.zero() is tp.zero() and tp.one() is tp.one()
+    assert tp.fiber(1) is tp.fiber(1)
+    assert tp.zero().vars is tp.allvars and tp.fiber(0).vars is tp.allvars
+
+
+def test_total_patch_linear_is_the_explicit_sum():
+    tp = total_patch_of(Bundle.vector(BASE, "F", ("f1", "f2")))
+    for coeffs in ([BASE.poly("x1"), BASE.poly("1 - x2")], [BASE.zero(), BASE.poly("x1*x2")],
+                   [BASE.zero(), BASE.zero()]):
+        explicit = tp.zero()
+        for k, c in enumerate(coeffs):
+            explicit = explicit + tp.embed(c) * tp.fiber(k)
+        assert tp.linear(coeffs) == explicit
+    assert str(tp.linear([BASE.poly("x1"), BASE.one()])) == "x1*y1 + y2"
+
+
 def test_lift_examples(ex_a):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     l1 = lift_linear(tp, ex_a, ex_a.q.section(Dx1=1))
