@@ -36,9 +36,11 @@ class AnchoredBracket:
                     raise BundleError("structure functions must be sections of the bundle")
         self.bundle = bundle
         self.anchor = anchor
-        self.structure = [list(row) for row in structure]
+        self.structure = tuple(tuple(row) for row in structure)
         # anchor images of the frame; the anchor is fixed once built
         self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
+        # check_lie reports by seed; anchor and structure never change
+        self._lie_reports: Dict[int, CheckReport] = {}
 
     @classmethod
     def from_pairs(cls, bundle: Bundle, anchor: HomSection,
@@ -109,7 +111,16 @@ class AnchoredBracket:
         return chk.report()
 
     def check_lie(self, seed: int = BATTERY_SEED) -> CheckReport:
-        """Antisymmetry plus Jacobi on the frame battery -> Lie algebroid."""
+        """Antisymmetry plus Jacobi on the frame battery -> Lie algebroid.
+
+        Computed once per seed; every later call returns the same report.
+        """
+        report = self._lie_reports.get(seed)
+        if report is None:
+            report = self._lie_reports[seed] = self._lie_report(seed)
+        return report
+
+    def _lie_report(self, seed: int) -> CheckReport:
         chk = Checker("lie", "bracket is antisymmetric and satisfies the Jacobi identity")
         batt = battery_sections(self.bundle)
         for label1, q1 in batt:

@@ -218,21 +218,21 @@ class Section:
 
     def __add__(self, other: "Section") -> "Section":
         self._same(other)
-        return Section(self.bundle, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _section(self.bundle, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Section") -> "Section":
         self._same(other)
-        return Section(self.bundle, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _section(self.bundle, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Section":
-        return Section(self.bundle, tuple(-a for a in self.coeffs))
+        return _section(self.bundle, tuple(-a for a in self.coeffs))
 
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
         zero = self.bundle.patch.zero()
-        return Section(self.bundle, tuple(zero if a.is_zero() else factor * a
-                                          for a in self.coeffs))
+        return _section(self.bundle, tuple(zero if a.is_zero() else factor * a
+                                           for a in self.coeffs))
 
     def _same(self, other: "Section") -> None:
         if other.bundle != self.bundle:
@@ -254,8 +254,10 @@ class Section:
     def with_part(self, atom_index: int, coeffs: Sequence[ScalarPoly]) -> "Section":
         s = self.bundle.atom_slice(atom_index)
         new = list(self.coeffs)
-        new[s.start:s.stop] = list(coeffs)
-        return Section(self.bundle, tuple(new))
+        new[s] = coeffs
+        if len(new) != len(self.coeffs):
+            raise BundleError(f"{len(coeffs)} coefficients for a part of rank {s.stop - s.start}")
+        return _section(self.bundle, tuple(new))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
@@ -293,6 +295,15 @@ class Section:
         return f"Section[{self.bundle.label()}]({self})"
 
 
+def _section(bundle: Bundle, coeffs: Tuple[ScalarPoly, ...]) -> Section:
+    """A Section over coeffs, unchecked: the caller guarantees a tuple of
+    bundle.rank polynomials, as ring-op results of sections of bundle are."""
+    sec = object.__new__(Section)
+    sec.bundle = bundle
+    sec.coeffs = coeffs
+    return sec
+
+
 class HomSection:
     """A bundle map as a matrix of ScalarPoly (target rank x source rank)."""
 
@@ -311,16 +322,18 @@ class HomSection:
         return HomSection(source, target, [[z] * source.rank for _ in range(target.rank)])
 
     @staticmethod
-    def from_columns(source: Bundle, columns: Sequence[Section]) -> "HomSection":
+    def from_columns(source: Bundle, target: Bundle, columns: Sequence[Section]) -> "HomSection":
+        """The map sending the j-th source frame element to columns[j] in target."""
         if len(columns) != source.rank:
             raise BundleError("need one image column per source frame element")
-        target = columns[0].bundle
+        if any(col.bundle != target for col in columns):
+            raise BundleError("image columns must be sections of the target")
         matrix = [[col.coeffs[i] for col in columns] for i in range(target.rank)]
         return HomSection(source, target, matrix)
 
     @staticmethod
     def identity(bundle: Bundle) -> "HomSection":
-        return HomSection.from_columns(bundle, bundle.frame_sections())
+        return HomSection.from_columns(bundle, bundle, bundle.frame_sections())
 
     def column(self, j: int) -> Section:
         return Section(self.target, tuple(self.matrix[i][j] for i in range(self.target.rank)))
@@ -338,7 +351,7 @@ class HomSection:
                 if not entry.is_zero():
                     total = total + entry * coeff
             out.append(total)
-        return Section(self.target, tuple(out))
+        return _section(self.target, tuple(out))
 
     def transpose(self) -> "HomSection":
         """The map target* -> source* over the dual frames: <T* a, s> = <a, T s>."""
@@ -349,7 +362,7 @@ class HomSection:
         if inner.target != self.source:
             raise BundleError("composition shape mismatch")
         cols = [self.apply(inner.column(j)) for j in range(inner.source.rank)]
-        return HomSection.from_columns(inner.source, cols)
+        return HomSection.from_columns(inner.source, self.target, cols)
 
     def __add__(self, other: "HomSection") -> "HomSection":
         if other.source != self.source or other.target != self.target:

@@ -4,18 +4,22 @@ Every runner takes the parsed StructureSpec, the argument names from the
 [checks] line and the battery seed, and returns a list of CheckReports.
 Unknown names, missing objects and internal errors become error reports
 rather than crashes, so negative fixtures always terminate cleanly.
+
+The Lie algebroid data, the triples and the Manin pairs named by the
+check lines are built once per spec (keyed by argument names and seed)
+and shared by every line that names them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import traceback
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebroid import AnchoredBracket
 from .bundle import BundleError
-from .courant import (build_manin_pair, check_c_iso, im2form_standard_iso,
-                      recover_triple, roundtrip_check)
+from .courant import (ManinPairData, build_manin_pair, check_c_iso,
+                      im2form_standard_iso, recover_triple, roundtrip_check)
 from .dirac import VBTriple, check_bracket_well_defined_on_u, check_dirac
 from .dorfman import bott_dorfman
 from .laops import (LieAlgebroidData, check_basic_curvature,
@@ -44,16 +48,35 @@ def _bracket(spec, name) -> AnchoredBracket:
     return _need(spec.brackets, name, "bracket")
 
 
+def _derived(spec: StructureSpec, key: tuple, build: Callable):
+    """build() once per key and spec; a build that raises stores nothing."""
+    memo = spec._derived
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def _lad(spec, name, seed) -> LieAlgebroidData:
-    bracket = _bracket(spec, name)
-    return LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed))
+    def build():
+        bracket = _bracket(spec, name)
+        return LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed))
+    return _derived(spec, ("lad", name, seed), build)
 
 
 def _triple(spec, dorfman_name, u_name, k_name) -> VBTriple:
-    delta = _need(spec.dorfmans, dorfman_name, "dorfman connection")
-    u_sub = _need(spec.subbundles, u_name, "subbundle")
-    k_sub = _need(spec.subbundles, k_name, "subbundle")
-    return VBTriple(delta, u_sub, k_sub)
+    def build():
+        delta = _need(spec.dorfmans, dorfman_name, "dorfman connection")
+        u_sub = _need(spec.subbundles, u_name, "subbundle")
+        k_sub = _need(spec.subbundles, k_name, "subbundle")
+        return VBTriple(delta, u_sub, k_sub)
+    return _derived(spec, ("triple", dorfman_name, u_name, k_name), build)
+
+
+def _manin_pair(spec, args, seed) -> Tuple[Optional[ManinPairData], CheckReport]:
+    """build_manin_pair for the (A, Delta, U, K) of a check line."""
+    return _derived(spec, ("manin-pair", *args[:4], seed),
+                    lambda: build_manin_pair(_lad(spec, args[0], seed),
+                                             _triple(spec, *args[1:4])))
 
 
 def run_anchor_compat(spec, args, seed):
@@ -129,8 +152,7 @@ def run_k_algebroid(spec, args, seed):
 
 
 def run_manin_pair(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    mp, report = build_manin_pair(lad, _triple(spec, *args[1:4]))
+    mp, report = _manin_pair(spec, args, seed)
     out = [report]
     if mp is not None:
         out.append(mp.courant.check_axioms())
@@ -139,14 +161,13 @@ def run_manin_pair(spec, args, seed):
 
 
 def run_roundtrip(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    return [roundtrip_check(lad, _triple(spec, *args[1:4]))]
+    return [roundtrip_check(_lad(spec, args[0], seed), _triple(spec, *args[1:4]),
+                            built=_manin_pair(spec, args, seed))]
 
 
 def run_standard_iso(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
     sigma = _need(spec.homs, args[4], "hom")
-    mp, report = build_manin_pair(lad, _triple(spec, *args[1:4]))
+    mp, report = _manin_pair(spec, args, seed)
     if mp is None:
         return [report]
     return [im2form_standard_iso(mp, sigma)]
@@ -154,8 +175,7 @@ def run_standard_iso(spec, args, seed):
 
 def run_recover_perturbed(spec, args, seed):
     """Build the Manin pair, break condition (c) on a core pair, recover."""
-    lad = _lad(spec, args[0], seed)
-    mp, report = build_manin_pair(lad, _triple(spec, *args[1:4]))
+    mp, report = _manin_pair(spec, args, seed)
     if mp is None:
         return [report]
     i = mp.u_sub.rank

@@ -485,10 +485,16 @@ def recover_triple(mp: ManinPairData) -> Tuple[Optional[VBTriple], CheckReport]:
     return VBTriple(delta_rec, u_sub, k_sub), chk.report()
 
 
-def roundtrip_check(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
-    """Build the Manin pair, recover the triple, compare up to equivalence."""
+def roundtrip_check(lad: LieAlgebroidData, triple: VBTriple,
+                    built: Optional[Tuple[Optional[ManinPairData], CheckReport]] = None
+                    ) -> CheckReport:
+    """Build the Manin pair, recover the triple, compare up to equivalence.
+
+    built is the result of build_manin_pair(lad, triple) when the caller
+    already has it.
+    """
     chk = Checker("roundtrip", "triple -> Manin pair -> triple is the identity on classes")
-    mp, build_rep = build_manin_pair(lad, triple)
+    mp, build_rep = built if built is not None else build_manin_pair(lad, triple)
     chk.note(f"build: {build_rep.status}")
     if mp is None:
         chk.error("build", "manin-pair", "construction failed")
@@ -549,7 +555,7 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         pi_cols.append(std.bundle.zero_section()
                        .with_part(std.bundle.atom_index("TM"), x_val.coeffs)
                        .with_part(std.bundle.atom_index("T*M"), th_val.coeffs))
-    pi_hom = HomSection.from_columns(mp.c_bundle, pi_cols)
+    pi_hom = HomSection.from_columns(mp.c_bundle, std.bundle, pi_cols)
 
     # Theta on the standard frame
     theta_cols = []
@@ -559,7 +565,7 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         th = Section(Bundle.cotangent(base), t.part(std.bundle.atom_index("T*M")))
         u_sec = lad.to_v(x=x, xi=-sigma_star.apply(x))
         theta_cols.append(mp.normalize(u_sec, lad.to_sigma(theta=th)))
-    theta_hom = HomSection.from_columns(std.bundle, theta_cols)
+    theta_hom = HomSection.from_columns(std.bundle, mp.c_bundle, theta_cols)
 
     for idx in range(std.bundle.rank):
         t = std.bundle.frame_section(idx)

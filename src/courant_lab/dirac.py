@@ -10,15 +10,19 @@ witnesses for every failed condition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
+from .algebroid import AnchoredBracket
 from .bundle import BundleError, Section, SubBundle, battery_functions
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport
 
 
-@dataclass
+@dataclass(frozen=True)
 class VBTriple:
+    """(U, K, [Delta]); immutable, so what is derived from it is computed once."""
+
     delta: DorfmanConnection
     u_sub: SubBundle
     k_sub: SubBundle
@@ -27,9 +31,19 @@ class VBTriple:
         if self.u_sub.ambient != self.delta.q or self.k_sub.ambient != self.delta.b:
             raise BundleError("U must live in the acting bundle and K in its pre-dual")
 
-    @property
+    @cached_property
     def u_annihilator(self) -> SubBundle:
         return self.u_sub.annihilator_in(self.delta.b, "Uann")
+
+    @cached_property
+    def restricted_bracket(self) -> AnchoredBracket:
+        """The dull bracket restricted to U; raises BundleError unless
+        [[U, U]] lies in U on the U-frame."""
+        return self.delta.bracket.restrict(self.u_sub)
+
+    @cached_property
+    def _dirac(self) -> CheckReport:
+        return _dirac_conditions(self)
 
 
 def shift_dorfman(delta: DorfmanConnection,
@@ -79,8 +93,13 @@ def check_dirac(triple: VBTriple) -> CheckReport:
     vanishes on U x U; (K-in-ann / lagrangian) K in U-annihilator resp.
     equality; (bracket-restricts) [[U,U]] in U; (restricted-lie) the
     restricted bracket is a Lie algebroid; (curvature-into-K)
-    R(U, U)(E+T*M) in K.  The verdict lines label the triple.
+    R(U, U)(E+T*M) in K.  The verdict lines label the triple.  The report
+    is computed once per triple.
     """
+    return triple._dirac
+
+
+def _dirac_conditions(triple: VBTriple) -> CheckReport:
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("dirac", "sub-double-vector-bundle and Dirac conditions for (U, K, [Delta])")
     functions = battery_functions(delta.q.patch)
@@ -114,8 +133,7 @@ def check_dirac(triple: VBTriple) -> CheckReport:
                     restricts = False
 
     if restricts and u_sub.rank:
-        restricted = delta.bracket.restrict(u_sub)
-        lie = restricted.check_lie()
+        lie = triple.restricted_bracket.check_lie()
         for witness in lie.witnesses:
             chk.require("restricted-lie", witness.inputs, False, witness.difference)
         if lie.passed:

@@ -166,7 +166,7 @@ class DorfmanConnection:
                     raise BundleError("symbols must be sections of B")
         self.predual = predual
         self.bracket = bracket
-        self.symbols = [list(row) for row in symbols]
+        self.symbols = tuple(tuple(row) for row in symbols)
 
     @property
     def q(self) -> Bundle:
@@ -322,7 +322,7 @@ class DorfmanConnection:
             cols.append(self.apply(v1, self.apply(v2, bf))
                         - self.apply(v2, self.apply(v1, bf))
                         - self.apply(lie, bf))
-        return HomSection.from_columns(self.b, cols)
+        return HomSection.from_columns(self.b, self.b, cols)
 
     def curvature_raw(self, v1: Section, v2: Section, s: Section) -> Section:
         return (self.apply(v1, self.apply(v2, s)) - self.apply(v2, self.apply(v1, s))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section,
@@ -36,10 +36,16 @@ from .report import Checker, CheckReport, NOT_APPLICABLE
 
 @dataclass
 class LieAlgebroidData:
-    """A Lie algebroid together with the pair map (rho, rho*)."""
+    """A Lie algebroid together with the pair map (rho, rho*).
+
+    The pair map and the LA-Dirac gate of each triple are computed once
+    and shared; the bracket and the triples are immutable, so they stay valid.
+    """
 
     bracket: AnchoredBracket
     lie_report: Optional[CheckReport] = field(repr=False, default=None)
+    _la_dirac: Dict[VBTriple, CheckReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lie_report is None:
@@ -66,6 +72,10 @@ class LieAlgebroidData:
 
     def pair_map(self) -> HomSection:
         """(rho, rho*): A + T*M -> TM + A*, assembled blockwise."""
+        return self._pair_map
+
+    @cached_property
+    def _pair_map(self) -> HomSection:
         src, tgt = self.sigma_bundle, self.v_bundle
         anchor = self.bracket.anchor.matrix
         n, r = self.base.dim, self.a_bundle.rank
@@ -322,8 +332,15 @@ def check_la_dirac(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
     restricted dull bracket is a Lie algebroid; (4) nabla^bas preserves
     Gamma(K); (5) the basic curvature maps U into K.  The preservation of
     Gamma(U) by the basic connection is evaluated as well and reported as
-    implied by (1)-(4).
+    implied by (1)-(4).  The report is computed once per (lad, triple).
     """
+    report = lad._la_dirac.get(triple)
+    if report is None:
+        report = lad._la_dirac[triple] = _la_dirac_conditions(lad, triple)
+    return report
+
+
+def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("la-dirac", "LA-Dirac triple conditions (1)-(5)")
     pm = lad.pair_map()
@@ -346,7 +363,7 @@ def check_la_dirac(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
                               u_sub.residual(value)):
                 restricts = False
     if restricts and u_sub.rank:
-        lie = delta.bracket.restrict(u_sub).check_lie()
+        lie = triple.restricted_bracket.check_lie()
         for witness in lie.witnesses:
             chk.require("3-U-lie-algebroid", witness.inputs, False, witness.difference)
         if lie.passed:

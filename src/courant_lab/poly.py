@@ -187,7 +187,22 @@ class ScalarPoly:
     def __sub__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
         if type(other) is not ScalarPoly or other.vars is not self.vars:
             other = self._coerce(other)
-        return self + (-other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other
+        terms = dict(self._terms)
+        for exps, coeff in other._terms.items():
+            total = terms.get(exps)
+            if total is None:
+                terms[exps] = -coeff
+            else:
+                total -= coeff
+                if total:
+                    terms[exps] = total
+                else:
+                    del terms[exps]
+        return _normal(self.vars, terms)
 
     def __rsub__(self, other: Rational) -> "ScalarPoly":
         return self._coerce(other) - self

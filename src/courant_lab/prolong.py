@@ -254,7 +254,8 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             dull = delta.bracket.bracket(v1, v2)
             hom_full = delta.curvature(v1, v2)
             e_cols = [hom_full.apply(ef) for ef in e_frames]
-            correction = vertical_hom(tp, delta, HomSection.from_columns(e_bundle, e_cols))
+            correction = vertical_hom(
+                tp, delta, HomSection.from_columns(e_bundle, delta.b, e_cols))
             rhs = lift_linear(tp, delta, dull) - correction
             chk.record("bracket-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        lhs - rhs)
@@ -605,15 +606,15 @@ class GeneratorAlgebra:
                 col = (self.lad.to_sigma(a=e_k).scale(vf_apply(base.coords, x.coeffs, phi))
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
-            out = self.add(out, self.hom_dagger(
-                HomSection.from_columns(self.lad.v_bundle, cols)))
+            out = self.add(out, self.hom_dagger(HomSection.from_columns(
+                self.lad.v_bundle, self.lad.sigma_bundle, cols)))
         return out
 
     def omega_hom(self, a: Section) -> HomSection:
         """The hom v |-> Omega_v a."""
         cols = [omega(self.lad, self.delta, v, a)
                 for v in self.lad.v_bundle.frame_sections()]
-        return HomSection.from_columns(self.lad.v_bundle, cols)
+        return HomSection.from_columns(self.lad.v_bundle, self.lad.sigma_bundle, cols)
 
     def sigma_gen(self, a: Section) -> Dict:
         """Sigma_a = a~ - (Omega_. a)!; C-infinity linear in a."""
@@ -736,7 +737,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             for v in lad.v_bundle.frame_sections():
                 cols.append(lie_der_sigma(lad, a, hom.apply(v))
                             - hom.apply(lie_der_v(lad, a, v)))
-            rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, cols))
+            rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
             chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)",
                        _as_witness(alg, alg.sub(lhs, rhs)))
         for m in range(lad.sigma_bundle.rank):
@@ -767,7 +768,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                              for v in lad.v_bundle.frame_sections()]
                 rhs = alg.sub(alg.sigma_gen(lad.bracket.bracket(ap, b)),
                               alg.hom_dagger(HomSection.from_columns(
-                                  lad.v_bundle, curv_cols)))
+                                  lad.v_bundle, lad.sigma_bundle, curv_cols)))
                 chk.record("sigma-bracket",
                            f"(({phi})*a{i + 1}; a{j + 1})", _as_witness(alg, alg.sub(lhs, rhs)))
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
@@ -837,5 +838,5 @@ def _battery_homs(lad: LieAlgebroidData) -> List[HomSection]:
         for j in range(src.rank):
             sec = frames[(j + shift) % len(frames)]
             cols.append(sec.scale(functions[(j + shift) % len(functions)]))
-        out.append(HomSection.from_columns(src, cols))
+        out.append(HomSection.from_columns(src, tgt, cols))
     return out

@@ -123,6 +123,9 @@ class StructureSpec:
     subbundles: Dict[str, SubBundle]
     courants: Dict[str, CourantData]
     checks: List[Tuple[str, List[str], bool]]  # (check name, args, expect_fail)
+    # objects derived from the declared ones, built once by the check runners
+    _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
+                                          compare=False, repr=False)
 
     def resolve_bundle_ref(self, ref: str) -> Bundle:
         parts = [p.strip() for p in ref.split("+")]
@@ -286,7 +289,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if key not in source.frame:
                 raise SpecError(f"{key!r} is not a source frame name", lineno)
             cols[source.frame.index(key)] = spec.parse_section(value, target, lineno)
-        spec.homs[sec.name] = HomSection.from_columns(source, cols)
+        spec.homs[sec.name] = HomSection.from_columns(source, target, cols)
         return
     if sec.kind == "anchor":
         data = _entries_dict(sec)
@@ -299,7 +302,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if key not in bundle.frame:
                 raise SpecError(f"{key!r} is not a frame name of the bundle", lineno)
             cols[bundle.frame.index(key)] = spec.parse_section(value, tangent, lineno)
-        spec.homs[sec.name] = HomSection.from_columns(bundle, cols)
+        spec.homs[sec.name] = HomSection.from_columns(bundle, tangent, cols)
         return
     if sec.kind == "bracket":
         data = _entries_dict(sec)

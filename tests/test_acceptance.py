@@ -175,7 +175,7 @@ def test_criterion_04_dirac_triples():
     hom = delta_a.curvature(delta_a.q.section(Dx1=1), delta_a.q.section(Dx2=1))
     e_cols = [hom.apply(delta_a.b.frame_section(0))]
     lifted_curv = vertical_hom(tp, delta_a, HomSection.from_columns(
-        Bundle.vector(BASE, "E", ("eps",)), e_cols))
+        Bundle.vector(BASE, "E", ("eps",)), delta_a.b, e_cols))
     ok = ok and (residual + lifted_curv).is_zero()
     _verdict("criterion 4: Dirac verdicts agree algebraically and geometrically",
              ok, started)

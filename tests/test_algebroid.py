@@ -1,3 +1,5 @@
+import pytest
+
 from courant_lab.algebroid import AnchoredBracket, tangent_algebroid
 from courant_lab.bundle import Bundle, HomSection, patch, vf_bracket
 from courant_lab.dorfman import Connection, standard_dorfman
@@ -40,6 +42,23 @@ def test_anchor_compat_reports():
 def test_check_lie():
     assert aff1().check_lie().passed
     assert tangent_algebroid(BASE).check_lie().passed
+
+
+def test_structure_is_immutable():
+    br = aff1()
+    g = br.bundle
+    with pytest.raises(TypeError):
+        br.structure[0][1] = g.section(e1=1)
+    with pytest.raises(TypeError):
+        br.structure[0] = br.structure[1]
+    assert br.bracket(g.section(e1=1), g.section(e2=1)) == g.section(e2=1)
+
+
+def test_check_lie_is_computed_once_per_seed():
+    br = aff1()
+    assert br.check_lie(3) is br.check_lie(3)
+    assert br.check_lie(4) is not br.check_lie(3)
+    assert br.check_lie(4).to_dict() == aff1().check_lie(4).to_dict()
 
 
 def test_nonflat_dual_bracket_fails_lie_with_jacobiator_witness():

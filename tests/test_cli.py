@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from courant_lab import checks
+from courant_lab import algebroid, checks, courant, laops, report
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
-from courant_lab.cli import main
+from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import (CHECK_ARITY, CHECK_STATEMENTS, SpecError, parse_spec,
                                   parse_section_expr)
 from courant_lab.bundle import Bundle, patch
@@ -245,3 +246,100 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 0
     assert json.loads(captured.out)["seed"] == 99
+
+
+RANK_ZERO = MINIMAL.replace("frame = eps", "frame =").replace(
+    "x2, eps = x1*eps\n", "").replace("dorfman-axioms = Delta", "splitting-theorems = Delta")
+
+
+def test_rank_zero_bundle_runs_the_splitting_theorems(tmp_path, capsys):
+    # a rank-0 E has no curvature columns, so the hom must not read its target off them
+    path = tmp_path / "spec.clab"
+    path.write_text(RANK_ZERO)
+    rc = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out
+    assert "ok splitting-theorems(Delta)" in captured.out
+    assert "Traceback" not in captured.err
+
+
+# -- derived objects are computed once per spec ------------------------------
+
+
+def _count_computations(monkeypatch):
+    """Counts real computations: each run of check_lie draws its random
+    sections once, and the LA-Dirac gate and the Manin pair each open one
+    Checker of their name."""
+    counts = Counter()
+    real_random_sections = algebroid.random_sections
+
+    def random_sections(bundle, *args, **kwargs):
+        counts["lie " + bundle.label()] += 1
+        return real_random_sections(bundle, *args, **kwargs)
+
+    class CountingChecker(report.Checker):
+        def __init__(self, name, statement):
+            counts[name] += 1
+            super().__init__(name, statement)
+
+    monkeypatch.setattr(algebroid, "random_sections", random_sections)
+    monkeypatch.setattr(laops, "Checker", CountingChecker)
+    monkeypatch.setattr(courant, "Checker", CountingChecker)
+    return counts
+
+
+def test_derived_objects_are_computed_once_per_spec(monkeypatch):
+    counts = _count_computations(monkeypatch)
+    results = _results_for_spec(parse_spec(catalog_text("im2form-zero")), None, 7)
+    assert all(r["as_expected"] for r in results)
+    assert counts["lie A"] == 1       # the lie line and every LieAlgebroidData
+    assert counts["lie U"] == 1       # restricted U: dirac, la-dirac and every gate
+    assert counts["la-dirac"] == 1    # la-dirac, k-algebroid and the Manin pair
+    assert counts["manin-pair"] == 1  # manin-pair, roundtrip, standard-iso, recover-perturbed
+
+
+def test_derived_objects_do_not_outlive_their_spec(monkeypatch):
+    counts = _count_computations(monkeypatch)
+    text = catalog_text("im2form-zero")
+    first = _results_for_spec(parse_spec(text), None, 7)
+    after_first = Counter(counts)
+    second = _results_for_spec(parse_spec(text), None, 7)
+    assert second == first
+    assert counts == after_first + after_first
+
+
+NOT_LIE = """
+[patch]
+coords = x1, x2
+
+[bundle.A]
+frame = a1, a2
+
+[bracket.A]
+bundle = A
+a1, a2 = a1
+
+[connection.nabla]
+bundle = A
+
+[dorfman.Delta]
+e = A
+standard-of = nabla
+
+[checks]
+xfail lie = A
+section4 = A, Delta
+ta-generators = A, Delta
+"""
+
+
+def test_lines_on_a_non_lie_bracket_share_one_check(monkeypatch):
+    counts = _count_computations(monkeypatch)
+    lie, section4, generators = _results_for_spec(parse_spec(NOT_LIE), None, 7)
+    assert lie["as_expected"] and lie["reports"][0]["witnesses"]
+    assert counts["lie A"] == 1
+    expected = ["BundleError: the bracket does not define a Lie algebroid; "
+                "see check_lie for witnesses"]
+    for result in (section4, generators):
+        [rep] = result["reports"]
+        assert (rep["status"], rep["details"], rep["witnesses"]) == ("error", expected, [])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
@@ -39,6 +41,14 @@ def ex_a_triple():
     delta = standard_dorfman(Connection(e, [[e.zero_section()], [e.section(eps="x1")]]))
     return VBTriple(delta, SubBundle("U", delta.q.frame_sections()),
                     SubBundle("K", [], delta.b))
+
+
+def test_vb_triple_is_frozen_and_computes_its_checks_once(ex_d):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ex_d.k_sub = ex_d.u_annihilator
+    assert ex_d.u_annihilator is ex_d.u_annihilator
+    assert ex_d.restricted_bracket is ex_d.restricted_bracket
+    assert check_dirac(ex_d) is check_dirac(ex_d)
 
 
 def test_ex_c_is_dirac(ex_c):

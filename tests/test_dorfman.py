@@ -39,6 +39,14 @@ def test_trivial_pairing_connection_is_dorfman():
     assert delta.check_axioms().passed
 
 
+def test_dorfman_symbols_are_immutable(ex_a):
+    with pytest.raises(TypeError):
+        ex_a.symbols[0][0] = ex_a.b.section(dx1=1)
+    with pytest.raises(TypeError):
+        ex_a.symbols[0] = ex_a.symbols[1]
+    assert ex_a.check_axioms().passed
+
+
 def test_perturbed_symbols_fail_axiom_c(ex_a):
     symbols = [list(row) for row in ex_a.symbols]
     symbols[0][0] = symbols[0][0] + ex_a.b.section(dx1=1)
