@@ -103,10 +103,12 @@ class AnchoredBracket:
     def check_anchor_compat(self) -> CheckReport:
         """rho[q, q'] = [rho q, rho q'] on frames and the coefficient battery."""
         chk = Checker("anchor-compat", "anchor intertwines the bracket with vector fields")
-        for label1, q1 in battery_sections(self.bundle):
-            for label2, q2 in battery_sections(self.bundle):
+        batt = battery_sections(self.bundle)
+        anchors = [self.rho(q) for _, q in batt]
+        for p, (label1, q1) in enumerate(batt):
+            for q, (label2, q2) in enumerate(batt):
                 lhs = self.rho(self.bracket(q1, q2))
-                rhs = vf_bracket(self.rho(q1), self.rho(q2))
+                rhs = vf_bracket(anchors[p], anchors[q])
                 chk.record("anchor-compat", f"({label1}; {label2})", lhs - rhs)
         return chk.report()
 
@@ -123,17 +125,25 @@ class AnchoredBracket:
     def _lie_report(self, seed: int) -> CheckReport:
         chk = Checker("lie", "bracket is antisymmetric and satisfies the Jacobi identity")
         batt = battery_sections(self.bundle)
-        for label1, q1 in batt:
-            for label2, q2 in batt:
-                chk.record("antisymmetry", f"({label1}; {label2})",
-                           self.bracket(q1, q2) + self.bracket(q2, q1))
+        sections = [q for _, q in batt]
+        pairs = [[self.bracket(q1, q2) for q2 in sections] for q1 in sections]
+        for p, (label1, q1) in enumerate(batt):
+            for q, (label2, q2) in enumerate(batt):
+                chk.record("antisymmetry", f"({label1}; {label2})", pairs[p][q] + pairs[q][p])
         frames = self.bundle.frame_sections()
         names = self.bundle.frame
-        for i, q1 in enumerate(frames):
-            for j, q2 in enumerate(frames):
-                for label3, q3 in batt:
+        # row l * w of pairs is [q_l, .] (see battery_sections); nested[i][j][k]
+        # = [q_i, [q_j, s_k]] is the last jacobiator term of (i, j, k) and the
+        # middle one of (j, i, k)
+        w = len(battery_functions(self.bundle.patch))
+        nested = [[[self.bracket(q1, value) for value in pairs[j * w]]
+                   for j in range(len(frames))] for q1 in frames]
+        for i in range(len(frames)):
+            for j in range(len(frames)):
+                for k, (label3, q3) in enumerate(batt):
                     chk.record("jacobi", f"({names[i]}; {names[j]}; {label3})",
-                               self.jacobiator(q1, q2, q3))
+                               self.bracket(pairs[i * w][j * w], q3)
+                               + nested[j][i][k] - nested[i][j][k])
         rng = random.Random(seed)
         randoms = random_sections(self.bundle, 8, rng)
         for k in range(len(randoms) - 2):
@@ -173,7 +183,12 @@ class AnchoredBracket:
 
 
 def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
-    """Frame sections multiplied by the deterministic function battery."""
+    """Frame sections multiplied by the deterministic function battery.
+
+    Frame section l times battery function f is entry l * w + f, for w
+    battery functions; function 0 is the constant 1, so entry l * w is
+    frame section l itself.
+    """
     out = []
     for i, sec in enumerate(bundle.frame_sections()):
         name = bundle.frame[i]

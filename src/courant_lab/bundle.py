@@ -114,9 +114,10 @@ class Atom:
 class Bundle:
     """A direct sum of atoms over a patch.
 
-    Immutable once built: the frame names and the rank are computed in
-    __post_init__, the dual bundle, the frame sections and the zero section
-    on first use, and all are shared by every caller afterwards.
+    Immutable once built: the frame names, the rank and the atom lookups
+    are computed in __post_init__, the dual bundle, the frame sections and
+    the zero section on first use, and all are shared by every caller
+    afterwards.
     """
 
     patch: Patch
@@ -126,6 +127,15 @@ class Bundle:
         frame = tuple(name for atom in self.atoms for name in atom.frame)
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_rank", len(frame))
+        slices, indices, start = [], {}, 0
+        for i, atom in enumerate(self.atoms):
+            slices.append(slice(start, start + len(atom.frame)))
+            start += len(atom.frame)
+            # the first atom of a kind answers a lookup without a name
+            indices.setdefault((atom.kind, atom.name), i)
+            indices.setdefault((atom.kind, ""), i)
+        object.__setattr__(self, "_atom_slices", tuple(slices))
+        object.__setattr__(self, "_atom_indices", indices)
 
     @staticmethod
     def tangent(base: Patch) -> "Bundle":
@@ -159,14 +169,13 @@ class Bundle:
         return "+".join(a.label() for a in self.atoms) if self.atoms else "0"
 
     def atom_index(self, kind: str, name: str = "") -> int:
-        for i, atom in enumerate(self.atoms):
-            if atom.kind == kind and (atom.name == name or not name):
-                return i
-        raise BundleError(f"no {kind} {name!r} summand in {self.label()}")
+        index = self._atom_indices.get((kind, name))
+        if index is None:
+            raise BundleError(f"no {kind} {name!r} summand in {self.label()}")
+        return index
 
     def atom_slice(self, index: int) -> slice:
-        start = sum(len(a.frame) for a in self.atoms[:index])
-        return slice(start, start + len(self.atoms[index].frame))
+        return self._atom_slices[index]
 
     def zero_section(self) -> "Section":
         return self._zero_section
@@ -422,6 +431,26 @@ def canonical_pairing(v: Section, s: Section) -> ScalarPoly:
         for j, b in enumerate(s.coeffs):
             if matrix[i][j]:
                 total = total + a * b * matrix[i][j]
+    return total
+
+
+def nonzero_entries(matrix: Sequence[Sequence[ScalarPoly]]
+                    ) -> Tuple[Tuple[int, int, ScalarPoly], ...]:
+    """The (i, j, entry) triples of the nonzero entries of a matrix, row by row."""
+    return tuple((i, j, entry) for i, row in enumerate(matrix)
+                 for j, entry in enumerate(row) if not entry.is_zero())
+
+
+def matrix_pair(entries: Sequence[Tuple[int, int, ScalarPoly]],
+                s1: Section, s2: Section) -> ScalarPoly:
+    """sum s1_i s2_j P_ij over the nonzero entries of a pairing matrix P,
+    given as the triples of `nonzero_entries`."""
+    total = s1.bundle.patch.zero()
+    c1, c2 = s1.coeffs, s2.coeffs
+    for i, j, entry in entries:
+        a, b = c1[i], c2[j]
+        if not (a.is_zero() or b.is_zero()):
+            total = total + a * b * entry
     return total
 
 

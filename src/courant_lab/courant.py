@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, d_scalar, vf_apply)
+                     battery_functions, d_scalar, matrix_pair, nonzero_entries,
+                     vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import (LieAlgebroidData, basic_v, check_la_dirac,
@@ -53,8 +54,10 @@ class CourantData:
         self.pairing = tuple(tuple(row) for row in pairing)
         self.symbols = tuple(tuple(row) for row in symbols)
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
-        # anchor images of the frame; the anchor is fixed once built
+        # anchor images of the frame and the nonzero pairing entries; the
+        # anchor and the pairing are fixed once built
         self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
+        self._pair_entries = nonzero_entries(self.pairing)
 
     def shifted(self, i: int, j: int, section: Section) -> "CourantData":
         """A new CourantData whose (i, j) bracket symbol is moved by section."""
@@ -65,14 +68,7 @@ class CourantData:
     # -- pairing and anchor ------------------------------------------------
 
     def pair(self, e1: Section, e2: Section) -> ScalarPoly:
-        total = self.bundle.patch.zero()
-        for i, a in enumerate(e1.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(e2.coeffs):
-                if not (b.is_zero() or self.pairing[i][j].is_zero()):
-                    total = total + a * b * self.pairing[i][j]
-        return total
+        return matrix_pair(self._pair_entries, e1, e2)
 
     def rho_d(self, e: Section, phi: ScalarPoly) -> ScalarPoly:
         return vf_apply(self.bundle.patch.coords, self.anchor.apply(e).coeffs, phi)
@@ -143,36 +139,48 @@ class CourantData:
         frames = self.bundle.frame_sections()
         names = self.bundle.frame
         batt = battery_sections(self.bundle)
+        functions = battery_functions(self.bundle.patch)
+        sections = [e for _, e in batt]
+        # pairs[p][q] = [s_p, s_q] over the battery; s_{l * w} is e_l and
+        # s_{l * w + f} is e_l scaled by function f (see battery_sections)
+        pairs = [[self.bracket(e1, e2) for e2 in sections] for e1 in sections]
+        w = len(functions)
+        # nested[i][j][k] = [e_i, [e_j, s_k]]: the first Jacobi term of
+        # (i, j, k) and the last of (j, i, k)
+        nested = [[[self.bracket(e1, value) for value in pairs[j * w]]
+                   for j in range(len(frames))] for e1 in frames]
         for i, e1 in enumerate(frames):
             for j, e2 in enumerate(frames):
-                for label3, e3 in batt:
-                    lhs = self.bracket(e1, self.bracket(e2, e3))
-                    rhs = (self.bracket(self.bracket(e1, e2), e3)
-                           + self.bracket(e2, self.bracket(e1, e3)))
+                for k, (label3, e3) in enumerate(batt):
+                    lhs = nested[i][j][k]
+                    rhs = self.bracket(pairs[i * w][j * w], e3) + nested[j][i][k]
                     chk.record("1-leibniz-jacobi", f"({names[i]}; {names[j]}; {label3})",
                                lhs - rhs)
-        for label1, e1 in batt:
+        frame_pairs = [[self.pair(e2, e3) for e3 in frames] for e2 in frames]
+        for p, (label1, e1) in enumerate(batt):
             for j, e2 in enumerate(frames):
                 for k, e3 in enumerate(frames):
-                    lhs = self.rho_d(e1, self.pair(e2, e3))
-                    rhs = (self.pair(self.bracket(e1, e2), e3)
-                           + self.pair(e2, self.bracket(e1, e3)))
+                    lhs = self.rho_d(e1, frame_pairs[j][k])
+                    rhs = (self.pair(pairs[p][j * w], e3)
+                           + self.pair(e2, pairs[p][k * w]))
                     chk.record("2-metric", f"({label1}; {names[j]}; {names[k]})", lhs - rhs)
-        for label1, e1 in batt:
-            for label2, e2 in batt:
-                lhs = self.bracket(e1, e2) + self.bracket(e2, e1)
+        for p, (label1, e1) in enumerate(batt):
+            for q, (label2, e2) in enumerate(batt):
+                lhs = pairs[p][q] + pairs[q][p]
                 rhs = self.D(self.pair(e1, e2))
                 chk.record("3-symmetrized", f"({label1}; {label2})", lhs - rhs)
-        for label1, e1 in batt:
-            for label2, e2 in batt:
-                lhs = self.anchor.apply(self.bracket(e1, e2))
-                rhs = vf_bracket(self.anchor.apply(e1), self.anchor.apply(e2))
+        anchors = [self.anchor.apply(e) for e in sections]
+        for p, (label1, e1) in enumerate(batt):
+            for q, (label2, e2) in enumerate(batt):
+                lhs = self.anchor.apply(pairs[p][q])
+                rhs = vf_bracket(anchors[p], anchors[q])
                 chk.record("4-anchor-morphism", f"({label1}; {label2})", lhs - rhs)
         for i, e1 in enumerate(frames):
-            for phi in battery_functions(self.bundle.patch):
+            for f, phi in enumerate(functions):
+                rho_phi = self.rho_d(e1, phi)
                 for j, e2 in enumerate(frames):
-                    lhs = self.bracket(e1, e2.scale(phi))
-                    rhs = self.bracket(e1, e2).scale(phi) + e2.scale(self.rho_d(e1, phi))
+                    lhs = pairs[i * w][j * w + f]
+                    rhs = pairs[i * w][j * w].scale(phi) + e2.scale(rho_phi)
                     chk.record("5-right-leibniz", f"({names[i]}; ({phi})*{names[j]})",
                                lhs - rhs)
         chk.note("5-right-leibniz holds by the extension rule; verified literally")

@@ -23,8 +23,9 @@ from typing import List, Sequence
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, canonical_pairing, dual_pair,
-                     pairing_matrix, vf_apply, vf_bracket, lie_derivative_form)
+                     battery_functions, canonical_pairing, dual_pair, matrix_pair,
+                     nonzero_entries, pairing_matrix, vf_apply, vf_bracket,
+                     lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, ERROR
@@ -90,19 +91,14 @@ class PreDual:
             raise BundleError("d_B matrix shape mismatch")
         self.q = q
         self.b = b
-        self.pairing = [list(row) for row in pairing]
-        self.dmat = [list(row) for row in dmat]
+        self.pairing = tuple(tuple(row) for row in pairing)
+        self.dmat = tuple(tuple(row) for row in dmat)
         self.canonical = canonical
+        # the pairing is fixed once built
+        self._pair_entries = nonzero_entries(self.pairing)
 
     def pair(self, q_sec: Section, b_sec: Section) -> ScalarPoly:
-        total = self.q.patch.zero()
-        for i, a in enumerate(q_sec.coeffs):
-            if a.is_zero():
-                continue
-            for j, c in enumerate(b_sec.coeffs):
-                if not (c.is_zero() or self.pairing[i][j].is_zero()):
-                    total = total + a * c * self.pairing[i][j]
-        return total
+        return matrix_pair(self._pair_entries, q_sec, b_sec)
 
     def d(self, phi: ScalarPoly) -> Section:
         base = self.q.patch
@@ -253,12 +249,17 @@ class DorfmanConnection:
     def check_duality(self) -> CheckReport:
         """rho(v)<s,w> = <[v,w], s> + <w, Delta_v s> plus the symbol roundtrip."""
         chk = Checker("duality", "the connection and its dull bracket determine each other")
+        q_frames = self.q.frame_sections()
+        b_batt = battery_sections(self.b)
+        pairings = [[self.predual.pair(w, s) for _, s in b_batt] for w in q_frames]
         for label_v, v in battery_sections(self.q):
-            for j, w in enumerate(self.q.frame_sections()):
-                for label_s, s in battery_sections(self.b):
-                    lhs = self.bracket.rho_d(v, self.predual.pair(w, s))
-                    rhs = (self.predual.pair(self.bracket.bracket(v, w), s)
-                           + self.predual.pair(w, self.apply(v, s)))
+            applied = [self.apply(v, s) for _, s in b_batt]
+            for j, w in enumerate(q_frames):
+                vw = self.bracket.bracket(v, w)
+                for k, (label_s, s) in enumerate(b_batt):
+                    lhs = self.bracket.rho_d(v, pairings[j][k])
+                    rhs = (self.predual.pair(vw, s)
+                           + self.predual.pair(w, applied[k]))
                     chk.record("axiom-c", f"({label_v}; {self.q.frame[j]}; {label_s})", lhs - rhs)
         if self.predual.canonical:
             recovered = DorfmanConnection.from_dull(self.dual_bracket(), self.predual)
@@ -271,14 +272,15 @@ class DorfmanConnection:
             ct = Bundle.cotangent(self.q.patch)
             ct_idx = self.b.atom_index("T*M")
             tm_sl = self.q.atom_slice(self.q.atom_index("TM"))
+            thetas = ct.frame_sections()
+            lifted = [self.b.zero_section().with_part(ct_idx, theta.coeffs) for theta in thetas]
             for label_v, v in battery_sections(self.q):
                 x = Section(Bundle.tangent(self.q.patch), v.coeffs[tm_sl])
-                for j, theta in enumerate(ct.frame_sections()):
-                    lifted = self.b.zero_section().with_part(ct_idx, theta.coeffs)
+                for j, theta in enumerate(thetas):
                     expected = self.b.zero_section().with_part(
                         ct_idx, lie_derivative_form(x, theta).coeffs)
                     chk.record("forms-rule", f"({label_v}; {ct.frame[j]})",
-                               self.apply(v, lifted) - expected)
+                               self.apply(v, lifted[j]) - expected)
         return chk.report()
 
     # -- axioms -----------------------------------------------------------
@@ -287,27 +289,36 @@ class DorfmanConnection:
         chk = Checker("dorfman-axioms", "connection axioms (a), (b), (c)")
         functions = battery_functions(self.q.patch)
         q_frames = self.q.frame_sections()
+        b_frames = self.b.frame_sections()
         b_batt = battery_sections(self.b)
+        d_functions = [self.predual.d(phi) for phi in functions]
+        w = len(functions)
         for i, qf in enumerate(q_frames):
             qname = self.q.frame[i]
-            for phi in functions:
+            # row[k] = Delta_{q_i} s_k over the battery; s_{j * w + f} is b_j
+            # scaled by function f (see battery_sections)
+            row = [self.apply(qf, bsec) for _, bsec in b_batt]
+            pairings = [self.predual.pair(qf, bsec) for _, bsec in b_batt]
+            for f, phi in enumerate(functions):
                 scaled_q = qf.scale(phi)
-                for label_b, bsec in b_batt:
+                for k, (label_b, bsec) in enumerate(b_batt):
                     lhs = self.apply(scaled_q, bsec)
-                    rhs = (self.apply(qf, bsec).scale(phi)
-                           + self.predual.d(phi).scale(self.predual.pair(qf, bsec)))
+                    rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
                     chk.record("axiom-a", f"(({phi})*{qname}; {label_b})", lhs - rhs)
-                for j, bf in enumerate(self.b.frame_sections()):
-                    lhs = self.apply(qf, bf.scale(phi))
-                    rhs = (self.apply(qf, bf).scale(phi)
-                           + bf.scale(self.bracket.rho_d(qf, phi)))
+                rho_phi = self.bracket.rho_d(qf, phi)
+                for j, bf in enumerate(b_frames):
+                    lhs = row[j * w + f]
+                    rhs = row[j * w].scale(phi) + bf.scale(rho_phi)
                     chk.record("axiom-b", f"({qname}; ({phi})*{self.b.frame[j]})", lhs - rhs)
+        frame_pairings = [[self.predual.pair(w, bf) for bf in b_frames] for w in q_frames]
         for label_q, v in battery_sections(self.q):
+            applied = [self.apply(v, bf) for bf in b_frames]
             for j, w in enumerate(q_frames):
-                for k, bf in enumerate(self.b.frame_sections()):
-                    lhs = self.bracket.rho_d(v, self.predual.pair(w, bf))
-                    rhs = (self.predual.pair(self.bracket.bracket(v, w), bf)
-                           + self.predual.pair(w, self.apply(v, bf)))
+                vw = self.bracket.bracket(v, w)
+                for k, bf in enumerate(b_frames):
+                    lhs = self.bracket.rho_d(v, frame_pairings[j][k])
+                    rhs = (self.predual.pair(vw, bf)
+                           + self.predual.pair(w, applied[k]))
                     chk.record("axiom-c", f"({label_q}; {self.q.frame[j]}; {self.b.frame[k]})",
                                lhs - rhs)
         return chk.report()
@@ -334,24 +345,28 @@ class DorfmanConnection:
         functions = battery_functions(self.q.patch)
         q_frames = self.q.frame_sections()
         b_frames = self.b.frame_sections()
+        q_scaled = [[v.scale(phi) for phi in functions] for v in q_frames]
+        b_scaled = [[bf.scale(phi) for phi in functions] for bf in b_frames]
         for i, v1 in enumerate(q_frames):
             for j, v2 in enumerate(q_frames):
                 base_hom = self.curvature(v1, v2)
+                base_cols = [base_hom.apply(bf) for bf in b_frames]
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
-                for phi in functions:
+                for f, phi in enumerate(functions):
+                    scaled_cols = [col.scale(phi) for col in base_cols]
                     for k, bf in enumerate(b_frames):
                         chk.record("linear-in-b", inputs + f" on ({phi})*{self.b.frame[k]}",
-                                   self.curvature_raw(v1, v2, bf.scale(phi))
-                                   - base_hom.apply(bf).scale(phi))
+                                   self.curvature_raw(v1, v2, b_scaled[k][f])
+                                   - scaled_cols[k])
                     for k, bf in enumerate(b_frames):
                         chk.record("linear-in-q1", f"(({phi})*{self.q.frame[i]}; "
                                    f"{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   self.curvature_raw(v1.scale(phi), v2, bf)
-                                   - base_hom.apply(bf).scale(phi))
+                                   self.curvature_raw(q_scaled[i][f], v2, bf)
+                                   - scaled_cols[k])
                         chk.record("linear-in-q2", f"({self.q.frame[i]}; "
                                    f"({phi})*{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   self.curvature_raw(v1, v2.scale(phi), bf)
-                                   - base_hom.apply(bf).scale(phi))
+                                   self.curvature_raw(v1, q_scaled[j][f], bf)
+                                   - scaled_cols[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -360,15 +375,22 @@ class DorfmanConnection:
                       "curvature pairs as the Jacobiator of the dual bracket")
         q_frames = self.q.frame_sections()
         names = self.q.frame
+        b_batt = battery_sections(self.b)
+        brackets = [[self.bracket.bracket(q1, q2) for q2 in q_frames] for q1 in q_frames]
+        # nested[i][j][k] = [[q_i, [[q_j, q_k]]]]: the last Jacobiator term of
+        # (i, j, k) and the middle one of (j, i, k)
+        nested = [[[self.bracket.bracket(q1, value) for value in row] for row in brackets]
+                  for q1 in q_frames]
+        homs = [[self.curvature(q1, q2) for q2 in q_frames] for q1 in q_frames]
         for i, q1 in enumerate(q_frames):
             for j, q2 in enumerate(q_frames):
-                hom = self.curvature(q1, q2)
+                images = [homs[i][j].apply(bsec) for _, bsec in b_batt]
                 for k, q3 in enumerate(q_frames):
-                    triple = (self.bracket.bracket(self.bracket.bracket(q1, q2), q3)
-                              + self.bracket.bracket(q2, self.bracket.bracket(q1, q3))
-                              - self.bracket.bracket(q1, self.bracket.bracket(q2, q3)))
-                    for label_b, bsec in battery_sections(self.b):
-                        lhs = self.predual.pair(q3, hom.apply(bsec))
+                    triple = (self.bracket.bracket(brackets[i][j], q3)
+                              + nested[j][i][k]
+                              - nested[i][j][k])
+                    for t, (label_b, bsec) in enumerate(b_batt):
+                        lhs = self.predual.pair(q3, images[t])
                         rhs = self.predual.pair(triple, bsec)
                         chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
                                    lhs - rhs)
@@ -376,7 +398,7 @@ class DorfmanConnection:
             ct_idx = self.b.atom_index("T*M")
             for i, q1 in enumerate(q_frames):
                 for j, q2 in enumerate(q_frames):
-                    hom = self.curvature(q1, q2)
+                    hom = homs[i][j]
                     for s in self.b.frame_sections()[self.b.atom_slice(ct_idx).start:]:
                         chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {s})",
                                    hom.apply(s))
@@ -387,13 +409,6 @@ class DorfmanConnection:
     def skew_symmetrization(self, v1: Section, v2: Section) -> Section:
         """[[v1,v2]] + [[v2,v1]]; its E*-part is the skew tensor."""
         return self.bracket.bracket(v1, v2) + self.bracket.bracket(v2, v1)
-
-    def skew_pair(self, v1: Section, v2: Section, e: Section) -> ScalarPoly:
-        """<Skew(v1, v2), e> for an E-section e, via the canonical pairing."""
-        full = self.skew_symmetrization(v1, v2)
-        e_idx = self.b.atom_index("V")
-        s = self.b.zero_section().with_part(e_idx, e.coeffs) if e.bundle != self.b else e
-        return self.predual.pair(full, s)
 
     def check_skew(self) -> CheckReport:
         chk = Checker("skew", "symmetrized bracket is tensorial with vanishing TM part")

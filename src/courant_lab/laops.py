@@ -16,6 +16,9 @@ and the basic curvature is
 
     R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
                    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b.
+
+A check evaluates each distinct operator value its loops need once, and
+its tables live only as long as the check.
 """
 
 from __future__ import annotations
@@ -171,20 +174,28 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
     pm = lad.pair_map()
     batt = battery_sections(lad.sigma_bundle)
-    for label1, s1 in batt:
-        for label2, s2 in batt:
-            lhs = (dorfman_like_bracket(lad, s1, s2) + dorfman_like_bracket(lad, s2, s1))
-            pairing = delta.predual.pair(pm.apply(s2), s1)
+    sections = [s for _, s in batt]
+    pairs = [[dorfman_like_bracket(lad, s1, s2) for s2 in sections] for s1 in sections]
+    images = [pm.apply(s) for s in sections]
+    for p, (label1, s1) in enumerate(batt):
+        for q, (label2, s2) in enumerate(batt):
+            lhs = pairs[p][q] + pairs[q][p]
+            pairing = delta.predual.pair(images[q], s1)
             rhs = db_canonical(lad.sigma_bundle, pairing)
             chk.record("symmetrization", f"({label1}; {label2})", lhs - rhs)
     frames = lad.sigma_bundle.frame_sections()
     names = lad.sigma_bundle.frame
-    for i, s1 in enumerate(frames):
-        for j, s2 in enumerate(frames):
-            for label3, s3 in batt:
-                lhs = dorfman_like_bracket(lad, s1, dorfman_like_bracket(lad, s2, s3))
-                rhs = (dorfman_like_bracket(lad, dorfman_like_bracket(lad, s1, s2), s3)
-                       + dorfman_like_bracket(lad, s2, dorfman_like_bracket(lad, s1, s3)))
+    # row l * w of pairs is [e_l, .]_D (see battery_sections); nested[i][j][k]
+    # = [e_i, [e_j, s_k]_D]_D is the first Jacobi term of (i, j, k) and the
+    # last of (j, i, k)
+    w = len(battery_functions(lad.base))
+    nested = [[[dorfman_like_bracket(lad, s1, value) for value in pairs[j * w]]
+               for j in range(len(frames))] for s1 in frames]
+    for i in range(len(frames)):
+        for j in range(len(frames)):
+            for k, (label3, s3) in enumerate(batt):
+                lhs = nested[i][j][k]
+                rhs = dorfman_like_bracket(lad, pairs[i * w][j * w], s3) + nested[j][i][k]
                 chk.record("jacobi-leibniz", f"({names[i]}; {names[j]}; {label3})", lhs - rhs)
     return chk.report()
 
@@ -218,21 +229,26 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     functions = battery_functions(lad.base)
     v_frames = lad.v_bundle.frame_sections()
     a_frames = lad.a_bundle.frame_sections()
+    d_functions = [db_canonical(lad.sigma_bundle, phi) for phi in functions]
+    a_lifts = [lad.to_sigma(a=a) for a in a_frames]
+    a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
     for i, v in enumerate(v_frames):
         vname = lad.v_bundle.frame[i]
+        x = lad.x_part(v)
+        xi = lad.xi_part(v)
+        v_scaled = [v.scale(phi) for phi in functions]
+        x_of = [vf_apply(lad.base.coords, x.coeffs, phi) for phi in functions]
         for k, a in enumerate(a_frames):
             base_val = omega(lad, delta, v, a)
             aname = lad.a_bundle.frame[k]
-            for phi in functions:
+            xi_a = dual_pair(xi, a)
+            for f, phi in enumerate(functions):
+                scaled_val = base_val.scale(phi)
                 chk.record("homogeneous-in-v", f"(({phi})*{vname}; {aname})",
-                           omega(lad, delta, v.scale(phi), a) - base_val.scale(phi))
-                x = lad.x_part(v)
-                xi = lad.xi_part(v)
-                correction = (lad.to_sigma(a=a).scale(vf_apply(lad.base.coords, x.coeffs, phi))
-                              - db_canonical(lad.sigma_bundle, phi).scale(dual_pair(xi, a)))
+                           omega(lad, delta, v_scaled[f], a) - scaled_val)
+                correction = a_lifts[k].scale(x_of[f]) - d_functions[f].scale(xi_a)
                 chk.record("derivation-in-a", f"({vname}; ({phi})*{aname})",
-                           omega(lad, delta, v, a.scale(phi))
-                           - base_val.scale(phi) - correction)
+                           omega(lad, delta, v, a_scaled[k][f]) - scaled_val - correction)
     return chk.report()
 
 
@@ -245,30 +261,47 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     a_frames = lad.a_bundle.frame_sections()
     v_batt = battery_sections(lad.v_bundle)
     s_batt = battery_sections(lad.sigma_bundle)
+    targets = v_batt + s_batt
+    t_scaled = [[t.scale(phi) for phi in functions] for _, t in targets]
+    # basic[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
+    basic = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        for label_t, t in v_batt + s_batt:
+        a_scaled = [a.scale(phi) for phi in functions]
+        rho_phi = [lad.bracket.rho_d(a, phi) for phi in functions]
+        row = []
+        for t_i, (label_t, t) in enumerate(targets):
             base_val = basic_any(lad, delta, a, t)
-            for phi in functions:
+            row.append(base_val)
+            for f, phi in enumerate(functions):
+                scaled_val = base_val.scale(phi)
                 chk.record("linear-in-a", f"(({phi})*{aname}; {label_t})",
-                           basic_any(lad, delta, a.scale(phi), t) - base_val.scale(phi))
+                           basic_any(lad, delta, a_scaled[f], t) - scaled_val)
                 chk.record("derivation-in-t", f"({aname}; ({phi})*{label_t})",
-                           basic_any(lad, delta, a, t.scale(phi))
-                           - base_val.scale(phi)
-                           - t.scale(lad.bracket.rho_d(a, phi)))
+                           basic_any(lad, delta, a, t_scaled[t_i][f])
+                           - scaled_val
+                           - t.scale(rho_phi[f]))
+        basic.append(row)
+    if not a_frames:  # the loops below are empty; build no table for them
+        return chk.report()
+    n_v = len(v_batt)
+    images = [pm.apply(sigma) for _, sigma in s_batt]
+    # the symmetrization Skew(v, (rho,rho*) sigma); the defect pairs it with (a, 0)
+    skew = [[delta.skew_symmetrization(v, image) for image in images] for _, v in v_batt]
+    pairings = [[delta.predual.pair(v, sigma) for _, sigma in s_batt] for _, v in v_batt]
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        for label_v, v in v_batt:
-            for label_s, sigma in s_batt:
-                lhs = (delta.predual.pair(basic_v(lad, delta, a, v), sigma)
-                       + delta.predual.pair(v, basic_sigma(lad, delta, a, sigma)))
-                rhs = (lad.bracket.rho_d(a, delta.predual.pair(v, sigma))
-                       - delta.skew_pair(v, pm.apply(sigma), a))
+        a_lift = lad.to_sigma(a=a)
+        for p, (label_v, v) in enumerate(v_batt):
+            for q, (label_s, sigma) in enumerate(s_batt):
+                lhs = (delta.predual.pair(basic[k][p], sigma)
+                       + delta.predual.pair(v, basic[k][n_v + q]))
+                rhs = (lad.bracket.rho_d(a, pairings[p][q])
+                       - delta.predual.pair(skew[p][q], a_lift))
                 chk.record("duality-defect", f"({aname}; {label_v}; {label_s})", lhs - rhs)
-        for label_s, sigma in s_batt:
+        for q, (label_s, sigma) in enumerate(s_batt):
             chk.record("intertwining", f"({aname}; {label_s})",
-                       basic_v(lad, delta, a, pm.apply(sigma))
-                       - pm.apply(basic_sigma(lad, delta, a, sigma)))
+                       basic_v(lad, delta, a, images[q]) - pm.apply(basic[k][n_v + q]))
     return chk.report()
 
 
@@ -284,39 +317,49 @@ def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
 def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
-    functions = battery_functions(lad.base)
+    functions = battery_functions(lad.base)[1:]
     pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
+    a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
+    v_scaled = [[v.scale(phi) for phi in functions] for v in v_frames]
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for m, v in enumerate(v_frames):
                 base_val = basic_curvature(lad, delta, a, b, v)
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
-                for phi in functions[1:]:
+                for f, phi in enumerate(functions):
+                    scaled_val = base_val.scale(phi)
                     chk.record("tensorial-a", inputs + f" scale a by {phi}",
-                               basic_curvature(lad, delta, a.scale(phi), b, v)
-                               - base_val.scale(phi))
+                               basic_curvature(lad, delta, a_scaled[i][f], b, v) - scaled_val)
                     chk.record("tensorial-b", inputs + f" scale b by {phi}",
-                               basic_curvature(lad, delta, a, b.scale(phi), v)
-                               - base_val.scale(phi))
+                               basic_curvature(lad, delta, a, a_scaled[j][f], v) - scaled_val)
                     chk.record("tensorial-v", inputs + f" scale v by {phi}",
-                               basic_curvature(lad, delta, a, b, v.scale(phi))
-                               - base_val.scale(phi))
+                               basic_curvature(lad, delta, a, b, v_scaled[m][f]) - scaled_val)
+    s_batt = battery_sections(lad.sigma_bundle)
+    v_batt = battery_sections(lad.v_bundle)
+    images = [pm.apply(sigma) for _, sigma in s_batt]
+    # once[k][t] = nabla^bas_{a_k} t and twice[k][l][t] = nabla^bas_{a_k} once[l][t]:
+    # the first composition term of (k, l, t) and the second of (l, k, t)
+    once_s = [[basic_sigma(lad, delta, a, sigma) for _, sigma in s_batt] for a in a_frames]
+    twice_s = [[[basic_sigma(lad, delta, a, value) for value in row] for row in once_s]
+               for a in a_frames]
+    once_v = [[basic_v(lad, delta, a, v) for _, v in v_batt] for a in a_frames]
+    twice_v = [[[basic_v(lad, delta, a, value) for value in row] for row in once_v]
+               for a in a_frames]
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
-            for label_s, sigma in battery_sections(lad.sigma_bundle):
-                lhs = basic_curvature(lad, delta, a, b, pm.apply(sigma))
-                rhs = (basic_sigma(lad, delta, a, basic_sigma(lad, delta, b, sigma))
-                       - basic_sigma(lad, delta, b, basic_sigma(lad, delta, a, sigma))
-                       - basic_sigma(lad, delta, lad.bracket.bracket(a, b), sigma))
+            ab = lad.bracket.bracket(a, b)
+            for t, (label_s, sigma) in enumerate(s_batt):
+                lhs = basic_curvature(lad, delta, a, b, images[t])
+                rhs = (twice_s[i][j][t] - twice_s[j][i][t]
+                       - basic_sigma(lad, delta, ab, sigma))
                 chk.record("curvature-of-basic-sigma", f"(a{i + 1}; a{j + 1}; {label_s})",
                            lhs - rhs)
-            for label_v, v in battery_sections(lad.v_bundle):
+            for t, (label_v, v) in enumerate(v_batt):
                 lhs = pm.apply(basic_curvature(lad, delta, a, b, v))
-                rhs = (basic_v(lad, delta, a, basic_v(lad, delta, b, v))
-                       - basic_v(lad, delta, b, basic_v(lad, delta, a, v))
-                       - basic_v(lad, delta, lad.bracket.bracket(a, b), v))
+                rhs = (twice_v[i][j][t] - twice_v[j][i][t]
+                       - basic_v(lad, delta, ab, v))
                 chk.record("curvature-of-basic-v", f"(a{i + 1}; a{j + 1}; {label_v})",
                            lhs - rhs)
     return chk.report()
@@ -410,30 +453,38 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     s_batt = battery_sections(lad.sigma_bundle)
+    s_parts = [lad.a_part(s) for s in s_frames]
+    images = [pm.apply(s2) for _, s2 in s_batt]
     for i, s1 in enumerate(s_frames):
-        for label2, s2 in s_batt:
-            lhs = basic_sigma(lad, delta, lad.a_part(s1), s2)
+        for t, (label2, s2) in enumerate(s_batt):
+            lhs = basic_sigma(lad, delta, s_parts[i], s2)
             rhs = (-dorfman_like_bracket(lad, s2, s1)
-                   + delta.apply(pm.apply(s2), s1))
+                   + delta.apply(images[t], s1))
             chk.record("basic-vs-dorfman-like",
                        f"({lad.sigma_bundle.frame[i]}; {label2})", lhs - rhs)
     if triple is not None:
+        frame_images = [pm.apply(tau) for tau in s_frames]
         for label_v, v in battery_sections(lad.v_bundle):
+            # basic[m] = nabla^bas_{pr_A e_m} v, on both sides of the identity
+            basic = [basic_v(lad, delta, a, v) for a in s_parts]
             for i, tau in enumerate(s_frames):
+                mixed = (pm.apply(delta.apply(v, tau))
+                         - delta.bracket.bracket(v, frame_images[i])
+                         - basic[i])
                 for j, sigma in enumerate(s_frames):
-                    lhs = delta.predual.pair(
-                        pm.apply(delta.apply(v, tau))
-                        - delta.bracket.bracket(v, pm.apply(tau))
-                        - basic_v(lad, delta, lad.a_part(tau), v), sigma)
-                    rhs = delta.predual.pair(basic_v(lad, delta, lad.a_part(sigma), v), tau)
+                    lhs = delta.predual.pair(mixed, sigma)
+                    rhs = delta.predual.pair(basic[j], tau)
                     chk.record("mixed-pairing",
                                f"({label_v}; tau={lad.sigma_bundle.frame[i]}; "
                                f"sigma={lad.sigma_bundle.frame[j]})", lhs - rhs)
+        k_sections = triple.k_sub.sections
+        k_images = [pm.apply(k) for k in k_sections]
+        k_parts = [lad.a_part(k) for k in k_sections]
         for u_i, u in enumerate(triple.u_sub.sections):
-            for k_i, k in enumerate(triple.k_sub.sections):
+            for k_i, k in enumerate(k_sections):
                 lhs = pm.apply(delta.apply(u, k))
-                rhs = (delta.bracket.bracket(u, pm.apply(k))
-                       + basic_v(lad, delta, lad.a_part(k), u))
+                rhs = (delta.bracket.bracket(u, k_images[k_i])
+                       + basic_v(lad, delta, k_parts[k_i], u))
                 chk.record("pair-map-of-closure", f"(u{u_i + 1}; k{k_i + 1})", lhs - rhs)
     else:
         chk.note("mixed-pairing: skipped (no triple supplied)")
@@ -502,38 +553,50 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
           + (0, d<s1, nabla^bas_{a2} u>) = -R^bas(a1, a2) u.
     """
     chk = Checker("ruth-compat", "mixed identities tying Delta to the basic data")
-    u_sub = triple.u_sub
+    u_secs = triple.u_sub.sections
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     functions = battery_functions(lad.base)
-    for i, u in enumerate(u_sub.sections):
-        for j, v in enumerate(u_sub.sections):
-            for m, sigma in enumerate(s_frames):
-                for phi in functions:
-                    sig = sigma.scale(phi)
-                    lhs = (basic_v(lad, delta, lad.a_part(sig),
-                                   delta.bracket.bracket(u, v))
-                           - delta.bracket.bracket(basic_v(lad, delta, lad.a_part(sig), u), v)
-                           - delta.bracket.bracket(u, basic_v(lad, delta, lad.a_part(sig), v))
-                           + basic_v(lad, delta, lad.a_part(delta.apply(u, sig)), v)
-                           - basic_v(lad, delta, lad.a_part(delta.apply(v, sig)), u))
-                    rhs = -pm.apply(delta.curvature_raw(u, v, sig))
+    sigs = [[sigma.scale(phi) for phi in functions] for sigma in s_frames]
+    sig_parts = [[lad.a_part(sig) for sig in row] for row in sigs]
+    # along[i][m][f] = nabla^bas_{pr_A sig} u_i and moved[i][m][f] = pr_A Delta_{u_i} sig
+    # for sig = phi_f e_m: the terms of (i, j) and, with u and v swapped, of (j, i)
+    along = [[[basic_v(lad, delta, a, u) for a in row] for row in sig_parts] for u in u_secs]
+    moved = [[[lad.a_part(delta.apply(u, sig)) for sig in row] for row in sigs]
+             for u in u_secs]
+    for i, u in enumerate(u_secs):
+        for j, v in enumerate(u_secs):
+            uv = delta.bracket.bracket(u, v)
+            for m in range(len(s_frames)):
+                for f, phi in enumerate(functions):
+                    lhs = (basic_v(lad, delta, sig_parts[m][f], uv)
+                           - delta.bracket.bracket(along[i][m][f], v)
+                           - delta.bracket.bracket(u, along[j][m][f])
+                           + basic_v(lad, delta, moved[i][m][f], v)
+                           - basic_v(lad, delta, moved[j][m][f], u))
+                    rhs = -pm.apply(delta.curvature_raw(u, v, sigs[m][f]))
                     chk.record("identity-1",
                                f"(u{i + 1}; u{j + 1}; ({phi})*{lad.sigma_bundle.frame[m]})",
                                lhs - rhs)
-    for u_i, u in enumerate(u_sub.sections):
+    s_batt = battery_sections(lad.sigma_bundle)
+    frame_parts = [lad.a_part(s1) for s1 in s_frames]
+    batt_parts = [lad.a_part(s2) for _, s2 in s_batt]
+    dlike = [[dorfman_like_bracket(lad, s1, s2) for _, s2 in s_batt] for s1 in s_frames]
+    for u_i, u in enumerate(u_secs):
+        nb_frames = [basic_v(lad, delta, a1, u) for a1 in frame_parts]
+        nb_batt = [basic_v(lad, delta, a2, u) for a2 in batt_parts]
+        moved_frames = [delta.apply(u, s1) for s1 in s_frames]
+        moved_batt = [delta.apply(u, s2) for _, s2 in s_batt]
         for i, s1 in enumerate(s_frames):
-            for label2, s2 in battery_sections(lad.sigma_bundle):
-                a1 = lad.a_part(s1)
-                a2 = lad.a_part(s2)
-                nb1 = basic_v(lad, delta, a1, u)
-                nb2 = basic_v(lad, delta, a2, u)
-                lhs = (delta.apply(u, dorfman_like_bracket(lad, s1, s2))
-                       - dorfman_like_bracket(lad, delta.apply(u, s1), s2)
-                       - dorfman_like_bracket(lad, s1, delta.apply(u, s2))
+            nb1 = nb_frames[i]
+            for t, (label2, s2) in enumerate(s_batt):
+                nb2 = nb_batt[t]
+                lhs = (delta.apply(u, dlike[i][t])
+                       - dorfman_like_bracket(lad, moved_frames[i], s2)
+                       - dorfman_like_bracket(lad, s1, moved_batt[t])
                        + delta.apply(nb1, s2) - delta.apply(nb2, s1)
                        + db_canonical(lad.sigma_bundle, delta.predual.pair(nb2, s1)))
-                rhs = -basic_curvature(lad, delta, a1, a2, u)
+                rhs = -basic_curvature(lad, delta, frame_parts[i], batt_parts[t], u)
                 chk.record("identity-2",
                            f"(u{u_i + 1}; {lad.sigma_bundle.frame[i]}; {label2})", lhs - rhs)
     return chk.report()

@@ -17,6 +17,10 @@ evaluated as d theta(v, w) = v(theta(w)) - w(theta(v)) - theta([v, w]);
 the pullback canonical two-form used below is exactly this differential
 of sigma* theta_can, which makes omega(X~, e^) = -q*<sigma e, X> hold on
 the nose.
+
+A check evaluates each distinct operator value its loops need once, and
+its tables live only as long as the check; the generator table of a
+`GeneratorAlgebra` lives as long as the algebra.
 """
 
 from __future__ import annotations
@@ -512,6 +516,10 @@ class GeneratorAlgebra:
     section with function coefficients expands as
 
         (phi a)~ = pi*phi a~ + (v |-> X_v(phi)(a,0) - <xi_v, a>(0, d phi))!.
+
+    The generator table (the anchor of each generator and the bracket of
+    each ordered generator pair) is built once, in __init__, like the frame
+    table of an AnchoredBracket; `theta` and `bracket` read it.
     """
 
     LIN = "lin"
@@ -528,6 +536,13 @@ class GeneratorAlgebra:
         for j in range(lad.v_bundle.rank):
             hits = [m for m in range(lad.sigma_bundle.rank) if p[j][m]]
             self.partner.append(hits[0])
+        self.generators = tuple([(self.LIN, k) for k in range(lad.a_bundle.rank)]
+                                + [(self.CORE, m) for m in range(lad.sigma_bundle.rank)])
+        self._anchors = {key: self._theta_generator(key) for key in self.generators}
+        self._brackets: Dict = {}
+        for k1 in self.generators:
+            for k2 in self.generators:
+                self._brackets[k1, k2] = self._bracket_generators(k1, k2)
 
     # -- element builders ---------------------------------------------------
 
@@ -622,7 +637,7 @@ class GeneratorAlgebra:
 
     # -- anchor ---------------------------------------------------------------
 
-    def theta_generator(self, key) -> List[ScalarPoly]:
+    def _theta_generator(self, key) -> Tuple[ScalarPoly, ...]:
         kind, idx = key
         n = len(self.tp.base_coords)
         out = [self.tp.zero()] * self.tp.dim
@@ -643,19 +658,19 @@ class GeneratorAlgebra:
             for j in range(self.lad.v_bundle.rank):
                 tau = self.lad.sigma_bundle.frame_section(self.partner[j])
                 out[n + j] = self.tp.embed(self.delta.predual.pair(up, tau))
-        return out
+        return tuple(out)
 
     def theta(self, elem: Dict) -> List[ScalarPoly]:
         out = [self.tp.zero()] * self.tp.dim
         for key, coeff in elem.items():
-            gen = self.theta_generator(key)
+            gen = self._anchors[key]
             for i in range(self.tp.dim):
                 out[i] = out[i] + coeff * gen[i]
         return out
 
     # -- bracket ---------------------------------------------------------------
 
-    def bracket_generators(self, k1, k2) -> Dict:
+    def _bracket_generators(self, k1, k2) -> Dict:
         kind1, i = k1
         kind2, j = k2
         if kind1 == self.CORE and kind2 == self.CORE:
@@ -668,19 +683,21 @@ class GeneratorAlgebra:
             a = self.lad.a_bundle.frame_section(i)
             tau = self.lad.sigma_bundle.frame_section(j)
             return self.dagger_of(lie_der_sigma(self.lad, a, tau))
-        return self.neg(self.bracket_generators(k2, k1))
+        # linear generators precede core ones, so [k2, k1] is already in the table
+        return self.neg(self._brackets[k2, k1])
 
     def bracket(self, e1: Dict, e2: Dict) -> Dict:
         out = {}
+        anchors, brackets = self._anchors, self._brackets
         for k1, f in e1.items():
-            theta1 = self.theta_generator(k1)
+            theta1 = anchors[k1]
             for k2, g in e2.items():
-                base = self.bracket_generators(k1, k2)
+                base = brackets[k1, k2]
                 out = self.add(out, self.scale(base, f * g))
                 dg = vf_apply(self.tp.allvars, theta1, g)
                 if not dg.is_zero():
                     out = self.add(out, {k2: f * dg})
-                df = vf_apply(self.tp.allvars, self.theta_generator(k2), f)
+                df = vf_apply(self.tp.allvars, anchors[k2], f)
                 if not df.is_zero():
                     out = self.add(out, {k1: -(g * df)})
         return out
@@ -701,8 +718,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     alg = GeneratorAlgebra(lad, delta)
     tp = alg.tp
     n = len(tp.base_coords)
-    gens = ([(alg.LIN, k) for k in range(lad.a_bundle.rank)]
-            + [(alg.CORE, m) for m in range(lad.sigma_bundle.rank)])
+    gens = alg.generators
     named = [({key: tp.one()}, _gen_name(alg, key)) for key in gens]
     weighted = []
     for idx, (key, label) in enumerate(zip(gens, [nm for _, nm in named])):
@@ -710,19 +726,28 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         weighted.append(({key: factor}, f"({factor})*{label}"))
 
     # (i) antisymmetry, Jacobi, anchor morphism
-    for e1, n1 in named + weighted:
-        for e2, n2 in named + weighted:
+    elems = named + weighted
+    pairs = [[alg.bracket(e1, e2) for e2, _ in elems] for e1, _ in elems]
+    anchors = [alg.theta(e) for e, _ in elems]
+    for p, (e1, n1) in enumerate(elems):
+        for q, (e2, n2) in enumerate(elems):
             chk.record("table-antisymmetric", f"({n1}; {n2})",
-                       _as_witness(alg, alg.add(alg.bracket(e1, e2), alg.bracket(e2, e1))))
-            lhs = alg.theta(alg.bracket(e1, e2))
-            rhs = vf_bracket_comps(tp.allvars, alg.theta(e1), alg.theta(e2))
+                       _as_witness(alg, alg.add(pairs[p][q], pairs[q][p])))
+            lhs = alg.theta(pairs[p][q])
+            rhs = vf_bracket_comps(tp.allvars, anchors[p], anchors[q])
             chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
-    for e1, n1 in named:
-        for e2, n2 in named:
-            for e3, n3 in named + weighted[:2]:
-                jac = alg.sub(alg.bracket(e1, alg.bracket(e2, e3)),
-                              alg.add(alg.bracket(alg.bracket(e1, e2), e3),
-                                      alg.bracket(e2, alg.bracket(e1, e3))))
+    # third slot: the named generators and the first two weighted ones;
+    # nested[p][q][t] = [e_p, [e_q, e_t]] is both the first Jacobi term of
+    # (p, q, t) and the last of (q, p, t)
+    third = list(range(len(named) + min(2, len(weighted))))
+    nested = [[[alg.bracket(e1, pairs[q][t]) for t in third] for q in range(len(named))]
+              for e1, _ in named]
+    for p, (e1, n1) in enumerate(named):
+        for q, (e2, n2) in enumerate(named):
+            for t in third:
+                e3, n3 = elems[t]
+                jac = alg.sub(nested[p][q][t],
+                              alg.add(alg.bracket(pairs[p][q], e3), nested[q][p][t]))
                 chk.record("jacobi", f"({n1}; {n2}; {n3})", _as_witness(alg, jac))
 
     # hom-generator rows of the table
@@ -757,13 +782,13 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # (ii) the five identities for Sigma
     functions = battery_functions(lad.base)
     a_frames = lad.a_bundle.frame_sections()
+    sig_frames = [alg.sigma_gen(b) for b in a_frames]
     for i, a in enumerate(a_frames):
         for phi in functions:
             ap = a.scale(phi)
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
-                sig_b = alg.sigma_gen(b)
-                lhs = alg.bracket(sig_a, sig_b)
+                lhs = alg.bracket(sig_a, sig_frames[j])
                 curv_cols = [basic_curvature(lad, delta, ap, b, v)
                              for v in lad.v_bundle.frame_sections()]
                 rhs = alg.sub(alg.sigma_gen(lad.bracket.bracket(ap, b)),
@@ -784,7 +809,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
 
     # (iii) anchors
     for i, a in enumerate(a_frames):
-        vf = alg.theta(alg.sigma_gen(a))
+        vf = alg.theta(sig_frames[i])
         expected = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])

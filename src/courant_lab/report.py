@@ -96,11 +96,16 @@ class Checker:
         return all(self._sub_status.values()) and not self._errored
 
     def report(self, status: str | None = None) -> CheckReport:
+        """The report; with no status given, a check that recorded no case
+        at all is not-applicable, never a vacuous pass."""
         for identity in self._sub_status:
             self.details.append(f"{identity}: {'pass' if self._sub_status[identity] else 'FAIL'}")
         if status is None:
             if self._errored:
                 status = ERROR
+            elif not self._sub_status:
+                status = NOT_APPLICABLE
+                self.details.append("no cases evaluated")
             else:
                 status = PASS if self.all_passed() else FAIL
         return CheckReport(self.name, self.statement, status, self.witnesses, self.details)

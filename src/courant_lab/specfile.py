@@ -53,7 +53,10 @@ expressions (polynomial coefficients times frame names).
     xfail dirac = Delta, U, K   # expected to fail (negative fixture)
 
 Bundle references are sums over {TM, T*M, <name>, <name>*}; dual frames
-carry an 's' suffix (eps -> epss).
+carry an 's' suffix (eps -> epss).  Each [checks] argument must name an
+object of the section kind that argument position takes (CHECK_ARG_KINDS);
+parse_spec rejects any other name, wherever in the file the object is
+declared.
 """
 
 from __future__ import annotations
@@ -225,6 +228,24 @@ CHECK_ARITY: Dict[str, Tuple[int, ...]] = {
     "standard-iso": (5,),
 }
 
+# The section kind of the object each argument position names (for the
+# longest arity); parse_spec resolves every argument against that kind.
+_TRIPLE = ("dorfman", "subbundle", "subbundle")
+_LA_TRIPLE = ("bracket",) + _TRIPLE
+CHECK_ARG_KINDS: Dict[str, Tuple[str, ...]] = {
+    **dict.fromkeys(["anchor-compat", "lie", "linear-poisson"], ("bracket",)),
+    **dict.fromkeys(["dorfman-axioms", "duality", "curvature", "skew",
+                     "splitting-theorems"], ("dorfman",)),
+    "courant-axioms": ("courant",),
+    **dict.fromkeys(["section4", "ta-generators"], ("bracket", "dorfman")),
+    "bott-dorfman": ("courant", "subbundle"),
+    "canonical-form": ("hom", "connection"),
+    **dict.fromkeys(["dirac", "geometric-dirac", "bracket-well-defined"], _TRIPLE),
+    **dict.fromkeys(["la-dirac", "ruth-compat", "k-algebroid", "manin-pair", "roundtrip",
+                     "recover-perturbed", "identity-lemmas"], _LA_TRIPLE),
+    "standard-iso": _LA_TRIPLE + ("hom",),
+}
+
 
 def parse_spec(text: str) -> StructureSpec:
     sections = _tokenize(text)
@@ -247,7 +268,25 @@ def parse_spec(text: str) -> StructureSpec:
             _build_section(spec, sec)
         except (BundleError, PolyError) as exc:
             raise SpecError(f"in [{sec.kind}.{sec.name}]: {exc}", sec.line) from exc
+    # objects may be declared after [checks], so arguments resolve at the end
+    check_lines = [lineno for sec in sections if sec.kind == "checks"
+                   for _, _, lineno in sec.entries]
+    for (name, args, _), lineno in zip(spec.checks, check_lines):
+        _resolve_check_args(spec, name, args, lineno)
     return spec
+
+
+def _resolve_check_args(spec: StructureSpec, name: str, args: List[str], line: int) -> None:
+    tables = {"bracket": spec.brackets, "dorfman": spec.dorfmans,
+              "subbundle": spec.subbundles, "courant": spec.courants,
+              "hom": spec.homs, "connection": spec.connections, "bundle": spec.bundles}
+    for position, (arg, kind) in enumerate(zip(args, CHECK_ARG_KINDS[name]), start=1):
+        if arg in tables[kind]:
+            continue
+        others = [other for other, table in tables.items() if arg in table]
+        problem = f"{arg!r} is a {others[0]}, not a {kind}" if others else \
+            f"unknown {kind} {arg!r}"
+        raise SpecError(f"check {name!r} argument {position}: {problem}", line)
 
 
 def _entries_dict(sec: RawSection) -> Dict[str, str]:

@@ -1,16 +1,18 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from courant_lab import algebroid, checks, courant, laops, report
+from courant_lab import algebroid, checks, courant, laops, prolong, report
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
-from courant_lab.specfile import (CHECK_ARITY, CHECK_STATEMENTS, SpecError, parse_spec,
-                                  parse_section_expr)
+from courant_lab.specfile import (CHECK_ARG_KINDS, CHECK_ARITY, CHECK_STATEMENTS, SpecError,
+                                  parse_spec, parse_section_expr)
 from courant_lab.bundle import Bundle, patch
 
 MINIMAL = """
@@ -213,12 +215,56 @@ def test_extra_check_arguments_are_a_spec_error(tmp_path, capsys):
 
 
 def test_xfail_is_not_met_by_an_error_without_witness(tmp_path, capsys):
+    # section4 on a bracket that is not Lie is an error report with no witness
     path = tmp_path / "spec.clab"
-    path.write_text(COURANT.replace("= C", "= Typo"))
+    path.write_text(NOT_LIE.replace("\nsection4 = A, Delta", "\nxfail section4 = A, Delta"))
     rc = main(["run", str(path)])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "!! courant-axioms(Typo) (expected fail)" in out
+    assert "!! section4(A, Delta) (expected fail)" in out
+
+
+@pytest.mark.parametrize("arg,message", [
+    ("Typo", "check 'courant-axioms' argument 1: unknown courant 'Typo'"),
+    ("E", "check 'courant-axioms' argument 1: 'E' is a bundle, not a courant"),
+])
+def test_xfail_with_an_unresolved_argument_is_a_spec_error(tmp_path, capsys, arg, message):
+    text = COURANT.replace("= C", f"= {arg}") + "\n[bundle.E]\nframe = eps\n"
+    with pytest.raises(SpecError, match=message):
+        parse_spec(text)
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arg,message", [
+    ("Nope", "check 'lie' argument 1: unknown bracket 'Nope'"),
+    ("E", "check 'lie' argument 1: 'E' is a bundle, not a bracket"),
+    ("Delta", "check 'lie' argument 1: 'Delta' is a dorfman, not a bracket"),
+])
+def test_check_arguments_resolve_at_parse_time(tmp_path, capsys, arg, message):
+    text = MINIMAL.replace("dorfman-axioms = Delta", f"lie = {arg}")
+    with pytest.raises(SpecError, match=message) as err:
+        parse_spec(text)
+    assert err.value.line == text.splitlines().index(f"lie = {arg}") + 1
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_objects_may_be_declared_after_the_checks():
+    checks_first = "[patch]\ncoords = x1\n[checks]\ncourant-axioms = C\n" \
+                   "[courant.C]\nstandard = yes\n"
+    assert parse_spec(checks_first).checks == [("courant-axioms", ["C"], False)]
+
+
+def test_every_registered_check_has_argument_kinds():
+    assert set(checks.REGISTRY) == set(CHECK_ARG_KINDS)
+    for name, counts in CHECK_ARITY.items():
+        assert max(counts) == len(CHECK_ARG_KINDS[name])
 
 
 def test_single_entry_deterministic(tmp_path):
@@ -343,3 +389,75 @@ def test_lines_on_a_non_lie_bracket_share_one_check(monkeypatch):
     for result in (section4, generators):
         [rep] = result["reports"]
         assert (rep["status"], rep["details"], rep["witnesses"]) == ("error", expected, [])
+
+
+# -- each operator value is computed once per check --------------------------
+
+
+def _im2form_zero_objects():
+    spec = parse_spec(catalog_text("im2form-zero"))
+    return checks._lad(spec, "A", 7), spec.dorfmans["Delta"]
+
+
+def _count_pairs(monkeypatch, module, name):
+    """Wraps module.name(lad, delta?, x, y) to count calls per pair of argument
+    objects; the arguments are kept alive, so no two pairs share ids."""
+    counts, kept = Counter(), []
+    real = getattr(module, name)
+
+    def counting(*args):
+        x, y = args[-2:]
+        kept.append((x, y))
+        counts[id(x), id(y)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_generator_table_is_built_once_per_algebra(monkeypatch):
+    lad, delta = _im2form_zero_objects()
+    anchors, brackets = Counter(), Counter()
+    real_anchor = prolong.GeneratorAlgebra._theta_generator
+    real_bracket = prolong.GeneratorAlgebra._bracket_generators
+
+    def anchor(self, key):
+        anchors[key] += 1
+        return real_anchor(self, key)
+
+    def bracket(self, k1, k2):
+        brackets[k1, k2] += 1
+        return real_bracket(self, k1, k2)
+
+    monkeypatch.setattr(prolong.GeneratorAlgebra, "_theta_generator", anchor)
+    monkeypatch.setattr(prolong.GeneratorAlgebra, "_bracket_generators", bracket)
+    assert prolong.ta_generator_check(lad, delta).passed
+    generators = lad.a_bundle.rank + lad.sigma_bundle.rank
+    assert len(anchors) == generators and set(anchors.values()) == {1}
+    assert len(brackets) == generators ** 2 and set(brackets.values()) == {1}
+
+
+def test_dorfman_like_check_brackets_each_pair_once(monkeypatch):
+    lad, delta = _im2form_zero_objects()
+    counts = _count_pairs(monkeypatch, laops, "dorfman_like_bracket")
+    assert laops.check_dlike(lad, delta).passed
+    assert counts and max(counts.values()) == 1
+
+
+def test_basic_identities_evaluate_each_pair_once(monkeypatch):
+    lad, delta = _im2form_zero_objects()
+    counts_v = _count_pairs(monkeypatch, laops, "basic_v")
+    counts_sigma = _count_pairs(monkeypatch, laops, "basic_sigma")
+    assert laops.check_basic_identities(lad, delta).passed
+    assert counts_v and max(counts_v.values()) == 1
+    assert counts_sigma and max(counts_sigma.values()) == 1
+
+
+def test_python_m_runs_the_command_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "courant_lab", "catalog"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == catalog_names()

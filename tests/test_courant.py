@@ -64,7 +64,10 @@ def test_standard_courant_axioms():
 def test_rank_zero_courant_over_point():
     c = standard_courant(PT)
     assert c.bundle.rank == 0
-    assert c.check_axioms().passed
+    # no frame, so no case to evaluate: not-applicable, never a vacuous pass
+    report = c.check_axioms()
+    assert (report.status, report.witnesses) == ("not-applicable", [])
+    assert report.details[-1] == "no cases evaluated"
 
 
 def test_courant_symbols_are_immutable():
