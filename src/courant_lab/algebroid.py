@@ -1,10 +1,10 @@
 """Anchored brackets on trivialized bundles.
 
 An AnchoredBracket stores an anchor matrix and the bracket values on frame
-pairs; the bracket of arbitrary sections is defined by the Leibniz
-extension, so the Leibniz identity holds by construction.  Structure
-functions are stored for all ordered pairs: antisymmetry is a checkable
-property, never an assumption.
+pairs; the bracket of arbitrary sections is `bundle.leibniz` applied to
+that frame table, so the Leibniz identity holds by construction.
+Structure functions are stored for all ordered pairs: antisymmetry is a
+checkable property, never an assumption.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, random_sections, vf_apply, vf_bracket,
-                     BATTERY_SEED)
+                     battery_functions, leibniz, random_sections, vf_apply,
+                     vf_bracket, BATTERY_SEED)
 from .poly import ScalarPoly
 from .report import Checker, CheckReport
 
@@ -38,7 +38,7 @@ class AnchoredBracket:
         self.anchor = anchor
         self.structure = tuple(tuple(row) for row in structure)
         # anchor images of the frame; the anchor is fixed once built
-        self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
+        self.frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
         # check_lie reports by seed; anchor and structure never change
         self._lie_reports: Dict[int, CheckReport] = {}
 
@@ -73,25 +73,7 @@ class AnchoredBracket:
         """
         if q1.bundle != self.bundle or q2.bundle != self.bundle:
             raise BundleError("bracket arguments must be sections of the bundle")
-        out = self.bundle.zero_section()
-        frames = self.bundle.frame_sections()
-        coords = self.bundle.patch.coords
-        frame_rho = self._frame_rho
-        for i, phi in enumerate(q1.coeffs):
-            if phi.is_zero():
-                continue
-            rho_i = frame_rho[i]
-            for j, psi in enumerate(q2.coeffs):
-                if psi.is_zero():
-                    continue
-                out = out + self.structure[i][j].scale(phi * psi)
-                d_psi = vf_apply(coords, rho_i, psi)
-                if not d_psi.is_zero():
-                    out = out + frames[j].scale(phi * d_psi)
-                d_phi = vf_apply(coords, frame_rho[j], phi)
-                if not d_phi.is_zero():
-                    out = out - frames[i].scale(psi * d_phi)
-        return out
+        return leibniz(q1, q2, self.structure, self.frame_rho, self.bundle, bracket=True)
 
     def jacobiator(self, q1: Section, q2: Section, q3: Section) -> Section:
         return (self.bracket(self.bracket(q1, q2), q3)
@@ -151,35 +133,31 @@ class AnchoredBracket:
                        self.jacobiator(randoms[k], randoms[k + 1], randoms[k + 2]))
         return chk.report()
 
-    def is_antisymmetric_on_frames(self) -> bool:
-        r = self.bundle.rank
-        return all((self.structure[i][j] + self.structure[j][i]).is_zero()
-                   for i in range(r) for j in range(r))
-
     # -- restriction -------------------------------------------------------
+
+    @classmethod
+    def induced(cls, sub: SubBundle, anchors: Sequence[Section],
+                values: Sequence[Sequence[Section]]) -> "AnchoredBracket":
+        """The bracket induced on a constant subbundle: anchors[i] is the
+        anchor image of its i-th frame section and values[i][j] the bracket
+        of its i-th and j-th frame sections, a section of the subbundle."""
+        small = sub.as_bundle()
+        anchor = HomSection.from_columns(small, Bundle.tangent(small.patch), anchors)
+        return cls(small, anchor, [[Section(small, tuple(sub.coords(value))) for value in row]
+                                   for row in values])
 
     def restrict(self, sub: SubBundle) -> "AnchoredBracket":
         """The induced bracket on a constant subbundle closed under it."""
-        small = sub.as_bundle()
-        tangent = Bundle.tangent(self.bundle.patch)
-        anchor_cols = [self.rho(sec) for sec in sub.sections]
-        anchor = HomSection(small, tangent,
-                            [[col.coeffs[i] for col in anchor_cols]
-                             for i in range(tangent.rank)]) if sub.rank else \
-            HomSection.zero(small, tangent)
-        table = []
+        values = []
         for s1 in sub.sections:
-            row = []
+            values.append([])
             for s2 in sub.sections:
                 value = self.bracket(s1, s2)
                 if not sub.contains(value):
                     raise BundleError(
                         f"bracket does not restrict to {sub.name}: [{s1}; {s2}] = {value}")
-                row.append(Section(small, tuple(sub.coords(value))))
-            table.append(row)
-        if not sub.rank:
-            table = []
-        return AnchoredBracket(small, anchor, table)
+                values[-1].append(value)
+        return AnchoredBracket.induced(sub, [self.rho(sec) for sec in sub.sections], values)
 
 
 def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
@@ -197,12 +175,3 @@ def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
             label = name if phi == bundle.patch.one() else f"({phi})*{name}"
             out.append((label, scaled))
     return out
-
-
-def tangent_algebroid(base) -> AnchoredBracket:
-    """TM with the vector-field bracket (structure functions vanish)."""
-    tangent = Bundle.tangent(base)
-    anchor = HomSection.identity(tangent)
-    r = tangent.rank
-    table = [[tangent.zero_section() for _ in range(r)] for _ in range(r)]
-    return AnchoredBracket(tangent, anchor, table)

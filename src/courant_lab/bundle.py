@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .linalg import SpanBasis, nullspace, rank as mat_rank
 from .poly import Rational, ScalarPoly, parse_poly
@@ -473,6 +473,69 @@ def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     idx = bundle_b.atom_index(COTM)
     out = bundle_b.zero_section()
     return out.with_part(idx, tuple(phi.partial(c) for c in bundle_b.patch.coords))
+
+
+def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPoly) -> Section:
+    """d phi = dmat . grad(phi) as a section of bundle: the one kernel behind
+    d_B of a pre-dual pair and D = rho* d of a Courant algebroid."""
+    grad = [phi.partial(c) for c in bundle.patch.coords]
+    comps = []
+    for row in dmat:
+        value = bundle.patch.zero()
+        for entry, g in zip(row, grad):
+            value = value + entry * g
+        comps.append(value)
+    return Section(bundle, tuple(comps))
+
+
+# -- Leibniz extension of a frame table ----------------------------------
+
+def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
+            frame_rho: Sequence[Sequence[ScalarPoly]], target: Bundle,
+            bracket: bool = False, pair_entries: Sequence[Tuple[int, int, ScalarPoly]] = (),
+            d: Optional[Callable[[ScalarPoly], Section]] = None) -> Section:
+    """The operator with frame table S, extended to sections by the Leibniz rules:
+
+        sum over nonzero x_i, y_j of  x_i y_j S_ij + x_i rho_i(y_j) f_j,
+        less y_j rho_j(x_i) f_i for a bracket,
+        plus y_j P_ij d(x_i) over the nonzero pairing entries (i, j, P_ij),
+
+    with f the frame of target and rho_i the anchor image of the i-th frame
+    element of x's bundle.  The one kernel behind the dull bracket, a
+    Dorfman connection and a Courant bracket; d(x_i) is taken once per i.
+    """
+    coords = target.patch.coords
+    out = list(target.zero_section().coeffs)
+    ys = [(j, psi) for j, psi in enumerate(y.coeffs) if not psi.is_zero()]
+    for i, phi in enumerate(x.coeffs):
+        if phi.is_zero():
+            continue
+        rho_i, row = frame_rho[i], table[i]
+        for j, psi in ys:
+            terms = [(k, c) for k, c in enumerate(row[j].coeffs) if not c.is_zero()]
+            if terms:
+                product = phi * psi
+                for k, c in terms:
+                    out[k] = out[k] + product * c
+            d_psi = vf_apply(coords, rho_i, psi)
+            if not d_psi.is_zero():
+                out[j] = out[j] + phi * d_psi
+            if bracket:
+                d_phi = vf_apply(coords, frame_rho[j], phi)
+                if not d_phi.is_zero():
+                    out[i] = out[i] - psi * d_phi
+    d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
+    for i, j, entry in pair_entries:
+        phi, psi = x.coeffs[i], y.coeffs[j]
+        if phi.is_zero() or psi.is_zero():
+            continue
+        if i not in d_x:
+            d_x[i] = d(phi).coeffs
+        factor = psi * entry
+        for k, c in enumerate(d_x[i]):
+            if not c.is_zero():
+                out[k] = out[k] + factor * c
+    return _section(target, tuple(out))
 
 
 # -- Cartan calculus (generic over a variable list) ----------------------

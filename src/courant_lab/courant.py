@@ -6,7 +6,9 @@ symbols, extended to sections by
     [e1, phi e2] = phi [e1, e2] + (rho(e1) phi) e2,
     [phi e1, e2] = phi [e1, e2] - (rho(e2) phi) e1 + <e1, e2> D phi,
 
-with D = rho* d.  From an LA-Dirac triple (U, K, [Delta]) the quotient
+with D = rho* d: `bundle.leibniz` applied to the symbol table, with the
+anchor term on both sides and the pairing term.  From an LA-Dirac triple
+(U, K, [Delta]) the quotient
 
     C = (U + (A + T*M)) / graph(-(rho,rho*)|K)
 
@@ -22,8 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, d_scalar, matrix_pair, nonzero_entries,
-                     vf_apply)
+                     battery_functions, d_scalar, db_canonical, leibniz, matrix_d,
+                     matrix_pair, nonzero_entries, pairing_matrix, vf_apply,
+                     vf_bracket)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import (LieAlgebroidData, basic_v, check_la_dirac,
@@ -56,7 +59,7 @@ class CourantData:
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
         # anchor images of the frame and the nonzero pairing entries; the
         # anchor and the pairing are fixed once built
-        self._frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
+        self.frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
         self._pair_entries = nonzero_entries(self.pairing)
 
     def shifted(self, i: int, j: int, section: Section) -> "CourantData":
@@ -93,48 +96,19 @@ class CourantData:
         return dmat
 
     def D(self, phi: ScalarPoly) -> Section:
-        base = self.bundle.patch
-        grad = [phi.partial(c) for c in base.coords]
-        comps = []
-        for row in self.d_matrix():
-            value = base.zero()
-            for entry, g in zip(row, grad):
-                value = value + entry * g
-            comps.append(value)
-        return Section(self.bundle, tuple(comps))
+        return matrix_d(self.bundle, self.d_matrix(), phi)
 
     # -- bracket -------------------------------------------------------------
 
     def bracket(self, e1: Section, e2: Section) -> Section:
-        out = self.bundle.zero_section()
-        frames = self.bundle.frame_sections()
-        coords = self.bundle.patch.coords
-        frame_rho = self._frame_rho
-        for i, phi in enumerate(e1.coeffs):
-            if phi.is_zero():
-                continue
-            d_phi = self.D(phi)
-            for j, psi in enumerate(e2.coeffs):
-                if psi.is_zero():
-                    continue
-                out = out + self.symbols[i][j].scale(phi * psi)
-                d_psi = vf_apply(coords, frame_rho[i], psi)
-                if not d_psi.is_zero():
-                    out = out + frames[j].scale(phi * d_psi)
-                der = vf_apply(coords, frame_rho[j], phi)
-                if not der.is_zero():
-                    out = out - frames[i].scale(psi * der)
-                if not self.pairing[i][j].is_zero():
-                    out = out + d_phi.scale(psi * self.pairing[i][j])
-        return out
+        return leibniz(e1, e2, self.symbols, self.frame_rho, self.bundle, bracket=True,
+                       pair_entries=self._pair_entries, d=self.D)
 
     # -- axioms ---------------------------------------------------------------
 
     def check_axioms(self) -> CheckReport:
         """Leibniz-Jacobi, metric invariance, symmetrized bracket, anchor morphism,
         and the right-Leibniz rule (structural under the extension)."""
-        from .bundle import vf_bracket
-
         chk = Checker("courant-axioms", "Courant algebroid axioms")
         frames = self.bundle.frame_sections()
         names = self.bundle.frame
@@ -195,8 +169,6 @@ def standard_courant(base) -> CourantData:
     """
     bundle = Bundle.tangent(base) + Bundle.cotangent(base)
     anchor = pr_tm_hom(bundle)
-    from .bundle import pairing_matrix
-
     matrix = pairing_matrix(bundle, bundle)
     pairing = [[base.const(matrix[i][j]) for j in range(bundle.rank)]
                for i in range(bundle.rank)]
@@ -246,8 +218,6 @@ class ManinPairData:
         v_part = (delta.bracket.bracket(u1, u2)
                   + basic_v(lad, delta, lad.a_part(s1), u2)
                   - basic_v(lad, delta, lad.a_part(s2), u1))
-        from .bundle import db_canonical
-
         s_part = (dorfman_like_bracket(lad, s1, s2)
                   + delta.apply(u1, s2) - delta.apply(u2, s1)
                   + db_canonical(lad.sigma_bundle, delta.predual.pair(u2, s1)))
@@ -289,9 +259,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         anchor_cols.append(Section(
             tangent, tuple(a + b for a, b in zip(
                 lad.x_part(u_sec).coeffs, lad.bracket.rho(lad.a_part(s_sec)).coeffs))))
-    anchor = HomSection(c_bundle, tangent,
-                        [[col.coeffs[i] for col in anchor_cols]
-                         for i in range(tangent.rank)])
+    anchor = HomSection.from_columns(c_bundle, tangent, anchor_cols)
 
     def cpair(r1, r2) -> ScalarPoly:
         (ua, sa), (ub, sb) = r1, r2

@@ -61,8 +61,7 @@ def shift_dorfman(delta: DorfmanConnection,
         if not (e_slice.start <= j < e_slice.stop):
             raise BundleError("symbol shifts are only allowed on E-frame columns")
         symbols[i][j] = symbols[i][j] + shift
-    helper = DorfmanConnection(delta.predual, delta.bracket, symbols)
-    return DorfmanConnection(delta.predual, helper.dual_bracket(), symbols)
+    return DorfmanConnection.with_dual_bracket(delta.predual, delta.bracket.anchor, symbols)
 
 
 def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,

@@ -4,7 +4,9 @@ A Dorfman connection Delta: Gamma(Q) x Gamma(B) -> Gamma(B) is stored by
 its frame symbols and extended to arbitrary sections by
 
     Delta_{phi q} b = phi Delta_q b + <q, b> d_B phi,
-    Delta_q (phi b) = phi Delta_q b + rho(q)(phi) b.
+    Delta_q (phi b) = phi Delta_q b + rho(q)(phi) b,
+
+that is, by `bundle.leibniz` applied to its symbol table.
 
 With the canonical nondegenerate pairing the connection is equivalent to
 its dual dull bracket via
@@ -23,9 +25,9 @@ from typing import List, Sequence
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, canonical_pairing, dual_pair, matrix_pair,
-                     nonzero_entries, pairing_matrix, vf_apply, vf_bracket,
-                     lie_derivative_form)
+                     battery_functions, canonical_pairing, dual_pair, leibniz,
+                     matrix_d, matrix_pair, nonzero_entries, pairing_matrix,
+                     vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, ERROR
@@ -101,15 +103,7 @@ class PreDual:
         return matrix_pair(self._pair_entries, q_sec, b_sec)
 
     def d(self, phi: ScalarPoly) -> Section:
-        base = self.q.patch
-        grad = [phi.partial(c) for c in base.coords]
-        comps = []
-        for row in self.dmat:
-            value = base.zero()
-            for entry, g in zip(row, grad):
-                value = value + entry * g
-            comps.append(value)
-        return Section(self.b, tuple(comps))
+        return matrix_d(self.b, self.dmat, phi)
 
     def constant_pairing(self) -> List[List[Fraction]]:
         return [[entry.constant_value() for entry in row] for row in self.pairing]
@@ -177,56 +171,28 @@ class DorfmanConnection:
     def apply(self, v: Section, s: Section) -> Section:
         if v.bundle != self.q or s.bundle != self.b:
             raise BundleError("apply expects sections of Q and B")
-        out = self.b.zero_section()
-        b_frames = self.b.frame_sections()
-        q_frames = self.q.frame_sections()
-        for i, phi in enumerate(v.coeffs):
-            if phi.is_zero():
-                continue
-            for j, psi in enumerate(s.coeffs):
-                if psi.is_zero():
-                    continue
-                out = out + self.symbols[i][j].scale(phi * psi)
-                d_psi = self.bracket.rho_d(q_frames[i], psi)
-                if not d_psi.is_zero():
-                    out = out + b_frames[j].scale(phi * d_psi)
-                pair = self.predual.pairing[i][j]
-                if not pair.is_zero():
-                    out = out + self.predual.d(phi).scale(psi * pair)
-        return out
+        return leibniz(v, s, self.symbols, self.bracket.frame_rho, self.b,
+                       pair_entries=self.predual._pair_entries, d=self.predual.d)
 
     # -- duality ---------------------------------------------------------
 
+    @classmethod
+    def with_dual_bracket(cls, predual: PreDual, anchor: HomSection,
+                          symbols: Sequence[Sequence[Section]]) -> "DorfmanConnection":
+        """The connection with these frame symbols together with its dual
+        dull bracket (see dual_bracket), whose anchor is `anchor`."""
+        return cls(predual, _dual_bracket(predual, anchor, symbols), symbols)
+
     def dual_bracket(self) -> AnchoredBracket:
         """The dull bracket on Q determined by the nondegenerate pairing."""
-        p = invert(self.predual.constant_pairing())
-        q_frames = self.q.frame_sections()
-        r = self.q.rank
-        table = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                values = []
-                for k in range(self.b.rank):
-                    values.append(self.bracket.rho_d(
-                        q_frames[i], self.predual.pairing[j][k])
-                        - self.predual.pair(q_frames[j], self.symbols[i][k]))
-                coeffs = []
-                for m in range(r):
-                    total = self.q.patch.zero()
-                    for k in range(self.b.rank):
-                        total = total + values[k] * p[k][m]
-                    coeffs.append(total)
-                row.append(Section(self.q, tuple(coeffs)))
-            table.append(row)
-        return AnchoredBracket(self.q, self.bracket.anchor, table)
+        return _dual_bracket(self.predual, self.bracket.anchor, self.symbols)
 
     @classmethod
     def from_dull(cls, bracket: AnchoredBracket, predual: PreDual) -> "DorfmanConnection":
         """Invert axiom (c): <q_j, Delta_{q_i} b_k> = rho(q_i)<q_j,b_k> - <[q_i,q_j],b_k>."""
         p = invert(predual.constant_pairing())
         q = predual.q
-        q_frames = q.frame_sections()
+        coords = q.patch.coords
         b_frames = predual.b.frame_sections()
         symbols = []
         for i in range(q.rank):
@@ -234,7 +200,7 @@ class DorfmanConnection:
             for k in range(predual.b.rank):
                 rhs = []
                 for j in range(q.rank):
-                    rhs.append(bracket.rho_d(q_frames[i], predual.pairing[j][k])
+                    rhs.append(vf_apply(coords, bracket.frame_rho[i], predual.pairing[j][k])
                                - predual.pair(bracket.structure[i][j], b_frames[k]))
                 comps = []
                 for m in range(predual.b.rank):
@@ -430,10 +396,32 @@ class DorfmanConnection:
                                - sym.scale(phi))
         return chk.report()
 
-    def skew_is_zero(self) -> bool:
-        q_frames = self.q.frame_sections()
-        return all(self.skew_symmetrization(v1, v2).is_zero()
-                   for v1 in q_frames for v2 in q_frames)
+
+def _dual_bracket(predual: PreDual, anchor: HomSection,
+                  symbols: Sequence[Sequence[Section]]) -> AnchoredBracket:
+    """The dull bracket with this anchor dual to the symbols,
+    <[q_i, q_j], b_k> = rho(q_i)<q_j, b_k> - <q_j, Delta_{q_i} b_k>, solved
+    with the inverse of the constant pairing."""
+    p = invert(predual.constant_pairing())
+    q, b = predual.q, predual.b
+    coords = q.patch.coords
+    q_frames = q.frame_sections()
+    table = []
+    for i in range(q.rank):
+        rho_i = anchor.column(i).coeffs
+        row = []
+        for j in range(q.rank):
+            values = [vf_apply(coords, rho_i, predual.pairing[j][k])
+                      - predual.pair(q_frames[j], symbols[i][k]) for k in range(b.rank)]
+            coeffs = []
+            for m in range(q.rank):
+                total = q.patch.zero()
+                for k in range(b.rank):
+                    total = total + values[k] * p[k][m]
+                coeffs.append(total)
+            row.append(Section(q, tuple(coeffs)))
+        table.append(row)
+    return AnchoredBracket(q, anchor, table)
 
 
 # -- constructions ----------------------------------------------------------
@@ -494,8 +482,7 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
                     j - b.atom_slice(ct_idx).start)
             row.append(delta_value(x, xi, e_sec, theta))
         symbols.append(row)
-    helper = DorfmanConnection(predual, _zero_bracket(q), symbols)
-    return DorfmanConnection(predual, helper.dual_bracket(), symbols)
+    return DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(q), symbols)
 
 
 def lie_derivative_dorfman(bracket: AnchoredBracket) -> DorfmanConnection:
@@ -527,18 +514,6 @@ def lie_derivative_dorfman(bracket: AnchoredBracket) -> DorfmanConnection:
     return DorfmanConnection(predual, bracket, symbols)
 
 
-def trivial_dorfman(bracket: AnchoredBracket, b_bundle: Bundle,
-                    symbols: Sequence[Sequence[Section]]) -> DorfmanConnection:
-    """Zero pairing and zero d_B: any ordinary Q-connection qualifies."""
-    return DorfmanConnection(zero_predual(bracket.bundle, b_bundle), bracket, symbols)
-
-
-def _zero_bracket(q: Bundle) -> AnchoredBracket:
-    r = q.rank
-    table = [[q.zero_section() for _ in range(r)] for _ in range(r)]
-    return AnchoredBracket(q, pr_tm_hom(q), table)
-
-
 # -- Bott quotient -----------------------------------------------------------
 
 
@@ -554,11 +529,14 @@ def bott_dorfman(courant, k_sub: SubBundle):
     big = courant.bundle
     base = big.patch
     ok = True
+    values = []
     for i, k1 in enumerate(k_sub.sections):
+        values.append([])
         for j, k2 in enumerate(k_sub.sections):
             if not chk.record("isotropic", f"<k{i + 1}, k{j + 1}>", courant.pair(k1, k2)):
                 ok = False
             value = courant.bracket(k1, k2)
+            values[-1].append(value)
             if not chk.require("bracket-closed", f"[k{i + 1}, k{j + 1}] = {value}",
                                k_sub.contains(value)):
                 ok = False
@@ -566,17 +544,9 @@ def bott_dorfman(courant, k_sub: SubBundle):
         return None, chk.report(ERROR)
 
     # dull structure on K: restriction of the big bracket
-    k_bundle = k_sub.as_bundle()
-    tangent = Bundle.tangent(base)
-    anchor_cols = [courant.anchor.apply(sec) for sec in k_sub.sections]
-    anchor = HomSection(k_bundle, tangent,
-                        [[col.coeffs[i] for col in anchor_cols]
-                         for i in range(tangent.rank)])
-    table = []
-    for k1 in k_sub.sections:
-        table.append([Section(k_bundle, tuple(k_sub.coords(courant.bracket(k1, k2))))
-                      for k2 in k_sub.sections])
-    k_bracket = AnchoredBracket(k_bundle, anchor, table)
+    rho_k = [courant.anchor.apply(sec) for sec in k_sub.sections]
+    k_bracket = AnchoredBracket.induced(k_sub, rho_k, values)
+    k_bundle = k_bracket.bundle
 
     # quotient bundle: canonical complement classes
     comp_vectors = k_sub.span.complement
@@ -609,11 +579,9 @@ def bott_dorfman(courant, k_sub: SubBundle):
         chk.require("quotient-axioms", witness.inputs, False, witness.difference)
 
     # singular Bott property, checked when rho(K) has a constant frame
-    rho_k = [courant.anchor.apply(sec) for sec in k_sub.sections]
     if all(sec.is_constant() for sec in rho_k):
-        nonzero = [sec for sec in rho_k if not sec.is_zero()]
-        s_sub = SubBundle("S", nonzero, tangent) if nonzero else \
-            SubBundle("S", [], tangent)
+        s_sub = SubBundle("S", [sec for sec in rho_k if not sec.is_zero()],
+                          Bundle.tangent(base))
         for i, k1 in enumerate(k_sub.sections):
             for j, w in enumerate(comp_sections):
                 for phi in battery_functions(base):

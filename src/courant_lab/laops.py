@@ -149,13 +149,14 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, b> = rho(a)<xi,b> - <xi,[a,b]>."""
     x = lad.x_part(v)
     xi = lad.xi_part(v)
+    rho_a = lad.bracket.rho(a)
     comps = []
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
-        value = lad.bracket.rho_d(a, xi.coeffs[k])
+        value = vf_apply(lad.base.coords, rho_a.coeffs, xi.coeffs[k])
         value = value - dual_pair(xi, lad.bracket.bracket(a, ek))
         comps.append(value)
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
-    return lad.to_v(x=vf_bracket(lad.bracket.rho(a), x), xi=new_xi)
+    return lad.to_v(x=vf_bracket(rho_a, x), xi=new_xi)
 
 
 def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Section:
@@ -501,35 +502,25 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
         return None, chk.report(NOT_APPLICABLE)
     delta, k_sub, u_sub = triple.delta, triple.k_sub, triple.u_sub
     pm = lad.pair_map()
-    k_bundle = k_sub.as_bundle()
-    tangent = Bundle.tangent(lad.base)
-    anchor_cols = [lad.bracket.rho(lad.a_part(k)) for k in k_sub.sections]
-    anchor = HomSection(k_bundle, tangent,
-                        [[col.coeffs[i] for col in anchor_cols]
-                         for i in range(tangent.rank)])
-    table = []
+    values = [[dorfman_like_bracket(lad, k1, k2) for k2 in k_sub.sections]
+              for k1 in k_sub.sections]
     ok = True
-    for i, k1 in enumerate(k_sub.sections):
-        row = []
-        for j, k2 in enumerate(k_sub.sections):
-            value = dorfman_like_bracket(lad, k1, k2)
+    for i, row in enumerate(values):
+        for j, value in enumerate(row):
             if not chk.require("bracket-closed", f"[k{i + 1}, k{j + 1}]_D in K",
                                k_sub.contains(value), str(k_sub.residual(value))):
                 ok = False
-                row.append(k_bundle.zero_section())
-            else:
-                row.append(Section(k_bundle, tuple(k_sub.coords(value))))
-        table.append(row)
     if not ok:
         return None, chk.report()
-    k_bracket = AnchoredBracket(k_bundle, anchor, table)
+    anchors = [lad.bracket.rho(lad.a_part(k)) for k in k_sub.sections]
+    k_bracket = AnchoredBracket.induced(k_sub, anchors, values)
     lie = k_bracket.check_lie()
     chk.require("lie", "induced bracket on K", lie.passed,
                 "; ".join(w.difference for w in lie.witnesses) or "failed")
     # morphism: anchors match and the pair map intertwines the brackets
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
-                   lad.bracket.rho(lad.a_part(k)) - lad.x_part(pm.apply(k)))
+                   anchors[i] - lad.x_part(pm.apply(k)))
     for i, k1 in enumerate(k_sub.sections):
         for phi in battery_functions(lad.base):
             for j, k2 in enumerate(k_sub.sections):

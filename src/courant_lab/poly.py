@@ -134,15 +134,6 @@ class ScalarPoly:
             raise PolyError(f"not a constant polynomial: {self}")
         return Fraction(self._terms.get((0,) * len(self.vars), 0))
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(exps) for exps in self._terms)
-
-    def uses(self, name: str) -> bool:
-        i = self._index(name)
-        return any(exps[i] > 0 for exps in self._terms)
-
     def _index(self, name: str) -> int:
         try:
             return self.vars.index(name)

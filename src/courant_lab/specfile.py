@@ -152,9 +152,6 @@ class StructureSpec:
             raise SpecError(f"empty bundle reference {ref!r}")
         return out
 
-    def parse_section(self, text: str, bundle: Bundle, line: Optional[int] = None) -> Section:
-        return parse_section_expr(text, bundle, line)
-
 
 def parse_section_expr(text: str, bundle: Bundle, line: Optional[int] = None) -> Section:
     """Parse 'poly * frame + ...' into a Section of the bundle."""
@@ -314,7 +311,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if coord not in spec.base.coords or frame_name not in bundle.frame:
                 raise SpecError(f"bad connection key {key!r}", lineno)
             gamma[spec.base.coords.index(coord)][bundle.frame.index(frame_name)] = \
-                spec.parse_section(value, bundle, lineno)
+                parse_section_expr(value, bundle, lineno)
         spec.connections[sec.name] = Connection(bundle, gamma)
         return
     if sec.kind == "hom":
@@ -327,7 +324,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
                 continue
             if key not in source.frame:
                 raise SpecError(f"{key!r} is not a source frame name", lineno)
-            cols[source.frame.index(key)] = spec.parse_section(value, target, lineno)
+            cols[source.frame.index(key)] = parse_section_expr(value, target, lineno)
         spec.homs[sec.name] = HomSection.from_columns(source, target, cols)
         return
     if sec.kind == "anchor":
@@ -340,7 +337,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
                 continue
             if key not in bundle.frame:
                 raise SpecError(f"{key!r} is not a frame name of the bundle", lineno)
-            cols[bundle.frame.index(key)] = spec.parse_section(value, tangent, lineno)
+            cols[bundle.frame.index(key)] = parse_section_expr(value, tangent, lineno)
         spec.homs[sec.name] = HomSection.from_columns(bundle, tangent, cols)
         return
     if sec.kind == "bracket":
@@ -362,7 +359,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if f1 not in bundle.frame or f2 not in bundle.frame:
                 raise SpecError(f"bad bracket key {key!r}", lineno)
             pairs[(bundle.frame.index(f1), bundle.frame.index(f2))] = \
-                spec.parse_section(value, bundle, lineno)
+                parse_section_expr(value, bundle, lineno)
         spec.brackets[sec.name] = AnchoredBracket.from_pairs(
             bundle, anchor, pairs, antisymmetrize=anti)
         return
@@ -377,7 +374,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
         for piece in span_text.split(";"):
             piece = piece.strip()
             if piece:
-                sections.append(spec.parse_section(piece, ambient, sec.line))
+                sections.append(parse_section_expr(piece, ambient, sec.line))
         spec.subbundles[sec.name] = SubBundle(sec.name, sections, ambient)
         return
     if sec.kind == "courant":
@@ -392,7 +389,7 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if f1 not in courant.bundle.frame or f2 not in courant.bundle.frame:
                 raise SpecError(f"bad shift key {key!r}", lineno)
             i, j = courant.bundle.frame.index(f1), courant.bundle.frame.index(f2)
-            courant = courant.shifted(i, j, spec.parse_section(value, courant.bundle, lineno))
+            courant = courant.shifted(i, j, parse_section_expr(value, courant.bundle, lineno))
         spec.courants[sec.name] = courant
         return
     if sec.kind == "checks":
@@ -451,9 +448,7 @@ def _build_dorfman(spec: StructureSpec, sec: RawSection) -> None:
         predual = canonical_predual(e_bundle)
         symbols = [[predual.b.zero_section() for _ in range(predual.b.rank)]
                    for _ in range(predual.q.rank)]
-        helper = DorfmanConnection(
-            predual, AnchoredBracket.from_pairs(predual.q, pr_tm_hom(predual.q)), symbols)
-        delta = DorfmanConnection(predual, helper.dual_bracket(), symbols)
+        delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q), symbols)
 
     symbols = [list(row) for row in delta.symbols]
     changed = _apply_symbol_lines(spec, sec, delta.predual, symbols)
@@ -463,9 +458,8 @@ def _build_dorfman(spec: StructureSpec, sec: RawSection) -> None:
             bracket = named_bracket or delta.bracket
             spec.dorfmans[sec.name] = DorfmanConnection(delta.predual, bracket, symbols)
         else:
-            helper = DorfmanConnection(delta.predual, delta.bracket, symbols)
-            spec.dorfmans[sec.name] = DorfmanConnection(
-                delta.predual, helper.dual_bracket(), symbols)
+            spec.dorfmans[sec.name] = DorfmanConnection.with_dual_bracket(
+                delta.predual, delta.bracket.anchor, symbols)
     else:
         spec.dorfmans[sec.name] = delta
 

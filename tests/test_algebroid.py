@@ -1,11 +1,12 @@
 import pytest
 
-from courant_lab.algebroid import AnchoredBracket, tangent_algebroid
-from courant_lab.bundle import Bundle, HomSection, patch, vf_bracket
+from courant_lab.algebroid import AnchoredBracket
+from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
 from courant_lab.dorfman import Connection, standard_dorfman
 
 BASE = patch("x1", "x2")
 PT = patch()
+T = Bundle.tangent(BASE)
 
 
 def aff1():
@@ -23,7 +24,7 @@ def test_lie_algebra_frame_values():
 
 
 def test_leibniz_extension_matches_vf_bracket():
-    tm = tangent_algebroid(BASE)
+    tm = AnchoredBracket.from_pairs(T, HomSection.identity(T))
     x = tm.bundle.section(Dx2="x1")
     y = tm.bundle.section(Dx1=1)
     assert tm.bracket(x, y) == vf_bracket(x, y)
@@ -31,7 +32,7 @@ def test_leibniz_extension_matches_vf_bracket():
 
 
 def test_anchor_compat_reports():
-    assert tangent_algebroid(BASE).check_anchor_compat().passed
+    assert AnchoredBracket.from_pairs(T, HomSection.identity(T)).check_anchor_compat().passed
     assert aff1().check_anchor_compat().passed
     # the dual bracket of a standard connection is anchored by pr_TM
     e = Bundle.vector(BASE, "E", ("eps",))
@@ -41,7 +42,7 @@ def test_anchor_compat_reports():
 
 def test_check_lie():
     assert aff1().check_lie().passed
-    assert tangent_algebroid(BASE).check_lie().passed
+    assert AnchoredBracket.from_pairs(T, HomSection.identity(T)).check_lie().passed
 
 
 def test_structure_is_immutable():
@@ -83,15 +84,48 @@ def test_structure_functions_not_assumed_antisymmetric():
     g = Bundle.vector(PT, "g", ("e1", "e2"))
     anchor = HomSection.zero(g, Bundle.tangent(PT))
     dull = AnchoredBracket.from_pairs(g, anchor, {(0, 0): g.section(e2=1)})
-    assert not dull.is_antisymmetric_on_frames()
+    assert not all((dull.structure[i][j] + dull.structure[j][i]).is_zero()
+                   for i in range(2) for j in range(2))
     assert not dull.check_lie().passed
 
 
 def test_restrict_to_subbundle():
-    from courant_lab.bundle import SubBundle
-
-    tm = tangent_algebroid(BASE)
+    tm = AnchoredBracket.from_pairs(T, HomSection.identity(T))
     sub = SubBundle("F", [tm.bundle.section(Dx1=1)], tm.bundle)
     restricted = tm.restrict(sub)
     assert restricted.bundle.rank == 1
     assert restricted.check_lie().passed
+
+
+def _restriction_by_hand(bracket, sub):
+    """The anchor matrix and structure functions of the induced bracket,
+    assembled entry by entry."""
+    small = sub.as_bundle()
+    anchor_cols = [bracket.rho(sec) for sec in sub.sections]
+    matrix = tuple(tuple(col.coeffs[i] for col in anchor_cols)
+                   for i in range(bracket.anchor.target.rank))
+    table = tuple(tuple(Section(small, tuple(sub.coords(bracket.bracket(s1, s2))))
+                        for s2 in sub.sections) for s1 in sub.sections)
+    return matrix, table
+
+
+@pytest.mark.parametrize("case", ["line-field", "rank-0", "aff1-rebased"])
+def test_induced_bracket_matches_the_restriction_by_hand(case):
+    if case == "aff1-rebased":
+        bracket = aff1()
+        g = bracket.bundle
+        sub = SubBundle("G", [g.section(e1=1, e2=1), g.section(e2=1)])
+    else:
+        bracket = AnchoredBracket.from_pairs(T, HomSection.identity(T))
+        sections = [T.section(Dx1=1)] if case == "line-field" else []
+        sub = SubBundle("F", sections, T)
+    matrix, table = _restriction_by_hand(bracket, sub)
+    values = [[bracket.bracket(s1, s2) for s2 in sub.sections] for s1 in sub.sections]
+    induced = AnchoredBracket.induced(sub, [bracket.rho(sec) for sec in sub.sections], values)
+    for built in (induced, bracket.restrict(sub)):
+        assert built.bundle == sub.as_bundle()
+        assert built.anchor.matrix == matrix
+        assert built.structure == table
+    if case == "aff1-rebased":
+        # [e1 + e2, e2] = e2, the second frame section of G
+        assert induced.structure[0][1] == induced.bundle.section(G2=1)

@@ -1,11 +1,14 @@
 import pytest
 
-from courant_lab.algebroid import AnchoredBracket, tangent_algebroid
+from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
+from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
+from courant_lab.dirac import shift_dorfman
 from courant_lab.dorfman import (Connection, DorfmanConnection, bott_dorfman,
                                  im2form_dorfman, lie_derivative_dorfman,
-                                 pr_tm_hom, standard_dorfman, trivial_dorfman)
+                                 pr_tm_hom, standard_dorfman, zero_predual)
+from courant_lab.specfile import parse_spec
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -32,10 +35,11 @@ def test_check_axioms(ex_a):
 
 
 def test_trivial_pairing_connection_is_dorfman():
-    tm = tangent_algebroid(patch("x"))
+    t = Bundle.tangent(patch("x"))
+    tm = AnchoredBracket.from_pairs(t, HomSection.identity(t))
     b = Bundle.vector(patch("x"), "B", ("b1",))
     symbols = [[b.section(b1="x")]]
-    delta = trivial_dorfman(tm, b, symbols)
+    delta = DorfmanConnection(zero_predual(tm.bundle, b), tm, symbols)
     assert delta.check_axioms().passed
 
 
@@ -61,6 +65,47 @@ def test_dual_bracket_formula(ex_a):
     d = ex_a
     value = d.bracket.bracket(d.q.section(Dx2=1), d.q.section(epss=1))
     assert value == -d.q.section(epss="x1")
+
+
+def test_apply_reads_the_frame_anchors_of_its_bracket(ex_a, hom_apply_calls):
+    value = ex_a.apply(ex_a.q.section(Dx2="x1", epss="x2"), ex_a.b.section(eps="x1", dx1=1))
+    assert not value.is_zero()
+    assert hom_apply_calls == []
+
+
+def _same_connection(one, two):
+    assert one.symbols == two.symbols
+    assert one.bracket.structure == two.bracket.structure
+    assert one.bracket.anchor.matrix == two.bracket.anchor.matrix
+
+
+def test_with_dual_bracket_matches_the_two_step_construction_on_the_catalog():
+    checked = 0
+    for name in catalog_names():
+        for delta in parse_spec(catalog_text(name)).dorfmans.values():
+            if not delta.predual.canonical:
+                continue  # a zero pairing determines no dual bracket
+            anchor = delta.bracket.anchor
+            helper = DorfmanConnection(delta.predual, AnchoredBracket.from_pairs(delta.q, anchor),
+                                       delta.symbols)
+            two_step = DorfmanConnection(delta.predual, helper.dual_bracket(), delta.symbols)
+            _same_connection(
+                DorfmanConnection.with_dual_bracket(delta.predual, anchor, delta.symbols),
+                two_step)
+            checked += 1
+    assert checked == 9  # the ten [dorfman.*] sections but the zero-pairing one
+
+
+def test_with_dual_bracket_matches_the_two_step_construction_on_a_shift(ex_a):
+    shifts = {(0, 0): ex_a.b.section(eps="x2", dx1=1), (2, 0): ex_a.b.section(dx2="x1")}
+    symbols = [list(row) for row in ex_a.symbols]
+    for (i, j), shift in shifts.items():
+        symbols[i][j] = symbols[i][j] + shift
+    helper = DorfmanConnection(ex_a.predual, ex_a.bracket, symbols)
+    two_step = DorfmanConnection(ex_a.predual, helper.dual_bracket(), symbols)
+    shifted = shift_dorfman(ex_a, shifts)
+    _same_connection(shifted, two_step)
+    assert shifted.bracket.structure != ex_a.bracket.structure
 
 
 def test_duality_roundtrip(ex_a):
@@ -96,7 +141,8 @@ def test_flat_connection_gives_flat_curvature():
 
 
 def test_skew_examples(ex_a):
-    assert ex_a.skew_is_zero()
+    assert all(ex_a.skew_symmetrization(v1, v2).is_zero()
+               for v1 in ex_a.q.frame_sections() for v2 in ex_a.q.frame_sections())
     assert ex_a.check_skew().passed
     # a dull bracket with [[(0,eps*),(0,eps*)]] = (0,eps*) has Skew = 2 eps*
     q = ex_a.q
@@ -105,9 +151,11 @@ def test_skew_examples(ex_a):
     delta = DorfmanConnection.from_dull(dull, ex_a.predual)
     sym = delta.skew_symmetrization(q.section(epss=1), q.section(epss=1))
     assert sym == q.section(epss=2)
-    assert not delta.skew_is_zero()
+    assert not all(delta.skew_symmetrization(v1, v2).is_zero()
+                   for v1 in q.frame_sections() for v2 in q.frame_sections())
     # skew vanishes iff the dual bracket is antisymmetric
-    assert not dull.is_antisymmetric_on_frames()
+    assert not all((dull.structure[i][j] + dull.structure[j][i]).is_zero()
+                   for i in range(q.rank) for j in range(q.rank))
 
 
 def test_lie_derivative_dorfman():
@@ -169,4 +217,6 @@ def test_im2form_axioms():
                            [e2.zero_section(), e2.zero_section()]])
     delta = im2form_dorfman(sigma, conn)
     assert delta.check_axioms().passed
-    assert delta.skew_is_zero()  # the associated splitting is Lagrangian
+    # the associated splitting is Lagrangian
+    assert all(delta.skew_symmetrization(v1, v2).is_zero()
+               for v1 in delta.q.frame_sections() for v2 in delta.q.frame_sections())

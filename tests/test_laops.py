@@ -21,9 +21,7 @@ def zero_dorfman(a_bundle):
     predual = canonical_predual(a_bundle)
     symbols = [[predual.b.zero_section() for _ in range(predual.b.rank)]
                for _ in range(predual.q.rank)]
-    helper = DorfmanConnection(
-        predual, AnchoredBracket.from_pairs(predual.q, pr_tm_hom(predual.q)), symbols)
-    return DorfmanConnection(predual, helper.dual_bracket(), symbols)
+    return DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q), symbols)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +90,14 @@ def test_lie_derivative_examples(ex_b):
     # abelian-direction: L_{e2} e1* = <e1*, [e2, .]> = 0... check via formula
     out2 = lie_der_v(lad, a.section(e2=1), lad.to_v(xi=a.dual().section(e1s=1)))
     assert out2.is_zero()
+
+
+def test_lie_der_v_applies_the_anchor_once(ex_e, hom_apply_calls):
+    lad, _, _ = ex_e
+    a = lad.a_bundle.section(a1="x2", a2=1)
+    out = lie_der_v(lad, a, lad.v_bundle.section(Dx1="x1", a1s="x1*x2", a2s="x2"))
+    assert not out.is_zero()
+    assert hom_apply_calls == [a]
 
 
 def test_dorfman_like_bracket_values(ex_b, ex_e):

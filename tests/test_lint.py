@@ -1,9 +1,10 @@
 """Static hygiene of the package, read with the standard library's `ast`.
 
-Two kinds of dead weight fail this test: a module-level import that its
-module never uses, and a private (`_name`) function, class or method under
-`src/courant_lab/` that nothing in the package references.  A helper
-deleted from its callers must go with its imports.
+Three kinds of dead weight fail this test: a module-level import that its
+module never uses, and a private (`_name`) or public function, class or
+method under `src/courant_lab/` that nothing in the package references.
+A helper deleted from its callers must go with its imports, and a public
+name that only tests call belongs in those tests.
 """
 
 import ast
@@ -21,14 +22,26 @@ def _read_names(tree):
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def _private_defs(tree):
-    """Private functions and classes, at module level and in module-level classes."""
+def _defs(tree, private):
+    """Private or public functions and classes, at module level and in
+    module-level classes; dunder methods are neither."""
     bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
     for body in bodies:
         for node in body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")):
+                    and node.name.startswith("_") == private and not node.name.endswith("__")):
                 yield node
+
+
+def _unreferenced(private):
+    reads = sum((_read_names(tree) for tree in TREES.values()), Counter())
+    unreferenced = []
+    for module, tree in TREES.items():
+        for definition in _defs(tree, private):
+            # reads inside the definition's own body (recursion) do not count
+            if reads[definition.name] == _read_names(definition)[definition.name]:
+                unreferenced.append(f"{module}: {definition.name}")
+    return unreferenced
 
 
 def test_no_unused_module_level_imports():
@@ -48,11 +61,8 @@ def test_no_unused_module_level_imports():
 
 
 def test_no_unreferenced_private_helpers():
-    reads = sum((_read_names(tree) for tree in TREES.values()), Counter())
-    unreferenced = []
-    for module, tree in TREES.items():
-        for definition in _private_defs(tree):
-            # reads inside the helper's own body (recursion) do not count
-            if reads[definition.name] == _read_names(definition)[definition.name]:
-                unreferenced.append(f"{module}: {definition.name}")
-    assert unreferenced == []
+    assert _unreferenced(private=True) == []
+
+
+def test_no_unreferenced_public_names():
+    assert _unreferenced(private=False) == []
