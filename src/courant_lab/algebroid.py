@@ -13,9 +13,8 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, leibniz, random_sections, vf_apply,
-                     vf_bracket, BATTERY_SEED)
-from .poly import ScalarPoly
+                     battery_functions, leibniz, random_sections, vf_bracket,
+                     BATTERY_SEED)
 from .report import Checker, CheckReport
 
 
@@ -58,10 +57,6 @@ class AnchoredBracket:
 
     def rho(self, q: Section) -> Section:
         return self.anchor.apply(q)
-
-    def rho_d(self, q: Section, phi: ScalarPoly) -> ScalarPoly:
-        """rho(q) acting as a derivation on a function."""
-        return vf_apply(self.bundle.patch.coords, self.rho(q).coeffs, phi)
 
     # -- bracket ----------------------------------------------------------
 

@@ -130,11 +130,13 @@ class CourantData:
                     rhs = self.bracket(pairs[i * w][j * w], e3) + nested[j][i][k]
                     chk.record("1-leibniz-jacobi", f"({names[i]}; {names[j]}; {label3})",
                                lhs - rhs)
+        coords = self.bundle.patch.coords
+        anchors = [self.anchor.apply(e) for e in sections]
         frame_pairs = [[self.pair(e2, e3) for e3 in frames] for e2 in frames]
         for p, (label1, e1) in enumerate(batt):
             for j, e2 in enumerate(frames):
                 for k, e3 in enumerate(frames):
-                    lhs = self.rho_d(e1, frame_pairs[j][k])
+                    lhs = vf_apply(coords, anchors[p].coeffs, frame_pairs[j][k])
                     rhs = (self.pair(pairs[p][j * w], e3)
                            + self.pair(e2, pairs[p][k * w]))
                     chk.record("2-metric", f"({label1}; {names[j]}; {names[k]})", lhs - rhs)
@@ -143,7 +145,6 @@ class CourantData:
                 lhs = pairs[p][q] + pairs[q][p]
                 rhs = self.D(self.pair(e1, e2))
                 chk.record("3-symmetrized", f"({label1}; {label2})", lhs - rhs)
-        anchors = [self.anchor.apply(e) for e in sections]
         for p, (label1, e1) in enumerate(batt):
             for q, (label2, e2) in enumerate(batt):
                 lhs = self.anchor.apply(pairs[p][q])
@@ -151,7 +152,7 @@ class CourantData:
                 chk.record("4-anchor-morphism", f"({label1}; {label2})", lhs - rhs)
         for i, e1 in enumerate(frames):
             for f, phi in enumerate(functions):
-                rho_phi = self.rho_d(e1, phi)
+                rho_phi = vf_apply(coords, self.frame_rho[i], phi)
                 for j, e2 in enumerate(frames):
                     lhs = pairs[i * w][j * w + f]
                     rhs = pairs[i * w][j * w].scale(phi) + e2.scale(rho_phi)

@@ -16,12 +16,19 @@ its dual dull bracket via
 and both conversion directions are implemented here, together with the
 curvature, the skew-symmetrization tensor, and the standard constructions
 from ordinary connections and from isotropic subalgebroids.
+
+The curvature R(q_i, q_j) of each ordered pair of Q-frame elements is built
+once per connection, from one table of Delta_{q_j} b_k, and shared by the
+curvature checks and the splitting theorems; the tensoriality check keeps
+the applications its scaled cases share in tables that live only as long
+as the check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from functools import cached_property
+from typing import List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
@@ -218,12 +225,14 @@ class DorfmanConnection:
         q_frames = self.q.frame_sections()
         b_batt = battery_sections(self.b)
         pairings = [[self.predual.pair(w, s) for _, s in b_batt] for w in q_frames]
+        coords = self.q.patch.coords
         for label_v, v in battery_sections(self.q):
             applied = [self.apply(v, s) for _, s in b_batt]
+            rho_v = self.bracket.rho(v).coeffs
             for j, w in enumerate(q_frames):
                 vw = self.bracket.bracket(v, w)
                 for k, (label_s, s) in enumerate(b_batt):
-                    lhs = self.bracket.rho_d(v, pairings[j][k])
+                    lhs = vf_apply(coords, rho_v, pairings[j][k])
                     rhs = (self.predual.pair(vw, s)
                            + self.predual.pair(w, applied[k]))
                     chk.record("axiom-c", f"({label_v}; {self.q.frame[j]}; {label_s})", lhs - rhs)
@@ -258,6 +267,7 @@ class DorfmanConnection:
         b_frames = self.b.frame_sections()
         b_batt = battery_sections(self.b)
         d_functions = [self.predual.d(phi) for phi in functions]
+        coords = self.q.patch.coords
         w = len(functions)
         for i, qf in enumerate(q_frames):
             qname = self.q.frame[i]
@@ -271,7 +281,7 @@ class DorfmanConnection:
                     lhs = self.apply(scaled_q, bsec)
                     rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
                     chk.record("axiom-a", f"(({phi})*{qname}; {label_b})", lhs - rhs)
-                rho_phi = self.bracket.rho_d(qf, phi)
+                rho_phi = vf_apply(coords, self.bracket.frame_rho[i], phi)
                 for j, bf in enumerate(b_frames):
                     lhs = row[j * w + f]
                     rhs = row[j * w].scale(phi) + bf.scale(rho_phi)
@@ -279,10 +289,11 @@ class DorfmanConnection:
         frame_pairings = [[self.predual.pair(w, bf) for bf in b_frames] for w in q_frames]
         for label_q, v in battery_sections(self.q):
             applied = [self.apply(v, bf) for bf in b_frames]
+            rho_v = self.bracket.rho(v).coeffs
             for j, w in enumerate(q_frames):
                 vw = self.bracket.bracket(v, w)
                 for k, bf in enumerate(b_frames):
-                    lhs = self.bracket.rho_d(v, frame_pairings[j][k])
+                    lhs = vf_apply(coords, rho_v, frame_pairings[j][k])
                     rhs = (self.predual.pair(vw, bf)
                            + self.predual.pair(w, applied[k]))
                     chk.record("axiom-c", f"({label_q}; {self.q.frame[j]}; {self.b.frame[k]})",
@@ -305,6 +316,29 @@ class DorfmanConnection:
         return (self.apply(v1, self.apply(v2, s)) - self.apply(v2, self.apply(v1, s))
                 - self.apply(self.bracket.bracket(v1, v2), s))
 
+    def frame_curvature(self, i: int, j: int) -> HomSection:
+        """R(q_i, q_j) for the Q-frame elements q_i, q_j."""
+        return self._frame_curvatures[i][j]
+
+    @cached_property
+    def _frame_curvatures(self) -> Tuple[Tuple[HomSection, ...], ...]:
+        # once[j][k] = Delta_{q_j} b_k; Delta_{q_i} once[j][k] is the first
+        # term of R(q_i, q_j) b_k and the second of R(q_j, q_i) b_k
+        q_frames = self.q.frame_sections()
+        b_frames = self.b.frame_sections()
+        once = [[self.apply(q, bf) for bf in b_frames] for q in q_frames]
+        twice = [[[self.apply(q1, value) for value in row] for row in once] for q1 in q_frames]
+        rows = []
+        for i, q1 in enumerate(q_frames):
+            row = []
+            for j, q2 in enumerate(q_frames):
+                lie = self.bracket.bracket(q1, q2)
+                cols = [twice[i][j][k] - twice[j][i][k] - self.apply(lie, bf)
+                        for k, bf in enumerate(b_frames)]
+                row.append(HomSection.from_columns(self.b, self.b, cols))
+            rows.append(tuple(row))
+        return tuple(rows)
+
     def check_curvature_tensorial(self) -> CheckReport:
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
@@ -313,26 +347,51 @@ class DorfmanConnection:
         b_frames = self.b.frame_sections()
         q_scaled = [[v.scale(phi) for phi in functions] for v in q_frames]
         b_scaled = [[bf.scale(phi) for phi in functions] for bf in b_frames]
+        # Subterm tables over frames q_i, functions phi_f and frames b_k:
+        # on_scaled[j][f][k] = Delta_{q_j}(phi_f b_k), and since phi_0 = 1 (see
+        # battery_functions), on_scaled[j][0][k] = Delta_{q_j} b_k;
+        # by_scaled[j][f][k] = Delta_{phi_f q_j} b_k.
+        on_scaled = [[[self.apply(q, sec) for sec in col] for col in zip(*b_scaled)]
+                     for q in q_frames]
+        by_scaled = [[[self.apply(sq, bf) for bf in b_frames] for sq in row] for row in q_scaled]
+        # twice_b[i][j][f][k] = Delta_{q_i} Delta_{q_j}(phi_f b_k): the first term
+        # of R(q_i, q_j)(phi_f b_k) and the second of R(q_j, q_i)(phi_f b_k).
+        # outer[i][f][j][k] = Delta_{phi_f q_i} Delta_{q_j} b_k and
+        # inner[i][j][f][k] = Delta_{q_i} Delta_{phi_f q_j} b_k: the first and
+        # second terms of R(phi_f q_i, q_j) b_k, and the second and first terms
+        # of R(q_j, phi_f q_i) b_k.
+        twice_b = [[[[self.apply(q1, value) for value in col] for col in row]
+                    for row in on_scaled] for q1 in q_frames]
+        outer = [[[[self.apply(sq, value) for value in row[0]] for row in on_scaled]
+                  for sq in scaled] for scaled in q_scaled]
+        inner = [[[[self.apply(q1, value) for value in col] for col in row]
+                  for row in by_scaled] for q1 in q_frames]
         for i, v1 in enumerate(q_frames):
             for j, v2 in enumerate(q_frames):
-                base_hom = self.curvature(v1, v2)
-                base_cols = [base_hom.apply(bf) for bf in b_frames]
+                base_hom = self.frame_curvature(i, j)
+                base_cols = [base_hom.column(k) for k in range(self.b.rank)]
+                lie = self.bracket.bracket(v1, v2)
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
                 for f, phi in enumerate(functions):
                     scaled_cols = [col.scale(phi) for col in base_cols]
                     for k, bf in enumerate(b_frames):
+                        value = (twice_b[i][j][f][k] - twice_b[j][i][f][k]
+                                 - self.apply(lie, b_scaled[k][f]))
                         chk.record("linear-in-b", inputs + f" on ({phi})*{self.b.frame[k]}",
-                                   self.curvature_raw(v1, v2, b_scaled[k][f])
-                                   - scaled_cols[k])
+                                   value - scaled_cols[k])
+                    lie_q1 = self.bracket.bracket(q_scaled[i][f], v2)
+                    lie_q2 = self.bracket.bracket(v1, q_scaled[j][f])
                     for k, bf in enumerate(b_frames):
+                        value_q1 = (outer[i][f][j][k] - inner[j][i][f][k]
+                                    - self.apply(lie_q1, bf))
                         chk.record("linear-in-q1", f"(({phi})*{self.q.frame[i]}; "
                                    f"{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   self.curvature_raw(q_scaled[i][f], v2, bf)
-                                   - scaled_cols[k])
+                                   value_q1 - scaled_cols[k])
+                        value_q2 = (inner[i][j][f][k] - outer[j][f][i][k]
+                                    - self.apply(lie_q2, bf))
                         chk.record("linear-in-q2", f"({self.q.frame[i]}; "
                                    f"({phi})*{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   self.curvature_raw(v1, q_scaled[j][f], bf)
-                                   - scaled_cols[k])
+                                   value_q2 - scaled_cols[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -347,10 +406,9 @@ class DorfmanConnection:
         # (i, j, k) and the middle one of (j, i, k)
         nested = [[[self.bracket.bracket(q1, value) for value in row] for row in brackets]
                   for q1 in q_frames]
-        homs = [[self.curvature(q1, q2) for q2 in q_frames] for q1 in q_frames]
         for i, q1 in enumerate(q_frames):
             for j, q2 in enumerate(q_frames):
-                images = [homs[i][j].apply(bsec) for _, bsec in b_batt]
+                images = [self.frame_curvature(i, j).apply(bsec) for _, bsec in b_batt]
                 for k, q3 in enumerate(q_frames):
                     triple = (self.bracket.bracket(brackets[i][j], q3)
                               + nested[j][i][k]
@@ -364,7 +422,7 @@ class DorfmanConnection:
             ct_idx = self.b.atom_index("T*M")
             for i, q1 in enumerate(q_frames):
                 for j, q2 in enumerate(q_frames):
-                    hom = homs[i][j]
+                    hom = self.frame_curvature(i, j)
                     for s in self.b.frame_sections()[self.b.atom_slice(ct_idx).start:]:
                         chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {s})",
                                    hom.apply(s))

@@ -18,14 +18,18 @@ and the basic curvature is
                    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b.
 
 A check evaluates each distinct operator value its loops need once, and
-its tables live only as long as the check.
+its tables live only as long as the check.  The checks of R^bas keep
+theirs in a BasicTerms: Omega_v a, nabla^bas_a v, [a, b] and
+L_a(Omega_v b) are evaluated once per pair of argument objects, so
+R^bas(phi a, b) v and R^bas(b, phi a) v, or R^bas(a, b) u and
+nabla^bas_a u, share their terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket, battery_sections
 from .bundle import (Bundle, BundleError, HomSection, Section,
@@ -204,16 +208,71 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
 # -- basic connections ----------------------------------------------------
 
 
+class BasicTerms:
+    """The basic connections and R^bas, with their sub-terms kept in tables.
+
+    Omega_v a, (rho,rho*) sigma, [a, b], L_a sigma, nabla^bas_a v and
+    nabla^bas_a sigma are each evaluated once per pair of argument objects
+    and then read from a table; a value is reused only for the same
+    expression on the same objects.  A check builds one for its own loops
+    and drops it when it returns, so the tables are freed with it.
+    """
+
+    def __init__(self, lad: LieAlgebroidData, delta: DorfmanConnection):
+        self.lad = lad
+        self.delta = delta
+        self._values: Dict[tuple, tuple] = {}
+
+    def _once(self, kind: str, x, y, compute: Callable[[], Section]) -> Section:
+        key = (kind, id(x), id(y))
+        entry = self._values.get(key)
+        if entry is None:
+            # x and y are kept with the value, so no other object takes their ids
+            entry = self._values[key] = (compute(), x, y)
+        return entry[0]
+
+    def omega(self, v: Section, a: Section) -> Section:
+        return self._once("omega", v, a, lambda: omega(self.lad, self.delta, v, a))
+
+    def image(self, sigma: Section) -> Section:
+        """(rho,rho*) sigma."""
+        return self._once("image", sigma, None, lambda: self.lad.pair_map().apply(sigma))
+
+    def bracket(self, a: Section, b: Section) -> Section:
+        return self._once("bracket", a, b, lambda: self.lad.bracket.bracket(a, b))
+
+    def lie_der_sigma(self, a: Section, sigma: Section) -> Section:
+        return self._once("lie", a, sigma, lambda: lie_der_sigma(self.lad, a, sigma))
+
+    def basic_v(self, a: Section, v: Section) -> Section:
+        """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
+        return self._once("basic_v", a, v, lambda: self.lad.pair_map().apply(self.omega(v, a))
+                          + lie_der_v(self.lad, a, v))
+
+    def basic_sigma(self, a: Section, sigma: Section) -> Section:
+        """nabla^bas_a sigma = Omega_{(rho,rho*) sigma} a + L_a sigma on A + T*M."""
+        return self._once("basic_sigma", a, sigma, lambda: self.omega(self.image(sigma), a)
+                          + self.lie_der_sigma(a, sigma))
+
+    def basic_curvature(self, a: Section, b: Section, v: Section) -> Section:
+        """R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
+        + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b."""
+        return (-self.omega(v, self.bracket(a, b))
+                + self.lie_der_sigma(a, self.omega(v, b))
+                - self.lie_der_sigma(b, self.omega(v, a))
+                + self.omega(self.basic_v(b, v), a)
+                - self.omega(self.basic_v(a, v), b))
+
+
 def basic_v(lad: LieAlgebroidData, delta: DorfmanConnection, a: Section, v: Section) -> Section:
-    """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
-    return lad.pair_map().apply(omega(lad, delta, v, a)) + lie_der_v(lad, a, v)
+    """nabla^bas_a v on TM + A*, for one pair of sections."""
+    return BasicTerms(lad, delta).basic_v(a, v)
 
 
 def basic_sigma(lad: LieAlgebroidData, delta: DorfmanConnection,
                 a: Section, sigma: Section) -> Section:
-    """nabla^bas_a sigma = Omega_{(rho,rho*) sigma} a + L_a sigma on A + T*M."""
-    return (omega(lad, delta, lad.pair_map().apply(sigma), a)
-            + lie_der_sigma(lad, a, sigma))
+    """nabla^bas_a sigma on A + T*M, for one pair of sections."""
+    return BasicTerms(lad, delta).basic_sigma(a, sigma)
 
 
 def basic_any(lad: LieAlgebroidData, delta: DorfmanConnection,
@@ -264,12 +323,13 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     s_batt = battery_sections(lad.sigma_bundle)
     targets = v_batt + s_batt
     t_scaled = [[t.scale(phi) for phi in functions] for _, t in targets]
+    coords = lad.base.coords
     # basic[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
     basic = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
         a_scaled = [a.scale(phi) for phi in functions]
-        rho_phi = [lad.bracket.rho_d(a, phi) for phi in functions]
+        rho_phi = [vf_apply(coords, lad.bracket.frame_rho[k], phi) for phi in functions]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
             base_val = basic_any(lad, delta, a, t)
@@ -297,7 +357,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             for q, (label_s, sigma) in enumerate(s_batt):
                 lhs = (delta.predual.pair(basic[k][p], sigma)
                        + delta.predual.pair(v, basic[k][n_v + q]))
-                rhs = (lad.bracket.rho_d(a, pairings[p][q])
+                rhs = (vf_apply(coords, lad.bracket.frame_rho[k], pairings[p][q])
                        - delta.predual.pair(skew[p][q], a_lift))
                 chk.record("duality-defect", f"({aname}; {label_v}; {label_s})", lhs - rhs)
         for q, (label_s, sigma) in enumerate(s_batt):
@@ -308,11 +368,8 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
 
 def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
                     a: Section, b: Section, v: Section) -> Section:
-    return (-omega(lad, delta, v, lad.bracket.bracket(a, b))
-            + lie_der_sigma(lad, a, omega(lad, delta, v, b))
-            - lie_der_sigma(lad, b, omega(lad, delta, v, a))
-            + omega(lad, delta, basic_v(lad, delta, b, v), a)
-            - omega(lad, delta, basic_v(lad, delta, a, v), b))
+    """R^bas(a,b) v for one triple of sections."""
+    return BasicTerms(lad, delta).basic_curvature(a, b, v)
 
 
 def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
@@ -320,47 +377,46 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
                   "tensoriality of R^bas and its two composition identities")
     functions = battery_functions(lad.base)[1:]
     pm = lad.pair_map()
+    terms = BasicTerms(lad, delta)
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
     a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
     v_scaled = [[v.scale(phi) for phi in functions] for v in v_frames]
+    # the scaled a is the same object in tensorial-a at (i, j) and in
+    # tensorial-b at (j, i), so the two read the same Omega, nabla^bas and
+    # L terms from the tables
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for m, v in enumerate(v_frames):
-                base_val = basic_curvature(lad, delta, a, b, v)
+                base_val = terms.basic_curvature(a, b, v)
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
                 for f, phi in enumerate(functions):
                     scaled_val = base_val.scale(phi)
                     chk.record("tensorial-a", inputs + f" scale a by {phi}",
-                               basic_curvature(lad, delta, a_scaled[i][f], b, v) - scaled_val)
+                               terms.basic_curvature(a_scaled[i][f], b, v) - scaled_val)
                     chk.record("tensorial-b", inputs + f" scale b by {phi}",
-                               basic_curvature(lad, delta, a, a_scaled[j][f], v) - scaled_val)
+                               terms.basic_curvature(a, a_scaled[j][f], v) - scaled_val)
                     chk.record("tensorial-v", inputs + f" scale v by {phi}",
-                               basic_curvature(lad, delta, a, b, v_scaled[m][f]) - scaled_val)
+                               terms.basic_curvature(a, b, v_scaled[m][f]) - scaled_val)
     s_batt = battery_sections(lad.sigma_bundle)
     v_batt = battery_sections(lad.v_bundle)
-    images = [pm.apply(sigma) for _, sigma in s_batt]
-    # once[k][t] = nabla^bas_{a_k} t and twice[k][l][t] = nabla^bas_{a_k} once[l][t]:
-    # the first composition term of (k, l, t) and the second of (l, k, t)
-    once_s = [[basic_sigma(lad, delta, a, sigma) for _, sigma in s_batt] for a in a_frames]
-    twice_s = [[[basic_sigma(lad, delta, a, value) for value in row] for row in once_s]
-               for a in a_frames]
-    once_v = [[basic_v(lad, delta, a, v) for _, v in v_batt] for a in a_frames]
-    twice_v = [[[basic_v(lad, delta, a, value) for value in row] for row in once_v]
-               for a in a_frames]
+    # nabla^bas_a nabla^bas_b t is the first composition term of (a, b, t)
+    # and the second of (b, a, t); the tables evaluate it once
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
-            ab = lad.bracket.bracket(a, b)
-            for t, (label_s, sigma) in enumerate(s_batt):
-                lhs = basic_curvature(lad, delta, a, b, images[t])
-                rhs = (twice_s[i][j][t] - twice_s[j][i][t]
-                       - basic_sigma(lad, delta, ab, sigma))
+            ab = terms.bracket(a, b)
+            for label_s, sigma in s_batt:
+                lhs = terms.basic_curvature(a, b, terms.image(sigma))
+                rhs = (terms.basic_sigma(a, terms.basic_sigma(b, sigma))
+                       - terms.basic_sigma(b, terms.basic_sigma(a, sigma))
+                       - terms.basic_sigma(ab, sigma))
                 chk.record("curvature-of-basic-sigma", f"(a{i + 1}; a{j + 1}; {label_s})",
                            lhs - rhs)
-            for t, (label_v, v) in enumerate(v_batt):
-                lhs = pm.apply(basic_curvature(lad, delta, a, b, v))
-                rhs = (twice_v[i][j][t] - twice_v[j][i][t]
-                       - basic_v(lad, delta, ab, v))
+            for label_v, v in v_batt:
+                lhs = pm.apply(terms.basic_curvature(a, b, v))
+                rhs = (terms.basic_v(a, terms.basic_v(b, v))
+                       - terms.basic_v(b, terms.basic_v(a, v))
+                       - terms.basic_v(ab, v))
                 chk.record("curvature-of-basic-v", f"(a{i + 1}; a{j + 1}; {label_v})",
                            lhs - rhs)
     return chk.report()
@@ -420,18 +476,20 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
                 chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({phi})*k{k_i + 1})",
                            k_sub.residual(value))
 
+    # R^bas(a, b) u reads nabla^bas_a u, which the implied check reads again
+    terms = BasicTerms(lad, delta)
     a_frames = lad.a_bundle.frame_sections()
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for u_i, u in enumerate(u_sub.sections):
-                value = basic_curvature(lad, delta, a, b, u)
+                value = terms.basic_curvature(a, b, u)
                 chk.record("5-basic-curvature-into-K", f"(a{i + 1}; a{j + 1}; u{u_i + 1})",
                            k_sub.residual(value))
 
     implied_ok = True
     for i, a in enumerate(a_frames):
         for u_i, u in enumerate(u_sub.sections):
-            value = basic_v(lad, delta, a, u)
+            value = terms.basic_v(a, u)
             if not u_sub.contains(value):
                 implied_ok = False
                 chk.require("implied-basic-preserves-U", f"(a{i + 1}; u{u_i + 1})",
@@ -544,50 +602,47 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
           + (0, d<s1, nabla^bas_{a2} u>) = -R^bas(a1, a2) u.
     """
     chk = Checker("ruth-compat", "mixed identities tying Delta to the basic data")
+    terms = BasicTerms(lad, delta)
     u_secs = triple.u_sub.sections
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
+    names = lad.sigma_bundle.frame
     functions = battery_functions(lad.base)
-    sigs = [[sigma.scale(phi) for phi in functions] for sigma in s_frames]
-    sig_parts = [[lad.a_part(sig) for sig in row] for row in sigs]
-    # along[i][m][f] = nabla^bas_{pr_A sig} u_i and moved[i][m][f] = pr_A Delta_{u_i} sig
-    # for sig = phi_f e_m: the terms of (i, j) and, with u and v swapped, of (j, i)
-    along = [[[basic_v(lad, delta, a, u) for a in row] for row in sig_parts] for u in u_secs]
-    moved = [[[lad.a_part(delta.apply(u, sig)) for sig in row] for row in sigs]
-             for u in u_secs]
+    w = len(functions)
+    # battery entry m * w + f is frame m scaled by function f (see
+    # battery_sections), so a_parts[m * w] is pr_A of frame m;
+    # moved[i][t] = Delta_{u_i} s_t serves both identities
+    s_batt = battery_sections(lad.sigma_bundle)
+    a_parts = [lad.a_part(s) for _, s in s_batt]
+    moved = [[delta.apply(u, s) for _, s in s_batt] for u in u_secs]
+    moved_parts = [[lad.a_part(value) for value in row] for row in moved]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):
             uv = delta.bracket.bracket(u, v)
             for m in range(len(s_frames)):
                 for f, phi in enumerate(functions):
-                    lhs = (basic_v(lad, delta, sig_parts[m][f], uv)
-                           - delta.bracket.bracket(along[i][m][f], v)
-                           - delta.bracket.bracket(u, along[j][m][f])
-                           + basic_v(lad, delta, moved[i][m][f], v)
-                           - basic_v(lad, delta, moved[j][m][f], u))
-                    rhs = -pm.apply(delta.curvature_raw(u, v, sigs[m][f]))
-                    chk.record("identity-1",
-                               f"(u{i + 1}; u{j + 1}; ({phi})*{lad.sigma_bundle.frame[m]})",
+                    t = m * w + f
+                    a = a_parts[t]
+                    lhs = (terms.basic_v(a, uv)
+                           - delta.bracket.bracket(terms.basic_v(a, u), v)
+                           - delta.bracket.bracket(u, terms.basic_v(a, v))
+                           + terms.basic_v(moved_parts[i][t], v)
+                           - terms.basic_v(moved_parts[j][t], u))
+                    rhs = -pm.apply(delta.curvature_raw(u, v, s_batt[t][1]))
+                    chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({phi})*{names[m]})",
                                lhs - rhs)
-    s_batt = battery_sections(lad.sigma_bundle)
-    frame_parts = [lad.a_part(s1) for s1 in s_frames]
-    batt_parts = [lad.a_part(s2) for _, s2 in s_batt]
     dlike = [[dorfman_like_bracket(lad, s1, s2) for _, s2 in s_batt] for s1 in s_frames]
     for u_i, u in enumerate(u_secs):
-        nb_frames = [basic_v(lad, delta, a1, u) for a1 in frame_parts]
-        nb_batt = [basic_v(lad, delta, a2, u) for a2 in batt_parts]
-        moved_frames = [delta.apply(u, s1) for s1 in s_frames]
-        moved_batt = [delta.apply(u, s2) for _, s2 in s_batt]
         for i, s1 in enumerate(s_frames):
-            nb1 = nb_frames[i]
+            a1 = a_parts[i * w]
+            nb1 = terms.basic_v(a1, u)
             for t, (label2, s2) in enumerate(s_batt):
-                nb2 = nb_batt[t]
+                nb2 = terms.basic_v(a_parts[t], u)
                 lhs = (delta.apply(u, dlike[i][t])
-                       - dorfman_like_bracket(lad, moved_frames[i], s2)
-                       - dorfman_like_bracket(lad, s1, moved_batt[t])
+                       - dorfman_like_bracket(lad, moved[u_i][i * w], s2)
+                       - dorfman_like_bracket(lad, s1, moved[u_i][t])
                        + delta.apply(nb1, s2) - delta.apply(nb2, s1)
                        + db_canonical(lad.sigma_bundle, delta.predual.pair(nb2, s1)))
-                rhs = -basic_curvature(lad, delta, frame_parts[i], batt_parts[t], u)
-                chk.record("identity-2",
-                           f"(u{u_i + 1}; {lad.sigma_bundle.frame[i]}; {label2})", lhs - rhs)
+                rhs = -terms.basic_curvature(a1, a_parts[t], u)
+                chk.record("identity-2", f"(u{u_i + 1}; {names[i]}; {label2})", lhs - rhs)
     return chk.report()

@@ -36,8 +36,7 @@ from .bundle import (Bundle, BundleError, HomSection, Section, battery_functions
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
-from .laops import (LieAlgebroidData, basic_curvature, basic_v, basic_sigma,
-                    lie_der_sigma, lie_der_v, omega)
+from .laops import BasicTerms, LieAlgebroidData, lie_der_sigma, lie_der_v, omega
 from .poly import ScalarPoly
 from .report import Checker, CheckReport
 
@@ -256,7 +255,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for j, v2 in enumerate(q_frames):
             lhs = total_courant(lifts[i], lifts[j])
             dull = delta.bracket.bracket(v1, v2)
-            hom_full = delta.curvature(v1, v2)
+            hom_full = delta.frame_curvature(i, j)
             e_cols = [hom_full.apply(ef) for ef in e_frames]
             correction = vertical_hom(
                 tp, delta, HomSection.from_columns(e_bundle, delta.b, e_cols))
@@ -269,7 +268,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for label_eta, eta in battery_sections(e_bundle.dual()):
             lhs = vf_apply(tp.allvars, lifts[i].vf, tp.linear(eta.coeffs))
             rhs = tp.linear([
-                delta.bracket.rho_d(v, c)
+                vf_apply(q.patch.coords, delta.bracket.frame_rho[i], c)
                 - dual_pair(eta, Section(e_bundle, delta.apply(v, ef).part(e_idx)))
                 for c, ef in zip(eta.coeffs, e_frames)])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
@@ -779,9 +778,13 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                              - homs[0].compose(pm.compose(homs[1])))
         chk.record("row-hom-hom", "(Phi1!; Phi2!)", _as_witness(alg, alg.sub(lhs, rhs)))
 
-    # (ii) the five identities for Sigma
+    # (ii) the five identities for Sigma; R^bas(phi a_i, a_j) v_m reads
+    # nabla^bas_{a_j} v_m for every (i, phi) and nabla^bas_{phi a_i} v_m for
+    # every j from the tables of terms, and the anchors in (iii) read them too
+    terms = BasicTerms(lad, delta)
     functions = battery_functions(lad.base)
     a_frames = lad.a_bundle.frame_sections()
+    v_frames = lad.v_bundle.frame_sections()
     sig_frames = [alg.sigma_gen(b) for b in a_frames]
     for i, a in enumerate(a_frames):
         for phi in functions:
@@ -789,16 +792,15 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
                 lhs = alg.bracket(sig_a, sig_frames[j])
-                curv_cols = [basic_curvature(lad, delta, ap, b, v)
-                             for v in lad.v_bundle.frame_sections()]
-                rhs = alg.sub(alg.sigma_gen(lad.bracket.bracket(ap, b)),
+                curv_cols = [terms.basic_curvature(ap, b, v) for v in v_frames]
+                rhs = alg.sub(alg.sigma_gen(terms.bracket(ap, b)),
                               alg.hom_dagger(HomSection.from_columns(
                                   lad.v_bundle, lad.sigma_bundle, curv_cols)))
                 chk.record("sigma-bracket",
                            f"(({phi})*a{i + 1}; a{j + 1})", _as_witness(alg, alg.sub(lhs, rhs)))
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
                 lhs = alg.bracket(sig_a, alg.dagger_of(sigma))
-                rhs = alg.dagger_of(basic_sigma(lad, delta, ap, sigma))
+                rhs = alg.dagger_of(terms.basic_sigma(ap, sigma))
                 chk.record("sigma-core",
                            f"(({phi})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)",
                            _as_witness(alg, alg.sub(lhs, rhs)))
@@ -814,9 +816,9 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.linear([
-                lad.bracket.rho_d(a, delta.predual.pair(v, tau))
-                - delta.predual.pair(basic_v(lad, delta, a, v), tau)
-                for v in lad.v_bundle.frame_sections()]))
+                vf_apply(lad.base.coords, lad.bracket.frame_rho[i], delta.predual.pair(v, tau))
+                - delta.predual.pair(terms.basic_v(a, v), tau)
+                for v in v_frames]))
         chk.record("anchor-of-sigma", f"a{i + 1}", _vf_diff(tp, vf, expected))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
         vf = alg.theta(alg.dagger_of(sigma))

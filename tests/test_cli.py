@@ -13,7 +13,8 @@ from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import (CHECK_ARG_KINDS, CHECK_ARITY, CHECK_STATEMENTS, SpecError,
                                   parse_spec, parse_section_expr)
-from courant_lab.bundle import Bundle, patch
+from courant_lab.bundle import Bundle, HomSection, patch
+from courant_lab.dorfman import DorfmanConnection
 
 MINIMAL = """
 [patch]
@@ -451,6 +452,65 @@ def test_basic_identities_evaluate_each_pair_once(monkeypatch):
     assert laops.check_basic_identities(lad, delta).passed
     assert counts_v and max(counts_v.values()) == 1
     assert counts_sigma and max(counts_sigma.values()) == 1
+
+
+CURVED = """
+[patch]
+coords = x1, x2
+
+[bundle.E]
+frame = e1
+
+[connection.nabla]
+bundle = E
+x2, e1 = x1*e1
+
+[dorfman.Delta]
+e = E
+standard-of = nabla
+keep-bracket = yes
+shift Dx1, e1 = 3*x2*dx2
+
+[checks]
+xfail curvature = Delta
+xfail splitting-theorems = Delta
+"""
+
+
+def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
+    delta = parse_spec(CURVED).dorfmans["Delta"]
+    counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
+    report = delta.check_curvature_tensorial()
+    assert not report.passed and report.witnesses
+    assert counts and max(counts.values()) == 1
+
+
+def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):
+    lad, delta = _im2form_zero_objects()
+    counts = {name: _count_pairs(monkeypatch, laops, name)
+              for name in ("omega", "basic_v", "lie_der_v")}
+    assert laops.check_basic_curvature(lad, delta).passed
+    assert counts["omega"] and max(counts["omega"].values()) == 1
+    assert counts["lie_der_v"] and max(counts["lie_der_v"].values()) == 1
+    assert max(counts["basic_v"].values(), default=0) <= 1
+
+
+def test_frame_curvatures_are_built_once_per_spec(monkeypatch):
+    # R(q_i, q_j) is the only endomorphism of B assembled by these two lines
+    spec = parse_spec(CURVED)
+    delta = spec.dorfmans["Delta"]
+    built = []
+    real = HomSection.from_columns
+
+    def counting(source, target, columns):
+        if source == target == delta.b:
+            built.append(columns)
+        return real(source, target, columns)
+
+    monkeypatch.setattr(HomSection, "from_columns", staticmethod(counting))
+    results = _results_for_spec(spec, None, 7)
+    assert [result["as_expected"] for result in results] == [True, True]
+    assert len(built) == delta.q.rank ** 2
 
 
 def test_python_m_runs_the_command_line():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from courant_lab.algebroid import AnchoredBracket
@@ -168,3 +170,10 @@ def test_courant_data_rejects_asymmetric_pairing():
     bad[0][1] = BASE.one() + BASE.one()
     with pytest.raises(BundleError):
         CourantData(c.bundle, c.anchor, bad, c.symbols)
+
+
+def test_courant_axioms_apply_the_anchor_once_per_section(hom_apply_calls):
+    # the metric axiom reads rho(e1) for every inner (e2, e3); it is taken once per e1
+    assert standard_courant(BASE).check_axioms().passed
+    counts = Counter(id(section) for section in hom_apply_calls)
+    assert counts and max(counts.values()) == 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from courant_lab.algebroid import AnchoredBracket
@@ -71,6 +73,14 @@ def test_apply_reads_the_frame_anchors_of_its_bracket(ex_a, hom_apply_calls):
     value = ex_a.apply(ex_a.q.section(Dx2="x1", epss="x2"), ex_a.b.section(eps="x1", dx1=1))
     assert not value.is_zero()
     assert hom_apply_calls == []
+
+
+@pytest.mark.parametrize("check", ["check_duality", "check_axioms"])
+def test_identity_loops_apply_the_anchor_once_per_section(ex_a, hom_apply_calls, check):
+    # axiom (c) reads rho(v) for every inner (w, s); rho(v) is taken once per v
+    assert getattr(ex_a, check)().passed
+    counts = Counter(id(section) for section in hom_apply_calls)
+    assert counts and max(counts.values()) == 1
 
 
 def _same_connection(one, two):

@@ -1,8 +1,12 @@
-"""`verify-all` output is byte-identical to the recorded golden files.
+"""Command output is byte-identical to the recorded golden files.
 
-The files under tests/golden/ were written by `courant-lab verify-all` in
-text and JSON at seeds 7 and 11.  Any change to the arithmetic kernels or
-the report format must leave every verdict, witness and line unchanged.
+The files under tests/golden/ were written in text and JSON at seeds 7
+and 11: `verify-all-*` by `courant-lab verify-all`, and `curvature-shifts-*`
+by `courant-lab run` on `curvature-shifts.spec`, whose kept-bracket shifts
+make the curvature lines fail and R^bas nonzero, so their witnesses are
+covered too.  Any change to the arithmetic kernels, the tables of the
+checks or the report format must leave every verdict, witness and line
+unchanged.
 """
 
 import io
@@ -24,4 +28,16 @@ def test_verify_all_matches_golden(seed, fmt, suffix):
         rc = main(["verify-all", "--seed", str(seed), "--format", fmt])
     assert rc == 0
     expected = (GOLDEN / f"verify-all-seed{seed}.{suffix}").read_text(encoding="utf-8")
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
+def test_curvature_shifts_match_golden(seed, fmt, suffix):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["run", "--seed", str(seed), "--format", fmt,
+                   str(GOLDEN / "curvature-shifts.spec")])
+    assert rc == 0
+    expected = (GOLDEN / f"curvature-shifts-seed{seed}.{suffix}").read_text(encoding="utf-8")
     assert out.getvalue() == expected

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from courant_lab import laops
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, BundleError, HomSection, SubBundle, patch
 from courant_lab.dirac import VBTriple
@@ -240,3 +243,24 @@ def test_lie_algebroid_bundles_are_built_once(ex_b):
     assert lad.v_bundle is lad.v_bundle and lad.sigma_bundle is lad.sigma_bundle
     assert lad.v_bundle == Bundle.tangent(PT) + lad.a_bundle.dual()
     assert lad.sigma_bundle == lad.a_bundle + Bundle.cotangent(PT)
+
+
+def test_basic_identities_apply_the_anchor_only_in_lie_derivatives(ex_e, hom_apply_calls,
+                                                                   monkeypatch):
+    # L_a applies the anchor to a once per call; the duality defect reads the
+    # frame anchors of A instead of applying the anchor per (v, sigma)
+    lad, delta, _ = ex_e
+    frames = lad.a_bundle.frame_sections()
+    lie_args = []
+    for name in ("lie_der_v", "lie_der_sigma"):
+        real = getattr(laops, name)
+
+        def counting(lad, a, t, real=real):
+            lie_args.append(a)
+            return real(lad, a, t)
+
+        monkeypatch.setattr(laops, name, counting)
+    assert check_basic_identities(lad, delta).passed
+    applied = Counter(id(s) for s in hom_apply_calls if any(s is a for a in frames))
+    expected = Counter(id(s) for s in lie_args if any(s is a for a in frames))
+    assert applied and applied == expected

@@ -5,6 +5,11 @@ module never uses, and a private (`_name`) or public function, class or
 method under `src/courant_lab/` that nothing in the package references.
 A helper deleted from its callers must go with its imports, and a public
 name that only tests call belongs in those tests.
+
+Two kinds of hidden state fail it too: `functools.lru_cache` and
+`functools.cache`, which keep a memo on a module-level function or on a
+class, and a `global` statement.  A memo lives on the immutable object it
+is derived from (`cached_property`) or in a table local to one check.
 """
 
 import ast
@@ -66,3 +71,22 @@ def test_no_unreferenced_private_helpers():
 
 def test_no_unreferenced_public_names():
     assert _unreferenced(private=False) == []
+
+
+def test_no_module_or_class_level_caches():
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{module}: {alias.name}" for alias in node.names
+                          if alias.name in ("lru_cache", "cache")]
+            elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{module}: functools.{node.attr}")
+    assert found == []
+
+
+def test_no_global_statements():
+    found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
