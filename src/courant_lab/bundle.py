@@ -502,7 +502,8 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
 
     with f the frame of target and rho_i the anchor image of the i-th frame
     element of x's bundle.  The one kernel behind the dull bracket, a
-    Dorfman connection and a Courant bracket; d(x_i) is taken once per i.
+    Dorfman connection, a Courant bracket, a TM-connection and the
+    generator bracket over TM + A*; d(x_i) is taken once per i.
     """
     coords = target.patch.coords
     out = list(target.zero_section().coeffs)

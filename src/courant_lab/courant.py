@@ -73,9 +73,6 @@ class CourantData:
     def pair(self, e1: Section, e2: Section) -> ScalarPoly:
         return matrix_pair(self._pair_entries, e1, e2)
 
-    def rho_d(self, e: Section, phi: ScalarPoly) -> ScalarPoly:
-        return vf_apply(self.bundle.patch.coords, self.anchor.apply(e).coeffs, phi)
-
     def d_matrix(self) -> List[List[ScalarPoly]]:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
         if self._dmat is not None:
@@ -333,7 +330,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         e = c_bundle.frame_section(ri)
         for phi in functions:
             lhs = mp.courant.pair(e, mp.courant.D(phi))
-            rhs = mp.courant.rho_d(e, phi)
+            rhs = vf_apply(base.coords, mp.courant.frame_rho[ri], phi)
             chk.record("d-characterization", f"(frame {ri + 1}; {phi})", lhs - rhs)
     return mp, chk.report()
 

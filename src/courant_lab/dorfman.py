@@ -49,6 +49,8 @@ class Connection(object):
             raise BundleError("need nabla_{d/dx_i} e_l for every i, l")
         self.bundle = bundle
         self.gamma = [list(row) for row in gamma]
+        # the anchor images of the TM frame d/dx_i, for the Leibniz kernel
+        self._tm_frame = [d.coeffs for d in Bundle.tangent(bundle.patch).frame_sections()]
 
     @classmethod
     def flat(cls, bundle: Bundle) -> "Connection":
@@ -56,20 +58,9 @@ class Connection(object):
         return cls(bundle, [[z] * bundle.rank for _ in range(bundle.patch.dim)])
 
     def nabla(self, x: Section, e: Section) -> Section:
-        """nabla_X e with the usual Leibniz rules, coefficientwise."""
-        base = self.bundle.patch
-        out = self.bundle.zero_section()
-        frames = self.bundle.frame_sections()
-        for l, psi in enumerate(e.coeffs):
-            if psi.is_zero():
-                continue
-            for i, coord in enumerate(base.coords):
-                xi = x.coeffs[i]
-                if xi.is_zero():
-                    continue
-                out = out + frames[l].scale(xi * psi.partial(coord))
-                out = out + self.gamma[i][l].scale(xi * psi)
-        return out
+        """nabla_X e: the Christoffel table Gamma_il = nabla_{d/dx_i} e_l
+        extended by the Leibniz rules."""
+        return leibniz(x, e, self.gamma, self._tm_frame, self.bundle)
 
     def nabla_dual(self, x: Section, xi: Section) -> Section:
         """<nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>."""
@@ -83,10 +74,6 @@ class Connection(object):
             value = value - dual_pair(xi, self.nabla(x, self.bundle.frame_section(l)))
             comps.append(value)
         return Section(dual, tuple(comps))
-
-    def curvature(self, x: Section, y: Section, e: Section) -> Section:
-        return (self.nabla(x, self.nabla(y, e)) - self.nabla(y, self.nabla(x, e))
-                - self.nabla(vf_bracket(x, y), e))
 
 
 class PreDual:
@@ -311,10 +298,6 @@ class DorfmanConnection:
                         - self.apply(v2, self.apply(v1, bf))
                         - self.apply(lie, bf))
         return HomSection.from_columns(self.b, self.b, cols)
-
-    def curvature_raw(self, v1: Section, v2: Section, s: Section) -> Section:
-        return (self.apply(v1, self.apply(v2, s)) - self.apply(v2, self.apply(v1, s))
-                - self.apply(self.bracket.bracket(v1, v2), s))
 
     def frame_curvature(self, i: int, j: int) -> HomSection:
         """R(q_i, q_j) for the Q-frame elements q_i, q_j."""

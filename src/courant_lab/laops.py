@@ -366,12 +366,6 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     return chk.report()
 
 
-def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
-                    a: Section, b: Section, v: Section) -> Section:
-    """R^bas(a,b) v for one triple of sections."""
-    return BasicTerms(lad, delta).basic_curvature(a, b, v)
-
-
 def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
@@ -611,11 +605,14 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     w = len(functions)
     # battery entry m * w + f is frame m scaled by function f (see
     # battery_sections), so a_parts[m * w] is pr_A of frame m;
-    # moved[i][t] = Delta_{u_i} s_t serves both identities
+    # moved[i][t] = Delta_{u_i} s_t serves both identities, and
+    # twice[i][j][t] = Delta_{u_i} Delta_{u_j} s_t is the first term of
+    # R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
     s_batt = battery_sections(lad.sigma_bundle)
     a_parts = [lad.a_part(s) for _, s in s_batt]
     moved = [[delta.apply(u, s) for _, s in s_batt] for u in u_secs]
     moved_parts = [[lad.a_part(value) for value in row] for row in moved]
+    twice = [[[delta.apply(u, value) for value in row] for row in moved] for u in u_secs]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):
             uv = delta.bracket.bracket(u, v)
@@ -628,7 +625,9 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
                            - delta.bracket.bracket(u, terms.basic_v(a, v))
                            + terms.basic_v(moved_parts[i][t], v)
                            - terms.basic_v(moved_parts[j][t], u))
-                    rhs = -pm.apply(delta.curvature_raw(u, v, s_batt[t][1]))
+                    curvature = (twice[i][j][t] - twice[j][i][t]
+                                 - delta.apply(uv, s_batt[t][1]))
+                    rhs = -pm.apply(curvature)
                     chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({phi})*{names[m]})",
                                lhs - rhs)
     dlike = [[dorfman_like_bracket(lad, s1, s2) for _, s2 in s_batt] for s1 in s_frames]

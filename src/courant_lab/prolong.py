@@ -10,7 +10,11 @@ is the package's master invariant.
 The total-space calculus runs on the shared kernels of `bundle` over the
 variable list of a `TotalPatch`: `vf_apply`, `dual_pair`,
 `interior_two_form` and `HomSection.transpose`; every fiberwise-linear
-function sum_k c_k(x) y_k is built by `TotalPatch.linear`.
+function sum_k c_k(x) y_k is built by `TotalPatch.linear`.  The generator
+calculus over TM + A* is a `Section` calculus too: its elements are
+sections of a generator bundle over the `Patch` of the total-space
+variables, and its bracket is the `AnchoredBracket` whose frame table is
+the generator table, one `bundle.leibniz` call.
 
 Sign conventions, fixed once: the two-form of a one-form theta is
 evaluated as d theta(v, w) = v(theta(w)) - w(theta(v)) - theta([v, w]);
@@ -27,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .algebroid import battery_sections
-from .bundle import (Bundle, BundleError, HomSection, Section, battery_functions,
+from .algebroid import AnchoredBracket, battery_sections
+from .bundle import (VEC, Bundle, BundleError, HomSection, Patch, Section, battery_functions,
                      courant_dorfman_form_part, db_canonical, dual_pair,
                      interior_two_form, lie_derivative_form, pairing_matrix,
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
@@ -45,9 +49,9 @@ from .report import Checker, CheckReport
 class TotalPatch:
     """Coordinates (x, y) on the total space of a trivialized bundle.
 
-    Immutable, so the variable list, zero, one and the fiber variables are
-    built once, on first use, and shared: total-space polynomials all carry
-    the same variable tuple.
+    Immutable, so the variable list, its `Patch` and the fiber variables
+    are built once, on first use, and shared: total-space polynomials all
+    carry the same variable tuple, and zero and one are those of the patch.
     """
 
     base_coords: Tuple[str, ...]
@@ -57,6 +61,10 @@ class TotalPatch:
     def allvars(self) -> Tuple[str, ...]:
         return self.base_coords + self.fiber_coords
 
+    @cached_property
+    def patch(self) -> Patch:
+        return Patch(self.allvars)
+
     @property
     def dim(self) -> int:
         return len(self.allvars)
@@ -65,33 +73,25 @@ class TotalPatch:
         return phi.extend(self.allvars)
 
     def zero(self) -> ScalarPoly:
-        return self._zero
+        return self.patch.zero()
 
     def one(self) -> ScalarPoly:
-        return self._one
+        return self.patch.one()
 
     def fiber(self, k: int) -> ScalarPoly:
         return self._fibers[k]
 
     def linear(self, coeffs: Sequence[ScalarPoly]) -> ScalarPoly:
         """The fiberwise-linear function sum_k c_k(x) y_k of base coefficients c_k."""
-        total = self._zero
+        total = self.zero()
         for c, y in zip(coeffs, self._fibers, strict=True):
             if not c.is_zero():
                 total = total + self.embed(c) * y
         return total
 
     @cached_property
-    def _zero(self) -> ScalarPoly:
-        return ScalarPoly.zero(self.allvars)
-
-    @cached_property
-    def _one(self) -> ScalarPoly:
-        return ScalarPoly.one(self.allvars)
-
-    @cached_property
     def _fibers(self) -> Tuple[ScalarPoly, ...]:
-        return tuple(ScalarPoly.var(self.allvars, y) for y in self.fiber_coords)
+        return tuple(self.patch.coord(y) for y in self.fiber_coords)
 
 
 def total_patch_of(bundle: Bundle, prefix: str = "y") -> TotalPatch:
@@ -504,124 +504,75 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 class GeneratorAlgebra:
     """Symbolic model of the big algebroid over the total space of TM + A*.
 
-    Elements are formal combinations of linear generators e_k~ (one per
-    A-frame element) and core generators tau_j! (one per A + T*M frame
-    element) with coefficients polynomial in the base and fiber variables.
-    The bracket is fixed on generators by
+    Elements are sections of the generator bundle `bundle` over the patch
+    of base and fiber variables; its frame is one linear generator a_k~ per
+    A-frame element followed by one core generator tau_m! per A + T*M frame
+    element.  The bracket is fixed on generators by
 
         [a~, b~] = ([a,b])~,   [a~, tau!] = (L_a tau)!,   [tau!, tau'!] = 0,
 
-    extended by the Leibniz rule through the anchor, and the tilde of a
-    section with function coefficients expands as
+    and extended by the Leibniz rule through the anchor `theta`, so the
+    generator table is the frame table of one `AnchoredBracket`, built once,
+    in __init__, and `bracket` is its bracket.  The tilde of a section with
+    function coefficients expands as
 
         (phi a)~ = pi*phi a~ + (v |-> X_v(phi)(a,0) - <xi_v, a>(0, d phi))!.
-
-    The generator table (the anchor of each generator and the bracket of
-    each ordered generator pair) is built once, in __init__, like the frame
-    table of an AnchoredBracket; `theta` and `bracket` read it.
     """
-
-    LIN = "lin"
-    CORE = "core"
 
     def __init__(self, lad: LieAlgebroidData, delta: DorfmanConnection):
         self.lad = lad
         self.delta = delta
         self.tp = total_patch_of(lad.v_bundle, prefix="w")
-        self.r = lad.a_bundle.rank
         # partner[j] = index m with <v_j, tau_m> = 1 (canonical permutation)
         p = pairing_matrix(lad.v_bundle, lad.sigma_bundle)
         self.partner = []
         for j in range(lad.v_bundle.rank):
             hits = [m for m in range(lad.sigma_bundle.rank) if p[j][m]]
             self.partner.append(hits[0])
-        self.generators = tuple([(self.LIN, k) for k in range(lad.a_bundle.rank)]
-                                + [(self.CORE, m) for m in range(lad.sigma_bundle.rank)])
-        self._anchors = {key: self._theta_generator(key) for key in self.generators}
-        self._brackets: Dict = {}
-        for k1 in self.generators:
-            for k2 in self.generators:
-                self._brackets[k1, k2] = self._bracket_generators(k1, k2)
+        self.bundle = (
+            Bundle.vector(self.tp.patch, "lin", (f + "~" for f in lad.a_bundle.frame))
+            + Bundle.vector(self.tp.patch, "core", (f + "!" for f in lad.sigma_bundle.frame)))
+        self._lin, self._core = (self.bundle.atom_index(VEC, name) for name in ("lin", "core"))
+        gens = range(self.bundle.rank)
+        tangent = Bundle.tangent(self.tp.patch)
+        anchor = HomSection.from_columns(self.bundle, tangent, [
+            Section(tangent, self._theta_generator(k)) for k in gens])
+        # rows are filled in order, and _bracket_generators reads finished ones
+        self._rows: List[List[Section]] = []
+        for k1 in gens:
+            self._rows.append([self._bracket_generators(k1, k2) for k2 in gens])
+        self.anchored = AnchoredBracket(self.bundle, anchor, self._rows)
 
     # -- element builders ---------------------------------------------------
 
-    def _add_term(self, elem: Dict, key, coeff: ScalarPoly) -> None:
-        if key in elem:
-            coeff = elem[key] + coeff
-        if coeff.is_zero():
-            elem.pop(key, None)
-        else:
-            elem[key] = coeff
-
-    def add(self, e1: Dict, e2: Dict) -> Dict:
-        out = dict(e1)
-        for key, coeff in e2.items():
-            self._add_term(out, key, coeff)
-        return out
-
-    def neg(self, elem: Dict) -> Dict:
-        return {key: -coeff for key, coeff in elem.items()}
-
-    def sub(self, e1: Dict, e2: Dict) -> Dict:
-        return self.add(e1, self.neg(e2))
-
-    def scale(self, elem: Dict, factor: ScalarPoly) -> Dict:
-        out = {}
-        for key, coeff in elem.items():
-            value = coeff * factor
-            if not value.is_zero():
-                out[key] = value
-        return out
-
-    def is_zero(self, elem: Dict) -> bool:
-        return not elem
-
-    def show(self, elem: Dict) -> str:
-        if not elem:
-            return "0"
-        pieces = []
-        for key in sorted(elem, key=lambda k: (k[0], k[1])):
-            kind, idx = key
-            name = (self.lad.a_bundle.frame[idx] + "~" if kind == self.LIN
-                    else self.lad.sigma_bundle.frame[idx] + "!")
-            pieces.append(f"({elem[key]})*{name}")
-        return " + ".join(pieces)
-
-    def dagger_of(self, sigma: Section) -> Dict:
+    def dagger_of(self, sigma: Section) -> Section:
         """(b, theta)! with function coefficients; dagger is C-infinity linear."""
-        out = {}
-        for m, coeff in enumerate(sigma.coeffs):
-            if not coeff.is_zero():
-                self._add_term(out, (self.CORE, m), self.tp.embed(coeff))
-        return out
+        return self.bundle.zero_section().with_part(
+            self._core, tuple(self.tp.embed(c) for c in sigma.coeffs))
 
-    def hom_dagger(self, hom: HomSection) -> Dict:
+    def hom_dagger(self, hom: HomSection) -> Section:
         """Phi! for Phi: TM + A* -> A + T*M: core coefficients linear in w."""
-        out = {}
-        for m, row in enumerate(hom.matrix):
-            self._add_term(out, (self.CORE, m), self.tp.linear(row))
-        return out
+        return self.bundle.zero_section().with_part(
+            self._core, tuple(self.tp.linear(row) for row in hom.matrix))
 
-    def tilde_of(self, a: Section) -> Dict:
+    def tilde_of(self, a: Section) -> Section:
         """(sum phi_k e_k)~ expanded through the correction homs."""
-        out = {}
+        out = self.bundle.zero_section().with_part(
+            self._lin, tuple(self.tp.embed(phi) for phi in a.coeffs))
         base = self.lad.base
         for k, phi in enumerate(a.coeffs):
-            if phi.is_zero():
-                continue
-            self._add_term(out, (self.LIN, k), self.tp.embed(phi))
             if phi.is_constant():
                 continue
             e_k = self.lad.a_bundle.frame_section(k)
             cols = []
-            for j, v in enumerate(self.lad.v_bundle.frame_sections()):
+            for v in self.lad.v_bundle.frame_sections():
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
                 col = (self.lad.to_sigma(a=e_k).scale(vf_apply(base.coords, x.coeffs, phi))
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
-            out = self.add(out, self.hom_dagger(HomSection.from_columns(
-                self.lad.v_bundle, self.lad.sigma_bundle, cols)))
+            out = out + self.hom_dagger(HomSection.from_columns(
+                self.lad.v_bundle, self.lad.sigma_bundle, cols))
         return out
 
     def omega_hom(self, a: Section) -> HomSection:
@@ -630,18 +581,18 @@ class GeneratorAlgebra:
                 for v in self.lad.v_bundle.frame_sections()]
         return HomSection.from_columns(self.lad.v_bundle, self.lad.sigma_bundle, cols)
 
-    def sigma_gen(self, a: Section) -> Dict:
+    def sigma_gen(self, a: Section) -> Section:
         """Sigma_a = a~ - (Omega_. a)!; C-infinity linear in a."""
-        return self.sub(self.tilde_of(a), self.hom_dagger(self.omega_hom(a)))
+        return self.tilde_of(a) - self.hom_dagger(self.omega_hom(a))
 
-    # -- anchor ---------------------------------------------------------------
+    # -- the generator table ---------------------------------------------------
 
-    def _theta_generator(self, key) -> Tuple[ScalarPoly, ...]:
-        kind, idx = key
+    def _theta_generator(self, k: int) -> Tuple[ScalarPoly, ...]:
+        r = self.lad.a_bundle.rank
         n = len(self.tp.base_coords)
         out = [self.tp.zero()] * self.tp.dim
-        if kind == self.LIN:
-            a = self.lad.a_bundle.frame_section(idx)
+        if k < r:
+            a = self.lad.a_bundle.frame_section(k)
             rho_a = self.lad.bracket.rho(a)
             for i in range(n):
                 out[i] = self.tp.embed(rho_a.coeffs[i])
@@ -652,54 +603,30 @@ class GeneratorAlgebra:
                 out[n + j] = self.tp.linear([self.delta.predual.pair(v, lied)
                                              for v in self.lad.v_bundle.frame_sections()])
         else:
-            sigma = self.lad.sigma_bundle.frame_section(idx)
+            sigma = self.lad.sigma_bundle.frame_section(k - r)
             up = self.lad.pair_map().apply(sigma)
             for j in range(self.lad.v_bundle.rank):
                 tau = self.lad.sigma_bundle.frame_section(self.partner[j])
                 out[n + j] = self.tp.embed(self.delta.predual.pair(up, tau))
         return tuple(out)
 
-    def theta(self, elem: Dict) -> List[ScalarPoly]:
-        out = [self.tp.zero()] * self.tp.dim
-        for key, coeff in elem.items():
-            gen = self._anchors[key]
-            for i in range(self.tp.dim):
-                out[i] = out[i] + coeff * gen[i]
-        return out
+    def _bracket_generators(self, k1: int, k2: int) -> Section:
+        r = self.lad.a_bundle.rank
+        if k1 >= r:
+            # linear generators precede core ones, so [k2, k1] is already in the table
+            return self.bundle.zero_section() if k2 >= r else -self._rows[k2][k1]
+        a = self.lad.a_bundle.frame_section(k1)
+        if k2 < r:
+            return self.tilde_of(self.lad.bracket.bracket(a, self.lad.a_bundle.frame_section(k2)))
+        return self.dagger_of(lie_der_sigma(self.lad, a,
+                                            self.lad.sigma_bundle.frame_section(k2 - r)))
 
-    # -- bracket ---------------------------------------------------------------
+    def theta(self, elem: Section) -> Tuple[ScalarPoly, ...]:
+        """The anchor of elem: a vector field on the total space, by components."""
+        return self.anchored.rho(elem).coeffs
 
-    def _bracket_generators(self, k1, k2) -> Dict:
-        kind1, i = k1
-        kind2, j = k2
-        if kind1 == self.CORE and kind2 == self.CORE:
-            return {}
-        if kind1 == self.LIN and kind2 == self.LIN:
-            a = self.lad.a_bundle.frame_section(i)
-            b = self.lad.a_bundle.frame_section(j)
-            return self.tilde_of(self.lad.bracket.bracket(a, b))
-        if kind1 == self.LIN:
-            a = self.lad.a_bundle.frame_section(i)
-            tau = self.lad.sigma_bundle.frame_section(j)
-            return self.dagger_of(lie_der_sigma(self.lad, a, tau))
-        # linear generators precede core ones, so [k2, k1] is already in the table
-        return self.neg(self._brackets[k2, k1])
-
-    def bracket(self, e1: Dict, e2: Dict) -> Dict:
-        out = {}
-        anchors, brackets = self._anchors, self._brackets
-        for k1, f in e1.items():
-            theta1 = anchors[k1]
-            for k2, g in e2.items():
-                base = brackets[k1, k2]
-                out = self.add(out, self.scale(base, f * g))
-                dg = vf_apply(self.tp.allvars, theta1, g)
-                if not dg.is_zero():
-                    out = self.add(out, {k2: f * dg})
-                df = vf_apply(self.tp.allvars, anchors[k2], f)
-                if not df.is_zero():
-                    out = self.add(out, {k1: -(g * df)})
-        return out
+    def bracket(self, e1: Section, e2: Section) -> Section:
+        return self.anchored.bracket(e1, e2)
 
 
 def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
@@ -716,13 +643,13 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                   "generator calculus of the big algebroid over TM + A*")
     alg = GeneratorAlgebra(lad, delta)
     tp = alg.tp
-    n = len(tp.base_coords)
-    gens = alg.generators
-    named = [({key: tp.one()}, _gen_name(alg, key)) for key in gens]
+    n, r = len(tp.base_coords), lad.a_bundle.rank
+    gens = alg.bundle.frame_sections()
+    named = list(zip(gens, alg.bundle.frame))
     weighted = []
-    for idx, (key, label) in enumerate(zip(gens, [nm for _, nm in named])):
+    for idx, (gen, label) in enumerate(named):
         factor = tp.fiber(idx % len(tp.fiber_coords)) if tp.fiber_coords else tp.one()
-        weighted.append(({key: factor}, f"({factor})*{label}"))
+        weighted.append((gen.scale(factor), f"({factor})*{label}"))
 
     # (i) antisymmetry, Jacobi, anchor morphism
     elems = named + weighted
@@ -730,8 +657,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     anchors = [alg.theta(e) for e, _ in elems]
     for p, (e1, n1) in enumerate(elems):
         for q, (e2, n2) in enumerate(elems):
-            chk.record("table-antisymmetric", f"({n1}; {n2})",
-                       _as_witness(alg, alg.add(pairs[p][q], pairs[q][p])))
+            chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])
             lhs = alg.theta(pairs[p][q])
             rhs = vf_bracket_comps(tp.allvars, anchors[p], anchors[q])
             chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
@@ -745,38 +671,35 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for q, (e2, n2) in enumerate(named):
             for t in third:
                 e3, n3 = elems[t]
-                jac = alg.sub(nested[p][q][t],
-                              alg.add(alg.bracket(pairs[p][q], e3), nested[q][p][t]))
-                chk.record("jacobi", f"({n1}; {n2}; {n3})", _as_witness(alg, jac))
+                jac = nested[p][q][t] - (alg.bracket(pairs[p][q], e3) + nested[q][p][t])
+                chk.record("jacobi", f"({n1}; {n2}; {n3})", jac)
 
     # hom-generator rows of the table
     homs = _battery_homs(lad)
     pm = lad.pair_map()
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
-        for k in range(lad.a_bundle.rank):
+        for k in range(r):
             a = lad.a_bundle.frame_section(k)
-            lhs = alg.bracket({(alg.LIN, k): tp.one()}, hd)
+            lhs = alg.bracket(gens[k], hd)
             cols = []
             for v in lad.v_bundle.frame_sections():
                 cols.append(lie_der_sigma(lad, a, hom.apply(v))
                             - hom.apply(lie_der_v(lad, a, v)))
             rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
-            chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)",
-                       _as_witness(alg, alg.sub(lhs, rhs)))
+            chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)", lhs - rhs)
         for m in range(lad.sigma_bundle.rank):
             sigma = lad.sigma_bundle.frame_section(m)
-            lhs = alg.bracket({(alg.CORE, m): tp.one()}, hd)
+            lhs = alg.bracket(gens[r + m], hd)
             rhs = alg.dagger_of(hom.apply(pm.apply(sigma)))
             chk.record("row-core-hom",
-                       f"({lad.sigma_bundle.frame[m]}!; Phi{h_i + 1}!)",
-                       _as_witness(alg, alg.sub(lhs, rhs)))
+                       f"({lad.sigma_bundle.frame[m]}!; Phi{h_i + 1}!)", lhs - rhs)
     if len(homs) >= 2:
         lhs = alg.bracket(alg.hom_dagger(homs[0]), alg.hom_dagger(homs[1]))
         # Psi o (rho,rho*) o Phi - Phi o (rho,rho*) o Psi
         rhs = alg.hom_dagger(homs[1].compose(pm.compose(homs[0]))
                              - homs[0].compose(pm.compose(homs[1])))
-        chk.record("row-hom-hom", "(Phi1!; Phi2!)", _as_witness(alg, alg.sub(lhs, rhs)))
+        chk.record("row-hom-hom", "(Phi1!; Phi2!)", lhs - rhs)
 
     # (ii) the five identities for Sigma; R^bas(phi a_i, a_j) v_m reads
     # nabla^bas_{a_j} v_m for every (i, phi) and nabla^bas_{phi a_i} v_m for
@@ -793,21 +716,18 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             for j, b in enumerate(a_frames):
                 lhs = alg.bracket(sig_a, sig_frames[j])
                 curv_cols = [terms.basic_curvature(ap, b, v) for v in v_frames]
-                rhs = alg.sub(alg.sigma_gen(terms.bracket(ap, b)),
-                              alg.hom_dagger(HomSection.from_columns(
-                                  lad.v_bundle, lad.sigma_bundle, curv_cols)))
-                chk.record("sigma-bracket",
-                           f"(({phi})*a{i + 1}; a{j + 1})", _as_witness(alg, alg.sub(lhs, rhs)))
+                rhs = alg.sigma_gen(terms.bracket(ap, b)) - alg.hom_dagger(
+                    HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, curv_cols))
+                chk.record("sigma-bracket", f"(({phi})*a{i + 1}; a{j + 1})", lhs - rhs)
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
                 lhs = alg.bracket(sig_a, alg.dagger_of(sigma))
                 rhs = alg.dagger_of(terms.basic_sigma(ap, sigma))
                 chk.record("sigma-core",
-                           f"(({phi})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)",
-                           _as_witness(alg, alg.sub(lhs, rhs)))
+                           f"(({phi})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
     for m1 in range(lad.sigma_bundle.rank):
         for m2 in range(lad.sigma_bundle.rank):
-            lhs = alg.bracket({(alg.CORE, m1): tp.one()}, {(alg.CORE, m2): tp.one()})
-            chk.record("core-core", f"({m1 + 1}; {m2 + 1})", _as_witness(alg, lhs))
+            chk.record("core-core", f"({m1 + 1}; {m2 + 1})",
+                       alg.bracket(gens[r + m1], gens[r + m2]))
 
     # (iii) anchors
     for i, a in enumerate(a_frames):
@@ -830,28 +750,6 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         chk.record("anchor-of-core", f"{lad.sigma_bundle.frame[m]}!",
                    _vf_diff(tp, vf, expected))
     return chk.report()
-
-
-def _gen_name(alg: GeneratorAlgebra, key) -> str:
-    kind, idx = key
-    if kind == alg.LIN:
-        return alg.lad.a_bundle.frame[idx] + "~"
-    return alg.lad.sigma_bundle.frame[idx] + "!"
-
-
-def _as_witness(alg: GeneratorAlgebra, elem: Dict):
-    class _Shim:
-        def __init__(self, text, zero):
-            self._text = text
-            self._zero = zero
-
-        def is_zero(self):
-            return self._zero
-
-        def __str__(self):
-            return self._text
-
-    return _Shim(alg.show(elem), alg.is_zero(elem))
 
 
 def _battery_homs(lad: LieAlgebroidData) -> List[HomSection]:

@@ -438,6 +438,33 @@ def test_generator_table_is_built_once_per_algebra(monkeypatch):
     assert len(brackets) == generators ** 2 and set(brackets.values()) == {1}
 
 
+def test_perturbed_generator_table_fails_ta_generators(monkeypatch):
+    lad, delta = _im2form_zero_objects()
+    real = prolong.GeneratorAlgebra._bracket_generators
+
+    def perturbed(self, k1, k2):
+        # [a1~, a2~] moved by w1 times the first core generator
+        value = real(self, k1, k2)
+        if (k1, k2) == (0, 1):
+            value = value + self.bundle.frame_section(lad.a_bundle.rank).scale(self.tp.fiber(0))
+        return value
+
+    monkeypatch.setattr(prolong.GeneratorAlgebra, "_bracket_generators", perturbed)
+    report = prolong.ta_generator_check(lad, delta)
+    assert report.status == "fail" and len(report.witnesses) == 23
+    first = report.witnesses[0]
+    assert (first.identity, first.inputs, first.difference) == (
+        "table-antisymmetric", "(a1~; a2~)", "w1*a1!")
+
+
+def test_ruth_compat_applies_delta_once_per_pair(monkeypatch):
+    spec = parse_spec(catalog_text("im2form-zero"))
+    lad, triple = checks._lad(spec, "A", 7), checks._triple(spec, "Delta", "U", "K")
+    counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
+    assert laops.check_ruth_compat(lad, triple.delta, triple).passed
+    assert counts and max(counts.values()) == 1
+
+
 def test_dorfman_like_check_brackets_each_pair_once(monkeypatch):
     lad, delta = _im2form_zero_objects()
     counts = _count_pairs(monkeypatch, laops, "dorfman_like_bracket")

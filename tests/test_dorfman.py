@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
+from courant_lab.bundle import Bundle, HomSection, SubBundle, patch, vf_bracket
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
 from courant_lab.dirac import shift_dorfman
@@ -132,8 +132,11 @@ def test_curvature_examples(ex_a):
     assert hom.apply(d.b.section(eps=1)) == d.b.section(eps=1)
     # closed form for the standard connection: (R(X,Y)e, 0) on (e, 0) inputs
     conn = Connection(E, [[E.zero_section()], [E.section(eps="x1")]])
-    r_nabla = conn.curvature(Bundle.tangent(BASE).section(Dx1=1),
-                             Bundle.tangent(BASE).section(Dx2=1), E.section(eps=1))
+    x, y = Bundle.tangent(BASE).section(Dx1=1), Bundle.tangent(BASE).section(Dx2=1)
+    e = E.section(eps=1)
+    # R(X, Y) e = nabla_X nabla_Y e - nabla_Y nabla_X e - nabla_[X,Y] e
+    r_nabla = (conn.nabla(x, conn.nabla(y, e)) - conn.nabla(y, conn.nabla(x, e))
+               - conn.nabla(vf_bracket(x, y), e))
     assert hom.apply(d.b.section(eps=1)).part(0) == tuple(r_nabla.coeffs)
     # curvature kills (0, theta)
     assert hom.apply(d.b.section(dx1=1)).is_zero()

@@ -8,8 +8,8 @@ from courant_lab.bundle import Bundle, BundleError, HomSection, SubBundle, patch
 from courant_lab.dirac import VBTriple
 from courant_lab.dorfman import (Connection, DorfmanConnection,
                                  canonical_predual, pr_tm_hom, standard_dorfman)
-from courant_lab.laops import (LieAlgebroidData, basic_sigma, basic_v,
-                               basic_curvature, check_basic_curvature,
+from courant_lab.laops import (BasicTerms, LieAlgebroidData, basic_sigma, basic_v,
+                               check_basic_curvature,
                                check_basic_identities, check_dlike,
                                check_identity_lemmas, check_la_dirac,
                                check_omega_properties, check_ruth_compat,
@@ -150,7 +150,7 @@ def test_basic_curvature(ex_b, ex_e):
     for a in frames:
         for b in frames:
             for v in lad.v_bundle.frame_sections():
-                assert basic_curvature(lad, delta, a, b, v).is_zero()
+                assert BasicTerms(lad, delta).basic_curvature(a, b, v).is_zero()
 
 
 def test_la_dirac(ex_b, ex_e):

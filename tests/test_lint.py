@@ -21,30 +21,46 @@ TREES = {path.name: ast.parse(path.read_text(), filename=str(path))
          for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def _read_names(tree):
-    """How often each identifier is read in tree, as a bare name or an attribute."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+def _read_names(tree, attributes=True):
+    """How often each identifier is read in tree: as a bare name, as a name
+    imported by `from ... import` (`rank as mat_rank` reads `rank`) and,
+    with attributes, as an attribute."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            reads[node.id] += 1
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+        elif attributes and isinstance(node, ast.Attribute):
+            reads[node.attr] += 1
+    return reads
 
 
 def _defs(tree, private):
     """Private or public functions and classes, at module level and in
-    module-level classes; dunder methods are neither."""
-    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
-    for body in bodies:
+    module-level classes; dunder methods are neither.  Yields each with
+    whether an attribute read can reach it: a module-level function is
+    reached only by its bare name, so a method of the same name does not
+    hide it."""
+    bodies = [(tree.body, True)] + [(node.body, False) for node in tree.body
+                                    if isinstance(node, ast.ClassDef)]
+    for body, module_level in bodies:
         for node in body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") == private and not node.name.endswith("__")):
-                yield node
+                yield node, not (module_level and isinstance(node, ast.FunctionDef))
 
 
 def _unreferenced(private):
-    reads = sum((_read_names(tree) for tree in TREES.values()), Counter())
+    reads = {attributes: sum((_read_names(tree, attributes) for tree in TREES.values()),
+                             Counter())
+             for attributes in (False, True)}
     unreferenced = []
     for module, tree in TREES.items():
-        for definition in _defs(tree, private):
+        for definition, attributes in _defs(tree, private):
             # reads inside the definition's own body (recursion) do not count
-            if reads[definition.name] == _read_names(definition)[definition.name]:
+            own = _read_names(definition, attributes)[definition.name]
+            if reads[attributes][definition.name] == own:
                 unreferenced.append(f"{module}: {definition.name}")
     return unreferenced
 
