@@ -1,20 +1,26 @@
-"""Check registry: maps check names from spec files to verification runs.
+"""The checks a [checks] line may name, each declared once in CHECKS.
 
-Every runner takes the parsed StructureSpec, the argument names from the
-[checks] line and the battery seed, and returns a list of CheckReports.
-Unknown names, missing objects and internal errors become error reports
-rather than crashes, so negative fixtures always terminate cleanly.
+A Check holds the statement it verifies, the section kind of the object
+each argument names and its runner.  parse_spec validates every [checks]
+line against CHECKS.  run_check looks the argument names up with
+StructureSpec.resolve, the lookup parse_spec uses too, and calls the
+runner with the spec, the battery seed and the resolved objects.  An
+unknown name, an argument that does not resolve and an internal error
+become error reports rather than crashes, so negative fixtures always
+terminate cleanly.
 
-The Lie algebroid data, the triples and the Manin pairs named by the
-check lines are built once per spec (keyed by argument names and seed)
-and shared by every line that names them.
+The Lie algebroid data, the triples and the Manin pairs the runners build
+from their objects are built once per spec (keyed by those objects and the
+seed) and shared by every line that names them.  Runners reach the other
+layers through module globals and methods looked up when they run, so
+anything that rebinds those names sees every call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .algebroid import AnchoredBracket
 from .bundle import BundleError
@@ -31,24 +37,28 @@ from .prolong import (canonical_form_check, check_geometric_dirac,
                       linear_poisson_check, ta_generator_check,
                       verify_splitting_theorems)
 from .report import CheckReport, ERROR
-from .specfile import CHECK_STATEMENTS, SpecError, StructureSpec
+
+if TYPE_CHECKING:  # specfile imports this module
+    from .specfile import StructureSpec
 
 
-class CheckArgError(ValueError):
-    pass
+class Check(NamedTuple):
+    """One check: run(spec, seed, *objects) verifies the statement on the
+    objects the arguments name, one of the section kind given per position."""
+
+    statement: str
+    kinds: Tuple[str, ...]
+    run: Callable[..., List[CheckReport]]
+    optional: int = 0  # how many trailing arguments a line may leave out
+
+    @property
+    def arity(self) -> Tuple[int, ...]:
+        """The argument counts a [checks] line may give."""
+        full = len(self.kinds)
+        return (full - self.optional, full) if self.optional else (full,)
 
 
-def _need(mapping, name, what):
-    if name not in mapping:
-        raise CheckArgError(f"unknown {what} {name!r}")
-    return mapping[name]
-
-
-def _bracket(spec, name) -> AnchoredBracket:
-    return _need(spec.brackets, name, "bracket")
-
-
-def _derived(spec: StructureSpec, key: tuple, build: Callable):
+def _derived(spec, key: tuple, build: Callable):
     """build() once per key and spec; a build that raises stores nothing."""
     memo = spec._derived
     if key not in memo:
@@ -56,201 +66,149 @@ def _derived(spec: StructureSpec, key: tuple, build: Callable):
     return memo[key]
 
 
-def _lad(spec, name, seed) -> LieAlgebroidData:
-    def build():
-        bracket = _bracket(spec, name)
-        return LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed))
-    return _derived(spec, ("lad", name, seed), build)
+def _lad(spec, seed: int, bracket: AnchoredBracket) -> LieAlgebroidData:
+    return _derived(spec, ("lad", bracket, seed),
+                    lambda: LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed)))
 
 
-def _triple(spec, dorfman_name, u_name, k_name) -> VBTriple:
-    def build():
-        delta = _need(spec.dorfmans, dorfman_name, "dorfman connection")
-        u_sub = _need(spec.subbundles, u_name, "subbundle")
-        k_sub = _need(spec.subbundles, k_name, "subbundle")
-        return VBTriple(delta, u_sub, k_sub)
-    return _derived(spec, ("triple", dorfman_name, u_name, k_name), build)
+def _triple(spec, delta, u_sub, k_sub) -> VBTriple:
+    return _derived(spec, ("triple", delta, u_sub, k_sub),
+                    lambda: VBTriple(delta, u_sub, k_sub))
 
 
-def _manin_pair(spec, args, seed) -> Tuple[Optional[ManinPairData], CheckReport]:
+def _manin_pair(spec, seed: int, bracket, *triple) -> Tuple[Optional[ManinPairData], CheckReport]:
     """build_manin_pair for the (A, Delta, U, K) of a check line."""
-    return _derived(spec, ("manin-pair", *args[:4], seed),
-                    lambda: build_manin_pair(_lad(spec, args[0], seed),
-                                             _triple(spec, *args[1:4])))
+    return _derived(spec, ("manin_pair", bracket, *triple, seed),
+                    lambda: build_manin_pair(_lad(spec, seed, bracket), _triple(spec, *triple)))
 
 
-def run_anchor_compat(spec, args, seed):
-    return [_bracket(spec, args[0]).check_anchor_compat()]
-
-
-def run_lie(spec, args, seed):
-    return [_bracket(spec, args[0]).check_lie(seed)]
-
-
-def run_dorfman_axioms(spec, args, seed):
-    return [_need(spec.dorfmans, args[0], "dorfman connection").check_axioms()]
-
-
-def run_duality(spec, args, seed):
-    return [_need(spec.dorfmans, args[0], "dorfman connection").check_duality()]
-
-
-def run_curvature(spec, args, seed):
-    delta = _need(spec.dorfmans, args[0], "dorfman connection")
-    return [delta.check_curvature_tensorial(), delta.curvature_vs_jacobiator()]
-
-
-def run_skew(spec, args, seed):
-    return [_need(spec.dorfmans, args[0], "dorfman connection").check_skew()]
-
-
-def run_dirac(spec, args, seed):
-    return [check_dirac(_triple(spec, *args[:3]))]
-
-
-def run_geometric_dirac(spec, args, seed):
-    return [check_geometric_dirac(_triple(spec, *args[:3]))]
-
-
-def run_bracket_well_defined(spec, args, seed):
-    return [check_bracket_well_defined_on_u(_triple(spec, *args[:3]))]
-
-
-def run_splitting(spec, args, seed):
-    return [verify_splitting_theorems(_need(spec.dorfmans, args[0], "dorfman connection"))]
-
-
-def run_la_dirac(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    return [check_la_dirac(lad, _triple(spec, *args[1:4]))]
-
-
-def run_section4(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    delta = _need(spec.dorfmans, args[1], "dorfman connection")
+def _section4(spec, seed, bracket, delta):
+    lad = _lad(spec, seed, bracket)
     return [check_omega_properties(lad, delta), check_dlike(lad, delta),
             check_basic_identities(lad, delta), check_basic_curvature(lad, delta)]
 
 
-def run_identity_lemmas(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    triple = _triple(spec, *args[1:4]) if len(args) >= 4 else None
-    delta = _need(spec.dorfmans, args[1], "dorfman connection")
-    return [check_identity_lemmas(lad, delta, triple)]
-
-
-def run_ruth(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    delta = _need(spec.dorfmans, args[1], "dorfman connection")
-    return [check_ruth_compat(lad, delta, _triple(spec, *args[1:4]))]
-
-
-def run_k_algebroid(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    _, report = k_algebroid(lad, _triple(spec, *args[1:4]))
-    return [report]
-
-
-def run_manin_pair(spec, args, seed):
-    mp, report = _manin_pair(spec, args, seed)
-    out = [report]
-    if mp is not None:
-        out.append(mp.courant.check_axioms())
-        out.append(check_c_iso(mp))
-    return out
-
-
-def run_roundtrip(spec, args, seed):
-    return [roundtrip_check(_lad(spec, args[0], seed), _triple(spec, *args[1:4]),
-                            built=_manin_pair(spec, args, seed))]
-
-
-def run_standard_iso(spec, args, seed):
-    sigma = _need(spec.homs, args[4], "hom")
-    mp, report = _manin_pair(spec, args, seed)
+def _manin_pair_line(spec, seed, *la_triple):
+    mp, report = _manin_pair(spec, seed, *la_triple)
     if mp is None:
         return [report]
-    return [im2form_standard_iso(mp, sigma)]
+    return [report, mp.courant.check_axioms(), check_c_iso(mp)]
 
 
-def run_recover_perturbed(spec, args, seed):
+def _standard_iso(spec, seed, bracket, delta, u_sub, k_sub, sigma):
+    mp, report = _manin_pair(spec, seed, bracket, delta, u_sub, k_sub)
+    return [report if mp is None else im2form_standard_iso(mp, sigma)]
+
+
+def _recover_perturbed(spec, seed, *la_triple):
     """Build the Manin pair, break condition (c) on a core pair, recover."""
-    mp, report = _manin_pair(spec, args, seed)
+    mp, report = _manin_pair(spec, seed, *la_triple)
     if mp is None:
         return [report]
     i = mp.u_sub.rank
     j = mp.c_bundle.rank - 1
     perturbed = mp.courant.shifted(i, j, mp.c_bundle.frame_section(j))
-    _, rec_report = recover_triple(dataclasses.replace(mp, courant=perturbed))
-    return [rec_report]
+    return [recover_triple(dataclasses.replace(mp, courant=perturbed))[1]]
 
 
-def run_courant_axioms(spec, args, seed):
-    return [_need(spec.courants, args[0], "courant data").check_axioms()]
+_TRIPLE = ("dorfman", "subbundle", "subbundle")
+_LA_TRIPLE = ("bracket",) + _TRIPLE
 
-
-def run_bott(spec, args, seed):
-    courant = _need(spec.courants, args[0], "courant data")
-    k_sub = _need(spec.subbundles, args[1], "subbundle")
-    _, report = bott_dorfman(courant, k_sub)
-    return [report]
-
-
-def run_linear_poisson(spec, args, seed):
-    return [linear_poisson_check(_lad(spec, args[0], seed))]
-
-
-def run_canonical_form(spec, args, seed):
-    sigma = _need(spec.homs, args[0], "hom")
-    conn = _need(spec.connections, args[1], "connection")
-    return [canonical_form_check(sigma, conn)]
-
-
-def run_ta_generators(spec, args, seed):
-    lad = _lad(spec, args[0], seed)
-    delta = _need(spec.dorfmans, args[1], "dorfman connection")
-    return [ta_generator_check(lad, delta)]
-
-
-REGISTRY: Dict[str, Callable] = {
-    "anchor-compat": run_anchor_compat,
-    "lie": run_lie,
-    "dorfman-axioms": run_dorfman_axioms,
-    "duality": run_duality,
-    "curvature": run_curvature,
-    "skew": run_skew,
-    "dirac": run_dirac,
-    "geometric-dirac": run_geometric_dirac,
-    "bracket-well-defined": run_bracket_well_defined,
-    "splitting-theorems": run_splitting,
-    "la-dirac": run_la_dirac,
-    "section4": run_section4,
-    "identity-lemmas": run_identity_lemmas,
-    "ruth-compat": run_ruth,
-    "k-algebroid": run_k_algebroid,
-    "manin-pair": run_manin_pair,
-    "roundtrip": run_roundtrip,
-    "standard-iso": run_standard_iso,
-    "recover-perturbed": run_recover_perturbed,
-    "courant-axioms": run_courant_axioms,
-    "bott-dorfman": run_bott,
-    "linear-poisson": run_linear_poisson,
-    "canonical-form": run_canonical_form,
-    "ta-generators": run_ta_generators,
+CHECKS: Dict[str, Check] = {
+    "anchor-compat": Check(
+        "the anchor intertwines the bracket with vector fields", ("bracket",),
+        lambda spec, seed, a: [a.check_anchor_compat()]),
+    "lie": Check(
+        "antisymmetry and the Jacobi identity", ("bracket",),
+        lambda spec, seed, a: [a.check_lie(seed)]),
+    "dorfman-axioms": Check(
+        "Dorfman connection axioms (a)-(c)", ("dorfman",),
+        lambda spec, seed, delta: [delta.check_axioms()]),
+    "duality": Check(
+        "equivalence of the connection and its dull bracket", ("dorfman",),
+        lambda spec, seed, delta: [delta.check_duality()]),
+    "curvature": Check(
+        "curvature tensoriality and its Jacobiator pairing", ("dorfman",),
+        lambda spec, seed, delta: [delta.check_curvature_tensorial(),
+                                   delta.curvature_vs_jacobiator()]),
+    "skew": Check(
+        "properties of the symmetrization tensor", ("dorfman",),
+        lambda spec, seed, delta: [delta.check_skew()]),
+    "dirac": Check(
+        "sub-double-vector-bundle and Dirac conditions", _TRIPLE,
+        lambda spec, seed, *t: [check_dirac(_triple(spec, *t))]),
+    "geometric-dirac": Check(
+        "total-space Dirac verification", _TRIPLE,
+        lambda spec, seed, *t: [check_geometric_dirac(_triple(spec, *t))]),
+    "bracket-well-defined": Check(
+        "U-brackets agree across equivalent representatives", _TRIPLE,
+        lambda spec, seed, *t: [check_bracket_well_defined_on_u(_triple(spec, *t))]),
+    "splitting-theorems": Check(
+        "total-space pairing and bracket identities", ("dorfman",),
+        lambda spec, seed, delta: [verify_splitting_theorems(delta)]),
+    "la-dirac": Check(
+        "LA-Dirac triple conditions", _LA_TRIPLE,
+        lambda spec, seed, a, *t: [check_la_dirac(_lad(spec, seed, a), _triple(spec, *t))]),
+    "section4": Check(
+        "Omega, Dorfman-like bracket, basic connections and curvature", ("bracket", "dorfman"),
+        _section4),
+    "identity-lemmas": Check(
+        "basic-connection identity lemmas", _LA_TRIPLE,
+        lambda spec, seed, a, delta, *uk: [check_identity_lemmas(
+            _lad(spec, seed, a), delta, _triple(spec, delta, *uk) if uk else None)],
+        optional=2),
+    "ruth-compat": Check(
+        "mixed compatibility identities", _LA_TRIPLE,
+        lambda spec, seed, a, delta, *uk: [check_ruth_compat(
+            _lad(spec, seed, a), delta, _triple(spec, delta, *uk))]),
+    "k-algebroid": Check(
+        "induced Lie algebroid on K and its morphism to U", _LA_TRIPLE,
+        lambda spec, seed, a, *t: [k_algebroid(_lad(spec, seed, a), _triple(spec, *t))[1]]),
+    "manin-pair": Check(
+        "Courant algebroid on the quotient, with axioms and extension", _LA_TRIPLE,
+        _manin_pair_line),
+    "roundtrip": Check(
+        "triple to Manin pair and back", _LA_TRIPLE,
+        lambda spec, seed, a, *t: [roundtrip_check(_lad(spec, seed, a), _triple(spec, *t),
+                                                   built=_manin_pair(spec, seed, a, *t))]),
+    "standard-iso": Check(
+        "isomorphism with the standard Courant algebroid", _LA_TRIPLE + ("hom",),
+        _standard_iso),
+    "recover-perturbed": Check(
+        "recovery from a Manin pair with a broken core bracket", _LA_TRIPLE,
+        _recover_perturbed),
+    "courant-axioms": Check(
+        "Courant algebroid axioms (1)-(5)", ("courant",),
+        lambda spec, seed, courant: [courant.check_axioms()]),
+    "bott-dorfman": Check(
+        "quotient connection along an isotropic subalgebroid", ("courant", "subbundle"),
+        lambda spec, seed, courant, k_sub: [bott_dorfman(courant, k_sub)[1]]),
+    "linear-poisson": Check(
+        "sharp map of the fiberwise-linear dual bracket", ("bracket",),
+        lambda spec, seed, a: [linear_poisson_check(_lad(spec, seed, a))]),
+    "canonical-form": Check(
+        "pullback canonical one- and two-forms", ("hom", "connection"),
+        lambda spec, seed, sigma, conn: [canonical_form_check(sigma, conn)]),
+    "ta-generators": Check(
+        "generator calculus over TM + A*", ("bracket", "dorfman"),
+        lambda spec, seed, a, delta: [ta_generator_check(_lad(spec, seed, a), delta)]),
 }
 
 
 def run_check(spec: StructureSpec, name: str, args: List[str], seed: int) -> List[CheckReport]:
-    if name not in REGISTRY:
+    from .specfile import SpecError  # not at import time: specfile reads CHECKS
+
+    check = CHECKS.get(name)
+    if check is None:
         return [CheckReport(name, "unknown check name", ERROR,
                             details=[f"no check named {name!r}"])]
     try:
-        return REGISTRY[name](spec, args, seed)
-    except (CheckArgError, SpecError, BundleError, PolyError) as exc:
-        return [CheckReport(name, CHECK_STATEMENTS.get(name, ""), ERROR,
+        return check.run(spec, seed, *spec.resolve(name, args))
+    except (SpecError, BundleError, PolyError) as exc:
+        return [CheckReport(name, check.statement, ERROR,
                             details=[f"{type(exc).__name__}: {exc}"])]
     except Exception as exc:  # safety net for fixtures
         # the traceback names absolute paths, so it goes to stderr, not the report
         traceback.print_exc()
-        return [CheckReport(name, CHECK_STATEMENTS.get(name, ""), ERROR,
+        return [CheckReport(name, check.statement, ERROR,
                             details=[f"unexpected {type(exc).__name__}: {exc}"])]

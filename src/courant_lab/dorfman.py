@@ -51,6 +51,10 @@ class Connection(object):
         self.gamma = [list(row) for row in gamma]
         # the anchor images of the TM frame d/dx_i, for the Leibniz kernel
         self._tm_frame = [d.coeffs for d in Bundle.tangent(bundle.patch).frame_sections()]
+        # the dual table nabla*_{d/dx_i} e^k, whose l-component is -<e^k, Gamma_il>
+        self._dual = bundle.dual()
+        self._dual_gamma = [[Section(self._dual, tuple(-g.coeffs[k] for g in row))
+                             for k in range(bundle.rank)] for row in self.gamma]
 
     @classmethod
     def flat(cls, bundle: Bundle) -> "Connection":
@@ -63,17 +67,11 @@ class Connection(object):
         return leibniz(x, e, self.gamma, self._tm_frame, self.bundle)
 
     def nabla_dual(self, x: Section, xi: Section) -> Section:
-        """<nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>."""
-        dual = self.bundle.dual()
-        if xi.bundle != dual:
+        """<nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>: the dual
+        Christoffel table extended by the same Leibniz rules."""
+        if xi.bundle != self._dual:
             raise BundleError("nabla_dual expects a section of the dual bundle")
-        base = self.bundle.patch
-        comps = []
-        for l in range(self.bundle.rank):
-            value = vf_apply(base.coords, x.coeffs, xi.coeffs[l])
-            value = value - dual_pair(xi, self.nabla(x, self.bundle.frame_section(l)))
-            comps.append(value)
-        return Section(dual, tuple(comps))
+        return leibniz(x, xi, self._dual_gamma, self._tm_frame, self._dual)
 
 
 class PreDual:

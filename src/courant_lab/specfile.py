@@ -53,19 +53,23 @@ expressions (polynomial coefficients times frame names).
     xfail dirac = Delta, U, K   # expected to fail (negative fixture)
 
 Bundle references are sums over {TM, T*M, <name>, <name>*}; dual frames
-carry an 's' suffix (eps -> epss).  Each [checks] argument must name an
-object of the section kind that argument position takes (CHECK_ARG_KINDS);
-parse_spec rejects any other name, wherever in the file the object is
-declared.
+carry an 's' suffix (eps -> epss).  A section, and a key within one, may
+be declared only once ([anchor.X] and [hom.X] declare the same map X);
+[checks] lines may repeat.  Each [checks] line must name a check of
+checks.CHECKS, the one table that declares every check, with an argument
+count it accepts, and each argument must name an object of the section
+kind CHECKS gives that position; parse_spec rejects any other name,
+wherever in the file the object is declared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import AnchoredBracket
 from .bundle import Bundle, BundleError, HomSection, Patch, Section, SubBundle
+from .checks import CHECKS
 from .courant import CourantData, standard_courant
 from .dorfman import (Connection, DorfmanConnection, canonical_predual,
                       im2form_dorfman, lie_derivative_dorfman, pr_tm_hom,
@@ -126,7 +130,7 @@ class StructureSpec:
     subbundles: Dict[str, SubBundle]
     courants: Dict[str, CourantData]
     checks: List[Tuple[str, List[str], bool]]  # (check name, args, expect_fail)
-    # objects derived from the declared ones, built once by the check runners
+    # objects the check runners derive from the declared ones, keyed by those objects
     _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
                                           compare=False, repr=False)
 
@@ -151,6 +155,22 @@ class StructureSpec:
         if out is None:
             raise SpecError(f"empty bundle reference {ref!r}")
         return out
+
+    def resolve(self, name: str, args: Sequence[str], line: Optional[int] = None) -> list:
+        """The declared objects the arguments of check `name` name, each one
+        of the section kind checks.CHECKS gives its position."""
+        tables = {"bracket": self.brackets, "dorfman": self.dorfmans,
+                  "subbundle": self.subbundles, "courant": self.courants,
+                  "hom": self.homs, "connection": self.connections, "bundle": self.bundles}
+        objects = []
+        for position, (arg, kind) in enumerate(zip(args, CHECKS[name].kinds), start=1):
+            if arg not in tables[kind]:
+                others = [other for other, table in tables.items() if arg in table]
+                problem = f"{arg!r} is a {others[0]}, not a {kind}" if others else \
+                    f"unknown {kind} {arg!r}"
+                raise SpecError(f"check {name!r} argument {position}: {problem}", line)
+            objects.append(tables[kind][arg])
+        return objects
 
 
 def parse_section_expr(text: str, bundle: Bundle, line: Optional[int] = None) -> Section:
@@ -184,83 +204,22 @@ def _check_ident(name: str, line: Optional[int]) -> str:
                         "(letter followed by letters or digits)", line)
     return name
 
-# The check names a [checks] line may use, with the statement each verifies;
-# checks.REGISTRY maps the same names to their runners.
-CHECK_STATEMENTS: Dict[str, str] = {
-    "anchor-compat": "the anchor intertwines the bracket with vector fields",
-    "lie": "antisymmetry and the Jacobi identity",
-    "dorfman-axioms": "Dorfman connection axioms (a)-(c)",
-    "duality": "equivalence of the connection and its dull bracket",
-    "curvature": "curvature tensoriality and its Jacobiator pairing",
-    "skew": "properties of the symmetrization tensor",
-    "dirac": "sub-double-vector-bundle and Dirac conditions",
-    "geometric-dirac": "total-space Dirac verification",
-    "bracket-well-defined": "U-brackets agree across equivalent representatives",
-    "splitting-theorems": "total-space pairing and bracket identities",
-    "la-dirac": "LA-Dirac triple conditions",
-    "section4": "Omega, Dorfman-like bracket, basic connections and curvature",
-    "identity-lemmas": "basic-connection identity lemmas",
-    "ruth-compat": "mixed compatibility identities",
-    "k-algebroid": "induced Lie algebroid on K and its morphism to U",
-    "manin-pair": "Courant algebroid on the quotient, with axioms and extension",
-    "roundtrip": "triple to Manin pair and back",
-    "standard-iso": "isomorphism with the standard Courant algebroid",
-    "recover-perturbed": "recovery from a Manin pair with a broken core bracket",
-    "courant-axioms": "Courant algebroid axioms (1)-(5)",
-    "bott-dorfman": "quotient connection along an isotropic subalgebroid",
-    "linear-poisson": "sharp map of the fiberwise-linear dual bracket",
-    "canonical-form": "pullback canonical one- and two-forms",
-    "ta-generators": "generator calculus over TM + A*",
-}
-
-# The argument counts each check accepts; parse_spec rejects any other count.
-CHECK_ARITY: Dict[str, Tuple[int, ...]] = {
-    **dict.fromkeys(["anchor-compat", "lie", "dorfman-axioms", "duality", "curvature", "skew",
-                     "splitting-theorems", "courant-axioms", "linear-poisson"], (1,)),
-    **dict.fromkeys(["section4", "bott-dorfman", "canonical-form", "ta-generators"], (2,)),
-    **dict.fromkeys(["dirac", "geometric-dirac", "bracket-well-defined"], (3,)),
-    **dict.fromkeys(["la-dirac", "ruth-compat", "k-algebroid", "manin-pair", "roundtrip",
-                     "recover-perturbed"], (4,)),
-    "identity-lemmas": (2, 4),
-    "standard-iso": (5,),
-}
-
-# The section kind of the object each argument position names (for the
-# longest arity); parse_spec resolves every argument against that kind.
-_TRIPLE = ("dorfman", "subbundle", "subbundle")
-_LA_TRIPLE = ("bracket",) + _TRIPLE
-CHECK_ARG_KINDS: Dict[str, Tuple[str, ...]] = {
-    **dict.fromkeys(["anchor-compat", "lie", "linear-poisson"], ("bracket",)),
-    **dict.fromkeys(["dorfman-axioms", "duality", "curvature", "skew",
-                     "splitting-theorems"], ("dorfman",)),
-    "courant-axioms": ("courant",),
-    **dict.fromkeys(["section4", "ta-generators"], ("bracket", "dorfman")),
-    "bott-dorfman": ("courant", "subbundle"),
-    "canonical-form": ("hom", "connection"),
-    **dict.fromkeys(["dirac", "geometric-dirac", "bracket-well-defined"], _TRIPLE),
-    **dict.fromkeys(["la-dirac", "ruth-compat", "k-algebroid", "manin-pair", "roundtrip",
-                     "recover-perturbed", "identity-lemmas"], _LA_TRIPLE),
-    "standard-iso": _LA_TRIPLE + ("hom",),
-}
-
 
 def parse_spec(text: str) -> StructureSpec:
     sections = _tokenize(text)
-    base: Optional[Patch] = None
-    for sec in sections:
-        if sec.kind == "patch":
-            coords: Tuple[str, ...] = ()
-            for key, value, lineno in sec.entries:
-                if key != "coords":
-                    raise SpecError(f"unknown patch key {key!r}", lineno)
-                coords = tuple(_check_ident(v.strip(), lineno)
-                               for v in value.split(",") if v.strip())
-            base = Patch(coords)
-    if base is None:
+    patch = next((sec for sec in sections if sec.kind == "patch"), None)
+    if patch is None:
         raise SpecError("missing [patch] section")
+    coords: Tuple[str, ...] = ()
+    for key, value, lineno in patch.entries:
+        if key != "coords":
+            raise SpecError(f"unknown patch key {key!r}", lineno)
+        coords = tuple(_check_ident(v.strip(), lineno) for v in value.split(",") if v.strip())
 
-    spec = StructureSpec(base, {}, {}, {}, {}, {}, {}, {}, [])
+    spec = StructureSpec(Patch(coords), {}, {}, {}, {}, {}, {}, {}, [])
+    declared: Dict[Tuple[str, str], RawSection] = {}
     for sec in sections:
+        _reject_repeats(sec, declared)
         try:
             _build_section(spec, sec)
         except (BundleError, PolyError) as exc:
@@ -269,21 +228,29 @@ def parse_spec(text: str) -> StructureSpec:
     check_lines = [lineno for sec in sections if sec.kind == "checks"
                    for _, _, lineno in sec.entries]
     for (name, args, _), lineno in zip(spec.checks, check_lines):
-        _resolve_check_args(spec, name, args, lineno)
+        spec.resolve(name, args, lineno)
     return spec
 
 
-def _resolve_check_args(spec: StructureSpec, name: str, args: List[str], line: int) -> None:
-    tables = {"bracket": spec.brackets, "dorfman": spec.dorfmans,
-              "subbundle": spec.subbundles, "courant": spec.courants,
-              "hom": spec.homs, "connection": spec.connections, "bundle": spec.bundles}
-    for position, (arg, kind) in enumerate(zip(args, CHECK_ARG_KINDS[name]), start=1):
-        if arg in tables[kind]:
-            continue
-        others = [other for other, table in tables.items() if arg in table]
-        problem = f"{arg!r} is a {others[0]}, not a {kind}" if others else \
-            f"unknown {kind} {arg!r}"
-        raise SpecError(f"check {name!r} argument {position}: {problem}", line)
+def _header(sec: RawSection) -> str:
+    return f"[{sec.kind}.{sec.name}]" if sec.name else f"[{sec.kind}]"
+
+
+def _reject_repeats(sec: RawSection, declared: Dict[Tuple[str, str], RawSection]) -> None:
+    """A section and a key within it are declared once; [anchor.X] and
+    [hom.X] both declare the bundle map X.  [checks] lines may repeat."""
+    if sec.kind == "checks":
+        return
+    slot = ("hom" if sec.kind == "anchor" else sec.kind, sec.name)
+    first = declared.setdefault(slot, sec)
+    if first is not sec:
+        raise SpecError(f"{_header(sec)} repeats the declaration {_header(first)} "
+                        f"on line {first.line}", sec.line)
+    keys: Dict[str, int] = {}
+    for key, _, lineno in sec.entries:
+        if key in keys:
+            raise SpecError(f"key {key!r} in {_header(sec)} repeats line {keys[key]}", lineno)
+        keys[key] = lineno
 
 
 def _entries_dict(sec: RawSection) -> Dict[str, str]:
@@ -399,11 +366,12 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if key.startswith("xfail "):
                 expect_fail = True
                 name = key[len("xfail "):].strip()
-            if name not in CHECK_STATEMENTS:
+            check = CHECKS.get(name)
+            if check is None:
                 raise SpecError(f"unknown check {name!r}", lineno)
             args = [v.strip() for v in value.split(",") if v.strip()]
-            if len(args) not in CHECK_ARITY[name]:
-                counts = " or ".join(map(str, CHECK_ARITY[name]))
+            if len(args) not in check.arity:
+                counts = " or ".join(map(str, check.arity))
                 raise SpecError(f"check {name!r} takes {counts} argument(s), "
                                 f"got {len(args)}", lineno)
             spec.checks.append((name, args, expect_fail))

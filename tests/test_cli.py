@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -11,8 +12,7 @@ from courant_lab import algebroid, checks, courant, laops, prolong, report
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
-from courant_lab.specfile import (CHECK_ARG_KINDS, CHECK_ARITY, CHECK_STATEMENTS, SpecError,
-                                  parse_spec, parse_section_expr)
+from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
 from courant_lab.bundle import Bundle, HomSection, patch
 from courant_lab.dorfman import DorfmanConnection
 
@@ -76,19 +76,15 @@ def test_missing_object_reports_error():
     assert reports[0].status == "error"
 
 
-def test_every_registered_check_has_a_statement():
-    assert set(checks.REGISTRY) == set(CHECK_STATEMENTS)
-
-
-def test_every_registered_check_has_an_arity():
-    assert set(checks.REGISTRY) == set(CHECK_ARITY)
+def _replace_runner(monkeypatch, name, run):
+    monkeypatch.setitem(checks.CHECKS, name, checks.CHECKS[name]._replace(run=run))
 
 
 def test_unexpected_exception_keeps_traceback_out_of_report(monkeypatch, capsys):
-    def explode(spec, args, seed):
+    def explode(spec, seed, delta):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(checks.REGISTRY, "dorfman-axioms", explode)
+    _replace_runner(monkeypatch, "dorfman-axioms", explode)
     reports = run_check(parse_spec(MINIMAL), "dorfman-axioms", ["Delta"], 7)
     assert len(reports) == 1
     assert reports[0].status == "error"
@@ -100,10 +96,10 @@ def test_unexpected_exception_keeps_traceback_out_of_report(monkeypatch, capsys)
 
 def test_index_error_in_runner_is_unexpected(monkeypatch, capsys):
     # arity is checked at parse time, so an IndexError is a bug, not a spec error
-    def out_of_range(spec, args, seed):
-        return [args[5]]
+    def out_of_range(spec, seed, delta):
+        return [[delta][5]]
 
-    monkeypatch.setitem(checks.REGISTRY, "dorfman-axioms", out_of_range)
+    _replace_runner(monkeypatch, "dorfman-axioms", out_of_range)
     reports = run_check(parse_spec(MINIMAL), "dorfman-axioms", ["Delta"], 7)
     assert [r.status for r in reports] == ["error"]
     assert reports[0].details == ["unexpected IndexError: list index out of range"]
@@ -262,10 +258,40 @@ def test_objects_may_be_declared_after_the_checks():
     assert parse_spec(checks_first).checks == [("courant-axioms", ["C"], False)]
 
 
-def test_every_registered_check_has_argument_kinds():
-    assert set(checks.REGISTRY) == set(CHECK_ARG_KINDS)
-    for name, counts in CHECK_ARITY.items():
-        assert max(counts) == len(CHECK_ARG_KINDS[name])
+@pytest.mark.parametrize("text,line,message", [
+    (MINIMAL + "\n[dorfman.Delta]\ne = E\n", 19,
+     "[dorfman.Delta] repeats the declaration [dorfman.Delta] on line 12"),
+    (MINIMAL + "\n[patch]\ncoords = x1\n", 19, "[patch] repeats the declaration [patch] on line 2"),
+    (MINIMAL + "\n[hom.rho]\nsource = E\ntarget = T*M\n[anchor.rho]\nbundle = E\n", 22,
+     "[anchor.rho] repeats the declaration [hom.rho] on line 19"),
+    (MINIMAL.replace("frame = eps", "frame = eps\nframe = e2"), 7,
+     "key 'frame' in [bundle.E] repeats line 6"),
+    (MINIMAL.replace("x2, eps = x1*eps", "x2, eps = x1*eps\nx2, eps = eps"), 11,
+     "key 'x2, eps' in [connection.nabla] repeats line 10"),
+], ids=["section", "patch", "anchor-after-hom", "bundle-key", "connection-key"])
+def test_repeated_declarations_are_spec_errors(tmp_path, capsys, text, line, message):
+    with pytest.raises(SpecError, match=re.escape(message)) as err:
+        parse_spec(text)
+    assert err.value.line == line
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+
+
+def test_repeated_check_lines_stay_legal():
+    text = MINIMAL + "dorfman-axioms = Delta\n\n[checks]\ndorfman-axioms = Delta\n"
+    assert parse_spec(text).checks == [("dorfman-axioms", ["Delta"], False)] * 3
+
+
+def test_identity_lemmas_without_a_triple():
+    text = catalog_text("im2form-zero").replace("identity-lemmas = A, Delta, U, K",
+                                                "identity-lemmas = A, Delta")
+    spec = parse_spec(text)
+    assert ("identity-lemmas", ["A", "Delta"], False) in spec.checks
+    [report] = run_check(spec, "identity-lemmas", ["A", "Delta"], 7)
+    assert report.status == "pass"
+    assert "mixed-pairing: skipped (no triple supplied)" in report.details
 
 
 def test_single_entry_deterministic(tmp_path):
@@ -397,7 +423,7 @@ def test_lines_on_a_non_lie_bracket_share_one_check(monkeypatch):
 
 def _im2form_zero_objects():
     spec = parse_spec(catalog_text("im2form-zero"))
-    return checks._lad(spec, "A", 7), spec.dorfmans["Delta"]
+    return checks._lad(spec, 7, spec.brackets["A"]), spec.dorfmans["Delta"]
 
 
 def _count_pairs(monkeypatch, module, name):
@@ -459,7 +485,8 @@ def test_perturbed_generator_table_fails_ta_generators(monkeypatch):
 
 def test_ruth_compat_applies_delta_once_per_pair(monkeypatch):
     spec = parse_spec(catalog_text("im2form-zero"))
-    lad, triple = checks._lad(spec, "A", 7), checks._triple(spec, "Delta", "U", "K")
+    lad = checks._lad(spec, 7, spec.brackets["A"])
+    triple = checks._triple(spec, *spec.resolve("dirac", ["Delta", "U", "K"]))
     counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
     assert laops.check_ruth_compat(lad, triple.delta, triple).passed
     assert counts and max(counts.values()) == 1

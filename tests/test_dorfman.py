@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import Bundle, HomSection, SubBundle, patch, vf_bracket
+from courant_lab.bundle import (Bundle, HomSection, Section, SubBundle, dual_pair, patch,
+                                vf_apply, vf_bracket)
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
 from courant_lab.dirac import shift_dorfman
@@ -220,6 +221,23 @@ def test_bott_dorfman_rejects_non_closed():
     assert delta is None
     assert report.status == "error"
     assert any(w.identity == "bracket-closed" for w in report.witnesses)
+
+
+def test_nabla_dual_reads_its_own_table(monkeypatch):
+    # <nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>, without calling nabla
+    p = Bundle.vector(BASE, "P", ("p1", "p2"))
+    conn = Connection(p, [[p.section(p2="x2"), p.section(p1="x1*x2", p2=3)],
+                          [p.zero_section(), p.section(p1="x1^2")]])
+    x = Bundle.tangent(BASE).section(Dx1="x2", Dx2="1 + x1")
+    xi = p.dual().section(p1s="x1", p2s="x2^2 - 1")
+    expected = Section(p.dual(), tuple(
+        vf_apply(BASE.coords, x.coeffs, xi.coeffs[l]) - dual_pair(xi, conn.nabla(x, e_l))
+        for l, e_l in enumerate(p.frame_sections())))
+    calls = []
+    real = Connection.nabla
+    monkeypatch.setattr(Connection, "nabla", lambda *args: calls.append(args) or real(*args))
+    assert conn.nabla_dual(x, xi) == expected
+    assert calls == []
 
 
 def test_im2form_axioms():
