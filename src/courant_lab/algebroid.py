@@ -162,11 +162,11 @@ def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
     battery functions; function 0 is the constant 1, so entry l * w is
     frame section l itself.
     """
+    functions = battery_functions(bundle.patch)
+    # each function is rendered once; the constant 1 labels its entry by the frame name
+    prefixes = [""] + [f"({phi})*" for phi in functions[1:]]
     out = []
-    for i, sec in enumerate(bundle.frame_sections()):
-        name = bundle.frame[i]
-        for phi in battery_functions(bundle.patch):
-            scaled = sec.scale(phi)
-            label = name if phi == bundle.patch.one() else f"({phi})*{name}"
-            out.append((label, scaled))
+    for name, sec in zip(bundle.frame, bundle.frame_sections()):
+        for phi, prefix in zip(functions, prefixes):
+            out.append((prefix + name, sec.scale(phi)))
     return out

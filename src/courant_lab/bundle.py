@@ -239,8 +239,10 @@ class Section:
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
+        if not factor._terms:
+            return self.bundle.zero_section()
         zero = self.bundle.patch.zero()
-        return _section(self.bundle, tuple(zero if a.is_zero() else factor * a
+        return _section(self.bundle, tuple(factor * a if a._terms else zero
                                            for a in self.coeffs))
 
     def _same(self, other: "Section") -> None:
@@ -340,10 +342,6 @@ class HomSection:
         matrix = [[col.coeffs[i] for col in columns] for i in range(target.rank)]
         return HomSection(source, target, matrix)
 
-    @staticmethod
-    def identity(bundle: Bundle) -> "HomSection":
-        return HomSection.from_columns(bundle, bundle, bundle.frame_sections())
-
     def column(self, j: int) -> Section:
         return Section(self.target, tuple(self.matrix[i][j] for i in range(self.target.rank)))
 
@@ -351,13 +349,13 @@ class HomSection:
         if section.bundle != self.source:
             raise BundleError("section is not in the source bundle")
         zero = self.source.patch.zero()
-        nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if not coeff.is_zero()]
+        nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if coeff._terms]
         out = []
         for row in self.matrix:
             total = zero
             for j, coeff in nonzero:
                 entry = row[j]
-                if not entry.is_zero():
+                if entry._terms:
                     total = total + entry * coeff
             out.append(total)
         return _section(self.target, tuple(out))
@@ -449,7 +447,7 @@ def matrix_pair(entries: Sequence[Tuple[int, int, ScalarPoly]],
     c1, c2 = s1.coeffs, s2.coeffs
     for i, j, entry in entries:
         a, b = c1[i], c2[j]
-        if not (a.is_zero() or b.is_zero()):
+        if a._terms and b._terms:
             total = total + a * b * entry
     return total
 
@@ -458,32 +456,34 @@ def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
     """sum_k s1_k s2_k: the pairing of two sections over mutually dual frames."""
     total = s1.bundle.patch.zero()
     for a, b in zip(s1.coeffs, s2.coeffs):
-        total = total + a * b
+        if a._terms and b._terms:
+            total = total + a * b
     return total
 
 
 def d_scalar(base: Patch, phi: ScalarPoly) -> Section:
     """The de Rham differential of a function, as a section of T*M."""
-    ct = Bundle.cotangent(base)
-    return Section(ct, tuple(phi.partial(c) for c in base.coords))
+    return Section(Bundle.cotangent(base), phi.gradient())
 
 
 def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     """d_B phi = (0, d phi) for a bundle with a T*M summand."""
     idx = bundle_b.atom_index(COTM)
     out = bundle_b.zero_section()
-    return out.with_part(idx, tuple(phi.partial(c) for c in bundle_b.patch.coords))
+    return out.with_part(idx, phi.gradient())
 
 
 def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPoly) -> Section:
     """d phi = dmat . grad(phi) as a section of bundle: the one kernel behind
     d_B of a pre-dual pair and D = rho* d of a Courant algebroid."""
-    grad = [phi.partial(c) for c in bundle.patch.coords]
+    grad = phi.gradient()
+    zero = bundle.patch.zero()
     comps = []
     for row in dmat:
-        value = bundle.patch.zero()
+        value = zero
         for entry, g in zip(row, grad):
-            value = value + entry * g
+            if entry._terms and g._terms:
+                value = value + entry * g
         comps.append(value)
     return Section(bundle, tuple(comps))
 
@@ -503,38 +503,41 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
     with f the frame of target and rho_i the anchor image of the i-th frame
     element of x's bundle.  The one kernel behind the dull bracket, a
     Dorfman connection, a Courant bracket, a TM-connection and the
-    generator bracket over TM + A*; d(x_i) is taken once per i.
+    generator bracket over TM + A*.  rho_i(y_j) and rho_j(x_i) come from
+    vf_apply, so each coefficient is differentiated at most once (its
+    gradient is kept, see ScalarPoly.gradient); x_i y_j is formed only
+    when S_ij is nonzero, and d(x_i) is taken once per i.
     """
     coords = target.patch.coords
     out = list(target.zero_section().coeffs)
-    ys = [(j, psi) for j, psi in enumerate(y.coeffs) if not psi.is_zero()]
+    ys = [(j, psi) for j, psi in enumerate(y.coeffs) if psi._terms]
     for i, phi in enumerate(x.coeffs):
-        if phi.is_zero():
+        if not phi._terms:
             continue
         rho_i, row = frame_rho[i], table[i]
         for j, psi in ys:
-            terms = [(k, c) for k, c in enumerate(row[j].coeffs) if not c.is_zero()]
+            terms = [(k, c) for k, c in enumerate(row[j].coeffs) if c._terms]
             if terms:
                 product = phi * psi
                 for k, c in terms:
                     out[k] = out[k] + product * c
             d_psi = vf_apply(coords, rho_i, psi)
-            if not d_psi.is_zero():
+            if d_psi._terms:
                 out[j] = out[j] + phi * d_psi
             if bracket:
                 d_phi = vf_apply(coords, frame_rho[j], phi)
-                if not d_phi.is_zero():
+                if d_phi._terms:
                     out[i] = out[i] - psi * d_phi
     d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
     for i, j, entry in pair_entries:
         phi, psi = x.coeffs[i], y.coeffs[j]
-        if phi.is_zero() or psi.is_zero():
+        if not (phi._terms and psi._terms):
             continue
         if i not in d_x:
             d_x[i] = d(phi).coeffs
         factor = psi * entry
         for k, c in enumerate(d_x[i]):
-            if not c.is_zero():
+            if c._terms:
                 out[k] = out[k] + factor * c
     return _section(target, tuple(out))
 
@@ -543,12 +546,19 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
 
 def vf_apply(vars_: Sequence[str], x_comps: Sequence[ScalarPoly], phi: ScalarPoly) -> ScalarPoly:
     """X(phi) = sum_i X^i d phi / d vars_i, the one kernel for a vector field
-    acting on a function; a zero component costs neither a partial nor a product."""
-    total = ScalarPoly.zero(phi.vars)
-    for xi, v in zip(x_comps, vars_):
-        if not xi.is_zero():
-            total = total + xi * phi.partial(v)
-    return total
+    acting on a function.
+
+    vars_ is phi's own variable list, the order of phi.gradient(), which
+    supplies the partials; a product is formed only where both X^i and
+    d phi / d vars_i are nonzero, and a zero phi is returned at once.
+    """
+    if not phi._terms:
+        return phi
+    total = None
+    for xi, g in zip(x_comps, phi.gradient()):
+        if xi._terms and g._terms:
+            total = xi * g if total is None else total + xi * g
+    return ScalarPoly.zero(phi.vars) if total is None else total
 
 
 def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
@@ -558,20 +568,20 @@ def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
 
 def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
                    theta: Sequence[ScalarPoly]) -> List[ScalarPoly]:
+    pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
     out = []
-    for j, v in enumerate(vars_):
+    for j in range(len(vars_)):
         term = vf_apply(vars_, x, theta[j])
-        for i in range(len(vars_)):
-            if not theta[i].is_zero():
-                term = term + theta[i] * x[i].partial(v)
+        for t, grad in pairs:
+            if grad[j]._terms:
+                term = term + t * grad[j]
         out.append(term)
     return out
 
 
 def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> List[List[ScalarPoly]]:
-    """Coefficients W[i][j] = d_i theta_j - d_j theta_i of d(theta); a zero
-    component of theta costs no partial derivative."""
-    grad = [[t] * len(vars_) if t.is_zero() else [t.partial(v) for v in vars_] for t in theta]
+    """Coefficients W[i][j] = d_i theta_j - d_j theta_i of d(theta)."""
+    grad = [t.gradient() for t in theta]
     return [[grad[j][i] - grad[i][j] for j in range(len(vars_))] for i in range(len(vars_))]
 
 
@@ -609,12 +619,13 @@ def courant_dorfman_form_part(x1, theta1, x2, theta2, vars_):
     i_{X2} d theta1 is taken as X2(theta1_j) - sum_i X2^i d_j theta1_i, so a
     zero component of X2 or theta1 costs no partial derivative.
     """
-    pairs = [(c, t) for c, t in zip(x2, theta1) if not (c.is_zero() or t.is_zero())]
+    pairs = [(c, t.gradient()) for c, t in zip(x2, theta1) if c._terms and t._terms]
     out = []
-    for j, (v, lie) in enumerate(zip(vars_, lie_form_comps(vars_, x1, theta2))):
+    for j, lie in enumerate(lie_form_comps(vars_, x1, theta2)):
         value = lie - vf_apply(vars_, x2, theta1[j])
-        for c, t in pairs:
-            value = value + c * t.partial(v)
+        for c, grad in pairs:
+            if grad[j]._terms:
+                value = value + c * grad[j]
         out.append(value)
     return out
 

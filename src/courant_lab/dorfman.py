@@ -56,11 +56,6 @@ class Connection(object):
         self._dual_gamma = [[Section(self._dual, tuple(-g.coeffs[k] for g in row))
                              for k in range(bundle.rank)] for row in self.gamma]
 
-    @classmethod
-    def flat(cls, bundle: Bundle) -> "Connection":
-        z = bundle.zero_section()
-        return cls(bundle, [[z] * bundle.rank for _ in range(bundle.patch.dim)])
-
     def nabla(self, x: Section, e: Section) -> Section:
         """nabla_X e: the Christoffel table Gamma_il = nabla_{d/dx_i} e_l
         extended by the Leibniz rules."""
@@ -248,6 +243,7 @@ class DorfmanConnection:
     def check_axioms(self) -> CheckReport:
         chk = Checker("dorfman-axioms", "connection axioms (a), (b), (c)")
         functions = battery_functions(self.q.patch)
+        texts = [str(phi) for phi in functions]  # rendered once for every label
         q_frames = self.q.frame_sections()
         b_frames = self.b.frame_sections()
         b_batt = battery_sections(self.b)
@@ -265,12 +261,13 @@ class DorfmanConnection:
                 for k, (label_b, bsec) in enumerate(b_batt):
                     lhs = self.apply(scaled_q, bsec)
                     rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
-                    chk.record("axiom-a", f"(({phi})*{qname}; {label_b})", lhs - rhs)
+                    chk.record("axiom-a", f"(({texts[f]})*{qname}; {label_b})", lhs - rhs)
                 rho_phi = vf_apply(coords, self.bracket.frame_rho[i], phi)
                 for j, bf in enumerate(b_frames):
                     lhs = row[j * w + f]
                     rhs = row[j * w].scale(phi) + bf.scale(rho_phi)
-                    chk.record("axiom-b", f"({qname}; ({phi})*{self.b.frame[j]})", lhs - rhs)
+                    chk.record("axiom-b", f"({qname}; ({texts[f]})*{self.b.frame[j]})",
+                               lhs - rhs)
         frame_pairings = [[self.predual.pair(w, bf) for bf in b_frames] for w in q_frames]
         for label_q, v in battery_sections(self.q):
             applied = [self.apply(v, bf) for bf in b_frames]
@@ -324,6 +321,7 @@ class DorfmanConnection:
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
         functions = battery_functions(self.q.patch)
+        texts = [str(phi) for phi in functions]  # rendered once for every label
         q_frames = self.q.frame_sections()
         b_frames = self.b.frame_sections()
         q_scaled = [[v.scale(phi) for phi in functions] for v in q_frames]
@@ -358,20 +356,20 @@ class DorfmanConnection:
                     for k, bf in enumerate(b_frames):
                         value = (twice_b[i][j][f][k] - twice_b[j][i][f][k]
                                  - self.apply(lie, b_scaled[k][f]))
-                        chk.record("linear-in-b", inputs + f" on ({phi})*{self.b.frame[k]}",
+                        chk.record("linear-in-b", inputs + f" on ({texts[f]})*{self.b.frame[k]}",
                                    value - scaled_cols[k])
                     lie_q1 = self.bracket.bracket(q_scaled[i][f], v2)
                     lie_q2 = self.bracket.bracket(v1, q_scaled[j][f])
                     for k, bf in enumerate(b_frames):
                         value_q1 = (outer[i][f][j][k] - inner[j][i][f][k]
                                     - self.apply(lie_q1, bf))
-                        chk.record("linear-in-q1", f"(({phi})*{self.q.frame[i]}; "
+                        chk.record("linear-in-q1", f"(({texts[f]})*{self.q.frame[i]}; "
                                    f"{self.q.frame[j]}) on {self.b.frame[k]}",
                                    value_q1 - scaled_cols[k])
                         value_q2 = (inner[i][j][f][k] - outer[j][f][i][k]
                                     - self.apply(lie_q2, bf))
                         chk.record("linear-in-q2", f"({self.q.frame[i]}; "
-                                   f"({phi})*{self.q.frame[j]}) on {self.b.frame[k]}",
+                                   f"({texts[f]})*{self.q.frame[j]}) on {self.b.frame[k]}",
                                    value_q2 - scaled_cols[k])
         return chk.report()
 
@@ -400,12 +398,12 @@ class DorfmanConnection:
                         chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
                                    lhs - rhs)
         if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
-            ct_idx = self.b.atom_index("T*M")
+            start = self.b.atom_slice(self.b.atom_index("T*M")).start
             for i, q1 in enumerate(q_frames):
                 for j, q2 in enumerate(q_frames):
                     hom = self.frame_curvature(i, j)
-                    for s in self.b.frame_sections()[self.b.atom_slice(ct_idx).start:]:
-                        chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {s})",
+                    for name, s in zip(self.b.frame[start:], self.b.frame_sections()[start:]):
+                        chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {name})",
                                    hom.apply(s))
         return chk.report()
 
@@ -419,6 +417,7 @@ class DorfmanConnection:
         chk = Checker("skew", "symmetrized bracket is tensorial with vanishing TM part")
         tm = self.q.atom_index("TM")
         functions = battery_functions(self.q.patch)
+        texts = [str(phi) for phi in functions]  # rendered once for every label
         q_frames = self.q.frame_sections()
         for i, v1 in enumerate(q_frames):
             for j, v2 in enumerate(q_frames):
@@ -426,11 +425,11 @@ class DorfmanConnection:
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
                 for comp in sym.part(tm):
                     chk.record("tm-part", inputs, comp)
-                for phi in functions:
-                    chk.record("bilinear", inputs + f" scaled by {phi}",
+                for phi, text in zip(functions, texts):
+                    chk.record("bilinear", inputs + f" scaled by {text}",
                                self.skew_symmetrization(v1.scale(phi), v2)
                                - sym.scale(phi))
-                    chk.record("bilinear", inputs + f" scaled by {phi} (right)",
+                    chk.record("bilinear", inputs + f" scaled by {text} (right)",
                                self.skew_symmetrization(v1, v2.scale(phi))
                                - sym.scale(phi))
         return chk.report()

@@ -18,11 +18,12 @@ and the basic curvature is
                    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b.
 
 A check evaluates each distinct operator value its loops need once, and
-its tables live only as long as the check.  The checks of R^bas keep
-theirs in a BasicTerms: Omega_v a, nabla^bas_a v, [a, b] and
-L_a(Omega_v b) are evaluated once per pair of argument objects, so
-R^bas(phi a, b) v and R^bas(b, phi a) v, or R^bas(a, b) u and
-nabla^bas_a u, share their terms.
+its tables live only as long as the check.  The checks of R^bas and of
+the identity lemmas keep theirs in a BasicTerms: rho(a), Omega_v a,
+nabla^bas_a v, [a, b] and L_a(Omega_v b) are evaluated once per pair of
+argument objects, so R^bas(phi a, b) v and R^bas(b, phi a) v, or
+R^bas(a, b) u and nabla^bas_a u, share their terms, and the anchor is
+applied to each section once per check.
 """
 
 from __future__ import annotations
@@ -141,19 +142,25 @@ def omega(lad: LieAlgebroidData, delta: DorfmanConnection, v: Section, a: Sectio
     return delta.apply(v, sigma) - db_canonical(lad.sigma_bundle, pairing)
 
 
-def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section) -> Section:
-    """L_a (b, theta) = ([a, b], L_{rho(a)} theta)."""
+def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section,
+                  rho_a: Optional[Section] = None) -> Section:
+    """L_a (b, theta) = ([a, b], L_{rho(a)} theta); a caller that keeps
+    rho(a) passes it as rho_a, otherwise the anchor is applied here."""
     b = lad.a_part(sigma)
     theta = lad.theta_part(sigma)
-    return lad.to_sigma(a=lad.bracket.bracket(a, b),
-                        theta=lie_derivative_form(lad.bracket.rho(a), theta))
+    if rho_a is None:
+        rho_a = lad.bracket.rho(a)
+    return lad.to_sigma(a=lad.bracket.bracket(a, b), theta=lie_derivative_form(rho_a, theta))
 
 
-def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
-    """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, b> = rho(a)<xi,b> - <xi,[a,b]>."""
+def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section,
+              rho_a: Optional[Section] = None) -> Section:
+    """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, b> = rho(a)<xi,b> - <xi,[a,b]>;
+    rho_a as in lie_der_sigma."""
     x = lad.x_part(v)
     xi = lad.xi_part(v)
-    rho_a = lad.bracket.rho(a)
+    if rho_a is None:
+        rho_a = lad.bracket.rho(a)
     comps = []
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
         value = vf_apply(lad.base.coords, rho_a.coeffs, xi.coeffs[k])
@@ -211,7 +218,7 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
 class BasicTerms:
     """The basic connections and R^bas, with their sub-terms kept in tables.
 
-    Omega_v a, (rho,rho*) sigma, [a, b], L_a sigma, nabla^bas_a v and
+    rho(a), Omega_v a, (rho,rho*) sigma, [a, b], L_a sigma, nabla^bas_a v and
     nabla^bas_a sigma are each evaluated once per pair of argument objects
     and then read from a table; a value is reused only for the same
     expression on the same objects.  A check builds one for its own loops
@@ -231,6 +238,9 @@ class BasicTerms:
             entry = self._values[key] = (compute(), x, y)
         return entry[0]
 
+    def rho(self, a: Section) -> Section:
+        return self._once("rho", a, None, lambda: self.lad.bracket.rho(a))
+
     def omega(self, v: Section, a: Section) -> Section:
         return self._once("omega", v, a, lambda: omega(self.lad, self.delta, v, a))
 
@@ -242,12 +252,13 @@ class BasicTerms:
         return self._once("bracket", a, b, lambda: self.lad.bracket.bracket(a, b))
 
     def lie_der_sigma(self, a: Section, sigma: Section) -> Section:
-        return self._once("lie", a, sigma, lambda: lie_der_sigma(self.lad, a, sigma))
+        return self._once("lie", a, sigma,
+                          lambda: lie_der_sigma(self.lad, a, sigma, rho_a=self.rho(a)))
 
     def basic_v(self, a: Section, v: Section) -> Section:
         """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
         return self._once("basic_v", a, v, lambda: self.lad.pair_map().apply(self.omega(v, a))
-                          + lie_der_v(self.lad, a, v))
+                          + lie_der_v(self.lad, a, v, rho_a=self.rho(a)))
 
     def basic_sigma(self, a: Section, sigma: Section) -> Section:
         """nabla^bas_a sigma = Omega_{(rho,rho*) sigma} a + L_a sigma on A + T*M."""
@@ -503,6 +514,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     """
     chk = Checker("identity-lemmas",
                   "nabla^bas vs the Dorfman-like bracket; the mixed pairing identity")
+    terms = BasicTerms(lad, delta)
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     s_batt = battery_sections(lad.sigma_bundle)
@@ -510,7 +522,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     images = [pm.apply(s2) for _, s2 in s_batt]
     for i, s1 in enumerate(s_frames):
         for t, (label2, s2) in enumerate(s_batt):
-            lhs = basic_sigma(lad, delta, s_parts[i], s2)
+            lhs = terms.basic_sigma(s_parts[i], s2)
             rhs = (-dorfman_like_bracket(lad, s2, s1)
                    + delta.apply(images[t], s1))
             chk.record("basic-vs-dorfman-like",
@@ -519,7 +531,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
         frame_images = [pm.apply(tau) for tau in s_frames]
         for label_v, v in battery_sections(lad.v_bundle):
             # basic[m] = nabla^bas_{pr_A e_m} v, on both sides of the identity
-            basic = [basic_v(lad, delta, a, v) for a in s_parts]
+            basic = [terms.basic_v(a, v) for a in s_parts]
             for i, tau in enumerate(s_frames):
                 mixed = (pm.apply(delta.apply(v, tau))
                          - delta.bracket.bracket(v, frame_images[i])
@@ -537,7 +549,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
             for k_i, k in enumerate(k_sections):
                 lhs = pm.apply(delta.apply(u, k))
                 rhs = (delta.bracket.bracket(u, k_images[k_i])
-                       + basic_v(lad, delta, k_parts[k_i], u))
+                       + terms.basic_v(k_parts[k_i], u))
                 chk.record("pair-map-of-closure", f"(u{u_i + 1}; k{k_i + 1})", lhs - rhs)
     else:
         chk.note("mixed-pairing: skipped (no triple supplied)")

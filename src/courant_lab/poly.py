@@ -25,13 +25,22 @@ itself, which is safe because polynomials are never mutated (``terms``
 hands out a copy).  For the same reason ``bundle.Patch`` shares one zero
 and one unit polynomial per patch, and every vector field acting on a
 polynomial goes through the single kernel ``bundle.vf_apply``.
+
+The gradient is the only state an instance fills in after it is built:
+``gradient()`` computes every first partial once, on first use, and keeps
+the tuple in a ``__slots__`` entry of that instance (never in a module- or
+class-level cache), and ``partial`` reads it.  That is safe for the same
+reason: a polynomial is never mutated, so its derivatives never go stale.
+The kernels of ``bundle`` test a polynomial for zero by reading its term
+dict (``not p._terms``) rather than calling ``is_zero()``, which in their
+loops costs a method call per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -77,7 +86,7 @@ class ScalarPoly:
     is zero.
     """
 
-    __slots__ = ("vars", "_terms")
+    __slots__ = ("vars", "_terms", "_gradient")  # _gradient: see gradient()
 
     def __init__(self, vars: Iterable[str], terms: Dict[Exponents, Rational] | None = None):
         self.vars: Tuple[str, ...] = tuple(vars)
@@ -245,16 +254,30 @@ class ScalarPoly:
 
     # -- calculus -----------------------------------------------------
 
+    def gradient(self) -> Tuple["ScalarPoly", ...]:
+        """All first partial derivatives, in the order of self.vars.
+
+        Computed in one pass over the terms on the first call and kept in
+        this instance, so every later call returns the same tuple; the zero
+        partials share one zero polynomial.
+        """
+        try:
+            return self._gradient
+        except AttributeError:  # not filled yet
+            pass
+        parts: List[Dict[Exponents, Rational]] = [{} for _ in self.vars]
+        for exps, coeff in self._terms.items():
+            for i, e in enumerate(exps):
+                if e:
+                    # lowering one exponent is injective, so no two terms merge
+                    parts[i][exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+        zero = _normal(self.vars, {})
+        self._gradient = tuple(_normal(self.vars, terms) if terms else zero for terms in parts)
+        return self._gradient
+
     def partial(self, name: str) -> "ScalarPoly":
         """Formal partial derivative with respect to one variable."""
-        i = self._index(name)
-        terms: Dict[Exponents, Rational] = {}
-        for exps, coeff in self._terms.items():
-            e = exps[i]
-            if e:
-                # lowering one exponent is injective, so no two terms merge
-                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
-        return _normal(self.vars, terms)
+        return self.gradient()[self._index(name)]
 
     def extend(self, new_vars: Iterable[str]) -> "ScalarPoly":
         """Reinterpret the polynomial over a larger variable list.

@@ -242,14 +242,15 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        total_pairing(c1, c2))
             chk.record("bracket-core-core", f"({label1}; {label2})",
                        total_courant(c1, c2))
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i, v in enumerate(q_frames):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             lifted_v = lifts[i].scale(tp.embed(phi))
             scaled_v = v.scale(phi)
             for label_s, s, core in cores:
                 lhs = total_courant(lifted_v, core)
                 rhs = lift_core(tp, delta.apply(scaled_v, s))
-                chk.record("bracket-linear-core", f"(({phi})*{q.frame[i]}; {label_s})",
+                chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
     for i, v1 in enumerate(q_frames):
         for j, v2 in enumerate(q_frames):
@@ -598,7 +599,7 @@ class GeneratorAlgebra:
                 out[i] = self.tp.embed(rho_a.coeffs[i])
             for j in range(self.lad.v_bundle.rank):
                 tau = self.lad.sigma_bundle.frame_section(self.partner[j])
-                lied = lie_der_sigma(self.lad, a, tau)
+                lied = lie_der_sigma(self.lad, a, tau, rho_a=rho_a)
                 # l_{L_a tau} = sum_j' w_j' <v_j', L_a tau>
                 out[n + j] = self.tp.linear([self.delta.predual.pair(v, lied)
                                              for v in self.lad.v_bundle.frame_sections()])

@@ -158,12 +158,18 @@ class StructureSpec:
 
     def resolve(self, name: str, args: Sequence[str], line: Optional[int] = None) -> list:
         """The declared objects the arguments of check `name` name, each one
-        of the section kind checks.CHECKS gives its position."""
+        of the section kind checks.CHECKS gives its position.  parse_spec
+        and checks.run_check both call it, so a wrong argument count or name
+        is a SpecError on either path."""
+        check = CHECKS[name]
+        if len(args) not in check.arity:
+            counts = " or ".join(map(str, check.arity))
+            raise SpecError(f"check {name!r} takes {counts} argument(s), got {len(args)}", line)
         tables = {"bracket": self.brackets, "dorfman": self.dorfmans,
                   "subbundle": self.subbundles, "courant": self.courants,
                   "hom": self.homs, "connection": self.connections, "bundle": self.bundles}
         objects = []
-        for position, (arg, kind) in enumerate(zip(args, CHECKS[name].kinds), start=1):
+        for position, (arg, kind) in enumerate(zip(args, check.kinds), start=1):
             if arg not in tables[kind]:
                 others = [other for other, table in tables.items() if arg in table]
                 problem = f"{arg!r} is a {others[0]}, not a {kind}" if others else \
@@ -224,7 +230,8 @@ def parse_spec(text: str) -> StructureSpec:
             _build_section(spec, sec)
         except (BundleError, PolyError) as exc:
             raise SpecError(f"in [{sec.kind}.{sec.name}]: {exc}", sec.line) from exc
-    # objects may be declared after [checks], so arguments resolve at the end
+    # objects may be declared after [checks], so argument counts and names
+    # are checked at the end
     check_lines = [lineno for sec in sections if sec.kind == "checks"
                    for _, _, lineno in sec.entries]
     for (name, args, _), lineno in zip(spec.checks, check_lines):
@@ -366,14 +373,9 @@ def _build_section(spec: StructureSpec, sec: RawSection) -> None:
             if key.startswith("xfail "):
                 expect_fail = True
                 name = key[len("xfail "):].strip()
-            check = CHECKS.get(name)
-            if check is None:
+            if name not in CHECKS:
                 raise SpecError(f"unknown check {name!r}", lineno)
             args = [v.strip() for v in value.split(",") if v.strip()]
-            if len(args) not in check.arity:
-                counts = " or ".join(map(str, check.arity))
-                raise SpecError(f"check {name!r} takes {counts} argument(s), "
-                                f"got {len(args)}", lineno)
             spec.checks.append((name, args, expect_fail))
         return
     raise SpecError(f"unknown section kind {sec.kind!r}", sec.line)

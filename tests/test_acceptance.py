@@ -30,6 +30,7 @@ from courant_lab.prolong import (canonical_form_check, check_geometric_dirac,
                                  total_patch_of, vertical_hom,
                                  verify_splitting_theorems, _closure_residual)
 from courant_lab.specfile import parse_spec
+from builders import flat_connection
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -74,7 +75,7 @@ def _ex_e():
     anchor = HomSection(a, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
-    delta = standard_dorfman(Connection.flat(a))
+    delta = standard_dorfman(flat_connection(a))
     triple = VBTriple(delta, SubBundle("U", [delta.q.section(Dx1=1),
                                              delta.q.section(Dx2=1)]),
                       SubBundle("K", [delta.b.section(a1=1), delta.b.section(a2=1)]))
@@ -148,7 +149,7 @@ def test_criterion_04_dirac_triples():
     e = Bundle.vector(BASE, "E", ("c1", "c2"))
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
-    delta_c = im2form_dorfman(sigma, Connection.flat(e))
+    delta_c = im2form_dorfman(sigma, flat_connection(e))
     triple_c = VBTriple(
         delta_c,
         SubBundle("U", [delta_c.q.section(Dx1=1) - delta_c.q.section(c1s=1),
@@ -158,7 +159,7 @@ def test_criterion_04_dirac_triples():
     ok = check_dirac(triple_c).passed and check_geometric_dirac(triple_c).passed
     # EX-D
     f = Bundle.vector(BASE, "F", ("eps",))
-    delta_d = standard_dorfman(Connection.flat(f))
+    delta_d = standard_dorfman(flat_connection(f))
     triple_d = VBTriple(delta_d,
                         SubBundle("U", [delta_d.q.section(Dx1=1),
                                         delta_d.q.section(epss=1)]),
@@ -231,7 +232,7 @@ def test_criterion_07_appendix_checks():
     e = Bundle.vector(BASE, "E", ("c1", "c2"))
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
-    ok = ok and canonical_form_check(sigma, Connection.flat(e)).passed
+    ok = ok and canonical_form_check(sigma, flat_connection(e)).passed
 
     # spot values: omega(d1~, c2^) = 0 and omega(d1~, c1^) = -1
     from courant_lab.bundle import two_form_of_oneform
@@ -253,7 +254,7 @@ def test_criterion_08_generator_calculus():
     anchor = HomSection(t, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad_t = LieAlgebroidData(AnchoredBracket.from_pairs(t, anchor))
-    ok = ok and ta_generator_check(lad_t, standard_dorfman(Connection.flat(t))).passed
+    ok = ok and ta_generator_check(lad_t, standard_dorfman(flat_connection(t))).passed
     _verdict("criterion 8: generator table consistency and the five bracket "
              "identities", ok, started)
 

@@ -3,6 +3,7 @@ import pytest
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
 from courant_lab.dorfman import Connection, standard_dorfman
+from builders import identity_map
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -24,7 +25,7 @@ def test_lie_algebra_frame_values():
 
 
 def test_leibniz_extension_matches_vf_bracket():
-    tm = AnchoredBracket.from_pairs(T, HomSection.identity(T))
+    tm = AnchoredBracket.from_pairs(T, identity_map(T))
     x = tm.bundle.section(Dx2="x1")
     y = tm.bundle.section(Dx1=1)
     assert tm.bracket(x, y) == vf_bracket(x, y)
@@ -32,7 +33,7 @@ def test_leibniz_extension_matches_vf_bracket():
 
 
 def test_anchor_compat_reports():
-    assert AnchoredBracket.from_pairs(T, HomSection.identity(T)).check_anchor_compat().passed
+    assert AnchoredBracket.from_pairs(T, identity_map(T)).check_anchor_compat().passed
     assert aff1().check_anchor_compat().passed
     # the dual bracket of a standard connection is anchored by pr_TM
     e = Bundle.vector(BASE, "E", ("eps",))
@@ -42,7 +43,7 @@ def test_anchor_compat_reports():
 
 def test_check_lie():
     assert aff1().check_lie().passed
-    assert AnchoredBracket.from_pairs(T, HomSection.identity(T)).check_lie().passed
+    assert AnchoredBracket.from_pairs(T, identity_map(T)).check_lie().passed
 
 
 def test_structure_is_immutable():
@@ -90,7 +91,7 @@ def test_structure_functions_not_assumed_antisymmetric():
 
 
 def test_restrict_to_subbundle():
-    tm = AnchoredBracket.from_pairs(T, HomSection.identity(T))
+    tm = AnchoredBracket.from_pairs(T, identity_map(T))
     sub = SubBundle("F", [tm.bundle.section(Dx1=1)], tm.bundle)
     restricted = tm.restrict(sub)
     assert restricted.bundle.rank == 1
@@ -116,7 +117,7 @@ def test_induced_bracket_matches_the_restriction_by_hand(case):
         g = bracket.bundle
         sub = SubBundle("G", [g.section(e1=1, e2=1), g.section(e2=1)])
     else:
-        bracket = AnchoredBracket.from_pairs(T, HomSection.identity(T))
+        bracket = AnchoredBracket.from_pairs(T, identity_map(T))
         sections = [T.section(Dx1=1)] if case == "line-field" else []
         sub = SubBundle("F", sections, T)
     matrix, table = _restriction_by_hand(bracket, sub)

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from courant_lab.algebroid import battery_sections
 from courant_lab.bundle import (Bundle, BundleError, HomSection, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
-                                db_canonical, dual_pair, lie_derivative_form,
+                                db_canonical, dual_pair, leibniz, lie_derivative_form,
                                 patch, vf_apply, vf_bracket)
+from courant_lab.poly import ScalarPoly
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -146,6 +149,51 @@ def test_vf_apply_with_zero_components_equals_the_full_sum():
         assert vf_apply(BASE.coords, comps, phi) == full
     assert vf_apply(BASE.coords, [BASE.zero(), BASE.poly("x1 - 1")], phi) == \
         BASE.poly("(x1 - 1)*(x1^2 + 3)")
+
+
+def test_vf_apply_on_a_zero_function_multiplies_nothing(monkeypatch):
+    products = []
+    real = ScalarPoly.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counting)
+    monkeypatch.setattr(ScalarPoly, "__rmul__", counting)
+    comps = [BASE.poly("x2"), BASE.poly("x1 - 1")]
+    assert vf_apply(BASE.coords, comps, BASE.zero()).is_zero()
+    assert vf_apply(BASE.coords, comps, BASE.const(3)).is_zero()
+    assert products == []
+
+
+def test_leibniz_differentiates_each_operand_coefficient_once(monkeypatch):
+    # the bracket [x, y] of vector fields needs rho_i(y_j) and rho_j(x_i) for
+    # every (i, j); each coefficient's partials are computed once and reread
+    def sections():
+        return TM.section(Dx1="x1*x2", Dx2="x2^2 + 1"), TM.section(Dx1="x1^2", Dx2="x1 - x2")
+
+    expected = vf_bracket(*sections())
+    x, y = sections()
+    table = [[TM.zero_section()] * TM.rank for _ in range(TM.rank)]
+    frame_rho = [d.coeffs for d in TM.frame_sections()]
+    fills, reads, kept = Counter(), Counter(), []
+    real = ScalarPoly.gradient
+
+    def counting(self):
+        kept.append(self)
+        reads[id(self)] += 1
+        try:
+            self._gradient
+        except AttributeError:
+            fills[id(self)] += 1
+        return real(self)
+
+    monkeypatch.setattr(ScalarPoly, "gradient", counting)
+    assert leibniz(x, y, table, frame_rho, TM, bracket=True) == expected
+    operands = {id(c) for c in x.coeffs + y.coeffs}
+    assert set(fills) == set(reads) == operands
+    assert max(fills.values()) == 1 and max(reads.values()) > 1
 
 
 def test_zero_one_and_tangent_bundles_are_shared_per_patch():

@@ -13,7 +13,8 @@ from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
-from courant_lab.bundle import Bundle, HomSection, patch
+from courant_lab.bundle import Bundle, HomSection, battery_functions, patch
+from courant_lab.poly import ScalarPoly
 from courant_lab.dorfman import DorfmanConnection
 
 MINIMAL = """
@@ -74,6 +75,15 @@ def test_missing_object_reports_error():
     spec = parse_spec(MINIMAL)
     reports = run_check(spec, "dorfman-axioms", ["Nope"], 7)
     assert reports[0].status == "error"
+
+
+@pytest.mark.parametrize("args", [["Delta"], ["Delta", "U", "K", "K"]])
+def test_run_check_reports_a_wrong_argument_count(capsys, args):
+    spec = parse_spec(catalog_text("im2form-zero"))
+    [report] = run_check(spec, "dirac", args, 7)
+    assert report.status == "error" and not report.witnesses
+    assert report.details == [f"SpecError: check 'dirac' takes 3 argument(s), got {len(args)}"]
+    assert capsys.readouterr().err == ""
 
 
 def _replace_runner(monkeypatch, name, run):
@@ -427,16 +437,16 @@ def _im2form_zero_objects():
 
 
 def _count_pairs(monkeypatch, module, name):
-    """Wraps module.name(lad, delta?, x, y) to count calls per pair of argument
-    objects; the arguments are kept alive, so no two pairs share ids."""
+    """Wraps module.name(lad, delta?, x, y, **kwargs) to count calls per pair
+    of argument objects; the arguments are kept alive, so no two pairs share ids."""
     counts, kept = Counter(), []
     real = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         x, y = args[-2:]
         kept.append((x, y))
         counts[id(x), id(y)] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return counts
@@ -547,6 +557,42 @@ def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):
     assert counts["omega"] and max(counts["omega"].values()) == 1
     assert counts["lie_der_v"] and max(counts["lie_der_v"].values()) == 1
     assert max(counts["basic_v"].values(), default=0) <= 1
+
+
+def test_identity_lemmas_apply_the_anchor_once_per_section(monkeypatch):
+    spec = parse_spec(catalog_text("im2form-zero"))
+    anchor = spec.brackets["A"].anchor
+    applied, kept = Counter(), []
+    real = HomSection.apply
+
+    def counting(self, section):
+        if self is anchor:
+            kept.append(section)
+            applied[id(section)] += 1
+        return real(self, section)
+
+    monkeypatch.setattr(HomSection, "apply", counting)
+    [report] = run_check(spec, "identity-lemmas", ["A", "Delta", "U", "K"], 7)
+    assert report.status == "pass"
+    assert applied and max(applied.values()) == 1
+
+
+def test_curvature_line_renders_each_battery_function_once(monkeypatch):
+    spec = parse_spec(catalog_text("line-bundle-r2"))
+    battery = set(battery_functions(spec.base))
+    renders, kept = Counter(), []
+    real = ScalarPoly.__str__
+
+    def counting(self):
+        if self in battery:
+            kept.append(self)
+            renders[id(self)] += 1
+        return real(self)
+
+    monkeypatch.setattr(ScalarPoly, "__str__", counting)
+    reports = run_check(spec, "curvature", ["Delta"], 7)
+    assert [r.status for r in reports] == ["pass", "pass"]
+    assert renders and max(renders.values()) == 1
 
 
 def test_frame_curvatures_are_built_once_per_spec(monkeypatch):

@@ -8,9 +8,10 @@ from courant_lab.courant import (CourantData, build_manin_pair, check_c_iso,
                                  im2form_standard_iso, recover_triple,
                                  roundtrip_check, standard_courant)
 from courant_lab.dirac import VBTriple
-from courant_lab.dorfman import (Connection, DorfmanConnection,
-                                 canonical_predual, pr_tm_hom, standard_dorfman)
+from courant_lab.dorfman import (DorfmanConnection, canonical_predual, pr_tm_hom,
+                                 standard_dorfman)
 from courant_lab.laops import LieAlgebroidData
+from builders import flat_connection
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -43,7 +44,7 @@ def ex_e():
     anchor = HomSection(a, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
-    delta = standard_dorfman(Connection.flat(a))
+    delta = standard_dorfman(flat_connection(a))
     triple = VBTriple(delta, SubBundle("U", [delta.q.section(Dx1=1),
                                              delta.q.section(Dx2=1)]),
                       SubBundle("K", [delta.b.section(a1=1), delta.b.section(a2=1)]))

@@ -7,6 +7,7 @@ from courant_lab.dirac import (VBTriple, check_bracket_well_defined_on_u,
                                check_dirac, check_equivalent, dirac_verdicts,
                                shift_dorfman)
 from courant_lab.dorfman import Connection, im2form_dorfman, standard_dorfman
+from builders import flat_connection
 
 BASE = patch("x1", "x2")
 
@@ -17,7 +18,7 @@ def ex_c():
     e = Bundle.vector(BASE, "E", ("c1", "c2"))
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
-    delta = im2form_dorfman(sigma, Connection.flat(e))
+    delta = im2form_dorfman(sigma, flat_connection(e))
     u = SubBundle("U", [delta.q.section(Dx1=1) - delta.q.section(c1s=1),
                         delta.q.section(Dx2=1) - delta.q.section(c2s=1)])
     k = SubBundle("K", [delta.b.section(c1=1, dx1=1), delta.b.section(c2=1, dx2=1)])
@@ -28,7 +29,7 @@ def ex_c():
 def ex_d():
     """Line field plus dual frame for a flat rank-1 bundle."""
     e = Bundle.vector(BASE, "F", ("eps",))
-    delta = standard_dorfman(Connection.flat(e))
+    delta = standard_dorfman(flat_connection(e))
     u = SubBundle("U", [delta.q.section(Dx1=1), delta.q.section(epss=1)])
     k = SubBundle("K", [delta.b.section(dx2=1)])
     return VBTriple(delta, u, k)

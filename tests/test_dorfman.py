@@ -12,6 +12,7 @@ from courant_lab.dorfman import (Connection, DorfmanConnection, bott_dorfman,
                                  im2form_dorfman, lie_derivative_dorfman,
                                  pr_tm_hom, standard_dorfman, zero_predual)
 from courant_lab.specfile import parse_spec
+from builders import flat_connection, identity_map
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -39,7 +40,7 @@ def test_check_axioms(ex_a):
 
 def test_trivial_pairing_connection_is_dorfman():
     t = Bundle.tangent(patch("x"))
-    tm = AnchoredBracket.from_pairs(t, HomSection.identity(t))
+    tm = AnchoredBracket.from_pairs(t, identity_map(t))
     b = Bundle.vector(patch("x"), "B", ("b1",))
     symbols = [[b.section(b1="x")]]
     delta = DorfmanConnection(zero_predual(tm.bundle, b), tm, symbols)
@@ -147,7 +148,7 @@ def test_curvature_examples(ex_a):
 
 
 def test_flat_connection_gives_flat_curvature():
-    flat = standard_dorfman(Connection.flat(E))
+    flat = standard_dorfman(flat_connection(E))
     for v1 in flat.q.frame_sections():
         for v2 in flat.q.frame_sections():
             assert flat.curvature(v1, v2).is_zero()

@@ -15,6 +15,7 @@ from courant_lab.laops import (BasicTerms, LieAlgebroidData, basic_sigma, basic_
                                check_omega_properties, check_ruth_compat,
                                dorfman_like_bracket, k_algebroid, lie_der_v,
                                omega)
+from builders import flat_connection
 
 PT = patch()
 BASE = patch("x1", "x2")
@@ -45,7 +46,7 @@ def ex_e():
     anchor = HomSection(a, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
-    delta = standard_dorfman(Connection.flat(a))
+    delta = standard_dorfman(flat_connection(a))
     u = SubBundle("U", [delta.q.section(Dx1=1), delta.q.section(Dx2=1)])
     k = SubBundle("K", [delta.b.section(a1=1), delta.b.section(a2=1)])
     return lad, delta, VBTriple(delta, u, k)
@@ -247,20 +248,23 @@ def test_lie_algebroid_bundles_are_built_once(ex_b):
 
 def test_basic_identities_apply_the_anchor_only_in_lie_derivatives(ex_e, hom_apply_calls,
                                                                    monkeypatch):
-    # L_a applies the anchor to a once per call; the duality defect reads the
-    # frame anchors of A instead of applying the anchor per (v, sigma)
+    # the anchor is applied to a once per Lie derivative, by the BasicTerms
+    # that hands rho(a) to L_a; the duality defect reads the frame anchors of
+    # A instead of applying the anchor per (v, sigma)
     lad, delta, _ = ex_e
     frames = lad.a_bundle.frame_sections()
-    lie_args = []
+    lie_args, handed = [], []
     for name in ("lie_der_v", "lie_der_sigma"):
         real = getattr(laops, name)
 
-        def counting(lad, a, t, real=real):
+        def counting(lad, a, t, rho_a=None, real=real):
             lie_args.append(a)
-            return real(lad, a, t)
+            handed.append(rho_a is not None)
+            return real(lad, a, t, rho_a=rho_a)
 
         monkeypatch.setattr(laops, name, counting)
     assert check_basic_identities(lad, delta).passed
     applied = Counter(id(s) for s in hom_apply_calls if any(s is a for a in frames))
     expected = Counter(id(s) for s in lie_args if any(s is a for a in frames))
     assert applied and applied == expected
+    assert handed and all(handed)

@@ -76,6 +76,13 @@ def test_partial_examples():
     assert p("x1+x2").partial("x2") == p("1")
 
 
+def test_gradient_examples():
+    a = p("x1^2*x2 - 3*x2 + 1/2")
+    assert a.gradient() == (p("2*x1*x2"), p("x1^2 - 3"))
+    assert p("7").gradient() == (p("0"), p("0"))
+    assert parse_poly("5", ()).gradient() == ()
+
+
 def test_extend():
     wide = p("x1*x2").extend(("x1", "y", "x2"))
     assert wide == parse_poly("x1*x2", ("x1", "y", "x2"))
@@ -98,6 +105,18 @@ def test_leibniz_rule(a, b):
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(a):
     assert a.partial("x1").partial("x2") == a.partial("x2").partial("x1")
+
+
+@given(small_polys)
+@settings(max_examples=60, deadline=None)
+def test_gradient_is_the_partials_built_once(a):
+    grad = a.gradient()
+    assert len(grad) == len(VARS)
+    for name, part in zip(VARS, grad):
+        assert part == a.partial(name)
+    assert a.gradient() is grad
+    constant = ScalarPoly.const(VARS, a.terms.get((0, 0), 0))
+    assert all(part.is_zero() for part in constant.gradient())
 
 
 @given(small_polys)

@@ -116,11 +116,16 @@ def test_calculus_matches_sympy(pair):
     a, b = pair
     product = a * b
     sp = to_sympy(product)
-    for name in VARS:
-        assert_matches(product.partial(name), sympy.diff(sp, SYMBOLS[name]))
+    gradient = product.gradient()
+    assert len(gradient) == len(VARS) and product.gradient() is gradient
+    for name, part in zip(VARS, gradient):
+        assert_matches(part, sympy.diff(sp, SYMBOLS[name]))
+        assert product.partial(name) is part
     wide = product.extend(WIDE)
     assert_matches(wide, sp, WIDE)
     assert_matches(wide.partial("w"), sympy.Integer(0), WIDE)
+    for name, part in zip(WIDE, wide.gradient()):
+        assert_matches(part, sympy.diff(sp, SYMBOLS[name]), WIDE)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

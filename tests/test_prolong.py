@@ -12,6 +12,7 @@ from courant_lab.prolong import (GeneratorAlgebra, canonical_form_check,
                                  linear_poisson_check, ta_generator_check,
                                  total_courant, total_pairing, total_patch_of,
                                  verify_splitting_theorems)
+from builders import flat_connection
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -88,7 +89,7 @@ def test_geometric_dirac_agreement():
     e = Bundle.vector(BASE, "E", ("c1", "c2"))
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
-    delta = im2form_dorfman(sigma, Connection.flat(e))
+    delta = im2form_dorfman(sigma, flat_connection(e))
     u = SubBundle("U", [delta.q.section(Dx1=1) - delta.q.section(c1s=1),
                         delta.q.section(Dx2=1) - delta.q.section(c2s=1)])
     k = SubBundle("K", [delta.b.section(c1=1, dx1=1), delta.b.section(c2=1, dx2=1)])
@@ -127,13 +128,13 @@ def test_canonical_form_identity_sigma():
     e = Bundle.vector(BASE, "E", ("c1", "c2"))
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
-    assert canonical_form_check(sigma, Connection.flat(e)).passed
+    assert canonical_form_check(sigma, flat_connection(e)).passed
 
 
 def test_canonical_form_zero_and_generic():
     e = Bundle.vector(BASE, "L", ("eps",))
     zero_sigma = HomSection.zero(e, Bundle.cotangent(BASE))
-    assert canonical_form_check(zero_sigma, Connection.flat(e)).passed
+    assert canonical_form_check(zero_sigma, flat_connection(e)).passed
     sigma = HomSection(e, Bundle.cotangent(BASE),
                        [[BASE.poly("x2")], [BASE.poly("x1*x1")]])
     conn = Connection(e, [[e.zero_section()], [e.section(eps="x1")]])
@@ -174,7 +175,7 @@ def test_ta_generators_tangent_plane():
     anchor = HomSection(a, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
-    delta = standard_dorfman(Connection.flat(a))
+    delta = standard_dorfman(flat_connection(a))
     assert ta_generator_check(lad, delta).passed
     alg = GeneratorAlgebra(lad, delta)
     out = alg.bracket(alg.sigma_gen(a.section(t1=1)),
@@ -189,7 +190,7 @@ def test_tilde_expansion_consistent_with_anchor():
     anchor = HomSection(a, Bundle.tangent(BASE),
                         [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
-    delta = standard_dorfman(Connection.flat(a))
+    delta = standard_dorfman(flat_connection(a))
     alg = GeneratorAlgebra(lad, delta)
     phi_a = a.section(t1="x2")
     elem = alg.tilde_of(phi_a)
