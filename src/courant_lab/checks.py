@@ -71,15 +71,15 @@ def _lad(spec, seed: int, bracket: AnchoredBracket) -> LieAlgebroidData:
                     lambda: LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed)))
 
 
-def _triple(spec, delta, u_sub, k_sub) -> VBTriple:
-    return _derived(spec, ("triple", delta, u_sub, k_sub),
-                    lambda: VBTriple(delta, u_sub, k_sub))
+def _triple(spec, seed: int, delta, u_sub, k_sub) -> VBTriple:
+    return _derived(spec, ("triple", delta, u_sub, k_sub, seed),
+                    lambda: VBTriple(delta, u_sub, k_sub, seed))
 
 
 def _manin_pair(spec, seed: int, bracket, *triple) -> Tuple[Optional[ManinPairData], CheckReport]:
     """build_manin_pair for the (A, Delta, U, K) of a check line."""
-    return _derived(spec, ("manin_pair", bracket, *triple, seed),
-                    lambda: build_manin_pair(_lad(spec, seed, bracket), _triple(spec, *triple)))
+    return _derived(spec, ("manin_pair", bracket, *triple, seed), lambda: build_manin_pair(
+        _lad(spec, seed, bracket), _triple(spec, seed, *triple)))
 
 
 def _section4(spec, seed, bracket, delta):
@@ -136,40 +136,40 @@ CHECKS: Dict[str, Check] = {
         lambda spec, seed, delta: [delta.check_skew()]),
     "dirac": Check(
         "sub-double-vector-bundle and Dirac conditions", _TRIPLE,
-        lambda spec, seed, *t: [check_dirac(_triple(spec, *t))]),
+        lambda spec, seed, *t: [check_dirac(_triple(spec, seed, *t))]),
     "geometric-dirac": Check(
         "total-space Dirac verification", _TRIPLE,
-        lambda spec, seed, *t: [check_geometric_dirac(_triple(spec, *t))]),
+        lambda spec, seed, *t: [check_geometric_dirac(_triple(spec, seed, *t))]),
     "bracket-well-defined": Check(
         "U-brackets agree across equivalent representatives", _TRIPLE,
-        lambda spec, seed, *t: [check_bracket_well_defined_on_u(_triple(spec, *t))]),
+        lambda spec, seed, *t: [check_bracket_well_defined_on_u(_triple(spec, seed, *t))]),
     "splitting-theorems": Check(
         "total-space pairing and bracket identities", ("dorfman",),
         lambda spec, seed, delta: [verify_splitting_theorems(delta)]),
     "la-dirac": Check(
         "LA-Dirac triple conditions", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [check_la_dirac(_lad(spec, seed, a), _triple(spec, *t))]),
+        lambda spec, seed, a, *t: [check_la_dirac(_lad(spec, seed, a), _triple(spec, seed, *t))]),
     "section4": Check(
         "Omega, Dorfman-like bracket, basic connections and curvature", ("bracket", "dorfman"),
         _section4),
     "identity-lemmas": Check(
         "basic-connection identity lemmas", _LA_TRIPLE,
         lambda spec, seed, a, delta, *uk: [check_identity_lemmas(
-            _lad(spec, seed, a), delta, _triple(spec, delta, *uk) if uk else None)],
+            _lad(spec, seed, a), delta, _triple(spec, seed, delta, *uk) if uk else None)],
         optional=2),
     "ruth-compat": Check(
         "mixed compatibility identities", _LA_TRIPLE,
         lambda spec, seed, a, delta, *uk: [check_ruth_compat(
-            _lad(spec, seed, a), delta, _triple(spec, delta, *uk))]),
+            _lad(spec, seed, a), delta, _triple(spec, seed, delta, *uk))]),
     "k-algebroid": Check(
         "induced Lie algebroid on K and its morphism to U", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [k_algebroid(_lad(spec, seed, a), _triple(spec, *t))[1]]),
+        lambda spec, seed, a, *t: [k_algebroid(_lad(spec, seed, a), _triple(spec, seed, *t))[1]]),
     "manin-pair": Check(
         "Courant algebroid on the quotient, with axioms and extension", _LA_TRIPLE,
         _manin_pair_line),
     "roundtrip": Check(
         "triple to Manin pair and back", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [roundtrip_check(_lad(spec, seed, a), _triple(spec, *t),
+        lambda spec, seed, a, *t: [roundtrip_check(_lad(spec, seed, a), _triple(spec, seed, *t),
                                                    built=_manin_pair(spec, seed, a, *t))]),
     "standard-iso": Check(
         "isomorphism with the standard Courant algebroid", _LA_TRIPLE + ("hom",),

@@ -14,18 +14,20 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket
-from .bundle import BundleError, Section, SubBundle, battery_functions
+from .bundle import BATTERY_SEED, BundleError, Section, SubBundle, battery_functions
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport
 
 
 @dataclass(frozen=True)
 class VBTriple:
-    """(U, K, [Delta]); immutable, so what is derived from it is computed once."""
+    """(U, K, [Delta]); immutable, so what is derived from it is computed
+    once.  seed seeds the random sections of the Lie checks run on it."""
 
     delta: DorfmanConnection
     u_sub: SubBundle
     k_sub: SubBundle
+    seed: int = BATTERY_SEED
 
     def __post_init__(self):
         if self.u_sub.ambient != self.delta.q or self.k_sub.ambient != self.delta.b:
@@ -132,7 +134,7 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
                     restricts = False
 
     if restricts and u_sub.rank:
-        lie = triple.restricted_bracket.check_lie()
+        lie = triple.restricted_bracket.check_lie(triple.seed)
         for witness in lie.witnesses:
             chk.require("restricted-lie", witness.inputs, False, witness.difference)
         if lie.passed:

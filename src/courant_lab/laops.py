@@ -78,6 +78,12 @@ class LieAlgebroidData:
     def sigma_bundle(self) -> Bundle:
         return self.a_bundle + Bundle.cotangent(self.base)
 
+    @cached_property
+    def frame_anchors(self) -> Tuple[Section, ...]:
+        """rho(a_k) for each frame element a_k of A, read off the bracket."""
+        tangent = Bundle.tangent(self.base)
+        return tuple(Section(tangent, rho) for rho in self.bracket.frame_rho)
+
     def pair_map(self) -> HomSection:
         """(rho, rho*): A + T*M -> TM + A*, assembled blockwise."""
         return self._pair_map
@@ -468,22 +474,23 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
                               u_sub.residual(value)):
                 restricts = False
     if restricts and u_sub.rank:
-        lie = triple.restricted_bracket.check_lie()
+        lie = triple.restricted_bracket.check_lie(triple.seed)
         for witness in lie.witnesses:
             chk.require("3-U-lie-algebroid", witness.inputs, False, witness.difference)
         if lie.passed:
             chk.require("3-U-lie-algebroid", "restricted bracket", True)
 
+    # R^bas(a, b) u reads nabla^bas_a u, which the implied check reads
+    # again, and every condition reads rho(a) of the same frame elements
+    terms = BasicTerms(lad, delta)
+    a_frames = lad.a_bundle.frame_sections()
     for k_i, k in enumerate(k_sub.sections):
-        for a_i, a in enumerate(lad.a_bundle.frame_sections()):
+        for a_i, a in enumerate(a_frames):
             for phi in functions:
-                value = basic_sigma(lad, delta, a, k.scale(phi))
+                value = terms.basic_sigma(a, k.scale(phi))
                 chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({phi})*k{k_i + 1})",
                            k_sub.residual(value))
 
-    # R^bas(a, b) u reads nabla^bas_a u, which the implied check reads again
-    terms = BasicTerms(lad, delta)
-    a_frames = lad.a_bundle.frame_sections()
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for u_i, u in enumerate(u_sub.sections):
@@ -578,7 +585,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
         return None, chk.report()
     anchors = [lad.bracket.rho(lad.a_part(k)) for k in k_sub.sections]
     k_bracket = AnchoredBracket.induced(k_sub, anchors, values)
-    lie = k_bracket.check_lie()
+    lie = k_bracket.check_lie(triple.seed)
     chk.require("lie", "induced bracket on K", lie.passed,
                 "; ".join(w.difference for w in lie.witnesses) or "failed")
     # morphism: anchors match and the pair map intertwines the brackets

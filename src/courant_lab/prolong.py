@@ -115,18 +115,10 @@ class LiftedSection:
         self.vf = tuple(vf)
         self.form = tuple(form)
 
-    def __add__(self, other: "LiftedSection") -> "LiftedSection":
-        return LiftedSection(self.total,
-                             [a + b for a, b in zip(self.vf, other.vf)],
-                             [a + b for a, b in zip(self.form, other.form)])
-
     def __sub__(self, other: "LiftedSection") -> "LiftedSection":
         return LiftedSection(self.total,
                              [a - b for a, b in zip(self.vf, other.vf)],
                              [a - b for a, b in zip(self.form, other.form)])
-
-    def __neg__(self) -> "LiftedSection":
-        return LiftedSection(self.total, [-a for a in self.vf], [-a for a in self.form])
 
     def scale(self, factor: ScalarPoly) -> "LiftedSection":
         return LiftedSection(self.total, [factor * a for a in self.vf],
@@ -594,7 +586,7 @@ class GeneratorAlgebra:
         out = [self.tp.zero()] * self.tp.dim
         if k < r:
             a = self.lad.a_bundle.frame_section(k)
-            rho_a = self.lad.bracket.rho(a)
+            rho_a = self.lad.frame_anchors[k]
             for i in range(n):
                 out[i] = self.tp.embed(rho_a.coeffs[i])
             for j in range(self.lad.v_bundle.rank):
@@ -619,8 +611,8 @@ class GeneratorAlgebra:
         a = self.lad.a_bundle.frame_section(k1)
         if k2 < r:
             return self.tilde_of(self.lad.bracket.bracket(a, self.lad.a_bundle.frame_section(k2)))
-        return self.dagger_of(lie_der_sigma(self.lad, a,
-                                            self.lad.sigma_bundle.frame_section(k2 - r)))
+        tau = self.lad.sigma_bundle.frame_section(k2 - r)
+        return self.dagger_of(lie_der_sigma(self.lad, a, tau, rho_a=self.lad.frame_anchors[k1]))
 
     def theta(self, elem: Section) -> Tuple[ScalarPoly, ...]:
         """The anchor of elem: a vector field on the total space, by components."""
@@ -681,12 +673,12 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
         for k in range(r):
-            a = lad.a_bundle.frame_section(k)
+            a, rho_a = lad.a_bundle.frame_section(k), lad.frame_anchors[k]
             lhs = alg.bracket(gens[k], hd)
             cols = []
             for v in lad.v_bundle.frame_sections():
-                cols.append(lie_der_sigma(lad, a, hom.apply(v))
-                            - hom.apply(lie_der_v(lad, a, v)))
+                cols.append(lie_der_sigma(lad, a, hom.apply(v), rho_a=rho_a)
+                            - hom.apply(lie_der_v(lad, a, v, rho_a=rho_a)))
             rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
             chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)", lhs - rhs)
         for m in range(lad.sigma_bundle.rank):
@@ -733,7 +725,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # (iii) anchors
     for i, a in enumerate(a_frames):
         vf = alg.theta(sig_frames[i])
-        expected = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
+        expected = [tp.embed(c) for c in lad.bracket.frame_rho[i]]
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.linear([

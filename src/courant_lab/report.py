@@ -48,10 +48,6 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    @property
-    def ok(self) -> bool:
-        return self.status in (PASS, NOT_APPLICABLE)
-
 
 class Checker:
     """Accumulates sub-check outcomes into one CheckReport."""

@@ -21,24 +21,22 @@ expressions (polynomial coefficients times frame names).
     target = T*M
     eps = x2*dx1
 
-    [anchor.rho]                # anchor image of each frame element
+    [anchor.rho]                # the same, with target TM
     bundle = A
     a1 = Dx1
 
     [bracket.A]                 # anchored bracket; unset pairs are zero
     bundle = A
-    anchor = rho
-    antisymmetric = yes
+    anchor = rho                # default: the zero anchor
+    antisymmetric = yes         # yes or no (the default)
     a1, a2 = a2
 
-    [dorfman.Delta]
-    e = E                       # canonical pre-dual of E; or:
-    # q = <bracket>, b = <bundle ref>, pairing = zero
-    standard-of = nabla         # or im2form-of = sigma, nabla
-    # or lie-derivative-of = <bracket>; explicit lines override:
-    Dx1, eps = 0
+    [dorfman.Delta]             # at most one constructor: standard-of = nabla,
+    e = E                       # im2form-of = sigma, nabla, lie-derivative-of = A
+    standard-of = nabla         # or pairing = zero (with bracket = A, b = B);
+    Dx1, eps = 0                # none: zero symbols on the canonical pre-dual of e
     shift Dx1, eps = x1*eps     # added on top (perturbed fixtures)
-    keep-bracket = yes          # keep the unshifted dual bracket
+    keep-bracket = yes          # keep the unshifted (or named) bracket; default no
 
     [subbundle.U]
     ambient = TM+E*
@@ -51,6 +49,14 @@ expressions (polynomial coefficients times frame names).
     [checks]
     dorfman-axioms = Delta
     xfail dirac = Delta, U, K   # expected to fail (negative fixture)
+
+KINDS declares each section kind once: its keys (those shown above), the
+values a key may take, the form of its other lines and its builder.
+bundle, source, target, ambient and standard are required.  An unknown
+key, a missing required key and a value a key does not take (yes or no;
+pairing only zero, standard only yes) are spec errors.  A given e must
+name the E with B = E + T*M for the connection's B (for standard-of and
+im2form-of, the bundle of their connection); only pairing reads b.
 
 Bundle references are sums over {TM, T*M, <name>, <name>*}; dual frames
 carry an 's' suffix (eps -> epss).  A section, and a key within one, may
@@ -65,13 +71,13 @@ wherever in the file the object is declared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebroid import AnchoredBracket
 from .bundle import Bundle, BundleError, HomSection, Patch, Section, SubBundle
 from .checks import CHECKS
-from .courant import CourantData, standard_courant
-from .dorfman import (Connection, DorfmanConnection, canonical_predual,
+from .courant import standard_courant
+from .dorfman import (Connection, DorfmanConnection, PreDual, canonical_predual,
                       im2form_dorfman, lie_derivative_dorfman, pr_tm_hom,
                       standard_dorfman, zero_predual)
 from .poly import PolyError, ScalarPoly, parse_poly
@@ -122,39 +128,36 @@ class StructureSpec:
     """All objects declared by one spec file."""
 
     base: Patch
-    bundles: Dict[str, Bundle]
-    connections: Dict[str, Connection]
-    homs: Dict[str, HomSection]
-    brackets: Dict[str, AnchoredBracket]
-    dorfmans: Dict[str, DorfmanConnection]
-    subbundles: Dict[str, SubBundle]
-    courants: Dict[str, CourantData]
+    objects: Dict[str, Dict[str, object]]  # section kind -> name -> object
     checks: List[Tuple[str, List[str], bool]]  # (check name, args, expect_fail)
     # objects the check runners derive from the declared ones, keyed by those objects
     _derived: Dict[tuple, object] = field(default_factory=dict, init=False,
                                           compare=False, repr=False)
 
-    def resolve_bundle_ref(self, ref: str) -> Bundle:
-        parts = [p.strip() for p in ref.split("+")]
-        out: Optional[Bundle] = None
-        for part in parts:
-            if part == "TM":
-                piece = Bundle.tangent(self.base)
-            elif part == "T*M":
-                piece = Bundle.cotangent(self.base)
-            elif part.endswith("*"):
-                name = part[:-1]
-                if name not in self.bundles:
-                    raise SpecError(f"unknown bundle {name!r} in reference {ref!r}")
-                piece = self.bundles[name].dual()
+    def resolve_bundle_ref(self, ref: str, line: Optional[int] = None) -> Bundle:
+        pieces = []
+        for part in (p.strip() for p in ref.split("+")):
+            name = part.removesuffix("*")
+            if part in ("TM", "T*M"):
+                pieces.append(Bundle.tangent(self.base) if part == "TM" else
+                              Bundle.cotangent(self.base))
+            elif name not in self.objects["bundle"]:
+                raise SpecError(f"unknown bundle {name!r} in reference {ref!r}", line)
             else:
-                if part not in self.bundles:
-                    raise SpecError(f"unknown bundle {part!r} in reference {ref!r}")
-                piece = self.bundles[part]
-            out = piece if out is None else out + piece
-        if out is None:
-            raise SpecError(f"empty bundle reference {ref!r}")
-        return out
+                bundle = self.objects["bundle"][name]
+                pieces.append(bundle.dual() if part.endswith("*") else bundle)
+        return sum(pieces[1:], pieces[0])
+
+    def lookup(self, kind: str, name: str, line: Optional[int] = None,
+               context: str = "") -> object:
+        """The object of this section kind and name; a SpecError, prefixed
+        by context, when the spec declares none."""
+        if name in self.objects[kind]:
+            return self.objects[kind][name]
+        others = [other for other, table in self.objects.items() if name in table]
+        problem = f"{name!r} is a {others[0]}, not a {kind}" if others else \
+            f"unknown {kind} {name!r}"
+        raise SpecError(context + problem, line)
 
     def resolve(self, name: str, args: Sequence[str], line: Optional[int] = None) -> list:
         """The declared objects the arguments of check `name` name, each one
@@ -165,18 +168,8 @@ class StructureSpec:
         if len(args) not in check.arity:
             counts = " or ".join(map(str, check.arity))
             raise SpecError(f"check {name!r} takes {counts} argument(s), got {len(args)}", line)
-        tables = {"bracket": self.brackets, "dorfman": self.dorfmans,
-                  "subbundle": self.subbundles, "courant": self.courants,
-                  "hom": self.homs, "connection": self.connections, "bundle": self.bundles}
-        objects = []
-        for position, (arg, kind) in enumerate(zip(args, check.kinds), start=1):
-            if arg not in tables[kind]:
-                others = [other for other, table in tables.items() if arg in table]
-                problem = f"{arg!r} is a {others[0]}, not a {kind}" if others else \
-                    f"unknown {kind} {arg!r}"
-                raise SpecError(f"check {name!r} argument {position}: {problem}", line)
-            objects.append(tables[kind][arg])
-        return objects
+        return [self.lookup(kind, arg, line, f"check {name!r} argument {position}: ")
+                for position, (arg, kind) in enumerate(zip(args, check.kinds), start=1)]
 
 
 def parse_section_expr(text: str, bundle: Bundle, line: Optional[int] = None) -> Section:
@@ -204,11 +197,225 @@ def parse_section_expr(text: str, bundle: Bundle, line: Optional[int] = None) ->
     return Section(bundle, tuple(coeffs))
 
 
-def _check_ident(name: str, line: Optional[int]) -> str:
-    if not name or not name[0].isalpha() or not name.isalnum():
-        raise SpecError(f"{name!r} is not a valid identifier "
-                        "(letter followed by letters or digits)", line)
-    return name
+def _idents(text: str, line: int) -> Tuple[str, ...]:
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    for name in names:
+        if not name[0].isalpha() or not name.isalnum():
+            raise SpecError(f"{name!r} is not a valid identifier "
+                            "(letter followed by letters or digits)", line)
+    return names
+
+
+def _header(sec: RawSection) -> str:
+    return f"[{sec.kind}.{sec.name}]" if sec.name else f"[{sec.kind}]"
+
+
+class _Body:
+    """One section checked against its kind: the keys it gives, each with
+    its line, and its other lines as (prefix, key, value, line)."""
+
+    def __init__(self, spec: Optional[StructureSpec], sec: RawSection, kind: "Kind"):
+        self.spec, self.sec = spec, sec
+        self.keys: Dict[str, Tuple[str, int]] = {}
+        self.lines: List[Tuple[str, str, str, int]] = []
+        for key, value, lineno in sec.entries:
+            if key in kind.required or key in kind.optional:
+                if value not in kind.choices.get(key, (value,)):
+                    raise SpecError(f"{key} = {value} in {_header(sec)}: expected "
+                                    + " or ".join(kind.choices[key]), lineno)
+                self.keys[key] = (value, lineno)
+            elif (prefix := next((p for p in kind.lines if key.startswith(p)), None)) is not None:
+                self.lines.append((prefix, key[len(prefix):].strip(), value, lineno))
+            else:
+                raise self.unknown(key, lineno)
+        for key in kind.required:
+            self.value(key)  # a SpecError when the section leaves it out
+        given = sorted((self.keys[key][1], key) for key in kind.one_of if key in self.keys)
+        if len(given) > 1:
+            raise SpecError(f"{_header(sec)} names both {given[0][1]} and {given[1][1]}; "
+                            "give at most one", given[1][0])
+
+    def unknown(self, key: str, line: int) -> SpecError:
+        return SpecError(f"unknown key {key!r} in {_header(self.sec)}", line)
+
+    def get(self, key: str) -> Tuple[str, int]:
+        """The value of a key and its line; the empty value when not given."""
+        return self.keys.get(key, ("", self.sec.line))
+
+    def value(self, key: str) -> Tuple[str, int]:
+        """The value of a key the section must give, and its line."""
+        if key not in self.keys:
+            raise SpecError(f"{_header(self.sec)} needs the key {key!r}", self.sec.line)
+        return self.keys[key]
+
+    def ref(self, key: str) -> Bundle:
+        return self.spec.resolve_bundle_ref(*self.value(key))
+
+    def named(self, kind: str, key: str):
+        value, line = self.value(key)
+        return self.spec.lookup(kind, value, line, f"{key}: ")
+
+    def cells(self, target: Bundle, *axes: Sequence[str]) -> List[Tuple[str, tuple, Section]]:
+        """(prefix, index per axis, value) of every line 'n1, n2 = expr',
+        n_k a name on axes[k] and expr a section of target."""
+        out = []
+        for prefix, key, value, lineno in self.lines:
+            names = [p.strip() for p in key.split(",")]
+            if len(names) != len(axes) or any(n not in axis for n, axis in zip(names, axes)):
+                raise self.unknown(prefix + key, lineno)
+            out.append((prefix, tuple(axis.index(n) for n, axis in zip(names, axes)),
+                        parse_section_expr(value, target, lineno)))
+        return out
+
+
+def _patch(body: _Body) -> Patch:
+    return Patch(_idents(*body.get("coords")))
+
+
+def _bundle(body: _Body) -> Bundle:
+    return Bundle.vector(body.spec.base, body.sec.name, _idents(*body.get("frame")))
+
+
+def _connection(body: _Body) -> Connection:
+    bundle, coords = body.ref("bundle"), body.spec.base.coords
+    gamma = [[bundle.zero_section()] * bundle.rank for _ in coords]
+    for _, (i, j), value in body.cells(bundle, coords, bundle.frame):
+        gamma[i][j] = value
+    return Connection(bundle, gamma)
+
+
+def _hom(body: _Body, source: Bundle, target: Bundle) -> HomSection:
+    cols = [target.zero_section()] * source.rank
+    for _, (i,), value in body.cells(target, source.frame):
+        cols[i] = value
+    return HomSection.from_columns(source, target, cols)
+
+
+def _bracket(body: _Body) -> AnchoredBracket:
+    bundle = body.ref("bundle")
+    anchor = body.named("hom", "anchor") if "anchor" in body.keys else \
+        HomSection.zero(bundle, Bundle.tangent(body.spec.base))
+    pairs = {ij: value for _, ij, value in body.cells(bundle, bundle.frame, bundle.frame)}
+    return AnchoredBracket.from_pairs(bundle, anchor, pairs,
+                                      antisymmetrize=body.get("antisymmetric")[0] == "yes")
+
+
+def _zero_symbols(predual: PreDual) -> List[List[Section]]:
+    return [[predual.b.zero_section()] * predual.b.rank for _ in range(predual.q.rank)]
+
+
+def _im2form_of(body: _Body) -> DorfmanConnection:
+    value, line = body.value("im2form-of")
+    names = [v.strip() for v in value.split(",")]
+    if len(names) != 2:
+        raise SpecError("im2form-of needs 'hom, connection'", line)
+    return im2form_dorfman(*(body.spec.lookup(kind, name, line, "im2form-of: ")
+                             for kind, name in zip(("hom", "connection"), names)))
+
+
+def _zero_pairing(body: _Body) -> DorfmanConnection:
+    bracket = body.named("bracket", "bracket")
+    predual = zero_predual(bracket.bundle, body.ref("b"))
+    return DorfmanConnection(predual, bracket, _zero_symbols(predual))
+
+
+# the constructors a [dorfman] section may name
+_DORFMAN_FORMS: Dict[str, Callable[[_Body], DorfmanConnection]] = {
+    "standard-of": lambda body: standard_dorfman(body.named("connection", "standard-of")),
+    "im2form-of": _im2form_of,
+    "lie-derivative-of": lambda body: lie_derivative_dorfman(
+        body.named("bracket", "lie-derivative-of")),
+    "pairing": _zero_pairing,
+}
+
+
+def _dorfman(body: _Body) -> DorfmanConnection:
+    form = next((key for key in _DORFMAN_FORMS if key in body.keys), None)
+    if form:
+        delta = _DORFMAN_FORMS[form](body)
+    else:
+        predual = canonical_predual(body.ref("e"))
+        delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q),
+                                                    _zero_symbols(predual))
+    # delta acts on E + T*M for the E that e names
+    if "e" in body.keys and body.ref("e") + Bundle.cotangent(body.spec.base) != delta.b:
+        raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
+                        f"{form} = {body.get(form)[0]}", body.keys["e"][1])
+    if "b" in body.keys and form != "pairing":
+        raise SpecError("b is read only with pairing = zero", body.keys["b"][1])
+    bracket = body.named("bracket", "bracket") if "bracket" in body.keys else delta.bracket
+    cells = body.cells(delta.b, delta.q.frame, delta.b.frame)
+    if not cells:
+        return delta
+    symbols = [list(row) for row in delta.symbols]
+    # explicit symbols first, then the shifts on top of them
+    for prefix, (i, j), value in sorted(cells, key=lambda cell: cell[0]):
+        symbols[i][j] = symbols[i][j] + value if prefix else value
+    if form == "pairing" or body.get("keep-bracket")[0] == "yes":
+        return DorfmanConnection(delta.predual, bracket, symbols)
+    return DorfmanConnection.with_dual_bracket(delta.predual, delta.bracket.anchor, symbols)
+
+
+def _subbundle(body: _Body) -> SubBundle:
+    ambient = body.ref("ambient")
+    span, line = body.get("span")
+    return SubBundle(body.sec.name, [parse_section_expr(piece, ambient, line)
+                                     for piece in span.split(";") if piece.strip()], ambient)
+
+
+def _courant(body: _Body):
+    courant = standard_courant(body.spec.base)
+    frame = courant.bundle.frame
+    for _, (i, j), value in body.cells(courant.bundle, frame, frame):
+        courant = courant.shifted(i, j, value)
+    return courant
+
+
+def _checks(body: _Body) -> None:
+    for prefix, name, value, lineno in body.lines:
+        if name not in CHECKS:
+            raise SpecError(f"unknown check {name!r}", lineno)
+        args = [v.strip() for v in value.split(",") if v.strip()]
+        body.spec.checks.append((name, args, prefix == "xfail "))
+
+
+class Kind(NamedTuple):
+    """One section kind.  lines lists the prefixes its other lines may
+    carry ('' for a plain line; none when every line is a key); build makes
+    its object, filed under store, from the checked section."""
+
+    required: Tuple[str, ...]
+    optional: Tuple[str, ...]
+    lines: Tuple[str, ...]
+    build: Callable[[_Body], object]
+    store: Optional[str] = None
+    choices: Dict[str, Tuple[str, ...]] = {}  # the values a key may take
+    one_of: Tuple[str, ...] = ()  # keys of which a section gives at most one
+
+
+YES_NO = ("yes", "no")
+
+# The section kinds that declare objects come first, in the order a name
+# declared by several kinds is reported.
+KINDS: Dict[str, Kind] = {
+    "bracket": Kind(("bundle",), ("anchor", "antisymmetric"), ("",), _bracket, "bracket",
+                    {"antisymmetric": YES_NO}),
+    "dorfman": Kind((), ("e", "b", "bracket", "keep-bracket", *_DORFMAN_FORMS),
+                    ("shift ", ""), _dorfman, "dorfman",
+                    {"keep-bracket": YES_NO, "pairing": ("zero",)}, tuple(_DORFMAN_FORMS)),
+    "subbundle": Kind(("ambient",), ("span",), (), _subbundle, "subbundle"),
+    "courant": Kind(("standard",), (), ("shift ",), _courant, "courant",
+                    {"standard": ("yes",)}),
+    "hom": Kind(("source", "target"), (), ("",),
+                lambda body: _hom(body, body.ref("source"), body.ref("target")), "hom"),
+    "anchor": Kind(("bundle",), (), ("",),
+                   lambda body: _hom(body, body.ref("bundle"), Bundle.tangent(body.spec.base)),
+                   "hom"),
+    "connection": Kind(("bundle",), (), ("",), _connection, "connection"),
+    "bundle": Kind((), ("frame",), (), _bundle, "bundle"),
+    "patch": Kind((), ("coords",), (), _patch),
+    "checks": Kind((), (), ("xfail ", ""), _checks),
+}
 
 
 def parse_spec(text: str) -> StructureSpec:
@@ -216,20 +423,22 @@ def parse_spec(text: str) -> StructureSpec:
     patch = next((sec for sec in sections if sec.kind == "patch"), None)
     if patch is None:
         raise SpecError("missing [patch] section")
-    coords: Tuple[str, ...] = ()
-    for key, value, lineno in patch.entries:
-        if key != "coords":
-            raise SpecError(f"unknown patch key {key!r}", lineno)
-        coords = tuple(_check_ident(v.strip(), lineno) for v in value.split(",") if v.strip())
-
-    spec = StructureSpec(Patch(coords), {}, {}, {}, {}, {}, {}, {}, [])
+    spec = StructureSpec(_patch(_Body(None, patch, KINDS["patch"])),
+                         {kind.store: {} for kind in KINDS.values() if kind.store}, [])
     declared: Dict[Tuple[str, str], RawSection] = {}
     for sec in sections:
-        _reject_repeats(sec, declared)
+        kind = KINDS.get(sec.kind)
+        if kind is None:
+            raise SpecError(f"unknown section kind {sec.kind!r}", sec.line)
+        _reject_repeats(sec, kind, declared)
+        if sec is patch:
+            continue
         try:
-            _build_section(spec, sec)
+            built = kind.build(_Body(spec, sec, kind))
         except (BundleError, PolyError) as exc:
-            raise SpecError(f"in [{sec.kind}.{sec.name}]: {exc}", sec.line) from exc
+            raise SpecError(f"in {_header(sec)}: {exc}", sec.line) from exc
+        if kind.store:
+            spec.objects[kind.store][sec.name] = built
     # objects may be declared after [checks], so argument counts and names
     # are checked at the end
     check_lines = [lineno for sec in sections if sec.kind == "checks"
@@ -239,17 +448,13 @@ def parse_spec(text: str) -> StructureSpec:
     return spec
 
 
-def _header(sec: RawSection) -> str:
-    return f"[{sec.kind}.{sec.name}]" if sec.name else f"[{sec.kind}]"
-
-
-def _reject_repeats(sec: RawSection, declared: Dict[Tuple[str, str], RawSection]) -> None:
+def _reject_repeats(sec: RawSection, kind: Kind,
+                    declared: Dict[Tuple[str, str], RawSection]) -> None:
     """A section and a key within it are declared once; [anchor.X] and
     [hom.X] both declare the bundle map X.  [checks] lines may repeat."""
     if sec.kind == "checks":
         return
-    slot = ("hom" if sec.kind == "anchor" else sec.kind, sec.name)
-    first = declared.setdefault(slot, sec)
+    first = declared.setdefault((kind.store or sec.kind, sec.name), sec)
     if first is not sec:
         raise SpecError(f"{_header(sec)} repeats the declaration {_header(first)} "
                         f"on line {first.line}", sec.line)
@@ -258,209 +463,3 @@ def _reject_repeats(sec: RawSection, declared: Dict[Tuple[str, str], RawSection]
         if key in keys:
             raise SpecError(f"key {key!r} in {_header(sec)} repeats line {keys[key]}", lineno)
         keys[key] = lineno
-
-
-def _entries_dict(sec: RawSection) -> Dict[str, str]:
-    return {key: value for key, value, _ in sec.entries}
-
-
-def _build_section(spec: StructureSpec, sec: RawSection) -> None:
-    if sec.kind == "patch":
-        return
-    if sec.kind == "bundle":
-        data = _entries_dict(sec)
-        frame = tuple(_check_ident(v.strip(), sec.line)
-                      for v in data.get("frame", "").split(",") if v.strip())
-        spec.bundles[sec.name] = Bundle.vector(spec.base, sec.name, frame)
-        return
-    if sec.kind == "connection":
-        data = _entries_dict(sec)
-        bundle = spec.resolve_bundle_ref(data["bundle"])
-        gamma = [[bundle.zero_section() for _ in range(bundle.rank)]
-                 for _ in range(spec.base.dim)]
-        for key, value, lineno in sec.entries:
-            if key == "bundle":
-                continue
-            coord, _, frame_name = (p.strip() for p in key.partition(","))
-            if coord not in spec.base.coords or frame_name not in bundle.frame:
-                raise SpecError(f"bad connection key {key!r}", lineno)
-            gamma[spec.base.coords.index(coord)][bundle.frame.index(frame_name)] = \
-                parse_section_expr(value, bundle, lineno)
-        spec.connections[sec.name] = Connection(bundle, gamma)
-        return
-    if sec.kind == "hom":
-        data = _entries_dict(sec)
-        source = spec.resolve_bundle_ref(data["source"])
-        target = spec.resolve_bundle_ref(data["target"])
-        cols = [target.zero_section() for _ in range(source.rank)]
-        for key, value, lineno in sec.entries:
-            if key in ("source", "target"):
-                continue
-            if key not in source.frame:
-                raise SpecError(f"{key!r} is not a source frame name", lineno)
-            cols[source.frame.index(key)] = parse_section_expr(value, target, lineno)
-        spec.homs[sec.name] = HomSection.from_columns(source, target, cols)
-        return
-    if sec.kind == "anchor":
-        data = _entries_dict(sec)
-        bundle = spec.resolve_bundle_ref(data["bundle"])
-        tangent = Bundle.tangent(spec.base)
-        cols = [tangent.zero_section() for _ in range(bundle.rank)]
-        for key, value, lineno in sec.entries:
-            if key == "bundle":
-                continue
-            if key not in bundle.frame:
-                raise SpecError(f"{key!r} is not a frame name of the bundle", lineno)
-            cols[bundle.frame.index(key)] = parse_section_expr(value, tangent, lineno)
-        spec.homs[sec.name] = HomSection.from_columns(bundle, tangent, cols)
-        return
-    if sec.kind == "bracket":
-        data = _entries_dict(sec)
-        bundle = spec.resolve_bundle_ref(data["bundle"])
-        tangent = Bundle.tangent(spec.base)
-        if "anchor" in data:
-            anchor = spec.homs.get(data["anchor"])
-            if anchor is None:
-                raise SpecError(f"unknown anchor {data['anchor']!r}", sec.line)
-        else:
-            anchor = HomSection.zero(bundle, tangent)
-        anti = data.get("antisymmetric", "no") == "yes"
-        pairs = {}
-        for key, value, lineno in sec.entries:
-            if key in ("bundle", "anchor", "antisymmetric"):
-                continue
-            f1, _, f2 = (p.strip() for p in key.partition(","))
-            if f1 not in bundle.frame or f2 not in bundle.frame:
-                raise SpecError(f"bad bracket key {key!r}", lineno)
-            pairs[(bundle.frame.index(f1), bundle.frame.index(f2))] = \
-                parse_section_expr(value, bundle, lineno)
-        spec.brackets[sec.name] = AnchoredBracket.from_pairs(
-            bundle, anchor, pairs, antisymmetrize=anti)
-        return
-    if sec.kind == "dorfman":
-        _build_dorfman(spec, sec)
-        return
-    if sec.kind == "subbundle":
-        data = _entries_dict(sec)
-        ambient = spec.resolve_bundle_ref(data["ambient"])
-        span_text = data.get("span", "")
-        sections = []
-        for piece in span_text.split(";"):
-            piece = piece.strip()
-            if piece:
-                sections.append(parse_section_expr(piece, ambient, sec.line))
-        spec.subbundles[sec.name] = SubBundle(sec.name, sections, ambient)
-        return
-    if sec.kind == "courant":
-        data = _entries_dict(sec)
-        if data.get("standard", "no") != "yes":
-            raise SpecError("only standard = yes Courant data is supported", sec.line)
-        courant = standard_courant(spec.base)
-        for key, value, lineno in sec.entries:
-            if not key.startswith("shift "):
-                continue
-            f1, _, f2 = (p.strip() for p in key[len("shift "):].partition(","))
-            if f1 not in courant.bundle.frame or f2 not in courant.bundle.frame:
-                raise SpecError(f"bad shift key {key!r}", lineno)
-            i, j = courant.bundle.frame.index(f1), courant.bundle.frame.index(f2)
-            courant = courant.shifted(i, j, parse_section_expr(value, courant.bundle, lineno))
-        spec.courants[sec.name] = courant
-        return
-    if sec.kind == "checks":
-        for key, value, lineno in sec.entries:
-            expect_fail = False
-            name = key
-            if key.startswith("xfail "):
-                expect_fail = True
-                name = key[len("xfail "):].strip()
-            if name not in CHECKS:
-                raise SpecError(f"unknown check {name!r}", lineno)
-            args = [v.strip() for v in value.split(",") if v.strip()]
-            spec.checks.append((name, args, expect_fail))
-        return
-    raise SpecError(f"unknown section kind {sec.kind!r}", sec.line)
-
-
-def _build_dorfman(spec: StructureSpec, sec: RawSection) -> None:
-    data = _entries_dict(sec)
-    named_bracket = spec.brackets.get(data["bracket"]) if "bracket" in data else None
-
-    if data.get("pairing") == "zero":
-        if named_bracket is None:
-            raise SpecError("a zero-pairing connection needs an explicit bracket", sec.line)
-        b_bundle = spec.resolve_bundle_ref(data["b"])
-        predual = zero_predual(named_bracket.bundle, b_bundle)
-        symbols = [[predual.b.zero_section() for _ in range(predual.b.rank)]
-                   for _ in range(predual.q.rank)]
-        _apply_symbol_lines(spec, sec, predual, symbols)
-        spec.dorfmans[sec.name] = DorfmanConnection(predual, named_bracket, symbols)
-        return
-
-    if "lie-derivative-of" in data:
-        bracket = spec.brackets.get(data["lie-derivative-of"])
-        if bracket is None:
-            raise SpecError(f"unknown bracket {data['lie-derivative-of']!r}", sec.line)
-        spec.dorfmans[sec.name] = lie_derivative_dorfman(bracket)
-        return
-
-    if "standard-of" in data:
-        conn = spec.connections.get(data["standard-of"])
-        if conn is None:
-            raise SpecError(f"unknown connection {data['standard-of']!r}", sec.line)
-        delta = standard_dorfman(conn)
-    elif "im2form-of" in data:
-        names = [v.strip() for v in data["im2form-of"].split(",")]
-        if len(names) != 2 or names[0] not in spec.homs or names[1] not in spec.connections:
-            raise SpecError("im2form-of needs 'hom, connection'", sec.line)
-        delta = im2form_dorfman(spec.homs[names[0]], spec.connections[names[1]])
-    else:
-        e_bundle = spec.resolve_bundle_ref(data["e"])
-        predual = canonical_predual(e_bundle)
-        symbols = [[predual.b.zero_section() for _ in range(predual.b.rank)]
-                   for _ in range(predual.q.rank)]
-        delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q), symbols)
-
-    symbols = [list(row) for row in delta.symbols]
-    changed = _apply_symbol_lines(spec, sec, delta.predual, symbols)
-    shifted = _apply_shift_lines(spec, sec, delta.predual, symbols)
-    if changed or shifted:
-        if data.get("keep-bracket") == "yes":
-            bracket = named_bracket or delta.bracket
-            spec.dorfmans[sec.name] = DorfmanConnection(delta.predual, bracket, symbols)
-        else:
-            spec.dorfmans[sec.name] = DorfmanConnection.with_dual_bracket(
-                delta.predual, delta.bracket.anchor, symbols)
-    else:
-        spec.dorfmans[sec.name] = delta
-
-
-_DORFMAN_KEYS = {"e", "q", "b", "bracket", "pairing", "standard-of", "im2form-of",
-                 "lie-derivative-of", "keep-bracket"}
-
-
-def _apply_symbol_lines(spec: StructureSpec, sec: RawSection, predual, symbols) -> bool:
-    changed = False
-    for key, value, lineno in sec.entries:
-        if key in _DORFMAN_KEYS or key.startswith("shift "):
-            continue
-        f1, _, f2 = (p.strip() for p in key.partition(","))
-        if f1 not in predual.q.frame or f2 not in predual.b.frame:
-            raise SpecError(f"bad symbol key {key!r}", lineno)
-        i, j = predual.q.frame.index(f1), predual.b.frame.index(f2)
-        symbols[i][j] = parse_section_expr(value, predual.b, lineno)
-        changed = True
-    return changed
-
-
-def _apply_shift_lines(spec: StructureSpec, sec: RawSection, predual, symbols) -> bool:
-    changed = False
-    for key, value, lineno in sec.entries:
-        if not key.startswith("shift "):
-            continue
-        f1, _, f2 = (p.strip() for p in key[len("shift "):].partition(","))
-        if f1 not in predual.q.frame or f2 not in predual.b.frame:
-            raise SpecError(f"bad shift key {key!r}", lineno)
-        i, j = predual.q.frame.index(f1), predual.b.frame.index(f2)
-        symbols[i][j] = symbols[i][j] + parse_section_expr(value, predual.b, lineno)
-        changed = True
-    return changed

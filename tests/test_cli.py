@@ -40,7 +40,7 @@ dorfman-axioms = Delta
 def test_parse_minimal_spec():
     spec = parse_spec(MINIMAL)
     assert spec.base.coords == ("x1", "x2")
-    assert "Delta" in spec.dorfmans
+    assert "Delta" in spec.objects["dorfman"]
     assert spec.checks == [("dorfman-axioms", ["Delta"], False)]
 
 
@@ -289,6 +289,58 @@ def test_repeated_declarations_are_spec_errors(tmp_path, capsys, text, line, mes
     assert f"line {line}: {message}" in capsys.readouterr().err
 
 
+TRIVIAL = catalog_text("trivial")
+
+
+def _with(text, after, added):
+    """text with the line `added` inserted after the line `after`."""
+    return text.replace(after + "\n", f"{after}\n{added}\n", 1)
+
+
+# (spec text, the line the error names, a fragment of its message)
+MALFORMED = {
+    "missing-bundle": (MINIMAL.replace("bundle = E\n", ""), "[connection.nabla]",
+                       "[connection.nabla] needs the key 'bundle'"),
+    "missing-target": (MINIMAL + "\n[hom.sigma]\nsource = E\neps = x2*dx1\n", "[hom.sigma]",
+                       "[hom.sigma] needs the key 'target'"),
+    "missing-ambient": (MINIMAL + "\n[subbundle.U]\nspan = Dx1\n", "[subbundle.U]",
+                        "[subbundle.U] needs the key 'ambient'"),
+    "missing-b": (TRIVIAL.replace("b = B\n", ""), "[dorfman.T]",
+                  "[dorfman.T] needs the key 'b'"),
+    "bundle-fram": (_with(MINIMAL, "frame = eps", "fram = eps"), "fram = eps",
+                    "unknown key 'fram' in [bundle.E]"),
+    "courant-shfit": (_with(COURANT, "standard = yes", "shfit Dx1, dx1 = dx1"),
+                      "shfit Dx1, dx1 = dx1", "unknown key 'shfit Dx1, dx1' in [courant.C]"),
+    "subbundle-spam": (MINIMAL + "\n[subbundle.U]\nambient = TM\nspam = 1\n", "spam = 1",
+                       "unknown key 'spam' in [subbundle.U]"),
+    "dorfman-q": (_with(MINIMAL, "standard-of = nabla", "q = E"), "q = E",
+                  "unknown key 'q' in [dorfman.Delta]"),
+    "antisymmetric-yse": (TRIVIAL.replace("antisymmetric = yes", "antisymmetric = yse"),
+                          "antisymmetric = yse", "expected yes or no"),
+    "keep-bracket-maybe": (_with(MINIMAL, "standard-of = nabla", "keep-bracket = maybe"),
+                           "keep-bracket = maybe", "expected yes or no"),
+    "two-constructors": (_with(catalog_text("im2form"), "im2form-of = sigma, nabla",
+                               "standard-of = nabla"), "standard-of = nabla",
+                         "names both im2form-of and standard-of"),
+    "e-not-the-connection-bundle": (
+        _with(MINIMAL, "frame = eps", "[bundle.F]\nframe = f").replace("\ne = E", "\ne = F"),
+        "e = F", "e = F is not the bundle E of standard-of = nabla"),
+    "unknown-bracket": (_with(MINIMAL, "standard-of = nabla", "bracket = Nope"),
+                        "bracket = Nope", "unknown bracket 'Nope'"),
+}
+
+
+@pytest.mark.parametrize("text,line,message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_sections_are_spec_errors(tmp_path, capsys, text, line, message):
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    lineno = text.splitlines().index(line) + 1
+    assert re.fullmatch(rf"spec error: line {lineno}: [^\n]*\n", captured.err), captured.err
+    assert message in captured.err and captured.out == ""
+
+
 def test_repeated_check_lines_stay_legal():
     text = MINIMAL + "dorfman-axioms = Delta\n\n[checks]\ndorfman-axioms = Delta\n"
     assert parse_spec(text).checks == [("dorfman-axioms", ["Delta"], False)] * 3
@@ -381,6 +433,18 @@ def test_derived_objects_are_computed_once_per_spec(monkeypatch):
     assert counts["manin-pair"] == 1  # manin-pair, roundtrip, standard-iso, recover-perturbed
 
 
+def test_dirac_draws_its_random_sections_from_the_line_seed():
+    # the restricted bracket of line-bundle-r2's full triple is not Lie, so
+    # its random Jacobi witnesses show which seed the battery ran at
+    spec = parse_spec(catalog_text("line-bundle-r2"))
+    witnesses = {}
+    for seed in (7, 11):
+        [report] = run_check(spec, "dirac", ["Delta", "U", "K"], seed)
+        witnesses[seed] = [(w.inputs, w.difference) for w in report.witnesses
+                           if w.identity == "restricted-lie" and "random" in w.inputs]
+    assert witnesses[7] and witnesses[11] and witnesses[7] != witnesses[11]
+
+
 def test_derived_objects_do_not_outlive_their_spec(monkeypatch):
     counts = _count_computations(monkeypatch)
     text = catalog_text("im2form-zero")
@@ -433,7 +497,7 @@ def test_lines_on_a_non_lie_bracket_share_one_check(monkeypatch):
 
 def _im2form_zero_objects():
     spec = parse_spec(catalog_text("im2form-zero"))
-    return checks._lad(spec, 7, spec.brackets["A"]), spec.dorfmans["Delta"]
+    return checks._lad(spec, 7, spec.lookup("bracket", "A")), spec.lookup("dorfman", "Delta")
 
 
 def _count_pairs(monkeypatch, module, name):
@@ -495,8 +559,8 @@ def test_perturbed_generator_table_fails_ta_generators(monkeypatch):
 
 def test_ruth_compat_applies_delta_once_per_pair(monkeypatch):
     spec = parse_spec(catalog_text("im2form-zero"))
-    lad = checks._lad(spec, 7, spec.brackets["A"])
-    triple = checks._triple(spec, *spec.resolve("dirac", ["Delta", "U", "K"]))
+    lad = checks._lad(spec, 7, spec.lookup("bracket", "A"))
+    triple = checks._triple(spec, 7, *spec.resolve("dirac", ["Delta", "U", "K"]))
     counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
     assert laops.check_ruth_compat(lad, triple.delta, triple).passed
     assert counts and max(counts.values()) == 1
@@ -542,7 +606,7 @@ xfail splitting-theorems = Delta
 
 
 def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
-    delta = parse_spec(CURVED).dorfmans["Delta"]
+    delta = parse_spec(CURVED).lookup("dorfman", "Delta")
     counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
@@ -559,9 +623,12 @@ def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):
     assert max(counts["basic_v"].values(), default=0) <= 1
 
 
-def test_identity_lemmas_apply_the_anchor_once_per_section(monkeypatch):
+def _anchor_applications(monkeypatch, name, args):
+    """Runs one im2form-zero line and counts how often the anchor of A is
+    applied to each section object; the sections are kept alive, so no two
+    share an id."""
     spec = parse_spec(catalog_text("im2form-zero"))
-    anchor = spec.brackets["A"].anchor
+    anchor = spec.lookup("bracket", "A").anchor
     applied, kept = Counter(), []
     real = HomSection.apply
 
@@ -572,8 +639,23 @@ def test_identity_lemmas_apply_the_anchor_once_per_section(monkeypatch):
         return real(self, section)
 
     monkeypatch.setattr(HomSection, "apply", counting)
-    [report] = run_check(spec, "identity-lemmas", ["A", "Delta", "U", "K"], 7)
+    [report] = run_check(spec, name, args, 7)
     assert report.status == "pass"
+    return applied
+
+
+def test_identity_lemmas_apply_the_anchor_once_per_section(monkeypatch):
+    applied = _anchor_applications(monkeypatch, "identity-lemmas", ["A", "Delta", "U", "K"])
+    assert applied and max(applied.values()) == 1
+
+
+@pytest.mark.parametrize("name,args", [("la-dirac", ["A", "Delta", "U", "K"]),
+                                       ("ta-generators", ["A", "Delta"])],
+                         ids=["la-dirac", "ta-generators"])
+def test_anchor_is_applied_once_per_section(monkeypatch, name, args):
+    # the anchor of each A frame element is read off the bracket's frame
+    # table or from the check's own table of terms
+    applied = _anchor_applications(monkeypatch, name, args)
     assert applied and max(applied.values()) == 1
 
 
@@ -598,7 +680,7 @@ def test_curvature_line_renders_each_battery_function_once(monkeypatch):
 def test_frame_curvatures_are_built_once_per_spec(monkeypatch):
     # R(q_i, q_j) is the only endomorphism of B assembled by these two lines
     spec = parse_spec(CURVED)
-    delta = spec.dorfmans["Delta"]
+    delta = spec.lookup("dorfman", "Delta")
     built = []
     real = HomSection.from_columns
 

@@ -94,7 +94,7 @@ def _same_connection(one, two):
 def test_with_dual_bracket_matches_the_two_step_construction_on_the_catalog():
     checked = 0
     for name in catalog_names():
-        for delta in parse_spec(catalog_text(name)).dorfmans.values():
+        for delta in parse_spec(catalog_text(name)).objects["dorfman"].values():
             if not delta.predual.canonical:
                 continue  # a zero pairing determines no dual bracket
             anchor = delta.bracket.anchor
