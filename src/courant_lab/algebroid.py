@@ -1,21 +1,32 @@
-"""Anchored brackets on trivialized bundles.
+"""Anchored brackets on trivialized bundles, and the bracket axioms.
 
 An AnchoredBracket stores an anchor matrix and the bracket values on frame
 pairs; the bracket of arbitrary sections is `bundle.leibniz` applied to
 that frame table, so the Leibniz identity holds by construction.
 Structure functions are stored for all ordered pairs: antisymmetry is a
 checkable property, never an assumption.
+
+record_jacobi (Jacobi in Leibniz form), record_symmetrized,
+record_anchor_morphism, record_metric (axiom (c)) and record_right_leibniz
+(axiom (b)) are the one kernel per Courant algebroid identity (Liu,
+Weinstein and Xu) for every check that verifies one.  Each reads the
+values its check already holds, over a Battery; only this module reads
+the battery layout.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, leibniz, random_sections, vf_bracket,
+                     battery_functions, leibniz, random_sections, vf_apply, vf_bracket,
                      BATTERY_SEED)
+from .poly import ScalarPoly
 from .report import Checker, CheckReport
+
+Entries = Sequence[Tuple[str, Section]]  # labelled sections
+Table = Sequence[Sequence[Section]]  # op(s_p, s_q) over a Battery
 
 
 class AnchoredBracket:
@@ -80,13 +91,9 @@ class AnchoredBracket:
     def check_anchor_compat(self) -> CheckReport:
         """rho[q, q'] = [rho q, rho q'] on frames and the coefficient battery."""
         chk = Checker("anchor-compat", "anchor intertwines the bracket with vector fields")
-        batt = battery_sections(self.bundle)
-        anchors = [self.rho(q) for _, q in batt]
-        for p, (label1, q1) in enumerate(batt):
-            for q, (label2, q2) in enumerate(batt):
-                lhs = self.rho(self.bracket(q1, q2))
-                rhs = vf_bracket(anchors[p], anchors[q])
-                chk.record("anchor-compat", f"({label1}; {label2})", lhs - rhs)
+        batt = Battery.of(self.bundle)
+        record_anchor_morphism(chk, "anchor-compat", batt, batt.table(self.bracket), self.anchor,
+                               [self.rho(q) for q in batt.sections])
         return chk.report()
 
     def check_lie(self, seed: int = BATTERY_SEED) -> CheckReport:
@@ -101,26 +108,11 @@ class AnchoredBracket:
 
     def _lie_report(self, seed: int) -> CheckReport:
         chk = Checker("lie", "bracket is antisymmetric and satisfies the Jacobi identity")
-        batt = battery_sections(self.bundle)
-        sections = [q for _, q in batt]
-        pairs = [[self.bracket(q1, q2) for q2 in sections] for q1 in sections]
-        for p, (label1, q1) in enumerate(batt):
-            for q, (label2, q2) in enumerate(batt):
-                chk.record("antisymmetry", f"({label1}; {label2})", pairs[p][q] + pairs[q][p])
-        frames = self.bundle.frame_sections()
-        names = self.bundle.frame
-        # row l * w of pairs is [q_l, .] (see battery_sections); nested[i][j][k]
-        # = [q_i, [q_j, s_k]] is the last jacobiator term of (i, j, k) and the
-        # middle one of (j, i, k)
-        w = len(battery_functions(self.bundle.patch))
-        nested = [[[self.bracket(q1, value) for value in pairs[j * w]]
-                   for j in range(len(frames))] for q1 in frames]
-        for i in range(len(frames)):
-            for j in range(len(frames)):
-                for k, (label3, q3) in enumerate(batt):
-                    chk.record("jacobi", f"({names[i]}; {names[j]}; {label3})",
-                               self.bracket(pairs[i * w][j * w], q3)
-                               + nested[j][i][k] - nested[i][j][k])
+        batt = Battery.of(self.bundle)
+        pairs = batt.table(self.bracket)
+        record_symmetrized(chk, "antisymmetry", batt, pairs)
+        # [[q_i, q_j], s] + [q_j, [q_i, s]] - [q_i, [q_j, s]]: the Courant form negated
+        record_jacobi(chk, "jacobi", batt, self.bracket, pairs, negate=True)
         rng = random.Random(seed)
         randoms = random_sections(self.bundle, 8, rng)
         for k in range(len(randoms) - 2):
@@ -155,18 +147,102 @@ class AnchoredBracket:
         return AnchoredBracket.induced(sub, [self.rho(sec) for sec in sub.sections], values)
 
 
-def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
-    """Frame sections multiplied by the deterministic function battery.
+# -- the bracket axioms over a battery ------------------------------------------
 
-    Frame section l times battery function f is entry l * w + f, for w
-    battery functions; function 0 is the constant 1, so entry l * w is
-    frame section l itself.
-    """
-    functions = battery_functions(bundle.patch)
-    # each function is rendered once; the constant 1 labels its entry by the frame name
-    prefixes = [""] + [f"({phi})*" for phi in functions[1:]]
-    out = []
-    for name, sec in zip(bundle.frame, bundle.frame_sections()):
-        for phi, prefix in zip(functions, prefixes):
-            out.append((prefix + name, sec.scale(phi)))
-    return out
+
+class Battery(NamedTuple):
+    """Labelled sections s_p, the positions of the frame sections among them
+    and, for the battery of a bundle (see of), its functions."""
+
+    labels: List[str]
+    sections: List[Section]
+    frames: Sequence[int]
+    functions: Sequence[ScalarPoly] = ()
+
+    @classmethod
+    def of(cls, bundle: Bundle) -> "Battery":
+        """Frame sections multiplied by the deterministic function battery.
+
+        Frame section l times battery function f is entry l * w + f, for w
+        battery functions; function 0 is the constant 1, so entry l * w is
+        frame section l itself.
+        """
+        functions = battery_functions(bundle.patch)
+        # each function is rendered once; the constant 1 labels its entry by the frame name
+        prefixes = [""] + [f"({phi})*" for phi in functions[1:]]
+        sections = [sec.scale(phi) for sec in bundle.frame_sections() for phi in functions]
+        return cls([prefix + name for name in bundle.frame for prefix in prefixes], sections,
+                   range(0, len(sections), len(functions)), functions)
+
+    def table(self, op: Callable[[Section, Section], Section]) -> List[List[Section]]:
+        """op(s_p, s_q) for every ordered pair, each evaluated once."""
+        return [[op(s1, s2) for s2 in self.sections] for s1 in self.sections]
+
+
+def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
+    """The (label, section) pairs of Battery.of(bundle)."""
+    batt = Battery.of(bundle)
+    return list(zip(batt.labels, batt.sections))
+
+
+def record_jacobi(chk: Checker, identity: str, batt: Battery, op: Callable, table: Table,
+                  third: Optional[Sequence[int]] = None, negate: bool = False) -> None:
+    """[e_i, [e_j, s]] = [[e_i, e_j], s] + [e_j, [e_i, s]] for frame sections
+    e_i, e_j and s at the positions third (all by default); table = batt.table(op).
+    negate records the difference with the opposite sign."""
+    third = range(len(batt.sections)) if third is None else third
+    # nested[i][j][t] = [e_i, [e_j, s_t]]: the first term of (i, j, t) and the last of (j, i, t)
+    nested = [[[op(batt.sections[p], table[q][t]) for t in third] for q in batt.frames]
+              for p in batt.frames]
+    for i, p in enumerate(batt.frames):
+        for j, q in enumerate(batt.frames):
+            for k, t in enumerate(third):
+                jac = nested[i][j][k] - (op(table[p][q], batt.sections[t]) + nested[j][i][k])
+                chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
+                           -jac if negate else jac)
+
+
+def record_symmetrized(chk: Checker, identity: str, batt: Battery, table: Table,
+                       exact: Optional[Callable[[int, int], Section]] = None) -> None:
+    """[s_p, s_q] + [s_q, s_p] = exact(p, q), zero when exact is not given."""
+    for p, label1 in enumerate(batt.labels):
+        for q, label2 in enumerate(batt.labels):
+            value = table[p][q] + table[q][p]
+            chk.record(identity, f"({label1}; {label2})",
+                       value if exact is None else value - exact(p, q))
+
+
+def record_anchor_morphism(chk: Checker, identity: str, batt: Battery, table: Table,
+                           anchor: HomSection, anchors: Sequence[Section]) -> None:
+    """rho[s_p, s_q] = [rho s_p, rho s_q], with anchors[p] = rho(s_p)."""
+    for p, label1 in enumerate(batt.labels):
+        for q, label2 in enumerate(batt.labels):
+            chk.record(identity, f"({label1}; {label2})",
+                       anchor.apply(table[p][q]) - vf_bracket(anchors[p], anchors[q]))
+
+
+def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section], ScalarPoly],
+                  w_entries: Entries, s_entries: Entries,
+                  rows: Iterable[tuple]) -> None:
+    """rho(v)<w, s> = <[v, w], s> + <w, Delta_v s> (axiom (c)) for w and s
+    over the labelled entries; rows yields, one v at a time, its label,
+    rho(v), [v, w] over w_entries and Delta_v s over s_entries."""
+    pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
+    for label, rho_v, brackets, applied in rows:
+        for j, (name, w) in enumerate(w_entries):
+            for k, (label_s, s) in enumerate(s_entries):
+                lhs = vf_apply(pairings[j][k].vars, rho_v.coeffs, pairings[j][k])
+                chk.record(identity, f"({label}; {name}; {label_s})",
+                           lhs - (pair(brackets[j], s) + pair(w, applied[k])))
+
+
+def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[ScalarPoly],
+                         row: Sequence[Section], batt: Battery, f: int) -> None:
+    """[q, phi s] = phi [q, s] + rho(q)(phi) s for one q and battery function
+    phi = batt.functions[f], with row[p] = [q, s_p] over the battery of a
+    bundle and rho the components of rho(q)."""
+    phi = batt.functions[f]
+    rho_phi = vf_apply(phi.vars, rho, phi)
+    for p in batt.frames:
+        chk.record(identity, f"({label}; {batt.labels[p + f]})",
+                   row[p + f] - (row[p].scale(phi) + batt.sections[p].scale(rho_phi)))

@@ -454,10 +454,17 @@ def matrix_pair(entries: Sequence[Tuple[int, int, ScalarPoly]],
 
 def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
     """sum_k s1_k s2_k: the pairing of two sections over mutually dual frames."""
-    total = s1.bundle.patch.zero()
-    for a, b in zip(s1.coeffs, s2.coeffs):
-        if a._terms and b._terms:
-            total = total + a * b
+    return dual_pair_comps(s1.coeffs, s2.coeffs, s1.bundle.patch.zero())
+
+
+def dual_pair_comps(a: Sequence[ScalarPoly], b: Sequence[ScalarPoly],
+                    zero: ScalarPoly) -> ScalarPoly:
+    """sum_k a_k b_k from zero, the one pairing kernel; a product is formed
+    only where both a_k and b_k are nonzero."""
+    total = zero
+    for x, y in zip(a, b):
+        if x._terms and y._terms:
+            total = total + x * y
     return total
 
 
@@ -471,6 +478,21 @@ def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     idx = bundle_b.atom_index(COTM)
     out = bundle_b.zero_section()
     return out.with_part(idx, phi.gradient())
+
+
+def constant_apply(matrix: Sequence[Sequence[Rational]], polys: Sequence[ScalarPoly],
+                   zero: ScalarPoly) -> List[ScalarPoly]:
+    """matrix . polys for a constant matrix, the one kernel behind the solves
+    with an inverse constant pairing; a product is formed only where both
+    the entry and the polynomial are nonzero."""
+    out = []
+    for row in matrix:
+        total = zero
+        for c, poly in zip(row, polys):
+            if c and poly._terms:
+                total = total + poly * c
+        out.append(total)
+    return out
 
 
 def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPoly) -> Section:

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, battery_sections
+from .algebroid import (AnchoredBracket, Battery, record_anchor_morphism, record_jacobi,
+                        record_metric, record_right_leibniz, record_symmetrized)
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, d_scalar, db_canonical, leibniz, matrix_d,
-                     matrix_pair, nonzero_entries, pairing_matrix, vf_apply,
-                     vf_bracket)
+                     battery_functions, constant_apply, d_scalar, db_canonical, leibniz,
+                     matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import (LieAlgebroidData, basic_v, check_la_dirac,
@@ -77,20 +77,11 @@ class CourantData:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
         if self._dmat is not None:
             return self._dmat
-        base = self.bundle.patch
-        p_const = [[entry.constant_value() for entry in row] for row in self.pairing]
-        p_inv = invert(p_const)
-        r, n = self.bundle.rank, base.dim
-        dmat = [[base.zero() for _ in range(n)] for _ in range(r)]
-        for m in range(r):
-            for l in range(n):
-                total = base.zero()
-                for i in range(r):
-                    if p_inv[m][i]:
-                        total = total + self.anchor.matrix[l][i] * p_inv[m][i]
-                dmat[m][l] = total
-        self._dmat = dmat
-        return dmat
+        p_inv = invert([[entry.constant_value() for entry in row] for row in self.pairing])
+        # column l of the matrix is p_inv times row l of the anchor matrix
+        cols = [constant_apply(p_inv, row, self.bundle.patch.zero()) for row in self.anchor.matrix]
+        self._dmat = [[col[m] for col in cols] for m in range(self.bundle.rank)]
+        return self._dmat
 
     def D(self, phi: ScalarPoly) -> Section:
         return matrix_d(self.bundle, self.d_matrix(), phi)
@@ -107,54 +98,21 @@ class CourantData:
         """Leibniz-Jacobi, metric invariance, symmetrized bracket, anchor morphism,
         and the right-Leibniz rule (structural under the extension)."""
         chk = Checker("courant-axioms", "Courant algebroid axioms")
-        frames = self.bundle.frame_sections()
-        names = self.bundle.frame
-        batt = battery_sections(self.bundle)
-        functions = battery_functions(self.bundle.patch)
-        sections = [e for _, e in batt]
-        # pairs[p][q] = [s_p, s_q] over the battery; s_{l * w} is e_l and
-        # s_{l * w + f} is e_l scaled by function f (see battery_sections)
-        pairs = [[self.bracket(e1, e2) for e2 in sections] for e1 in sections]
-        w = len(functions)
-        # nested[i][j][k] = [e_i, [e_j, s_k]]: the first Jacobi term of
-        # (i, j, k) and the last of (j, i, k)
-        nested = [[[self.bracket(e1, value) for value in pairs[j * w]]
-                   for j in range(len(frames))] for e1 in frames]
-        for i, e1 in enumerate(frames):
-            for j, e2 in enumerate(frames):
-                for k, (label3, e3) in enumerate(batt):
-                    lhs = nested[i][j][k]
-                    rhs = self.bracket(pairs[i * w][j * w], e3) + nested[j][i][k]
-                    chk.record("1-leibniz-jacobi", f"({names[i]}; {names[j]}; {label3})",
-                               lhs - rhs)
-        coords = self.bundle.patch.coords
-        anchors = [self.anchor.apply(e) for e in sections]
-        frame_pairs = [[self.pair(e2, e3) for e3 in frames] for e2 in frames]
-        for p, (label1, e1) in enumerate(batt):
-            for j, e2 in enumerate(frames):
-                for k, e3 in enumerate(frames):
-                    lhs = vf_apply(coords, anchors[p].coeffs, frame_pairs[j][k])
-                    rhs = (self.pair(pairs[p][j * w], e3)
-                           + self.pair(e2, pairs[p][k * w]))
-                    chk.record("2-metric", f"({label1}; {names[j]}; {names[k]})", lhs - rhs)
-        for p, (label1, e1) in enumerate(batt):
-            for q, (label2, e2) in enumerate(batt):
-                lhs = pairs[p][q] + pairs[q][p]
-                rhs = self.D(self.pair(e1, e2))
-                chk.record("3-symmetrized", f"({label1}; {label2})", lhs - rhs)
-        for p, (label1, e1) in enumerate(batt):
-            for q, (label2, e2) in enumerate(batt):
-                lhs = self.anchor.apply(pairs[p][q])
-                rhs = vf_bracket(anchors[p], anchors[q])
-                chk.record("4-anchor-morphism", f"({label1}; {label2})", lhs - rhs)
-        for i, e1 in enumerate(frames):
-            for f, phi in enumerate(functions):
-                rho_phi = vf_apply(coords, self.frame_rho[i], phi)
-                for j, e2 in enumerate(frames):
-                    lhs = pairs[i * w][j * w + f]
-                    rhs = pairs[i * w][j * w].scale(phi) + e2.scale(rho_phi)
-                    chk.record("5-right-leibniz", f"({names[i]}; ({phi})*{names[j]})",
-                               lhs - rhs)
+        batt = Battery.of(self.bundle)
+        pairs = batt.table(self.bracket)
+        record_jacobi(chk, "1-leibniz-jacobi", batt, self.bracket, pairs)
+        anchors = [self.anchor.apply(e) for e in batt.sections]
+        frames = [(batt.labels[t], batt.sections[t]) for t in batt.frames]
+        cols = [[row[t] for t in batt.frames] for row in pairs]  # cols[p][j] = [s_p, e_j]
+        record_metric(chk, "2-metric", self.pair, frames, frames,
+                      zip(batt.labels, anchors, cols, cols))
+        record_symmetrized(chk, "3-symmetrized", batt, pairs,
+                           lambda p, q: self.D(self.pair(batt.sections[p], batt.sections[q])))
+        record_anchor_morphism(chk, "4-anchor-morphism", batt, pairs, self.anchor, anchors)
+        for i, t in enumerate(batt.frames):
+            for f in range(len(batt.functions)):
+                record_right_leibniz(chk, "5-right-leibniz", batt.labels[t], self.frame_rho[i],
+                                     pairs[t], batt, f)
         chk.note("5-right-leibniz holds by the extension rule; verified literally")
         return chk.report()
 

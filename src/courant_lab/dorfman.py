@@ -30,9 +30,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, battery_sections
+from .algebroid import (AnchoredBracket, Battery, battery_sections, record_metric,
+                        record_right_leibniz)
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, canonical_pairing, dual_pair, leibniz,
+                     battery_functions, canonical_pairing, constant_apply, dual_pair, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, pairing_matrix,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
@@ -189,33 +190,14 @@ class DorfmanConnection:
                 for j in range(q.rank):
                     rhs.append(vf_apply(coords, bracket.frame_rho[i], predual.pairing[j][k])
                                - predual.pair(bracket.structure[i][j], b_frames[k]))
-                comps = []
-                for m in range(predual.b.rank):
-                    total = q.patch.zero()
-                    for j in range(q.rank):
-                        total = total + p[m][j] * rhs[j]
-                    comps.append(total)
-                row.append(Section(predual.b, tuple(comps)))
+                row.append(Section(predual.b, tuple(constant_apply(p, rhs, q.patch.zero()))))
             symbols.append(row)
         return cls(predual, bracket, symbols)
 
     def check_duality(self) -> CheckReport:
         """rho(v)<s,w> = <[v,w], s> + <w, Delta_v s> plus the symbol roundtrip."""
         chk = Checker("duality", "the connection and its dull bracket determine each other")
-        q_frames = self.q.frame_sections()
-        b_batt = battery_sections(self.b)
-        pairings = [[self.predual.pair(w, s) for _, s in b_batt] for w in q_frames]
-        coords = self.q.patch.coords
-        for label_v, v in battery_sections(self.q):
-            applied = [self.apply(v, s) for _, s in b_batt]
-            rho_v = self.bracket.rho(v).coeffs
-            for j, w in enumerate(q_frames):
-                vw = self.bracket.bracket(v, w)
-                for k, (label_s, s) in enumerate(b_batt):
-                    lhs = vf_apply(coords, rho_v, pairings[j][k])
-                    rhs = (self.predual.pair(vw, s)
-                           + self.predual.pair(w, applied[k]))
-                    chk.record("axiom-c", f"({label_v}; {self.q.frame[j]}; {label_s})", lhs - rhs)
+        self._record_axiom_c(chk, battery_sections(self.b))
         if self.predual.canonical:
             recovered = DorfmanConnection.from_dull(self.dual_bracket(), self.predual)
             for i in range(self.q.rank):
@@ -242,45 +224,32 @@ class DorfmanConnection:
 
     def check_axioms(self) -> CheckReport:
         chk = Checker("dorfman-axioms", "connection axioms (a), (b), (c)")
-        functions = battery_functions(self.q.patch)
-        texts = [str(phi) for phi in functions]  # rendered once for every label
-        q_frames = self.q.frame_sections()
-        b_frames = self.b.frame_sections()
-        b_batt = battery_sections(self.b)
-        d_functions = [self.predual.d(phi) for phi in functions]
-        coords = self.q.patch.coords
-        w = len(functions)
-        for i, qf in enumerate(q_frames):
+        b_batt = Battery.of(self.b)
+        texts = [str(phi) for phi in b_batt.functions]  # rendered once for every label
+        d_functions = [self.predual.d(phi) for phi in b_batt.functions]
+        for i, qf in enumerate(self.q.frame_sections()):
             qname = self.q.frame[i]
-            # row[k] = Delta_{q_i} s_k over the battery; s_{j * w + f} is b_j
-            # scaled by function f (see battery_sections)
-            row = [self.apply(qf, bsec) for _, bsec in b_batt]
-            pairings = [self.predual.pair(qf, bsec) for _, bsec in b_batt]
-            for f, phi in enumerate(functions):
+            # row[k] = Delta_{q_i} s_k over the battery
+            row = [self.apply(qf, bsec) for bsec in b_batt.sections]
+            pairings = [self.predual.pair(qf, bsec) for bsec in b_batt.sections]
+            for f, phi in enumerate(b_batt.functions):
                 scaled_q = qf.scale(phi)
-                for k, (label_b, bsec) in enumerate(b_batt):
+                for k, (label_b, bsec) in enumerate(zip(b_batt.labels, b_batt.sections)):
                     lhs = self.apply(scaled_q, bsec)
                     rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
                     chk.record("axiom-a", f"(({texts[f]})*{qname}; {label_b})", lhs - rhs)
-                rho_phi = vf_apply(coords, self.bracket.frame_rho[i], phi)
-                for j, bf in enumerate(b_frames):
-                    lhs = row[j * w + f]
-                    rhs = row[j * w].scale(phi) + bf.scale(rho_phi)
-                    chk.record("axiom-b", f"({qname}; ({texts[f]})*{self.b.frame[j]})",
-                               lhs - rhs)
-        frame_pairings = [[self.predual.pair(w, bf) for bf in b_frames] for w in q_frames]
-        for label_q, v in battery_sections(self.q):
-            applied = [self.apply(v, bf) for bf in b_frames]
-            rho_v = self.bracket.rho(v).coeffs
-            for j, w in enumerate(q_frames):
-                vw = self.bracket.bracket(v, w)
-                for k, bf in enumerate(b_frames):
-                    lhs = vf_apply(coords, rho_v, frame_pairings[j][k])
-                    rhs = (self.predual.pair(vw, bf)
-                           + self.predual.pair(w, applied[k]))
-                    chk.record("axiom-c", f"({label_q}; {self.q.frame[j]}; {self.b.frame[k]})",
-                               lhs - rhs)
+                record_right_leibniz(chk, "axiom-b", qname, self.bracket.frame_rho[i], row,
+                                     b_batt, f)
+        self._record_axiom_c(chk, list(zip(self.b.frame, self.b.frame_sections())))
         return chk.report()
+
+    def _record_axiom_c(self, chk: Checker, s_entries: Sequence[Tuple[str, Section]]) -> None:
+        """Axiom (c) for v over the battery of Q, w over the frame of Q and s over s_entries."""
+        q_frames = list(zip(self.q.frame, self.q.frame_sections()))
+        rows = ((label, self.bracket.rho(v), [self.bracket.bracket(v, w) for _, w in q_frames],
+                 [self.apply(v, s) for _, s in s_entries])
+                for label, v in battery_sections(self.q))
+        record_metric(chk, "axiom-c", self.predual.pair, q_frames, s_entries, rows)
 
     # -- curvature ---------------------------------------------------------
 
@@ -440,7 +409,7 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     """The dull bracket with this anchor dual to the symbols,
     <[q_i, q_j], b_k> = rho(q_i)<q_j, b_k> - <q_j, Delta_{q_i} b_k>, solved
     with the inverse of the constant pairing."""
-    p = invert(predual.constant_pairing())
+    p_t = [list(col) for col in zip(*invert(predual.constant_pairing()))]  # transposed
     q, b = predual.q, predual.b
     coords = q.patch.coords
     q_frames = q.frame_sections()
@@ -451,13 +420,7 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
         for j in range(q.rank):
             values = [vf_apply(coords, rho_i, predual.pairing[j][k])
                       - predual.pair(q_frames[j], symbols[i][k]) for k in range(b.rank)]
-            coeffs = []
-            for m in range(q.rank):
-                total = q.patch.zero()
-                for k in range(b.rank):
-                    total = total + values[k] * p[k][m]
-                coeffs.append(total)
-            row.append(Section(q, tuple(coeffs)))
+            row.append(Section(q, tuple(constant_apply(p_t, values, q.patch.zero()))))
         table.append(row)
     return AnchoredBracket(q, anchor, table)
 

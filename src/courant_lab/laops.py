@@ -29,10 +29,11 @@ applied to each section once per check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, Optional, Tuple
 
-from .algebroid import AnchoredBracket, battery_sections
+from .algebroid import (AnchoredBracket, Battery, battery_sections, record_jacobi,
+                        record_symmetrized)
 from .bundle import (Bundle, BundleError, HomSection, Section,
                      battery_functions, courant_dorfman_form_part,
                      db_canonical, dual_pair, lie_derivative_form, vf_apply,
@@ -191,30 +192,13 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     """Symmetrization and Leibniz-Jacobi identities of the bracket on A + T*M."""
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
     pm = lad.pair_map()
-    batt = battery_sections(lad.sigma_bundle)
-    sections = [s for _, s in batt]
-    pairs = [[dorfman_like_bracket(lad, s1, s2) for s2 in sections] for s1 in sections]
-    images = [pm.apply(s) for s in sections]
-    for p, (label1, s1) in enumerate(batt):
-        for q, (label2, s2) in enumerate(batt):
-            lhs = pairs[p][q] + pairs[q][p]
-            pairing = delta.predual.pair(images[q], s1)
-            rhs = db_canonical(lad.sigma_bundle, pairing)
-            chk.record("symmetrization", f"({label1}; {label2})", lhs - rhs)
-    frames = lad.sigma_bundle.frame_sections()
-    names = lad.sigma_bundle.frame
-    # row l * w of pairs is [e_l, .]_D (see battery_sections); nested[i][j][k]
-    # = [e_i, [e_j, s_k]_D]_D is the first Jacobi term of (i, j, k) and the
-    # last of (j, i, k)
-    w = len(battery_functions(lad.base))
-    nested = [[[dorfman_like_bracket(lad, s1, value) for value in pairs[j * w]]
-               for j in range(len(frames))] for s1 in frames]
-    for i in range(len(frames)):
-        for j in range(len(frames)):
-            for k, (label3, s3) in enumerate(batt):
-                lhs = nested[i][j][k]
-                rhs = dorfman_like_bracket(lad, pairs[i * w][j * w], s3) + nested[j][i][k]
-                chk.record("jacobi-leibniz", f"({names[i]}; {names[j]}; {label3})", lhs - rhs)
+    batt = Battery.of(lad.sigma_bundle)
+    op = partial(dorfman_like_bracket, lad)
+    pairs = batt.table(op)
+    images = [pm.apply(s) for s in batt.sections]
+    record_symmetrized(chk, "symmetrization", batt, pairs, lambda p, q: db_canonical(
+        lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))
+    record_jacobi(chk, "jacobi-leibniz", batt, op, pairs)
     return chk.report()
 
 

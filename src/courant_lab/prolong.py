@@ -8,7 +8,8 @@ runs in full (n+r)-dimensional coordinates.  Agreement of the two routes
 is the package's master invariant.
 
 The total-space calculus runs on the shared kernels of `bundle` over the
-variable list of a `TotalPatch`: `vf_apply`, `dual_pair`,
+variable list of a `TotalPatch`: `vf_apply`, `dual_pair_comps` (the
+pairing kernel behind `dual_pair`, on coefficient tuples),
 `interior_two_form` and `HomSection.transpose`; every fiberwise-linear
 function sum_k c_k(x) y_k is built by `TotalPatch.linear`.  The generator
 calculus over TM + A* is a `Section` calculus too: its elements are
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, battery_sections
+from .algebroid import AnchoredBracket, Battery, battery_sections, record_jacobi
 from .bundle import (VEC, Bundle, BundleError, HomSection, Patch, Section, battery_functions,
-                     courant_dorfman_form_part, db_canonical, dual_pair,
+                     courant_dorfman_form_part, db_canonical, dual_pair, dual_pair_comps,
                      interior_two_form, lie_derivative_form, pairing_matrix,
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
@@ -178,12 +179,7 @@ def _core_section(tp: TotalPatch, b: Bundle, comps: List[ScalarPoly]) -> LiftedS
 
 
 def total_pairing(s1: LiftedSection, s2: LiftedSection) -> ScalarPoly:
-    total = s1.total.zero()
-    for a, b in zip(s1.form, s2.vf):
-        total = total + a * b
-    for a, b in zip(s2.form, s1.vf):
-        total = total + a * b
-    return total
+    return dual_pair_comps(s1.form + s2.form, s2.vf + s1.vf, s1.total.zero())
 
 
 def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
@@ -436,10 +432,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     w = two_form_of_oneform(tp.allvars, theta)
 
     def omega_eval(v1: Sequence[ScalarPoly], v2: Sequence[ScalarPoly]) -> ScalarPoly:
-        total = tp.zero()
-        for a, b in zip(interior_two_form(v1, w), v2):
-            total = total + a * b
-        return total
+        return dual_pair_comps(interior_two_form(v1, w), v2, tp.zero())
 
     def linear_lift(x: Section) -> List[ScalarPoly]:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
@@ -637,35 +630,24 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     alg = GeneratorAlgebra(lad, delta)
     tp = alg.tp
     n, r = len(tp.base_coords), lad.a_bundle.rank
-    gens = alg.bundle.frame_sections()
-    named = list(zip(gens, alg.bundle.frame))
-    weighted = []
-    for idx, (gen, label) in enumerate(named):
-        factor = tp.fiber(idx % len(tp.fiber_coords)) if tp.fiber_coords else tp.one()
-        weighted.append((gen.scale(factor), f"({factor})*{label}"))
+    gens, names = alg.bundle.frame_sections(), alg.bundle.frame
+    factors = [tp.fiber(idx % len(tp.fiber_coords)) if tp.fiber_coords else tp.one()
+               for idx in range(len(gens))]
 
-    # (i) antisymmetry, Jacobi, anchor morphism
-    elems = named + weighted
-    pairs = [[alg.bracket(e1, e2) for e2, _ in elems] for e1, _ in elems]
-    anchors = [alg.theta(e) for e, _ in elems]
-    for p, (e1, n1) in enumerate(elems):
-        for q, (e2, n2) in enumerate(elems):
+    # (i) antisymmetry, Jacobi, anchor morphism over the generators and their weighted copies
+    elems = Battery(list(names) + [f"({c})*{name}" for c, name in zip(factors, names)],
+                    gens + [gen.scale(c) for c, gen in zip(factors, gens)], range(len(gens)))
+    pairs = elems.table(alg.bracket)
+    anchors = [alg.theta(e) for e in elems.sections]
+    for p, n1 in enumerate(elems.labels):
+        for q, n2 in enumerate(elems.labels):
             chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])
             lhs = alg.theta(pairs[p][q])
             rhs = vf_bracket_comps(tp.allvars, anchors[p], anchors[q])
             chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
-    # third slot: the named generators and the first two weighted ones;
-    # nested[p][q][t] = [e_p, [e_q, e_t]] is both the first Jacobi term of
-    # (p, q, t) and the last of (q, p, t)
-    third = list(range(len(named) + min(2, len(weighted))))
-    nested = [[[alg.bracket(e1, pairs[q][t]) for t in third] for q in range(len(named))]
-              for e1, _ in named]
-    for p, (e1, n1) in enumerate(named):
-        for q, (e2, n2) in enumerate(named):
-            for t in third:
-                e3, n3 = elems[t]
-                jac = nested[p][q][t] - (alg.bracket(pairs[p][q], e3) + nested[q][p][t])
-                chk.record("jacobi", f"({n1}; {n2}; {n3})", jac)
+    # third slot: the generators and the first two weighted ones
+    record_jacobi(chk, "jacobi", elems, alg.bracket, pairs,
+                  third=range(len(gens) + min(2, len(gens))))
 
     # hom-generator rows of the table
     homs = _battery_homs(lad)

@@ -58,14 +58,16 @@ pairing only zero, standard only yes) are spec errors.  A given e must
 name the E with B = E + T*M for the connection's B (for standard-of and
 im2form-of, the bundle of their connection); only pairing reads b.
 
-Bundle references are sums over {TM, T*M, <name>, <name>*}; dual frames
-carry an 's' suffix (eps -> epss).  A section, and a key within one, may
-be declared only once ([anchor.X] and [hom.X] declare the same map X);
-[checks] lines may repeat.  Each [checks] line must name a check of
-checks.CHECKS, the one table that declares every check, with an argument
-count it accepts, and each argument must name an object of the section
-kind CHECKS gives that position; parse_spec rejects any other name,
-wherever in the file the object is declared.
+Every section but [patch] and [checks] needs a name ([bundle.E]), and a
+bundle name may be neither TM nor contain + or *.  Bundle references are
+sums over {TM, T*M, <name>, <name>*}; dual frames carry an 's' suffix
+(eps -> epss).  A section, and a key within one, may be declared only
+once ([anchor.X] and [hom.X] declare the same map X); [checks] lines may
+repeat.  Each [checks] line must name a check of checks.CHECKS, the one
+table that declares every check, with an argument count it accepts, and
+each argument must name an object of the section kind CHECKS gives that
+position; parse_spec rejects any other name, wherever in the file the
+object is declared.
 """
 
 from __future__ import annotations
@@ -273,7 +275,12 @@ def _patch(body: _Body) -> Patch:
 
 
 def _bundle(body: _Body) -> Bundle:
-    return Bundle.vector(body.spec.base, body.sec.name, _idents(*body.get("frame")))
+    name = body.sec.name
+    if name == "TM" or "+" in name or "*" in name:
+        raise SpecError(f"{_header(body.sec)}: a bundle cannot be named {name!r}; TM and T*M "
+                        "name the tangent and cotangent bundles, + and * build references",
+                        body.sec.line)
+    return Bundle.vector(body.spec.base, name, _idents(*body.get("frame")))
 
 
 def _connection(body: _Body) -> Connection:
@@ -430,6 +437,8 @@ def parse_spec(text: str) -> StructureSpec:
         kind = KINDS.get(sec.kind)
         if kind is None:
             raise SpecError(f"unknown section kind {sec.kind!r}", sec.line)
+        if kind.store and not sec.name:
+            raise SpecError(f"[{sec.kind}] needs a name, as in [{sec.kind}.X]", sec.line)
         _reject_repeats(sec, kind, declared)
         if sec is patch:
             continue

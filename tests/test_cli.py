@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from courant_lab import algebroid, checks, courant, laops, prolong, report
+from courant_lab import algebroid, bundle, checks, courant, dorfman, laops, prolong, report
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
@@ -327,6 +327,10 @@ MALFORMED = {
         "e = F", "e = F is not the bundle E of standard-of = nabla"),
     "unknown-bracket": (_with(MINIMAL, "standard-of = nabla", "bracket = Nope"),
                         "bracket = Nope", "unknown bracket 'Nope'"),
+    "nameless-bundle": (MINIMAL.replace("[bundle.E]", "[bundle]").replace("= E\n", "=\n"),
+                        "[bundle]", "[bundle] needs a name"),
+    "bundle-named-TM": (_with(MINIMAL, "frame = eps", "[bundle.TM]\nframe = t1"), "[bundle.TM]",
+                        "a bundle cannot be named 'TM'"),
 }
 
 
@@ -621,6 +625,30 @@ def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):
     assert counts["omega"] and max(counts["omega"].values()) == 1
     assert counts["lie_der_v"] and max(counts["lie_der_v"].values()) == 1
     assert max(counts["basic_v"].values(), default=0) <= 1
+
+
+@pytest.mark.parametrize("entry,name,args,calls", [
+    # C = TM + T*M on R^2: a battery of n = 4 * 5 sections, n^2 table values
+    # and r^2 n nested and outer Jacobi terms for r = 4 frame sections
+    ("bott-foliation", "courant-axioms", ["C"], 20 ** 2 + 2 * 4 ** 2 * 20),
+    # A of rank 2 on R^2: the same for n = 10, r = 2, plus six random
+    # Jacobiators of six brackets each
+    ("im2form-zero", "lie", ["A"], 10 ** 2 + 2 * 2 ** 2 * 10 + 6 * 6),
+], ids=["courant-axioms", "lie"])
+def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name, args, calls):
+    spec = parse_spec(catalog_text(entry))
+    counted = []
+    real = bundle.leibniz
+
+    def counting(*leibniz_args, **kwargs):
+        counted.append(1)
+        return real(*leibniz_args, **kwargs)
+
+    for module in (algebroid, courant, dorfman):
+        monkeypatch.setattr(module, "leibniz", counting)
+    [report] = run_check(spec, name, args, 7)
+    assert report.status == "pass"
+    assert len(counted) == calls  # 1040 and 216
 
 
 def _anchor_applications(monkeypatch, name, args):

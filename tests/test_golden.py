@@ -1,12 +1,14 @@
 """Command output is byte-identical to the recorded golden files.
 
 The files under tests/golden/ were written in text and JSON at seeds 7
-and 11: `verify-all-*` by `courant-lab verify-all`, and `curvature-shifts-*`
-by `courant-lab run` on `curvature-shifts.spec`, whose kept-bracket shifts
-make the curvature lines fail and R^bas nonzero, so their witnesses are
-covered too.  Any change to the arithmetic kernels, the tables of the
-checks or the report format must leave every verdict, witness and line
-unchanged.
+and 11: `verify-all-*` by `courant-lab verify-all`, and `<spec>-*` by
+`courant-lab run` on `<spec>.spec`.  The kept-bracket shifts of
+`curvature-shifts.spec` make the curvature lines fail and R^bas nonzero,
+and `bracket-axioms.spec` breaks each bracket axiom the package checks
+(Jacobi, the symmetrized bracket, the anchor morphism and metric
+compatibility), so their witnesses are covered too.  Any change to the
+arithmetic kernels, the tables of the checks or the report format must
+leave every verdict, witness and line unchanged.
 """
 
 import io
@@ -33,13 +35,13 @@ def test_verify_all_matches_golden(seed, fmt, suffix):
 
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
-def test_curvature_shifts_match_golden(seed, fmt, suffix):
+@pytest.mark.parametrize("spec", ["curvature-shifts", "bracket-axioms"])
+def test_spec_run_matches_golden(spec, seed, fmt, suffix):
     out = io.StringIO()
     with redirect_stdout(out):
-        rc = main(["run", "--seed", str(seed), "--format", fmt,
-                   str(GOLDEN / "curvature-shifts.spec")])
+        rc = main(["run", "--seed", str(seed), "--format", fmt, str(GOLDEN / f"{spec}.spec")])
     assert rc == 0
-    expected = (GOLDEN / f"curvature-shifts-seed{seed}.{suffix}").read_text(encoding="utf-8")
+    expected = (GOLDEN / f"{spec}-seed{seed}.{suffix}").read_text(encoding="utf-8")
     assert out.getvalue() == expected
 
 

@@ -7,6 +7,7 @@ from courant_lab.dorfman import (Connection, DorfmanConnection,
                                  canonical_predual, im2form_dorfman,
                                  pr_tm_hom, standard_dorfman)
 from courant_lab.laops import LieAlgebroidData
+from courant_lab.poly import ScalarPoly
 from courant_lab.prolong import (GeneratorAlgebra, canonical_form_check,
                                  check_geometric_dirac, lift_core, lift_linear,
                                  linear_poisson_check, ta_generator_check,
@@ -71,6 +72,23 @@ def test_total_pairing_identities(ex_a):
     lifted, core = lift_linear(tp, ex_a, v), lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
     assert total_pairing(lifted, core) == tp.embed(ex_a.predual.pair(v, s))
     assert total_pairing(core, core).is_zero()
+
+
+def test_total_pairing_multiplies_no_zero_component(ex_a, monkeypatch):
+    tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
+    lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
+    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    expected = total_pairing(lifted, core)
+    products = []
+    real = ScalarPoly.__mul__
+
+    def counting(self, other):
+        products.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counting)
+    assert total_pairing(lifted, core) == expected and not expected.is_zero()
+    assert products and all(a._terms and b._terms for a, b in products)
 
 
 def test_splitting_theorems(ex_a):
