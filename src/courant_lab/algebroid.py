@@ -81,10 +81,15 @@ class AnchoredBracket:
             raise BundleError("bracket arguments must be sections of the bundle")
         return leibniz(q1, q2, self.structure, self.frame_rho, self.bundle, bracket=True)
 
-    def jacobiator(self, q1: Section, q2: Section, q3: Section) -> Section:
-        return (self.bracket(self.bracket(q1, q2), q3)
+    def jacobiator(self, q1: Section, q2: Section, q3: Section,
+                   b12: Optional[Section] = None, b23: Optional[Section] = None) -> Section:
+        """[[q1, q2], q3] + [q2, [q1, q3]] - [q1, [q2, q3]]; b12 = [q1, q2] and
+        b23 = [q2, q3] when the caller already holds them."""
+        b12 = self.bracket(q1, q2) if b12 is None else b12
+        b23 = self.bracket(q2, q3) if b23 is None else b23
+        return (self.bracket(b12, q3)
                 + self.bracket(q2, self.bracket(q1, q3))
-                - self.bracket(q1, self.bracket(q2, q3)))
+                - self.bracket(q1, b23))
 
     # -- checks ----------------------------------------------------------
 
@@ -115,9 +120,12 @@ class AnchoredBracket:
         record_jacobi(chk, "jacobi", batt, self.bracket, pairs, negate=True)
         rng = random.Random(seed)
         randoms = random_sections(self.bundle, 8, rng)
+        # adjacent[k] = [r_k, r_{k+1}]: the first inner bracket of window k
+        # and the last of window k - 1
+        adjacent = [self.bracket(r1, r2) for r1, r2 in zip(randoms, randoms[1:])]
         for k in range(len(randoms) - 2):
             chk.record("jacobi", f"(random {k}; random {k + 1}; random {k + 2})",
-                       self.jacobiator(randoms[k], randoms[k + 1], randoms[k + 2]))
+                       self.jacobiator(*randoms[k:k + 3], adjacent[k], adjacent[k + 1]))
         return chk.report()
 
     # -- restriction -------------------------------------------------------

@@ -227,11 +227,13 @@ class Section:
 
     def __add__(self, other: "Section") -> "Section":
         self._same(other)
-        return _section(self.bundle, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _section(self.bundle, tuple(a + b if b._terms else a
+                                           for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Section") -> "Section":
         self._same(other)
-        return _section(self.bundle, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _section(self.bundle, tuple(a - b if b._terms else a
+                                           for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Section":
         return _section(self.bundle, tuple(-a for a in self.coeffs))
@@ -251,7 +253,7 @@ class Section:
                 f"sections of different bundles: {self.bundle.label()} vs {other.bundle.label()}")
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(c._terms for c in self.coeffs)
 
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.coeffs)
@@ -608,13 +610,15 @@ def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> Li
 
 
 def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
-    """(i_X W)_j = sum_i X^i W[i][j]; zero components of X are skipped."""
-    rows = [(c, w[i]) for i, c in enumerate(x) if not c.is_zero()]
+    """(i_X W)_j = sum_i X^i W[i][j]; zero components of X and zero entries
+    of W are skipped."""
+    rows = [(c, w[i]) for i, c in enumerate(x) if c._terms]
     out = []
     for j in range(len(x)):
         total = ScalarPoly.zero(x[j].vars)
         for c, row in rows:
-            total = total + c * row[j]
+            if row[j]._terms:
+                total = total + c * row[j]
         out.append(total)
     return out
 
@@ -683,7 +687,9 @@ class SubBundle:
     """A constant-coefficient subbundle with canonical complement.
 
     Membership of a polynomial section is decided by projecting onto the
-    deterministic rational complement and testing zero.
+    deterministic rational complement and testing zero.  The constant
+    matrices of that projection are built once, here, and every
+    decomposition of a section applies them through `constant_apply`.
     """
 
     def __init__(self, name: str, sections: Sequence[Section], ambient: Bundle | None = None):
@@ -702,29 +708,46 @@ class SubBundle:
                 raise BundleError("subbundle frames must have constant coefficients")
             rows.append(sec.constant_coeffs())
         self.span = SpanBasis(rows, ambient.rank)
+        # frame and complement coordinates, and the residual: the sum of the
+        # complement coordinates times the complement vectors
+        inv, r = self.span.basis_inv, len(rows)
+        self._head, self._rest = inv[:r], inv[r:]
+        pieces = list(zip(self.span.complement, self._rest))
+        self._projection = [[sum((vec[i] * row[j] for vec, row in pieces if vec[i]), Fraction(0))
+                             for j in range(ambient.rank)] for i in range(ambient.rank)]
 
     @property
     def rank(self) -> int:
         return len(self.sections)
 
+    def _apply(self, matrix: Sequence[Sequence[Fraction]], coeffs: Sequence[ScalarPoly],
+               zero: ScalarPoly) -> List[ScalarPoly]:
+        if len(coeffs) != self.ambient.rank:
+            raise BundleError(f"{len(coeffs)} coefficients for {self.name} in rank "
+                              f"{self.ambient.rank}")
+        return constant_apply(matrix, coeffs, zero)
+
+    def split(self, coeffs: Sequence[ScalarPoly], zero: ScalarPoly
+              ) -> Tuple[List[ScalarPoly], List[ScalarPoly]]:
+        """(frame coordinates, complement coordinates) of an ambient vector of
+        polynomials over any variable list, whose zero is given."""
+        return self._apply(self._head, coeffs, zero), self._apply(self._rest, coeffs, zero)
+
     def contains(self, section: Section) -> bool:
-        return self.span.contains(section.coeffs)
+        return not any(c._terms for c in self._apply(self._rest, section.coeffs,
+                                                     self.ambient.patch.zero()))
 
     def residual(self, section: Section) -> Section:
         """Component of the section transverse to the span (zero iff member)."""
-        rest = self.span.residual(section.coeffs)
-        out = self.ambient.zero_section()
-        for coeff, comp in zip(rest, self.span.complement):
-            vec = Section(self.ambient, tuple(self.ambient.patch.const(v) for v in comp))
-            out = out + vec.scale(coeff)
-        return out
+        return _section(self.ambient, tuple(self._apply(self._projection, section.coeffs,
+                                                        self.ambient.patch.zero())))
 
     def coords(self, section: Section) -> List[ScalarPoly]:
         """Coefficients over the subbundle frame; section must be a member."""
-        head, rest = self.span.coords(section.coeffs)
-        if not all(r.is_zero() if isinstance(r, ScalarPoly) else r == 0 for r in rest):
+        head, rest = self.split(section.coeffs, self.ambient.patch.zero())
+        if any(r._terms for r in rest):
             raise BundleError(f"section is not in span of {self.name}")
-        return list(head)
+        return head
 
     def include(self, coeffs: Sequence[ScalarPoly]) -> Section:
         out = self.ambient.zero_section()
@@ -741,7 +764,7 @@ class SubBundle:
 
     def same_subspace(self, other: "SubBundle") -> bool:
         return (self.rank == other.rank
-                and all(other.contains(sec) for sec in self.sections))
+                and all(other.span.contains(sec.constant_coeffs()) for sec in self.sections))
 
 
 # -- test battery ---------------------------------------------------------

@@ -152,7 +152,8 @@ class ManinPairData:
         sigma = kappa + omega with kappa in K and omega in the deterministic
         complement W; the class is (u + (rho,rho*) kappa) + omega.
         """
-        k_coords, w_coords = self.k_sub.span.coords(sigma_sec.coeffs)
+        k_coords, w_coords = self.k_sub.split(sigma_sec.coeffs,
+                                                sigma_sec.bundle.patch.zero())
         kappa = self.k_sub.include(k_coords)
         shifted = u_sec + self.lad.pair_map().apply(kappa)
         u_coords = self.u_sub.coords(shifted)
@@ -244,18 +245,19 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
 
     # well-definedness: bracketing against graph representatives dies in C
     functions = battery_functions(base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for ki, k in enumerate(k_sub.sections):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             kk = k.scale(phi)
             graph_rep = (-pm.apply(kk), kk)
-            chk.record("graph-normalizes-to-zero", f"(({phi})*k{ki + 1})",
+            chk.record("graph-normalizes-to-zero", f"(({text})*k{ki + 1})",
                        mp.normalize(*graph_rep))
             for ri, rep in enumerate(reps):
                 v1, s1 = mp.formula_bracket(rep[0], rep[1], *graph_rep)
-                chk.record("graph-right", f"(frame {ri + 1}; ({phi})*k{ki + 1})",
+                chk.record("graph-right", f"(frame {ri + 1}; ({text})*k{ki + 1})",
                            mp.normalize(v1, s1))
                 v2, s2 = mp.formula_bracket(*graph_rep, rep[0], rep[1])
-                chk.record("graph-left", f"(({phi})*k{ki + 1}; frame {ri + 1})",
+                chk.record("graph-left", f"(({text})*k{ki + 1}; frame {ri + 1})",
                            mp.normalize(v2, s2))
 
     # U + 0 is a Dirac structure in C
@@ -272,7 +274,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     # A-Manin condition (c): [[0 + s1, 0 + s2]] = 0 + [s1, s2]_D
     s_frames = lad.sigma_bundle.frame_sections()
     for i, s1 in enumerate(s_frames):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             s1p = s1.scale(phi)
             for j, s2 in enumerate(s_frames):
                 v_part, s_part = mp.formula_bracket(
@@ -281,15 +283,15 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
                 rhs = mp.normalize(lad.v_bundle.zero_section(),
                                    dorfman_like_bracket(lad, s1p, s2))
                 chk.record("condition-c",
-                           f"(({phi})*sigma{i + 1}; sigma{j + 1})", lhs - rhs)
+                           f"(({text})*sigma{i + 1}; sigma{j + 1})", lhs - rhs)
 
     # D characterization: <<u + sigma, D phi>> = c(u + sigma)(phi)
     for ri, rep in enumerate(reps):
         e = c_bundle.frame_section(ri)
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             lhs = mp.courant.pair(e, mp.courant.D(phi))
             rhs = vf_apply(base.coords, mp.courant.frame_rho[ri], phi)
-            chk.record("d-characterization", f"(frame {ri + 1}; {phi})", lhs - rhs)
+            chk.record("d-characterization", f"(frame {ri + 1}; {text})", lhs - rhs)
     return mp, chk.report()
 
 
@@ -454,7 +456,7 @@ def roundtrip_check(lad: LieAlgebroidData, triple: VBTriple,
                 mp.c_bundle.frame_section(i),
                 mp.normalize(lad.v_bundle.zero_section(), tau))
             direct = triple.delta.apply(triple.u_sub.sections[i], tau)
-            _, w_coords = triple.k_sub.span.coords(direct.coeffs)
+            _, w_coords = triple.k_sub.split(direct.coeffs, direct.bundle.patch.zero())
             diff = [a - b for a, b in zip(value.coeffs[p:], w_coords)]
             chk.record("read-off", f"(u{i + 1}; sigma{j + 1})",
                        Section(mp.c_bundle, tuple([lad.base.zero()] * p + diff)))
@@ -517,14 +519,16 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         chk.record("anchor", std.bundle.frame[i],
                    mp.courant.anchor.apply(theta_hom.apply(t1))
                    - std.anchor.apply(t1))
+    functions = battery_functions(base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i in range(std.bundle.rank):
         t1 = std.bundle.frame_section(i)
-        for phi in battery_functions(base):
+        for phi, text in zip(functions, texts):
             for j in range(std.bundle.rank):
                 t2 = std.bundle.frame_section(j).scale(phi)
                 lhs = theta_hom.apply(std.bracket(t1, t2))
                 rhs = mp.courant.bracket(theta_hom.apply(t1), theta_hom.apply(t2))
                 chk.record("bracket-transport",
-                           f"({std.bundle.frame[i]}; ({phi})*{std.bundle.frame[j]})",
+                           f"({std.bundle.frame[i]}; ({text})*{std.bundle.frame[j]})",
                            lhs - rhs)
     return chk.report()

@@ -76,14 +76,15 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
     e_idx = b.atom_index("V")
     e_slice = b.atom_slice(e_idx)
     functions = battery_functions(b.patch)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for ui, u in enumerate(u_sub.sections):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             scaled = u.scale(phi)
             for j in range(e_slice.start, e_slice.stop):
                 s = b.frame_section(j)
                 diff = d1.apply(scaled, s) - d2.apply(scaled, s)
                 chk.record("difference-in-K",
-                           f"(({phi})*u{ui + 1}; {b.frame[j]})", k_sub.residual(diff))
+                           f"(({text})*u{ui + 1}; {b.frame[j]})", k_sub.residual(diff))
     return chk.report()
 
 
@@ -104,12 +105,13 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("dirac", "sub-double-vector-bundle and Dirac conditions for (U, K, [Delta])")
     functions = battery_functions(delta.q.patch)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
 
     for ui, u in enumerate(u_sub.sections):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             scaled_u = u.scale(phi)
             for ki, k in enumerate(k_sub.sections):
-                chk.record("closure", f"(({phi})*u{ui + 1}; k{ki + 1})",
+                chk.record("closure", f"(({text})*u{ui + 1}; k{ki + 1})",
                            k_sub.residual(delta.apply(scaled_u, k)))
 
     for i, u1 in enumerate(u_sub.sections):
@@ -126,10 +128,10 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
 
     restricts = True
     for i, u1 in enumerate(u_sub.sections):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             for j, u2 in enumerate(u_sub.sections):
                 value = delta.bracket.bracket(u1.scale(phi), u2)
-                if not chk.record("bracket-restricts", f"(({phi})*u{i + 1}; u{j + 1})",
+                if not chk.record("bracket-restricts", f"(({text})*u{i + 1}; u{j + 1})",
                                   u_sub.residual(value)):
                     restricts = False
 

@@ -555,7 +555,7 @@ def bott_dorfman(courant, k_sub: SubBundle):
     comp_sections = [Section(big, tuple(base.const(v) for v in vec)) for vec in comp_vectors]
 
     def project(section: Section) -> Section:
-        _, rest = k_sub.span.coords(section.coeffs)
+        _, rest = k_sub.split(section.coeffs, section.bundle.patch.zero())
         return Section(quotient, tuple(rest))
 
     pairing = [[courant.pair(k1, w) for w in comp_sections] for k1 in k_sub.sections]
@@ -583,9 +583,11 @@ def bott_dorfman(courant, k_sub: SubBundle):
     if all(sec.is_constant() for sec in rho_k):
         s_sub = SubBundle("S", [sec for sec in rho_k if not sec.is_zero()],
                           Bundle.tangent(base))
+        functions = battery_functions(base)
+        texts = [str(phi) for phi in functions]  # rendered once for every label
         for i, k1 in enumerate(k_sub.sections):
             for j, w in enumerate(comp_sections):
-                for phi in battery_functions(base):
+                for phi, text in zip(functions, texts):
                     value = delta.apply(k_bundle.frame_section(i),
                                         project(w).scale(phi))
                     lifted = sum((comp_sections[m].scale(value.coeffs[m])
@@ -593,7 +595,7 @@ def bott_dorfman(courant, k_sub: SubBundle):
                     lhs = courant.anchor.apply(lifted)
                     rhs = vf_bracket(rho_k[i], courant.anchor.apply(w.scale(phi)))
                     diff = lhs - rhs
-                    chk.record("bott-anchor", f"(k{i + 1}; ({phi})*w{j + 1}) mod rho(K)",
+                    chk.record("bott-anchor", f"(k{i + 1}; ({text})*w{j + 1}) mod rho(K)",
                                s_sub.residual(diff))
     else:
         chk.note("bott-anchor: skipped (rho(K) frame is not constant)")

@@ -288,6 +288,7 @@ def basic_any(lad: LieAlgebroidData, delta: DorfmanConnection,
 def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("omega", "scaling properties of the Omega map")
     functions = battery_functions(lad.base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     v_frames = lad.v_bundle.frame_sections()
     a_frames = lad.a_bundle.frame_sections()
     d_functions = [db_canonical(lad.sigma_bundle, phi) for phi in functions]
@@ -305,10 +306,10 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             xi_a = dual_pair(xi, a)
             for f, phi in enumerate(functions):
                 scaled_val = base_val.scale(phi)
-                chk.record("homogeneous-in-v", f"(({phi})*{vname}; {aname})",
+                chk.record("homogeneous-in-v", f"(({texts[f]})*{vname}; {aname})",
                            omega(lad, delta, v_scaled[f], a) - scaled_val)
                 correction = a_lifts[k].scale(x_of[f]) - d_functions[f].scale(xi_a)
-                chk.record("derivation-in-a", f"({vname}; ({phi})*{aname})",
+                chk.record("derivation-in-a", f"({vname}; ({texts[f]})*{aname})",
                            omega(lad, delta, v, a_scaled[k][f]) - scaled_val - correction)
     return chk.report()
 
@@ -318,6 +319,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     chk = Checker("basic-connections",
                   "basic connections: linearity, derivation law, duality defect, intertwining")
     functions = battery_functions(lad.base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
     v_batt = battery_sections(lad.v_bundle)
@@ -337,9 +339,9 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             row.append(base_val)
             for f, phi in enumerate(functions):
                 scaled_val = base_val.scale(phi)
-                chk.record("linear-in-a", f"(({phi})*{aname}; {label_t})",
+                chk.record("linear-in-a", f"(({texts[f]})*{aname}; {label_t})",
                            basic_any(lad, delta, a_scaled[f], t) - scaled_val)
-                chk.record("derivation-in-t", f"({aname}; ({phi})*{label_t})",
+                chk.record("derivation-in-t", f"({aname}; ({texts[f]})*{label_t})",
                            basic_any(lad, delta, a, t_scaled[t_i][f])
                            - scaled_val
                            - t.scale(rho_phi[f]))
@@ -371,6 +373,7 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
     functions = battery_functions(lad.base)[1:]
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     pm = lad.pair_map()
     terms = BasicTerms(lad, delta)
     a_frames = lad.a_bundle.frame_sections()
@@ -387,11 +390,11 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
                 for f, phi in enumerate(functions):
                     scaled_val = base_val.scale(phi)
-                    chk.record("tensorial-a", inputs + f" scale a by {phi}",
+                    chk.record("tensorial-a", inputs + f" scale a by {texts[f]}",
                                terms.basic_curvature(a_scaled[i][f], b, v) - scaled_val)
-                    chk.record("tensorial-b", inputs + f" scale b by {phi}",
+                    chk.record("tensorial-b", inputs + f" scale b by {texts[f]}",
                                terms.basic_curvature(a, a_scaled[j][f], v) - scaled_val)
-                    chk.record("tensorial-v", inputs + f" scale v by {phi}",
+                    chk.record("tensorial-v", inputs + f" scale v by {texts[f]}",
                                terms.basic_curvature(a, b, v_scaled[m][f]) - scaled_val)
     s_batt = battery_sections(lad.sigma_bundle)
     v_batt = battery_sections(lad.v_bundle)
@@ -440,6 +443,7 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
     chk = Checker("la-dirac", "LA-Dirac triple conditions (1)-(5)")
     pm = lad.pair_map()
     functions = battery_functions(lad.base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
 
     u_ann = triple.u_annihilator
     for ki, k in enumerate(k_sub.sections):
@@ -470,9 +474,9 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
     a_frames = lad.a_bundle.frame_sections()
     for k_i, k in enumerate(k_sub.sections):
         for a_i, a in enumerate(a_frames):
-            for phi in functions:
+            for phi, text in zip(functions, texts):
                 value = terms.basic_sigma(a, k.scale(phi))
-                chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({phi})*k{k_i + 1})",
+                chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({text})*k{k_i + 1})",
                            k_sub.residual(value))
 
     for i, a in enumerate(a_frames):
@@ -576,12 +580,14 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
                    anchors[i] - lad.x_part(pm.apply(k)))
+    functions = battery_functions(lad.base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i, k1 in enumerate(k_sub.sections):
-        for phi in battery_functions(lad.base):
+        for phi, text in zip(functions, texts):
             for j, k2 in enumerate(k_sub.sections):
                 lhs = delta.bracket.bracket(pm.apply(k1.scale(phi)), pm.apply(k2))
                 rhs = pm.apply(dorfman_like_bracket(lad, k1.scale(phi), k2))
-                chk.record("morphism-bracket", f"(({phi})*k{i + 1}; k{j + 1})", lhs - rhs)
+                chk.record("morphism-bracket", f"(({text})*k{i + 1}; k{j + 1})", lhs - rhs)
     return k_bracket, chk.report()
 
 
@@ -604,8 +610,8 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     names = lad.sigma_bundle.frame
-    functions = battery_functions(lad.base)
-    w = len(functions)
+    texts = [str(phi) for phi in battery_functions(lad.base)]  # rendered once for every label
+    w = len(texts)
     # battery entry m * w + f is frame m scaled by function f (see
     # battery_sections), so a_parts[m * w] is pr_A of frame m;
     # moved[i][t] = Delta_{u_i} s_t serves both identities, and
@@ -620,7 +626,7 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
         for j, v in enumerate(u_secs):
             uv = delta.bracket.bracket(u, v)
             for m in range(len(s_frames)):
-                for f, phi in enumerate(functions):
+                for f, text in enumerate(texts):
                     t = m * w + f
                     a = a_parts[t]
                     lhs = (terms.basic_v(a, uv)
@@ -631,7 +637,7 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
                     curvature = (twice[i][j][t] - twice[j][i][t]
                                  - delta.apply(uv, s_batt[t][1]))
                     rhs = -pm.apply(curvature)
-                    chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({phi})*{names[m]})",
+                    chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({text})*{names[m]})",
                                lhs - rhs)
     dlike = [[dorfman_like_bracket(lad, s1, s2) for _, s2 in s_batt] for s1 in s_frames]
     for u_i, u in enumerate(u_secs):

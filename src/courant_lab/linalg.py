@@ -127,9 +127,9 @@ def determinant(matrix: Sequence[Sequence]) -> Fraction:
 class SpanBasis:
     """A constant frame in Q^dim with its canonical complement.
 
-    Supports exact membership tests and coordinate decompositions for
-    vectors whose entries live in any module over Q (rationals or
-    polynomials), applied coefficientwise.
+    Supports exact membership tests and coordinate decompositions of
+    constant vectors; `bundle.SubBundle` applies the same inverse basis to
+    polynomial sections through `bundle.constant_apply`.
     """
 
     def __init__(self, frame: Sequence[Sequence], dim: int):
@@ -145,33 +145,16 @@ class SpanBasis:
         basis = [[columns[j][i] for j in range(dim)] for i in range(dim)]
         self.basis_inv = invert(basis)
 
-    @property
-    def frame_rank(self) -> int:
-        return len(self.frame)
-
-    def coords(self, entries: Sequence) -> Tuple[list, list]:
+    def coords(self, entries: Sequence) -> Tuple[Vector, Vector]:
         """Split a dim-vector into (frame coordinates, complement coordinates)."""
         if len(entries) != self.dim:
             raise ValueError("vector has wrong length")
-        coords = []
-        for row in self.basis_inv:
-            total = None
-            for coeff, entry in zip(row, entries):
-                if coeff == 0:
-                    continue
-                piece = entry * coeff
-                total = piece if total is None else total + piece
-            if total is None:
-                total = 0 * entries[0] if entries else Fraction(0)
-            coords.append(total)
-        return coords[:self.frame_rank], coords[self.frame_rank:]
-
-    def residual(self, entries: Sequence) -> list:
-        """Projection onto the complement; zero iff the vector lies in the span."""
-        _, rest = self.coords(entries)
-        return rest
+        coords = [sum((coeff * entry for coeff, entry in zip(row, entries) if coeff and entry),
+                      Fraction(0))
+                  for row in self.basis_inv]
+        r = len(self.frame)
+        return coords[:r], coords[r:]
 
     def contains(self, entries: Sequence) -> bool:
-        def _is_zero(x):
-            return x.is_zero() if hasattr(x, "is_zero") else x == 0
-        return all(_is_zero(x) for x in self.residual(entries))
+        """Whether the vector lies in the span: its complement coordinates are zero."""
+        return not any(self.coords(entries)[1])

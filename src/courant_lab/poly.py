@@ -6,25 +6,33 @@ normal form (no zero terms).  All geometry modules reduce their identities
 to equality of ScalarPoly normal forms, so there is no floating point
 anywhere.
 
-A coefficient is stored as an ``int`` when it is integral and as a
-``Fraction`` otherwise, because nearly every coefficient is an integer and
-``int`` arithmetic is much cheaper.  The validating constructor, ``const``,
-``var``, ``/`` and the parser store integral values as ``int``; a ring
-operation may leave an integral ``Fraction`` (for example 1/2 * 2), which
-is harmless because ``==``, ``hash`` and printing treat both types alike.
-The public views hand out ``Fraction``: ``terms`` returns a copy with
-``Fraction`` values and ``constant_value`` returns a ``Fraction``.
+A polynomial is stored as ``int`` numerators over one positive ``int``
+denominator, in lowest terms: the coefficient of a monomial is
+``_terms[exps] / _den``, every stored numerator is nonzero,
+``gcd(_den, *numerators) == 1``, and the zero polynomial has ``_den == 1``.
+So a polynomial has exactly one stored form, and ``==`` and ``hash``
+compare it directly.  Nearly every polynomial here has ``_den == 1``, and
+then the ring operations are the plain ``int`` loops; the one ``math.gcd``
+reduction of a result runs only when its denominator is not 1.  This is
+the layout of computer-algebra systems that keep exactness without a
+rational number per term (an integer polynomial times one rational
+content).  ``poly * c`` and ``poly / c`` for an ``int`` or ``Fraction`` c
+scale the numerators and the denominator directly, so a rational constant
+never becomes a polynomial on the way.  The public views hand out
+``Fraction``: ``terms`` returns a copy with ``Fraction`` values and
+``constant_value`` returns a ``Fraction``.  No module but this one reads
+``_den`` or the values of ``_terms``.
 
 Validation happens at the boundary only.  The public constructor
 ``ScalarPoly(vars, terms)``, ``const``, ``var`` and ``parse_poly`` check
 exponent widths, signs and coefficient types.  The ring operations (``+``,
-``-``, ``*``, ``**``, ``partial``, ``extend``) assume their operands are in
-normal form and build their results through ``_normal`` without checking
-them again; a zero operand returns at once, possibly as the other operand
-itself, which is safe because polynomials are never mutated (``terms``
-hands out a copy).  For the same reason ``bundle.Patch`` shares one zero
-and one unit polynomial per patch, and every vector field acting on a
-polynomial goes through the single kernel ``bundle.vf_apply``.
+``-``, ``*``, ``/``, ``**``, ``partial``, ``extend``) assume their operands
+are in normal form and build their results through ``_normal`` without
+checking them again; a zero operand returns at once, possibly as the other
+operand itself, which is safe because polynomials are never mutated
+(``terms`` hands out a copy).  For the same reason ``bundle.Patch`` shares
+one zero and one unit polynomial per patch, and every vector field acting
+on a polynomial goes through the single kernel ``bundle.vf_apply``.
 
 The gradient is the only state an instance fills in after it is built:
 ``gradient()`` computes every first partial once, on first use, and keeps
@@ -39,6 +47,7 @@ loops costs a method call per coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterable, List, Tuple, Union
 
@@ -67,30 +76,28 @@ class VariableMismatchError(PolyError):
     pass
 
 
-def _as_coeff(value: Rational) -> Rational:
-    """The stored form of a coefficient: int when integral, else Fraction."""
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)
+def _ratio(value: Rational) -> Tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms."""
+    if isinstance(value, (int, Fraction)):
+        return int(value.numerator), int(value.denominator)
     raise PolyError(f"not an exact rational: {value!r}")
 
 
 class ScalarPoly:
     """A multivariate polynomial over Q in a fixed ordered variable list.
 
-    Terms are stored as a map from exponent tuples to nonzero rationals
-    (int or Fraction, see the module docstring).
+    Terms are stored as a map from exponent tuples to nonzero int
+    numerators over the common denominator _den (see the module docstring).
     Instances are immutable by convention; every operation returns a
     normal-form polynomial, which may be one of its operands when the other
     is zero.
     """
 
-    __slots__ = ("vars", "_terms", "_gradient")  # _gradient: see gradient()
+    __slots__ = ("vars", "_terms", "_den", "_gradient")  # _gradient: see gradient()
 
     def __init__(self, vars: Iterable[str], terms: Dict[Exponents, Rational] | None = None):
         self.vars: Tuple[str, ...] = tuple(vars)
-        clean: Dict[Exponents, Rational] = {}
+        ratios: Dict[Exponents, Tuple[int, int]] = {}
         if terms:
             width = len(self.vars)
             for exps, coeff in terms.items():
@@ -98,16 +105,21 @@ class ScalarPoly:
                     raise PolyError(f"exponent tuple {exps} does not match {width} variables")
                 if any(e < 0 for e in exps):
                     raise PolyError(f"negative exponent in {exps}")
-                value = _as_coeff(coeff)
-                if value != 0:
-                    clean[tuple(exps)] = value
-        self._terms = clean
+                num, den = _ratio(coeff)
+                if num:
+                    ratios[tuple(exps)] = num, den
+        # over the lcm of lowest-terms denominators, the numerators share no
+        # factor with it: each prime power of the lcm divides some denominator
+        # whose numerator is prime to it
+        den = lcm(*(d for _, d in ratios.values())) if ratios else 1
+        self._terms = {exps: num * (den // d) for exps, (num, d) in ratios.items()}
+        self._den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "ScalarPoly":
-        return _normal(tuple(vars), {})
+        return _normal(tuple(vars), {}, 1)
 
     @classmethod
     def const(cls, vars: Iterable[str], value: Rational) -> "ScalarPoly":
@@ -130,7 +142,8 @@ class ScalarPoly:
 
     @property
     def terms(self) -> Dict[Exponents, Fraction]:
-        return {exps: Fraction(coeff) for exps, coeff in self._terms.items()}
+        den = self._den
+        return {exps: Fraction(num, den) for exps, num in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -141,7 +154,7 @@ class ScalarPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms.get((0,) * len(self.vars), 0))
+        return Fraction(self._terms.get((0,) * len(self.vars), 0), self._den)
 
     def _index(self, name: str) -> int:
         try:
@@ -166,8 +179,12 @@ class ScalarPoly:
             return self
         if not self._terms:
             return other
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
+        den = self._den
+        if den == other._den:
+            terms, rhs = dict(self._terms), other._terms
+        else:
+            terms, rhs, den = _over_common_den(self, other)
+        for exps, coeff in rhs.items():
             total = terms.get(exps)
             if total is None:
                 terms[exps] = coeff
@@ -177,12 +194,12 @@ class ScalarPoly:
                     terms[exps] = total
                 else:
                     del terms[exps]
-        return _normal(self.vars, terms)
+        return _reduced(self.vars, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarPoly":
-        return _normal(self.vars, {e: -c for e, c in self._terms.items()})
+        return _normal(self.vars, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
         if type(other) is not ScalarPoly or other.vars is not self.vars:
@@ -191,8 +208,12 @@ class ScalarPoly:
             return self
         if not self._terms:
             return -other
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
+        den = self._den
+        if den == other._den:
+            terms, rhs = dict(self._terms), other._terms
+        else:
+            terms, rhs, den = _over_common_den(self, other)
+        for exps, coeff in rhs.items():
             total = terms.get(exps)
             if total is None:
                 terms[exps] = -coeff
@@ -202,19 +223,21 @@ class ScalarPoly:
                     terms[exps] = total
                 else:
                     del terms[exps]
-        return _normal(self.vars, terms)
+        return _reduced(self.vars, terms, den)
 
     def __rsub__(self, other: Rational) -> "ScalarPoly":
         return self._coerce(other) - self
 
     def __mul__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
-        if type(other) is not ScalarPoly or other.vars is not self.vars:
+        if type(other) is not ScalarPoly:
+            return self._scaled(*_ratio(other))
+        if other.vars is not self.vars:
             other = self._coerce(other)
         if not self._terms:
             return self
         if not other._terms:
             return other
-        terms: Dict[Exponents, Rational] = {}
+        terms: Dict[Exponents, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 key = tuple(map(add, e1, e2))
@@ -223,9 +246,20 @@ class ScalarPoly:
         if len(terms) != len(self._terms) * len(other._terms):
             # two products shared a monomial, so a sum may have cancelled
             terms = {e: c for e, c in terms.items() if c}
-        return _normal(self.vars, terms)
+        den = self._den * other._den
+        return _reduced(self.vars, terms, den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, num: int, den: int) -> "ScalarPoly":
+        """self * num / den for den > 0, by scaling numerators and denominator."""
+        if not num:
+            return _normal(self.vars, {}, 1)
+        if not self._terms or (num == 1 and den == 1):
+            return self
+        terms = {e: c * num for e, c in self._terms.items()}
+        den *= self._den
+        return _reduced(self.vars, terms, den)
 
     def __pow__(self, exponent: int) -> "ScalarPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -236,21 +270,21 @@ class ScalarPoly:
         return result
 
     def __truediv__(self, other: Rational) -> "ScalarPoly":
-        divisor = _as_coeff(other)
-        if divisor == 0:
+        num, den = _ratio(other)
+        if num == 0:
             raise PolyError("division by zero")
-        return _normal(self.vars, {e: _as_coeff(Fraction(c, divisor))
-                                   for e, c in self._terms.items()})
+        return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ScalarPoly.const(self.vars, other)
         if not isinstance(other, ScalarPoly):
             return NotImplemented
-        return self.vars == other.vars and self._terms == other._terms
+        return (self.vars == other.vars and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self._terms.items())))
+        return hash((self.vars, self._den, frozenset(self._terms.items())))
 
     # -- calculus -----------------------------------------------------
 
@@ -265,14 +299,15 @@ class ScalarPoly:
             return self._gradient
         except AttributeError:  # not filled yet
             pass
-        parts: List[Dict[Exponents, Rational]] = [{} for _ in self.vars]
+        parts: List[Dict[Exponents, int]] = [{} for _ in self.vars]
         for exps, coeff in self._terms.items():
             for i, e in enumerate(exps):
                 if e:
                     # lowering one exponent is injective, so no two terms merge
                     parts[i][exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
-        zero = _normal(self.vars, {})
-        self._gradient = tuple(_normal(self.vars, terms) if terms else zero for terms in parts)
+        vars, den = self.vars, self._den
+        zero = _normal(vars, {}, 1)
+        self._gradient = tuple(_reduced(vars, terms, den) if terms else zero for terms in parts)
         return self._gradient
 
     def partial(self, name: str) -> "ScalarPoly":
@@ -291,13 +326,13 @@ class ScalarPoly:
             if name not in new_vars:
                 raise UnknownVariableError(name, 0)
             positions.append(new_vars.index(name))
-        terms: Dict[Exponents, Rational] = {}
+        terms: Dict[Exponents, int] = {}
         for exps, coeff in self._terms.items():
             widened = [0] * len(new_vars)
             for pos, e in zip(positions, exps):
                 widened[pos] = e
             terms[tuple(widened)] = coeff
-        return _normal(new_vars, terms)
+        return _normal(new_vars, terms, self._den)
 
     # -- printing -----------------------------------------------------
 
@@ -308,6 +343,7 @@ class ScalarPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        den = self._den
         pieces = []
         for exps, coeff in self._sorted_terms():
             factors = []
@@ -317,11 +353,11 @@ class ScalarPoly:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             if not factors:
-                body = _fraction_str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = _ratio_str(abs(coeff), den)
+            elif abs(coeff) == den:
                 body = "*".join(factors)
             else:
-                body = _fraction_str(abs(coeff)) + "*" + "*".join(factors)
+                body = _ratio_str(abs(coeff), den) + "*" + "*".join(factors)
             pieces.append(("-" if coeff < 0 else "+", body))
         sign, body = pieces[0]
         if sign == "-" and "^" in body.split("*", 1)[0]:
@@ -336,23 +372,48 @@ class ScalarPoly:
         return f"ScalarPoly({self})"
 
 
-def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, Rational]) -> ScalarPoly:
+def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> ScalarPoly:
     """A ScalarPoly over terms already in normal form, unchecked.
 
-    The caller guarantees what the public constructor would check: every
-    exponent tuple has len(vars) nonnegative entries and every coefficient
-    is a nonzero int or Fraction.
+    The caller guarantees what the public constructor would establish:
+    every exponent tuple has len(vars) nonnegative entries, every numerator
+    is a nonzero int, den is a positive int prime to all of them, and den
+    is 1 when terms is empty.
     """
     poly = object.__new__(ScalarPoly)
     poly.vars = vars
     poly._terms = terms
+    poly._den = den
     return poly
 
 
-def _fraction_str(value: Rational) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _reduced(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> ScalarPoly:
+    """_normal after dividing out the gcd of den and the numerators, the one
+    reduction, which runs only when den is not 1 (an empty terms gives the
+    gcd den, so zero comes out over 1)."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {e: c // g for e, c in terms.items()}
+    return _normal(vars, terms, den)
+
+
+def _over_common_den(a: ScalarPoly, b: ScalarPoly
+                     ) -> Tuple[Dict[Exponents, int], Dict[Exponents, int], int]:
+    """The numerators of a (a fresh dict) and of b over the lcm of their
+    denominators, and that lcm."""
+    g = gcd(a._den, b._den)
+    to_a, to_b = b._den // g, a._den // g
+    return ({e: c * to_a for e, c in a._terms.items()},
+            {e: c * to_b for e, c in b._terms.items()}, a._den * to_a)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, as printed: 'n' or 'n/d'."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # -- parser -----------------------------------------------------------

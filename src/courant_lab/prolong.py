@@ -116,14 +116,19 @@ class LiftedSection:
         self.vf = tuple(vf)
         self.form = tuple(form)
 
+    # zero components are skipped, and kept as the same objects a
+    # ScalarPoly operation with a zero operand would return
     def __sub__(self, other: "LiftedSection") -> "LiftedSection":
         return LiftedSection(self.total,
-                             [a - b for a, b in zip(self.vf, other.vf)],
-                             [a - b for a, b in zip(self.form, other.form)])
+                             [a - b if b._terms else a for a, b in zip(self.vf, other.vf)],
+                             [a - b if b._terms else a for a, b in zip(self.form, other.form)])
 
     def scale(self, factor: ScalarPoly) -> "LiftedSection":
-        return LiftedSection(self.total, [factor * a for a in self.vf],
-                             [factor * a for a in self.form])
+        if not factor._terms:
+            zeros = [factor] * self.total.dim
+            return LiftedSection(self.total, zeros, zeros)
+        return LiftedSection(self.total, [factor * a if a._terms else a for a in self.vf],
+                             [factor * a if a._terms else a for a in self.form])
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.vf) and all(c.is_zero() for c in self.form)
@@ -326,7 +331,7 @@ def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
     tp = section.total
     n, r = len(tp.base_coords), len(tp.fiber_coords)
     projected = list(section.vf[:n]) + list(section.form[n:])
-    u_coords, u_rest = triple.u_sub.span.coords(projected)
+    u_coords, u_rest = triple.u_sub.split(projected, tp.zero())
     if any(not c.is_zero() for c in u_rest):
         # the projection already fails to lie over U
         return LiftedSection(tp, list(section.vf[:n]) + [tp.zero()] * r,
@@ -342,7 +347,7 @@ def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
     ordered = [None] * b.rank
     ordered[b.atom_slice(b.atom_index("V"))] = remainder.vf[n:]
     ordered[b.atom_slice(b.atom_index("T*M"))] = remainder.form[:n]
-    _, rest = triple.k_sub.span.coords(ordered)
+    _, rest = triple.k_sub.split(ordered, tp.zero())
     if all(c.is_zero() for c in rest):
         return LiftedSection(tp, [tp.zero()] * (n + r), [tp.zero()] * (n + r))
     return remainder
@@ -445,17 +450,18 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 
     x_frames = tangent.frame_sections()
     functions = battery_functions(base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i, x in enumerate(x_frames):
         x_lift = linear_lift(x)
         for j, y in enumerate(x_frames):
-            for phi in functions:
+            for phi, text in zip(functions, texts):
                 ys = y.scale(phi)
                 lhs = omega_eval(x_lift, linear_lift(ys))
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
                          - conn.nabla_dual(ys, sigma_star.apply(x))
                          - sigma_star.apply(vf_bracket(x, ys)))
                 chk.record("two-form-linear-linear",
-                           f"(Dx{i + 1}; ({phi})*Dx{j + 1})", lhs - tp.linear(value.coeffs))
+                           f"(Dx{i + 1}; ({text})*Dx{j + 1})", lhs - tp.linear(value.coeffs))
         for label_e, e in battery_sections(e_bundle):
             lhs = omega_eval(x_lift, core_lift(e))
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
@@ -681,11 +687,12 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # every j from the tables of terms, and the anchors in (iii) read them too
     terms = BasicTerms(lad, delta)
     functions = battery_functions(lad.base)
+    texts = [str(phi) for phi in functions]  # rendered once for every label
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
     sig_frames = [alg.sigma_gen(b) for b in a_frames]
     for i, a in enumerate(a_frames):
-        for phi in functions:
+        for phi, text in zip(functions, texts):
             ap = a.scale(phi)
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
@@ -693,12 +700,12 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                 curv_cols = [terms.basic_curvature(ap, b, v) for v in v_frames]
                 rhs = alg.sigma_gen(terms.bracket(ap, b)) - alg.hom_dagger(
                     HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, curv_cols))
-                chk.record("sigma-bracket", f"(({phi})*a{i + 1}; a{j + 1})", lhs - rhs)
+                chk.record("sigma-bracket", f"(({text})*a{i + 1}; a{j + 1})", lhs - rhs)
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
                 lhs = alg.bracket(sig_a, alg.dagger_of(sigma))
                 rhs = alg.dagger_of(terms.basic_sigma(ap, sigma))
                 chk.record("sigma-core",
-                           f"(({phi})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
+                           f"(({text})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
     for m1 in range(lad.sigma_bundle.rank):
         for m2 in range(lad.sigma_bundle.rank):
             chk.record("core-core", f"({m1 + 1}; {m2 + 1})",

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +8,7 @@ from courant_lab.algebroid import battery_sections
 from courant_lab.bundle import (Bundle, BundleError, HomSection, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
-                                patch, vf_apply, vf_bracket)
+                                patch, random_sections, vf_apply, vf_bracket)
 from courant_lab.poly import ScalarPoly
 
 BASE = patch("x1", "x2")
@@ -129,6 +131,28 @@ def test_membership_and_residual():
     assert not k.residual(bad).is_zero()
     coords = k.coords(B.section(eps="x2", dx1="x2"))
     assert coords == [BASE.coord("x2")]
+
+
+def test_subbundle_projection_decomposes_every_section():
+    # a rational frame: every section is its frame part plus its transverse
+    # part, the residual, and is a member exactly when that part is zero
+    k = SubBundle("K", [B.section(eps=Fraction(1, 2), dx1=1),
+                        B.section(dx1=Fraction(2, 3), dx2=-1)], B)
+    complement = [B.section(dict(zip(B.frame, vec))) for vec in k.span.complement]
+    member = k.include([BASE.coord("x1"), BASE.const(Fraction(1, 3))])
+    for s in random_sections(B, 4, random.Random(3)) + [member, B.zero_section()]:
+        head, rest = k.split(s.coeffs, BASE.zero())
+        transverse = B.zero_section()
+        for coeff, w in zip(rest, complement):
+            transverse = transverse + w.scale(coeff)
+        assert k.include(head) + transverse == s
+        assert k.residual(s) == transverse
+        assert k.contains(s) == transverse.is_zero()
+        if k.contains(s):
+            assert k.coords(s) == head
+    assert k.coords(member) == [BASE.coord("x1"), BASE.const(Fraction(1, 3))]
+    with pytest.raises(BundleError):
+        k.residual(E.section(eps=1))
 
 
 def test_pairing_bilinear_over_polys():

@@ -10,6 +10,10 @@ Two kinds of hidden state fail it too: `functools.lru_cache` and
 `functools.cache`, which keep a memo on a module-level function or on a
 class, and a `global` statement.  A memo lives on the immutable object it
 is derived from (`cached_property`) or in a table local to one check.
+
+The stored form of a polynomial (int numerators over one denominator) is
+private to `poly.py`: every other module reads `._terms` only as a zero
+test and never reads `._den`.
 """
 
 import ast
@@ -105,4 +109,39 @@ def test_no_module_or_class_level_caches():
 def test_no_global_statements():
     found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
              for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def _truth_tests(tree):
+    """The nodes of tree in a position that only tests their truth: the
+    operand of `not`, an operand of `and`/`or`, the test of an `if`,
+    conditional expression, `while` or `assert`, a comprehension's `if`,
+    and the element of a generator that `any` or `all` consumes."""
+    tested = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.add(node.operand)
+        elif isinstance(node, ast.BoolOp):
+            tested.update(node.values)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tested.add(node.test)
+        elif isinstance(node, ast.comprehension):
+            tested.update(node.ifs)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("any", "all") and len(node.args) == 1
+              and isinstance(node.args[0], ast.GeneratorExp)):
+            tested.add(node.args[0].elt)
+    return tested
+
+
+def test_poly_storage_is_private_to_poly():
+    found = []
+    for module, tree in TREES.items():
+        if module == "poly.py":
+            continue
+        tested = _truth_tests(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "_den" or (node.attr == "_terms" and node not in tested)):
+                found.append(f"{module}: line {node.lineno} reads .{node.attr}")
     assert found == []

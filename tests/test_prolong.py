@@ -91,6 +91,34 @@ def test_total_pairing_multiplies_no_zero_component(ex_a, monkeypatch):
     assert products and all(a._terms and b._terms for a, b in products)
 
 
+def test_lifted_section_ops_multiply_and_subtract_no_zero_component(ex_a, monkeypatch):
+    tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
+    lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
+    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    factor = tp.embed(BASE.coord("x1")) + tp.fiber(0)
+    expected = [(lifted.scale(factor).vf, lifted.scale(factor).form),
+                ((lifted - core).vf, (lifted - core).form),
+                ((core - lifted).vf, (core - lifted).form)]
+    products, differences = [], []
+    real_mul, real_sub = ScalarPoly.__mul__, ScalarPoly.__sub__
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    def counting_sub(self, other):
+        differences.append(other)
+        return real_sub(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(ScalarPoly, "__sub__", counting_sub)
+    scaled, diff, back = lifted.scale(factor), lifted - core, core - lifted
+    assert [(scaled.vf, scaled.form), (diff.vf, diff.form), (back.vf, back.form)] == expected
+    assert lifted.scale(tp.zero()).is_zero()
+    assert products and all(a._terms and b._terms for a, b in products)
+    assert differences and all(b._terms for b in differences)
+
+
 def test_splitting_theorems(ex_a):
     assert verify_splitting_theorems(ex_a).passed
 
