@@ -82,11 +82,9 @@ class AnchoredBracket:
         return leibniz(q1, q2, self.structure, self.frame_rho, self.bundle, bracket=True)
 
     def jacobiator(self, q1: Section, q2: Section, q3: Section,
-                   b12: Optional[Section] = None, b23: Optional[Section] = None) -> Section:
-        """[[q1, q2], q3] + [q2, [q1, q3]] - [q1, [q2, q3]]; b12 = [q1, q2] and
-        b23 = [q2, q3] when the caller already holds them."""
-        b12 = self.bracket(q1, q2) if b12 is None else b12
-        b23 = self.bracket(q2, q3) if b23 is None else b23
+                   b12: Section, b23: Section) -> Section:
+        """[[q1, q2], q3] + [q2, [q1, q3]] - [q1, [q2, q3]], given the inner
+        brackets b12 = [q1, q2] and b23 = [q2, q3]."""
         return (self.bracket(b12, q3)
                 + self.bracket(q2, self.bracket(q1, q3))
                 - self.bracket(q1, b23))

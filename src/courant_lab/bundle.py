@@ -764,7 +764,7 @@ class SubBundle:
 
     def same_subspace(self, other: "SubBundle") -> bool:
         return (self.rank == other.rank
-                and all(other.span.contains(sec.constant_coeffs()) for sec in self.sections))
+                and all(other.contains(sec) for sec in self.sections))
 
 
 # -- test battery ---------------------------------------------------------

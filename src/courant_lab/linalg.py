@@ -128,8 +128,11 @@ class SpanBasis:
     """A constant frame in Q^dim with its canonical complement.
 
     Supports exact membership tests and coordinate decompositions of
-    constant vectors; `bundle.SubBundle` applies the same inverse basis to
-    polynomial sections through `bundle.constant_apply`.
+    constant vectors.  `bundle.SubBundle` builds its projections from the
+    same `basis_inv` and `complement` and applies them to polynomial
+    sections through `bundle.constant_apply`; `coords` and `contains` are
+    the constant form of those projections, the one the linalg oracle
+    checks against sympy.
     """
 
     def __init__(self, frame: Sequence[Sequence], dim: int):
