@@ -238,8 +238,9 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
         for j, (name, w) in enumerate(w_entries):
             for k, (label_s, s) in enumerate(s_entries):
                 lhs = vf_apply(pairings[j][k].vars, rho_v.coeffs, pairings[j][k])
+                rhs = pair(brackets[j], s) + pair(w, applied[k])
                 chk.record(identity, f"({label}; {name}; {label_s})",
-                           lhs - (pair(brackets[j], s) + pair(w, applied[k])))
+                           lhs - rhs if rhs._terms else lhs)
 
 
 def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[ScalarPoly],

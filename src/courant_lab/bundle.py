@@ -587,7 +587,11 @@ def vf_apply(vars_: Sequence[str], x_comps: Sequence[ScalarPoly], phi: ScalarPol
 
 def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
                      y: Sequence[ScalarPoly]) -> List[ScalarPoly]:
-    return [vf_apply(vars_, x, y[j]) - vf_apply(vars_, y, x[j]) for j in range(len(vars_))]
+    out = []
+    for j in range(len(vars_)):
+        lhs, rhs = vf_apply(vars_, x, y[j]), vf_apply(vars_, y, x[j])
+        out.append(lhs - rhs if rhs._terms else lhs)
+    return out
 
 
 def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
@@ -648,7 +652,8 @@ def courant_dorfman_form_part(x1, theta1, x2, theta2, vars_):
     pairs = [(c, t.gradient()) for c, t in zip(x2, theta1) if c._terms and t._terms]
     out = []
     for j, lie in enumerate(lie_form_comps(vars_, x1, theta2)):
-        value = lie - vf_apply(vars_, x2, theta1[j])
+        d_theta = vf_apply(vars_, x2, theta1[j])
+        value = lie - d_theta if d_theta._terms else lie
         for c, grad in pairs:
             if grad[j]._terms:
                 value = value + c * grad[j]
@@ -707,7 +712,10 @@ class SubBundle:
             if not sec.is_constant():
                 raise BundleError("subbundle frames must have constant coefficients")
             rows.append(sec.constant_coeffs())
-        self.span = SpanBasis(rows, ambient.rank)
+        try:
+            self.span = SpanBasis(rows, ambient.rank)
+        except ValueError as exc:  # a dependent frame
+            raise BundleError(str(exc)) from exc
         # frame and complement coordinates, and the residual: the sum of the
         # complement coordinates times the complement vectors
         inv, r = self.span.basis_inv, len(rows)

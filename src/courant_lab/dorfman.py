@@ -188,8 +188,9 @@ class DorfmanConnection:
             for k in range(predual.b.rank):
                 rhs = []
                 for j in range(q.rank):
-                    rhs.append(vf_apply(coords, bracket.frame_rho[i], predual.pairing[j][k])
-                               - predual.pair(bracket.structure[i][j], b_frames[k]))
+                    value = vf_apply(coords, bracket.frame_rho[i], predual.pairing[j][k])
+                    pairing = predual.pair(bracket.structure[i][j], b_frames[k])
+                    rhs.append(value - pairing if pairing._terms else value)
                 row.append(Section(predual.b, tuple(constant_apply(p, rhs, q.patch.zero()))))
             symbols.append(row)
         return cls(predual, bracket, symbols)
@@ -365,7 +366,7 @@ class DorfmanConnection:
                         lhs = self.predual.pair(q3, images[t])
                         rhs = self.predual.pair(triple, bsec)
                         chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
-                                   lhs - rhs)
+                                   lhs - rhs if rhs._terms else lhs)
         if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
             start = self.b.atom_slice(self.b.atom_index("T*M")).start
             for i, q1 in enumerate(q_frames):
@@ -418,8 +419,11 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
         rho_i = anchor.column(i).coeffs
         row = []
         for j in range(q.rank):
-            values = [vf_apply(coords, rho_i, predual.pairing[j][k])
-                      - predual.pair(q_frames[j], symbols[i][k]) for k in range(b.rank)]
+            values = []
+            for k in range(b.rank):
+                value = vf_apply(coords, rho_i, predual.pairing[j][k])
+                pairing = predual.pair(q_frames[j], symbols[i][k])
+                values.append(value - pairing if pairing._terms else value)
             row.append(Section(q, tuple(constant_apply(p_t, values, q.patch.zero()))))
         table.append(row)
     return AnchoredBracket(q, anchor, table)

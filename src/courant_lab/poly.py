@@ -8,7 +8,7 @@ anywhere.
 
 A polynomial is stored as ``int`` numerators over one positive ``int``
 denominator, in lowest terms: the coefficient of a monomial is
-``_terms[exps] / _den``, every stored numerator is nonzero,
+``_terms[key] / _den``, every stored numerator is nonzero,
 ``gcd(_den, *numerators) == 1``, and the zero polynomial has ``_den == 1``.
 So a polynomial has exactly one stored form, and ``==`` and ``hash``
 compare it directly.  Nearly every polynomial here has ``_den == 1``, and
@@ -18,19 +18,35 @@ the layout of computer-algebra systems that keep exactness without a
 rational number per term (an integer polynomial times one rational
 content).  ``poly * c`` and ``poly / c`` for an ``int`` or ``Fraction`` c
 scale the numerators and the denominator directly, so a rational constant
-never becomes a polynomial on the way.  The public views hand out
-``Fraction``: ``terms`` returns a copy with ``Fraction`` values and
+never becomes a polynomial on the way.
+
+A monomial key is one ``int`` packing the exponent vector, a field of
+``FIELD_BITS`` (16) bits per variable with the first variable in the most
+significant field, so the order of keys is the lexicographic order of the
+exponent tuples.  Every stored exponent is below ``EXPONENT_LIMIT``
+(2^15 = 32768), which leaves the top bit of each field clear as a guard:
+the product of two monomials adds their keys without a carry between
+fields, and a sum that reaches the limit in some field sets that field's
+guard bit.  Overflow is refused, never wrapped: the public constructor,
+``**`` and so the parser's ``^`` raise ``PolyError`` for an exponent at or
+above the limit, and a product raises it when a result key sets a guard
+bit.  ``gradient`` lowers one field by subtracting its unit, and
+``extend`` repacks the fields at their new positions.  A product with the
+constant 1 returns the other operand, as a product with 0 returns the zero
+operand, and a product of one term by one term is a single key addition.
+The public views hand out exponent tuples and ``Fraction``: ``terms``
+returns a copy keyed by exponent tuples with ``Fraction`` values and
 ``constant_value`` returns a ``Fraction``.  No module but this one reads
-``_den`` or the values of ``_terms``.
+``_den``, the keys or the values of ``_terms``.
 
 Validation happens at the boundary only.  The public constructor
 ``ScalarPoly(vars, terms)``, ``const``, ``var`` and ``parse_poly`` check
-exponent widths, signs and coefficient types.  The ring operations (``+``,
+exponent widths, types and ranges and coefficient types.  The ring operations (``+``,
 ``-``, ``*``, ``/``, ``**``, ``partial``, ``extend``) assume their operands
 are in normal form and build their results through ``_normal`` without
 checking them again; a zero operand returns at once, possibly as the other
-operand itself, which is safe because polynomials are never mutated
-(``terms`` hands out a copy).  For the same reason ``bundle.Patch`` shares
+operand itself, and so does the constant 1 in a product, which is safe
+because polynomials are never mutated (``terms`` hands out a copy).  For the same reason ``bundle.Patch`` shares
 one zero and one unit polynomial per patch, and every vector field acting
 on a polynomial goes through the single kernel ``bundle.vf_apply``.
 
@@ -47,12 +63,17 @@ loops costs a method call per coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from typing import Dict, Iterable, List, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Rational = Union[int, Fraction]
+
+FIELD_BITS = 16  # bits of a monomial key per variable, its top bit the guard
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)  # every exponent is below it
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class PolyError(ValueError):
@@ -76,6 +97,32 @@ class VariableMismatchError(PolyError):
     pass
 
 
+def _shifts(width: int) -> range:
+    """The bit offset of each variable's field in a key, first variable first."""
+    return range(FIELD_BITS * (width - 1), -1, -FIELD_BITS)
+
+
+def _pack(exps: Exponents) -> int:
+    key = 0
+    for e in exps:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _unpack(key: int, width: int) -> Exponents:
+    return tuple(key >> shift & _FIELD for shift in _shifts(width))
+
+
+def _guards(width: int) -> int:
+    """The guard bit of every field of a key over width variables."""
+    return (1 << FIELD_BITS * width) // _FIELD << (FIELD_BITS - 1)
+
+
+def _overflow(key: int, width: int) -> PolyError:
+    return PolyError(f"exponent overflow: a product has the exponents {_unpack(key, width)}, "
+                     f"and every exponent must be below {EXPONENT_LIMIT}")
+
+
 def _ratio(value: Rational) -> Tuple[int, int]:
     """(numerator, denominator) of an exact rational, in lowest terms."""
     if isinstance(value, (int, Fraction)):
@@ -86,7 +133,7 @@ def _ratio(value: Rational) -> Tuple[int, int]:
 class ScalarPoly:
     """A multivariate polynomial over Q in a fixed ordered variable list.
 
-    Terms are stored as a map from exponent tuples to nonzero int
+    Terms are stored as a map from packed exponent keys to nonzero int
     numerators over the common denominator _den (see the module docstring).
     Instances are immutable by convention; every operation returns a
     normal-form polynomial, which may be one of its operands when the other
@@ -97,22 +144,23 @@ class ScalarPoly:
 
     def __init__(self, vars: Iterable[str], terms: Dict[Exponents, Rational] | None = None):
         self.vars: Tuple[str, ...] = tuple(vars)
-        ratios: Dict[Exponents, Tuple[int, int]] = {}
+        ratios: Dict[int, Tuple[int, int]] = {}
         if terms:
             width = len(self.vars)
             for exps, coeff in terms.items():
                 if len(exps) != width:
                     raise PolyError(f"exponent tuple {exps} does not match {width} variables")
-                if any(e < 0 for e in exps):
-                    raise PolyError(f"negative exponent in {exps}")
+                if not all(isinstance(e, int) and 0 <= e < EXPONENT_LIMIT for e in exps):
+                    raise PolyError(f"exponents {exps} are not integers from 0 "
+                                    f"to {EXPONENT_LIMIT - 1}")
                 num, den = _ratio(coeff)
                 if num:
-                    ratios[tuple(exps)] = num, den
+                    ratios[_pack(exps)] = num, den
         # over the lcm of lowest-terms denominators, the numerators share no
         # factor with it: each prime power of the lcm divides some denominator
         # whose numerator is prime to it
         den = lcm(*(d for _, d in ratios.values())) if ratios else 1
-        self._terms = {exps: num * (den // d) for exps, (num, d) in ratios.items()}
+        self._terms = {key: num * (den // d) for key, (num, d) in ratios.items()}
         self._den = den
 
     # -- constructors -------------------------------------------------
@@ -142,19 +190,19 @@ class ScalarPoly:
 
     @property
     def terms(self) -> Dict[Exponents, Fraction]:
-        den = self._den
-        return {exps: Fraction(num, den) for exps, num in self._terms.items()}
+        den, width = self._den, len(self.vars)
+        return {_unpack(key, width): Fraction(num, den) for key, num in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self._terms)
+        return not any(self._terms)  # the constant monomial is the one key 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError(f"not a constant polynomial: {self}")
-        return Fraction(self._terms.get((0,) * len(self.vars), 0), self._den)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def _index(self, name: str) -> int:
         try:
@@ -233,20 +281,36 @@ class ScalarPoly:
             return self._scaled(*_ratio(other))
         if other.vars is not self.vars:
             other = self._coerce(other)
-        if not self._terms:
+        lhs, rhs = self._terms, other._terms
+        if not lhs:
             return self
-        if not other._terms:
+        if not rhs:
             return other
-        terms: Dict[Exponents, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(map(add, e1, e2))
+        # the constant 1 is the single key 0 with numerator 1 over 1
+        if len(lhs) == 1 and self._den == 1 and lhs.get(0) == 1:
+            return other
+        if len(rhs) == 1 and other._den == 1 and rhs.get(0) == 1:
+            return self
+        width = len(self.vars)
+        guards = _guards(width)
+        den = self._den * other._den
+        if len(lhs) == 1 and len(rhs) == 1:
+            [(k1, c1)], [(k2, c2)] = lhs.items(), rhs.items()
+            key = k1 + k2
+            if key & guards:
+                raise _overflow(key, width)
+            return _reduced(self.vars, {key: c1 * c2}, den)
+        terms: Dict[int, int] = {}
+        for k1, c1 in lhs.items():
+            for k2, c2 in rhs.items():
+                key = k1 + k2
                 total = terms.get(key)
                 terms[key] = c1 * c2 if total is None else total + c1 * c2
-        if len(terms) != len(self._terms) * len(other._terms):
+        if reduce(or_, terms) & guards:
+            raise _overflow(next(key for key in terms if key & guards), width)
+        if len(terms) != len(lhs) * len(rhs):
             # two products shared a monomial, so a sum may have cancelled
-            terms = {e: c for e, c in terms.items() if c}
-        den = self._den * other._den
+            terms = {key: c for key, c in terms.items() if c}
         return _reduced(self.vars, terms, den)
 
     __rmul__ = __mul__
@@ -264,6 +328,8 @@ class ScalarPoly:
     def __pow__(self, exponent: int) -> "ScalarPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise PolyError(f"exponent must be a nonnegative integer: {exponent!r}")
+        if exponent >= EXPONENT_LIMIT:
+            raise PolyError(f"exponent {exponent} is not below {EXPONENT_LIMIT}")
         result = ScalarPoly.one(self.vars)
         for _ in range(exponent):
             result = result * self
@@ -299,12 +365,14 @@ class ScalarPoly:
             return self._gradient
         except AttributeError:  # not filled yet
             pass
-        parts: List[Dict[Exponents, int]] = [{} for _ in self.vars]
-        for exps, coeff in self._terms.items():
-            for i, e in enumerate(exps):
+        parts: List[Dict[int, int]] = [{} for _ in self.vars]
+        fields = [(part, shift, 1 << shift) for part, shift in zip(parts, _shifts(len(parts)))]
+        for key, coeff in self._terms.items():
+            for part, shift, unit in fields:
+                e = key >> shift & _FIELD
                 if e:
                     # lowering one exponent is injective, so no two terms merge
-                    parts[i][exps[:i] + (e - 1,) + exps[i + 1:]] = coeff * e
+                    part[key - unit] = coeff * e
         vars, den = self.vars, self._den
         zero = _normal(vars, {}, 1)
         self._gradient = tuple(_reduced(vars, terms, den) if terms else zero for terms in parts)
@@ -321,31 +389,37 @@ class ScalarPoly:
         the matching positions.
         """
         new_vars = tuple(new_vars)
-        positions = []
         for name in self.vars:
             if name not in new_vars:
                 raise UnknownVariableError(name, 0)
-            positions.append(new_vars.index(name))
-        terms: Dict[Exponents, int] = {}
-        for exps, coeff in self._terms.items():
-            widened = [0] * len(new_vars)
-            for pos, e in zip(positions, exps):
-                widened[pos] = e
-            terms[tuple(widened)] = coeff
+        new_shifts = _shifts(len(new_vars))
+        # (old offset, new offset) of the field of each variable of self
+        moves = [(shift, new_shifts[new_vars.index(name)])
+                 for name, shift in zip(self.vars, _shifts(len(self.vars)))]
+        terms: Dict[int, int] = {}
+        for key, coeff in self._terms.items():
+            widened = 0
+            for old, new in moves:
+                widened |= (key >> old & _FIELD) << new
+            terms[widened] = coeff
         return _normal(new_vars, terms, self._den)
 
     # -- printing -----------------------------------------------------
 
-    def _sorted_terms(self):
-        # graded-lexicographic, leading term first
-        return sorted(self._terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+    def _sorted_terms(self) -> List[Tuple[Exponents, int, int]]:
+        # graded-lexicographic, leading term first: by degree, then by key,
+        # whose order is the lexicographic order of the exponents
+        width = len(self.vars)
+        rows = [(_unpack(key, width), key, coeff) for key, coeff in self._terms.items()]
+        rows.sort(key=lambda row: (-sum(row[0]), -row[1]))
+        return rows
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         den = self._den
         pieces = []
-        for exps, coeff in self._sorted_terms():
+        for exps, _, coeff in self._sorted_terms():
             factors = []
             for name, e in zip(self.vars, exps):
                 if e == 1:
@@ -372,11 +446,11 @@ class ScalarPoly:
         return f"ScalarPoly({self})"
 
 
-def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> ScalarPoly:
+def _normal(vars: Tuple[str, ...], terms: Dict[int, int], den: int) -> ScalarPoly:
     """A ScalarPoly over terms already in normal form, unchecked.
 
     The caller guarantees what the public constructor would establish:
-    every exponent tuple has len(vars) nonnegative entries, every numerator
+    every key packs len(vars) exponents below EXPONENT_LIMIT, every numerator
     is a nonzero int, den is a positive int prime to all of them, and den
     is 1 when terms is empty.
     """
@@ -387,7 +461,7 @@ def _normal(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> Sca
     return poly
 
 
-def _reduced(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> ScalarPoly:
+def _reduced(vars: Tuple[str, ...], terms: Dict[int, int], den: int) -> ScalarPoly:
     """_normal after dividing out the gcd of den and the numerators, the one
     reduction, which runs only when den is not 1 (an empty terms gives the
     gcd den, so zero comes out over 1)."""
@@ -400,7 +474,7 @@ def _reduced(vars: Tuple[str, ...], terms: Dict[Exponents, int], den: int) -> Sc
 
 
 def _over_common_den(a: ScalarPoly, b: ScalarPoly
-                     ) -> Tuple[Dict[Exponents, int], Dict[Exponents, int], int]:
+                     ) -> Tuple[Dict[int, int], Dict[int, int], int]:
     """The numerators of a (a fresh dict) and of b over the lcm of their
     denominators, and that lcm."""
     g = gcd(a._den, b._den)
@@ -516,7 +590,10 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             raise self.error("expected an unsigned integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise PolySyntaxError("integer literal too long", start) from None
 
     def parse_rational(self) -> ScalarPoly:
         numerator = self.parse_uint()

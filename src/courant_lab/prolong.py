@@ -407,7 +407,8 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
 
 
 def _vf_diff(tp: TotalPatch, lhs: Sequence[ScalarPoly], rhs: Sequence[ScalarPoly]):
-    return LiftedSection(tp, [a - b for a, b in zip(lhs, rhs)], [tp.zero()] * tp.dim)
+    return LiftedSection(tp, [a - b if b._terms else a for a, b in zip(lhs, rhs)],
+                         [tp.zero()] * tp.dim)
 
 
 # -- pullback of the canonical forms -------------------------------------------
@@ -658,15 +659,19 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # hom-generator rows of the table
     homs = _battery_homs(lad)
     pm = lad.pair_map()
+    a_frames = lad.a_bundle.frame_sections()
+    # the brackets [a_k, a_l] every L_{a_k} v below reads
+    frame_brackets = [[lad.bracket.bracket(a, b) for b in a_frames] for a in a_frames]
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
-        for k in range(r):
-            a, rho_a = lad.a_bundle.frame_section(k), lad.frame_anchors[k]
+        for k, a in enumerate(a_frames):
+            rho_a = lad.frame_anchors[k]
             lhs = alg.bracket(gens[k], hd)
             cols = []
             for v in lad.v_bundle.frame_sections():
                 cols.append(lie_der_sigma(lad, a, hom.apply(v), rho_a=rho_a)
-                            - hom.apply(lie_der_v(lad, a, v, rho_a=rho_a)))
+                            - hom.apply(lie_der_v(lad, a, v, rho_a=rho_a,
+                                                  brackets=frame_brackets[k])))
             rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
             chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)", lhs - rhs)
         for m in range(lad.sigma_bundle.rank):

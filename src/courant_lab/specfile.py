@@ -201,10 +201,12 @@ def parse_section_expr(text: str, bundle: Bundle, line: Optional[int] = None) ->
 
 def _idents(text: str, line: int) -> Tuple[str, ...]:
     names = tuple(v.strip() for v in text.split(",") if v.strip())
-    for name in names:
+    for i, name in enumerate(names):
         if not name[0].isalpha() or not name.isalnum():
             raise SpecError(f"{name!r} is not a valid identifier "
                             "(letter followed by letters or digits)", line)
+        if name in names[:i]:
+            raise SpecError(f"{name!r} is named twice", line)
     return names
 
 
@@ -366,8 +368,11 @@ def _dorfman(body: _Body) -> DorfmanConnection:
 def _subbundle(body: _Body) -> SubBundle:
     ambient = body.ref("ambient")
     span, line = body.get("span")
-    return SubBundle(body.sec.name, [parse_section_expr(piece, ambient, line)
-                                     for piece in span.split(";") if piece.strip()], ambient)
+    frame = [parse_section_expr(piece, ambient, line) for piece in span.split(";") if piece.strip()]
+    try:
+        return SubBundle(body.sec.name, frame, ambient)
+    except BundleError as exc:
+        raise SpecError(f"in {_header(body.sec)}: {exc}", line) from exc
 
 
 def _courant(body: _Body):

@@ -331,6 +331,15 @@ MALFORMED = {
                         "[bundle]", "[bundle] needs a name"),
     "bundle-named-TM": (_with(MINIMAL, "frame = eps", "[bundle.TM]\nframe = t1"), "[bundle.TM]",
                         "a bundle cannot be named 'TM'"),
+    "repeated-coordinate": (MINIMAL.replace("coords = x1, x2", "coords = x2, x2"),
+                            "coords = x2, x2", "'x2' is named twice"),
+    "dependent-span": (catalog_text("point-bialgebroid").replace("span = e1s ; e2s",
+                                                                 "span = e1s ; e1s"),
+                       "span = e1s ; e1s", "[subbundle.U]: frame vectors are linearly dependent"),
+    # refused before any multiplication, so the parse returns at once
+    "huge-exponent": (MINIMAL.replace("x2, eps = x1*eps", "x2, eps = x1^99999999999*eps"),
+                      "x2, eps = x1^99999999999*eps",
+                      "exponent 99999999999 is not below 32768"),
 }
 
 
@@ -686,6 +695,42 @@ def test_anchor_is_applied_once_per_section(monkeypatch, name, args):
     # table or from the check's own table of terms
     applied = _anchor_applications(monkeypatch, name, args)
     assert applied and max(applied.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["identity-lemmas", "ruth-compat"])
+def test_basic_connection_lines_evaluate_each_bracket_once(monkeypatch, name):
+    # L_a v reads the brackets [a, e_k] from the table of terms that also
+    # serves every other bracket of these lines
+    spec = parse_spec(catalog_text("im2form-zero"))
+    counts = _count_pairs(monkeypatch, algebroid.AnchoredBracket, "bracket")
+    [report] = run_check(spec, name, ["A", "Delta", "U", "K"], 7)
+    assert report.status == "pass"
+    assert counts and max(counts.values()) == 1  # 256 and 1052 brackets
+
+
+# the kernels that subtract a difference which is often zero on both sides
+DIFFERENCE_KERNELS = {"vf_bracket_comps", "courant_dorfman_form_part", "lie_der_v",
+                      "record_metric", "_vf_diff", "check_basic_identities",
+                      "check_identity_lemmas", "DorfmanConnection.curvature_vs_jacobiator",
+                      "DorfmanConnection.from_dull", "_dual_bracket"}
+
+
+def test_kernels_form_no_difference_of_two_zeros(monkeypatch, capsys):
+    # each kernel leaves out a zero subtrahend, so verify-all --seed 7 calls
+    # ScalarPoly.__sub__ on two zero operands from none of them
+    calls, callers = [], Counter()
+    real = ScalarPoly.__sub__
+
+    def counting(self, other):
+        calls.append(1)
+        if isinstance(other, ScalarPoly) and self.is_zero() and other.is_zero():
+            callers[sys._getframe(1).f_code.co_qualname.split(".<locals>")[0]] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__sub__", counting)
+    assert main(["verify-all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert calls and not DIFFERENCE_KERNELS & callers.keys(), callers
 
 
 def test_curvature_line_renders_each_battery_function_once(monkeypatch):

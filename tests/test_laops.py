@@ -257,10 +257,10 @@ def test_basic_identities_apply_the_anchor_only_in_lie_derivatives(ex_e, hom_app
     for name in ("lie_der_v", "lie_der_sigma"):
         real = getattr(laops, name)
 
-        def counting(lad, a, t, rho_a=None, real=real):
+        def counting(lad, a, t, rho_a=None, real=real, **kwargs):
             lie_args.append(a)
             handed.append(rho_a is not None)
-            return real(lad, a, t, rho_a=rho_a)
+            return real(lad, a, t, rho_a=rho_a, **kwargs)
 
         monkeypatch.setattr(laops, name, counting)
     assert check_basic_identities(lad, delta).passed

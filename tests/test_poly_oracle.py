@@ -2,9 +2,10 @@
 
 The ring operations build their results without re-validating them, so
 every result here is also checked for the normal form the unchecked
-constructor relies on: exponent tuples of the right width, nonzero int
-numerators over one positive int denominator in lowest terms (a zero
-polynomial over 1), and a `terms` view that is a copy with Fraction
+constructor relies on: int monomial keys that decode to one exponent below
+EXPONENT_LIMIT per variable, nonzero int numerators over one positive int
+denominator in lowest terms (a zero polynomial over 1), and a `terms`
+view that is a copy keyed by the decoded exponent tuples with Fraction
 values.
 Inputs are biased toward cancellation and zero operands, the cases the
 fast paths short-circuit.
@@ -16,7 +17,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant_lab.poly import ScalarPoly, parse_poly
+from courant_lab.poly import EXPONENT_LIMIT, FIELD_BITS, PolyError, ScalarPoly, parse_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -66,8 +67,22 @@ def expected_terms(expr, vars_):
             for exps, c in sympy.Poly(expr, *gens).as_dict().items() if c != 0}
 
 
+def decode(key, width):
+    """The exponent tuple of a monomial key: FIELD_BITS bits per variable,
+    the first variable in the most significant field."""
+    mask = (1 << FIELD_BITS) - 1
+    return tuple(key >> FIELD_BITS * (width - 1 - i) & mask for i in range(width))
+
+
 def assert_normal(poly, vars_=VARS):
     assert poly.vars == vars_
+    width = len(vars_)
+    for key in poly._terms:
+        # nothing above the last field, and every field below the limit, so
+        # the guard bit of every field is clear
+        assert type(key) is int and 0 <= key < 1 << FIELD_BITS * width
+        assert all(e < EXPONENT_LIMIT for e in decode(key, width))
+    assert sorted(poly.terms) == sorted(decode(key, width) for key in poly._terms)
     nums = list(poly._terms.values())
     assert type(poly._den) is int and poly._den > 0
     assert all(type(c) is int and c != 0 for c in nums)
@@ -147,27 +162,33 @@ def test_print_parse_roundtrip_matches_sympy(pair):
     assert_matches(value, reread)
 
 
+# the keys of x, y and 1 over VARS: one 16-bit field per variable, x highest
+KEY_X, KEY_Y, KEY_ONE = 1 << 32, 1 << 16, 0
+
+
 def test_mixed_int_and_fraction_coefficients():
     x, y = ScalarPoly.var(VARS, "x"), ScalarPoly.var(VARS, "y")
+    assert (x._terms, y._terms) == ({KEY_X: 1}, {KEY_Y: 1})
     product = (x * Fraction(1, 2)) * (y * 2)   # 1/2 * 2 reduces back to an integer
     plain = x * y
-    key = (1, 1, 0)
+    key = KEY_X + KEY_Y  # the key of x*y, exponents (1, 1, 0)
     assert (product._terms, product._den) == (plain._terms, plain._den) == ({key: 1}, 1)
+    assert decode(key, 3) == (1, 1, 0) and product.terms == {(1, 1, 0): 1}
     assert product == plain and hash(product) == hash(plain)
     assert str(product) == str(plain) == "x*y"
     assert_matches(product, SYMBOLS["x"] * SYMBOLS["y"])
     assert_matches(product - plain, sympy.Integer(0))
     # mixed denominators share their lcm, with the numerators over it
     mixed = x * Fraction(1, 2) - y * Fraction(2, 3)
-    assert (mixed._terms, mixed._den) == ({(1, 0, 0): 3, (0, 1, 0): -4}, 6)
+    assert (mixed._terms, mixed._den) == ({KEY_X: 3, KEY_Y: -4}, 6)
     assert mixed.terms == {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(-2, 3)}
     assert str(mixed) == "1/2*x - 2/3*y"
     # every entry point stores the same integral value the same way
     for poly in (ScalarPoly(VARS, {(0, 0, 0): Fraction(4, 2)}),
                  ScalarPoly.const(VARS, Fraction(2)), parse_poly("4/2", VARS),
                  ScalarPoly.const(VARS, 6) / 3, ScalarPoly.const(VARS, Fraction(2, 3)) * 3):
-        assert (poly._terms, poly._den) == ({(0, 0, 0): 2}, 1)
-        assert type(poly._terms[(0, 0, 0)]) is int
+        assert (poly._terms, poly._den) == ({KEY_ONE: 2}, 1)
+        assert type(poly._terms[KEY_ONE]) is int
         assert type(poly.constant_value()) is Fraction and poly.constant_value() == 2
 
 
@@ -231,3 +252,92 @@ def test_integral_fractions_behave_as_ints(pair):
     assert_matches(restored * b, sympy.expand(sa * sb))
     assert_matches(restored + b, sa + sb)
     assert_matches(restored.partial("x"), sympy.diff(sa, SYMBOLS["x"]))
+
+
+LIMIT = EXPONENT_LIMIT
+near_limit = st.sampled_from([0, 1, 2, LIMIT // 2 - 1, LIMIT // 2, LIMIT - 2, LIMIT - 1])
+near_limit_terms = st.dictionaries(st.tuples(*[near_limit] * len(VARS)),
+                                   st.integers(-3, 3), max_size=3)
+
+
+# sympy's sparse ring: its dense Poly would allocate every degree up to the limit
+RING = sympy.polys.rings.ring(",".join(VARS), sympy.QQ)[0]
+
+
+def to_ring(poly):
+    return RING.from_dict({e: sympy.QQ(c.numerator, c.denominator)
+                           for e, c in poly.terms.items()})
+
+
+def assert_matches_ring(poly, element, vars_=VARS):
+    assert_normal(poly, vars_)
+    assert poly.terms == {e: Fraction(int(c.numerator), int(c.denominator))
+                          for e, c in element.items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(near_limit_terms, near_limit_terms)
+def test_exponents_near_the_limit_match_sympy_or_overflow(first, second):
+    a, b = ScalarPoly(VARS, first), ScalarPoly(VARS, second)
+    ra, rb = to_ring(a), to_ring(b)
+    assert_matches_ring(a + b, ra + rb)
+    assert_matches_ring(a - b, ra - rb)
+    for gen, part in zip(RING.gens, a.gradient()):
+        assert_matches_ring(part, ra.diff(gen))
+    # WIDE = (w, z, x, y)
+    assert a.extend(WIDE).terms == {(0, z, x, y): c for (x, y, z), c in a.terms.items()}
+    assert_normal(a.extend(WIDE), WIDE)
+    # the largest exponent of x in a*b is the sum of the largest in a and b
+    # (their leading parts in x never cancel), so a product with a field at
+    # or above the limit is refused exactly when the true product has one
+    degrees = [max((e[i] for e in a.terms), default=0) + max((e[i] for e in b.terms), default=0)
+               for i in range(len(VARS))]
+    if a.is_zero() or b.is_zero() or max(degrees) < LIMIT:
+        assert_matches_ring(a * b, ra * rb)
+    else:
+        with pytest.raises(PolyError, match="exponent overflow"):
+            a * b
+
+
+def test_exponent_limit_is_refused_not_wrapped():
+    x, y = ScalarPoly.var(VARS, "x"), ScalarPoly.var(VARS, "y")
+    top = x ** (LIMIT - 1)
+    rx, ry, _ = RING.gens
+    assert_matches_ring(top, rx ** (LIMIT - 1))
+    assert_matches_ring(top * y ** (LIMIT - 1), (rx * ry) ** (LIMIT - 1))
+    assert parse_poly(str(top), VARS) == top == parse_poly(f"x^{LIMIT - 1}", VARS)
+    # one past the limit in a product: the carry would reach the next field
+    for product in (lambda: top * x, lambda: x * top, lambda: (top + y) * (x + 1),
+                    lambda: x ** (LIMIT // 2) * x ** (LIMIT // 2)):
+        with pytest.raises(PolyError, match="exponent overflow"):
+            product()
+    with pytest.raises(PolyError, match="exponent overflow"):
+        parse_poly(f"x^{LIMIT // 2}*x^{LIMIT // 2}", VARS)
+    # an oversized exponent: the constructor, ** and the parser's ^
+    for exps in ((LIMIT, 0, 0), (0, 0, LIMIT), (0, 2 ** 40, 0), (-1, 0, 0), (1.0, 0, 0)):
+        with pytest.raises(PolyError, match=f"not integers from 0 to {LIMIT - 1}"):
+            ScalarPoly(VARS, {exps: 1})
+    for exponent in (LIMIT, 99999999999):
+        with pytest.raises(PolyError, match=f"not below {LIMIT}"):
+            x ** exponent
+        with pytest.raises(PolyError, match=f"not below {LIMIT}"):
+            parse_poly(f"x^{exponent}", VARS)
+    with pytest.raises(PolyError, match="integer literal too long"):
+        parse_poly("x^" + "9" * 5000, VARS)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operand_pairs())
+def test_product_with_one_is_the_other_operand(pair):
+    a, b = pair
+    for one in (ScalarPoly.one(VARS), ScalarPoly.const(VARS, Fraction(2, 2)),
+                parse_poly("1", VARS), (ScalarPoly.var(VARS, "x") + 1) - ScalarPoly.var(VARS, "x")):
+        assert a * one is a and one * a is a
+    # a constant 1 over a denominator is not the unit
+    half = ScalarPoly.const(VARS, Fraction(1, 2))
+    assert_matches(a * half, to_sympy(a) / 2)
+    assert_matches(half * a, to_sympy(a) / 2)
+    # one term by one term
+    for p, q in ((a, b), (b, a)):
+        if len(p.terms) == 1 and len(q.terms) == 1:
+            assert_matches(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
