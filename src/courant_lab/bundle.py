@@ -610,7 +610,8 @@ def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
 def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> List[List[ScalarPoly]]:
     """Coefficients W[i][j] = d_i theta_j - d_j theta_i of d(theta)."""
     grad = [t.gradient() for t in theta]
-    return [[grad[j][i] - grad[i][j] for j in range(len(vars_))] for i in range(len(vars_))]
+    return [[grad[j][i] - grad[i][j] if grad[i][j]._terms else grad[j][i]
+             for j in range(len(vars_))] for i in range(len(vars_))]
 
 
 def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:

@@ -17,20 +17,26 @@ and the basic curvature is
     R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
                    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b.
 
-A check evaluates each distinct operator value its loops need once, and
-its tables live only as long as the check.  The checks of R^bas and of
-the identity lemmas keep theirs in a BasicTerms: rho(a), Omega_v a,
-nabla^bas_a v, [a, b] and L_a(Omega_v b) are evaluated once per pair of
-argument objects, so R^bas(phi a, b) v and R^bas(b, phi a) v, or
-R^bas(a, b) u and nabla^bas_a u, share their terms, and the anchor is
-applied to each section once per check.
+Each operator value is evaluated once per spec.  LieAlgebroidData, built
+once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
+(rho,rho*) sigma, Delta_v sigma, the dull bracket [[u, v]], Omega_v a,
+L_a sigma, L_a v, the Dorfman-like bracket and nabla^bas_a v and sigma,
+keyed by the operator, the Dorfman connection where the value depends on
+one and the coefficient tuples of the arguments (each operator's argument
+bundles are fixed and checked).  Its methods read the table and compute a
+value on its first read, with the bracket, the pair map, Delta or the
+module function of the same name.  So every
+line naming the algebroid reads the same values (R^bas(phi a, b) v and
+R^bas(b, phi a) v share their terms), the anchor is applied to each
+section value once, a value is reused only for the same operator on equal
+arguments, and a new parse starts with an empty table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
 from .algebroid import (AnchoredBracket, Battery, battery_sections, record_jacobi,
                         record_symmetrized)
@@ -43,17 +49,28 @@ from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
+def _coeffs(section: Section, bundle: Bundle) -> tuple:
+    """The coefficients of a section of bundle, as part of a table key."""
+    if section.bundle is not bundle and section.bundle != bundle:
+        raise BundleError(f"expected a section of {bundle.label()}, "
+                          f"got one of {section.bundle.label()}")
+    return section.coeffs
+
+
 @dataclass
 class LieAlgebroidData:
-    """A Lie algebroid together with the pair map (rho, rho*).
+    """A Lie algebroid with the pair map (rho, rho*) and its table of values.
 
-    The pair map and the LA-Dirac gate of each triple are computed once
-    and shared; the bracket and the triples are immutable, so they stay valid.
+    The pair map, the LA-Dirac gate of each triple and the table values are
+    computed once and shared; the bracket, the triples and the Dorfman
+    connections are immutable, so they stay valid.
     """
 
     bracket: AnchoredBracket
     lie_report: Optional[CheckReport] = field(repr=False, default=None)
     _la_dirac: Dict[VBTriple, CheckReport] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _values: Dict[tuple, Section] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,12 +95,6 @@ class LieAlgebroidData:
     @cached_property
     def sigma_bundle(self) -> Bundle:
         return self.a_bundle + Bundle.cotangent(self.base)
-
-    @cached_property
-    def frame_anchors(self) -> Tuple[Section, ...]:
-        """rho(a_k) for each frame element a_k of A, read off the bracket."""
-        tangent = Bundle.tangent(self.base)
-        return tuple(Section(tangent, rho) for rho in self.bracket.frame_rho)
 
     def pair_map(self) -> HomSection:
         """(rho, rho*): A + T*M -> TM + A*, assembled blockwise."""
@@ -138,44 +149,85 @@ class LieAlgebroidData:
     def xi_part(self, v: Section) -> Section:
         return Section(self.a_bundle.dual(), v.part(self.v_bundle.atom_index("V*")))
 
+    # -- the table of operator values ---------------------------------
 
-# -- the Omega map and the Lie derivatives ------------------------------
+    def _once(self, key: tuple, compute: Callable[..., Section], *args) -> Section:
+        """compute(*args) on the first read of key, the stored value after."""
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = compute(*args)
+        return value
+
+    def rho(self, a: Section) -> Section:
+        return self._once(("rho", _coeffs(a, self.a_bundle)), self.bracket.rho, a)
+
+    def a_bracket(self, a: Section, b: Section) -> Section:
+        return self._once(("bracket", _coeffs(a, self.a_bundle), _coeffs(b, self.a_bundle)),
+                          self.bracket.bracket, a, b)
+
+    def image(self, sigma: Section) -> Section:  # (rho,rho*) sigma
+        return self._once(("image", _coeffs(sigma, self.sigma_bundle)),
+                          self._pair_map.apply, sigma)
+
+    def dorfman(self, delta: DorfmanConnection, v: Section, sigma: Section) -> Section:
+        return self._once(("dorfman", delta, _coeffs(v, self.v_bundle),
+                           _coeffs(sigma, self.sigma_bundle)), delta.apply, v, sigma)
+
+    def dull_bracket(self, delta: DorfmanConnection, u: Section, v: Section) -> Section:
+        return self._once(("dull", delta, _coeffs(u, self.v_bundle), _coeffs(v, self.v_bundle)),
+                          delta.bracket.bracket, u, v)
+
+    def omega(self, delta: DorfmanConnection, v: Section, a: Section) -> Section:
+        return self._once(("omega", delta, _coeffs(v, self.v_bundle), _coeffs(a, self.a_bundle)),
+                          omega, self, delta, v, a)
+
+    def lie_der_sigma(self, a: Section, sigma: Section) -> Section:
+        return self._once(("lie_sigma", _coeffs(a, self.a_bundle),
+                           _coeffs(sigma, self.sigma_bundle)), lie_der_sigma, self, a, sigma)
+
+    def lie_der_v(self, a: Section, v: Section) -> Section:
+        return self._once(("lie_v", _coeffs(a, self.a_bundle), _coeffs(v, self.v_bundle)),
+                          lie_der_v, self, a, v)
+
+    def dorfman_like_bracket(self, s1: Section, s2: Section) -> Section:
+        return self._once(("dlike", _coeffs(s1, self.sigma_bundle),
+                           _coeffs(s2, self.sigma_bundle)), dorfman_like_bracket, self, s1, s2)
+
+    def basic_v(self, delta: DorfmanConnection, a: Section, v: Section) -> Section:
+        return self._once(("basic_v", delta, _coeffs(a, self.a_bundle), _coeffs(v, self.v_bundle)),
+                          basic_v, self, delta, a, v)
+
+    def basic_sigma(self, delta: DorfmanConnection, a: Section, sigma: Section) -> Section:
+        return self._once(("basic_sigma", delta, _coeffs(a, self.a_bundle),
+                           _coeffs(sigma, self.sigma_bundle)), basic_sigma, self, delta, a, sigma)
+
+
+# -- the operators of the table: each reads its sub-terms from the table ----
 
 
 def omega(lad: LieAlgebroidData, delta: DorfmanConnection, v: Section, a: Section) -> Section:
     """Omega_v a = Delta_v (a, 0) - (0, d<xi, a>)."""
     sigma = lad.to_sigma(a=a)
     pairing = delta.predual.pair(v, sigma)
-    return delta.apply(v, sigma) - db_canonical(lad.sigma_bundle, pairing)
+    return lad.dorfman(delta, v, sigma) - db_canonical(lad.sigma_bundle, pairing)
 
 
-def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section,
-                  rho_a: Optional[Section] = None) -> Section:
-    """L_a (b, theta) = ([a, b], L_{rho(a)} theta); a caller that keeps
-    rho(a) passes it as rho_a, otherwise the anchor is applied here."""
-    b = lad.a_part(sigma)
+def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section) -> Section:
+    """L_a (b, theta) = ([a, b], L_{rho(a)} theta)."""
     theta = lad.theta_part(sigma)
-    if rho_a is None:
-        rho_a = lad.bracket.rho(a)
-    return lad.to_sigma(a=lad.bracket.bracket(a, b), theta=lie_derivative_form(rho_a, theta))
+    return lad.to_sigma(a=lad.a_bracket(a, lad.a_part(sigma)),
+                        theta=lie_derivative_form(lad.rho(a), theta))
 
 
-def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section,
-              rho_a: Optional[Section] = None,
-              brackets: Optional[Sequence[Section]] = None) -> Section:
-    """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, e_k> = rho(a)<xi,e_k> - <xi,[a,e_k]>;
-    rho_a as in lie_der_sigma, and a caller that keeps the brackets [a, e_k]
-    over the frame of A passes them as brackets."""
+def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
+    """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, e_k> = rho(a)<xi,e_k> - <xi,[a,e_k]>."""
     x = lad.x_part(v)
     xi = lad.xi_part(v)
-    if rho_a is None:
-        rho_a = lad.bracket.rho(a)
-    if brackets is None:
-        brackets = [lad.bracket.bracket(a, ek) for ek in lad.a_bundle.frame_sections()]
+    rho_a = lad.rho(a)
     comps = []
-    for k, bracket in enumerate(brackets):
+    for k, ek in enumerate(lad.a_bundle.frame_sections()):
         value = vf_apply(lad.base.coords, rho_a.coeffs, xi.coeffs[k])
-        pairing = dual_pair(xi, bracket)
+        pairing = dual_pair(xi, lad.a_bracket(a, ek))
         comps.append(value - pairing if pairing._terms else value)
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
     return lad.to_v(x=vf_bracket(rho_a, x), xi=new_xi)
@@ -186,20 +238,41 @@ def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Sec
     a, theta = lad.a_part(s1), lad.theta_part(s1)
     b, omg = lad.a_part(s2), lad.theta_part(s2)
     coords = lad.base.coords
-    form = courant_dorfman_form_part(lad.bracket.rho(a).coeffs, theta.coeffs,
-                                     lad.bracket.rho(b).coeffs, omg.coeffs, coords)
-    return lad.to_sigma(a=lad.bracket.bracket(a, b),
+    form = courant_dorfman_form_part(lad.rho(a).coeffs, theta.coeffs,
+                                     lad.rho(b).coeffs, omg.coeffs, coords)
+    return lad.to_sigma(a=lad.a_bracket(a, b),
                         theta=Section(Bundle.cotangent(lad.base), tuple(form)))
+
+
+def basic_v(lad: LieAlgebroidData, delta: DorfmanConnection, a: Section, v: Section) -> Section:
+    """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
+    return lad.pair_map().apply(lad.omega(delta, v, a)) + lad.lie_der_v(a, v)
+
+
+def basic_sigma(lad: LieAlgebroidData, delta: DorfmanConnection,
+                a: Section, sigma: Section) -> Section:
+    """nabla^bas_a sigma = Omega_{(rho,rho*) sigma} a + L_a sigma on A + T*M."""
+    return lad.omega(delta, lad.image(sigma), a) + lad.lie_der_sigma(a, sigma)
+
+
+def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
+                    a: Section, b: Section, v: Section) -> Section:
+    """R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
+    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b, from the table."""
+    return (-lad.omega(delta, v, lad.a_bracket(a, b))
+            + lad.lie_der_sigma(a, lad.omega(delta, v, b))
+            - lad.lie_der_sigma(b, lad.omega(delta, v, a))
+            + lad.omega(delta, lad.basic_v(delta, b, v), a)
+            - lad.omega(delta, lad.basic_v(delta, a, v), b))
 
 
 def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     """Symmetrization and Leibniz-Jacobi identities of the bracket on A + T*M."""
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
-    pm = lad.pair_map()
     batt = Battery.of(lad.sigma_bundle)
-    op = partial(dorfman_like_bracket, lad)
+    op = lad.dorfman_like_bracket
     pairs = batt.table(op)
-    images = [pm.apply(s) for s in batt.sections]
+    images = [lad.image(s) for s in batt.sections]
     record_symmetrized(chk, "symmetrization", batt, pairs, lambda p, q: db_canonical(
         lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))
     record_jacobi(chk, "jacobi-leibniz", batt, op, pairs)
@@ -207,89 +280,6 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
 
 
 # -- basic connections ----------------------------------------------------
-
-
-class BasicTerms:
-    """The basic connections and R^bas, with their sub-terms kept in tables.
-
-    rho(a), Omega_v a, (rho,rho*) sigma, [a, b], L_a sigma, nabla^bas_a v and
-    nabla^bas_a sigma are each evaluated once per pair of argument objects
-    and then read from a table; a value is reused only for the same
-    expression on the same objects.  A check builds one for its own loops
-    and drops it when it returns, so the tables are freed with it.
-    """
-
-    def __init__(self, lad: LieAlgebroidData, delta: DorfmanConnection):
-        self.lad = lad
-        self.delta = delta
-        self._values: Dict[tuple, tuple] = {}
-
-    def _once(self, kind: str, x, y, compute: Callable[[], Section]) -> Section:
-        key = (kind, id(x), id(y))
-        entry = self._values.get(key)
-        if entry is None:
-            # x and y are kept with the value, so no other object takes their ids
-            entry = self._values[key] = (compute(), x, y)
-        return entry[0]
-
-    def rho(self, a: Section) -> Section:
-        return self._once("rho", a, None, lambda: self.lad.bracket.rho(a))
-
-    def omega(self, v: Section, a: Section) -> Section:
-        return self._once("omega", v, a, lambda: omega(self.lad, self.delta, v, a))
-
-    def image(self, sigma: Section) -> Section:
-        """(rho,rho*) sigma."""
-        return self._once("image", sigma, None, lambda: self.lad.pair_map().apply(sigma))
-
-    def bracket(self, a: Section, b: Section) -> Section:
-        return self._once("bracket", a, b, lambda: self.lad.bracket.bracket(a, b))
-
-    def lie_der_sigma(self, a: Section, sigma: Section) -> Section:
-        return self._once("lie", a, sigma,
-                          lambda: lie_der_sigma(self.lad, a, sigma, rho_a=self.rho(a)))
-
-    def basic_v(self, a: Section, v: Section) -> Section:
-        """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
-        def compute() -> Section:
-            brackets = [self.bracket(a, ek) for ek in self.lad.a_bundle.frame_sections()]
-            return (self.lad.pair_map().apply(self.omega(v, a))
-                    + lie_der_v(self.lad, a, v, rho_a=self.rho(a), brackets=brackets))
-        return self._once("basic_v", a, v, compute)
-
-    def basic_sigma(self, a: Section, sigma: Section) -> Section:
-        """nabla^bas_a sigma = Omega_{(rho,rho*) sigma} a + L_a sigma on A + T*M."""
-        return self._once("basic_sigma", a, sigma, lambda: self.omega(self.image(sigma), a)
-                          + self.lie_der_sigma(a, sigma))
-
-    def basic_curvature(self, a: Section, b: Section, v: Section) -> Section:
-        """R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
-        + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b."""
-        return (-self.omega(v, self.bracket(a, b))
-                + self.lie_der_sigma(a, self.omega(v, b))
-                - self.lie_der_sigma(b, self.omega(v, a))
-                + self.omega(self.basic_v(b, v), a)
-                - self.omega(self.basic_v(a, v), b))
-
-
-def basic_v(lad: LieAlgebroidData, delta: DorfmanConnection, a: Section, v: Section) -> Section:
-    """nabla^bas_a v on TM + A*, for one pair of sections."""
-    return BasicTerms(lad, delta).basic_v(a, v)
-
-
-def basic_sigma(lad: LieAlgebroidData, delta: DorfmanConnection,
-                a: Section, sigma: Section) -> Section:
-    """nabla^bas_a sigma on A + T*M, for one pair of sections."""
-    return BasicTerms(lad, delta).basic_sigma(a, sigma)
-
-
-def basic_any(lad: LieAlgebroidData, delta: DorfmanConnection,
-              a: Section, t: Section) -> Section:
-    if t.bundle == lad.v_bundle:
-        return basic_v(lad, delta, a, t)
-    if t.bundle == lad.sigma_bundle:
-        return basic_sigma(lad, delta, a, t)
-    raise BundleError("basic connection acts on TM+A* or A+T*M sections")
 
 
 def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
@@ -308,16 +298,16 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         v_scaled = [v.scale(phi) for phi in functions]
         x_of = [vf_apply(lad.base.coords, x.coeffs, phi) for phi in functions]
         for k, a in enumerate(a_frames):
-            base_val = omega(lad, delta, v, a)
+            base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
             xi_a = dual_pair(xi, a)
             for f, phi in enumerate(functions):
                 scaled_val = base_val.scale(phi)
                 chk.record("homogeneous-in-v", f"(({texts[f]})*{vname}; {aname})",
-                           omega(lad, delta, v_scaled[f], a) - scaled_val)
+                           lad.omega(delta, v_scaled[f], a) - scaled_val)
                 correction = a_lifts[k].scale(x_of[f]) - d_functions[f].scale(xi_a)
                 chk.record("derivation-in-a", f"({vname}; ({texts[f]})*{aname})",
-                           omega(lad, delta, v, a_scaled[k][f]) - scaled_val - correction)
+                           lad.omega(delta, v, a_scaled[k][f]) - scaled_val - correction)
     return chk.report()
 
 
@@ -327,36 +317,36 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                   "basic connections: linearity, derivation law, duality defect, intertwining")
     functions = battery_functions(lad.base)
     texts = [str(phi) for phi in functions]  # rendered once for every label
-    pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
     v_batt = battery_sections(lad.v_bundle)
     s_batt = battery_sections(lad.sigma_bundle)
     targets = v_batt + s_batt
+    n_v = len(v_batt)
     t_scaled = [[t.scale(phi) for phi in functions] for _, t in targets]
     coords = lad.base.coords
-    # basic[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
-    basic = []
+    # nablas[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
+    nablas = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
         a_scaled = [a.scale(phi) for phi in functions]
         rho_phi = [vf_apply(coords, lad.bracket.frame_rho[k], phi) for phi in functions]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
-            base_val = basic_any(lad, delta, a, t)
+            basic = lad.basic_v if t_i < n_v else lad.basic_sigma
+            base_val = basic(delta, a, t)
             row.append(base_val)
             for f, phi in enumerate(functions):
                 scaled_val = base_val.scale(phi)
                 chk.record("linear-in-a", f"(({texts[f]})*{aname}; {label_t})",
-                           basic_any(lad, delta, a_scaled[f], t) - scaled_val)
+                           basic(delta, a_scaled[f], t) - scaled_val)
                 chk.record("derivation-in-t", f"({aname}; ({texts[f]})*{label_t})",
-                           basic_any(lad, delta, a, t_scaled[t_i][f])
+                           basic(delta, a, t_scaled[t_i][f])
                            - scaled_val
                            - t.scale(rho_phi[f]))
-        basic.append(row)
+        nablas.append(row)
     if not a_frames:  # the loops below are empty; build no table for them
         return chk.report()
-    n_v = len(v_batt)
-    images = [pm.apply(sigma) for _, sigma in s_batt]
+    images = [lad.image(sigma) for _, sigma in s_batt]
     # the symmetrization Skew(v, (rho,rho*) sigma); the defect pairs it with (a, 0)
     skew = [[delta.skew_symmetrization(v, image) for image in images] for _, v in v_batt]
     pairings = [[delta.predual.pair(v, sigma) for _, sigma in s_batt] for _, v in v_batt]
@@ -365,8 +355,8 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         a_lift = lad.to_sigma(a=a)
         for p, (label_v, v) in enumerate(v_batt):
             for q, (label_s, sigma) in enumerate(s_batt):
-                lhs = (delta.predual.pair(basic[k][p], sigma)
-                       + delta.predual.pair(v, basic[k][n_v + q]))
+                lhs = (delta.predual.pair(nablas[k][p], sigma)
+                       + delta.predual.pair(v, nablas[k][n_v + q]))
                 rhs = vf_apply(coords, lad.bracket.frame_rho[k], pairings[p][q])
                 defect = delta.predual.pair(skew[p][q], a_lift)
                 if defect._terms:
@@ -375,7 +365,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                            lhs - rhs if rhs._terms else lhs)
         for q, (label_s, sigma) in enumerate(s_batt):
             chk.record("intertwining", f"({aname}; {label_s})",
-                       basic_v(lad, delta, a, images[q]) - pm.apply(basic[k][n_v + q]))
+                       lad.basic_v(delta, a, images[q]) - lad.image(nablas[k][n_v + q]))
     return chk.report()
 
 
@@ -385,46 +375,44 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
     functions = battery_functions(lad.base)[1:]
     texts = [str(phi) for phi in functions]  # rendered once for every label
     pm = lad.pair_map()
-    terms = BasicTerms(lad, delta)
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
     a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
     v_scaled = [[v.scale(phi) for phi in functions] for v in v_frames]
-    # the scaled a is the same object in tensorial-a at (i, j) and in
-    # tensorial-b at (j, i), so the two read the same Omega, nabla^bas and
-    # L terms from the tables
+    # tensorial-a at (i, j) and tensorial-b at (j, i) scale the same a, so
+    # the two read the same Omega, nabla^bas and L terms from the table
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for m, v in enumerate(v_frames):
-                base_val = terms.basic_curvature(a, b, v)
+                base_val = basic_curvature(lad, delta, a, b, v)
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
                 for f, phi in enumerate(functions):
                     scaled_val = base_val.scale(phi)
                     chk.record("tensorial-a", inputs + f" scale a by {texts[f]}",
-                               terms.basic_curvature(a_scaled[i][f], b, v) - scaled_val)
+                               basic_curvature(lad, delta, a_scaled[i][f], b, v) - scaled_val)
                     chk.record("tensorial-b", inputs + f" scale b by {texts[f]}",
-                               terms.basic_curvature(a, a_scaled[j][f], v) - scaled_val)
+                               basic_curvature(lad, delta, a, a_scaled[j][f], v) - scaled_val)
                     chk.record("tensorial-v", inputs + f" scale v by {texts[f]}",
-                               terms.basic_curvature(a, b, v_scaled[m][f]) - scaled_val)
+                               basic_curvature(lad, delta, a, b, v_scaled[m][f]) - scaled_val)
     s_batt = battery_sections(lad.sigma_bundle)
     v_batt = battery_sections(lad.v_bundle)
     # nabla^bas_a nabla^bas_b t is the first composition term of (a, b, t)
-    # and the second of (b, a, t); the tables evaluate it once
+    # and the second of (b, a, t); the table evaluates it once
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
-            ab = terms.bracket(a, b)
+            ab = lad.a_bracket(a, b)
             for label_s, sigma in s_batt:
-                lhs = terms.basic_curvature(a, b, terms.image(sigma))
-                rhs = (terms.basic_sigma(a, terms.basic_sigma(b, sigma))
-                       - terms.basic_sigma(b, terms.basic_sigma(a, sigma))
-                       - terms.basic_sigma(ab, sigma))
+                lhs = basic_curvature(lad, delta, a, b, lad.image(sigma))
+                rhs = (lad.basic_sigma(delta, a, lad.basic_sigma(delta, b, sigma))
+                       - lad.basic_sigma(delta, b, lad.basic_sigma(delta, a, sigma))
+                       - lad.basic_sigma(delta, ab, sigma))
                 chk.record("curvature-of-basic-sigma", f"(a{i + 1}; a{j + 1}; {label_s})",
                            lhs - rhs)
             for label_v, v in v_batt:
-                lhs = pm.apply(terms.basic_curvature(a, b, v))
-                rhs = (terms.basic_v(a, terms.basic_v(b, v))
-                       - terms.basic_v(b, terms.basic_v(a, v))
-                       - terms.basic_v(ab, v))
+                lhs = pm.apply(basic_curvature(lad, delta, a, b, v))
+                rhs = (lad.basic_v(delta, a, lad.basic_v(delta, b, v))
+                       - lad.basic_v(delta, b, lad.basic_v(delta, a, v))
+                       - lad.basic_v(delta, ab, v))
                 chk.record("curvature-of-basic-v", f"(a{i + 1}; a{j + 1}; {label_v})",
                            lhs - rhs)
     return chk.report()
@@ -480,26 +468,25 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
 
     # R^bas(a, b) u reads nabla^bas_a u, which the implied check reads
     # again, and every condition reads rho(a) of the same frame elements
-    terms = BasicTerms(lad, delta)
     a_frames = lad.a_bundle.frame_sections()
     for k_i, k in enumerate(k_sub.sections):
         for a_i, a in enumerate(a_frames):
             for phi, text in zip(functions, texts):
-                value = terms.basic_sigma(a, k.scale(phi))
+                value = lad.basic_sigma(delta, a, k.scale(phi))
                 chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({text})*k{k_i + 1})",
                            k_sub.residual(value))
 
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for u_i, u in enumerate(u_sub.sections):
-                value = terms.basic_curvature(a, b, u)
+                value = basic_curvature(lad, delta, a, b, u)
                 chk.record("5-basic-curvature-into-K", f"(a{i + 1}; a{j + 1}; u{u_i + 1})",
                            k_sub.residual(value))
 
     implied_ok = True
     for i, a in enumerate(a_frames):
         for u_i, u in enumerate(u_sub.sections):
-            value = terms.basic_v(a, u)
+            value = lad.basic_v(delta, a, u)
             if not u_sub.contains(value):
                 implied_ok = False
                 chk.require("implied-basic-preserves-U", f"(a{i + 1}; u{u_i + 1})",
@@ -519,27 +506,26 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     """
     chk = Checker("identity-lemmas",
                   "nabla^bas vs the Dorfman-like bracket; the mixed pairing identity")
-    terms = BasicTerms(lad, delta)
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     s_batt = battery_sections(lad.sigma_bundle)
     s_parts = [lad.a_part(s) for s in s_frames]
-    images = [pm.apply(s2) for _, s2 in s_batt]
+    images = [lad.image(s2) for _, s2 in s_batt]
     for i, s1 in enumerate(s_frames):
         for t, (label2, s2) in enumerate(s_batt):
-            lhs = terms.basic_sigma(s_parts[i], s2)
-            rhs = (-dorfman_like_bracket(lad, s2, s1)
-                   + delta.apply(images[t], s1))
+            lhs = lad.basic_sigma(delta, s_parts[i], s2)
+            rhs = (-lad.dorfman_like_bracket(s2, s1)
+                   + lad.dorfman(delta, images[t], s1))
             chk.record("basic-vs-dorfman-like",
                        f"({lad.sigma_bundle.frame[i]}; {label2})", lhs - rhs)
     if triple is not None:
         frame_images = [pm.apply(tau) for tau in s_frames]
         for label_v, v in battery_sections(lad.v_bundle):
             # basic[m] = nabla^bas_{pr_A e_m} v, on both sides of the identity
-            basic = [terms.basic_v(a, v) for a in s_parts]
+            basic = [lad.basic_v(delta, a, v) for a in s_parts]
             for i, tau in enumerate(s_frames):
-                mixed = (pm.apply(delta.apply(v, tau))
-                         - delta.bracket.bracket(v, frame_images[i])
+                mixed = (pm.apply(lad.dorfman(delta, v, tau))
+                         - lad.dull_bracket(delta, v, frame_images[i])
                          - basic[i])
                 for j, sigma in enumerate(s_frames):
                     lhs = delta.predual.pair(mixed, sigma)
@@ -553,9 +539,9 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
         k_parts = [lad.a_part(k) for k in k_sections]
         for u_i, u in enumerate(triple.u_sub.sections):
             for k_i, k in enumerate(k_sections):
-                lhs = pm.apply(delta.apply(u, k))
-                rhs = (delta.bracket.bracket(u, k_images[k_i])
-                       + terms.basic_v(k_parts[k_i], u))
+                lhs = pm.apply(lad.dorfman(delta, u, k))
+                rhs = (lad.dull_bracket(delta, u, k_images[k_i])
+                       + lad.basic_v(delta, k_parts[k_i], u))
                 chk.record("pair-map-of-closure", f"(u{u_i + 1}; k{k_i + 1})", lhs - rhs)
     else:
         chk.note("mixed-pairing: skipped (no triple supplied)")
@@ -572,7 +558,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
         return None, chk.report(NOT_APPLICABLE)
     delta, k_sub, u_sub = triple.delta, triple.k_sub, triple.u_sub
     pm = lad.pair_map()
-    values = [[dorfman_like_bracket(lad, k1, k2) for k2 in k_sub.sections]
+    values = [[lad.dorfman_like_bracket(k1, k2) for k2 in k_sub.sections]
               for k1 in k_sub.sections]
     ok = True
     for i, row in enumerate(values):
@@ -582,7 +568,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
                 ok = False
     if not ok:
         return None, chk.report()
-    anchors = [lad.bracket.rho(lad.a_part(k)) for k in k_sub.sections]
+    anchors = [lad.rho(lad.a_part(k)) for k in k_sub.sections]
     k_bracket = AnchoredBracket.induced(k_sub, anchors, values)
     lie = k_bracket.check_lie(triple.seed)
     chk.require("lie", "induced bracket on K", lie.passed,
@@ -597,7 +583,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
         for phi, text in zip(functions, texts):
             for j, k2 in enumerate(k_sub.sections):
                 lhs = delta.bracket.bracket(pm.apply(k1.scale(phi)), pm.apply(k2))
-                rhs = pm.apply(dorfman_like_bracket(lad, k1.scale(phi), k2))
+                rhs = pm.apply(lad.dorfman_like_bracket(k1.scale(phi), k2))
                 chk.record("morphism-bracket", f"(({text})*k{i + 1}; k{j + 1})", lhs - rhs)
     return k_bracket, chk.report()
 
@@ -616,7 +602,6 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
           + (0, d<s1, nabla^bas_{a2} u>) = -R^bas(a1, a2) u.
     """
     chk = Checker("ruth-compat", "mixed identities tying Delta to the basic data")
-    terms = BasicTerms(lad, delta)
     u_secs = triple.u_sub.sections
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
@@ -630,38 +615,38 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     # R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
     s_batt = battery_sections(lad.sigma_bundle)
     a_parts = [lad.a_part(s) for _, s in s_batt]
-    moved = [[delta.apply(u, s) for _, s in s_batt] for u in u_secs]
+    moved = [[lad.dorfman(delta, u, s) for _, s in s_batt] for u in u_secs]
     moved_parts = [[lad.a_part(value) for value in row] for row in moved]
-    twice = [[[delta.apply(u, value) for value in row] for row in moved] for u in u_secs]
+    twice = [[[lad.dorfman(delta, u, s) for s in row] for row in moved] for u in u_secs]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):
-            uv = delta.bracket.bracket(u, v)
+            uv = lad.dull_bracket(delta, u, v)
             for m in range(len(s_frames)):
                 for f, text in enumerate(texts):
                     t = m * w + f
                     a = a_parts[t]
-                    lhs = (terms.basic_v(a, uv)
-                           - delta.bracket.bracket(terms.basic_v(a, u), v)
-                           - delta.bracket.bracket(u, terms.basic_v(a, v))
-                           + terms.basic_v(moved_parts[i][t], v)
-                           - terms.basic_v(moved_parts[j][t], u))
+                    lhs = (lad.basic_v(delta, a, uv)
+                           - lad.dull_bracket(delta, lad.basic_v(delta, a, u), v)
+                           - lad.dull_bracket(delta, u, lad.basic_v(delta, a, v))
+                           + lad.basic_v(delta, moved_parts[i][t], v)
+                           - lad.basic_v(delta, moved_parts[j][t], u))
                     curvature = (twice[i][j][t] - twice[j][i][t]
-                                 - delta.apply(uv, s_batt[t][1]))
+                                 - lad.dorfman(delta, uv, s_batt[t][1]))
                     rhs = -pm.apply(curvature)
                     chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({text})*{names[m]})",
                                lhs - rhs)
-    dlike = [[dorfman_like_bracket(lad, s1, s2) for _, s2 in s_batt] for s1 in s_frames]
+    dlike = [[lad.dorfman_like_bracket(s1, s2) for _, s2 in s_batt] for s1 in s_frames]
     for u_i, u in enumerate(u_secs):
         for i, s1 in enumerate(s_frames):
             a1 = a_parts[i * w]
-            nb1 = terms.basic_v(a1, u)
+            nb1 = lad.basic_v(delta, a1, u)
             for t, (label2, s2) in enumerate(s_batt):
-                nb2 = terms.basic_v(a_parts[t], u)
-                lhs = (delta.apply(u, dlike[i][t])
-                       - dorfman_like_bracket(lad, moved[u_i][i * w], s2)
-                       - dorfman_like_bracket(lad, s1, moved[u_i][t])
-                       + delta.apply(nb1, s2) - delta.apply(nb2, s1)
+                nb2 = lad.basic_v(delta, a_parts[t], u)
+                lhs = (lad.dorfman(delta, u, dlike[i][t])
+                       - lad.dorfman_like_bracket(moved[u_i][i * w], s2)
+                       - lad.dorfman_like_bracket(s1, moved[u_i][t])
+                       + lad.dorfman(delta, nb1, s2) - lad.dorfman(delta, nb2, s1)
                        + db_canonical(lad.sigma_bundle, delta.predual.pair(nb2, s1)))
-                rhs = -terms.basic_curvature(a1, a_parts[t], u)
+                rhs = -basic_curvature(lad, delta, a1, a_parts[t], u)
                 chk.record("identity-2", f"(u{u_i + 1}; {names[i]}; {label2})", lhs - rhs)
     return chk.report()

@@ -50,11 +50,13 @@ because polynomials are never mutated (``terms`` hands out a copy).  For the sam
 one zero and one unit polynomial per patch, and every vector field acting
 on a polynomial goes through the single kernel ``bundle.vf_apply``.
 
-The gradient is the only state an instance fills in after it is built:
-``gradient()`` computes every first partial once, on first use, and keeps
-the tuple in a ``__slots__`` entry of that instance (never in a module- or
-class-level cache), and ``partial`` reads it.  That is safe for the same
-reason: a polynomial is never mutated, so its derivatives never go stale.
+The gradient and the hash are the only state an instance fills in after
+it is built: each is computed on first use and kept in a ``__slots__``
+entry of that instance (never in a module- or class-level cache).
+``partial`` reads the gradient, and the value tables of ``laops``, keyed by
+coefficient tuples, read the hash.  That is safe for the same reason: a
+polynomial is never mutated, so neither goes stale.  ``**`` squares
+repeatedly.
 The kernels of ``bundle`` test a polynomial for zero by reading its term
 dict (``not p._terms``) rather than calling ``is_zero()``, which in their
 loops costs a method call per coefficient.
@@ -140,7 +142,7 @@ class ScalarPoly:
     is zero.
     """
 
-    __slots__ = ("vars", "_terms", "_den", "_gradient")  # _gradient: see gradient()
+    __slots__ = ("vars", "_terms", "_den", "_gradient", "_hash")  # see gradient(), __hash__
 
     def __init__(self, vars: Iterable[str], terms: Dict[Exponents, Rational] | None = None):
         self.vars: Tuple[str, ...] = tuple(vars)
@@ -330,10 +332,10 @@ class ScalarPoly:
             raise PolyError(f"exponent must be a nonnegative integer: {exponent!r}")
         if exponent >= EXPONENT_LIMIT:
             raise PolyError(f"exponent {exponent} is not below {EXPONENT_LIMIT}")
-        result = ScalarPoly.one(self.vars)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent < 2:
+            return self if exponent else ScalarPoly.one(self.vars)
+        half = self ** (exponent // 2)  # repeated squaring
+        return half * half * self if exponent & 1 else half * half
 
     def __truediv__(self, other: Rational) -> "ScalarPoly":
         num, den = _ratio(other)
@@ -350,7 +352,11 @@ class ScalarPoly:
                 and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.vars, self._den, frozenset(self._terms.items())))
+        try:
+            return self._hash
+        except AttributeError:  # the first call, as in gradient()
+            self._hash = hash((self.vars, self._den, frozenset(self._terms.items())))
+            return self._hash
 
     # -- calculus -----------------------------------------------------
 

@@ -41,7 +41,7 @@ from .bundle import (VEC, Bundle, BundleError, HomSection, Patch, Section, batte
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
-from .laops import BasicTerms, LieAlgebroidData, lie_der_sigma, lie_der_v, omega
+from .laops import LieAlgebroidData, basic_curvature
 from .poly import ScalarPoly
 from .report import Checker, CheckReport
 
@@ -223,12 +223,12 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             # l of the E*-part of the symmetrization
             ell = tp.linear(delta.skew_symmetrization(v1, v2).part(q.atom_index("V*")))
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
-                       total_pairing(lifts[i], lifts[j]) - ell)
+                       _difference(total_pairing(lifts[i], lifts[j]), ell))
     for i, v in enumerate(q_frames):
         for label_s, s, core in cores:
             chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})",
-                       total_pairing(lifts[i], core)
-                       - tp.embed(delta.predual.pair(v, s)))
+                       _difference(total_pairing(lifts[i], core),
+                                   tp.embed(delta.predual.pair(v, s))))
     for label1, _, c1 in cores:
         for label2, _, c2 in cores:
             chk.record("pairing-core-core", f"({label1}; {label2})",
@@ -262,10 +262,10 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for label_eta, eta in battery_sections(e_bundle.dual()):
             lhs = vf_apply(tp.allvars, lifts[i].vf, tp.linear(eta.coeffs))
             rhs = tp.linear([
-                vf_apply(q.patch.coords, delta.bracket.frame_rho[i], c)
-                - dual_pair(eta, Section(e_bundle, delta.apply(v, ef).part(e_idx)))
+                _difference(vf_apply(q.patch.coords, delta.bracket.frame_rho[i], c),
+                            dual_pair(eta, Section(e_bundle, delta.apply(v, ef).part(e_idx))))
                 for c, ef in zip(eta.coeffs, e_frames)])
-            chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
+            chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
     return chk.report()
 
 
@@ -406,9 +406,13 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
     return chk.report()
 
 
+def _difference(lhs: ScalarPoly, rhs: ScalarPoly) -> ScalarPoly:
+    """lhs - rhs, with no subtraction where rhs is zero."""
+    return lhs - rhs if rhs._terms else lhs
+
+
 def _vf_diff(tp: TotalPatch, lhs: Sequence[ScalarPoly], rhs: Sequence[ScalarPoly]):
-    return LiftedSection(tp, [a - b if b._terms else a for a, b in zip(lhs, rhs)],
-                         [tp.zero()] * tp.dim)
+    return LiftedSection(tp, [_difference(a, b) for a, b in zip(lhs, rhs)], [tp.zero()] * tp.dim)
 
 
 # -- pullback of the canonical forms -------------------------------------------
@@ -461,12 +465,12 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
                          - conn.nabla_dual(ys, sigma_star.apply(x))
                          - sigma_star.apply(vf_bracket(x, ys)))
-                chk.record("two-form-linear-linear",
-                           f"(Dx{i + 1}; ({text})*Dx{j + 1})", lhs - tp.linear(value.coeffs))
+                chk.record("two-form-linear-linear", f"(Dx{i + 1}; ({text})*Dx{j + 1})",
+                           _difference(lhs, tp.linear(value.coeffs)))
         for label_e, e in battery_sections(e_bundle):
             lhs = omega_eval(x_lift, core_lift(e))
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
-            chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", lhs - rhs)
+            chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", _difference(lhs, rhs))
     for label1, e1 in battery_sections(e_bundle):
         for label2, e2 in battery_sections(e_bundle):
             chk.record("two-form-core-core", f"({label1}; {label2})",
@@ -479,13 +483,13 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
         cols = [lie_derivative_form(x, sigma.apply(e)) - sigma.apply(conn.nabla(x, e))
                 for e in e_frames]
         pulled = [tp.linear([col.coeffs[m] for col in cols]) for m in range(n)] + [tp.zero()] * r
-        diff = [a + ell.partial(v) - b for a, v, b in zip(flat, tp.allvars, pulled)]
+        diff = [_difference(a + ell.partial(v), b) for a, v, b in zip(flat, tp.allvars, pulled)]
         chk.record("flat-of-linear", f"Dx{i + 1}",
                    LiftedSection(tp, [tp.zero()] * (n + r), diff))
     for l, e_l in enumerate(e_frames):
         flat = interior_two_form(core_lift(e_l), w)
         expected = [tp.embed(c) for c in sigma.apply(e_l).coeffs] + [tp.zero()] * r
-        diff = [a - b for a, b in zip(flat, expected)]
+        diff = [_difference(a, b) for a, b in zip(flat, expected)]
         chk.record("flat-of-core", e_bundle.frame[l],
                    LiftedSection(tp, [tp.zero()] * (n + r), diff))
     return chk.report()
@@ -570,7 +574,7 @@ class GeneratorAlgebra:
 
     def omega_hom(self, a: Section) -> HomSection:
         """The hom v |-> Omega_v a."""
-        cols = [omega(self.lad, self.delta, v, a)
+        cols = [self.lad.omega(self.delta, v, a)
                 for v in self.lad.v_bundle.frame_sections()]
         return HomSection.from_columns(self.lad.v_bundle, self.lad.sigma_bundle, cols)
 
@@ -586,12 +590,11 @@ class GeneratorAlgebra:
         out = [self.tp.zero()] * self.tp.dim
         if k < r:
             a = self.lad.a_bundle.frame_section(k)
-            rho_a = self.lad.frame_anchors[k]
             for i in range(n):
-                out[i] = self.tp.embed(rho_a.coeffs[i])
+                out[i] = self.tp.embed(self.lad.bracket.frame_rho[k][i])
             for j in range(self.lad.v_bundle.rank):
                 tau = self.lad.sigma_bundle.frame_section(self.partner[j])
-                lied = lie_der_sigma(self.lad, a, tau, rho_a=rho_a)
+                lied = self.lad.lie_der_sigma(a, tau)
                 # l_{L_a tau} = sum_j' w_j' <v_j', L_a tau>
                 out[n + j] = self.tp.linear([self.delta.predual.pair(v, lied)
                                              for v in self.lad.v_bundle.frame_sections()])
@@ -610,9 +613,9 @@ class GeneratorAlgebra:
             return self.bundle.zero_section() if k2 >= r else -self._rows[k2][k1]
         a = self.lad.a_bundle.frame_section(k1)
         if k2 < r:
-            return self.tilde_of(self.lad.bracket.bracket(a, self.lad.a_bundle.frame_section(k2)))
+            return self.tilde_of(self.lad.a_bracket(a, self.lad.a_bundle.frame_section(k2)))
         tau = self.lad.sigma_bundle.frame_section(k2 - r)
-        return self.dagger_of(lie_der_sigma(self.lad, a, tau, rho_a=self.lad.frame_anchors[k1]))
+        return self.dagger_of(self.lad.lie_der_sigma(a, tau))
 
     def theta(self, elem: Section) -> Tuple[ScalarPoly, ...]:
         """The anchor of elem: a vector field on the total space, by components."""
@@ -660,18 +663,14 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     homs = _battery_homs(lad)
     pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
-    # the brackets [a_k, a_l] every L_{a_k} v below reads
-    frame_brackets = [[lad.bracket.bracket(a, b) for b in a_frames] for a in a_frames]
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
         for k, a in enumerate(a_frames):
-            rho_a = lad.frame_anchors[k]
             lhs = alg.bracket(gens[k], hd)
             cols = []
             for v in lad.v_bundle.frame_sections():
-                cols.append(lie_der_sigma(lad, a, hom.apply(v), rho_a=rho_a)
-                            - hom.apply(lie_der_v(lad, a, v, rho_a=rho_a,
-                                                  brackets=frame_brackets[k])))
+                cols.append(lad.lie_der_sigma(a, hom.apply(v))
+                            - hom.apply(lad.lie_der_v(a, v)))
             rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
             chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)", lhs - rhs)
         for m in range(lad.sigma_bundle.rank):
@@ -689,8 +688,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
 
     # (ii) the five identities for Sigma; R^bas(phi a_i, a_j) v_m reads
     # nabla^bas_{a_j} v_m for every (i, phi) and nabla^bas_{phi a_i} v_m for
-    # every j from the tables of terms, and the anchors in (iii) read them too
-    terms = BasicTerms(lad, delta)
+    # every j from the table of lad, and the anchors in (iii) read them too
     functions = battery_functions(lad.base)
     texts = [str(phi) for phi in functions]  # rendered once for every label
     a_frames = lad.a_bundle.frame_sections()
@@ -702,13 +700,13 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
                 lhs = alg.bracket(sig_a, sig_frames[j])
-                curv_cols = [terms.basic_curvature(ap, b, v) for v in v_frames]
-                rhs = alg.sigma_gen(terms.bracket(ap, b)) - alg.hom_dagger(
+                curv_cols = [basic_curvature(lad, delta, ap, b, v) for v in v_frames]
+                rhs = alg.sigma_gen(lad.a_bracket(ap, b)) - alg.hom_dagger(
                     HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, curv_cols))
                 chk.record("sigma-bracket", f"(({text})*a{i + 1}; a{j + 1})", lhs - rhs)
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
                 lhs = alg.bracket(sig_a, alg.dagger_of(sigma))
-                rhs = alg.dagger_of(terms.basic_sigma(ap, sigma))
+                rhs = alg.dagger_of(lad.basic_sigma(delta, ap, sigma))
                 chk.record("sigma-core",
                            f"(({text})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
     for m1 in range(lad.sigma_bundle.rank):
@@ -723,8 +721,9 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.linear([
-                vf_apply(lad.base.coords, lad.bracket.frame_rho[i], delta.predual.pair(v, tau))
-                - delta.predual.pair(terms.basic_v(a, v), tau)
+                _difference(vf_apply(lad.base.coords, lad.bracket.frame_rho[i],
+                                     delta.predual.pair(v, tau)),
+                            delta.predual.pair(lad.basic_v(delta, a, v), tau))
                 for v in v_frames]))
         chk.record("anchor-of-sigma", f"a{i + 1}", _vf_diff(tp, vf, expected))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):

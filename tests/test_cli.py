@@ -513,16 +513,23 @@ def _im2form_zero_objects():
     return checks._lad(spec, 7, spec.lookup("bracket", "A")), spec.lookup("dorfman", "Delta")
 
 
-def _count_pairs(monkeypatch, module, name):
-    """Wraps module.name(lad, delta?, x, y, **kwargs) to count calls per pair
-    of argument objects; the arguments are kept alive, so no two pairs share ids."""
+def _count_pairs(monkeypatch, module, name, by_value=True):
+    """Wraps module.name(..., x, y, **kwargs) to count its calls per pair of
+    sections x, y, the arguments before them (bracket, connection, algebroid
+    data) by identity.  By value, x and y count by bundle and coefficients,
+    as the table of LieAlgebroidData hands out one object for equal values;
+    otherwise by object, kept alive so that no two pairs share ids."""
     counts, kept = Counter(), []
     real = getattr(module, name)
 
     def counting(*args, **kwargs):
-        x, y = args[-2:]
-        kept.append((x, y))
-        counts[id(x), id(y)] += 1
+        *owners, x, y = args
+        if by_value:
+            pair = (x.bundle, x.coeffs, y.bundle, y.coeffs)
+        else:
+            kept.append((x, y))
+            pair = (id(x), id(y))
+        counts[tuple(map(id, owners)), pair] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
@@ -620,7 +627,7 @@ xfail splitting-theorems = Delta
 
 def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
-    counts = _count_pairs(monkeypatch, DorfmanConnection, "apply")
+    counts = _count_pairs(monkeypatch, DorfmanConnection, "apply", by_value=False)
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
     assert counts and max(counts.values()) == 1
@@ -634,6 +641,68 @@ def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):
     assert counts["omega"] and max(counts["omega"].values()) == 1
     assert counts["lie_der_v"] and max(counts["lie_der_v"].values()) == 1
     assert max(counts["basic_v"].values(), default=0) <= 1
+
+
+# the module functions of laops that compute the values of the table
+OPERATORS = ("omega", "lie_der_sigma", "lie_der_v", "dorfman_like_bracket", "basic_v",
+             "basic_sigma")
+
+
+def _value(arg):
+    """An argument as a count key: a section by its coefficients, any other
+    argument (the algebroid data, the connection) by identity."""
+    return arg.coeffs if isinstance(arg, bundle.Section) else id(arg)
+
+
+def _operator_values(monkeypatch):
+    """Counts the calls of each laops operator per tuple of argument values."""
+    counts = Counter()
+    for name in OPERATORS:
+        def counting(*args, name=name, real=getattr(laops, name)):
+            counts[name, tuple(map(_value, args))] += 1
+            return real(*args)
+
+        monkeypatch.setattr(laops, name, counting)
+    return counts
+
+
+def test_one_spec_computes_each_operator_value_once(monkeypatch):
+    # all 12 lines of im2form-zero on one parse: Omega, L_a, the Dorfman-like
+    # bracket and nabla^bas are computed once per argument value, and so is
+    # every other value the table holds (rho(a), [a, b], (rho,rho*) sigma,
+    # Delta_v sigma and the dull bracket)
+    operators = _operator_values(monkeypatch)
+    table = Counter()
+    real = laops.LieAlgebroidData._once
+
+    def once(self, key, compute, *args):
+        def counted(*inner):
+            table[key[0], tuple(map(_value, args))] += 1
+            return compute(*inner)
+        return real(self, key, counted, *args)
+
+    monkeypatch.setattr(laops.LieAlgebroidData, "_once", once)
+    results = _results_for_spec(parse_spec(catalog_text("im2form-zero")), None, 7)
+    assert len(results) == 12 and all(r["as_expected"] for r in results)
+    assert {name for name, _ in operators} == set(OPERATORS)
+    assert max(operators.values()) == 1
+    assert {kind for kind, _ in table} == {"rho", "bracket", "image", "dorfman", "dull", "omega",
+                                          "lie_sigma", "lie_v", "dlike", "basic_v",
+                                          "basic_sigma"}
+    assert max(table.values()) == 1
+
+
+def test_a_new_parse_computes_its_own_table(monkeypatch):
+    # the table lives on the algebroid data of one parsed spec, so a second
+    # parse of the same text computes every value again
+    operators = _operator_values(monkeypatch)
+    totals = []
+    for _ in range(2):
+        spec = parse_spec(catalog_text("im2form-zero"))
+        before = sum(operators.values())
+        assert all(r.passed for r in run_check(spec, "section4", ["A", "Delta"], 7))
+        totals.append(sum(operators.values()) - before)
+    assert totals[0] and totals[0] == totals[1]
 
 
 @pytest.mark.parametrize("entry,name,args,calls", [
@@ -663,17 +732,15 @@ def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name
 
 def _anchor_applications(monkeypatch, name, args):
     """Runs one im2form-zero line and counts how often the anchor of A is
-    applied to each section object; the sections are kept alive, so no two
-    share an id."""
+    applied to each section value (by its coefficients)."""
     spec = parse_spec(catalog_text("im2form-zero"))
     anchor = spec.lookup("bracket", "A").anchor
-    applied, kept = Counter(), []
+    applied = Counter()
     real = HomSection.apply
 
     def counting(self, section):
         if self is anchor:
-            kept.append(section)
-            applied[id(section)] += 1
+            applied[section.coeffs] += 1
         return real(self, section)
 
     monkeypatch.setattr(HomSection, "apply", counting)
@@ -692,16 +759,18 @@ def test_identity_lemmas_apply_the_anchor_once_per_section(monkeypatch):
                          ids=["la-dirac", "ta-generators"])
 def test_anchor_is_applied_once_per_section(monkeypatch, name, args):
     # the anchor of each A frame element is read off the bracket's frame
-    # table or from the check's own table of terms
+    # table or from the table of the algebroid data
     applied = _anchor_applications(monkeypatch, name, args)
     assert applied and max(applied.values()) == 1
 
 
 @pytest.mark.parametrize("name", ["identity-lemmas", "ruth-compat"])
 def test_basic_connection_lines_evaluate_each_bracket_once(monkeypatch, name):
-    # L_a v reads the brackets [a, e_k] from the table of terms that also
-    # serves every other bracket of these lines
+    # L_a v reads the brackets [a, e_k] from the table of the algebroid data,
+    # which also serves every other bracket of these lines; the data is built
+    # first, so the count leaves out the brackets of its own check_lie
     spec = parse_spec(catalog_text("im2form-zero"))
+    checks._lad(spec, 7, spec.lookup("bracket", "A"))
     counts = _count_pairs(monkeypatch, algebroid.AnchoredBracket, "bracket")
     [report] = run_check(spec, name, ["A", "Delta", "U", "K"], 7)
     assert report.status == "pass"
@@ -712,7 +781,10 @@ def test_basic_connection_lines_evaluate_each_bracket_once(monkeypatch, name):
 DIFFERENCE_KERNELS = {"vf_bracket_comps", "courant_dorfman_form_part", "lie_der_v",
                       "record_metric", "_vf_diff", "check_basic_identities",
                       "check_identity_lemmas", "DorfmanConnection.curvature_vs_jacobiator",
-                      "DorfmanConnection.from_dull", "_dual_bracket"}
+                      "DorfmanConnection.from_dull", "_dual_bracket",
+                      "verify_splitting_theorems", "canonical_form_check", "ta_generator_check",
+                      "roundtrip_check", "build_manin_pair", "two_form_of_oneform",
+                      "im2form_standard_iso"}
 
 
 def test_kernels_form_no_difference_of_two_zeros(monkeypatch, capsys):

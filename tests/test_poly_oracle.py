@@ -326,6 +326,27 @@ def test_exponent_limit_is_refused_not_wrapped():
         parse_poly("x^" + "9" * 5000, VARS)
 
 
+def test_power_takes_a_product_per_bit_of_the_exponent(monkeypatch):
+    # repeated squaring: at most two products for each of the 15 bits of the
+    # largest exponent, where one product per unit would take 32,767
+    products = []
+    real = ScalarPoly.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(ScalarPoly, "__mul__", counting)
+    power = parse_poly(f"x^{LIMIT - 1}", VARS)
+    assert len(products) <= 2 * (LIMIT - 1).bit_length() == 30
+    assert power.terms == {(LIMIT - 1, 0, 0): 1}
+    monkeypatch.undo()
+    rx, ry, _ = RING.gens
+    for exponent in (0, 1, 2, 5, 12):
+        assert_matches_ring(parse_poly(f"(x - 2/3*y + 1)^{exponent}", VARS),
+                            (rx - sympy.QQ(2, 3) * ry + 1) ** exponent)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(operand_pairs())
 def test_product_with_one_is_the_other_operand(pair):
