@@ -11,12 +11,15 @@ record_anchor_morphism, record_metric (axiom (c)) and record_right_leibniz
 (axiom (b)) are the one kernel per Courant algebroid identity (Liu,
 Weinstein and Xu) for every check that verifies one.  Each reads the
 values its check already holds, over a Battery; only this module reads
-the battery layout.
+the battery layout.  A BatteryTable keeps op(s_p, t_q) by position: an
+AnchoredBracket keeps [s_p, s_q] over its battery for its lifetime, read
+by its Lie and anchor checks and by the Dorfman checks.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
@@ -89,14 +92,24 @@ class AnchoredBracket:
                 + self.bracket(q2, self.bracket(q1, q3))
                 - self.bracket(q1, b23))
 
+    @cached_property
+    def battery_table(self) -> "BatteryTable":
+        """[s_p, s_q] over Battery.of(bundle), kept as long as the bracket."""
+        batt = Battery.of(self.bundle)
+        return BatteryTable(batt, batt)
+
+    def battery_bracket(self, p: int, q: int) -> Section:
+        """[s_p, s_q] for the battery positions p and q, evaluated once."""
+        return self.battery_table.get(self.bracket, p, q)
+
     # -- checks ----------------------------------------------------------
 
     def check_anchor_compat(self) -> CheckReport:
         """rho[q, q'] = [rho q, rho q'] on frames and the coefficient battery."""
         chk = Checker("anchor-compat", "anchor intertwines the bracket with vector fields")
-        batt = Battery.of(self.bundle)
-        record_anchor_morphism(chk, "anchor-compat", batt, batt.table(self.bracket), self.anchor,
-                               [self.rho(q) for q in batt.sections])
+        table = self.battery_table
+        record_anchor_morphism(chk, "anchor-compat", table.rows, table.full(self.bracket),
+                               self.anchor, [self.rho(q) for q in table.rows.sections])
         return chk.report()
 
     def check_lie(self, seed: int = BATTERY_SEED) -> CheckReport:
@@ -111,8 +124,7 @@ class AnchoredBracket:
 
     def _lie_report(self, seed: int) -> CheckReport:
         chk = Checker("lie", "bracket is antisymmetric and satisfies the Jacobi identity")
-        batt = Battery.of(self.bundle)
-        pairs = batt.table(self.bracket)
+        batt, pairs = self.battery_table.rows, self.battery_table.full(self.bracket)
         record_symmetrized(chk, "antisymmetry", batt, pairs)
         # [[q_i, q_j], s] + [q_j, [q_i, s]] - [q_i, [q_j, s]]: the Courant form negated
         record_jacobi(chk, "jacobi", batt, self.bracket, pairs, negate=True)
@@ -158,12 +170,13 @@ class AnchoredBracket:
 
 class Battery(NamedTuple):
     """Labelled sections s_p, the positions of the frame sections among them
-    and, for the battery of a bundle (see of), its functions."""
+    and, for the battery of a bundle (see of), its functions and their texts."""
 
     labels: List[str]
     sections: List[Section]
     frames: Sequence[int]
     functions: Sequence[ScalarPoly] = ()
+    texts: Sequence[str] = ()
 
     @classmethod
     def of(cls, bundle: Bundle) -> "Battery":
@@ -175,14 +188,33 @@ class Battery(NamedTuple):
         """
         functions = battery_functions(bundle.patch)
         # each function is rendered once; the constant 1 labels its entry by the frame name
-        prefixes = [""] + [f"({phi})*" for phi in functions[1:]]
+        texts = ["1"] + [str(phi) for phi in functions[1:]]
+        prefixes = [""] + [f"({text})*" for text in texts[1:]]
         sections = [sec.scale(phi) for sec in bundle.frame_sections() for phi in functions]
         return cls([prefix + name for name in bundle.frame for prefix in prefixes], sections,
-                   range(0, len(sections), len(functions)), functions)
+                   range(0, len(sections), len(functions)), functions, texts)
 
-    def table(self, op: Callable[[Section, Section], Section]) -> List[List[Section]]:
-        """op(s_p, s_q) for every ordered pair, each evaluated once."""
-        return [[op(s1, s2) for s2 in self.sections] for s1 in self.sections]
+class BatteryTable:
+    """op(s_p, t_q) over a row and a column Battery, by position: an entry is
+    evaluated on its first read, by the op that read passes (the owner's
+    public bracket or apply, which a wrapper of it sees), and kept.  Only
+    sections are stored, so an owner that keeps a table makes no cycle."""
+
+    def __init__(self, rows: Battery, cols: Battery):
+        self.rows, self.cols = rows, cols
+        self._entries: List[List[Optional[Section]]] = [[None] * len(cols.sections)
+                                                        for _ in rows.sections]
+
+    def get(self, op: Callable[[Section, Section], Section], p: int, q: int) -> Section:
+        value = self._entries[p][q]
+        if value is None:
+            value = self._entries[p][q] = op(self.rows.sections[p], self.cols.sections[q])
+        return value
+
+    def full(self, op: Callable[[Section, Section], Section]) -> Table:
+        """Every entry, in row order."""
+        return [[self.get(op, p, q) for q in range(len(self.cols.sections))]
+                for p in range(len(self.rows.sections))]
 
 
 def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
@@ -194,7 +226,8 @@ def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
 def record_jacobi(chk: Checker, identity: str, batt: Battery, op: Callable, table: Table,
                   third: Optional[Sequence[int]] = None, negate: bool = False) -> None:
     """[e_i, [e_j, s]] = [[e_i, e_j], s] + [e_j, [e_i, s]] for frame sections
-    e_i, e_j and s at the positions third (all by default); table = batt.table(op).
+    e_i, e_j and s at the positions third (all by default); table holds op
+    over batt (see BatteryTable.full).
     negate records the difference with the opposite sign."""
     third = range(len(batt.sections)) if third is None else third
     # nested[i][j][t] = [e_i, [e_j, s_t]]: the first term of (i, j, t) and the last of (j, i, t)

@@ -530,14 +530,17 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
     generator bracket over TM + A*.  rho_i(y_j) and rho_j(x_i) come from
     vf_apply, so each coefficient is differentiated at most once (its
     gradient is kept, see ScalarPoly.gradient); x_i y_j is formed only
-    when S_ij is nonzero, and d(x_i) is taken once per i.
+    when S_ij is nonzero, and d(x_i) is taken once per i.  A zero x or y
+    (every term has factors x_i and y_j) yields target.zero_section() itself.
     """
     coords = target.patch.coords
-    out = list(target.zero_section().coeffs)
+    zero = target.zero_section()
+    xs = [(i, phi) for i, phi in enumerate(x.coeffs) if phi._terms]
     ys = [(j, psi) for j, psi in enumerate(y.coeffs) if psi._terms]
-    for i, phi in enumerate(x.coeffs):
-        if not phi._terms:
-            continue
+    if not (xs and ys):
+        return zero
+    out = list(zero.coeffs)
+    for i, phi in xs:
         rho_i, row = frame_rho[i], table[i]
         for j, psi in ys:
             terms = [(k, c) for k, c in enumerate(row[j].coeffs) if c._terms]

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, record_anchor_morphism, record_jacobi,
-                        record_metric, record_right_leibniz, record_symmetrized)
+from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_anchor_morphism,
+                        record_jacobi, record_metric, record_right_leibniz, record_symmetrized)
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
                      battery_functions, constant_apply, d_scalar, db_canonical, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
@@ -98,7 +98,7 @@ class CourantData:
         and the right-Leibniz rule (structural under the extension)."""
         chk = Checker("courant-axioms", "Courant algebroid axioms")
         batt = Battery.of(self.bundle)
-        pairs = batt.table(self.bracket)
+        pairs = BatteryTable(batt, batt).full(self.bracket)
         record_jacobi(chk, "1-leibniz-jacobi", batt, self.bracket, pairs)
         anchors = [self.anchor.apply(e) for e in batt.sections]
         frames = [(batt.labels[t], batt.sections[t]) for t in batt.frames]

@@ -17,20 +17,21 @@ and both conversion directions are implemented here, together with the
 curvature, the skew-symmetrization tensor, and the standard constructions
 from ordinary connections and from isotropic subalgebroids.
 
-The curvature R(q_i, q_j) of each ordered pair of Q-frame elements is built
-once per connection, from one table of Delta_{q_j} b_k, and shared by the
-curvature checks and the splitting theorems; the tensoriality check keeps
-the applications its scaled cases share in tables that live only as long
-as the check.
+A connection keeps Delta_{s_p} t_q over the batteries of Q and B in a
+BatteryTable (see algebroid), as its dull bracket keeps [[s_p, s_q]]; the
+axiom, duality, curvature, skew and splitting checks read every value at
+battery positions from these two tables.  R(q_i, q_j) on the Q-frame is
+built once per connection; the tensoriality check keeps its nested
+applications in a table that lives only as long as the check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, battery_sections, record_metric,
+from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_metric,
                         record_right_leibniz)
 from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
                      battery_functions, canonical_pairing, constant_apply, dual_pair, leibniz,
@@ -162,6 +163,16 @@ class DorfmanConnection:
         return leibniz(v, s, self.symbols, self.bracket.frame_rho, self.b,
                        pair_entries=self.predual._pair_entries, d=self.predual.d)
 
+    @cached_property
+    def battery_table(self) -> BatteryTable:
+        """Delta_{s_p} t_q over the dull bracket's battery of Q and the battery
+        of B, kept as long as the connection."""
+        return BatteryTable(self.bracket.battery_table.rows, Battery.of(self.b))
+
+    def battery_apply(self, p: int, q: int) -> Section:
+        """Delta_{s_p} t_q for the battery positions p and q, evaluated once."""
+        return self.battery_table.get(self.apply, p, q)
+
     # -- duality ---------------------------------------------------------
 
     @classmethod
@@ -198,7 +209,8 @@ class DorfmanConnection:
     def check_duality(self) -> CheckReport:
         """rho(v)<s,w> = <[v,w], s> + <w, Delta_v s> plus the symbol roundtrip."""
         chk = Checker("duality", "the connection and its dull bracket determine each other")
-        self._record_axiom_c(chk, battery_sections(self.b))
+        q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
+        self._record_axiom_c(chk, range(len(b_batt.sections)))
         if self.predual.canonical:
             recovered = DorfmanConnection.from_dull(self.dual_bracket(), self.predual)
             for i in range(self.q.rank):
@@ -209,47 +221,48 @@ class DorfmanConnection:
             # Delta_v(0, theta) = (0, L_{pr_TM v} theta) on every representative
             ct = Bundle.cotangent(self.q.patch)
             ct_idx = self.b.atom_index("T*M")
+            ct_start = self.b.atom_slice(ct_idx).start  # (0, theta_j) is B-frame ct_start + j
             tm_sl = self.q.atom_slice(self.q.atom_index("TM"))
-            thetas = ct.frame_sections()
-            lifted = [self.b.zero_section().with_part(ct_idx, theta.coeffs) for theta in thetas]
-            for label_v, v in battery_sections(self.q):
+            for p, (label_v, v) in enumerate(zip(q_batt.labels, q_batt.sections)):
                 x = Section(Bundle.tangent(self.q.patch), v.coeffs[tm_sl])
-                for j, theta in enumerate(thetas):
+                for j, theta in enumerate(ct.frame_sections()):
                     expected = self.b.zero_section().with_part(
                         ct_idx, lie_derivative_form(x, theta).coeffs)
                     chk.record("forms-rule", f"({label_v}; {ct.frame[j]})",
-                               self.apply(v, lifted[j]) - expected)
+                               self.battery_apply(p, b_batt.frames[ct_start + j]) - expected)
         return chk.report()
 
     # -- axioms -----------------------------------------------------------
 
     def check_axioms(self) -> CheckReport:
         chk = Checker("dorfman-axioms", "connection axioms (a), (b), (c)")
-        b_batt = Battery.of(self.b)
-        texts = [str(phi) for phi in b_batt.functions]  # rendered once for every label
+        q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
         d_functions = [self.predual.d(phi) for phi in b_batt.functions]
-        for i, qf in enumerate(self.q.frame_sections()):
-            qname = self.q.frame[i]
+        for i, p in enumerate(q_batt.frames):
+            qf, qname = q_batt.sections[p], q_batt.labels[p]
             # row[k] = Delta_{q_i} s_k over the battery
-            row = [self.apply(qf, bsec) for bsec in b_batt.sections]
+            row = [self.battery_apply(p, k) for k in range(len(b_batt.sections))]
             pairings = [self.predual.pair(qf, bsec) for bsec in b_batt.sections]
             for f, phi in enumerate(b_batt.functions):
-                scaled_q = qf.scale(phi)
-                for k, (label_b, bsec) in enumerate(zip(b_batt.labels, b_batt.sections)):
-                    lhs = self.apply(scaled_q, bsec)
+                # phi_f q_i is the Q-battery entry p + f
+                for k, label_b in enumerate(b_batt.labels):
                     rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
-                    chk.record("axiom-a", f"(({texts[f]})*{qname}; {label_b})", lhs - rhs)
+                    chk.record("axiom-a", f"(({b_batt.texts[f]})*{qname}; {label_b})",
+                               self.battery_apply(p + f, k) - rhs)
                 record_right_leibniz(chk, "axiom-b", qname, self.bracket.frame_rho[i], row,
                                      b_batt, f)
-        self._record_axiom_c(chk, list(zip(self.b.frame, self.b.frame_sections())))
+        self._record_axiom_c(chk, b_batt.frames)
         return chk.report()
 
-    def _record_axiom_c(self, chk: Checker, s_entries: Sequence[Tuple[str, Section]]) -> None:
-        """Axiom (c) for v over the battery of Q, w over the frame of Q and s over s_entries."""
-        q_frames = list(zip(self.q.frame, self.q.frame_sections()))
-        rows = ((label, self.bracket.rho(v), [self.bracket.bracket(v, w) for _, w in q_frames],
-                 [self.apply(v, s) for _, s in s_entries])
-                for label, v in battery_sections(self.q))
+    def _record_axiom_c(self, chk: Checker, s_positions: Sequence[int]) -> None:
+        """Axiom (c): v over the Q-battery, w over the Q-frame, s at B-battery s_positions."""
+        q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
+        q_frames = [(q_batt.labels[t], q_batt.sections[t]) for t in q_batt.frames]
+        s_entries = [(b_batt.labels[t], b_batt.sections[t]) for t in s_positions]
+        rows = ((label, self.bracket.rho(v),
+                 [self.bracket.battery_bracket(p, t) for t in q_batt.frames],
+                 [self.battery_apply(p, t) for t in s_positions])
+                for p, (label, v) in enumerate(zip(q_batt.labels, q_batt.sections)))
         record_metric(chk, "axiom-c", self.predual.pair, q_frames, s_entries, rows)
 
     # -- curvature ---------------------------------------------------------
@@ -270,77 +283,47 @@ class DorfmanConnection:
 
     @cached_property
     def _frame_curvatures(self) -> Tuple[Tuple[HomSection, ...], ...]:
-        # once[j][k] = Delta_{q_j} b_k; Delta_{q_i} once[j][k] is the first
-        # term of R(q_i, q_j) b_k and the second of R(q_j, q_i) b_k
-        q_frames = self.q.frame_sections()
-        b_frames = self.b.frame_sections()
-        once = [[self.apply(q, bf) for bf in b_frames] for q in q_frames]
-        twice = [[[self.apply(q1, value) for value in row] for row in once] for q1 in q_frames]
-        rows = []
-        for i, q1 in enumerate(q_frames):
-            row = []
-            for j, q2 in enumerate(q_frames):
-                lie = self.bracket.bracket(q1, q2)
-                cols = [twice[i][j][k] - twice[j][i][k] - self.apply(lie, bf)
-                        for k, bf in enumerate(b_frames)]
-                row.append(HomSection.from_columns(self.b, self.b, cols))
-            rows.append(tuple(row))
-        return tuple(rows)
+        q_pos, b_pos, nested = self.battery_table.rows.frames, self.battery_table.cols.frames, {}
+        return tuple(tuple(HomSection.from_columns(self.b, self.b, [
+            self._battery_curvature(nested, a, c, t) for t in b_pos]) for c in q_pos)
+            for a in q_pos)
+
+    def _battery_curvature(self, nested: Dict[Tuple[int, int, int], Section],
+                           a: int, c: int, t: int) -> Section:
+        """R(s_a, s_c) t_t for the Q-battery positions a, c and the B-battery
+        position t.  nested[x, y, z] keeps Delta_{s_x} Delta_{s_y} t_z, the
+        first term of R(s_x, s_y) t_z and the second of R(s_y, s_x) t_z."""
+        table = self.battery_table
+        for x, y in ((a, c), (c, a)):
+            if (x, y, t) not in nested:
+                nested[x, y, t] = self.apply(table.rows.sections[x], self.battery_apply(y, t))
+        lie = self.bracket.battery_bracket(a, c)
+        return nested[a, c, t] - nested[c, a, t] - self.apply(lie, table.cols.sections[t])
 
     def check_curvature_tensorial(self) -> CheckReport:
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
-        functions = battery_functions(self.q.patch)
-        texts = [str(phi) for phi in functions]  # rendered once for every label
-        q_frames = self.q.frame_sections()
-        b_frames = self.b.frame_sections()
-        q_scaled = [[v.scale(phi) for phi in functions] for v in q_frames]
-        b_scaled = [[bf.scale(phi) for phi in functions] for bf in b_frames]
-        # Subterm tables over frames q_i, functions phi_f and frames b_k:
-        # on_scaled[j][f][k] = Delta_{q_j}(phi_f b_k), and since phi_0 = 1 (see
-        # battery_functions), on_scaled[j][0][k] = Delta_{q_j} b_k;
-        # by_scaled[j][f][k] = Delta_{phi_f q_j} b_k.
-        on_scaled = [[[self.apply(q, sec) for sec in col] for col in zip(*b_scaled)]
-                     for q in q_frames]
-        by_scaled = [[[self.apply(sq, bf) for bf in b_frames] for sq in row] for row in q_scaled]
-        # twice_b[i][j][f][k] = Delta_{q_i} Delta_{q_j}(phi_f b_k): the first term
-        # of R(q_i, q_j)(phi_f b_k) and the second of R(q_j, q_i)(phi_f b_k).
-        # outer[i][f][j][k] = Delta_{phi_f q_i} Delta_{q_j} b_k and
-        # inner[i][j][f][k] = Delta_{q_i} Delta_{phi_f q_j} b_k: the first and
-        # second terms of R(phi_f q_i, q_j) b_k, and the second and first terms
-        # of R(q_j, phi_f q_i) b_k.
-        twice_b = [[[[self.apply(q1, value) for value in col] for col in row]
-                    for row in on_scaled] for q1 in q_frames]
-        outer = [[[[self.apply(sq, value) for value in row[0]] for row in on_scaled]
-                  for sq in scaled] for scaled in q_scaled]
-        inner = [[[[self.apply(q1, value) for value in col] for col in row]
-                  for row in by_scaled] for q1 in q_frames]
-        for i, v1 in enumerate(q_frames):
-            for j, v2 in enumerate(q_frames):
+        q_batt, b_pos = self.battery_table.rows, self.battery_table.cols.frames
+        q_names, b_names = self.q.frame, self.b.frame
+        nested = {}  # see _battery_curvature, shared by the three identities
+        # phi_f q_i is the Q-battery entry p_i + f, and phi_f b_k the B-battery entry t_k + f
+        for i, p1 in enumerate(q_batt.frames):
+            for j, p2 in enumerate(q_batt.frames):
                 base_hom = self.frame_curvature(i, j)
                 base_cols = [base_hom.column(k) for k in range(self.b.rank)]
-                lie = self.bracket.bracket(v1, v2)
-                inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
-                for f, phi in enumerate(functions):
+                inputs = f"({q_names[i]}; {q_names[j]})"
+                for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
                     scaled_cols = [col.scale(phi) for col in base_cols]
-                    for k, bf in enumerate(b_frames):
-                        value = (twice_b[i][j][f][k] - twice_b[j][i][f][k]
-                                 - self.apply(lie, b_scaled[k][f]))
-                        chk.record("linear-in-b", inputs + f" on ({texts[f]})*{self.b.frame[k]}",
-                                   value - scaled_cols[k])
-                    lie_q1 = self.bracket.bracket(q_scaled[i][f], v2)
-                    lie_q2 = self.bracket.bracket(v1, q_scaled[j][f])
-                    for k, bf in enumerate(b_frames):
-                        value_q1 = (outer[i][f][j][k] - inner[j][i][f][k]
-                                    - self.apply(lie_q1, bf))
-                        chk.record("linear-in-q1", f"(({texts[f]})*{self.q.frame[i]}; "
-                                   f"{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   value_q1 - scaled_cols[k])
-                        value_q2 = (inner[i][j][f][k] - outer[j][f][i][k]
-                                    - self.apply(lie_q2, bf))
-                        chk.record("linear-in-q2", f"({self.q.frame[i]}; "
-                                   f"({texts[f]})*{self.q.frame[j]}) on {self.b.frame[k]}",
-                                   value_q2 - scaled_cols[k])
+                    for k, t in enumerate(b_pos):
+                        chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}",
+                                   self._battery_curvature(nested, p1, p2, t + f) - scaled_cols[k])
+                    for k, t in enumerate(b_pos):
+                        chk.record("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
+                                   f"{b_names[k]}",
+                                   self._battery_curvature(nested, p1 + f, p2, t) - scaled_cols[k])
+                        chk.record("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
+                                   f"{b_names[k]}",
+                                   self._battery_curvature(nested, p1, p2 + f, t) - scaled_cols[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -349,8 +332,10 @@ class DorfmanConnection:
                       "curvature pairs as the Jacobiator of the dual bracket")
         q_frames = self.q.frame_sections()
         names = self.q.frame
-        b_batt = battery_sections(self.b)
-        brackets = [[self.bracket.bracket(q1, q2) for q2 in q_frames] for q1 in q_frames]
+        q_batt, b_cols = self.battery_table.rows, self.battery_table.cols
+        b_batt = list(zip(b_cols.labels, b_cols.sections))
+        brackets = [[self.bracket.battery_bracket(p1, p2) for p2 in q_batt.frames]
+                    for p1 in q_batt.frames]
         # nested[i][j][k] = [[q_i, [[q_j, q_k]]]]: the last Jacobiator term of
         # (i, j, k) and the middle one of (j, i, k)
         nested = [[[self.bracket.bracket(q1, value) for value in row] for row in brackets]
@@ -383,25 +368,27 @@ class DorfmanConnection:
         """[[v1,v2]] + [[v2,v1]]; its E*-part is the skew tensor."""
         return self.bracket.bracket(v1, v2) + self.bracket.bracket(v2, v1)
 
+    def battery_skew(self, p: int, q: int) -> Section:
+        """[[s_p, s_q]] + [[s_q, s_p]] for the Q-battery positions p and q."""
+        return self.bracket.battery_bracket(p, q) + self.bracket.battery_bracket(q, p)
+
     def check_skew(self) -> CheckReport:
         chk = Checker("skew", "symmetrized bracket is tensorial with vanishing TM part")
         tm = self.q.atom_index("TM")
-        functions = battery_functions(self.q.patch)
-        texts = [str(phi) for phi in functions]  # rendered once for every label
-        q_frames = self.q.frame_sections()
-        for i, v1 in enumerate(q_frames):
-            for j, v2 in enumerate(q_frames):
-                sym = self.skew_symmetrization(v1, v2)
+        batt = self.bracket.battery_table.rows
+        for i, p1 in enumerate(batt.frames):
+            for j, p2 in enumerate(batt.frames):
+                sym = self.battery_skew(p1, p2)
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
                 for comp in sym.part(tm):
                     chk.record("tm-part", inputs, comp)
-                for phi, text in zip(functions, texts):
+                # phi_f s_p is the battery entry p + f
+                for f, (phi, text) in enumerate(zip(batt.functions, batt.texts)):
+                    scaled = sym.scale(phi)
                     chk.record("bilinear", inputs + f" scaled by {text}",
-                               self.skew_symmetrization(v1.scale(phi), v2)
-                               - sym.scale(phi))
+                               self.battery_skew(p1 + f, p2) - scaled)
                     chk.record("bilinear", inputs + f" scaled by {text} (right)",
-                               self.skew_symmetrization(v1, v2.scale(phi))
-                               - sym.scale(phi))
+                               self.battery_skew(p1, p2 + f) - scaled)
         return chk.report()
 
 

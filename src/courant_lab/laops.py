@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, battery_sections, record_jacobi,
-                        record_symmetrized)
+from .algebroid import (AnchoredBracket, Battery, BatteryTable, battery_sections,
+                        record_jacobi, record_symmetrized)
 from .bundle import (Bundle, BundleError, HomSection, Section,
                      battery_functions, courant_dorfman_form_part,
                      db_canonical, dual_pair, lie_derivative_form, vf_apply,
@@ -271,7 +271,7 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
     batt = Battery.of(lad.sigma_bundle)
     op = lad.dorfman_like_bracket
-    pairs = batt.table(op)
+    pairs = BatteryTable(batt, batt).full(op)
     images = [lad.image(s) for s in batt.sections]
     record_symmetrized(chk, "symmetrization", batt, pairs, lambda p, q: db_canonical(
         lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))

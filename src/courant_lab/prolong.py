@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, Battery, battery_sections, record_jacobi
+from .algebroid import (AnchoredBracket, Battery, BatteryTable, battery_sections,
+                        record_jacobi)
 from .bundle import (VEC, Bundle, BundleError, HomSection, Patch, Section, battery_functions,
                      courant_dorfman_form_part, db_canonical, dual_pair, dual_pair_comps,
                      interior_two_form, lie_derivative_form, pairing_matrix,
@@ -148,12 +149,14 @@ def lift_core(tp: TotalPatch, sigma: Section) -> LiftedSection:
     return _core_section(tp, sigma.bundle, [tp.embed(c) for c in sigma.coeffs])
 
 
-def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section) -> LiftedSection:
+def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
+                cols: Sequence[Section] | None = None) -> LiftedSection:
     """The horizontal lift of v = (X, xi) through the connection.
 
     Evaluated on the tautological section with frozen fiber values:
     tangent part T e X minus the vertical lift of Delta_v(e, 0), cotangent
-    part d l_xi minus the pullback of the T*M-component.
+    part d l_xi minus the pullback of the T*M-component.  cols, when given,
+    are the values Delta_v(e_m, 0) over the frame of E.
     """
     q, b = delta.q, delta.b
     e_sl = b.atom_slice(b.atom_index("V"))
@@ -162,7 +165,8 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section) -> LiftedS
     horizontal = LiftedSection(tp, x_part + [tp.zero()] * len(tp.fiber_coords),
                                [ell.partial(y) for y in tp.allvars])
     # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
-    cols = [delta.apply(v, b.frame_section(m)) for m in range(e_sl.start, e_sl.stop)]
+    if cols is None:
+        cols = [delta.apply(v, b.frame_section(m)) for m in range(e_sl.start, e_sl.stop)]
     rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
     return horizontal - _core_section(tp, b, rows)
 
@@ -210,18 +214,21 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     e_bundle = _e_bundle(delta)
     tp = total_patch_of(e_bundle)
     q, b = delta.q, delta.b
-    functions = battery_functions(q.patch)
+    q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
     q_frames = q.frame_sections()
     e_idx = b.atom_index("V")
-    e_frames = [b.frame_section(m) for m in range(b.atom_slice(e_idx).start,
-                                                  b.atom_slice(e_idx).stop)]
-    lifts = [lift_linear(tp, delta, v) for v in q_frames]
-    cores = [(label, s, lift_core(tp, s)) for label, s in battery_sections(b)]
+    e_sl = b.atom_slice(e_idx)
+    e_frames = [b.frame_section(m) for m in range(e_sl.start, e_sl.stop)]
+    # applied[i][m] = Delta_{q_i}(e_m, 0): the lift of q_i and its l-calculus
+    applied = [[delta.battery_apply(p, b_batt.frames[m]) for m in range(e_sl.start, e_sl.stop)]
+               for p in q_batt.frames]
+    lifts = [lift_linear(tp, delta, v, cols) for v, cols in zip(q_frames, applied)]
+    cores = [(label, s, lift_core(tp, s)) for label, s in zip(b_batt.labels, b_batt.sections)]
 
-    for i, v1 in enumerate(q_frames):
-        for j, v2 in enumerate(q_frames):
+    for i, p1 in enumerate(q_batt.frames):
+        for j, p2 in enumerate(q_batt.frames):
             # l of the E*-part of the symmetrization
-            ell = tp.linear(delta.skew_symmetrization(v1, v2).part(q.atom_index("V*")))
+            ell = tp.linear(delta.battery_skew(p1, p2).part(q.atom_index("V*")))
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        _difference(total_pairing(lifts[i], lifts[j]), ell))
     for i, v in enumerate(q_frames):
@@ -235,20 +242,19 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        total_pairing(c1, c2))
             chk.record("bracket-core-core", f"({label1}; {label2})",
                        total_courant(c1, c2))
-    texts = [str(phi) for phi in functions]  # rendered once for every label
-    for i, v in enumerate(q_frames):
-        for phi, text in zip(functions, texts):
+    for i, p in enumerate(q_batt.frames):
+        # phi_f q_i is the Q-battery entry p + f
+        for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
             lifted_v = lifts[i].scale(tp.embed(phi))
-            scaled_v = v.scale(phi)
-            for label_s, s, core in cores:
+            for t, (label_s, _, core) in enumerate(cores):
                 lhs = total_courant(lifted_v, core)
-                rhs = lift_core(tp, delta.apply(scaled_v, s))
+                rhs = lift_core(tp, delta.battery_apply(p + f, t))
                 chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
-    for i, v1 in enumerate(q_frames):
-        for j, v2 in enumerate(q_frames):
+    for i, p1 in enumerate(q_batt.frames):
+        for j, p2 in enumerate(q_batt.frames):
             lhs = total_courant(lifts[i], lifts[j])
-            dull = delta.bracket.bracket(v1, v2)
+            dull = delta.bracket.battery_bracket(p1, p2)
             hom_full = delta.frame_curvature(i, j)
             e_cols = [hom_full.apply(ef) for ef in e_frames]
             correction = vertical_hom(
@@ -258,13 +264,13 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        lhs - rhs)
     # intermediate l-calculus: X~(l_eta) is the linear function of the
     # section with <psi, e> = X<eta, e> - <eta, pr_E Delta_v(e, 0)>
-    for i, v in enumerate(q_frames):
+    for i in range(q.rank):
         for label_eta, eta in battery_sections(e_bundle.dual()):
             lhs = vf_apply(tp.allvars, lifts[i].vf, tp.linear(eta.coeffs))
             rhs = tp.linear([
                 _difference(vf_apply(q.patch.coords, delta.bracket.frame_rho[i], c),
-                            dual_pair(eta, Section(e_bundle, delta.apply(v, ef).part(e_idx))))
-                for c, ef in zip(eta.coeffs, e_frames)])
+                            dual_pair(eta, Section(e_bundle, value.part(e_idx))))
+                for c, value in zip(eta.coeffs, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
     return chk.report()
 
@@ -647,7 +653,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # (i) antisymmetry, Jacobi, anchor morphism over the generators and their weighted copies
     elems = Battery(list(names) + [f"({c})*{name}" for c, name in zip(factors, names)],
                     gens + [gen.scale(c) for c, gen in zip(factors, gens)], range(len(gens)))
-    pairs = elems.table(alg.bracket)
+    pairs = BatteryTable(elems, elems).full(alg.bracket)
     anchors = [alg.theta(e) for e in elems.sections]
     for p, n1 in enumerate(elems.labels):
         for q, n2 in enumerate(elems.labels):

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -625,12 +627,82 @@ xfail splitting-theorems = Delta
 """
 
 
+def _battery_evaluations(monkeypatch):
+    """Counts the evaluations of battery-table entries: the calls of
+    DorfmanConnection.apply and AnchoredBracket.bracket whose arguments are,
+    by value, sections of Battery.of of their bundles, per operator, owner
+    and pair of battery positions.  A call on a value of an earlier call
+    (Delta_q applied to Delta_q' b, or Delta applied to a bracket) is a
+    nested term, not a table entry, even where that value equals a battery
+    section.  Owners and values are kept alive, so that no two share an id."""
+    counts, kept, results, positions = Counter(), [], set(), {}
+
+    def position(sec):
+        if sec.bundle not in positions:
+            batt = algebroid.Battery.of(sec.bundle)
+            positions[sec.bundle] = {s.coeffs: p for p, s in enumerate(batt.sections)}
+        return positions[sec.bundle].get(sec.coeffs)
+
+    for cls, name in ((DorfmanConnection, "apply"), (algebroid.AnchoredBracket, "bracket")):
+        def counting(owner, x, y, name=name, real=getattr(cls, name)):
+            p, q = position(x), position(y)
+            if None not in (p, q) and id(x) not in results and id(y) not in results:
+                counts[name, id(owner), p, q] += 1
+            value = real(owner, x, y)
+            kept.append((owner, value))
+            results.add(id(value))
+            return value
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
 def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
+    # every application to two battery sections is read from the battery table
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
-    counts = _count_pairs(monkeypatch, DorfmanConnection, "apply", by_value=False)
+    counts = _battery_evaluations(monkeypatch)
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
-    assert counts and max(counts.values()) == 1
+    applied = [n for (name, *_), n in counts.items() if name == "apply"]
+    assert applied and max(applied) == 1
+
+
+DORFMAN_LINES = ("dorfman-axioms", "duality", "curvature", "skew", "splitting-theorems")
+
+
+def test_dorfman_lines_evaluate_each_battery_entry_once_per_spec(monkeypatch):
+    # the five lines share the battery tables of Delta and of its dull bracket;
+    # a second parse evaluates its own entries again
+    counts = _battery_evaluations(monkeypatch)
+    text = catalog_text("line-bundle-r2")
+    per_spec = []
+    for _ in range(2):
+        spec = parse_spec(text)
+        seen = set(counts)
+        for name in DORFMAN_LINES:
+            assert all(r.passed for r in run_check(spec, name, ["Delta"], 7))
+        per_spec.append({key: n for key, n in counts.items() if key not in seen})
+    first, second = per_spec
+    for entries in per_spec:
+        for operator in ("apply", "bracket"):
+            assert max(n for (name, *_), n in entries.items() if name == operator) == 1
+    assert len(second) == len(first)
+
+
+def test_battery_tables_make_no_reference_cycle():
+    # with the cyclic collector off, the connection and its dull bracket go
+    # as soon as the last reference to their spec does
+    gc.disable()
+    try:
+        spec = parse_spec(catalog_text("line-bundle-r2"))
+        delta = spec.lookup("dorfman", "Delta")
+        refs = [weakref.ref(delta), weakref.ref(delta.bracket)]
+        del delta
+        assert all(r["as_expected"] for r in _results_for_spec(spec, None, 7))
+        del spec
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_basic_curvature_check_evaluates_each_term_once(monkeypatch):

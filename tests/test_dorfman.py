@@ -34,6 +34,19 @@ def test_apply_examples(ex_a):
     assert d.apply(d.q.section(Dx1="x2", epss=1), d.b.zero_section()).is_zero()
 
 
+def test_zero_operands_return_the_shared_zero_section(ex_a):
+    # every Leibniz term has a factor from each operand, so a section with no
+    # nonzero coefficient, however it was built, is answered with the zero
+    # section of the target itself
+    q, b, dull = ex_a.q, ex_a.b, ex_a.bracket
+    v, s = q.section(Dx1="x2", epss=1), b.section(eps="x1", dx2=1)
+    zero_q, zero_b = Section(q, [BASE.zero()] * q.rank), Section(b, [BASE.zero()] * b.rank)
+    assert ex_a.apply(zero_q, s) is b.zero_section()
+    assert ex_a.apply(v, zero_b) is b.zero_section()
+    assert dull.bracket(v, zero_q) is q.zero_section()
+    assert dull.bracket(zero_q, v) is q.zero_section()
+
+
 def test_check_axioms(ex_a):
     assert ex_a.check_axioms().passed
 
