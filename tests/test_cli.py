@@ -515,23 +515,17 @@ def _im2form_zero_objects():
     return checks._lad(spec, 7, spec.lookup("bracket", "A")), spec.lookup("dorfman", "Delta")
 
 
-def _count_pairs(monkeypatch, module, name, by_value=True):
+def _count_pairs(monkeypatch, module, name):
     """Wraps module.name(..., x, y, **kwargs) to count its calls per pair of
     sections x, y, the arguments before them (bracket, connection, algebroid
-    data) by identity.  By value, x and y count by bundle and coefficients,
-    as the table of LieAlgebroidData hands out one object for equal values;
-    otherwise by object, kept alive so that no two pairs share ids."""
-    counts, kept = Counter(), []
+    data) by identity.  x and y count by bundle and coefficients, as the
+    table of LieAlgebroidData hands out one object for equal values."""
+    counts = Counter()
     real = getattr(module, name)
 
     def counting(*args, **kwargs):
         *owners, x, y = args
-        if by_value:
-            pair = (x.bundle, x.coeffs, y.bundle, y.coeffs)
-        else:
-            kept.append((x, y))
-            pair = (id(x), id(y))
-        counts[tuple(map(id, owners)), pair] += 1
+        counts[tuple(map(id, owners)), (x.bundle, x.coeffs, y.bundle, y.coeffs)] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
