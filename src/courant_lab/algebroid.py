@@ -2,7 +2,8 @@
 
 An AnchoredBracket stores an anchor matrix and the bracket values on frame
 pairs; the bracket of arbitrary sections is `bundle.leibniz` applied to
-that frame table, so the Leibniz identity holds by construction.
+that frame table (a `bundle.FrameTable`, built on first use), so the
+Leibniz identity holds by construction.
 Structure functions are stored for all ordered pairs: antisymmetry is a
 checkable property, never an assumption.
 
@@ -22,9 +23,9 @@ import random
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
-                     battery_functions, leibniz, random_sections, vf_apply, vf_bracket,
-                     BATTERY_SEED)
+from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
+                     battery_functions, leibniz, nonzero_terms, random_sections, vf_apply,
+                     vf_bracket, BATTERY_SEED)
 from .poly import ScalarPoly
 from .report import Checker, CheckReport
 
@@ -38,14 +39,15 @@ class AnchoredBracket:
     def __init__(self, bundle: Bundle, anchor: HomSection,
                  structure: Sequence[Sequence[Section]]):
         tangent = Bundle.tangent(bundle.patch)
-        if anchor.source != bundle or anchor.target != tangent:
+        if ((anchor.source is not bundle and anchor.source != bundle)
+                or (anchor.target is not tangent and anchor.target != tangent)):
             raise BundleError("anchor must map the bundle to TM over its patch")
         r = bundle.rank
         if len(structure) != r or any(len(row) != r for row in structure):
             raise BundleError("structure functions need one section per ordered frame pair")
         for row in structure:
             for sec in row:
-                if sec.bundle != bundle:
+                if sec.bundle is not bundle and sec.bundle != bundle:
                     raise BundleError("structure functions must be sections of the bundle")
         self.bundle = bundle
         self.anchor = anchor
@@ -80,9 +82,16 @@ class AnchoredBracket:
         [phi qi, psi qj] = phi psi [qi,qj] + phi rho(qi)(psi) qj
                             - psi rho(qj)(phi) qi, summed coefficientwise.
         """
-        if q1.bundle != self.bundle or q2.bundle != self.bundle:
+        bundle = self.bundle
+        if ((q1.bundle is not bundle and q1.bundle != bundle)
+                or (q2.bundle is not bundle and q2.bundle != bundle)):
             raise BundleError("bracket arguments must be sections of the bundle")
-        return leibniz(q1, q2, self.structure, self.frame_rho, self.bundle, bracket=True)
+        return leibniz(q1, q2, self.frame_table, bundle, bracket=True)
+
+    @cached_property
+    def frame_table(self) -> FrameTable:
+        """The structure functions and frame anchors, as leibniz reads them."""
+        return FrameTable(self.structure, self.frame_rho)
 
     def jacobiator(self, q1: Section, q2: Section, q3: Section,
                    b12: Section, b23: Section) -> Section:
@@ -268,9 +277,10 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
     rho(v), [v, w] over w_entries and Delta_v s over s_entries."""
     pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
     for label, rho_v, brackets, applied in rows:
+        rho_terms = nonzero_terms(rho_v.coeffs)
         for j, (name, w) in enumerate(w_entries):
             for k, (label_s, s) in enumerate(s_entries):
-                lhs = vf_apply(pairings[j][k].vars, rho_v.coeffs, pairings[j][k])
+                lhs = vf_apply(pairings[j][k].vars, rho_terms, pairings[j][k])
                 rhs = pair(brackets[j], s) + pair(w, applied[k])
                 chk.record(identity, f"({label}; {name}; {label_s})",
                            lhs - rhs if rhs._terms else lhs)
@@ -282,7 +292,7 @@ def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[
     phi = batt.functions[f], with row[p] = [q, s_p] over the battery of a
     bundle and rho the components of rho(q)."""
     phi = batt.functions[f]
-    rho_phi = vf_apply(phi.vars, rho, phi)
+    rho_phi = vf_apply(phi.vars, enumerate(rho), phi)
     for p in batt.frames:
         chk.record(identity, f"({label}; {batt.labels[p + f]})",
                    row[p + f] - (row[p].scale(phi) + batt.sections[p].scale(rho_phi)))

@@ -3,9 +3,16 @@
 A Patch is a list of base coordinates; a Bundle is a direct sum of tagged
 atoms (TM, T*M, named bundles and their duals), each carrying a constant
 frame.  Sections are coefficient vectors of ScalarPoly over the frame.
+Each patch builds one Bundle per atoms tuple (Patch.bundle), so a bundle
+comparison tests `is` first and falls back to `==` only for bundles over
+equal but distinct patches; section `+` and `-` hand back the left
+operand when the right one is the bundle's shared zero section.
+
 The module also houses the canonical pairing, the elementary Cartan
-operations, annihilators of constant subbundles, and the deterministic
-function battery used by every identity check.
+operations, the one Leibniz kernel (`leibniz`, which reads an operator's
+frame data from a FrameTable its owner builds once), annihilators of
+constant subbundles, and the deterministic function battery used by every
+identity check.
 """
 
 from __future__ import annotations
@@ -62,11 +69,24 @@ class Patch:
 
     @cached_property
     def _tangent(self) -> "Bundle":
-        return Bundle(self, (Atom(TM, "", tuple("D" + c for c in self.coords)),))
+        return self.bundle((Atom(TM, "", tuple("D" + c for c in self.coords)),))
 
     @cached_property
     def _cotangent(self) -> "Bundle":
-        return Bundle(self, (Atom(COTM, "", tuple("d" + c for c in self.coords)),))
+        return self.bundle((Atom(COTM, "", tuple("d" + c for c in self.coords)),))
+
+    @cached_property
+    def _bundles(self) -> Dict[Tuple["Atom", ...], "Bundle"]:
+        return {}
+
+    def bundle(self, atoms: Tuple["Atom", ...]) -> "Bundle":
+        """The one Bundle over this patch with these atoms: every bundle
+        constructor asks its patch, so equal bundles over one patch object
+        are one object, and a comparison that tests `is` first settles."""
+        found = self._bundles.get(atoms)
+        if found is None:
+            found = self._bundles[atoms] = Bundle(self, atoms)
+        return found
 
     def const(self, value: Rational) -> ScalarPoly:
         return ScalarPoly.const(self.coords, value)
@@ -117,7 +137,8 @@ class Bundle:
     Immutable once built: the frame names, the rank and the atom lookups
     are computed in __post_init__, the dual bundle, the frame sections and
     the zero section on first use, and all are shared by every caller
-    afterwards.
+    afterwards.  Build one through its patch (Patch.bundle, which tangent,
+    cotangent, vector, + and dual call), so that each is built once.
     """
 
     patch: Patch
@@ -147,15 +168,15 @@ class Bundle:
 
     @staticmethod
     def vector(base: Patch, name: str, frame: Iterable[str]) -> "Bundle":
-        return Bundle(base, (Atom(VEC, name, tuple(frame)),))
+        return base.bundle((Atom(VEC, name, tuple(frame)),))
 
     def dual(self) -> "Bundle":
         return self._dual
 
     def __add__(self, other: "Bundle") -> "Bundle":
-        if other.patch != self.patch:
+        if other.patch is not self.patch and other.patch != self.patch:
             raise BundleError("direct sum over different patches")
-        return Bundle(self.patch, self.atoms + other.atoms)
+        return self.patch.bundle(self.atoms + other.atoms)
 
     @property
     def frame(self) -> Tuple[str, ...]:
@@ -188,7 +209,7 @@ class Bundle:
 
     @cached_property
     def _dual(self) -> "Bundle":
-        return Bundle(self.patch, tuple(a.dual() for a in self.atoms))
+        return self.patch.bundle(tuple(a.dual() for a in self.atoms))
 
     @cached_property
     def _zero_section(self) -> "Section":
@@ -226,12 +247,18 @@ class Section:
         self.coeffs = tuple(coeffs)
 
     def __add__(self, other: "Section") -> "Section":
-        self._same(other)
+        if other.bundle is not self.bundle:
+            self._same(other)
+        elif other is self.bundle._zero_section:
+            return self
         return _section(self.bundle, tuple(a + b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Section") -> "Section":
-        self._same(other)
+        if other.bundle is not self.bundle:
+            self._same(other)
+        elif other is self.bundle._zero_section:
+            return self
         return _section(self.bundle, tuple(a - b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -248,6 +275,8 @@ class Section:
                                            for a in self.coeffs))
 
     def _same(self, other: "Section") -> None:
+        """Raises unless other is a section of an equal bundle (the callers
+        have found that it is not one of the same bundle object)."""
         if other.bundle != self.bundle:
             raise BundleError(
                 f"sections of different bundles: {self.bundle.label()} vs {other.bundle.label()}")
@@ -275,7 +304,8 @@ class Section:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
             return NotImplemented
-        return self.bundle == other.bundle and self.coeffs == other.coeffs
+        return ((self.bundle is other.bundle or self.bundle == other.bundle)
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
         return hash((self.bundle, self.coeffs))
@@ -339,7 +369,7 @@ class HomSection:
         """The map sending the j-th source frame element to columns[j] in target."""
         if len(columns) != source.rank:
             raise BundleError("need one image column per source frame element")
-        if any(col.bundle != target for col in columns):
+        if any(col.bundle is not target and col.bundle != target for col in columns):
             raise BundleError("image columns must be sections of the target")
         matrix = [[col.coeffs[i] for col in columns] for i in range(target.rank)]
         return HomSection(source, target, matrix)
@@ -348,7 +378,7 @@ class HomSection:
         return Section(self.target, tuple(self.matrix[i][j] for i in range(self.target.rank)))
 
     def apply(self, section: Section) -> Section:
-        if section.bundle != self.source:
+        if section.bundle is not self.source and section.bundle != self.source:
             raise BundleError("section is not in the source bundle")
         zero = self.source.patch.zero()
         nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if coeff._terms]
@@ -368,13 +398,14 @@ class HomSection:
                           [[row[j] for row in self.matrix] for j in range(self.source.rank)])
 
     def compose(self, inner: "HomSection") -> "HomSection":
-        if inner.target != self.source:
+        if inner.target is not self.source and inner.target != self.source:
             raise BundleError("composition shape mismatch")
         cols = [self.apply(inner.column(j)) for j in range(inner.source.rank)]
         return HomSection.from_columns(inner.source, self.target, cols)
 
     def __add__(self, other: "HomSection") -> "HomSection":
-        if other.source != self.source or other.target != self.target:
+        if ((other.source is not self.source and other.source != self.source)
+                or (other.target is not self.target and other.target != self.target)):
             raise BundleError("hom sections over different bundles")
         return HomSection(self.source, self.target,
                           [[a + b for a, b in zip(r1, r2)]
@@ -514,8 +545,29 @@ def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPo
 
 # -- Leibniz extension of a frame table ----------------------------------
 
-def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
-            frame_rho: Sequence[Sequence[ScalarPoly]], target: Bundle,
+def nonzero_terms(comps: Sequence[ScalarPoly]) -> List[Tuple[int, ScalarPoly]]:
+    """The (index, component) pairs of the nonzero components."""
+    return [(k, c) for k, c in enumerate(comps) if c._terms]
+
+
+class FrameTable:
+    """The frame data of an operator, as `leibniz` reads it: entries[i][j]
+    holds the nonzero (k, c) of S_ij = op(e_i, f_j) over the frame f of the
+    target, and anchors[i] the nonzero (index, component) pairs of rho_i,
+    the anchor image of the i-th frame element of the left operand's
+    bundle.  Frame data never changes, so an owner builds its table once,
+    on first use, and keeps it; the table holds only polynomials, so the
+    owner makes no reference cycle by keeping it."""
+
+    __slots__ = ("entries", "anchors")
+
+    def __init__(self, table: Sequence[Sequence[Section]],
+                 frame_rho: Sequence[Sequence[ScalarPoly]]):
+        self.entries = tuple(tuple(nonzero_terms(sec.coeffs) for sec in row) for row in table)
+        self.anchors = tuple(nonzero_terms(rho) for rho in frame_rho)
+
+
+def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
             bracket: bool = False, pair_entries: Sequence[Tuple[int, int, ScalarPoly]] = (),
             d: Optional[Callable[[ScalarPoly], Section]] = None) -> Section:
     """The operator with frame table S, extended to sections by the Leibniz rules:
@@ -524,14 +576,15 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
         less y_j rho_j(x_i) f_i for a bracket,
         plus y_j P_ij d(x_i) over the nonzero pairing entries (i, j, P_ij),
 
-    with f the frame of target and rho_i the anchor image of the i-th frame
-    element of x's bundle.  The one kernel behind the dull bracket, a
-    Dorfman connection, a Courant bracket, a TM-connection and the
-    generator bracket over TM + A*.  rho_i(y_j) and rho_j(x_i) come from
-    vf_apply, so each coefficient is differentiated at most once (its
-    gradient is kept, see ScalarPoly.gradient); x_i y_j is formed only
-    when S_ij is nonzero, and d(x_i) is taken once per i.  A zero x or y
-    (every term has factors x_i and y_j) yields target.zero_section() itself.
+    with f the frame of target and S and rho read off frame (see
+    FrameTable).  The one kernel behind the dull bracket, a Dorfman
+    connection, a Courant bracket, a TM-connection and the generator
+    bracket over TM + A*.  rho_i(y_j) and rho_j(x_i) come from vf_apply,
+    so each coefficient is differentiated at most once (its gradient is
+    kept, see ScalarPoly.gradient); x_i y_j is formed only when S_ij is
+    nonzero, rho_i(y_j) only when rho_i is, and d(x_i) is taken once per
+    i.  A zero x or y (every term has factors x_i and y_j) yields
+    target.zero_section() itself.
     """
     coords = target.patch.coords
     zero = target.zero_section()
@@ -540,19 +593,21 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
     if not (xs and ys):
         return zero
     out = list(zero.coeffs)
+    entries, anchors = frame.entries, frame.anchors
     for i, phi in xs:
-        rho_i, row = frame_rho[i], table[i]
+        rho_i, row = anchors[i], entries[i]
         for j, psi in ys:
-            terms = [(k, c) for k, c in enumerate(row[j].coeffs) if c._terms]
+            terms = row[j]
             if terms:
                 product = phi * psi
                 for k, c in terms:
                     out[k] = out[k] + product * c
-            d_psi = vf_apply(coords, rho_i, psi)
-            if d_psi._terms:
-                out[j] = out[j] + phi * d_psi
-            if bracket:
-                d_phi = vf_apply(coords, frame_rho[j], phi)
+            if rho_i:
+                d_psi = vf_apply(coords, rho_i, psi)
+                if d_psi._terms:
+                    out[j] = out[j] + phi * d_psi
+            if bracket and anchors[j]:
+                d_phi = vf_apply(coords, anchors[j], phi)
                 if d_phi._terms:
                     out[i] = out[i] - psi * d_phi
     d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
@@ -571,18 +626,24 @@ def leibniz(x: Section, y: Section, table: Sequence[Sequence[Section]],
 
 # -- Cartan calculus (generic over a variable list) ----------------------
 
-def vf_apply(vars_: Sequence[str], x_comps: Sequence[ScalarPoly], phi: ScalarPoly) -> ScalarPoly:
+def vf_apply(vars_: Sequence[str], x_terms: Iterable[Tuple[int, ScalarPoly]],
+             phi: ScalarPoly) -> ScalarPoly:
     """X(phi) = sum_i X^i d phi / d vars_i, the one kernel for a vector field
     acting on a function.
 
-    vars_ is phi's own variable list, the order of phi.gradient(), which
-    supplies the partials; a product is formed only where both X^i and
-    d phi / d vars_i are nonzero, and a zero phi is returned at once.
+    x_terms gives the components of X as (index, X^i) pairs: the sparse
+    anchor rows of a FrameTable, or enumerate(comps) for dense components,
+    whose zeros are skipped.  vars_ is phi's own variable list, the order
+    of phi.gradient(), which supplies the partials; a product is formed
+    only where both X^i and d phi / d vars_i are nonzero, and a zero phi
+    is returned at once.
     """
     if not phi._terms:
         return phi
+    grad = phi.gradient()
     total = None
-    for xi, g in zip(x_comps, phi.gradient()):
+    for i, xi in x_terms:
+        g = grad[i]
         if xi._terms and g._terms:
             total = xi * g if total is None else total + xi * g
     return ScalarPoly.zero(phi.vars) if total is None else total
@@ -590,9 +651,10 @@ def vf_apply(vars_: Sequence[str], x_comps: Sequence[ScalarPoly], phi: ScalarPol
 
 def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
                      y: Sequence[ScalarPoly]) -> List[ScalarPoly]:
+    x_terms, y_terms = nonzero_terms(x), nonzero_terms(y)
     out = []
     for j in range(len(vars_)):
-        lhs, rhs = vf_apply(vars_, x, y[j]), vf_apply(vars_, y, x[j])
+        lhs, rhs = vf_apply(vars_, x_terms, y[j]), vf_apply(vars_, y_terms, x[j])
         out.append(lhs - rhs if rhs._terms else lhs)
     return out
 
@@ -600,9 +662,10 @@ def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
 def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
                    theta: Sequence[ScalarPoly]) -> List[ScalarPoly]:
     pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
+    x_terms = nonzero_terms(x)
     out = []
     for j in range(len(vars_)):
-        term = vf_apply(vars_, x, theta[j])
+        term = vf_apply(vars_, x_terms, theta[j])
         for t, grad in pairs:
             if grad[j]._terms:
                 term = term + t * grad[j]
@@ -634,7 +697,9 @@ def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]
 def vf_bracket(x: Section, y: Section) -> Section:
     """Lie bracket of vector fields, [X, Y]^j = X^i d_i Y^j - Y^i d_i X^j."""
     base = x.bundle.patch
-    if x.bundle != Bundle.tangent(base) or y.bundle != x.bundle:
+    tangent = Bundle.tangent(base)
+    if ((x.bundle is not tangent and x.bundle != tangent)
+            or (y.bundle is not x.bundle and y.bundle != x.bundle)):
         raise BundleError("vf_bracket expects two TM sections over one patch")
     return Section(x.bundle, tuple(vf_bracket_comps(base.coords, x.coeffs, y.coeffs)))
 
@@ -642,7 +707,8 @@ def vf_bracket(x: Section, y: Section) -> Section:
 def lie_derivative_form(x: Section, theta: Section) -> Section:
     """Lie derivative of a 1-form along a vector field (Cartan identity holds)."""
     base = x.bundle.patch
-    if theta.bundle != Bundle.cotangent(base):
+    cotangent = Bundle.cotangent(base)
+    if theta.bundle is not cotangent and theta.bundle != cotangent:
         raise BundleError("lie_derivative_form expects a T*M section")
     return Section(theta.bundle, tuple(lie_form_comps(base.coords, x.coeffs, theta.coeffs)))
 
@@ -654,9 +720,10 @@ def courant_dorfman_form_part(x1, theta1, x2, theta2, vars_):
     zero component of X2 or theta1 costs no partial derivative.
     """
     pairs = [(c, t.gradient()) for c, t in zip(x2, theta1) if c._terms and t._terms]
+    x2_terms = nonzero_terms(x2)
     out = []
     for j, lie in enumerate(lie_form_comps(vars_, x1, theta2)):
-        d_theta = vf_apply(vars_, x2, theta1[j])
+        d_theta = vf_apply(vars_, x2_terms, theta1[j])
         value = lie - d_theta if d_theta._terms else lie
         for c, grad in pairs:
             if grad[j]._terms:
@@ -711,7 +778,7 @@ class SubBundle:
         self.sections = list(sections)
         rows = []
         for sec in self.sections:
-            if sec.bundle != ambient:
+            if sec.bundle is not ambient and sec.bundle != ambient:
                 raise BundleError("subbundle frame is not in one ambient bundle")
             if not sec.is_constant():
                 raise BundleError("subbundle frames must have constant coefficients")

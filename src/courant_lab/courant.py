@@ -6,8 +6,9 @@ symbols, extended to sections by
     [e1, phi e2] = phi [e1, e2] + (rho(e1) phi) e2,
     [phi e1, e2] = phi [e1, e2] - (rho(e2) phi) e1 + <e1, e2> D phi,
 
-with D = rho* d: `bundle.leibniz` applied to the symbol table, with the
-anchor term on both sides and the pairing term.  From an LA-Dirac triple
+with D = rho* d: `bundle.leibniz` applied to the symbol table (a
+`bundle.FrameTable` built on first use), with the anchor term on both
+sides and the pairing term.  From an LA-Dirac triple
 (U, K, [Delta]) the quotient
 
     C = (U + (A + T*M)) / graph(-(rho,rho*)|K)
@@ -20,11 +21,12 @@ triple up to (U, K)-equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_anchor_morphism,
                         record_jacobi, record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
+from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      battery_functions, constant_apply, d_scalar, db_canonical, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
 from .dirac import VBTriple, check_equivalent
@@ -88,8 +90,13 @@ class CourantData:
     # -- bracket -------------------------------------------------------------
 
     def bracket(self, e1: Section, e2: Section) -> Section:
-        return leibniz(e1, e2, self.symbols, self.frame_rho, self.bundle, bracket=True,
+        return leibniz(e1, e2, self.frame_table, self.bundle, bracket=True,
                        pair_entries=self._pair_entries, d=self.D)
+
+    @cached_property
+    def frame_table(self) -> FrameTable:
+        """The bracket symbols and frame anchors, as leibniz reads them."""
+        return FrameTable(self.symbols, self.frame_rho)
 
     # -- axioms ---------------------------------------------------------------
 
@@ -289,7 +296,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         e = c_bundle.frame_section(ri)
         for phi, text in zip(functions, texts):
             lhs = mp.courant.pair(e, mp.courant.D(phi))
-            rhs = vf_apply(base.coords, mp.courant.frame_rho[ri], phi)
+            rhs = vf_apply(base.coords, mp.courant.frame_table.anchors[ri], phi)
             chk.record("d-characterization", f"(frame {ri + 1}; {text})",
                        lhs - rhs if rhs._terms else lhs)
     return mp, chk.report()

@@ -30,7 +30,8 @@ class VBTriple:
     seed: int = BATTERY_SEED
 
     def __post_init__(self):
-        if self.u_sub.ambient != self.delta.q or self.k_sub.ambient != self.delta.b:
+        u, k, q, b = self.u_sub.ambient, self.k_sub.ambient, self.delta.q, self.delta.b
+        if (u is not q and u != q) or (k is not b and k != b):
             raise BundleError("U must live in the acting bundle and K in its pre-dual")
 
     @cached_property
@@ -70,7 +71,8 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
                      u_sub: SubBundle, k_sub: SubBundle) -> CheckReport:
     """(U,K)-equivalence: (Delta - Delta')(Gamma(U) x Gamma(E+0)) in Gamma(K)."""
     chk = Checker("equivalence", "difference of the connections is K-valued on U x E")
-    if d1.predual is not d2.predual and (d1.q != d2.q or d1.b != d2.b):
+    if d1.predual is not d2.predual and ((d1.q is not d2.q and d1.q != d2.q)
+                                         or (d1.b is not d2.b and d1.b != d2.b)):
         raise BundleError("representatives must share the pre-dual")
     b = d1.b
     e_idx = b.atom_index("V")
@@ -147,14 +149,20 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
     else:
         chk.require("restricted-lie", "U = 0", True)
 
+    # R(u_i, u_j) b_m = twice[i][j][m] - twice[j][i][m] - Delta_{[[u_i, u_j]]} b_m,
+    # with moved[j][m] = Delta_{u_j} b_m and twice[i][j][m] = Delta_{u_i} moved[j][m]
     b_frames = delta.b.frame_sections()
+    moved = [[delta.apply(u, bf) for bf in b_frames] for u in u_sub.sections]
+    twice = [[[delta.apply(u1, value) for value in row] for row in moved]
+             for u1 in u_sub.sections]
     for i, u1 in enumerate(u_sub.sections):
         for j, u2 in enumerate(u_sub.sections):
-            hom = delta.curvature(u1, u2)
+            lie = delta.bracket.bracket(u1, u2)
             for m, bf in enumerate(b_frames):
+                curvature = twice[i][j][m] - twice[j][i][m] - delta.apply(lie, bf)
                 chk.record("curvature-into-K",
                            f"(u{i + 1}; u{j + 1}; {delta.b.frame[m]})",
-                           k_sub.residual(hom.apply(bf)))
+                           k_sub.residual(curvature))
 
     isotropic = chk.sub_passed("skew-UU") and chk.sub_passed("K-in-ann")
     lagrangian = isotropic and chk.sub_passed("lagrangian")

@@ -6,7 +6,8 @@ its frame symbols and extended to arbitrary sections by
     Delta_{phi q} b = phi Delta_q b + <q, b> d_B phi,
     Delta_q (phi b) = phi Delta_q b + rho(q)(phi) b,
 
-that is, by `bundle.leibniz` applied to its symbol table.
+that is, by `bundle.leibniz` applied to its symbol table (a
+`bundle.FrameTable` built on first use).
 
 With the canonical nondegenerate pairing the connection is equivalent to
 its dual dull bracket via
@@ -20,9 +21,10 @@ from ordinary connections and from isotropic subalgebroids.
 A connection keeps Delta_{s_p} t_q over the batteries of Q and B in a
 BatteryTable (see algebroid), as its dull bracket keeps [[s_p, s_q]]; the
 axiom, duality, curvature, skew and splitting checks read every value at
-battery positions from these two tables.  R(q_i, q_j) on the Q-frame is
-built once per connection; the tensoriality check keeps its nested
-applications in a table that lives only as long as the check.
+battery positions from these two tables.  A connection also keeps the
+nested applications Delta_{s_x} Delta_{s_y} t_z by battery position, so
+R(q_i, q_j) on the Q-frame, built once per connection, and the
+tensoriality check share each of them.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_metric,
                         record_right_leibniz)
-from .bundle import (Bundle, BundleError, HomSection, Section, SubBundle,
+from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      battery_functions, canonical_pairing, constant_apply, dual_pair, leibniz,
-                     matrix_d, matrix_pair, nonzero_entries, pairing_matrix,
+                     matrix_d, matrix_pair, nonzero_entries, nonzero_terms, pairing_matrix,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
@@ -51,24 +53,35 @@ class Connection(object):
             raise BundleError("need nabla_{d/dx_i} e_l for every i, l")
         self.bundle = bundle
         self.gamma = [list(row) for row in gamma]
-        # the anchor images of the TM frame d/dx_i, for the Leibniz kernel
-        self._tm_frame = [d.coeffs for d in Bundle.tangent(bundle.patch).frame_sections()]
-        # the dual table nabla*_{d/dx_i} e^k, whose l-component is -<e^k, Gamma_il>
         self._dual = bundle.dual()
-        self._dual_gamma = [[Section(self._dual, tuple(-g.coeffs[k] for g in row))
-                             for k in range(bundle.rank)] for row in self.gamma]
+
+    @cached_property
+    def _tm_frame(self) -> List[Tuple[ScalarPoly, ...]]:
+        """The anchor images of the TM frame d/dx_i, for the Leibniz kernel."""
+        return [d.coeffs for d in Bundle.tangent(self.bundle.patch).frame_sections()]
+
+    @cached_property
+    def _nabla_frame(self) -> FrameTable:
+        return FrameTable(self.gamma, self._tm_frame)
+
+    @cached_property
+    def _dual_frame(self) -> FrameTable:
+        """The dual table nabla*_{d/dx_i} e^k, whose l-component is -<e^k, Gamma_il>."""
+        return FrameTable([[Section(self._dual, tuple(-g.coeffs[k] for g in row))
+                            for k in range(self.bundle.rank)] for row in self.gamma],
+                          self._tm_frame)
 
     def nabla(self, x: Section, e: Section) -> Section:
         """nabla_X e: the Christoffel table Gamma_il = nabla_{d/dx_i} e_l
         extended by the Leibniz rules."""
-        return leibniz(x, e, self.gamma, self._tm_frame, self.bundle)
+        return leibniz(x, e, self._nabla_frame, self.bundle)
 
     def nabla_dual(self, x: Section, xi: Section) -> Section:
         """<nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>: the dual
         Christoffel table extended by the same Leibniz rules."""
-        if xi.bundle != self._dual:
+        if xi.bundle is not self._dual and xi.bundle != self._dual:
             raise BundleError("nabla_dual expects a section of the dual bundle")
-        return leibniz(x, xi, self._dual_gamma, self._tm_frame, self._dual)
+        return leibniz(x, xi, self._dual_frame, self._dual)
 
 
 class PreDual:
@@ -135,13 +148,13 @@ class DorfmanConnection:
 
     def __init__(self, predual: PreDual, bracket: AnchoredBracket,
                  symbols: Sequence[Sequence[Section]]):
-        if bracket.bundle != predual.q:
+        if bracket.bundle is not predual.q and bracket.bundle != predual.q:
             raise BundleError("the dull bracket must live on the acting bundle")
         if len(symbols) != predual.q.rank or any(len(r) != predual.b.rank for r in symbols):
             raise BundleError("need one symbol per (Q-frame, B-frame) pair")
         for row in symbols:
             for sec in row:
-                if sec.bundle != predual.b:
+                if sec.bundle is not predual.b and sec.bundle != predual.b:
                     raise BundleError("symbols must be sections of B")
         self.predual = predual
         self.bracket = bracket
@@ -158,10 +171,16 @@ class DorfmanConnection:
     # -- application -----------------------------------------------------
 
     def apply(self, v: Section, s: Section) -> Section:
-        if v.bundle != self.q or s.bundle != self.b:
+        q, b = self.predual.q, self.predual.b
+        if (v.bundle is not q and v.bundle != q) or (s.bundle is not b and s.bundle != b):
             raise BundleError("apply expects sections of Q and B")
-        return leibniz(v, s, self.symbols, self.bracket.frame_rho, self.b,
+        return leibniz(v, s, self.frame_table, b,
                        pair_entries=self.predual._pair_entries, d=self.predual.d)
+
+    @cached_property
+    def frame_table(self) -> FrameTable:
+        """The symbols and the dull bracket's frame anchors, as leibniz reads them."""
+        return FrameTable(self.symbols, self.bracket.frame_rho)
 
     @cached_property
     def battery_table(self) -> BatteryTable:
@@ -199,7 +218,8 @@ class DorfmanConnection:
             for k in range(predual.b.rank):
                 rhs = []
                 for j in range(q.rank):
-                    value = vf_apply(coords, bracket.frame_rho[i], predual.pairing[j][k])
+                    value = vf_apply(coords, bracket.frame_table.anchors[i],
+                                     predual.pairing[j][k])
                     pairing = predual.pair(bracket.structure[i][j], b_frames[k])
                     rhs.append(value - pairing if pairing._terms else value)
                 row.append(Section(predual.b, tuple(constant_apply(p, rhs, q.patch.zero()))))
@@ -283,17 +303,22 @@ class DorfmanConnection:
 
     @cached_property
     def _frame_curvatures(self) -> Tuple[Tuple[HomSection, ...], ...]:
-        q_pos, b_pos, nested = self.battery_table.rows.frames, self.battery_table.cols.frames, {}
+        q_pos, b_pos = self.battery_table.rows.frames, self.battery_table.cols.frames
         return tuple(tuple(HomSection.from_columns(self.b, self.b, [
-            self._battery_curvature(nested, a, c, t) for t in b_pos]) for c in q_pos)
+            self._battery_curvature(a, c, t) for t in b_pos]) for c in q_pos)
             for a in q_pos)
 
-    def _battery_curvature(self, nested: Dict[Tuple[int, int, int], Section],
-                           a: int, c: int, t: int) -> Section:
+    @cached_property
+    def _nested(self) -> Dict[Tuple[int, int, int], Section]:
+        """Delta_{s_x} Delta_{s_y} t_z by the battery positions (x, y, z): the
+        first term of R(s_x, s_y) t_z and the second of R(s_y, s_x) t_z,
+        filled by _battery_curvature and kept as long as the connection."""
+        return {}
+
+    def _battery_curvature(self, a: int, c: int, t: int) -> Section:
         """R(s_a, s_c) t_t for the Q-battery positions a, c and the B-battery
-        position t.  nested[x, y, z] keeps Delta_{s_x} Delta_{s_y} t_z, the
-        first term of R(s_x, s_y) t_z and the second of R(s_y, s_x) t_z."""
-        table = self.battery_table
+        position t, from the nested applications of _nested."""
+        table, nested = self.battery_table, self._nested
         for x, y in ((a, c), (c, a)):
             if (x, y, t) not in nested:
                 nested[x, y, t] = self.apply(table.rows.sections[x], self.battery_apply(y, t))
@@ -305,7 +330,6 @@ class DorfmanConnection:
                       "R(v,v') is C-infinity linear in every argument")
         q_batt, b_pos = self.battery_table.rows, self.battery_table.cols.frames
         q_names, b_names = self.q.frame, self.b.frame
-        nested = {}  # see _battery_curvature, shared by the three identities
         # phi_f q_i is the Q-battery entry p_i + f, and phi_f b_k the B-battery entry t_k + f
         for i, p1 in enumerate(q_batt.frames):
             for j, p2 in enumerate(q_batt.frames):
@@ -316,14 +340,14 @@ class DorfmanConnection:
                     scaled_cols = [col.scale(phi) for col in base_cols]
                     for k, t in enumerate(b_pos):
                         chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}",
-                                   self._battery_curvature(nested, p1, p2, t + f) - scaled_cols[k])
+                                   self._battery_curvature(p1, p2, t + f) - scaled_cols[k])
                     for k, t in enumerate(b_pos):
                         chk.record("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
                                    f"{b_names[k]}",
-                                   self._battery_curvature(nested, p1 + f, p2, t) - scaled_cols[k])
+                                   self._battery_curvature(p1 + f, p2, t) - scaled_cols[k])
                         chk.record("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
                                    f"{b_names[k]}",
-                                   self._battery_curvature(nested, p1, p2 + f, t) - scaled_cols[k])
+                                   self._battery_curvature(p1, p2 + f, t) - scaled_cols[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -403,7 +427,7 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     q_frames = q.frame_sections()
     table = []
     for i in range(q.rank):
-        rho_i = anchor.column(i).coeffs
+        rho_i = nonzero_terms(anchor.column(i).coeffs)
         row = []
         for j in range(q.rank):
             values = []
@@ -434,7 +458,9 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     """
     e_bundle = conn.bundle
     base = e_bundle.patch
-    if sigma.source != e_bundle or sigma.target != Bundle.cotangent(base):
+    cotangent = Bundle.cotangent(base)
+    if ((sigma.source is not e_bundle and sigma.source != e_bundle)
+            or (sigma.target is not cotangent and sigma.target != cotangent)):
         raise BundleError("sigma must map E into T*M")
     predual = canonical_predual(e_bundle)
     q, b = predual.q, predual.b
@@ -459,7 +485,7 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     zero_x = tangent.zero_section()
     zero_xi = dual_bundle.zero_section()
     zero_e = e_bundle.zero_section()
-    zero_th = Bundle.cotangent(base).zero_section()
+    zero_th = cotangent.zero_section()
     for i in range(q.rank):
         if q.atom_slice(tm_idx).start <= i < q.atom_slice(tm_idx).stop:
             x, xi = tangent.frame_section(i - q.atom_slice(tm_idx).start), zero_xi
@@ -470,7 +496,7 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
             if b.atom_slice(e_idx).start <= j < b.atom_slice(e_idx).stop:
                 e_sec, theta = e_bundle.frame_section(j - b.atom_slice(e_idx).start), zero_th
             else:
-                e_sec, theta = zero_e, Bundle.cotangent(base).frame_section(
+                e_sec, theta = zero_e, cotangent.frame_section(
                     j - b.atom_slice(ct_idx).start)
             row.append(delta_value(x, xi, e_sec, theta))
         symbols.append(row)

@@ -42,7 +42,7 @@ from .algebroid import (AnchoredBracket, Battery, BatteryTable, battery_sections
                         record_jacobi, record_symmetrized)
 from .bundle import (Bundle, BundleError, HomSection, Section,
                      battery_functions, courant_dorfman_form_part,
-                     db_canonical, dual_pair, lie_derivative_form, vf_apply,
+                     db_canonical, dual_pair, lie_derivative_form, nonzero_terms, vf_apply,
                      vf_bracket)
 from .dirac import VBTriple
 from .dorfman import DorfmanConnection
@@ -224,9 +224,10 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     x = lad.x_part(v)
     xi = lad.xi_part(v)
     rho_a = lad.rho(a)
+    rho_terms = nonzero_terms(rho_a.coeffs)
     comps = []
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
-        value = vf_apply(lad.base.coords, rho_a.coeffs, xi.coeffs[k])
+        value = vf_apply(lad.base.coords, rho_terms, xi.coeffs[k])
         pairing = dual_pair(xi, lad.a_bracket(a, ek))
         comps.append(value - pairing if pairing._terms else value)
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
@@ -296,7 +297,8 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         x = lad.x_part(v)
         xi = lad.xi_part(v)
         v_scaled = [v.scale(phi) for phi in functions]
-        x_of = [vf_apply(lad.base.coords, x.coeffs, phi) for phi in functions]
+        x_terms = nonzero_terms(x.coeffs)
+        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi in functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
@@ -324,12 +326,13 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     n_v = len(v_batt)
     t_scaled = [[t.scale(phi) for phi in functions] for _, t in targets]
     coords = lad.base.coords
+    anchors = lad.bracket.frame_table.anchors
     # nablas[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
     nablas = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
         a_scaled = [a.scale(phi) for phi in functions]
-        rho_phi = [vf_apply(coords, lad.bracket.frame_rho[k], phi) for phi in functions]
+        rho_phi = [vf_apply(coords, anchors[k], phi) for phi in functions]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
             basic = lad.basic_v if t_i < n_v else lad.basic_sigma
@@ -357,7 +360,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             for q, (label_s, sigma) in enumerate(s_batt):
                 lhs = (delta.predual.pair(nablas[k][p], sigma)
                        + delta.predual.pair(v, nablas[k][n_v + q]))
-                rhs = vf_apply(coords, lad.bracket.frame_rho[k], pairings[p][q])
+                rhs = vf_apply(coords, anchors[k], pairings[p][q])
                 defect = delta.predual.pair(skew[p][q], a_lift)
                 if defect._terms:
                     rhs = rhs - defect

@@ -266,9 +266,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     # section with <psi, e> = X<eta, e> - <eta, pr_E Delta_v(e, 0)>
     for i in range(q.rank):
         for label_eta, eta in battery_sections(e_bundle.dual()):
-            lhs = vf_apply(tp.allvars, lifts[i].vf, tp.linear(eta.coeffs))
+            lhs = vf_apply(tp.allvars, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
             rhs = tp.linear([
-                _difference(vf_apply(q.patch.coords, delta.bracket.frame_rho[i], c),
+                _difference(vf_apply(q.patch.coords, delta.bracket.frame_table.anchors[i], c),
                             dual_pair(eta, Section(e_bundle, value.part(e_idx))))
                 for c, value in zip(eta.coeffs, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
@@ -278,7 +278,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
 def _e_bundle(delta: DorfmanConnection) -> Bundle:
     b = delta.b
     atom = b.atoms[b.atom_index("V")]
-    return Bundle(b.patch, (atom,))
+    return b.patch.bundle((atom,))
 
 
 # -- geometric Dirac check -----------------------------------------------------
@@ -435,7 +435,9 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                   "pullback of the canonical forms through sigma and a connection")
     e_bundle = conn.bundle
     base = e_bundle.patch
-    if sigma.source != e_bundle or sigma.target != Bundle.cotangent(base):
+    cotangent = Bundle.cotangent(base)
+    if ((sigma.source is not e_bundle and sigma.source != e_bundle)
+            or (sigma.target is not cotangent and sigma.target != cotangent)):
         raise BundleError("sigma must be a bundle map E -> T*M")
     tp = total_patch_of(e_bundle)
     n, r = base.dim, e_bundle.rank
@@ -571,7 +573,8 @@ class GeneratorAlgebra:
             for v in self.lad.v_bundle.frame_sections():
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
-                col = (self.lad.to_sigma(a=e_k).scale(vf_apply(base.coords, x.coeffs, phi))
+                x_phi = vf_apply(base.coords, enumerate(x.coeffs), phi)
+                col = (self.lad.to_sigma(a=e_k).scale(x_phi)
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
             out = out + self.hom_dagger(HomSection.from_columns(
@@ -727,7 +730,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.linear([
-                _difference(vf_apply(lad.base.coords, lad.bracket.frame_rho[i],
+                _difference(vf_apply(lad.base.coords, lad.bracket.frame_table.anchors[i],
                                      delta.predual.pair(v, tau)),
                             delta.predual.pair(lad.basic_v(delta, a, v), tau))
                 for v in v_frames]))

@@ -347,9 +347,11 @@ def _dorfman(body: _Body) -> DorfmanConnection:
         delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q),
                                                     _zero_symbols(predual))
     # delta acts on E + T*M for the E that e names
-    if "e" in body.keys and body.ref("e") + Bundle.cotangent(body.spec.base) != delta.b:
-        raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
-                        f"{form} = {body.get(form)[0]}", body.keys["e"][1])
+    if "e" in body.keys:
+        named = body.ref("e") + Bundle.cotangent(body.spec.base)
+        if named is not delta.b and named != delta.b:
+            raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
+                            f"{form} = {body.get(form)[0]}", body.keys["e"][1])
     if "b" in body.keys and form != "pairing":
         raise SpecError("b is read only with pairing = zero", body.keys["b"][1])
     bracket = body.named("bracket", "bracket") if "bracket" in body.keys else delta.bracket

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from courant_lab.algebroid import battery_sections
-from courant_lab.bundle import (Bundle, BundleError, HomSection, SubBundle,
+from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
-                                patch, random_sections, vf_apply, vf_bracket)
+                                nonzero_terms, patch, random_sections, vf_apply, vf_bracket)
 from courant_lab.poly import ScalarPoly
 
 BASE = patch("x1", "x2")
@@ -170,8 +170,9 @@ def test_vf_apply_with_zero_components_equals_the_full_sum():
         full = BASE.zero()
         for comp, name in zip(comps, BASE.coords):
             full = full + comp * phi.partial(name)
-        assert vf_apply(BASE.coords, comps, phi) == full
-    assert vf_apply(BASE.coords, [BASE.zero(), BASE.poly("x1 - 1")], phi) == \
+        assert vf_apply(BASE.coords, enumerate(comps), phi) == full
+        assert vf_apply(BASE.coords, nonzero_terms(comps), phi) == full
+    assert vf_apply(BASE.coords, [(1, BASE.poly("x1 - 1"))], phi) == \
         BASE.poly("(x1 - 1)*(x1^2 + 3)")
 
 
@@ -186,8 +187,8 @@ def test_vf_apply_on_a_zero_function_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(ScalarPoly, "__mul__", counting)
     monkeypatch.setattr(ScalarPoly, "__rmul__", counting)
     comps = [BASE.poly("x2"), BASE.poly("x1 - 1")]
-    assert vf_apply(BASE.coords, comps, BASE.zero()).is_zero()
-    assert vf_apply(BASE.coords, comps, BASE.const(3)).is_zero()
+    assert vf_apply(BASE.coords, enumerate(comps), BASE.zero()).is_zero()
+    assert vf_apply(BASE.coords, enumerate(comps), BASE.const(3)).is_zero()
     assert products == []
 
 
@@ -199,8 +200,8 @@ def test_leibniz_differentiates_each_operand_coefficient_once(monkeypatch):
 
     expected = vf_bracket(*sections())
     x, y = sections()
-    table = [[TM.zero_section()] * TM.rank for _ in range(TM.rank)]
-    frame_rho = [d.coeffs for d in TM.frame_sections()]
+    frame = FrameTable([[TM.zero_section()] * TM.rank for _ in range(TM.rank)],
+                       [d.coeffs for d in TM.frame_sections()])
     fills, reads, kept = Counter(), Counter(), []
     real = ScalarPoly.gradient
 
@@ -214,7 +215,7 @@ def test_leibniz_differentiates_each_operand_coefficient_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(ScalarPoly, "gradient", counting)
-    assert leibniz(x, y, table, frame_rho, TM, bracket=True) == expected
+    assert leibniz(x, y, frame, TM, bracket=True) == expected
     operands = {id(c) for c in x.coeffs + y.coeffs}
     assert set(fills) == set(reads) == operands
     assert max(fills.values()) == 1 and max(reads.values()) > 1
@@ -237,8 +238,31 @@ def test_zero_one_and_tangent_bundles_are_shared_per_patch():
 def test_dual_bundle_is_shared():
     for b in (E, Q, B, CT, Bundle.vector(BASE, "F", ("f1", "f2"))):
         assert b.dual() is b.dual()
-        assert b.dual().dual() == b
-    assert Q.dual() == TM.dual() + E
+        assert b.dual().dual() is b
+    assert Q.dual() is TM.dual() + E
+
+
+def test_each_patch_builds_one_bundle_per_atoms():
+    p = patch("y1", "y2")
+    first = Bundle.tangent(p) + Bundle.cotangent(p)
+    assert Bundle.tangent(p) + Bundle.cotangent(p) is first
+    assert Bundle.vector(p, "F", ("f1",)) is Bundle.vector(p, "F", ["f1"])
+    assert first.dual() is Bundle.tangent(p).dual() + Bundle.cotangent(p).dual()
+    # an equal patch builds its own bundles, equal to these
+    twin = patch("y1", "y2")
+    other = Bundle.tangent(twin) + Bundle.cotangent(twin)
+    assert other is not first and other == first
+    assert Section(first, first.zero_section().coeffs) == other.zero_section()
+
+
+def test_adding_the_shared_zero_section_returns_the_operand():
+    s = Q.section(Dx1="x1*x2", epss="x2 - 1")
+    zero = Q.zero_section()
+    assert s + zero is s and s - zero is s
+    # an equal zero that is not the shared one is added as any section
+    assert s + Section(Q, zero.coeffs) == s
+    with pytest.raises(BundleError):
+        s + B.zero_section()
 
 
 def test_transpose_is_the_adjoint_map():

@@ -661,6 +661,38 @@ def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
     assert applied and max(applied) == 1
 
 
+def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
+    # Delta_{s_x} Delta_{s_y} t_z is kept by position (x, y, z) on the connection,
+    # so the check reuses the terms R(q_i, q_j) was built from
+    delta = parse_spec(CURVED).lookup("dorfman", "Delta")
+    rows = {id(sec): x for x, sec in enumerate(delta.battery_table.rows.sections)}
+    entries, nested, applied = {}, Counter(), []  # entries: id of Delta_{s_y} t_z -> (y, z)
+    real_apply, real_entry = DorfmanConnection.apply, DorfmanConnection.battery_apply
+
+    def battery_apply(self, y, z):
+        value = real_entry(self, y, z)
+        entries.setdefault(id(value), (y, z))
+        return value
+
+    def counting(self, v, s):
+        if not (v.is_zero() or s.is_zero()):
+            applied.append(1)
+            if id(v) in rows and id(s) in entries:
+                nested[rows[id(v)], *entries[id(s)]] += 1
+        return real_apply(self, v, s)
+
+    monkeypatch.setattr(DorfmanConnection, "battery_apply", battery_apply)
+    monkeypatch.setattr(DorfmanConnection, "apply", counting)
+    delta.frame_curvature(0, 1)
+    built = len(applied)
+    report = delta.check_curvature_tensorial()
+    assert not report.passed and report.witnesses
+    assert nested and max(nested.values()) == 1
+    # 402 applications with two nonzero operands after the 24 of the frame
+    # curvatures (426 for the check alone)
+    assert (built, len(applied) - built) == (24, 402)
+
+
 DORFMAN_LINES = ("dorfman-axioms", "duality", "curvature", "skew", "splitting-theorems")
 
 
@@ -681,6 +713,18 @@ def test_dorfman_lines_evaluate_each_battery_entry_once_per_spec(monkeypatch):
         for operator in ("apply", "bracket"):
             assert max(n for (name, *_), n in entries.items() if name == operator) == 1
     assert len(second) == len(first)
+
+
+def test_catalog_bundle_comparisons_are_settled_by_identity(monkeypatch, capsys):
+    # each patch builds one bundle per atoms tuple, and every bundle comparison
+    # tests `is` before `==`, so verify-all --seed 7 compares no two bundles
+    # field by field (one new bundle per constructor call would need 55,628)
+    calls = []
+    real = Bundle.__eq__
+    monkeypatch.setattr(Bundle, "__eq__", lambda self, other: calls.append(1) or real(self, other))
+    assert main(["verify-all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert len(calls) < 100
 
 
 def test_battery_tables_make_no_reference_cycle():

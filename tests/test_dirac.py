@@ -6,7 +6,8 @@ from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
 from courant_lab.dirac import (VBTriple, check_bracket_well_defined_on_u,
                                check_dirac, check_equivalent, dirac_verdicts,
                                shift_dorfman)
-from courant_lab.dorfman import Connection, im2form_dorfman, standard_dorfman
+from courant_lab.dorfman import (Connection, DorfmanConnection, im2form_dorfman,
+                                 standard_dorfman)
 from builders import flat_connection
 
 BASE = patch("x1", "x2")
@@ -50,6 +51,34 @@ def test_vb_triple_is_frozen_and_computes_its_checks_once(ex_d):
     assert ex_d.u_annihilator is ex_d.u_annihilator
     assert ex_d.restricted_bracket is ex_d.restricted_bracket
     assert check_dirac(ex_d) is check_dirac(ex_d)
+
+
+def test_curvature_into_k_applies_delta_once_per_term(monkeypatch):
+    # Delta_{u_j} b_m is computed once, and Delta_{u_i} Delta_{u_j} b_m once for
+    # both R(u_i, u_j) b_m and R(u_j, u_i) b_m; K = 0, so closure applies nothing
+    e = Bundle.vector(BASE, "E", ("eps",))
+    delta = standard_dorfman(Connection(e, [[e.zero_section()], [e.section(eps="x1")]]))
+    triple = VBTriple(delta, SubBundle("U", delta.q.frame_sections()),
+                      SubBundle("K", [], delta.b))
+    calls = []
+    real = DorfmanConnection.apply
+    monkeypatch.setattr(DorfmanConnection, "apply",
+                        lambda self, v, s: calls.append(1) or real(self, v, s))
+    report = check_dirac(triple)
+    monkeypatch.undo()
+    r_u, r_b = triple.u_sub.rank, delta.b.rank
+    # 63 applications, where the public curvature takes five per (u_i, u_j, b_m): 135
+    assert len(calls) == r_u * r_b + 2 * r_u ** 2 * r_b
+    # the shared terms give the witnesses of the public curvature
+    u_secs = triple.u_sub.sections
+    expected = [(f"(u{i + 1}; u{j + 1}; {delta.b.frame[m]})", str(column))
+                for i, u1 in enumerate(u_secs) for j, u2 in enumerate(u_secs)
+                for m, column in enumerate(delta.curvature(u1, u2).column(m)
+                                           for m in range(r_b))
+                if not column.is_zero()]
+    found = [(w.inputs, w.difference) for w in report.witnesses
+             if w.identity == "curvature-into-K"]
+    assert expected and found == expected
 
 
 def test_ex_c_is_dirac(ex_c):
