@@ -11,8 +11,11 @@ record_jacobi (Jacobi in Leibniz form), record_symmetrized,
 record_anchor_morphism, record_metric (axiom (c)) and record_right_leibniz
 (axiom (b)) are the one kernel per Courant algebroid identity (Liu,
 Weinstein and Xu) for every check that verifies one.  Each reads the
-values its check already holds, over a Battery; only this module reads
-the battery layout.  A BatteryTable keeps op(s_p, t_q) by position: an
+values its check already holds, over a Battery.  Battery.of fixes the
+layout (frame l times function f is entry l * w + f); the curvature, skew
+and axiom checks of dorfman, the splitting theorems of prolong and the
+Ruth check of laops compute p + f from it too (ROADMAP item 3 would
+retire the layout).  A BatteryTable keeps op(s_p, t_q) by position: an
 AnchoredBracket keeps [s_p, s_q] over its battery for its lifetime, read
 by its Lie and anchor checks and by the Dorfman checks.
 """
@@ -39,15 +42,14 @@ class AnchoredBracket:
     def __init__(self, bundle: Bundle, anchor: HomSection,
                  structure: Sequence[Sequence[Section]]):
         tangent = Bundle.tangent(bundle.patch)
-        if ((anchor.source is not bundle and anchor.source != bundle)
-                or (anchor.target is not tangent and anchor.target != tangent)):
+        if anchor.source is not bundle or anchor.target is not tangent:
             raise BundleError("anchor must map the bundle to TM over its patch")
         r = bundle.rank
         if len(structure) != r or any(len(row) != r for row in structure):
             raise BundleError("structure functions need one section per ordered frame pair")
         for row in structure:
             for sec in row:
-                if sec.bundle is not bundle and sec.bundle != bundle:
+                if sec.bundle is not bundle:
                     raise BundleError("structure functions must be sections of the bundle")
         self.bundle = bundle
         self.anchor = anchor
@@ -83,8 +85,7 @@ class AnchoredBracket:
                             - psi rho(qj)(phi) qi, summed coefficientwise.
         """
         bundle = self.bundle
-        if ((q1.bundle is not bundle and q1.bundle != bundle)
-                or (q2.bundle is not bundle and q2.bundle != bundle)):
+        if q1.bundle is not bundle or q2.bundle is not bundle:
             raise BundleError("bracket arguments must be sections of the bundle")
         return leibniz(q1, q2, self.frame_table, bundle, bracket=True)
 

@@ -3,10 +3,13 @@
 A Patch is a list of base coordinates; a Bundle is a direct sum of tagged
 atoms (TM, T*M, named bundles and their duals), each carrying a constant
 frame.  Sections are coefficient vectors of ScalarPoly over the frame.
-Each patch builds one Bundle per atoms tuple (Patch.bundle), so a bundle
-comparison tests `is` first and falls back to `==` only for bundles over
-equal but distinct patches; section `+` and `-` hand back the left
-operand when the right one is the bundle's shared zero section.
+Every bundle of one structure sits over one base manifold, so build every
+object of one structure over one Patch.  A Patch and a Bundle are equal
+only to themselves and hash by identity, and each patch builds one Bundle
+per atoms tuple (Patch.bundle), so `is` is the one bundle comparison:
+sections over two equal but distinct patches never mix.  Section `+` and
+`-` hand back the left operand when the right one is the bundle's shared
+zero section.
 
 The module also houses the canonical pairing, the elementary Cartan
 operations, the one Leibniz kernel (`leibniz`, which reads an operator's
@@ -23,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .linalg import SpanBasis, nullspace, rank as mat_rank
+from .linalg import complete_basis, invert, nullspace, rank as mat_rank
 from .poly import Rational, ScalarPoly, parse_poly
 
 TM = "TM"
@@ -38,9 +41,10 @@ class BundleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Patch:
-    """A polynomial coordinate patch; coords may be empty (a point)."""
+    """A polynomial coordinate patch; coords may be empty (a point).
+    Equal only to itself (see the module docstring)."""
 
     coords: Tuple[str, ...]
 
@@ -81,8 +85,7 @@ class Patch:
 
     def bundle(self, atoms: Tuple["Atom", ...]) -> "Bundle":
         """The one Bundle over this patch with these atoms: every bundle
-        constructor asks its patch, so equal bundles over one patch object
-        are one object, and a comparison that tests `is` first settles."""
+        constructor asks its patch, so `is` compares bundles."""
         found = self._bundles.get(atoms)
         if found is None:
             found = self._bundles[atoms] = Bundle(self, atoms)
@@ -130,7 +133,7 @@ class Atom:
         return {TM: "TM", COTM: "T*M"}.get(self.kind, self.name + ("*" if self.kind == VEC_DUAL else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bundle:
     """A direct sum of atoms over a patch.
 
@@ -138,7 +141,8 @@ class Bundle:
     are computed in __post_init__, the dual bundle, the frame sections and
     the zero section on first use, and all are shared by every caller
     afterwards.  Build one through its patch (Patch.bundle, which tangent,
-    cotangent, vector, + and dual call), so that each is built once.
+    cotangent, vector, + and dual call), so that each is built once; it
+    is equal only to itself.
     """
 
     patch: Patch
@@ -174,7 +178,7 @@ class Bundle:
         return self._dual
 
     def __add__(self, other: "Bundle") -> "Bundle":
-        if other.patch is not self.patch and other.patch != self.patch:
+        if other.patch is not self.patch:
             raise BundleError("direct sum over different patches")
         return self.patch.bundle(self.atoms + other.atoms)
 
@@ -248,16 +252,18 @@ class Section:
 
     def __add__(self, other: "Section") -> "Section":
         if other.bundle is not self.bundle:
-            self._same(other)
-        elif other is self.bundle._zero_section:
+            raise BundleError("sections of different bundles (build both over one Patch): "
+                              f"{self.bundle.label()} vs {other.bundle.label()}")
+        if other is self.bundle._zero_section:
             return self
         return _section(self.bundle, tuple(a + b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Section") -> "Section":
         if other.bundle is not self.bundle:
-            self._same(other)
-        elif other is self.bundle._zero_section:
+            raise BundleError("sections of different bundles (build both over one Patch): "
+                              f"{self.bundle.label()} vs {other.bundle.label()}")
+        if other is self.bundle._zero_section:
             return self
         return _section(self.bundle, tuple(a - b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
@@ -273,13 +279,6 @@ class Section:
         zero = self.bundle.patch.zero()
         return _section(self.bundle, tuple(factor * a if a._terms else zero
                                            for a in self.coeffs))
-
-    def _same(self, other: "Section") -> None:
-        """Raises unless other is a section of an equal bundle (the callers
-        have found that it is not one of the same bundle object)."""
-        if other.bundle != self.bundle:
-            raise BundleError(
-                f"sections of different bundles: {self.bundle.label()} vs {other.bundle.label()}")
 
     def is_zero(self) -> bool:
         return not any(c._terms for c in self.coeffs)
@@ -304,8 +303,7 @@ class Section:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
             return NotImplemented
-        return ((self.bundle is other.bundle or self.bundle == other.bundle)
-                and self.coeffs == other.coeffs)
+        return self.bundle is other.bundle and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.bundle, self.coeffs))
@@ -369,7 +367,7 @@ class HomSection:
         """The map sending the j-th source frame element to columns[j] in target."""
         if len(columns) != source.rank:
             raise BundleError("need one image column per source frame element")
-        if any(col.bundle is not target and col.bundle != target for col in columns):
+        if any(col.bundle is not target for col in columns):
             raise BundleError("image columns must be sections of the target")
         matrix = [[col.coeffs[i] for col in columns] for i in range(target.rank)]
         return HomSection(source, target, matrix)
@@ -378,7 +376,7 @@ class HomSection:
         return Section(self.target, tuple(self.matrix[i][j] for i in range(self.target.rank)))
 
     def apply(self, section: Section) -> Section:
-        if section.bundle is not self.source and section.bundle != self.source:
+        if section.bundle is not self.source:
             raise BundleError("section is not in the source bundle")
         zero = self.source.patch.zero()
         nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if coeff._terms]
@@ -398,14 +396,13 @@ class HomSection:
                           [[row[j] for row in self.matrix] for j in range(self.source.rank)])
 
     def compose(self, inner: "HomSection") -> "HomSection":
-        if inner.target is not self.source and inner.target != self.source:
+        if inner.target is not self.source:
             raise BundleError("composition shape mismatch")
         cols = [self.apply(inner.column(j)) for j in range(inner.source.rank)]
         return HomSection.from_columns(inner.source, self.target, cols)
 
     def __add__(self, other: "HomSection") -> "HomSection":
-        if ((other.source is not self.source and other.source != self.source)
-                or (other.target is not self.target and other.target != self.target)):
+        if other.source is not self.source or other.target is not self.target:
             raise BundleError("hom sections over different bundles")
         return HomSection(self.source, self.target,
                           [[a + b for a, b in zip(r1, r2)]
@@ -698,8 +695,7 @@ def vf_bracket(x: Section, y: Section) -> Section:
     """Lie bracket of vector fields, [X, Y]^j = X^i d_i Y^j - Y^i d_i X^j."""
     base = x.bundle.patch
     tangent = Bundle.tangent(base)
-    if ((x.bundle is not tangent and x.bundle != tangent)
-            or (y.bundle is not x.bundle and y.bundle != x.bundle)):
+    if x.bundle is not tangent or y.bundle is not tangent:
         raise BundleError("vf_bracket expects two TM sections over one patch")
     return Section(x.bundle, tuple(vf_bracket_comps(base.coords, x.coeffs, y.coeffs)))
 
@@ -708,7 +704,7 @@ def lie_derivative_form(x: Section, theta: Section) -> Section:
     """Lie derivative of a 1-form along a vector field (Cartan identity holds)."""
     base = x.bundle.patch
     cotangent = Bundle.cotangent(base)
-    if theta.bundle is not cotangent and theta.bundle != cotangent:
+    if theta.bundle is not cotangent:
         raise BundleError("lie_derivative_form expects a T*M section")
     return Section(theta.bundle, tuple(lie_form_comps(base.coords, x.coeffs, theta.coeffs)))
 
@@ -760,7 +756,9 @@ def annihilator(frame: Sequence[Section], partner: Bundle) -> List[Section]:
 
 
 class SubBundle:
-    """A constant-coefficient subbundle with canonical complement.
+    """A constant-coefficient subbundle with canonical complement: the
+    constant vectors `complement`, the standard-basis completion of
+    `linalg.complete_basis`.
 
     Membership of a polynomial section is decided by projecting onto the
     deterministic rational complement and testing zero.  The constant
@@ -778,20 +776,22 @@ class SubBundle:
         self.sections = list(sections)
         rows = []
         for sec in self.sections:
-            if sec.bundle is not ambient and sec.bundle != ambient:
+            if sec.bundle is not ambient:
                 raise BundleError("subbundle frame is not in one ambient bundle")
             if not sec.is_constant():
                 raise BundleError("subbundle frames must have constant coefficients")
             rows.append(sec.constant_coeffs())
         try:
-            self.span = SpanBasis(rows, ambient.rank)
+            self.complement = complete_basis(rows, ambient.rank)
         except ValueError as exc:  # a dependent frame
             raise BundleError(str(exc)) from exc
-        # frame and complement coordinates, and the residual: the sum of the
-        # complement coordinates times the complement vectors
-        inv, r = self.span.basis_inv, len(rows)
+        # frame and complement coordinates, from the inverse of the basis
+        # matrix whose columns are the frame and complement vectors, and the
+        # residual: the sum of the complement coordinates times those vectors
+        columns, r = rows + self.complement, len(rows)
+        inv = invert([[vec[i] for vec in columns] for i in range(ambient.rank)])
         self._head, self._rest = inv[:r], inv[r:]
-        pieces = list(zip(self.span.complement, self._rest))
+        pieces = list(zip(self.complement, self._rest))
         self._projection = [[sum((vec[i] * row[j] for vec, row in pieces if vec[i]), Fraction(0))
                              for j in range(ambient.rank)] for i in range(ambient.rank)]
 

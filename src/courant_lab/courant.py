@@ -199,7 +199,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     base = lad.base
     pm = lad.pair_map()
 
-    w_vectors = k_sub.span.complement
+    w_vectors = k_sub.complement
     w_sections = [Section(lad.sigma_bundle, tuple(base.const(v) for v in vec))
                   for vec in w_vectors]
     frame_names = tuple([f"cu{i + 1}" for i in range(u_sub.rank)]
@@ -404,7 +404,7 @@ def recover_triple(mp: ManinPairData) -> Tuple[Optional[VBTriple], CheckReport]:
 
     # zero-extend over the canonical complement of U inside TM + A*
     basis_vectors = [sec.constant_coeffs() for sec in u_sub.sections]
-    basis_vectors += u_sub.span.complement
+    basis_vectors += u_sub.complement
     n_total = lad.v_bundle.rank
     basis_matrix = [[basis_vectors[j][i] for j in range(n_total)] for i in range(n_total)]
     inv = invert(basis_matrix)

@@ -31,7 +31,7 @@ class VBTriple:
 
     def __post_init__(self):
         u, k, q, b = self.u_sub.ambient, self.k_sub.ambient, self.delta.q, self.delta.b
-        if (u is not q and u != q) or (k is not b and k != b):
+        if u is not q or k is not b:
             raise BundleError("U must live in the acting bundle and K in its pre-dual")
 
     @cached_property
@@ -71,8 +71,7 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
                      u_sub: SubBundle, k_sub: SubBundle) -> CheckReport:
     """(U,K)-equivalence: (Delta - Delta')(Gamma(U) x Gamma(E+0)) in Gamma(K)."""
     chk = Checker("equivalence", "difference of the connections is K-valued on U x E")
-    if d1.predual is not d2.predual and ((d1.q is not d2.q and d1.q != d2.q)
-                                         or (d1.b is not d2.b and d1.b != d2.b)):
+    if d1.q is not d2.q or d1.b is not d2.b:
         raise BundleError("representatives must share the pre-dual")
     b = d1.b
     e_idx = b.atom_index("V")

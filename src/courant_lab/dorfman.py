@@ -79,7 +79,7 @@ class Connection(object):
     def nabla_dual(self, x: Section, xi: Section) -> Section:
         """<nabla*_X xi, e_l> = X<xi, e_l> - <xi, nabla_X e_l>: the dual
         Christoffel table extended by the same Leibniz rules."""
-        if xi.bundle is not self._dual and xi.bundle != self._dual:
+        if xi.bundle is not self._dual:
             raise BundleError("nabla_dual expects a section of the dual bundle")
         return leibniz(x, xi, self._dual_frame, self._dual)
 
@@ -148,13 +148,13 @@ class DorfmanConnection:
 
     def __init__(self, predual: PreDual, bracket: AnchoredBracket,
                  symbols: Sequence[Sequence[Section]]):
-        if bracket.bundle is not predual.q and bracket.bundle != predual.q:
+        if bracket.bundle is not predual.q:
             raise BundleError("the dull bracket must live on the acting bundle")
         if len(symbols) != predual.q.rank or any(len(r) != predual.b.rank for r in symbols):
             raise BundleError("need one symbol per (Q-frame, B-frame) pair")
         for row in symbols:
             for sec in row:
-                if sec.bundle is not predual.b and sec.bundle != predual.b:
+                if sec.bundle is not predual.b:
                     raise BundleError("symbols must be sections of B")
         self.predual = predual
         self.bracket = bracket
@@ -172,7 +172,7 @@ class DorfmanConnection:
 
     def apply(self, v: Section, s: Section) -> Section:
         q, b = self.predual.q, self.predual.b
-        if (v.bundle is not q and v.bundle != q) or (s.bundle is not b and s.bundle != b):
+        if v.bundle is not q or s.bundle is not b:
             raise BundleError("apply expects sections of Q and B")
         return leibniz(v, s, self.frame_table, b,
                        pair_entries=self.predual._pair_entries, d=self.predual.d)
@@ -459,8 +459,7 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     e_bundle = conn.bundle
     base = e_bundle.patch
     cotangent = Bundle.cotangent(base)
-    if ((sigma.source is not e_bundle and sigma.source != e_bundle)
-            or (sigma.target is not cotangent and sigma.target != cotangent)):
+    if sigma.source is not e_bundle or sigma.target is not cotangent:
         raise BundleError("sigma must map E into T*M")
     predual = canonical_predual(e_bundle)
     q, b = predual.q, predual.b
@@ -567,7 +566,7 @@ def bott_dorfman(courant, k_sub: SubBundle):
     k_bundle = k_bracket.bundle
 
     # quotient bundle: canonical complement classes
-    comp_vectors = k_sub.span.complement
+    comp_vectors = k_sub.complement
     quotient = Bundle.vector(base, "Ebar", tuple(f"w{i + 1}" for i in range(len(comp_vectors))))
     comp_sections = [Section(big, tuple(base.const(v) for v in vec)) for vec in comp_vectors]
 

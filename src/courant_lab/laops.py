@@ -51,7 +51,7 @@ from .report import Checker, CheckReport, NOT_APPLICABLE
 
 def _coeffs(section: Section, bundle: Bundle) -> tuple:
     """The coefficients of a section of bundle, as part of a table key."""
-    if section.bundle is not bundle and section.bundle != bundle:
+    if section.bundle is not bundle:
         raise BundleError(f"expected a section of {bundle.label()}, "
                           f"got one of {section.bundle.label()}")
     return section.coeffs

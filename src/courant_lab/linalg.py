@@ -123,41 +123,3 @@ def determinant(matrix: Sequence[Sequence]) -> Fraction:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
 
-
-class SpanBasis:
-    """A constant frame in Q^dim with its canonical complement.
-
-    Supports exact membership tests and coordinate decompositions of
-    constant vectors.  `bundle.SubBundle` builds its projections from the
-    same `basis_inv` and `complement` and applies them to polynomial
-    sections through `bundle.constant_apply`; `coords` and `contains` are
-    the constant form of those projections, the one the linalg oracle
-    checks against sympy.
-    """
-
-    def __init__(self, frame: Sequence[Sequence], dim: int):
-        self.frame = _frac_rows(frame)
-        self.dim = dim
-        for vec in self.frame:
-            if len(vec) != dim:
-                raise ValueError("frame vector has wrong length")
-        self.complement = complete_basis(self.frame, dim) if self.frame else \
-            [[Fraction(1 if i == j else 0) for i in range(dim)] for j in range(dim)]
-        columns = self.frame + self.complement
-        # basis matrix has the frame and complement vectors as columns
-        basis = [[columns[j][i] for j in range(dim)] for i in range(dim)]
-        self.basis_inv = invert(basis)
-
-    def coords(self, entries: Sequence) -> Tuple[Vector, Vector]:
-        """Split a dim-vector into (frame coordinates, complement coordinates)."""
-        if len(entries) != self.dim:
-            raise ValueError("vector has wrong length")
-        coords = [sum((coeff * entry for coeff, entry in zip(row, entries) if coeff and entry),
-                      Fraction(0))
-                  for row in self.basis_inv]
-        r = len(self.frame)
-        return coords[:r], coords[r:]
-
-    def contains(self, entries: Sequence) -> bool:
-        """Whether the vector lies in the span: its complement coordinates are zero."""
-        return not any(self.coords(entries)[1])

@@ -216,7 +216,7 @@ class ScalarPoly:
 
     def _coerce(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
         if isinstance(other, ScalarPoly):
-            if other.vars is not self.vars and other.vars != self.vars:
+            if other.vars != self.vars:
                 raise VariableMismatchError(
                     f"variable lists differ: {self.vars} vs {other.vars}")
             return other

@@ -436,8 +436,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     e_bundle = conn.bundle
     base = e_bundle.patch
     cotangent = Bundle.cotangent(base)
-    if ((sigma.source is not e_bundle and sigma.source != e_bundle)
-            or (sigma.target is not cotangent and sigma.target != cotangent)):
+    if sigma.source is not e_bundle or sigma.target is not cotangent:
         raise BundleError("sigma must be a bundle map E -> T*M")
     tp = total_patch_of(e_bundle)
     n, r = base.dim, e_bundle.rank

@@ -349,7 +349,7 @@ def _dorfman(body: _Body) -> DorfmanConnection:
     # delta acts on E + T*M for the E that e names
     if "e" in body.keys:
         named = body.ref("e") + Bundle.cotangent(body.spec.base)
-        if named is not delta.b and named != delta.b:
+        if named is not delta.b:
             raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
                             f"{form} = {body.get(form)[0]}", body.keys["e"][1])
     if "b" in body.keys and form != "pairing":

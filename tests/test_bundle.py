@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from courant_lab.algebroid import battery_sections
+from courant_lab.algebroid import AnchoredBracket, battery_sections
 from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
                                 nonzero_terms, patch, random_sections, vf_apply, vf_bracket)
+from courant_lab.dorfman import standard_dorfman
 from courant_lab.poly import ScalarPoly
+from builders import flat_connection, identity_map
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))
@@ -138,7 +140,7 @@ def test_subbundle_projection_decomposes_every_section():
     # part, the residual, and is a member exactly when that part is zero
     k = SubBundle("K", [B.section(eps=Fraction(1, 2), dx1=1),
                         B.section(dx1=Fraction(2, 3), dx2=-1)], B)
-    complement = [B.section(dict(zip(B.frame, vec))) for vec in k.span.complement]
+    complement = [B.section(dict(zip(B.frame, vec))) for vec in k.complement]
     member = k.include([BASE.coord("x1"), BASE.const(Fraction(1, 3))])
     for s in random_sections(B, 4, random.Random(3)) + [member, B.zero_section()]:
         head, rest = k.split(s.coeffs, BASE.zero())
@@ -228,9 +230,11 @@ def test_zero_one_and_tangent_bundles_are_shared_per_patch():
     assert Bundle.cotangent(p) is Bundle.cotangent(p)
     f = Bundle.vector(p, "F", ("f1", "f2"))
     assert f.zero_section() is f.zero_section()
-    # an equal patch has its own objects, equal to these
+    # an equal patch has its own objects, equal only to themselves; its zero
+    # polynomial is a value and stays equal to this one
     twin = patch("y1", "y2")
-    assert Bundle.tangent(twin) == Bundle.tangent(p) and twin.zero() == p.zero()
+    assert twin != p and Bundle.tangent(twin) != Bundle.tangent(p)
+    assert twin.zero() == p.zero()
     scaled = f.section(f1="y1").scale(p.poly("y2"))
     assert scaled.coeffs == (p.poly("y1*y2"), p.zero()) and scaled.coeffs[1] is p.zero()
 
@@ -248,11 +252,38 @@ def test_each_patch_builds_one_bundle_per_atoms():
     assert Bundle.tangent(p) + Bundle.cotangent(p) is first
     assert Bundle.vector(p, "F", ("f1",)) is Bundle.vector(p, "F", ["f1"])
     assert first.dual() is Bundle.tangent(p).dual() + Bundle.cotangent(p).dual()
-    # an equal patch builds its own bundles, equal to these
+    # an equal patch builds its own bundles, equal only to themselves, so
+    # sections with equal coefficients over the two are unequal
     twin = patch("y1", "y2")
     other = Bundle.tangent(twin) + Bundle.cotangent(twin)
-    assert other is not first and other == first
-    assert Section(first, first.zero_section().coeffs) == other.zero_section()
+    assert other is not first and other != first
+    assert first.zero_section().coeffs == other.zero_section().coeffs
+    assert Section(first, first.zero_section().coeffs) != other.zero_section()
+
+
+def test_sections_over_equal_patches_do_not_mix():
+    # two equal patches are two base manifolds: every operation refuses to
+    # mix their sections, though their bundles read alike
+    p, twin = patch("y1", "y2"), patch("y1", "y2")
+    tangent = Bundle.tangent(p)
+    x, y = tangent.section(Dy1="y2"), Bundle.tangent(twin).section(Dy1="y2")
+    message = r"sections of different bundles \(build both over one Patch\): TM vs TM"
+    with pytest.raises(BundleError, match=message):
+        x + y
+    with pytest.raises(BundleError, match=message):
+        x - y
+    with pytest.raises(BundleError):
+        tangent + Bundle.cotangent(twin)
+    with pytest.raises(BundleError):
+        identity_map(tangent).apply(y)
+    with pytest.raises(BundleError):
+        AnchoredBracket.from_pairs(tangent, identity_map(tangent)).bracket(x, y)
+    here, there = (standard_dorfman(flat_connection(Bundle.vector(base, "E", ("eps",))))
+                   for base in (p, twin))
+    with pytest.raises(BundleError):
+        here.apply(here.q.section(Dy1=1), there.b.section(eps=1))
+    with pytest.raises(BundleError):
+        here.apply(there.q.section(Dy1=1), here.b.section(eps=1))
 
 
 def test_adding_the_shared_zero_section_returns_the_operand():

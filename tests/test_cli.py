@@ -15,7 +15,7 @@ from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
-from courant_lab.bundle import Bundle, HomSection, battery_functions, patch
+from courant_lab.bundle import Bundle, HomSection, Patch, battery_functions, patch
 from courant_lab.poly import ScalarPoly
 from courant_lab.dorfman import DorfmanConnection
 
@@ -716,15 +716,16 @@ def test_dorfman_lines_evaluate_each_battery_entry_once_per_spec(monkeypatch):
 
 
 def test_catalog_bundle_comparisons_are_settled_by_identity(monkeypatch, capsys):
-    # each patch builds one bundle per atoms tuple, and every bundle comparison
-    # tests `is` before `==`, so verify-all --seed 7 compares no two bundles
-    # field by field (one new bundle per constructor call would need 55,628)
+    # a Patch and a Bundle are equal only to themselves, and each patch builds
+    # one bundle per atoms tuple, so every bundle comparison is an `is` test:
+    # neither class defines __eq__, and verify-all --seed 7 calls none
+    assert "__eq__" not in vars(Bundle) and "__eq__" not in vars(Patch)
     calls = []
     real = Bundle.__eq__
     monkeypatch.setattr(Bundle, "__eq__", lambda self, other: calls.append(1) or real(self, other))
     assert main(["verify-all", "--seed", "7"]) == 0
     capsys.readouterr()
-    assert len(calls) < 100
+    assert calls == []
 
 
 def test_battery_tables_make_no_reference_cycle():

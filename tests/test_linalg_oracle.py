@@ -1,7 +1,9 @@
 """Differential oracle: the exact linear algebra of `linalg` against sympy.
 
-`rref`, `nullspace`, `invert`, `determinant` and `SpanBasis.coords` are
-compared with sympy's Matrix on small rational matrices.  The draws are
+`rref`, `nullspace`, `invert` and `determinant` are compared with sympy's
+Matrix on small rational matrices, and so is the one projection path the
+package runs on them: `bundle.SubBundle` over constant sections, through
+its `complement`, `split`, `contains` and `residual`.  The draws are
 biased toward singular and rank-deficient matrices (rows combined from
 fewer vectors, repeated rows, zero columns, mostly-zero entries), where
 the elimination has to find a pivot below the diagonal or run out of one.
@@ -12,12 +14,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant_lab.linalg import SpanBasis, determinant, invert, nullspace, rref
+from courant_lab.bundle import Bundle, SubBundle, patch
+from courant_lab.linalg import determinant, invert, nullspace, rref
 
 sympy = pytest.importorskip("sympy")
 
 entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 sparse_entries = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2)])
+POINT = patch()  # the subbundle oracle works over constant sections
 
 
 @st.composite
@@ -122,17 +126,28 @@ def frames_and_vectors(draw):
 @given(frames_and_vectors())
 def test_span_coordinates_match_sympy(case):
     frame, dim, vector = case
-    span = SpanBasis(frame, dim)
-    head, rest = span.coords(vector)
+    ambient = Bundle.vector(POINT, "V", tuple(f"v{i}" for i in range(dim)))
+
+    def constant(row):
+        return ambient.section(dict(zip(ambient.frame, row)))
+
+    sub = SubBundle("K", [constant(row) for row in frame], ambient)
+    section = constant(vector)
+    head, rest = sub.split(section.coeffs, POINT.zero())
     # the complement is the standard-basis completion over the non-pivot columns
     pivots = list(to_sympy(frame, dim).rref()[1]) if frame else []
-    assert span.complement == [[Fraction(int(i == j)) for i in range(dim)]
-                               for j in range(dim) if j not in pivots]
-    columns = frame + span.complement
+    assert sub.complement == [[Fraction(int(i == j)) for i in range(dim)]
+                              for j in range(dim) if j not in pivots]
+    columns = frame + sub.complement
     basis = sympy.Matrix(dim, dim, lambda i, j: sympy.Rational(columns[j][i].numerator,
                                                                columns[j][i].denominator))
     solution = basis.solve(to_sympy([vector], dim).T)
-    assert list(head) + list(rest) == vector_from_sympy(solution)
+    assert [c.constant_value() for c in head + rest] == vector_from_sympy(solution)
     in_span = to_sympy(frame + [vector], dim).rank() == len(frame)
-    assert span.contains(vector) == in_span
-    assert all(x == 0 for x in rest) == in_span
+    assert sub.contains(section) == in_span
+    residual = sub.residual(section)
+    r = len(frame)
+    assert [c.constant_value() for c in residual.coeffs] == \
+        vector_from_sympy(basis[:, r:] * solution[r:, :])
+    assert residual.is_zero() == in_span
+    assert all(c.is_zero() for c in rest) == in_span

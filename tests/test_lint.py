@@ -16,6 +16,11 @@ the per-spec `LieAlgebroidData`, or in a table local to one check.
 The stored form of a polynomial (int numerators over one denominator) is
 private to `poly.py`: every other module reads `._terms` only as a zero
 test and never reads `._den`.
+
+An identity test in front of an equality test of the same operands
+(`a is not b and a != b`, `a is b or a == b`) fails it as well: a `Patch`
+or a `Bundle` is equal only to itself, so `is` alone compares them, and a
+value type needs only `==`.
 """
 
 import ast
@@ -146,4 +151,26 @@ def test_poly_storage_is_private_to_poly():
             if isinstance(node, ast.Attribute) and (
                     node.attr == "_den" or (node.attr == "_terms" and node not in tested)):
                 found.append(f"{module}: line {node.lineno} reads .{node.attr}")
+    assert found == []
+
+
+def _identity_then_equality(node):
+    """Whether node is `a is not b and a != b` or `a is b or a == b`, with
+    the same two operands in either order, among the operands of one
+    `and` or `or`."""
+    if not isinstance(node, ast.BoolOp):
+        return False
+    ops = (ast.IsNot, ast.NotEq) if isinstance(node.op, ast.And) else (ast.Is, ast.Eq)
+    operands = {op: set() for op in ops}
+    for value in node.values:
+        if (isinstance(value, ast.Compare) and len(value.ops) == 1
+                and type(value.ops[0]) in ops):
+            pair = frozenset(ast.dump(x) for x in (value.left, value.comparators[0]))
+            operands[type(value.ops[0])].add(pair)
+    return bool(operands[ops[0]] & operands[ops[1]])
+
+
+def test_no_identity_test_before_an_equality_test():
+    found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
+             for node in ast.walk(tree) if _identity_then_equality(node)]
     assert found == []

@@ -156,8 +156,9 @@ def test_geometric_dirac_fail_matches_algebraic(ex_a):
 
 
 def test_linear_poisson_tangent_line():
-    a = Bundle.vector(patch("x"), "a", ("a1",))
-    anchor = HomSection(a, Bundle.tangent(patch("x")), [[patch("x").one()]])
+    line = patch("x")
+    a = Bundle.vector(line, "a", ("a1",))
+    anchor = HomSection(a, Bundle.tangent(line), [[line.one()]])
     lad = LieAlgebroidData(AnchoredBracket.from_pairs(a, anchor))
     assert linear_poisson_check(lad).passed
 
