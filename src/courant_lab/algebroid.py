@@ -11,26 +11,25 @@ record_jacobi (Jacobi in Leibniz form), record_symmetrized,
 record_anchor_morphism, record_metric (axiom (c)) and record_right_leibniz
 (axiom (b)) are the one kernel per Courant algebroid identity (Liu,
 Weinstein and Xu) for every check that verifies one.  Each reads the
-values its check already holds, over a Battery.  Battery.of fixes the
-layout (frame l times function f is entry l * w + f); the curvature, skew
-and axiom checks of dorfman, the splitting theorems of prolong and the
-Ruth check of laops compute p + f from it too (ROADMAP item 3 would
-retire the layout).  A BatteryTable keeps op(s_p, t_q) by position: an
-AnchoredBracket keeps [s_p, s_q] over its battery for its lifetime, read
-by its Lie and anchor checks and by the Dorfman checks.
+values its check already holds, over a `bundle.Battery`, whose bundle
+fixes its functions, labels and layout (Bundle.battery).  A BatteryTable
+keeps op(s_p, t_q) by position: an AnchoredBracket keeps [s_p, s_q] over
+the battery of its bundle for its lifetime, read by its Lie and anchor
+checks and by the Dorfman checks.  On a bundle of rank 0 the Lie check
+records nothing: it passes with a detail line.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     battery_functions, leibniz, nonzero_terms, random_sections, vf_apply,
-                     vf_bracket, BATTERY_SEED)
+from .bundle import (Battery, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
+                     leibniz, nonzero_terms, random_sections, vf_apply, vf_bracket,
+                     BATTERY_SEED)
 from .poly import ScalarPoly
-from .report import Checker, CheckReport
+from .report import Checker, CheckReport, PASS
 
 Entries = Sequence[Tuple[str, Section]]  # labelled sections
 Table = Sequence[Sequence[Section]]  # op(s_p, s_q) over a Battery
@@ -104,9 +103,8 @@ class AnchoredBracket:
 
     @cached_property
     def battery_table(self) -> "BatteryTable":
-        """[s_p, s_q] over Battery.of(bundle), kept as long as the bracket."""
-        batt = Battery.of(self.bundle)
-        return BatteryTable(batt, batt)
+        """[s_p, s_q] over the battery of the bundle, kept as long as the bracket."""
+        return BatteryTable(self.bundle.battery, self.bundle.battery)
 
     def battery_bracket(self, p: int, q: int) -> Section:
         """[s_p, s_q] for the battery positions p and q, evaluated once."""
@@ -134,6 +132,9 @@ class AnchoredBracket:
 
     def _lie_report(self, seed: int) -> CheckReport:
         chk = Checker("lie", "bracket is antisymmetric and satisfies the Jacobi identity")
+        if not self.bundle.rank:
+            chk.note("rank 0: trivially a Lie algebroid")
+            return chk.report(PASS)
         batt, pairs = self.battery_table.rows, self.battery_table.full(self.bracket)
         record_symmetrized(chk, "antisymmetry", batt, pairs)
         # [[q_i, q_j], s] + [q_j, [q_i, s]] - [q_i, [q_j, s]]: the Courant form negated
@@ -178,32 +179,6 @@ class AnchoredBracket:
 # -- the bracket axioms over a battery ------------------------------------------
 
 
-class Battery(NamedTuple):
-    """Labelled sections s_p, the positions of the frame sections among them
-    and, for the battery of a bundle (see of), its functions and their texts."""
-
-    labels: List[str]
-    sections: List[Section]
-    frames: Sequence[int]
-    functions: Sequence[ScalarPoly] = ()
-    texts: Sequence[str] = ()
-
-    @classmethod
-    def of(cls, bundle: Bundle) -> "Battery":
-        """Frame sections multiplied by the deterministic function battery.
-
-        Frame section l times battery function f is entry l * w + f, for w
-        battery functions; function 0 is the constant 1, so entry l * w is
-        frame section l itself.
-        """
-        functions = battery_functions(bundle.patch)
-        # each function is rendered once; the constant 1 labels its entry by the frame name
-        texts = ["1"] + [str(phi) for phi in functions[1:]]
-        prefixes = [""] + [f"({text})*" for text in texts[1:]]
-        sections = [sec.scale(phi) for sec in bundle.frame_sections() for phi in functions]
-        return cls([prefix + name for name in bundle.frame for prefix in prefixes], sections,
-                   range(0, len(sections), len(functions)), functions, texts)
-
 class BatteryTable:
     """op(s_p, t_q) over a row and a column Battery, by position: an entry is
     evaluated on its first read, by the op that read passes (the owner's
@@ -225,12 +200,6 @@ class BatteryTable:
         """Every entry, in row order."""
         return [[self.get(op, p, q) for q in range(len(self.cols.sections))]
                 for p in range(len(self.rows.sections))]
-
-
-def battery_sections(bundle: Bundle) -> List[Tuple[str, Section]]:
-    """The (label, section) pairs of Battery.of(bundle)."""
-    batt = Battery.of(bundle)
-    return list(zip(batt.labels, batt.sections))
 
 
 def record_jacobi(chk: Checker, identity: str, batt: Battery, op: Callable, table: Table,
@@ -294,6 +263,7 @@ def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[
     bundle and rho the components of rho(q)."""
     phi = batt.functions[f]
     rho_phi = vf_apply(phi.vars, enumerate(rho), phi)
-    for p in batt.frames:
-        chk.record(identity, f"({label}; {batt.labels[p + f]})",
-                   row[p + f] - (row[p].scale(phi) + batt.sections[p].scale(rho_phi)))
+    for l, p in enumerate(batt.frames):
+        scaled = batt.pos(l, f)
+        chk.record(identity, f"({label}; {batt.labels[scaled]})",
+                   row[scaled] - (row[p].scale(phi) + batt.sections[p].scale(rho_phi)))

@@ -15,7 +15,9 @@ The module also houses the canonical pairing, the elementary Cartan
 operations, the one Leibniz kernel (`leibniz`, which reads an operator's
 frame data from a FrameTable its owner builds once), annihilators of
 constant subbundles, and the deterministic function battery used by every
-identity check.
+identity check.  This module alone knows the battery: its functions and
+their texts (Patch.battery), and the labelled sections of a bundle's
+battery with their layout (Bundle.battery, a Battery).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import complete_basis, invert, nullspace, rank as mat_rank
 from .poly import Rational, ScalarPoly, parse_poly
@@ -90,6 +92,20 @@ class Patch:
         if found is None:
             found = self._bundles[atoms] = Bundle(self, atoms)
         return found
+
+    @cached_property
+    def battery(self) -> Tuple[Tuple[ScalarPoly, str], ...]:
+        """The function battery {1, x1, x2, x1*x2, x1^2}, truncated to the
+        coordinates there are, each function with its text (see Battery)."""
+        functions = [self._one]
+        if self.coords:
+            x1 = self.coord(self.coords[0])
+            functions.append(x1)
+            if len(self.coords) >= 2:
+                x2 = self.coord(self.coords[1])
+                functions += [x2, x1 * x2]
+            functions.append(x1 * x1)
+        return tuple((phi, str(phi)) for phi in functions)
 
     def const(self, value: Rational) -> ScalarPoly:
         return ScalarPoly.const(self.coords, value)
@@ -225,6 +241,16 @@ class Bundle:
         return tuple(Section(self, tuple(one if k == i else zero for k in range(self._rank)))
                      for i in range(self._rank))
 
+    @cached_property
+    def battery(self) -> "Battery":
+        """The frame sections times the battery functions of the patch."""
+        functions, texts = zip(*self.patch.battery)
+        prefixes = [""] + [f"({text})*" for text in texts[1:]]
+        sections = tuple(sec.scale(phi) for sec in self._frame_sections for phi in functions)
+        return Battery(tuple(prefix + name for name in self._frame for prefix in prefixes),
+                       sections, tuple(range(0, len(sections), len(functions))),
+                       functions, texts)
+
     def section(self, mapping: Dict[str, Union[str, ScalarPoly, Rational]] | None = None,
                 **by_name) -> "Section":
         """Build a section from {frame name: coefficient} data."""
@@ -343,6 +369,34 @@ def _section(bundle: Bundle, coeffs: Tuple[ScalarPoly, ...]) -> Section:
     sec.bundle = bundle
     sec.coeffs = coeffs
     return sec
+
+
+# -- the function battery ------------------------------------------------
+
+
+class Battery(NamedTuple):
+    """Labelled sections s_p and the positions of the frame sections among
+    them: the entries that the tensoriality, Leibniz and axiom checks test
+    an operator on, since brackets and Dorfman connections are Leibniz
+    extensions of frame data.
+
+    The battery of a bundle (Bundle.battery, built once per bundle and
+    shared) also keeps the battery functions of its patch (Patch.battery,
+    each rendered once per patch) and their texts.  Frame section l times
+    function f is entry pos(l, f); function 0 is the constant 1, so entry
+    pos(l, 0) is frame section l itself, labelled by its frame name, and
+    entry pos(l, f) is labelled "(text)*name" for f > 0.
+    """
+
+    labels: Tuple[str, ...]
+    sections: Tuple["Section", ...]
+    frames: Tuple[int, ...]
+    functions: Tuple[ScalarPoly, ...] = ()
+    texts: Tuple[str, ...] = ()
+
+    def pos(self, l: int, f: int) -> int:
+        """The position of battery function f times frame section l."""
+        return l * len(self.functions) + f
 
 
 class HomSection:
@@ -846,24 +900,9 @@ class SubBundle:
                 and all(other.contains(sec) for sec in self.sections))
 
 
-# -- test battery ---------------------------------------------------------
+# -- random sections ------------------------------------------------------
 
 BATTERY_SEED = 7
-
-
-def battery_functions(base: Patch) -> List[ScalarPoly]:
-    """Deterministic coefficient battery {1, x1, x2, x1*x2, x1^2}, truncated."""
-    out = [base.one()]
-    coords = base.coords
-    if len(coords) >= 1:
-        x1 = base.coord(coords[0])
-        out.append(x1)
-    if len(coords) >= 2:
-        x2 = base.coord(coords[1])
-        out.extend([x2, x1 * x2])
-    if len(coords) >= 1:
-        out.append(x1 * x1)
-    return out
 
 
 def random_poly(base: Patch, rng: random.Random, degree: int = 2) -> ScalarPoly:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_anchor_morphism,
-                        record_jacobi, record_metric, record_right_leibniz, record_symmetrized)
+from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
+                        record_metric, record_right_leibniz, record_symmetrized)
 from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     battery_functions, constant_apply, d_scalar, db_canonical, leibniz,
+                     constant_apply, d_scalar, db_canonical, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
@@ -104,7 +104,7 @@ class CourantData:
         """Leibniz-Jacobi, metric invariance, symmetrized bracket, anchor morphism,
         and the right-Leibniz rule (structural under the extension)."""
         chk = Checker("courant-axioms", "Courant algebroid axioms")
-        batt = Battery.of(self.bundle)
+        batt = self.bundle.battery
         pairs = BatteryTable(batt, batt).full(self.bracket)
         record_jacobi(chk, "1-leibniz-jacobi", batt, self.bracket, pairs)
         anchors = [self.anchor.apply(e) for e in batt.sections]
@@ -250,10 +250,8 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     mp.courant = CourantData(c_bundle, anchor, pairing, symbols, d_matrix_override=dmat)
 
     # well-definedness: bracketing against graph representatives dies in C
-    functions = battery_functions(base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
     for ki, k in enumerate(k_sub.sections):
-        for phi, text in zip(functions, texts):
+        for phi, text in base.battery:
             kk = k.scale(phi)
             graph_rep = (-pm.apply(kk), kk)
             chk.record("graph-normalizes-to-zero", f"(({text})*k{ki + 1})",
@@ -280,7 +278,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     # A-Manin condition (c): [[0 + s1, 0 + s2]] = 0 + [s1, s2]_D
     s_frames = lad.sigma_bundle.frame_sections()
     for i, s1 in enumerate(s_frames):
-        for phi, text in zip(functions, texts):
+        for phi, text in base.battery:
             s1p = s1.scale(phi)
             for j, s2 in enumerate(s_frames):
                 v_part, s_part = mp.formula_bracket(
@@ -294,7 +292,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     # D characterization: <<u + sigma, D phi>> = c(u + sigma)(phi)
     for ri, rep in enumerate(reps):
         e = c_bundle.frame_section(ri)
-        for phi, text in zip(functions, texts):
+        for phi, text in base.battery:
             lhs = mp.courant.pair(e, mp.courant.D(phi))
             rhs = vf_apply(base.coords, mp.courant.frame_table.anchors[ri], phi)
             chk.record("d-characterization", f"(frame {ri + 1}; {text})",
@@ -527,11 +525,9 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         chk.record("anchor", std.bundle.frame[i],
                    mp.courant.anchor.apply(theta_hom.apply(t1))
                    - std.anchor.apply(t1))
-    functions = battery_functions(base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i in range(std.bundle.rank):
         t1 = std.bundle.frame_section(i)
-        for phi, text in zip(functions, texts):
+        for phi, text in base.battery:
             for j in range(std.bundle.rank):
                 t2 = std.bundle.frame_section(j).scale(phi)
                 lhs = theta_hom.apply(std.bracket(t1, t2))

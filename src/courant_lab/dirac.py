@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket
-from .bundle import BATTERY_SEED, BundleError, Section, SubBundle, battery_functions
+from .bundle import BATTERY_SEED, BundleError, Section, SubBundle
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport
 
@@ -76,10 +76,8 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
     b = d1.b
     e_idx = b.atom_index("V")
     e_slice = b.atom_slice(e_idx)
-    functions = battery_functions(b.patch)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
     for ui, u in enumerate(u_sub.sections):
-        for phi, text in zip(functions, texts):
+        for phi, text in b.patch.battery:
             scaled = u.scale(phi)
             for j in range(e_slice.start, e_slice.stop):
                 s = b.frame_section(j)
@@ -105,11 +103,9 @@ def check_dirac(triple: VBTriple) -> CheckReport:
 def _dirac_conditions(triple: VBTriple) -> CheckReport:
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("dirac", "sub-double-vector-bundle and Dirac conditions for (U, K, [Delta])")
-    functions = battery_functions(delta.q.patch)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
 
     for ui, u in enumerate(u_sub.sections):
-        for phi, text in zip(functions, texts):
+        for phi, text in delta.q.patch.battery:
             scaled_u = u.scale(phi)
             for ki, k in enumerate(k_sub.sections):
                 chk.record("closure", f"(({text})*u{ui + 1}; k{ki + 1})",
@@ -129,7 +125,7 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
 
     restricts = True
     for i, u1 in enumerate(u_sub.sections):
-        for phi, text in zip(functions, texts):
+        for phi, text in delta.q.patch.battery:
             for j, u2 in enumerate(u_sub.sections):
                 value = delta.bracket.bracket(u1.scale(phi), u2)
                 if not chk.record("bracket-restricts", f"(({text})*u{i + 1}; u{j + 1})",
@@ -212,13 +208,13 @@ def _default_shift(delta: DorfmanConnection, k_sub: SubBundle) -> DorfmanConnect
         return delta
     b = delta.b
     e_slice = b.atom_slice(b.atom_index("V"))
-    functions = battery_functions(b.patch)
+    battery = b.patch.battery
     shifts = {}
     count = 0
     for i in range(delta.q.rank):
         for j in range(e_slice.start, e_slice.stop):
             k = k_sub.sections[count % len(k_sub.sections)]
-            phi = functions[count % len(functions)]
+            phi, _ = battery[count % len(battery)]
             shifts[(i, j)] = k.scale(phi)
             count += 1
     return shift_dorfman(delta, shifts)

@@ -18,11 +18,13 @@ and both conversion directions are implemented here, together with the
 curvature, the skew-symmetrization tensor, and the standard constructions
 from ordinary connections and from isotropic subalgebroids.
 
-A connection keeps Delta_{s_p} t_q over the batteries of Q and B in a
-BatteryTable (see algebroid), as its dull bracket keeps [[s_p, s_q]]; the
-axiom, duality, curvature, skew and splitting checks read every value at
-battery positions from these two tables.  A connection also keeps the
-nested applications Delta_{s_x} Delta_{s_y} t_z by battery position, so
+A connection keeps Delta_{s_p} t_q over the batteries of Q and B (each
+bundle's `bundle.Battery`, which also gives the position of a scaled
+frame section) in a BatteryTable (see algebroid), as its dull bracket
+keeps [[s_p, s_q]]; the axiom, duality, curvature, skew and splitting
+checks read every value at battery positions from these two tables.  A
+connection also keeps the nested applications Delta_{s_x} Delta_{s_y} t_z
+by battery position, and the values R(q_i, q_j) t_k on the frames, so
 R(q_i, q_j) on the Q-frame, built once per connection, and the
 tensoriality check share each of them.
 """
@@ -33,10 +35,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, BatteryTable, record_metric,
-                        record_right_leibniz)
+from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
 from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     battery_functions, canonical_pairing, constant_apply, dual_pair, leibniz,
+                     canonical_pairing, constant_apply, dual_pair, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, nonzero_terms, pairing_matrix,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
@@ -184,9 +185,9 @@ class DorfmanConnection:
 
     @cached_property
     def battery_table(self) -> BatteryTable:
-        """Delta_{s_p} t_q over the dull bracket's battery of Q and the battery
-        of B, kept as long as the connection."""
-        return BatteryTable(self.bracket.battery_table.rows, Battery.of(self.b))
+        """Delta_{s_p} t_q over the batteries of Q and B, kept as long as the
+        connection."""
+        return BatteryTable(self.q.battery, self.b.battery)
 
     def battery_apply(self, p: int, q: int) -> Section:
         """Delta_{s_p} t_q for the battery positions p and q, evaluated once."""
@@ -264,11 +265,11 @@ class DorfmanConnection:
             row = [self.battery_apply(p, k) for k in range(len(b_batt.sections))]
             pairings = [self.predual.pair(qf, bsec) for bsec in b_batt.sections]
             for f, phi in enumerate(b_batt.functions):
-                # phi_f q_i is the Q-battery entry p + f
+                scaled = q_batt.pos(i, f)  # phi_f q_i
                 for k, label_b in enumerate(b_batt.labels):
                     rhs = row[k].scale(phi) + d_functions[f].scale(pairings[k])
                     chk.record("axiom-a", f"(({b_batt.texts[f]})*{qname}; {label_b})",
-                               self.battery_apply(p + f, k) - rhs)
+                               self.battery_apply(scaled, k) - rhs)
                 record_right_leibniz(chk, "axiom-b", qname, self.bracket.frame_rho[i], row,
                                      b_batt, f)
         self._record_axiom_c(chk, b_batt.frames)
@@ -304,9 +305,13 @@ class DorfmanConnection:
     @cached_property
     def _frame_curvatures(self) -> Tuple[Tuple[HomSection, ...], ...]:
         q_pos, b_pos = self.battery_table.rows.frames, self.battery_table.cols.frames
+        frame_values = self._frame_values
+        for a in q_pos:
+            for c in q_pos:
+                for t in b_pos:
+                    frame_values[a, c, t] = self._battery_curvature(a, c, t)
         return tuple(tuple(HomSection.from_columns(self.b, self.b, [
-            self._battery_curvature(a, c, t) for t in b_pos]) for c in q_pos)
-            for a in q_pos)
+            frame_values[a, c, t] for t in b_pos]) for c in q_pos) for a in q_pos)
 
     @cached_property
     def _nested(self) -> Dict[Tuple[int, int, int], Section]:
@@ -315,9 +320,20 @@ class DorfmanConnection:
         filled by _battery_curvature and kept as long as the connection."""
         return {}
 
+    @cached_property
+    def _frame_values(self) -> Dict[Tuple[int, int, int], Section]:
+        """R(s_x, s_y) t_z by the battery positions (x, y, z) of frame
+        sections, filled by _frame_curvatures: the only positions that the
+        tensoriality check reads again.  It reads every other position once,
+        so keeping those values would only raise the peak memory."""
+        return {}
+
     def _battery_curvature(self, a: int, c: int, t: int) -> Section:
         """R(s_a, s_c) t_t for the Q-battery positions a, c and the B-battery
-        position t, from the nested applications of _nested."""
+        position t, from _frame_values or the nested applications of _nested."""
+        value = self._frame_values.get((a, c, t))
+        if value is not None:
+            return value
         table, nested = self.battery_table, self._nested
         for x, y in ((a, c), (c, a)):
             if (x, y, t) not in nested:
@@ -328,9 +344,9 @@ class DorfmanConnection:
     def check_curvature_tensorial(self) -> CheckReport:
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
-        q_batt, b_pos = self.battery_table.rows, self.battery_table.cols.frames
+        q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
         q_names, b_names = self.q.frame, self.b.frame
-        # phi_f q_i is the Q-battery entry p_i + f, and phi_f b_k the B-battery entry t_k + f
+        curvature = self._battery_curvature
         for i, p1 in enumerate(q_batt.frames):
             for j, p2 in enumerate(q_batt.frames):
                 base_hom = self.frame_curvature(i, j)
@@ -338,16 +354,15 @@ class DorfmanConnection:
                 inputs = f"({q_names[i]}; {q_names[j]})"
                 for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
                     scaled_cols = [col.scale(phi) for col in base_cols]
-                    for k, t in enumerate(b_pos):
+                    q1, q2 = q_batt.pos(i, f), q_batt.pos(j, f)  # phi_f q_i and phi_f q_j
+                    for k in range(self.b.rank):
                         chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}",
-                                   self._battery_curvature(p1, p2, t + f) - scaled_cols[k])
-                    for k, t in enumerate(b_pos):
+                                   curvature(p1, p2, b_batt.pos(k, f)) - scaled_cols[k])
+                    for k, t in enumerate(b_batt.frames):
                         chk.record("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
-                                   f"{b_names[k]}",
-                                   self._battery_curvature(p1 + f, p2, t) - scaled_cols[k])
+                                   f"{b_names[k]}", curvature(q1, p2, t) - scaled_cols[k])
                         chk.record("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
-                                   f"{b_names[k]}",
-                                   self._battery_curvature(p1, p2 + f, t) - scaled_cols[k])
+                                   f"{b_names[k]}", curvature(p1, q2, t) - scaled_cols[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -406,13 +421,12 @@ class DorfmanConnection:
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
                 for comp in sym.part(tm):
                     chk.record("tm-part", inputs, comp)
-                # phi_f s_p is the battery entry p + f
                 for f, (phi, text) in enumerate(zip(batt.functions, batt.texts)):
                     scaled = sym.scale(phi)
                     chk.record("bilinear", inputs + f" scaled by {text}",
-                               self.battery_skew(p1 + f, p2) - scaled)
+                               self.battery_skew(batt.pos(i, f), p2) - scaled)
                     chk.record("bilinear", inputs + f" scaled by {text} (right)",
-                               self.battery_skew(p1, p2 + f) - scaled)
+                               self.battery_skew(p1, batt.pos(j, f)) - scaled)
         return chk.report()
 
 
@@ -599,11 +613,9 @@ def bott_dorfman(courant, k_sub: SubBundle):
     if all(sec.is_constant() for sec in rho_k):
         s_sub = SubBundle("S", [sec for sec in rho_k if not sec.is_zero()],
                           Bundle.tangent(base))
-        functions = battery_functions(base)
-        texts = [str(phi) for phi in functions]  # rendered once for every label
         for i, k1 in enumerate(k_sub.sections):
             for j, w in enumerate(comp_sections):
-                for phi, text in zip(functions, texts):
+                for phi, text in base.battery:
                     value = delta.apply(k_bundle.frame_section(i),
                                         project(w).scale(phi))
                     lifted = sum((comp_sections[m].scale(value.coeffs[m])

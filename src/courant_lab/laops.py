@@ -38,10 +38,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, BatteryTable, battery_sections,
-                        record_jacobi, record_symmetrized)
-from .bundle import (Bundle, BundleError, HomSection, Section,
-                     battery_functions, courant_dorfman_form_part,
+from .algebroid import AnchoredBracket, BatteryTable, record_jacobi, record_symmetrized
+from .bundle import (Bundle, BundleError, HomSection, Section, courant_dorfman_form_part,
                      db_canonical, dual_pair, lie_derivative_form, nonzero_terms, vf_apply,
                      vf_bracket)
 from .dirac import VBTriple
@@ -270,7 +268,7 @@ def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
 def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     """Symmetrization and Leibniz-Jacobi identities of the bracket on A + T*M."""
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
-    batt = Battery.of(lad.sigma_bundle)
+    batt = lad.sigma_bundle.battery
     op = lad.dorfman_like_bracket
     pairs = BatteryTable(batt, batt).full(op)
     images = [lad.image(s) for s in batt.sections]
@@ -285,30 +283,29 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
 
 def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("omega", "scaling properties of the Omega map")
-    functions = battery_functions(lad.base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
+    battery = lad.base.battery
     v_frames = lad.v_bundle.frame_sections()
     a_frames = lad.a_bundle.frame_sections()
-    d_functions = [db_canonical(lad.sigma_bundle, phi) for phi in functions]
+    d_functions = [db_canonical(lad.sigma_bundle, phi) for phi, _ in battery]
     a_lifts = [lad.to_sigma(a=a) for a in a_frames]
-    a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
+    a_scaled = [[a.scale(phi) for phi, _ in battery] for a in a_frames]
     for i, v in enumerate(v_frames):
         vname = lad.v_bundle.frame[i]
         x = lad.x_part(v)
         xi = lad.xi_part(v)
-        v_scaled = [v.scale(phi) for phi in functions]
+        v_scaled = [v.scale(phi) for phi, _ in battery]
         x_terms = nonzero_terms(x.coeffs)
-        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi in functions]
+        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi, _ in battery]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
             xi_a = dual_pair(xi, a)
-            for f, phi in enumerate(functions):
+            for f, (phi, text) in enumerate(battery):
                 scaled_val = base_val.scale(phi)
-                chk.record("homogeneous-in-v", f"(({texts[f]})*{vname}; {aname})",
+                chk.record("homogeneous-in-v", f"(({text})*{vname}; {aname})",
                            lad.omega(delta, v_scaled[f], a) - scaled_val)
                 correction = a_lifts[k].scale(x_of[f]) - d_functions[f].scale(xi_a)
-                chk.record("derivation-in-a", f"({vname}; ({texts[f]})*{aname})",
+                chk.record("derivation-in-a", f"({vname}; ({text})*{aname})",
                            lad.omega(delta, v, a_scaled[k][f]) - scaled_val - correction)
     return chk.report()
 
@@ -317,47 +314,46 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     """Connection laws plus the duality defect and intertwining identities."""
     chk = Checker("basic-connections",
                   "basic connections: linearity, derivation law, duality defect, intertwining")
-    functions = battery_functions(lad.base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
+    battery = lad.base.battery
     a_frames = lad.a_bundle.frame_sections()
-    v_batt = battery_sections(lad.v_bundle)
-    s_batt = battery_sections(lad.sigma_bundle)
-    targets = v_batt + s_batt
-    n_v = len(v_batt)
-    t_scaled = [[t.scale(phi) for phi in functions] for _, t in targets]
+    v_batt, s_batt = lad.v_bundle.battery, lad.sigma_bundle.battery
+    targets = list(zip(v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections))
+    n_v = len(v_batt.sections)
+    t_scaled = [[t.scale(phi) for phi, _ in battery] for _, t in targets]
     coords = lad.base.coords
     anchors = lad.bracket.frame_table.anchors
     # nablas[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
     nablas = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        a_scaled = [a.scale(phi) for phi in functions]
-        rho_phi = [vf_apply(coords, anchors[k], phi) for phi in functions]
+        a_scaled = [a.scale(phi) for phi, _ in battery]
+        rho_phi = [vf_apply(coords, anchors[k], phi) for phi, _ in battery]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
             basic = lad.basic_v if t_i < n_v else lad.basic_sigma
             base_val = basic(delta, a, t)
             row.append(base_val)
-            for f, phi in enumerate(functions):
+            for f, (phi, text) in enumerate(battery):
                 scaled_val = base_val.scale(phi)
-                chk.record("linear-in-a", f"(({texts[f]})*{aname}; {label_t})",
+                chk.record("linear-in-a", f"(({text})*{aname}; {label_t})",
                            basic(delta, a_scaled[f], t) - scaled_val)
-                chk.record("derivation-in-t", f"({aname}; ({texts[f]})*{label_t})",
+                chk.record("derivation-in-t", f"({aname}; ({text})*{label_t})",
                            basic(delta, a, t_scaled[t_i][f])
                            - scaled_val
                            - t.scale(rho_phi[f]))
         nablas.append(row)
     if not a_frames:  # the loops below are empty; build no table for them
         return chk.report()
-    images = [lad.image(sigma) for _, sigma in s_batt]
+    images = [lad.image(sigma) for sigma in s_batt.sections]
     # the symmetrization Skew(v, (rho,rho*) sigma); the defect pairs it with (a, 0)
-    skew = [[delta.skew_symmetrization(v, image) for image in images] for _, v in v_batt]
-    pairings = [[delta.predual.pair(v, sigma) for _, sigma in s_batt] for _, v in v_batt]
+    skew = [[delta.skew_symmetrization(v, image) for image in images] for v in v_batt.sections]
+    pairings = [[delta.predual.pair(v, sigma) for sigma in s_batt.sections]
+                for v in v_batt.sections]
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
         a_lift = lad.to_sigma(a=a)
-        for p, (label_v, v) in enumerate(v_batt):
-            for q, (label_s, sigma) in enumerate(s_batt):
+        for p, (label_v, v) in enumerate(targets[:n_v]):
+            for q, (label_s, sigma) in enumerate(targets[n_v:]):
                 lhs = (delta.predual.pair(nablas[k][p], sigma)
                        + delta.predual.pair(v, nablas[k][n_v + q]))
                 rhs = vf_apply(coords, anchors[k], pairings[p][q])
@@ -366,7 +362,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                     rhs = rhs - defect
                 chk.record("duality-defect", f"({aname}; {label_v}; {label_s})",
                            lhs - rhs if rhs._terms else lhs)
-        for q, (label_s, sigma) in enumerate(s_batt):
+        for q, label_s in enumerate(s_batt.labels):
             chk.record("intertwining", f"({aname}; {label_s})",
                        lad.basic_v(delta, a, images[q]) - lad.image(nablas[k][n_v + q]))
     return chk.report()
@@ -375,13 +371,12 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
 def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
-    functions = battery_functions(lad.base)[1:]
-    texts = [str(phi) for phi in functions]  # rendered once for every label
+    battery = lad.base.battery[1:]
     pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
-    a_scaled = [[a.scale(phi) for phi in functions] for a in a_frames]
-    v_scaled = [[v.scale(phi) for phi in functions] for v in v_frames]
+    a_scaled = [[a.scale(phi) for phi, _ in battery] for a in a_frames]
+    v_scaled = [[v.scale(phi) for phi, _ in battery] for v in v_frames]
     # tensorial-a at (i, j) and tensorial-b at (j, i) scale the same a, so
     # the two read the same Omega, nabla^bas and L terms from the table
     for i, a in enumerate(a_frames):
@@ -389,29 +384,28 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
             for m, v in enumerate(v_frames):
                 base_val = basic_curvature(lad, delta, a, b, v)
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
-                for f, phi in enumerate(functions):
+                for f, (phi, text) in enumerate(battery):
                     scaled_val = base_val.scale(phi)
-                    chk.record("tensorial-a", inputs + f" scale a by {texts[f]}",
+                    chk.record("tensorial-a", inputs + f" scale a by {text}",
                                basic_curvature(lad, delta, a_scaled[i][f], b, v) - scaled_val)
-                    chk.record("tensorial-b", inputs + f" scale b by {texts[f]}",
+                    chk.record("tensorial-b", inputs + f" scale b by {text}",
                                basic_curvature(lad, delta, a, a_scaled[j][f], v) - scaled_val)
-                    chk.record("tensorial-v", inputs + f" scale v by {texts[f]}",
+                    chk.record("tensorial-v", inputs + f" scale v by {text}",
                                basic_curvature(lad, delta, a, b, v_scaled[m][f]) - scaled_val)
-    s_batt = battery_sections(lad.sigma_bundle)
-    v_batt = battery_sections(lad.v_bundle)
+    s_batt, v_batt = lad.sigma_bundle.battery, lad.v_bundle.battery
     # nabla^bas_a nabla^bas_b t is the first composition term of (a, b, t)
     # and the second of (b, a, t); the table evaluates it once
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             ab = lad.a_bracket(a, b)
-            for label_s, sigma in s_batt:
+            for label_s, sigma in zip(s_batt.labels, s_batt.sections):
                 lhs = basic_curvature(lad, delta, a, b, lad.image(sigma))
                 rhs = (lad.basic_sigma(delta, a, lad.basic_sigma(delta, b, sigma))
                        - lad.basic_sigma(delta, b, lad.basic_sigma(delta, a, sigma))
                        - lad.basic_sigma(delta, ab, sigma))
                 chk.record("curvature-of-basic-sigma", f"(a{i + 1}; a{j + 1}; {label_s})",
                            lhs - rhs)
-            for label_v, v in v_batt:
+            for label_v, v in zip(v_batt.labels, v_batt.sections):
                 lhs = pm.apply(basic_curvature(lad, delta, a, b, v))
                 rhs = (lad.basic_v(delta, a, lad.basic_v(delta, b, v))
                        - lad.basic_v(delta, b, lad.basic_v(delta, a, v))
@@ -443,8 +437,6 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("la-dirac", "LA-Dirac triple conditions (1)-(5)")
     pm = lad.pair_map()
-    functions = battery_functions(lad.base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
 
     u_ann = triple.u_annihilator
     for ki, k in enumerate(k_sub.sections):
@@ -474,7 +466,7 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
     a_frames = lad.a_bundle.frame_sections()
     for k_i, k in enumerate(k_sub.sections):
         for a_i, a in enumerate(a_frames):
-            for phi, text in zip(functions, texts):
+            for phi, text in lad.base.battery:
                 value = lad.basic_sigma(delta, a, k.scale(phi))
                 chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({text})*k{k_i + 1})",
                            k_sub.residual(value))
@@ -511,11 +503,11 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
                   "nabla^bas vs the Dorfman-like bracket; the mixed pairing identity")
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
-    s_batt = battery_sections(lad.sigma_bundle)
+    s_batt = lad.sigma_bundle.battery
     s_parts = [lad.a_part(s) for s in s_frames]
-    images = [lad.image(s2) for _, s2 in s_batt]
+    images = [lad.image(s2) for s2 in s_batt.sections]
     for i, s1 in enumerate(s_frames):
-        for t, (label2, s2) in enumerate(s_batt):
+        for t, (label2, s2) in enumerate(zip(s_batt.labels, s_batt.sections)):
             lhs = lad.basic_sigma(delta, s_parts[i], s2)
             rhs = (-lad.dorfman_like_bracket(s2, s1)
                    + lad.dorfman(delta, images[t], s1))
@@ -523,7 +515,8 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
                        f"({lad.sigma_bundle.frame[i]}; {label2})", lhs - rhs)
     if triple is not None:
         frame_images = [pm.apply(tau) for tau in s_frames]
-        for label_v, v in battery_sections(lad.v_bundle):
+        v_batt = lad.v_bundle.battery
+        for label_v, v in zip(v_batt.labels, v_batt.sections):
             # basic[m] = nabla^bas_{pr_A e_m} v, on both sides of the identity
             basic = [lad.basic_v(delta, a, v) for a in s_parts]
             for i, tau in enumerate(s_frames):
@@ -580,10 +573,8 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
                    anchors[i] - lad.x_part(pm.apply(k)))
-    functions = battery_functions(lad.base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
     for i, k1 in enumerate(k_sub.sections):
-        for phi, text in zip(functions, texts):
+        for phi, text in lad.base.battery:
             for j, k2 in enumerate(k_sub.sections):
                 lhs = delta.bracket.bracket(pm.apply(k1.scale(phi)), pm.apply(k2))
                 rhs = pm.apply(lad.dorfman_like_bracket(k1.scale(phi), k2))
@@ -609,24 +600,20 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     pm = lad.pair_map()
     s_frames = lad.sigma_bundle.frame_sections()
     names = lad.sigma_bundle.frame
-    texts = [str(phi) for phi in battery_functions(lad.base)]  # rendered once for every label
-    w = len(texts)
-    # battery entry m * w + f is frame m scaled by function f (see
-    # battery_sections), so a_parts[m * w] is pr_A of frame m;
-    # moved[i][t] = Delta_{u_i} s_t serves both identities, and
-    # twice[i][j][t] = Delta_{u_i} Delta_{u_j} s_t is the first term of
-    # R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
-    s_batt = battery_sections(lad.sigma_bundle)
-    a_parts = [lad.a_part(s) for _, s in s_batt]
-    moved = [[lad.dorfman(delta, u, s) for _, s in s_batt] for u in u_secs]
+    # a_parts[t] = pr_A s_t over the battery, moved[i][t] = Delta_{u_i} s_t
+    # serves both identities, and twice[i][j][t] = Delta_{u_i} Delta_{u_j} s_t
+    # is the first term of R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
+    s_batt = lad.sigma_bundle.battery
+    a_parts = [lad.a_part(s) for s in s_batt.sections]
+    moved = [[lad.dorfman(delta, u, s) for s in s_batt.sections] for u in u_secs]
     moved_parts = [[lad.a_part(value) for value in row] for row in moved]
     twice = [[[lad.dorfman(delta, u, s) for s in row] for row in moved] for u in u_secs]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):
             uv = lad.dull_bracket(delta, u, v)
             for m in range(len(s_frames)):
-                for f, text in enumerate(texts):
-                    t = m * w + f
+                for f, text in enumerate(s_batt.texts):
+                    t = s_batt.pos(m, f)
                     a = a_parts[t]
                     lhs = (lad.basic_v(delta, a, uv)
                            - lad.dull_bracket(delta, lad.basic_v(delta, a, u), v)
@@ -634,19 +621,19 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
                            + lad.basic_v(delta, moved_parts[i][t], v)
                            - lad.basic_v(delta, moved_parts[j][t], u))
                     curvature = (twice[i][j][t] - twice[j][i][t]
-                                 - lad.dorfman(delta, uv, s_batt[t][1]))
+                                 - lad.dorfman(delta, uv, s_batt.sections[t]))
                     rhs = -pm.apply(curvature)
                     chk.record("identity-1", f"(u{i + 1}; u{j + 1}; ({text})*{names[m]})",
                                lhs - rhs)
-    dlike = [[lad.dorfman_like_bracket(s1, s2) for _, s2 in s_batt] for s1 in s_frames]
+    dlike = [[lad.dorfman_like_bracket(s1, s2) for s2 in s_batt.sections] for s1 in s_frames]
     for u_i, u in enumerate(u_secs):
-        for i, s1 in enumerate(s_frames):
-            a1 = a_parts[i * w]
+        for i, (s1, p) in enumerate(zip(s_frames, s_batt.frames)):
+            a1 = a_parts[p]
             nb1 = lad.basic_v(delta, a1, u)
-            for t, (label2, s2) in enumerate(s_batt):
+            for t, (label2, s2) in enumerate(zip(s_batt.labels, s_batt.sections)):
                 nb2 = lad.basic_v(delta, a_parts[t], u)
                 lhs = (lad.dorfman(delta, u, dlike[i][t])
-                       - lad.dorfman_like_bracket(moved[u_i][i * w], s2)
+                       - lad.dorfman_like_bracket(moved[u_i][p], s2)
                        - lad.dorfman_like_bracket(s1, moved[u_i][t])
                        + lad.dorfman(delta, nb1, s2) - lad.dorfman(delta, nb2, s1)
                        + db_canonical(lad.sigma_bundle, delta.predual.pair(nb2, s1)))

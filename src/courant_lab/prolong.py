@@ -34,9 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, Battery, BatteryTable, battery_sections,
-                        record_jacobi)
-from .bundle import (VEC, Bundle, BundleError, HomSection, Patch, Section, battery_functions,
+from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
+from .bundle import (VEC, Battery, Bundle, BundleError, HomSection, Patch, Section,
                      courant_dorfman_form_part, db_canonical, dual_pair, dual_pair_comps,
                      interior_two_form, lie_derivative_form, pairing_matrix,
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
@@ -242,13 +241,12 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        total_pairing(c1, c2))
             chk.record("bracket-core-core", f"({label1}; {label2})",
                        total_courant(c1, c2))
-    for i, p in enumerate(q_batt.frames):
-        # phi_f q_i is the Q-battery entry p + f
+    for i in range(q.rank):
         for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
             lifted_v = lifts[i].scale(tp.embed(phi))
             for t, (label_s, _, core) in enumerate(cores):
                 lhs = total_courant(lifted_v, core)
-                rhs = lift_core(tp, delta.battery_apply(p + f, t))
+                rhs = lift_core(tp, delta.battery_apply(q_batt.pos(i, f), t))
                 chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
     for i, p1 in enumerate(q_batt.frames):
@@ -264,8 +262,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        lhs - rhs)
     # intermediate l-calculus: X~(l_eta) is the linear function of the
     # section with <psi, e> = X<eta, e> - <eta, pr_E Delta_v(e, 0)>
+    eta_batt = e_bundle.dual().battery
     for i in range(q.rank):
-        for label_eta, eta in battery_sections(e_bundle.dual()):
+        for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
             lhs = vf_apply(tp.allvars, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
             rhs = tp.linear([
                 _difference(vf_apply(q.patch.coords, delta.bracket.frame_table.anchors[i], c),
@@ -391,7 +390,8 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
     table = [[coord_bracket(a, b) for b in range(n + r)] for a in range(n + r)]
 
     ct = Bundle.cotangent(base)
-    for label, theta in battery_sections(ct):
+    ct_batt, a_batt = ct.battery, a_bundle.battery
+    for label, theta in zip(ct_batt.labels, ct_batt.sections):
         pulled = [tp.embed(c) for c in theta.coeffs] + [tp.zero()] * r
         lhs = interior_two_form(pulled, table)
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
@@ -400,7 +400,7 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
             for k in range(r)]
         chk.record("sharp-of-pullback", label,
                    _vf_diff(tp, lhs, rhs))
-    for label, a in battery_sections(a_bundle):
+    for label, a in zip(a_batt.labels, a_batt.sections):
         ell = tp.linear(a.coeffs)
         lhs = interior_two_form([ell.partial(v) for v in tp.allvars], table)
         # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi
@@ -461,12 +461,11 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
         return [tp.zero()] * n + [tp.embed(c) for c in e.coeffs]
 
     x_frames = tangent.frame_sections()
-    functions = battery_functions(base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
+    e_batt = list(zip(e_bundle.battery.labels, e_bundle.battery.sections))
     for i, x in enumerate(x_frames):
         x_lift = linear_lift(x)
         for j, y in enumerate(x_frames):
-            for phi, text in zip(functions, texts):
+            for phi, text in base.battery:
                 ys = y.scale(phi)
                 lhs = omega_eval(x_lift, linear_lift(ys))
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
@@ -474,12 +473,12 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                          - sigma_star.apply(vf_bracket(x, ys)))
                 chk.record("two-form-linear-linear", f"(Dx{i + 1}; ({text})*Dx{j + 1})",
                            _difference(lhs, tp.linear(value.coeffs)))
-        for label_e, e in battery_sections(e_bundle):
+        for label_e, e in e_batt:
             lhs = omega_eval(x_lift, core_lift(e))
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
             chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", _difference(lhs, rhs))
-    for label1, e1 in battery_sections(e_bundle):
-        for label2, e2 in battery_sections(e_bundle):
+    for label1, e1 in e_batt:
+        for label2, e2 in e_batt:
             chk.record("two-form-core-core", f"({label1}; {label2})",
                        omega_eval(core_lift(e1), core_lift(e2)))
 
@@ -653,8 +652,9 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                for idx in range(len(gens))]
 
     # (i) antisymmetry, Jacobi, anchor morphism over the generators and their weighted copies
-    elems = Battery(list(names) + [f"({c})*{name}" for c, name in zip(factors, names)],
-                    gens + [gen.scale(c) for c, gen in zip(factors, gens)], range(len(gens)))
+    elems = Battery(names + tuple(f"({c})*{name}" for c, name in zip(factors, names)),
+                    tuple(gens + [gen.scale(c) for c, gen in zip(factors, gens)]),
+                    tuple(range(len(gens))))
     pairs = BatteryTable(elems, elems).full(alg.bracket)
     anchors = [alg.theta(e) for e in elems.sections]
     for p, n1 in enumerate(elems.labels):
@@ -697,13 +697,11 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # (ii) the five identities for Sigma; R^bas(phi a_i, a_j) v_m reads
     # nabla^bas_{a_j} v_m for every (i, phi) and nabla^bas_{phi a_i} v_m for
     # every j from the table of lad, and the anchors in (iii) read them too
-    functions = battery_functions(lad.base)
-    texts = [str(phi) for phi in functions]  # rendered once for every label
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
     sig_frames = [alg.sigma_gen(b) for b in a_frames]
     for i, a in enumerate(a_frames):
-        for phi, text in zip(functions, texts):
+        for phi, text in lad.base.battery:
             ap = a.scale(phi)
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
@@ -750,12 +748,12 @@ def _battery_homs(lad: LieAlgebroidData) -> List[HomSection]:
     """Two deterministic hom sections TM + A* -> A + T*M for the table rows."""
     src, tgt = lad.v_bundle, lad.sigma_bundle
     frames = tgt.frame_sections()
-    functions = battery_functions(lad.base)
+    battery = lad.base.battery
     out = []
     for shift in (0, 1):
         cols = []
         for j in range(src.rank):
             sec = frames[(j + shift) % len(frames)]
-            cols.append(sec.scale(functions[(j + shift) % len(functions)]))
+            cols.append(sec.scale(battery[(j + shift) % len(battery)][0]))
         out.append(HomSection.from_columns(src, tgt, cols))
     return out

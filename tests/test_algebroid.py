@@ -1,5 +1,6 @@
 import pytest
 
+from courant_lab import algebroid
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
 from courant_lab.dorfman import Connection, standard_dorfman
@@ -61,6 +62,17 @@ def test_check_lie_is_computed_once_per_seed():
     assert br.check_lie(3) is br.check_lie(3)
     assert br.check_lie(4) is not br.check_lie(3)
     assert br.check_lie(4).to_dict() == aff1().check_lie(4).to_dict()
+
+
+def test_rank_0_bracket_is_trivially_lie_without_random_sections(monkeypatch):
+    # the induced bracket on a rank-0 subbundle has no section to test
+    drawn = []
+    monkeypatch.setattr(algebroid, "random_sections", lambda *args: drawn.append(args) or [])
+    zero = AnchoredBracket.induced(SubBundle("F", [], T), [], [])
+    report = zero.check_lie(7)
+    assert (report.status, report.details, report.witnesses) == (
+        "pass", ["rank 0: trivially a Lie algebroid"], [])
+    assert drawn == []
 
 
 def test_nonflat_dual_bracket_fails_lie_with_jacobiator_witness():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from courant_lab.algebroid import AnchoredBracket, battery_sections
+from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                                 annihilator, canonical_pairing, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
@@ -303,8 +303,33 @@ def test_transpose_is_the_adjoint_map():
     sigma_star = sigma.transpose()
     assert sigma_star.source == TM and sigma_star.target == f.dual()
     # <sigma* X, e> = <sigma e, X>
-    for _, x in battery_sections(TM):
-        for _, e in battery_sections(f):
+    for x in TM.battery.sections:
+        for e in f.battery.sections:
             assert dual_pair(sigma_star.apply(x), e) == dual_pair(sigma.apply(e), x)
     back = sigma_star.transpose()
     assert (back.source, back.target, back.matrix) == (sigma.source, sigma.target, sigma.matrix)
+
+
+@pytest.mark.parametrize("base,frame,texts", [
+    (BASE, ("f1", "f2"), ["1", "x1", "x2", "x1*x2", "x1^2"]),
+    (patch("y1", "y2", "y3"), ("l",), ["1", "y1", "y2", "y1*y2", "y1^2"]),
+    (patch("t"), ("l",), ["1", "t", "t^2"])])
+def test_bundle_battery_layout(base, frame, texts):
+    # frame section l times battery function f is entry pos(l, f), labelled
+    # by the frame name for f = 0 and by "(text)*name" otherwise
+    b = Bundle.vector(base, "F", frame)
+    batt = b.battery
+    assert [text for _, text in base.battery] == texts
+    assert batt.functions == tuple(phi for phi, _ in base.battery)
+    assert batt.texts == tuple(texts)
+    assert len(batt.sections) == len(batt.labels) == b.rank * len(texts)
+    for l, section in enumerate(b.frame_sections()):
+        assert batt.frames[l] == batt.pos(l, 0)
+        assert batt.labels[batt.pos(l, 0)] == frame[l]
+        for f, (phi, text) in enumerate(base.battery):
+            assert batt.sections[batt.pos(l, f)] == section.scale(phi)
+            if f:
+                assert batt.labels[batt.pos(l, f)] == f"({text})*{frame[l]}"
+    assert b.battery is batt and b.dual().dual().battery is batt
+    assert base.battery is base.battery
+    assert all(isinstance(field, tuple) for field in batt)

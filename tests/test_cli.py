@@ -15,7 +15,7 @@ from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.checks import run_check
 from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
-from courant_lab.bundle import Bundle, HomSection, Patch, battery_functions, patch
+from courant_lab.bundle import Bundle, HomSection, Patch, patch
 from courant_lab.poly import ScalarPoly
 from courant_lab.dorfman import DorfmanConnection
 
@@ -624,7 +624,7 @@ xfail splitting-theorems = Delta
 def _battery_evaluations(monkeypatch):
     """Counts the evaluations of battery-table entries: the calls of
     DorfmanConnection.apply and AnchoredBracket.bracket whose arguments are,
-    by value, sections of Battery.of of their bundles, per operator, owner
+    by value, sections of the battery of their bundles, per operator, owner
     and pair of battery positions.  A call on a value of an earlier call
     (Delta_q applied to Delta_q' b, or Delta applied to a bracket) is a
     nested term, not a table entry, even where that value equals a battery
@@ -633,8 +633,8 @@ def _battery_evaluations(monkeypatch):
 
     def position(sec):
         if sec.bundle not in positions:
-            batt = algebroid.Battery.of(sec.bundle)
-            positions[sec.bundle] = {s.coeffs: p for p, s in enumerate(batt.sections)}
+            positions[sec.bundle] = {s.coeffs: p
+                                     for p, s in enumerate(sec.bundle.battery.sections)}
         return positions[sec.bundle].get(sec.coeffs)
 
     for cls, name in ((DorfmanConnection, "apply"), (algebroid.AnchoredBracket, "bracket")):
@@ -688,9 +688,45 @@ def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
     assert nested and max(nested.values()) == 1
-    # 402 applications with two nonzero operands after the 24 of the frame
-    # curvatures (426 for the check alone)
-    assert (built, len(applied) - built) == (24, 402)
+    # 384 applications with two nonzero operands after the 24 of the frame
+    # curvatures (408 for the check alone)
+    assert (built, len(applied) - built) == (24, 384)
+
+
+def test_curvature_bracket_terms_are_evaluated_once_per_position(monkeypatch):
+    # the check visits 351 positions 432 times: the frame positions, whose
+    # values R(q_i, q_j) t_k the connection keeps, again at f = 0; so
+    # Delta_{[s_a, s_c]} t_t is applied once per position (a, c, t)
+    delta = parse_spec(CURVED).lookup("dorfman", "Delta")
+    brackets, cols = {}, {id(sec): t for t, sec in enumerate(delta.battery_table.cols.sections)}
+    applied = Counter()
+    real_bracket, real_apply = algebroid.AnchoredBracket.battery_bracket, DorfmanConnection.apply
+
+    def battery_bracket(self, a, c):
+        value = real_bracket(self, a, c)
+        brackets.setdefault(id(value), set()).add((a, c))
+        return value
+
+    def counting(self, v, s):
+        if id(v) in brackets and id(s) in cols:
+            for a, c in brackets[id(v)]:
+                applied[a, c, cols[id(s)]] += 1
+        return real_apply(self, v, s)
+
+    visits = Counter()
+    real_curvature = DorfmanConnection._battery_curvature
+
+    def visiting(self, a, c, t):
+        visits[a, c, t] += 1
+        return real_curvature(self, a, c, t)
+
+    monkeypatch.setattr(algebroid.AnchoredBracket, "battery_bracket", battery_bracket)
+    monkeypatch.setattr(DorfmanConnection, "apply", counting)
+    monkeypatch.setattr(DorfmanConnection, "_battery_curvature", visiting)
+    report = delta.check_curvature_tensorial()
+    assert not report.passed and report.witnesses
+    assert (sum(visits.values()), len(visits)) == (432, 351)
+    assert set(applied) == set(visits) and max(applied.values()) == 1
 
 
 DORFMAN_LINES = ("dorfman-axioms", "duality", "curvature", "skew", "splitting-theorems")
@@ -916,22 +952,30 @@ def test_kernels_form_no_difference_of_two_zeros(monkeypatch, capsys):
     assert calls and not DIFFERENCE_KERNELS & callers.keys(), callers
 
 
-def test_curvature_line_renders_each_battery_function_once(monkeypatch):
-    spec = parse_spec(catalog_text("line-bundle-r2"))
-    battery = set(battery_functions(spec.base))
-    renders, kept = Counter(), []
-    real = ScalarPoly.__str__
+def test_verify_all_renders_each_battery_function_once_per_patch(monkeypatch, capsys):
+    # the texts of the battery functions are rendered when a patch builds its
+    # battery, never by a check: every object that verify-all renders is kept
+    # alive, so ids name objects, and each battery function is rendered once
+    patches, renders, kept = [], Counter(), []
+    real_init, real_str = Patch.__post_init__, ScalarPoly.__str__
+
+    def keeping(self):
+        patches.append(self)
+        real_init(self)
 
     def counting(self):
-        if self in battery:
-            kept.append(self)
-            renders[id(self)] += 1
-        return real(self)
+        kept.append(self)
+        renders[id(self)] += 1
+        return real_str(self)
 
+    monkeypatch.setattr(Patch, "__post_init__", keeping)
     monkeypatch.setattr(ScalarPoly, "__str__", counting)
-    reports = run_check(spec, "curvature", ["Delta"], 7)
-    assert [r.status for r in reports] == ["pass", "pass"]
-    assert renders and max(renders.values()) == 1
+    assert main(["verify-all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    batteries = [vars(base)["battery"] for base in patches if "battery" in vars(base)]
+    assert batteries
+    assert [renders[id(phi)] for battery in batteries for phi, _ in battery] == \
+        [1] * sum(map(len, batteries))
 
 
 def test_frame_curvatures_are_built_once_per_spec(monkeypatch):

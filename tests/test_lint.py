@@ -9,9 +9,10 @@ name that only tests call belongs in those tests.
 Two kinds of hidden state fail it too: `functools.lru_cache` and
 `functools.cache`, which keep a memo on a module-level function or on a
 class, and a `global` statement.  A memo lives on the immutable object it
-is derived from (`cached_property`, such as the positional battery tables
-of an `AnchoredBracket` and a `DorfmanConnection`), in the value table of
-the per-spec `LieAlgebroidData`, or in a table local to one check.
+is derived from (`cached_property`, such as the battery of a `Patch` and
+of a `Bundle`, or the positional battery tables of an `AnchoredBracket`
+and a `DorfmanConnection`), in the value table of the per-spec
+`LieAlgebroidData`, or in a table local to one check.
 
 The stored form of a polynomial (int numerators over one denominator) is
 private to `poly.py`: every other module reads `._terms` only as a zero
