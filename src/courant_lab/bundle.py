@@ -503,19 +503,6 @@ def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
     return matrix
 
 
-def canonical_pairing(v: Section, s: Section) -> ScalarPoly:
-    """<(X, xi), (e, theta)> = xi(e) + theta(X), computed coefficientwise."""
-    matrix = pairing_matrix(v.bundle, s.bundle)
-    total = v.bundle.patch.zero()
-    for i, a in enumerate(v.coeffs):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(s.coeffs):
-            if matrix[i][j]:
-                total = total + a * b * matrix[i][j]
-    return total
-
-
 def nonzero_entries(matrix: Sequence[Sequence[ScalarPoly]]
                     ) -> Tuple[Tuple[int, int, ScalarPoly], ...]:
     """The (i, j, entry) triples of the nonzero entries of a matrix, row by row."""

@@ -15,7 +15,9 @@ sides and the pairing term.  From an LA-Dirac triple
 
 carries a Courant algebroid structure; this module builds it on canonical
 representatives, verifies the construction, and inverts it back to a
-triple up to (U, K)-equivalence.
+triple up to (U, K)-equivalence.  Condition (c) of the Manin pair and
+the bracket transport of the standard isomorphism read phi sigma_i and
+phi t_j from the battery of their bundle (Bundle.battery).
 """
 
 from __future__ import annotations
@@ -276,10 +278,11 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
                            [base.zero()] * u_sub.rank + list(value.coeffs[u_sub.rank:]))))
 
     # A-Manin condition (c): [[0 + s1, 0 + s2]] = 0 + [s1, s2]_D
+    s_batt = lad.sigma_bundle.battery
     s_frames = lad.sigma_bundle.frame_sections()
-    for i, s1 in enumerate(s_frames):
-        for phi, text in base.battery:
-            s1p = s1.scale(phi)
+    for i in range(len(s_frames)):
+        for f, text in enumerate(s_batt.texts):
+            s1p = s_batt.sections[s_batt.pos(i, f)]
             for j, s2 in enumerate(s_frames):
                 v_part, s_part = mp.formula_bracket(
                     lad.v_bundle.zero_section(), s1p, lad.v_bundle.zero_section(), s2)
@@ -525,11 +528,12 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         chk.record("anchor", std.bundle.frame[i],
                    mp.courant.anchor.apply(theta_hom.apply(t1))
                    - std.anchor.apply(t1))
+    std_batt = std.bundle.battery
     for i in range(std.bundle.rank):
         t1 = std.bundle.frame_section(i)
-        for phi, text in base.battery:
+        for f, text in enumerate(std_batt.texts):
             for j in range(std.bundle.rank):
-                t2 = std.bundle.frame_section(j).scale(phi)
+                t2 = std_batt.sections[std_batt.pos(j, f)]
                 lhs = theta_hom.apply(std.bracket(t1, t2))
                 rhs = mp.courant.bracket(theta_hom.apply(t1), theta_hom.apply(t2))
                 chk.record("bracket-transport",

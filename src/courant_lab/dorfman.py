@@ -37,7 +37,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
 from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     canonical_pairing, constant_apply, dual_pair, leibniz,
+                     constant_apply, dual_pair, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, nonzero_terms, pairing_matrix,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
@@ -524,24 +524,12 @@ def lie_derivative_dorfman(bracket: AnchoredBracket) -> DorfmanConnection:
     base = q.patch
     matrix = pairing_matrix(q, dual)
     pairing = [[base.const(x) for x in row] for row in matrix]
-    # d phi = rho* d phi: <d phi, q_i> = rho(q_i)(phi); dmat rows follow the anchor
-    dmat = []
-    for j in range(dual.rank):
-        row = []
-        for l in range(base.dim):
-            # coefficient of the dual frame element j: rho(q_j)(x_l)
-            row.append(bracket.rho(q.frame_section(j)).coeffs[l])
-        dmat.append(row)
-    predual = PreDual(q, dual, pairing, dmat, canonical=True)
-    symbols = []
-    for i, qi in enumerate(q.frame_sections()):
-        row = []
-        for j, xij in enumerate(dual.frame_sections()):
-            # frame pairings are constant, so only the bracket term survives
-            comps = [-canonical_pairing(xij, bracket.bracket(qi, qk))
-                     for qk in q.frame_sections()]
-            row.append(Section(dual, tuple(comps)))
-        symbols.append(row)
+    # d phi = rho* d phi: <d phi, q_j> = rho(q_j)(phi), so row j of dmat is rho(q_j)
+    predual = PreDual(q, dual, pairing, bracket.frame_rho, canonical=True)
+    # frame pairings are constant, so only the bracket term survives:
+    # <L_{q_i} xi_j, q_k> = -<xi_j, [q_i, q_k]>, coefficient j of S_ik
+    symbols = [[Section(dual, tuple(-s_ik.coeffs[j] for s_ik in bracket.structure[i]))
+                for j in range(dual.rank)] for i in range(q.rank)]
     return DorfmanConnection(predual, bracket, symbols)
 
 

@@ -29,7 +29,9 @@ module function of the same name.  So every
 line naming the algebroid reads the same values (R^bas(phi a, b) v and
 R^bas(b, phi a) v share their terms), the anchor is applied to each
 section value once, a value is reused only for the same operator on equal
-arguments, and a new parse starts with an empty table.
+arguments, and a new parse starts with an empty table.  The Omega,
+linearity and tensoriality checks read phi a and phi v, for frame
+sections a and v, from the battery of their bundle (Bundle.battery).
 """
 
 from __future__ import annotations
@@ -283,30 +285,28 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
 
 def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("omega", "scaling properties of the Omega map")
-    battery = lad.base.battery
-    v_frames = lad.v_bundle.frame_sections()
+    v_batt, a_batt = lad.v_bundle.battery, lad.a_bundle.battery
     a_frames = lad.a_bundle.frame_sections()
-    d_functions = [db_canonical(lad.sigma_bundle, phi) for phi, _ in battery]
+    d_functions = [db_canonical(lad.sigma_bundle, phi) for phi in a_batt.functions]
     a_lifts = [lad.to_sigma(a=a) for a in a_frames]
-    a_scaled = [[a.scale(phi) for phi, _ in battery] for a in a_frames]
-    for i, v in enumerate(v_frames):
+    for i, v in enumerate(lad.v_bundle.frame_sections()):
         vname = lad.v_bundle.frame[i]
         x = lad.x_part(v)
         xi = lad.xi_part(v)
-        v_scaled = [v.scale(phi) for phi, _ in battery]
         x_terms = nonzero_terms(x.coeffs)
-        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi, _ in battery]
+        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi in a_batt.functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
             xi_a = dual_pair(xi, a)
-            for f, (phi, text) in enumerate(battery):
+            for f, (phi, text) in enumerate(zip(a_batt.functions, a_batt.texts)):
                 scaled_val = base_val.scale(phi)
                 chk.record("homogeneous-in-v", f"(({text})*{vname}; {aname})",
-                           lad.omega(delta, v_scaled[f], a) - scaled_val)
+                           lad.omega(delta, v_batt.sections[v_batt.pos(i, f)], a) - scaled_val)
                 correction = a_lifts[k].scale(x_of[f]) - d_functions[f].scale(xi_a)
                 chk.record("derivation-in-a", f"({vname}; ({text})*{aname})",
-                           lad.omega(delta, v, a_scaled[k][f]) - scaled_val - correction)
+                           lad.omega(delta, v, a_batt.sections[a_batt.pos(k, f)])
+                           - scaled_val - correction)
     return chk.report()
 
 
@@ -316,7 +316,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                   "basic connections: linearity, derivation law, duality defect, intertwining")
     battery = lad.base.battery
     a_frames = lad.a_bundle.frame_sections()
-    v_batt, s_batt = lad.v_bundle.battery, lad.sigma_bundle.battery
+    a_batt, v_batt, s_batt = lad.a_bundle.battery, lad.v_bundle.battery, lad.sigma_bundle.battery
     targets = list(zip(v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections))
     n_v = len(v_batt.sections)
     t_scaled = [[t.scale(phi) for phi, _ in battery] for _, t in targets]
@@ -326,7 +326,6 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     nablas = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        a_scaled = [a.scale(phi) for phi, _ in battery]
         rho_phi = [vf_apply(coords, anchors[k], phi) for phi, _ in battery]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
@@ -336,7 +335,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             for f, (phi, text) in enumerate(battery):
                 scaled_val = base_val.scale(phi)
                 chk.record("linear-in-a", f"(({text})*{aname}; {label_t})",
-                           basic(delta, a_scaled[f], t) - scaled_val)
+                           basic(delta, a_batt.sections[a_batt.pos(k, f)], t) - scaled_val)
                 chk.record("derivation-in-t", f"({aname}; ({text})*{label_t})",
                            basic(delta, a, t_scaled[t_i][f])
                            - scaled_val
@@ -371,12 +370,10 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
 def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
-    battery = lad.base.battery[1:]
+    a_batt, v_batt = lad.a_bundle.battery, lad.v_bundle.battery
     pm = lad.pair_map()
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
-    a_scaled = [[a.scale(phi) for phi, _ in battery] for a in a_frames]
-    v_scaled = [[v.scale(phi) for phi, _ in battery] for v in v_frames]
     # tensorial-a at (i, j) and tensorial-b at (j, i) scale the same a, so
     # the two read the same Omega, nabla^bas and L terms from the table
     for i, a in enumerate(a_frames):
@@ -384,15 +381,15 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
             for m, v in enumerate(v_frames):
                 base_val = basic_curvature(lad, delta, a, b, v)
                 inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
-                for f, (phi, text) in enumerate(battery):
-                    scaled_val = base_val.scale(phi)
-                    chk.record("tensorial-a", inputs + f" scale a by {text}",
-                               basic_curvature(lad, delta, a_scaled[i][f], b, v) - scaled_val)
-                    chk.record("tensorial-b", inputs + f" scale b by {text}",
-                               basic_curvature(lad, delta, a, a_scaled[j][f], v) - scaled_val)
-                    chk.record("tensorial-v", inputs + f" scale v by {text}",
-                               basic_curvature(lad, delta, a, b, v_scaled[m][f]) - scaled_val)
-    s_batt, v_batt = lad.sigma_bundle.battery, lad.v_bundle.battery
+                for f in range(1, len(a_batt.functions)):
+                    text, scaled_val = a_batt.texts[f], base_val.scale(a_batt.functions[f])
+                    chk.record("tensorial-a", inputs + f" scale a by {text}", basic_curvature(
+                        lad, delta, a_batt.sections[a_batt.pos(i, f)], b, v) - scaled_val)
+                    chk.record("tensorial-b", inputs + f" scale b by {text}", basic_curvature(
+                        lad, delta, a, a_batt.sections[a_batt.pos(j, f)], v) - scaled_val)
+                    chk.record("tensorial-v", inputs + f" scale v by {text}", basic_curvature(
+                        lad, delta, a, b, v_batt.sections[v_batt.pos(m, f)]) - scaled_val)
+    s_batt = lad.sigma_bundle.battery
     # nabla^bas_a nabla^bas_b t is the first composition term of (a, b, t)
     # and the second of (b, a, t); the table evaluates it once
     for i, a in enumerate(a_frames):

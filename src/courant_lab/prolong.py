@@ -25,7 +25,10 @@ the nose.
 
 A check evaluates each distinct operator value its loops need once, and
 its tables live only as long as the check; the generator table of a
-`GeneratorAlgebra` lives as long as the algebra.
+`GeneratorAlgebra` lives as long as the algebra.  A frame section times
+a battery function is read from the battery of its bundle
+(Bundle.battery), and frame data (anchor images, the brackets [a, e_l])
+from the bracket and its battery table.
 """
 
 from __future__ import annotations
@@ -383,7 +386,7 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
             return tp.linear(lad.bracket.structure[alpha - n][beta - n].coeffs)
         if alpha >= n and beta < n:
             k = alpha - n
-            return tp.embed(lad.bracket.rho(a_bundle.frame_section(k)).coeffs[beta])
+            return tp.embed(lad.bracket.frame_rho[k][beta])
         return -coord_bracket(beta, alpha)
 
     # the Poisson bivector; sharp(form) = interior_two_form(form, table)
@@ -396,18 +399,17 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
         lhs = interior_two_form(pulled, table)
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
         rhs = [tp.zero()] * n + [
-            -tp.embed(dual_pair(theta, lad.bracket.rho(a_bundle.frame_section(k))))
+            -tp.embed(dual_pair_comps(theta.coeffs, lad.bracket.frame_rho[k], base.zero()))
             for k in range(r)]
         chk.record("sharp-of-pullback", label,
                    _vf_diff(tp, lhs, rhs))
-    for label, a in zip(a_batt.labels, a_batt.sections):
+    for p, (label, a) in enumerate(zip(a_batt.labels, a_batt.sections)):
         ell = tp.linear(a.coeffs)
         lhs = interior_two_form([ell.partial(v) for v in tp.allvars], table)
         # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi
         rhs = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
         # <L_a xi, e_l> with xi the frozen tautological section
-        rhs += [tp.linear(lad.bracket.bracket(a, a_bundle.frame_section(l)).coeffs)
-                for l in range(r)]
+        rhs += [tp.linear(lad.bracket.battery_bracket(p, t).coeffs) for t in a_batt.frames]
         chk.record("sharp-of-linear", label, _vf_diff(tp, lhs, rhs))
     return chk.report()
 
@@ -460,13 +462,13 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     def core_lift(e: Section) -> List[ScalarPoly]:
         return [tp.zero()] * n + [tp.embed(c) for c in e.coeffs]
 
-    x_frames = tangent.frame_sections()
+    x_frames, x_batt = tangent.frame_sections(), tangent.battery
     e_batt = list(zip(e_bundle.battery.labels, e_bundle.battery.sections))
     for i, x in enumerate(x_frames):
         x_lift = linear_lift(x)
-        for j, y in enumerate(x_frames):
-            for phi, text in base.battery:
-                ys = y.scale(phi)
+        for j in range(n):
+            for f, text in enumerate(x_batt.texts):
+                ys = x_batt.sections[x_batt.pos(j, f)]
                 lhs = omega_eval(x_lift, linear_lift(ys))
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
                          - conn.nabla_dual(ys, sigma_star.apply(x))
@@ -697,12 +699,12 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # (ii) the five identities for Sigma; R^bas(phi a_i, a_j) v_m reads
     # nabla^bas_{a_j} v_m for every (i, phi) and nabla^bas_{phi a_i} v_m for
     # every j from the table of lad, and the anchors in (iii) read them too
-    a_frames = lad.a_bundle.frame_sections()
+    a_batt = lad.a_bundle.battery
     v_frames = lad.v_bundle.frame_sections()
     sig_frames = [alg.sigma_gen(b) for b in a_frames]
-    for i, a in enumerate(a_frames):
-        for phi, text in lad.base.battery:
-            ap = a.scale(phi)
+    for i in range(r):
+        for f, text in enumerate(a_batt.texts):
+            ap = a_batt.sections[a_batt.pos(i, f)]
             sig_a = alg.sigma_gen(ap)
             for j, b in enumerate(a_frames):
                 lhs = alg.bracket(sig_a, sig_frames[j])
@@ -747,13 +749,8 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
 def _battery_homs(lad: LieAlgebroidData) -> List[HomSection]:
     """Two deterministic hom sections TM + A* -> A + T*M for the table rows."""
     src, tgt = lad.v_bundle, lad.sigma_bundle
-    frames = tgt.frame_sections()
-    battery = lad.base.battery
-    out = []
-    for shift in (0, 1):
-        cols = []
-        for j in range(src.rank):
-            sec = frames[(j + shift) % len(frames)]
-            cols.append(sec.scale(battery[(j + shift) % len(battery)][0]))
-        out.append(HomSection.from_columns(src, tgt, cols))
-    return out
+    batt = tgt.battery
+    r, w = tgt.rank, len(batt.functions)
+    return [HomSection.from_columns(src, tgt, [batt.sections[batt.pos((j + s) % r, (j + s) % w)]
+                                               for j in range(src.rank)])
+            for s in (0, 1)]

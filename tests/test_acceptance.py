@@ -11,8 +11,7 @@ import sys
 import time
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import (Bundle, HomSection, Section, SubBundle,
-                                canonical_pairing, patch, vf_bracket)
+from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
 from courant_lab.catalog import catalog_text
 from courant_lab.checks import run_check
 from courant_lab.courant import (build_manin_pair, check_c_iso,
@@ -30,7 +29,7 @@ from courant_lab.prolong import (canonical_form_check, check_geometric_dirac,
                                  total_patch_of, vertical_hom,
                                  verify_splitting_theorems, _closure_residual)
 from courant_lab.specfile import parse_spec
-from builders import flat_connection
+from builders import canonical_pairing, flat_connection
 
 BASE = patch("x1", "x2")
 PT = patch()

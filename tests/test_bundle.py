@@ -6,12 +6,12 @@ import pytest
 
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                                annihilator, canonical_pairing, d_scalar,
+                                annihilator, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
                                 nonzero_terms, patch, random_sections, vf_apply, vf_bracket)
 from courant_lab.dorfman import standard_dorfman
 from courant_lab.poly import ScalarPoly
-from builders import flat_connection, identity_map
+from builders import canonical_pairing, flat_connection, identity_map
 
 BASE = patch("x1", "x2")
 E = Bundle.vector(BASE, "E", ("eps",))

@@ -978,6 +978,28 @@ def test_verify_all_renders_each_battery_function_once_per_patch(monkeypatch, ca
         [1] * sum(map(len, batteries))
 
 
+def test_verify_all_reads_frame_products_from_the_bundle_battery(monkeypatch, capsys):
+    # a frame section times a battery function is an entry of Bundle.battery,
+    # built once per bundle: no check outside bundle.py rebuilds one with scale
+    rebuilt = Counter()
+    real = bundle.Section.scale
+
+    def counting(self, factor):
+        frames = vars(self.bundle).get("_frame_sections", ())
+        functions = vars(self.bundle.patch).get("battery", ())
+        caller = sys._getframe(1).f_code
+        module = Path(caller.co_filename).name
+        if (module != "bundle.py" and any(self is sec for sec in frames)
+                and any(factor is phi for phi, _ in functions)):
+            rebuilt[f"{module}: {caller.co_name}"] += 1
+        return real(self, factor)
+
+    monkeypatch.setattr(bundle.Section, "scale", counting)
+    assert main(["verify-all", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert rebuilt == Counter()
+
+
 def test_frame_curvatures_are_built_once_per_spec(monkeypatch):
     # R(q_i, q_j) is the only endomorphism of B assembled by these two lines
     spec = parse_spec(CURVED)
