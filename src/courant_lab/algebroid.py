@@ -247,10 +247,10 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
     rho(v), [v, w] over w_entries and Delta_v s over s_entries."""
     pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
     for label, rho_v, brackets, applied in rows:
-        rho_terms = nonzero_terms(rho_v.coeffs)
+        rho_terms, base = nonzero_terms(rho_v.coeffs), rho_v.bundle.patch
         for j, (name, w) in enumerate(w_entries):
             for k, (label_s, s) in enumerate(s_entries):
-                lhs = vf_apply(pairings[j][k].vars, rho_terms, pairings[j][k])
+                lhs = vf_apply(base, rho_terms, pairings[j][k])
                 rhs = pair(brackets[j], s) + pair(w, applied[k])
                 chk.record(identity, f"({label}; {name}; {label_s})",
                            lhs - rhs if rhs._terms else lhs)
@@ -262,7 +262,7 @@ def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[
     phi = batt.functions[f], with row[p] = [q, s_p] over the battery of a
     bundle and rho the components of rho(q)."""
     phi = batt.functions[f]
-    rho_phi = vf_apply(phi.vars, enumerate(rho), phi)
+    rho_phi = vf_apply(batt.sections[0].bundle.patch, enumerate(rho), phi)
     for l, p in enumerate(batt.frames):
         scaled = batt.pos(l, f)
         chk.record(identity, f"({label}; {batt.labels[scaled]})",

@@ -7,9 +7,19 @@ Every bundle of one structure sits over one base manifold, so build every
 object of one structure over one Patch.  A Patch and a Bundle are equal
 only to themselves and hash by identity, and each patch builds one Bundle
 per atoms tuple (Patch.bundle), so `is` is the one bundle comparison:
-sections over two equal but distinct patches never mix.  Section `+` and
-`-` hand back the left operand when the right one is the bundle's shared
-zero section.
+sections over two equal but distinct patches never mix.
+
+Zero is shared, not built.  A Patch owns its zero polynomial (Patch.zero)
+and a Bundle its zero section (Bundle.zero_section), each built once.  A
+kernel whose result vanishes returns that owner's zero, or an operand it
+hands back unchanged: Section `+`, `-`, unary `-`, `scale` and
+`with_part`, `leibniz`, HomSection.apply, `matrix_d`, `vf_bracket` and
+`lie_derivative_form` return the bundle's zero section, and the
+Cartan kernels (`vf_apply`, `vf_bracket_comps`, `lie_form_comps`,
+`courant_dorfman_form_part`, `interior_two_form`), which take the Patch
+their polynomials live over, return its zero polynomial.  Section `+` and
+`-` hand back the left operand when the right one is the shared zero
+section, and `+` the right one when the left one is.
 
 The module also houses the canonical pairing, the elementary Cartan
 operations, the one Leibniz kernel (`leibniz`, which reads an operator's
@@ -280,9 +290,12 @@ class Section:
         if other.bundle is not self.bundle:
             raise BundleError("sections of different bundles (build both over one Patch): "
                               f"{self.bundle.label()} vs {other.bundle.label()}")
-        if other is self.bundle._zero_section:
+        zero = self.bundle._zero_section
+        if other is zero:
             return self
-        return _section(self.bundle, tuple(a + b if b._terms else a
+        if self is zero:
+            return other
+        return _nonzero(self.bundle, tuple(a + b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Section") -> "Section":
@@ -291,11 +304,11 @@ class Section:
                               f"{self.bundle.label()} vs {other.bundle.label()}")
         if other is self.bundle._zero_section:
             return self
-        return _section(self.bundle, tuple(a - b if b._terms else a
+        return _nonzero(self.bundle, tuple(a - b if b._terms else a
                                            for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Section":
-        return _section(self.bundle, tuple(-a for a in self.coeffs))
+        return _nonzero(self.bundle, tuple(-a for a in self.coeffs))
 
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
@@ -303,7 +316,7 @@ class Section:
         if not factor._terms:
             return self.bundle.zero_section()
         zero = self.bundle.patch.zero()
-        return _section(self.bundle, tuple(factor * a if a._terms else zero
+        return _nonzero(self.bundle, tuple(factor * a if a._terms else zero
                                            for a in self.coeffs))
 
     def is_zero(self) -> bool:
@@ -324,7 +337,7 @@ class Section:
         new[s] = coeffs
         if len(new) != len(self.coeffs):
             raise BundleError(f"{len(coeffs)} coefficients for a part of rank {s.stop - s.start}")
-        return _section(self.bundle, tuple(new))
+        return _nonzero(self.bundle, tuple(new))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
@@ -369,6 +382,15 @@ def _section(bundle: Bundle, coeffs: Tuple[ScalarPoly, ...]) -> Section:
     sec.bundle = bundle
     sec.coeffs = coeffs
     return sec
+
+
+def _nonzero(bundle: Bundle, coeffs: Tuple[ScalarPoly, ...]) -> Section:
+    """_section over coeffs, or the bundle's shared zero section when no
+    coefficient survives."""
+    for c in coeffs:
+        if c._terms:
+            return _section(bundle, coeffs)
+    return bundle._zero_section
 
 
 # -- the function battery ------------------------------------------------
@@ -442,7 +464,7 @@ class HomSection:
                 if entry._terms:
                     total = total + entry * coeff
             out.append(total)
-        return _section(self.target, tuple(out))
+        return _nonzero(self.target, tuple(out))
 
     def transpose(self) -> "HomSection":
         """The map target* -> source* over the dual frames: <T* a, s> = <a, T s>."""
@@ -578,7 +600,7 @@ def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPo
             if entry._terms and g._terms:
                 value = value + entry * g
         comps.append(value)
-    return Section(bundle, tuple(comps))
+    return _nonzero(bundle, tuple(comps))
 
 
 # -- Leibniz extension of a frame table ----------------------------------
@@ -621,10 +643,10 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
     so each coefficient is differentiated at most once (its gradient is
     kept, see ScalarPoly.gradient); x_i y_j is formed only when S_ij is
     nonzero, rho_i(y_j) only when rho_i is, and d(x_i) is taken once per
-    i.  A zero x or y (every term has factors x_i and y_j) yields
-    target.zero_section() itself.
+    i.  A vanishing result, such as that of a zero x or y (every term has
+    factors x_i and y_j), is target.zero_section() itself.
     """
-    coords = target.patch.coords
+    base = target.patch
     zero = target.zero_section()
     xs = [(i, phi) for i, phi in enumerate(x.coeffs) if phi._terms]
     ys = [(j, psi) for j, psi in enumerate(y.coeffs) if psi._terms]
@@ -641,11 +663,11 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
                 for k, c in terms:
                     out[k] = out[k] + product * c
             if rho_i:
-                d_psi = vf_apply(coords, rho_i, psi)
+                d_psi = vf_apply(base, rho_i, psi)
                 if d_psi._terms:
                     out[j] = out[j] + phi * d_psi
             if bracket and anchors[j]:
-                d_phi = vf_apply(coords, anchors[j], phi)
+                d_phi = vf_apply(base, anchors[j], phi)
                 if d_phi._terms:
                     out[i] = out[i] - psi * d_phi
     d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
@@ -659,22 +681,23 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
         for k, c in enumerate(d_x[i]):
             if c._terms:
                 out[k] = out[k] + factor * c
-    return _section(target, tuple(out))
+    return _nonzero(target, tuple(out))
 
 
-# -- Cartan calculus (generic over a variable list) ----------------------
+# -- Cartan calculus (over the patch the polynomials live on) -------------
 
-def vf_apply(vars_: Sequence[str], x_terms: Iterable[Tuple[int, ScalarPoly]],
+def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
              phi: ScalarPoly) -> ScalarPoly:
-    """X(phi) = sum_i X^i d phi / d vars_i, the one kernel for a vector field
+    """X(phi) = sum_i X^i d phi / d x_i, the one kernel for a vector field
     acting on a function.
 
     x_terms gives the components of X as (index, X^i) pairs: the sparse
     anchor rows of a FrameTable, or enumerate(comps) for dense components,
-    whose zeros are skipped.  vars_ is phi's own variable list, the order
-    of phi.gradient(), which supplies the partials; a product is formed
-    only where both X^i and d phi / d vars_i are nonzero, and a zero phi
-    is returned at once.
+    whose zeros are skipped.  base is the patch phi lives over: its
+    coordinates x_i are the order of phi.gradient(), which supplies the
+    partials.  A product is formed only where both X^i and d phi / d x_i
+    are nonzero.  A zero phi is returned at once, and any other vanishing
+    result is base.zero().
     """
     if not phi._terms:
         return phi
@@ -684,30 +707,34 @@ def vf_apply(vars_: Sequence[str], x_terms: Iterable[Tuple[int, ScalarPoly]],
         g = grad[i]
         if xi._terms and g._terms:
             total = xi * g if total is None else total + xi * g
-    return ScalarPoly.zero(phi.vars) if total is None else total
+    return total if total is not None and total._terms else base.zero()
 
 
-def vf_bracket_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
+def vf_bracket_comps(base: Patch, x: Sequence[ScalarPoly],
                      y: Sequence[ScalarPoly]) -> List[ScalarPoly]:
     x_terms, y_terms = nonzero_terms(x), nonzero_terms(y)
+    zero = base.zero()
     out = []
-    for j in range(len(vars_)):
-        lhs, rhs = vf_apply(vars_, x_terms, y[j]), vf_apply(vars_, y_terms, x[j])
-        out.append(lhs - rhs if rhs._terms else lhs)
+    for j in range(base.dim):
+        lhs, rhs = vf_apply(base, x_terms, y[j]), vf_apply(base, y_terms, x[j])
+        if rhs._terms:
+            lhs = lhs - rhs
+        out.append(lhs if lhs._terms else zero)
     return out
 
 
-def lie_form_comps(vars_: Sequence[str], x: Sequence[ScalarPoly],
+def lie_form_comps(base: Patch, x: Sequence[ScalarPoly],
                    theta: Sequence[ScalarPoly]) -> List[ScalarPoly]:
     pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
     x_terms = nonzero_terms(x)
+    zero = base.zero()
     out = []
-    for j in range(len(vars_)):
-        term = vf_apply(vars_, x_terms, theta[j])
+    for j in range(base.dim):
+        term = vf_apply(base, x_terms, theta[j])
         for t, grad in pairs:
             if grad[j]._terms:
                 term = term + t * grad[j]
-        out.append(term)
+        out.append(term if term._terms else zero)
     return out
 
 
@@ -718,17 +745,19 @@ def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> Li
              for j in range(len(vars_))] for i in range(len(vars_))]
 
 
-def interior_two_form(x: Sequence[ScalarPoly], w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
+def interior_two_form(base: Patch, x: Sequence[ScalarPoly],
+                      w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
     """(i_X W)_j = sum_i X^i W[i][j]; zero components of X and zero entries
     of W are skipped."""
     rows = [(c, w[i]) for i, c in enumerate(x) if c._terms]
+    zero = base.zero()
     out = []
     for j in range(len(x)):
-        total = ScalarPoly.zero(x[j].vars)
+        total = zero
         for c, row in rows:
             if row[j]._terms:
                 total = total + c * row[j]
-        out.append(total)
+        out.append(total if total._terms else zero)
     return out
 
 
@@ -738,7 +767,7 @@ def vf_bracket(x: Section, y: Section) -> Section:
     tangent = Bundle.tangent(base)
     if x.bundle is not tangent or y.bundle is not tangent:
         raise BundleError("vf_bracket expects two TM sections over one patch")
-    return Section(x.bundle, tuple(vf_bracket_comps(base.coords, x.coeffs, y.coeffs)))
+    return _nonzero(x.bundle, tuple(vf_bracket_comps(base, x.coeffs, y.coeffs)))
 
 
 def lie_derivative_form(x: Section, theta: Section) -> Section:
@@ -747,25 +776,27 @@ def lie_derivative_form(x: Section, theta: Section) -> Section:
     cotangent = Bundle.cotangent(base)
     if theta.bundle is not cotangent:
         raise BundleError("lie_derivative_form expects a T*M section")
-    return Section(theta.bundle, tuple(lie_form_comps(base.coords, x.coeffs, theta.coeffs)))
+    return _nonzero(theta.bundle, tuple(lie_form_comps(base, x.coeffs, theta.coeffs)))
 
 
-def courant_dorfman_form_part(x1, theta1, x2, theta2, vars_):
-    """The T*M-component L_{X1} theta2 - i_{X2} d theta1, over any variable list.
+def courant_dorfman_form_part(x1, theta1, x2, theta2, base: Patch):
+    """The T*M-component L_{X1} theta2 - i_{X2} d theta1, over the patch the
+    components live over.
 
     i_{X2} d theta1 is taken as X2(theta1_j) - sum_i X2^i d_j theta1_i, so a
     zero component of X2 or theta1 costs no partial derivative.
     """
     pairs = [(c, t.gradient()) for c, t in zip(x2, theta1) if c._terms and t._terms]
     x2_terms = nonzero_terms(x2)
+    zero = base.zero()
     out = []
-    for j, lie in enumerate(lie_form_comps(vars_, x1, theta2)):
-        d_theta = vf_apply(vars_, x2_terms, theta1[j])
+    for j, lie in enumerate(lie_form_comps(base, x1, theta2)):
+        d_theta = vf_apply(base, x2_terms, theta1[j])
         value = lie - d_theta if d_theta._terms else lie
         for c, grad in pairs:
             if grad[j]._terms:
                 value = value + c * grad[j]
-        out.append(value)
+        out.append(value if value._terms else zero)
     return out
 
 

@@ -297,7 +297,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         e = c_bundle.frame_section(ri)
         for phi, text in base.battery:
             lhs = mp.courant.pair(e, mp.courant.D(phi))
-            rhs = vf_apply(base.coords, mp.courant.frame_table.anchors[ri], phi)
+            rhs = vf_apply(base, mp.courant.frame_table.anchors[ri], phi)
             chk.record("d-characterization", f"(frame {ri + 1}; {text})",
                        lhs - rhs if rhs._terms else lhs)
     return mp, chk.report()

@@ -211,7 +211,6 @@ class DorfmanConnection:
         """Invert axiom (c): <q_j, Delta_{q_i} b_k> = rho(q_i)<q_j,b_k> - <[q_i,q_j],b_k>."""
         p = invert(predual.constant_pairing())
         q = predual.q
-        coords = q.patch.coords
         b_frames = predual.b.frame_sections()
         symbols = []
         for i in range(q.rank):
@@ -219,7 +218,7 @@ class DorfmanConnection:
             for k in range(predual.b.rank):
                 rhs = []
                 for j in range(q.rank):
-                    value = vf_apply(coords, bracket.frame_table.anchors[i],
+                    value = vf_apply(q.patch, bracket.frame_table.anchors[i],
                                      predual.pairing[j][k])
                     pairing = predual.pair(bracket.structure[i][j], b_frames[k])
                     rhs.append(value - pairing if pairing._terms else value)
@@ -437,7 +436,6 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     with the inverse of the constant pairing."""
     p_t = [list(col) for col in zip(*invert(predual.constant_pairing()))]  # transposed
     q, b = predual.q, predual.b
-    coords = q.patch.coords
     q_frames = q.frame_sections()
     table = []
     for i in range(q.rank):
@@ -446,7 +444,7 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
         for j in range(q.rank):
             values = []
             for k in range(b.rank):
-                value = vf_apply(coords, rho_i, predual.pairing[j][k])
+                value = vf_apply(q.patch, rho_i, predual.pairing[j][k])
                 pairing = predual.pair(q_frames[j], symbols[i][k])
                 values.append(value - pairing if pairing._terms else value)
             row.append(Section(q, tuple(constant_apply(p_t, values, q.patch.zero()))))

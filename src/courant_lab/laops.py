@@ -227,7 +227,7 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     rho_terms = nonzero_terms(rho_a.coeffs)
     comps = []
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
-        value = vf_apply(lad.base.coords, rho_terms, xi.coeffs[k])
+        value = vf_apply(lad.base, rho_terms, xi.coeffs[k])
         pairing = dual_pair(xi, lad.a_bracket(a, ek))
         comps.append(value - pairing if pairing._terms else value)
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
@@ -238,9 +238,8 @@ def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Sec
     """[(a,theta),(b,omega)]_D = ([a,b], L_{rho(a)} omega - i_{rho(b)} d theta)."""
     a, theta = lad.a_part(s1), lad.theta_part(s1)
     b, omg = lad.a_part(s2), lad.theta_part(s2)
-    coords = lad.base.coords
     form = courant_dorfman_form_part(lad.rho(a).coeffs, theta.coeffs,
-                                     lad.rho(b).coeffs, omg.coeffs, coords)
+                                     lad.rho(b).coeffs, omg.coeffs, lad.base)
     return lad.to_sigma(a=lad.a_bracket(a, b),
                         theta=Section(Bundle.cotangent(lad.base), tuple(form)))
 
@@ -294,7 +293,7 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         x = lad.x_part(v)
         xi = lad.xi_part(v)
         x_terms = nonzero_terms(x.coeffs)
-        x_of = [vf_apply(lad.base.coords, x_terms, phi) for phi in a_batt.functions]
+        x_of = [vf_apply(lad.base, x_terms, phi) for phi in a_batt.functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
@@ -320,13 +319,12 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     targets = list(zip(v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections))
     n_v = len(v_batt.sections)
     t_scaled = [[t.scale(phi) for phi, _ in battery] for _, t in targets]
-    coords = lad.base.coords
     anchors = lad.bracket.frame_table.anchors
     # nablas[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
     nablas = []
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        rho_phi = [vf_apply(coords, anchors[k], phi) for phi, _ in battery]
+        rho_phi = [vf_apply(lad.base, anchors[k], phi) for phi, _ in battery]
         row = []
         for t_i, (label_t, t) in enumerate(targets):
             basic = lad.basic_v if t_i < n_v else lad.basic_sigma
@@ -355,7 +353,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             for q, (label_s, sigma) in enumerate(targets[n_v:]):
                 lhs = (delta.predual.pair(nablas[k][p], sigma)
                        + delta.predual.pair(v, nablas[k][n_v + q]))
-                rhs = vf_apply(coords, anchors[k], pairings[p][q])
+                rhs = vf_apply(lad.base, anchors[k], pairings[p][q])
                 defect = delta.predual.pair(skew[p][q], a_lift)
                 if defect._terms:
                     rhs = rhs - defect

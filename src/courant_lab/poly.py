@@ -30,10 +30,14 @@ fields, and a sum that reaches the limit in some field sets that field's
 guard bit.  Overflow is refused, never wrapped: the public constructor,
 ``**`` and so the parser's ``^`` raise ``PolyError`` for an exponent at or
 above the limit, and a product raises it when a result key sets a guard
-bit.  ``gradient`` lowers one field by subtracting its unit, and
-``extend`` repacks the fields at their new positions.  A product with the
-constant 1 returns the other operand, as a product with 0 returns the zero
-operand, and a product of one term by one term is a single key addition.
+bit.  ``gradient`` lowers one field by subtracting its unit.  ``extend``
+to a variable list that starts with the old one (the layout of a total
+space: base variables, then fiber variables) shifts each key left by one
+field per added variable, and to any other list repacks the fields at
+their new positions.  A product with the constant 1 returns the other
+operand, as a product with 0 returns the zero operand, unary ``-``
+returns a zero operand itself, and a product of one term by one term is a
+single key addition.
 The public views hand out exponent tuples and ``Fraction``: ``terms``
 returns a copy keyed by exponent tuples with ``Fraction`` values and
 ``constant_value`` returns a ``Fraction``.  No module but this one reads
@@ -249,6 +253,8 @@ class ScalarPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ScalarPoly":
+        if not self._terms:
+            return self
         return _normal(self.vars, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: Union["ScalarPoly", Rational]) -> "ScalarPoly":
@@ -392,9 +398,16 @@ class ScalarPoly:
         """Reinterpret the polynomial over a larger variable list.
 
         Every variable of self must occur in new_vars; exponents move to
-        the matching positions.
+        the matching positions.  When new_vars starts with self.vars, each
+        key moves by one shift: its fields keep their order and the new
+        variables' fields, all zero, come after them.
         """
         new_vars = tuple(new_vars)
+        width = len(self.vars)
+        if new_vars[:width] == self.vars:
+            shift = FIELD_BITS * (len(new_vars) - width)
+            return _normal(new_vars, {key << shift: c for key, c in self._terms.items()},
+                           self._den)
         for name in self.vars:
             if name not in new_vars:
                 raise UnknownVariableError(name, 0)

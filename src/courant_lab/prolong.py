@@ -8,7 +8,7 @@ runs in full (n+r)-dimensional coordinates.  Agreement of the two routes
 is the package's master invariant.
 
 The total-space calculus runs on the shared kernels of `bundle` over the
-variable list of a `TotalPatch`: `vf_apply`, `dual_pair_comps` (the
+`Patch` of a `TotalPatch`: `vf_apply`, `dual_pair_comps` (the
 pairing kernel behind `dual_pair`, on coefficient tuples),
 `interior_two_form` and `HomSection.transpose`; every fiberwise-linear
 function sum_k c_k(x) y_k is built by `TotalPatch.linear`.  The generator
@@ -74,7 +74,9 @@ class TotalPatch:
         return len(self.allvars)
 
     def embed(self, phi: ScalarPoly) -> ScalarPoly:
-        return phi.extend(self.allvars)
+        """phi, a function of the base, as a function on the total space:
+        one key shift (see ScalarPoly.extend), or the shared zero."""
+        return phi.extend(self.allvars) if phi._terms else self.zero()
 
     def zero(self) -> ScalarPoly:
         return self.patch.zero()
@@ -194,9 +196,9 @@ def total_pairing(s1: LiftedSection, s2: LiftedSection) -> ScalarPoly:
 
 
 def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
-    vars_ = s1.total.allvars
-    vf = vf_bracket_comps(vars_, s1.vf, s2.vf)
-    form = courant_dorfman_form_part(s1.vf, s1.form, s2.vf, s2.form, vars_)
+    base = s1.total.patch
+    vf = vf_bracket_comps(base, s1.vf, s2.vf)
+    form = courant_dorfman_form_part(s1.vf, s1.form, s2.vf, s2.form, base)
     return LiftedSection(s1.total, vf, form)
 
 
@@ -268,9 +270,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     eta_batt = e_bundle.dual().battery
     for i in range(q.rank):
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
-            lhs = vf_apply(tp.allvars, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
+            lhs = vf_apply(tp.patch, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
             rhs = tp.linear([
-                _difference(vf_apply(q.patch.coords, delta.bracket.frame_table.anchors[i], c),
+                _difference(vf_apply(q.patch, delta.bracket.frame_table.anchors[i], c),
                             dual_pair(eta, Section(e_bundle, value.part(e_idx))))
                 for c, value in zip(eta.coeffs, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
@@ -389,14 +391,14 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
             return tp.embed(lad.bracket.frame_rho[k][beta])
         return -coord_bracket(beta, alpha)
 
-    # the Poisson bivector; sharp(form) = interior_two_form(form, table)
+    # the Poisson bivector; sharp(form) = interior_two_form(tp.patch, form, table)
     table = [[coord_bracket(a, b) for b in range(n + r)] for a in range(n + r)]
 
     ct = Bundle.cotangent(base)
     ct_batt, a_batt = ct.battery, a_bundle.battery
     for label, theta in zip(ct_batt.labels, ct_batt.sections):
         pulled = [tp.embed(c) for c in theta.coeffs] + [tp.zero()] * r
-        lhs = interior_two_form(pulled, table)
+        lhs = interior_two_form(tp.patch, pulled, table)
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
         rhs = [tp.zero()] * n + [
             -tp.embed(dual_pair_comps(theta.coeffs, lad.bracket.frame_rho[k], base.zero()))
@@ -405,7 +407,7 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
                    _vf_diff(tp, lhs, rhs))
     for p, (label, a) in enumerate(zip(a_batt.labels, a_batt.sections)):
         ell = tp.linear(a.coeffs)
-        lhs = interior_two_form([ell.partial(v) for v in tp.allvars], table)
+        lhs = interior_two_form(tp.patch, [ell.partial(v) for v in tp.allvars], table)
         # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi
         rhs = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
         # <L_a xi, e_l> with xi the frozen tautological section
@@ -451,7 +453,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     w = two_form_of_oneform(tp.allvars, theta)
 
     def omega_eval(v1: Sequence[ScalarPoly], v2: Sequence[ScalarPoly]) -> ScalarPoly:
-        return dual_pair_comps(interior_two_form(v1, w), v2, tp.zero())
+        return dual_pair_comps(interior_two_form(tp.patch, v1, w), v2, tp.zero())
 
     def linear_lift(x: Section) -> List[ScalarPoly]:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
@@ -486,7 +488,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 
     # flat maps: omega-flat(X~) = d l_{-sigma* X} + (L_X(sigma .) - sigma(nabla_X .))^
     for i, x in enumerate(x_frames):
-        flat = interior_two_form(linear_lift(x), w)
+        flat = interior_two_form(tp.patch, linear_lift(x), w)
         ell = tp.linear(sigma_star.apply(x).coeffs)
         cols = [lie_derivative_form(x, sigma.apply(e)) - sigma.apply(conn.nabla(x, e))
                 for e in e_frames]
@@ -495,7 +497,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
         chk.record("flat-of-linear", f"Dx{i + 1}",
                    LiftedSection(tp, [tp.zero()] * (n + r), diff))
     for l, e_l in enumerate(e_frames):
-        flat = interior_two_form(core_lift(e_l), w)
+        flat = interior_two_form(tp.patch, core_lift(e_l), w)
         expected = [tp.embed(c) for c in sigma.apply(e_l).coeffs] + [tp.zero()] * r
         diff = [_difference(a, b) for a, b in zip(flat, expected)]
         chk.record("flat-of-core", e_bundle.frame[l],
@@ -573,7 +575,7 @@ class GeneratorAlgebra:
             for v in self.lad.v_bundle.frame_sections():
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
-                x_phi = vf_apply(base.coords, enumerate(x.coeffs), phi)
+                x_phi = vf_apply(base, enumerate(x.coeffs), phi)
                 col = (self.lad.to_sigma(a=e_k).scale(x_phi)
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
@@ -663,7 +665,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for q, n2 in enumerate(elems.labels):
             chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])
             lhs = alg.theta(pairs[p][q])
-            rhs = vf_bracket_comps(tp.allvars, anchors[p], anchors[q])
+            rhs = vf_bracket_comps(tp.patch, anchors[p], anchors[q])
             chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
     # third slot: the generators and the first two weighted ones
     record_jacobi(chk, "jacobi", elems, alg.bracket, pairs,
@@ -729,7 +731,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
             expected.append(tp.linear([
-                _difference(vf_apply(lad.base.coords, lad.bracket.frame_table.anchors[i],
+                _difference(vf_apply(lad.base, lad.bracket.frame_table.anchors[i],
                                      delta.predual.pair(v, tau)),
                             delta.predual.pair(lad.basic_v(delta, a, v), tau))
                 for v in v_frames]))

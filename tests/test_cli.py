@@ -696,21 +696,25 @@ def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
 def test_curvature_bracket_terms_are_evaluated_once_per_position(monkeypatch):
     # the check visits 351 positions 432 times: the frame positions, whose
     # values R(q_i, q_j) t_k the connection keeps, again at f = 0; so
-    # Delta_{[s_a, s_c]} t_t is applied once per position (a, c, t)
+    # Delta_{[s_a, s_c]} t_t is applied once per position (a, c, t).  An
+    # application is counted by the position being visited, since a zero
+    # bracket is one shared section for many positions
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
-    brackets, cols = {}, {id(sec): t for t, sec in enumerate(delta.battery_table.cols.sections)}
-    applied = Counter()
+    cols = delta.battery_table.cols.sections
+    visiting_now, bracket_at, applied = [], {}, Counter()
     real_bracket, real_apply = algebroid.AnchoredBracket.battery_bracket, DorfmanConnection.apply
 
     def battery_bracket(self, a, c):
         value = real_bracket(self, a, c)
-        brackets.setdefault(id(value), set()).add((a, c))
+        if visiting_now and visiting_now[-1][:2] == (a, c):
+            bracket_at[visiting_now[-1]] = value
         return value
 
     def counting(self, v, s):
-        if id(v) in brackets and id(s) in cols:
-            for a, c in brackets[id(v)]:
-                applied[a, c, cols[id(s)]] += 1
+        if visiting_now:
+            position = visiting_now[-1]
+            if position in bracket_at and v is bracket_at[position] and s is cols[position[2]]:
+                applied[position] += 1
         return real_apply(self, v, s)
 
     visits = Counter()
@@ -718,7 +722,11 @@ def test_curvature_bracket_terms_are_evaluated_once_per_position(monkeypatch):
 
     def visiting(self, a, c, t):
         visits[a, c, t] += 1
-        return real_curvature(self, a, c, t)
+        visiting_now.append((a, c, t))
+        try:
+            return real_curvature(self, a, c, t)
+        finally:
+            visiting_now.pop()
 
     monkeypatch.setattr(algebroid.AnchoredBracket, "battery_bracket", battery_bracket)
     monkeypatch.setattr(DorfmanConnection, "apply", counting)

@@ -246,7 +246,7 @@ def test_nabla_dual_reads_its_own_table(monkeypatch):
     xi = p.dual().section(p1s="x1", p2s="x2^2 - 1")
     x_terms = list(enumerate(x.coeffs))
     expected = Section(p.dual(), tuple(
-        vf_apply(BASE.coords, x_terms, xi.coeffs[l]) - dual_pair(xi, conn.nabla(x, e_l))
+        vf_apply(BASE, x_terms, xi.coeffs[l]) - dual_pair(xi, conn.nabla(x, e_l))
         for l, e_l in enumerate(p.frame_sections())))
     calls = []
     real = Connection.nabla

@@ -35,7 +35,8 @@ def test_verify_all_matches_golden(seed, fmt, suffix):
 
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
-@pytest.mark.parametrize("spec", ["curvature-shifts", "bracket-axioms", "x3-anchor"])
+@pytest.mark.parametrize("spec", ["curvature-shifts", "bracket-axioms", "x3-anchor",
+                                  "tangent-poisson"])
 def test_spec_run_matches_golden(spec, seed, fmt, suffix):
     out = io.StringIO()
     with redirect_stdout(out):

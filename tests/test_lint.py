@@ -20,6 +20,11 @@ The stored form of a polynomial (int numerators over one denominator) is
 private to `poly.py`: every other module reads `._terms` only as a zero
 test and never reads `._den`.
 
+Zero is owned, not built: outside `poly.py`, only `Patch` calls
+`ScalarPoly.zero(`, once per patch, and every other module takes the zero
+polynomial from its patch (`Patch.zero()`), so a kernel whose result
+vanishes returns that one object.
+
 An identity test in front of an equality test of the same operands
 (`a is not b and a != b`, `a is b or a == b`) fails it as well: a `Patch`
 or a `Bundle` is equal only to itself, so `is` alone compares them, and a
@@ -189,4 +194,19 @@ def _identity_then_equality(node):
 def test_no_identity_test_before_an_equality_test():
     found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
              for node in ast.walk(tree) if _identity_then_equality(node)]
+    assert found == []
+
+
+def test_only_patch_builds_a_zero_polynomial():
+    def zero_calls(tree):
+        return {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "zero"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "ScalarPoly"}
+    found = []
+    for module, tree in TREES.items():
+        if module == "poly.py":
+            continue
+        allowed = set().union(*(zero_calls(node) for node in tree.body
+                                if isinstance(node, ast.ClassDef) and node.name == "Patch"))
+        found += [f"{module}: line {node.lineno}" for node in zero_calls(tree) - allowed]
     assert found == []

@@ -86,6 +86,22 @@ def test_gradient_examples():
 def test_extend():
     wide = p("x1*x2").extend(("x1", "y", "x2"))
     assert wide == parse_poly("x1*x2", ("x1", "y", "x2"))
+    # a list that starts with the old one: the layout of a total space
+    total = ("x1", "x2", "y1", "y2")
+    assert p("3*x1^2*x2 - x2 + 1/2").extend(total) == \
+        parse_poly("3*x1^2*x2 - x2 + 1/2", total)
+
+
+@pytest.mark.parametrize("new_vars", [("x1",), ("x1", "y"), ("y", "x1")])
+def test_extend_refuses_a_list_without_a_variable(new_vars):
+    # ("x1",) and ("x1", "y") begin as VARS does, ("y", "x1") does not
+    with pytest.raises(UnknownVariableError, match="'x2'"):
+        p("x1*x2").extend(new_vars)
+
+
+def test_negating_zero_returns_the_operand():
+    zero = p("0")
+    assert -zero is zero
 
 
 small_polys = st.builds(

@@ -22,8 +22,9 @@ from courant_lab.poly import EXPONENT_LIMIT, FIELD_BITS, PolyError, ScalarPoly, 
 sympy = pytest.importorskip("sympy")
 
 VARS = ("x", "y", "z")
-WIDE = ("w", "z", "x", "y")
-SYMBOLS = {name: sympy.Symbol(name) for name in VARS + WIDE}
+WIDE = ("w", "z", "x", "y")  # a reordering: extend repacks every field
+PREFIX = VARS + ("u", "v")  # the old list first, as on a total space: extend shifts
+SYMBOLS = {name: sympy.Symbol(name) for name in VARS + WIDE + PREFIX}
 
 exponents = st.tuples(*[st.integers(0, 2)] * len(VARS))
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -142,11 +143,12 @@ def test_calculus_matches_sympy(pair):
     for name, part in zip(VARS, gradient):
         assert_matches(part, sympy.diff(sp, SYMBOLS[name]))
         assert product.partial(name) is part
-    wide = product.extend(WIDE)
-    assert_matches(wide, sp, WIDE)
-    assert_matches(wide.partial("w"), sympy.Integer(0), WIDE)
-    for name, part in zip(WIDE, wide.gradient()):
-        assert_matches(part, sympy.diff(sp, SYMBOLS[name]), WIDE)
+    for layout, new in ((WIDE, "w"), (PREFIX, "u")):
+        wide = product.extend(layout)
+        assert_matches(wide, sp, layout)
+        assert_matches(wide.partial(new), sympy.Integer(0), layout)
+        for name, part in zip(layout, wide.gradient()):
+            assert_matches(part, sympy.diff(sp, SYMBOLS[name]), layout)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -229,6 +231,7 @@ def test_common_denominator_arithmetic_matches_sympy(case, scalar, k):
     for name, part in zip(VARS, product.gradient()):
         assert_matches(part, sympy.diff(sympy.expand(sa * sb), SYMBOLS[name]))
     assert_matches(a.extend(WIDE), sa, WIDE)
+    assert_matches(a.extend(PREFIX), sa, PREFIX)
     # cancellation back to an integral result: the denominator goes with it,
     # and the polynomial reached through rationals compares, hashes and
     # prints as the one built from ints
@@ -287,6 +290,8 @@ def test_exponents_near_the_limit_match_sympy_or_overflow(first, second):
     # WIDE = (w, z, x, y)
     assert a.extend(WIDE).terms == {(0, z, x, y): c for (x, y, z), c in a.terms.items()}
     assert_normal(a.extend(WIDE), WIDE)
+    assert a.extend(PREFIX).terms == {exps + (0, 0): c for exps, c in a.terms.items()}
+    assert_normal(a.extend(PREFIX), PREFIX)
     # the largest exponent of x in a*b is the sum of the largest in a and b
     # (their leading parts in x never cancel), so a product with a field at
     # or above the limit is refused exactly when the true product has one

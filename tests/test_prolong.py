@@ -246,7 +246,7 @@ def test_tilde_expansion_consistent_with_anchor():
     psi = alg.tp.embed(BASE.poly("x1*x1"))
     from courant_lab.bundle import vf_apply
 
-    assert vf_apply(alg.tp.allvars, enumerate(vf), psi) == alg.tp.embed(BASE.poly("2*x2*x1"))
+    assert vf_apply(alg.tp.patch, enumerate(vf), psi) == alg.tp.embed(BASE.poly("2*x2*x1"))
     # on the linear function of tau = (t2, 0): l_{L_{phi a} tau}
     tau = lad.to_sigma(a=a.section(t2=1))
     from courant_lab.laops import lie_der_sigma
@@ -258,4 +258,4 @@ def test_tilde_expansion_consistent_with_anchor():
     expected = alg.tp.zero()
     for j, v in enumerate(lad.v_bundle.frame_sections()):
         expected = expected + alg.tp.fiber(j) * alg.tp.embed(delta.predual.pair(v, lied))
-    assert vf_apply(alg.tp.allvars, enumerate(vf), ell) == expected
+    assert vf_apply(alg.tp.patch, enumerate(vf), ell) == expected

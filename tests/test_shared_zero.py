@@ -1,0 +1,117 @@
+"""Zero is shared, not built.
+
+Every identity of the package is checked as `lhs - rhs == 0`, so most of
+the values a passing run builds vanish.  A `Patch` owns one zero
+polynomial and a `Bundle` one zero section, and every kernel below whose
+result vanishes returns that owner's zero, or an operand it hands back
+unchanged, never a zero of its own.  The test counts, over one
+`verify-all --seed 7`, the vanishing results that are neither.
+"""
+
+import importlib
+import io
+import pkgutil
+from collections import Counter
+from contextlib import redirect_stdout
+
+import pytest
+
+import courant_lab
+from courant_lab import bundle, prolong
+from courant_lab.bundle import HomSection, Section
+from courant_lab.cli import main
+from courant_lab.poly import ScalarPoly
+
+MODULES = [importlib.import_module(f"courant_lab.{info.name}")
+           for info in pkgutil.iter_modules(courant_lab.__path__)]
+
+
+def _section_kernel(operands):
+    """Classify a vanishing Section result against the operands at these
+    positions and its bundle's zero section."""
+    def classify(args, result):
+        if not result.is_zero():
+            return []
+        if any(result is args[i] for i in operands):
+            return ["operand"]
+        return ["shared" if result is result.bundle.zero_section() else "built"]
+    return classify
+
+
+def _poly_kernel(owner, operands=()):
+    """Classify a vanishing polynomial result, or each vanishing component of
+    a list result, against the operands at these positions and the zero of
+    the patch owner(args); a polynomial with no owner has no shared zero."""
+    def classify(args, result):
+        kinds = []
+        for value in result if isinstance(result, list) else [result]:
+            if value.is_zero():
+                if any(value is args[i] for i in operands):
+                    kinds.append("operand")
+                else:
+                    shared = owner is not None and value is owner(args).zero()
+                    kinds.append("shared" if shared else "built")
+        return kinds
+    return classify
+
+
+METHODS = {
+    (Section, "__add__"): _section_kernel((0, 1)),
+    (Section, "__sub__"): _section_kernel((0, 1)),
+    (Section, "__neg__"): _section_kernel((0,)),
+    (Section, "scale"): _section_kernel((0,)),
+    (Section, "with_part"): _section_kernel((0,)),
+    (HomSection, "apply"): _section_kernel((1,)),
+    (ScalarPoly, "__neg__"): _poly_kernel(None, (0,)),
+    (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0]),
+}
+FUNCTIONS = {
+    "leibniz": _section_kernel((0, 1)),
+    "matrix_d": _section_kernel(()),
+    "vf_bracket": _section_kernel((0, 1)),
+    "lie_derivative_form": _section_kernel((0, 1)),
+    "vf_apply": _poly_kernel(lambda args: args[0], (2,)),
+    "vf_bracket_comps": _poly_kernel(lambda args: args[0]),
+    "lie_form_comps": _poly_kernel(lambda args: args[0]),
+    "interior_two_form": _poly_kernel(lambda args: args[0]),
+    "courant_dorfman_form_part": _poly_kernel(lambda args: args[4]),
+}
+
+
+@pytest.fixture
+def zero_results(monkeypatch):
+    """Counter of (kernel, kind) over the vanishing results of the kernels:
+    kind is "shared" (the owner's zero), "operand" or "built"."""
+    counts = Counter()
+
+    def watch(name, real, classify):
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            for kind in classify(args, result):
+                counts[name, kind] += 1
+            counts[name, "calls"] += 1
+            return result
+        return wrapper
+
+    for (cls, attr), classify in METHODS.items():
+        name = f"{cls.__name__}.{attr}"
+        monkeypatch.setattr(cls, attr, watch(name, getattr(cls, attr), classify))
+    for name, classify in FUNCTIONS.items():
+        real = getattr(bundle, name)
+        wrapper = watch(name, real, classify)
+        for module in MODULES:  # bundle and every module that imports the kernel
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+def test_verify_all_builds_no_zero_of_its_own(zero_results):
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify-all", "--seed", "7"]) == 0
+    kernels = [f"{cls.__name__}.{attr}" for cls, attr in METHODS] + list(FUNCTIONS)
+    # every kernel ran, and the run met vanishing results: the count is not vacuous
+    assert all(zero_results[name, "calls"] for name in kernels)
+    assert sum(zero_results[name, "shared"] for name in kernels) > 10_000
+    built = {name: zero_results[name, "built"] for name in kernels if zero_results[name, "built"]}
+    assert built == {}
+
