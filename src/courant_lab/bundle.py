@@ -13,13 +13,20 @@ Zero is shared, not built.  A Patch owns its zero polynomial (Patch.zero)
 and a Bundle its zero section (Bundle.zero_section), each built once.  A
 kernel whose result vanishes returns that owner's zero, or an operand it
 hands back unchanged: Section `+`, `-`, unary `-`, `scale` and
-`with_part`, `leibniz`, HomSection.apply, `matrix_d`, `vf_bracket` and
-`lie_derivative_form` return the bundle's zero section, and the
-Cartan kernels (`vf_apply`, `vf_bracket_comps`, `lie_form_comps`,
+`component`, Bundle.join, `leibniz`, HomSection.apply, `matrix_d`,
+`vf_bracket` and `lie_derivative_form` return the bundle's zero section,
+and the Cartan kernels (`vf_apply`, `vf_bracket_comps`, `lie_form_comps`,
 `courant_dorfman_form_part`, `interior_two_form`), which take the Patch
 their polynomials live over, return its zero polynomial.  Section `+` and
 `-` hand back the left operand when the right one is the shared zero
 section, and `+` the right one when the left one is.
+
+The layout of a direct sum is known to this module alone.  A summand is
+read and written through three operations: Bundle.summand (the bundle of
+one atom alone, the very Bundle that Bundle.tangent, `dual` and so on
+return), Section.component (the projection onto a summand) and
+Bundle.join (the inclusion of summand sections).  Bundle.positions gives
+a summand's frame positions to the tables indexed by frame position.
 
 The module also houses the canonical pairing, the elementary Cartan
 operations, the one Leibniz kernel (`leibniz`, which reads an operator's
@@ -178,15 +185,11 @@ class Bundle:
         frame = tuple(name for atom in self.atoms for name in atom.frame)
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_rank", len(frame))
-        slices, indices, start = [], {}, 0
-        for i, atom in enumerate(self.atoms):
+        slices, start = [], 0
+        for atom in self.atoms:
             slices.append(slice(start, start + len(atom.frame)))
             start += len(atom.frame)
-            # the first atom of a kind answers a lookup without a name
-            indices.setdefault((atom.kind, atom.name), i)
-            indices.setdefault((atom.kind, ""), i)
         object.__setattr__(self, "_atom_slices", tuple(slices))
-        object.__setattr__(self, "_atom_indices", indices)
 
     @staticmethod
     def tangent(base: Patch) -> "Bundle":
@@ -219,14 +222,53 @@ class Bundle:
     def label(self) -> str:
         return "+".join(a.label() for a in self.atoms) if self.atoms else "0"
 
-    def atom_index(self, kind: str, name: str = "") -> int:
-        index = self._atom_indices.get((kind, name))
-        if index is None:
-            raise BundleError(f"no {kind} {name!r} summand in {self.label()}")
-        return index
+    def summand(self, kind: str, name: str = "") -> "Bundle":
+        """The bundle of one summand alone: the atom of this kind and name,
+        or the first of its kind when no name is given.  It is the one
+        Bundle of that atom over the patch, so the TM summand of TM + E* is
+        Bundle.tangent(patch) and its E* summand is E.dual()."""
+        return self._summand(kind, name)[0]
 
-    def atom_slice(self, index: int) -> slice:
-        return self._atom_slices[index]
+    def positions(self, kind: str, name: str = "") -> range:
+        """The positions of one summand's frame in this bundle's frame, for
+        the tables indexed by frame position (frame_section, symbols, the
+        battery frames) and coefficient lists over other patches."""
+        where = self._summand(kind, name)[1]
+        return range(where.start, where.stop)
+
+    def join(self, *parts: "Section") -> "Section":
+        """The inclusion of summand sections: the section of this bundle
+        whose component on each part's summand is that part, zero on the
+        summands not given, and the shared zero section when nothing
+        survives."""
+        if len({part.bundle for part in parts}) < len(parts):
+            raise BundleError(f"a summand of {self.label()} is given twice")
+        coeffs = list(self._zero_section.coeffs)
+        for part in parts:
+            found = self._summands.get(part.bundle)
+            if found is None:
+                raise BundleError(f"{part.bundle.label()} is not a summand of {self.label()}")
+            coeffs[found[1]] = part.coeffs
+        return _nonzero(self, tuple(coeffs))
+
+    def _summand(self, kind: str, name: str) -> Tuple["Bundle", slice]:
+        found = self._summands.get((kind, name))
+        if found is None:
+            raise BundleError(f"no {kind} {name!r} summand in {self.label()}")
+        return found
+
+    @cached_property
+    def _summands(self) -> Dict[object, Tuple["Bundle", slice]]:
+        """(summand bundle, its slice of the frame), looked up by (kind,
+        name), by (kind, "") for the first atom of a kind, and by the
+        summand bundle itself (join).  Built on first use: a summand is
+        built through the patch, which builds this bundle first."""
+        layout: Dict[object, Tuple[Bundle, slice]] = {}
+        for atom, where in zip(self.atoms, self._atom_slices):
+            found = (self.patch.bundle((atom,)), where)
+            for key in ((atom.kind, atom.name), (atom.kind, ""), found[0]):
+                layout.setdefault(key, found)
+        return layout
 
     def zero_section(self) -> "Section":
         return self._zero_section
@@ -328,16 +370,11 @@ class Section:
     def constant_coeffs(self) -> List[Fraction]:
         return [c.constant_value() for c in self.coeffs]
 
-    def part(self, atom_index: int) -> Tuple[ScalarPoly, ...]:
-        return self.coeffs[self.bundle.atom_slice(atom_index)]
-
-    def with_part(self, atom_index: int, coeffs: Sequence[ScalarPoly]) -> "Section":
-        s = self.bundle.atom_slice(atom_index)
-        new = list(self.coeffs)
-        new[s] = coeffs
-        if len(new) != len(self.coeffs):
-            raise BundleError(f"{len(coeffs)} coefficients for a part of rank {s.stop - s.start}")
-        return _nonzero(self.bundle, tuple(new))
+    def component(self, kind: str, name: str = "") -> "Section":
+        """The projection onto one summand (Bundle.summand): a section of
+        that summand, its shared zero section when nothing survives."""
+        summand, where = self.bundle._summand(kind, name)
+        return _nonzero(summand, self.coeffs[where])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
@@ -517,7 +554,7 @@ def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
         used.add(j)
         if len(right.atoms[j].frame) != len(atom.frame):
             raise BundleError("paired atoms have different ranks")
-        ls, rs = left.atom_slice(i), right.atom_slice(j)
+        ls, rs = left._atom_slices[i], right._atom_slices[j]
         for k in range(len(atom.frame)):
             matrix[ls.start + k][rs.start + k] = Fraction(1)
     if len(used) != len(right.atoms):
@@ -568,9 +605,7 @@ def d_scalar(base: Patch, phi: ScalarPoly) -> Section:
 
 def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     """d_B phi = (0, d phi) for a bundle with a T*M summand."""
-    idx = bundle_b.atom_index(COTM)
-    out = bundle_b.zero_section()
-    return out.with_part(idx, phi.gradient())
+    return bundle_b.join(d_scalar(bundle_b.patch, phi))
 
 
 def constant_apply(matrix: Sequence[Sequence[Rational]], polys: Sequence[ScalarPoly],

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
                         record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
+from .bundle import (COTM, TM, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      constant_apply, d_scalar, db_canonical, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
 from .dirac import VBTriple, check_equivalent
@@ -446,11 +446,9 @@ def roundtrip_check(lad: LieAlgebroidData, triple: VBTriple,
     if recovered is None:
         chk.error("recover", "recover-triple", "recovery failed")
         return chk.report()
-    equiv = check_equivalent(recovered.delta, triple.delta, triple.u_sub, triple.k_sub)
-    for witness in equiv.witnesses:
-        chk.require("equivalent", witness.inputs, False, witness.difference)
-    if equiv.passed:
-        chk.require("equivalent", "recovered vs input connection", True)
+    chk.relay("equivalent",
+              check_equivalent(recovered.delta, triple.delta, triple.u_sub, triple.k_sub),
+              "recovered vs input connection")
     for i, u1 in enumerate(triple.u_sub.sections):
         for j, u2 in enumerate(triple.u_sub.sections):
             chk.record("u-brackets-agree", f"(u{i + 1}; u{j + 1})",
@@ -484,7 +482,6 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     lad = mp.lad
     base = lad.base
     std = standard_courant(base)
-    tangent = Bundle.tangent(base)
     sigma_star = sigma.transpose()
 
     # Pi on the C-frame
@@ -494,17 +491,14 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
         a = lad.a_part(s_sec)
         x_val = lad.x_part(u_sec) + lad.rho(a)
         th_val = lad.theta_part(s_sec) + sigma.apply(a)
-        pi_cols.append(std.bundle.zero_section()
-                       .with_part(std.bundle.atom_index("TM"), x_val.coeffs)
-                       .with_part(std.bundle.atom_index("T*M"), th_val.coeffs))
+        pi_cols.append(std.bundle.join(x_val, th_val))
     pi_hom = HomSection.from_columns(mp.c_bundle, std.bundle, pi_cols)
 
     # Theta on the standard frame
     theta_cols = []
     for idx in range(std.bundle.rank):
         t = std.bundle.frame_section(idx)
-        x = Section(tangent, t.part(std.bundle.atom_index("TM")))
-        th = Section(Bundle.cotangent(base), t.part(std.bundle.atom_index("T*M")))
+        x, th = t.component(TM), t.component(COTM)
         u_sec = lad.to_v(x=x, xi=-sigma_star.apply(x))
         theta_cols.append(mp.normalize(u_sec, lad.to_sigma(theta=th)))
     theta_hom = HomSection.from_columns(std.bundle, mp.c_bundle, theta_cols)

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket
-from .bundle import BATTERY_SEED, BundleError, Section, SubBundle
+from .bundle import BATTERY_SEED, VEC, BundleError, Section, SubBundle
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport
 
@@ -57,11 +57,10 @@ def shift_dorfman(delta: DorfmanConnection,
     would break Delta_v(0, theta) = (0, L_X theta) and with it the anchor
     of the dual bracket.
     """
-    b = delta.b
-    e_slice = b.atom_slice(b.atom_index("V"))
+    e_columns = delta.b.positions(VEC)
     symbols = [list(row) for row in delta.symbols]
     for (i, j), shift in shifts.items():
-        if not (e_slice.start <= j < e_slice.stop):
+        if j not in e_columns:
             raise BundleError("symbol shifts are only allowed on E-frame columns")
         symbols[i][j] = symbols[i][j] + shift
     return DorfmanConnection.with_dual_bracket(delta.predual, delta.bracket.anchor, symbols)
@@ -74,12 +73,10 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
     if d1.q is not d2.q or d1.b is not d2.b:
         raise BundleError("representatives must share the pre-dual")
     b = d1.b
-    e_idx = b.atom_index("V")
-    e_slice = b.atom_slice(e_idx)
     for ui, u in enumerate(u_sub.sections):
         for phi, text in b.patch.battery:
             scaled = u.scale(phi)
-            for j in range(e_slice.start, e_slice.stop):
+            for j in b.positions(VEC):
                 s = b.frame_section(j)
                 diff = d1.apply(scaled, s) - d2.apply(scaled, s)
                 chk.record("difference-in-K",
@@ -133,11 +130,8 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
                     restricts = False
 
     if restricts and u_sub.rank:
-        lie = triple.restricted_bracket.check_lie(triple.seed)
-        for witness in lie.witnesses:
-            chk.require("restricted-lie", witness.inputs, False, witness.difference)
-        if lie.passed:
-            chk.require("restricted-lie", "restricted bracket", True)
+        chk.relay("restricted-lie", triple.restricted_bracket.check_lie(triple.seed),
+                  "restricted bracket")
     elif not restricts:
         chk.require("restricted-lie", "bracket does not restrict to U", False,
                     "not a bracket on U")
@@ -207,12 +201,11 @@ def _default_shift(delta: DorfmanConnection, k_sub: SubBundle) -> DorfmanConnect
     if not k_sub.sections:
         return delta
     b = delta.b
-    e_slice = b.atom_slice(b.atom_index("V"))
     battery = b.patch.battery
     shifts = {}
     count = 0
     for i in range(delta.q.rank):
-        for j in range(e_slice.start, e_slice.stop):
+        for j in b.positions(VEC):
             k = k_sub.sections[count % len(k_sub.sections)]
             phi, _ = battery[count % len(battery)]
             shifts[(i, j)] = k.scale(phi)

@@ -36,8 +36,8 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
-from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     constant_apply, dual_pair, leibniz,
+from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, FrameTable, HomSection,
+                     Section, SubBundle, constant_apply, dual_pair, leibniz,
                      matrix_d, matrix_pair, nonzero_entries, nonzero_terms, pairing_matrix,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
@@ -115,14 +115,14 @@ class PreDual:
 def canonical_predual(e_bundle: Bundle) -> PreDual:
     """Q = TM + E*, B = E + T*M with the canonical pairing and d_B = (0, d)."""
     base = e_bundle.patch
+    cotangent = Bundle.cotangent(base)
     q = Bundle.tangent(base) + e_bundle.dual()
-    b = e_bundle + Bundle.cotangent(base)
+    b = e_bundle + cotangent
     matrix = pairing_matrix(q, b)
     pairing = [[base.const(x) for x in row] for row in matrix]
-    dmat = [[base.zero() for _ in range(base.dim)] for _ in range(b.rank)]
-    sl = b.atom_slice(b.atom_index("T*M"))
-    for i in range(base.dim):
-        dmat[sl.start + i][i] = base.one()
+    # d_B phi = (0, d phi): column i of dmat is (0, dx_i)
+    columns = [b.join(theta) for theta in cotangent.frame_sections()]
+    dmat = HomSection.from_columns(cotangent, b, columns).matrix
     return PreDual(q, b, pairing, dmat, canonical=True)
 
 
@@ -136,12 +136,8 @@ def zero_predual(q: Bundle, b: Bundle) -> PreDual:
 
 def pr_tm_hom(q: Bundle) -> HomSection:
     """Projection of Q onto its TM summand, as a HomSection Q -> TM."""
-    tangent = Bundle.tangent(q.patch)
-    matrix = [[q.patch.zero() for _ in range(q.rank)] for _ in range(tangent.rank)]
-    sl = q.atom_slice(q.atom_index("TM"))
-    for i in range(tangent.rank):
-        matrix[i][sl.start + i] = q.patch.one()
-    return HomSection(q, tangent, matrix)
+    return HomSection.from_columns(q, Bundle.tangent(q.patch),
+                                   [v.component(TM) for v in q.frame_sections()])
 
 
 class DorfmanConnection:
@@ -240,16 +236,14 @@ class DorfmanConnection:
         if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
             # Delta_v(0, theta) = (0, L_{pr_TM v} theta) on every representative
             ct = Bundle.cotangent(self.q.patch)
-            ct_idx = self.b.atom_index("T*M")
-            ct_start = self.b.atom_slice(ct_idx).start  # (0, theta_j) is B-frame ct_start + j
-            tm_sl = self.q.atom_slice(self.q.atom_index("TM"))
+            # (0, theta_j) is the B-frame section at the j-th T*M position
+            forms = list(zip(ct.frame, ct.frame_sections(), self.b.positions(COTM)))
             for p, (label_v, v) in enumerate(zip(q_batt.labels, q_batt.sections)):
-                x = Section(Bundle.tangent(self.q.patch), v.coeffs[tm_sl])
-                for j, theta in enumerate(ct.frame_sections()):
-                    expected = self.b.zero_section().with_part(
-                        ct_idx, lie_derivative_form(x, theta).coeffs)
-                    chk.record("forms-rule", f"({label_v}; {ct.frame[j]})",
-                               self.battery_apply(p, b_batt.frames[ct_start + j]) - expected)
+                x = v.component(TM)
+                for name, theta, k in forms:
+                    expected = self.b.join(lie_derivative_form(x, theta))
+                    chk.record("forms-rule", f"({label_v}; {name})",
+                               self.battery_apply(p, b_batt.frames[k]) - expected)
         return chk.report()
 
     # -- axioms -----------------------------------------------------------
@@ -391,13 +385,13 @@ class DorfmanConnection:
                         chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
                                    lhs - rhs if rhs._terms else lhs)
         if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
-            start = self.b.atom_slice(self.b.atom_index("T*M")).start
             for i, q1 in enumerate(q_frames):
                 for j, q2 in enumerate(q_frames):
                     hom = self.frame_curvature(i, j)
-                    for name, s in zip(self.b.frame[start:], self.b.frame_sections()[start:]):
-                        chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {name})",
-                                   hom.apply(s))
+                    for k in self.b.positions(COTM):
+                        chk.record("vanishes-on-forms",
+                                   f"({names[i]}; {names[j]}; {self.b.frame[k]})",
+                                   hom.apply(self.b.frame_section(k)))
         return chk.report()
 
     # -- skew tensor ---------------------------------------------------------
@@ -412,13 +406,12 @@ class DorfmanConnection:
 
     def check_skew(self) -> CheckReport:
         chk = Checker("skew", "symmetrized bracket is tensorial with vanishing TM part")
-        tm = self.q.atom_index("TM")
         batt = self.bracket.battery_table.rows
         for i, p1 in enumerate(batt.frames):
             for j, p2 in enumerate(batt.frames):
                 sym = self.battery_skew(p1, p2)
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
-                for comp in sym.part(tm):
+                for comp in sym.component(TM).coeffs:
                     chk.record("tm-part", inputs, comp)
                 for f, (phi, text) in enumerate(zip(batt.functions, batt.texts)):
                     scaled = sym.scale(phi)
@@ -476,12 +469,11 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     predual = canonical_predual(e_bundle)
     q, b = predual.q, predual.b
     tangent = Bundle.tangent(base)
-    e_idx, ct_idx = b.atom_index("V"), b.atom_index("T*M")
-    tm_idx, es_idx = q.atom_index("TM"), q.atom_index("V*")
-    dual_bundle = e_bundle.dual()
     sigma_star = sigma.transpose()
 
-    def delta_value(x: Section, xi: Section, e_sec: Section, theta: Section) -> Section:
+    def delta_value(v: Section, s: Section) -> Section:
+        x, xi, e_sec, theta = (v.component(TM), v.component(VEC_DUAL),
+                               s.component(VEC), s.component(COTM))
         nab = conn.nabla(x, e_sec)
         form = lie_derivative_form(x, theta - sigma.apply(e_sec))
         shifted = sigma_star.apply(x) + xi
@@ -490,27 +482,9 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
                     for xl in tangent.frame_sections()]
             form = form + Section(form.bundle, tuple(corr))
         form = form + sigma.apply(nab)
-        return b.zero_section().with_part(e_idx, nab.coeffs).with_part(ct_idx, form.coeffs)
+        return b.join(nab, form)
 
-    symbols = []
-    zero_x = tangent.zero_section()
-    zero_xi = dual_bundle.zero_section()
-    zero_e = e_bundle.zero_section()
-    zero_th = cotangent.zero_section()
-    for i in range(q.rank):
-        if q.atom_slice(tm_idx).start <= i < q.atom_slice(tm_idx).stop:
-            x, xi = tangent.frame_section(i - q.atom_slice(tm_idx).start), zero_xi
-        else:
-            x, xi = zero_x, dual_bundle.frame_section(i - q.atom_slice(es_idx).start)
-        row = []
-        for j in range(b.rank):
-            if b.atom_slice(e_idx).start <= j < b.atom_slice(e_idx).stop:
-                e_sec, theta = e_bundle.frame_section(j - b.atom_slice(e_idx).start), zero_th
-            else:
-                e_sec, theta = zero_e, cotangent.frame_section(
-                    j - b.atom_slice(ct_idx).start)
-            row.append(delta_value(x, xi, e_sec, theta))
-        symbols.append(row)
+    symbols = [[delta_value(v, s) for s in b.frame_sections()] for v in q.frame_sections()]
     return DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(q), symbols)
 
 

@@ -38,9 +38,9 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
-from .bundle import (VEC, Battery, Bundle, BundleError, HomSection, Patch, Section,
-                     courant_dorfman_form_part, db_canonical, dual_pair, dual_pair_comps,
-                     interior_two_form, lie_derivative_form, pairing_matrix,
+from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
+                     Patch, Section, courant_dorfman_form_part, db_canonical, dual_pair,
+                     dual_pair_comps, interior_two_form, lie_derivative_form, pairing_matrix,
                      two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
@@ -162,15 +162,14 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
     part d l_xi minus the pullback of the T*M-component.  cols, when given,
     are the values Delta_v(e_m, 0) over the frame of E.
     """
-    q, b = delta.q, delta.b
-    e_sl = b.atom_slice(b.atom_index("V"))
-    ell = tp.linear(v.part(q.atom_index("V*")))
-    x_part = [tp.embed(c) for c in v.part(q.atom_index("TM"))]
+    b = delta.b
+    ell = tp.linear(v.component(VEC_DUAL).coeffs)
+    x_part = [tp.embed(c) for c in v.component(TM).coeffs]
     horizontal = LiftedSection(tp, x_part + [tp.zero()] * len(tp.fiber_coords),
                                [ell.partial(y) for y in tp.allvars])
     # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
     if cols is None:
-        cols = [delta.apply(v, b.frame_section(m)) for m in range(e_sl.start, e_sl.stop)]
+        cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(VEC)]
     rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
     return horizontal - _core_section(tp, b, rows)
 
@@ -184,8 +183,8 @@ def _core_section(tp: TotalPatch, b: Bundle, comps: List[ScalarPoly]) -> LiftedS
     # comps are total-space functions in B = E + T*M frame order: the E-part
     # is a vertical vector field, the T*M-part a form along the base
     n, r = len(tp.base_coords), len(tp.fiber_coords)
-    return LiftedSection(tp, [tp.zero()] * n + comps[b.atom_slice(b.atom_index("V"))],
-                         comps[b.atom_slice(b.atom_index("T*M"))] + [tp.zero()] * r)
+    return LiftedSection(tp, [tp.zero()] * n + [comps[k] for k in b.positions(VEC)],
+                         [comps[k] for k in b.positions(COTM)] + [tp.zero()] * r)
 
 
 # -- total-space Courant calculus --------------------------------------------
@@ -215,16 +214,14 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     """
     chk = Checker("splitting-theorems",
                   "lifted sections reproduce the connection calculus exactly")
-    e_bundle = _e_bundle(delta)
-    tp = total_patch_of(e_bundle)
     q, b = delta.q, delta.b
+    e_bundle = b.summand(VEC)
+    tp = total_patch_of(e_bundle)
     q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
     q_frames = q.frame_sections()
-    e_idx = b.atom_index("V")
-    e_sl = b.atom_slice(e_idx)
-    e_frames = [b.frame_section(m) for m in range(e_sl.start, e_sl.stop)]
+    e_frames = [b.frame_section(m) for m in b.positions(VEC)]
     # applied[i][m] = Delta_{q_i}(e_m, 0): the lift of q_i and its l-calculus
-    applied = [[delta.battery_apply(p, b_batt.frames[m]) for m in range(e_sl.start, e_sl.stop)]
+    applied = [[delta.battery_apply(p, b_batt.frames[m]) for m in b.positions(VEC)]
                for p in q_batt.frames]
     lifts = [lift_linear(tp, delta, v, cols) for v, cols in zip(q_frames, applied)]
     cores = [(label, s, lift_core(tp, s)) for label, s in zip(b_batt.labels, b_batt.sections)]
@@ -232,7 +229,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     for i, p1 in enumerate(q_batt.frames):
         for j, p2 in enumerate(q_batt.frames):
             # l of the E*-part of the symmetrization
-            ell = tp.linear(delta.battery_skew(p1, p2).part(q.atom_index("V*")))
+            ell = tp.linear(delta.battery_skew(p1, p2).component(VEC_DUAL).coeffs)
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        _difference(total_pairing(lifts[i], lifts[j]), ell))
     for i, v in enumerate(q_frames):
@@ -273,16 +270,10 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             lhs = vf_apply(tp.patch, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
             rhs = tp.linear([
                 _difference(vf_apply(q.patch, delta.bracket.frame_table.anchors[i], c),
-                            dual_pair(eta, Section(e_bundle, value.part(e_idx))))
+                            dual_pair(eta, value.component(VEC)))
                 for c, value in zip(eta.coeffs, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
     return chk.report()
-
-
-def _e_bundle(delta: DorfmanConnection) -> Bundle:
-    b = delta.b
-    atom = b.atoms[b.atom_index("V")]
-    return b.patch.bundle((atom,))
 
 
 # -- geometric Dirac check -----------------------------------------------------
@@ -298,8 +289,7 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
     """
     chk = Checker("geometric-dirac", "total-space isotropy, rank and bracket closure")
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
-    e_bundle = _e_bundle(delta)
-    tp = total_patch_of(e_bundle)
+    tp = total_patch_of(delta.b.summand(VEC))
     n, r = len(tp.base_coords), len(tp.fiber_coords)
 
     u_lifts = [lift_linear(tp, delta, u) for u in u_sub.sections]
@@ -355,8 +345,9 @@ def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
     # order the core vector as (E-part, T*M-part) to match K's ambient
     b = triple.delta.b
     ordered = [None] * b.rank
-    ordered[b.atom_slice(b.atom_index("V"))] = remainder.vf[n:]
-    ordered[b.atom_slice(b.atom_index("T*M"))] = remainder.form[:n]
+    for kind, comps in ((VEC, remainder.vf[n:]), (COTM, remainder.form[:n])):
+        for k, c in zip(b.positions(kind), comps):
+            ordered[k] = c
     _, rest = triple.k_sub.split(ordered, tp.zero())
     if all(c.is_zero() for c in rest):
         return LiftedSection(tp, [tp.zero()] * (n + r), [tp.zero()] * (n + r))
@@ -539,7 +530,7 @@ class GeneratorAlgebra:
         self.bundle = (
             Bundle.vector(self.tp.patch, "lin", (f + "~" for f in lad.a_bundle.frame))
             + Bundle.vector(self.tp.patch, "core", (f + "!" for f in lad.sigma_bundle.frame)))
-        self._lin, self._core = (self.bundle.atom_index(VEC, name) for name in ("lin", "core"))
+        self._lin, self._core = (self.bundle.summand(VEC, name) for name in ("lin", "core"))
         gens = range(self.bundle.rank)
         tangent = Bundle.tangent(self.tp.patch)
         anchor = HomSection.from_columns(self.bundle, tangent, [
@@ -554,18 +545,15 @@ class GeneratorAlgebra:
 
     def dagger_of(self, sigma: Section) -> Section:
         """(b, theta)! with function coefficients; dagger is C-infinity linear."""
-        return self.bundle.zero_section().with_part(
-            self._core, tuple(self.tp.embed(c) for c in sigma.coeffs))
+        return self.bundle.join(Section(self._core, [self.tp.embed(c) for c in sigma.coeffs]))
 
     def hom_dagger(self, hom: HomSection) -> Section:
         """Phi! for Phi: TM + A* -> A + T*M: core coefficients linear in w."""
-        return self.bundle.zero_section().with_part(
-            self._core, tuple(self.tp.linear(row) for row in hom.matrix))
+        return self.bundle.join(Section(self._core, [self.tp.linear(row) for row in hom.matrix]))
 
     def tilde_of(self, a: Section) -> Section:
         """(sum phi_k e_k)~ expanded through the correction homs."""
-        out = self.bundle.zero_section().with_part(
-            self._lin, tuple(self.tp.embed(phi) for phi in a.coeffs))
+        out = self.bundle.join(Section(self._lin, [self.tp.embed(phi) for phi in a.coeffs]))
         base = self.lad.base
         for k, phi in enumerate(a.coeffs):
             if phi.is_constant():

@@ -62,7 +62,7 @@ class Checker:
 
     def record(self, identity: str, inputs: str, difference) -> bool:
         """Record one equality outcome; difference must be zero to pass."""
-        is_zero = difference.is_zero() if hasattr(difference, "is_zero") else not difference
+        is_zero = difference.is_zero()
         if not is_zero:
             self.witnesses.append(Witness(identity, inputs, str(difference)))
         self._mark(identity, is_zero)
@@ -73,6 +73,14 @@ class Checker:
             self.witnesses.append(Witness(identity, inputs, note))
         self._mark(identity, condition)
         return condition
+
+    def relay(self, identity: str, nested: CheckReport, inputs: str) -> None:
+        """Record each witness of a nested report under identity, or one
+        passing case on inputs when the nested report passed."""
+        for witness in nested.witnesses:
+            self.require(identity, witness.inputs, False, witness.difference)
+        if nested.passed:
+            self.require(identity, inputs, True)
 
     def error(self, identity: str, inputs: str, message: str) -> None:
         self.witnesses.append(Witness(identity, inputs, message))

@@ -11,7 +11,8 @@ import sys
 import time
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
+from courant_lab.bundle import (TM, VEC, VEC_DUAL, Bundle, HomSection, Section, SubBundle,
+                                 patch, vf_bracket)
 from courant_lab.catalog import catalog_text
 from courant_lab.checks import run_check
 from courant_lab.courant import (build_manin_pair, check_c_iso,
@@ -85,17 +86,14 @@ def test_criterion_01_standard_dorfman_curvature():
     started = time.time()
     conn, delta = _ex_a()
     tm = Bundle.tangent(BASE)
-    e_bundle = conn.bundle
 
     hom = delta.curvature(delta.q.section(Dx1=1), delta.q.section(Dx2=1))
     ok = hom.apply(delta.b.section(eps=1)) == delta.b.section(eps=1)
 
     def closed_form(v1, v2, s):
-        x = Section(tm, v1.part(0))
-        xi = Section(e_bundle.dual(), v1.part(1))
-        y = Section(tm, v2.part(0))
-        eta = Section(e_bundle.dual(), v2.part(1))
-        e = Section(e_bundle, s.part(0))
+        x, xi = v1.component(TM), v1.component(VEC_DUAL)
+        y, eta = v2.component(TM), v2.component(VEC_DUAL)
+        e = s.component(VEC)
         e_out = _connection_curvature(conn, x, y, e)
 
         def rstar(a, b, f):
@@ -107,7 +105,7 @@ def test_criterion_01_standard_dorfman_curvature():
         for l in range(BASE.dim):
             z = tm.frame_section(l)
             comps.append(canonical_pairing(rstar(x, z, eta) - rstar(y, z, xi), e))
-        return delta.b.zero_section().with_part(0, e_out.coeffs).with_part(1, tuple(comps))
+        return delta.b.join(e_out, Section(Bundle.cotangent(BASE), comps))
 
     for v1 in delta.q.frame_sections():
         for v2 in delta.q.frame_sections():

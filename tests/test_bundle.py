@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from courant_lab import bundle
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                                 annihilator, d_scalar,
@@ -25,6 +26,55 @@ def test_frames_and_ranks():
     assert Q.frame == ("Dx1", "Dx2", "epss")
     assert B.frame == ("eps", "dx1", "dx2")
     assert Q.rank == 3 and B.rank == 3
+
+
+def test_summands_are_the_bundles_of_their_atoms():
+    assert Q.summand(bundle.TM) is Bundle.tangent(BASE)
+    assert Q.summand(bundle.VEC_DUAL) is E.dual()
+    assert B.summand(bundle.VEC, "E") is B.summand(bundle.VEC) is E
+    assert B.summand(bundle.COTM) is CT
+    assert list(B.positions(bundle.COTM)) == [1, 2] and list(Q.positions(bundle.TM)) == [0, 1]
+    with pytest.raises(BundleError):
+        Q.summand(bundle.COTM)
+
+
+# two named V summands over one patch, as the generator bundle lin + core
+LIN = Bundle.vector(BASE, "lin", ("a~",))
+CORE = Bundle.vector(BASE, "core", ("a!", "dx1!"))
+SUMS = [(Q, [(bundle.TM, ""), (bundle.VEC_DUAL, "")]),
+        (B, [(bundle.VEC, ""), (bundle.COTM, "")]),
+        (LIN + CORE, [(bundle.VEC, "lin"), (bundle.VEC, "core")])]
+
+
+def test_join_of_the_components_is_the_section():
+    assert (LIN + CORE).summand(bundle.VEC) is LIN  # the first of its kind
+    assert (LIN + CORE).summand(bundle.VEC, "core") is CORE
+    for total, kinds in SUMS:
+        for s in total.battery.sections:
+            parts = [s.component(kind, name) for kind, name in kinds]
+            assert [p.bundle for p in parts] == [total.summand(*kind) for kind in kinds]
+            assert total.join(*parts) == s
+
+
+def test_zero_components_and_joins_are_the_shared_zero():
+    for total, kinds in SUMS:
+        zero = total.zero_section()
+        for kind, name in kinds:
+            assert zero.component(kind, name) is total.summand(kind, name).zero_section()
+        assert total.join() is zero
+        assert total.join(*(total.summand(*kind).zero_section() for kind in kinds)) is zero
+    assert B.section(dx1="x2").component(bundle.VEC) is E.zero_section()
+
+
+def test_join_takes_each_summand_once():
+    with pytest.raises(BundleError):
+        B.join(TM.section(Dx1=1))  # not a summand of E + T*M
+    with pytest.raises(BundleError):
+        B.join(B.section(eps=1))  # a sum is not its own summand
+    with pytest.raises(BundleError):
+        B.join(E.section(eps=1), E.section(eps="x1"))
+    with pytest.raises(BundleError):
+        (LIN + CORE).join(CORE.zero_section(), LIN.zero_section(), CORE.zero_section())
 
 
 def test_point_patch_is_legal():

@@ -3,7 +3,10 @@
 `rref`, `nullspace`, `invert` and `determinant` are compared with sympy's
 Matrix on small rational matrices, and so is the one projection path the
 package runs on them: `bundle.SubBundle` over constant sections, through
-its `complement`, `split`, `contains` and `residual`.  The draws are
+its `complement`, `split`, `contains` and `residual`.  The Gram
+determinant of a non-constant pairing (`courant._poly_det`, cofactor
+expansion over polynomials) is compared with sympy's `det` on small
+polynomial matrices.  The draws are
 biased toward singular and rank-deficient matrices (rows combined from
 fewer vectors, repeated rows, zero columns, mostly-zero entries), where
 the elimination has to find a pivot below the diagonal or run out of one.
@@ -15,7 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courant_lab.bundle import Bundle, SubBundle, patch
+from courant_lab.courant import _poly_det
 from courant_lab.linalg import determinant, invert, nullspace, rref
+from courant_lab.poly import ScalarPoly
 
 sympy = pytest.importorskip("sympy")
 
@@ -151,3 +156,25 @@ def test_span_coordinates_match_sympy(case):
         vector_from_sympy(basis[:, r:] * solution[r:, :])
     assert residual.is_zero() == in_span
     assert all(c.is_zero() for c in rest) == in_span
+
+
+PLANE = patch("x1", "x2")
+X1, X2 = sympy.symbols("x1 x2")
+# polynomials of degree at most 1 in each of x1, x2 with small integer coefficients
+poly_entries = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                               st.integers(-2, 2), max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(poly_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_polynomial_gram_determinant_matches_sympy(rows):
+    matrix = [[ScalarPoly(PLANE.coords, terms) for terms in row] for row in rows]
+    expected = sympy.Matrix(len(rows), len(rows),
+                            [sum((c * X1 ** i * X2 ** j for (i, j), c in terms.items()),
+                                 sympy.Integer(0)) for row in rows for terms in row]).det()
+    det = _poly_det(matrix, PLANE)
+    assert det.vars == PLANE.coords
+    value = sum((sympy.Rational(c.numerator, c.denominator) * X1 ** i * X2 ** j
+                 for (i, j), c in det.terms.items()), sympy.Integer(0))
+    assert sympy.expand(value - expected) == 0

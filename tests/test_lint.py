@@ -29,6 +29,12 @@ An identity test in front of an equality test of the same operands
 (`a is not b and a != b`, `a is b or a == b`) fails it as well: a `Patch`
 or a `Bundle` is equal only to itself, so `is` alone compares them, and a
 value type needs only `==`.
+
+The layout of a direct sum is known to `bundle.py` alone: no other module
+reads the summand-offset API it replaced (`atom_index`, `atom_slice`,
+`Section.part`, `Section.with_part`) or the lookups behind `summand`,
+`component`, `join` and `positions`, which are the one way to read and
+write a summand.
 """
 
 import ast
@@ -209,4 +215,18 @@ def test_only_patch_builds_a_zero_polynomial():
         allowed = set().union(*(zero_calls(node) for node in tree.body
                                 if isinstance(node, ast.ClassDef) and node.name == "Patch"))
         found += [f"{module}: line {node.lineno}" for node in zero_calls(tree) - allowed]
+    assert found == []
+
+
+# the summand-offset API that Bundle.summand, Section.component,
+# Bundle.join and Bundle.positions replaced, and the lookups behind them
+LAYOUT_READS = {"atom_index", "atom_slice", "part", "with_part",
+                "_atom_slices", "_summands", "_summand"}
+
+
+def test_only_bundle_reads_the_layout_of_a_direct_sum():
+    found = [f"{module}: line {node.lineno} reads .{node.attr}"
+             for module, tree in TREES.items() if module != "bundle.py"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in LAYOUT_READS]
     assert found == []

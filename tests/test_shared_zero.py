@@ -18,7 +18,7 @@ import pytest
 
 import courant_lab
 from courant_lab import bundle, prolong
-from courant_lab.bundle import HomSection, Section
+from courant_lab.bundle import Bundle, HomSection, Section
 from courant_lab.cli import main
 from courant_lab.poly import ScalarPoly
 
@@ -60,7 +60,8 @@ METHODS = {
     (Section, "__sub__"): _section_kernel((0, 1)),
     (Section, "__neg__"): _section_kernel((0,)),
     (Section, "scale"): _section_kernel((0,)),
-    (Section, "with_part"): _section_kernel((0,)),
+    (Section, "component"): _section_kernel(()),
+    (Bundle, "join"): _section_kernel(()),
     (HomSection, "apply"): _section_kernel((1,)),
     (ScalarPoly, "__neg__"): _poly_kernel(None, (0,)),
     (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0]),
