@@ -250,7 +250,8 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
         rho_terms, base = nonzero_terms(rho_v.coeffs), rho_v.bundle.patch
         for j, (name, w) in enumerate(w_entries):
             for k, (label_s, s) in enumerate(s_entries):
-                lhs = vf_apply(base, rho_terms, pairings[j][k])
+                paired = pairings[j][k]
+                lhs = vf_apply(base, rho_terms, paired) if paired._terms else paired
                 rhs = pair(brackets[j], s) + pair(w, applied[k])
                 chk.record(identity, f"({label}; {name}; {label_s})",
                            lhs - rhs if rhs._terms else lhs)

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .linalg import complete_basis, invert, nullspace, rank as mat_rank
-from .poly import Rational, ScalarPoly, parse_poly
+from .poly import Rational, ScalarPoly, parse_poly, sum_of_products
 
 TM = "TM"
 COTM = "T*M"
@@ -678,16 +678,22 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
     so each coefficient is differentiated at most once (its gradient is
     kept, see ScalarPoly.gradient); x_i y_j is formed only when S_ij is
     nonzero, rho_i(y_j) only when rho_i is, and d(x_i) is taken once per
-    i.  A vanishing result, such as that of a zero x or y (every term has
-    factors x_i and y_j), is target.zero_section() itself.
+    i.  Each output coefficient is one sum: its terms (the S_ij, anchor,
+    second anchor and pairing terms above) are collected as (a, b, sign)
+    triples and added by one `sum_of_products` call, so no partial sum is
+    built.  A vanishing result, such as that of a zero x or y (every term
+    has factors x_i and y_j), is target.zero_section() itself, and a
+    vanishing coefficient is the patch's zero.
     """
     base = target.patch
     zero = target.zero_section()
+    if x is x.bundle.zero_section() or y is y.bundle.zero_section():
+        return zero
     xs = [(i, phi) for i, phi in enumerate(x.coeffs) if phi._terms]
     ys = [(j, psi) for j, psi in enumerate(y.coeffs) if psi._terms]
     if not (xs and ys):
         return zero
-    out = list(zero.coeffs)
+    sums: Dict[int, List[Tuple[ScalarPoly, ScalarPoly, int]]] = {}
     entries, anchors = frame.entries, frame.anchors
     for i, phi in xs:
         rho_i, row = anchors[i], entries[i]
@@ -696,15 +702,15 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
             if terms:
                 product = phi * psi
                 for k, c in terms:
-                    out[k] = out[k] + product * c
+                    sums.setdefault(k, []).append((product, c, 1))
             if rho_i:
                 d_psi = vf_apply(base, rho_i, psi)
                 if d_psi._terms:
-                    out[j] = out[j] + phi * d_psi
+                    sums.setdefault(j, []).append((phi, d_psi, 1))
             if bracket and anchors[j]:
                 d_phi = vf_apply(base, anchors[j], phi)
                 if d_phi._terms:
-                    out[i] = out[i] - psi * d_phi
+                    sums.setdefault(i, []).append((psi, d_phi, -1))
     d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
     for i, j, entry in pair_entries:
         phi, psi = x.coeffs[i], y.coeffs[j]
@@ -715,7 +721,12 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
         factor = psi * entry
         for k, c in enumerate(d_x[i]):
             if c._terms:
-                out[k] = out[k] + factor * c
+                sums.setdefault(k, []).append((factor, c, 1))
+    if not sums:
+        return zero
+    out = list(zero.coeffs)
+    for k, terms in sums.items():
+        out[k] = sum_of_products(base.zero(), terms)
     return _nonzero(target, tuple(out))
 
 
@@ -747,25 +758,36 @@ def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
 
 def vf_bracket_comps(base: Patch, x: Sequence[ScalarPoly],
                      y: Sequence[ScalarPoly]) -> List[ScalarPoly]:
+    """[X, Y]^j = X(Y^j) - Y(X^j); vf_apply runs only on nonzero components,
+    and a zero X or Y gives the patch's zero in every component."""
     x_terms, y_terms = nonzero_terms(x), nonzero_terms(y)
     zero = base.zero()
+    if not (x_terms and y_terms):
+        return [zero] * base.dim
     out = []
     for j in range(base.dim):
-        lhs, rhs = vf_apply(base, x_terms, y[j]), vf_apply(base, y_terms, x[j])
-        if rhs._terms:
-            lhs = lhs - rhs
+        lhs = vf_apply(base, x_terms, y[j]) if y[j]._terms else zero
+        if x[j]._terms:
+            rhs = vf_apply(base, y_terms, x[j])
+            if rhs._terms:
+                lhs = lhs - rhs
         out.append(lhs if lhs._terms else zero)
     return out
 
 
 def lie_form_comps(base: Patch, x: Sequence[ScalarPoly],
                    theta: Sequence[ScalarPoly]) -> List[ScalarPoly]:
-    pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
+    """(L_X theta)_j = X(theta_j) + sum_i theta_i d_j X^i; vf_apply runs only
+    on nonzero components, and a zero X gives the patch's zero in every
+    component."""
     x_terms = nonzero_terms(x)
     zero = base.zero()
+    if not x_terms:
+        return [zero] * base.dim
+    pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
     out = []
     for j in range(base.dim):
-        term = vf_apply(base, x_terms, theta[j])
+        term = vf_apply(base, x_terms, theta[j]) if theta[j]._terms else zero
         for t, grad in pairs:
             if grad[j]._terms:
                 term = term + t * grad[j]
@@ -826,8 +848,11 @@ def courant_dorfman_form_part(x1, theta1, x2, theta2, base: Patch):
     zero = base.zero()
     out = []
     for j, lie in enumerate(lie_form_comps(base, x1, theta2)):
-        d_theta = vf_apply(base, x2_terms, theta1[j])
-        value = lie - d_theta if d_theta._terms else lie
+        value = lie
+        if theta1[j]._terms:
+            d_theta = vf_apply(base, x2_terms, theta1[j])
+            if d_theta._terms:
+                value = lie - d_theta
         for c, grad in pairs:
             if grad[j]._terms:
                 value = value + c * grad[j]

@@ -90,11 +90,21 @@ class LieAlgebroidData:
 
     @cached_property
     def v_bundle(self) -> Bundle:
-        return Bundle.tangent(self.base) + self.a_bundle.dual()
+        return Bundle.tangent(self.base) + self._one_a().dual()
 
     @cached_property
     def sigma_bundle(self) -> Bundle:
-        return self.a_bundle + Bundle.cotangent(self.base)
+        return self._one_a() + Bundle.cotangent(self.base)
+
+    def _one_a(self) -> Bundle:
+        """A, which TM + A* and A + T*M hold as one summand: a sum of bundles
+        is refused by name here, where the section-4 operators would read
+        only its first summand as A."""
+        atoms = self.a_bundle.atoms
+        if len(atoms) > 1:
+            raise BundleError(f"A = {self.a_bundle.label()} is a sum of {len(atoms)} bundles; "
+                              "TM + A* and A + T*M need A to be one bundle")
+        return self.a_bundle
 
     def pair_map(self) -> HomSection:
         """(rho, rho*): A + T*M -> TM + A*, assembled blockwise."""

@@ -64,6 +64,18 @@ repeatedly.
 The kernels of ``bundle`` test a polynomial for zero by reading its term
 dict (``not p._terms``) rather than calling ``is_zero()``, which in their
 loops costs a method call per coefficient.
+
+A sum of many products is one call: ``sum_of_products(zero, terms)``
+adds sign * a * b over (a, b, sign) triples of nonzero polynomials into
+one ``int``-keyed dict over the lcm of the products' denominators and
+normalizes once, where a chain of ``+`` would copy the growing sum at
+every step (the geobucket idea of computer-algebra systems, with one
+bucket).  Its guard rule is that of a product: every key it forms is
+checked against the guard bits before zero coefficients are dropped, so
+an overflowing product raises ``PolyError`` even where its coefficient
+cancels.  When everything cancels it returns the ``zero`` it was given,
+the caller's shared zero (``bundle.leibniz`` passes its patch's), and a
+single pair is the plain product ``a * b``, with the fast paths above.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 Rational = Union[int, Fraction]
@@ -490,6 +502,47 @@ def _reduced(vars: Tuple[str, ...], terms: Dict[int, int], den: int) -> ScalarPo
             den //= g
             terms = {e: c // g for e, c in terms.items()}
     return _normal(vars, terms, den)
+
+
+def sum_of_products(zero: ScalarPoly, terms: Sequence[Tuple[ScalarPoly, ScalarPoly, int]]
+                    ) -> ScalarPoly:
+    """sum of sign * a * b over the (a, b, sign) of terms, sign +1 or -1 and
+    a, b nonzero polynomials over zero's variables.
+
+    Every product is added into one dict over the lcm of the products'
+    denominators, and the sum is normalized once.  Every key formed is
+    checked against the guard bits before zero coefficients are dropped,
+    so an overflowing product raises PolyError even where its coefficient
+    cancels.  When everything cancels the result is zero itself.  A single
+    pair is the plain product a * b, with the fast paths of `*`.
+    """
+    if len(terms) == 1:
+        [(a, b, sign)] = terms
+        product = a * b
+        return product if sign > 0 else -product
+    vars = zero.vars
+    den = 1
+    for a, b, _ in terms:
+        for operand in (a, b):
+            if operand.vars is not vars:
+                zero._coerce(operand)  # a VariableMismatchError unless equal
+        if a._den != 1 or b._den != 1:
+            den = lcm(den, a._den * b._den)
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for a, b, sign in terms:
+        scale = sign if den == 1 else sign * (den // (a._den * b._den))
+        rhs = b._terms.items()
+        for k1, c1 in a._terms.items():
+            c1 *= scale
+            for k2, c2 in rhs:
+                key = k1 + k2
+                acc[key] = get(key, 0) + c1 * c2
+    guards = _guards(len(vars))
+    if reduce(or_, acc) & guards:
+        raise _overflow(next(key for key in acc if key & guards), len(vars))
+    total = {key: c for key, c in acc.items() if c}
+    return _reduced(vars, total, den) if total else zero
 
 
 def _over_common_den(a: ScalarPoly, b: ScalarPoly

@@ -255,6 +255,18 @@ class _Body:
     def ref(self, key: str) -> Bundle:
         return self.spec.resolve_bundle_ref(*self.value(key))
 
+    def one_bundle(self, key: str) -> Bundle:
+        """The bundle a key names, which must be one bundle, not a sum: the
+        canonical pre-dual and the Dorfman constructors read E as the one
+        summand of E + T*M besides T*M, so a sum is a SpecError on the
+        key's line."""
+        bundle = self.ref(key)
+        if len(bundle.atoms) > 1:
+            value, line = self.value(key)
+            raise SpecError(f"{key} = {value} in {_header(self.sec)} names a sum of bundles; "
+                            "name one bundle", line)
+        return bundle
+
     def named(self, kind: str, key: str):
         value, line = self.value(key)
         return self.spec.lookup(kind, value, line, f"{key}: ")
@@ -286,7 +298,7 @@ def _bundle(body: _Body) -> Bundle:
 
 
 def _connection(body: _Body) -> Connection:
-    bundle, coords = body.ref("bundle"), body.spec.base.coords
+    bundle, coords = body.one_bundle("bundle"), body.spec.base.coords
     gamma = [[bundle.zero_section()] * bundle.rank for _ in coords]
     for _, (i, j), value in body.cells(bundle, coords, bundle.frame):
         gamma[i][j] = value
@@ -343,12 +355,12 @@ def _dorfman(body: _Body) -> DorfmanConnection:
     if form:
         delta = _DORFMAN_FORMS[form](body)
     else:
-        predual = canonical_predual(body.ref("e"))
+        predual = canonical_predual(body.one_bundle("e"))
         delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q),
                                                     _zero_symbols(predual))
     # delta acts on E + T*M for the E that e names
     if "e" in body.keys:
-        named = body.ref("e") + Bundle.cotangent(body.spec.base)
+        named = body.one_bundle("e") + Bundle.cotangent(body.spec.base)
         if named is not delta.b:
             raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
                             f"{form} = {body.get(form)[0]}", body.keys["e"][1])

@@ -291,6 +291,56 @@ def test_repeated_declarations_are_spec_errors(tmp_path, capsys, text, line, mes
     assert f"line {line}: {message}" in capsys.readouterr().err
 
 
+TWO_BUNDLES = """
+[patch]
+coords = x1, x2
+
+[bundle.E]
+frame = eps
+
+[bundle.F]
+frame = phi
+"""
+
+
+@pytest.mark.parametrize("body,key", [
+    ("[connection.nabla]\nbundle = E + F\n\n[dorfman.D]\nstandard-of = nabla\n",
+     "bundle = E + F"),
+    ("[dorfman.D]\ne = E + F\n", "e = E + F"),
+], ids=["connection-bundle", "dorfman-e"])
+def test_a_sum_of_bundles_where_one_bundle_e_is_read_is_a_spec_error(tmp_path, capsys,
+                                                                      body, key):
+    # the canonical pre-dual and the Dorfman constructors read E as one
+    # summand of E + T*M; a sum used to fail later, or not at all
+    text = f"{TWO_BUNDLES}\n{body}\n[checks]\ndorfman-axioms = D\n"
+    line = text.splitlines().index(key) + 1
+    with pytest.raises(SpecError, match="names a sum of bundles") as err:
+        parse_spec(text)
+    assert err.value.line == line
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"line {line}: {key} in [" in captured.err and "Traceback" not in captured.err
+
+
+def test_section4_on_a_bracket_over_a_sum_of_bundles_names_the_sum(tmp_path, capsys):
+    text = (TWO_BUNDLES + "\n[bracket.A]\nbundle = E + F\n\n[dorfman.Delta]\n"
+            "lie-derivative-of = A\n\n[checks]\nlie = A\nlinear-poisson = A\n"
+            "section4 = A, Delta\n")
+    lie, poisson, section4 = _results_for_spec(parse_spec(text), None, 7)
+    # the bracket and its dual's linear Poisson structure need no single A
+    assert lie["as_expected"] and poisson["as_expected"]
+    [rep] = section4["reports"]
+    assert (rep["status"], rep["details"]) == ("error", [
+        "BundleError: A = E+F is a sum of 2 bundles; TM + A* and A + T*M need A to be one "
+        "bundle"])
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert "A = E+F is a sum of 2 bundles" in capsys.readouterr().out
+
+
 TRIVIAL = catalog_text("trivial")
 
 

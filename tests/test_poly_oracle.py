@@ -17,7 +17,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant_lab.poly import EXPONENT_LIMIT, FIELD_BITS, PolyError, ScalarPoly, parse_poly
+from courant_lab.poly import (EXPONENT_LIMIT, FIELD_BITS, PolyError, ScalarPoly,
+                              VariableMismatchError, parse_poly, sum_of_products)
 
 sympy = pytest.importorskip("sympy")
 
@@ -367,3 +368,81 @@ def test_product_with_one_is_the_other_operand(pair):
     for p, q in ((a, b), (b, a)):
         if len(p.terms) == 1 and len(q.terms) == 1:
             assert_matches(p * q, sympy.expand(to_sympy(p) * to_sympy(q)))
+
+
+# -- the sum-of-products kernel -------------------------------------------
+
+nonzero_mixed = mixed_coefficients.filter(bool)
+nonzero_polys = st.dictionaries(exponents, nonzero_mixed, min_size=1, max_size=3).map(
+    lambda terms: ScalarPoly(VARS, terms))
+signed_pairs = st.tuples(nonzero_polys, nonzero_polys, st.sampled_from([1, -1]))
+
+
+@st.composite
+def product_lists(draw):
+    """(a, b, sign) lists over mixed denominators, where a drawn pair often
+    comes back with the other sign or with its factors swapped, so that
+    sums cancel in part or in full."""
+    terms = draw(st.lists(signed_pairs, min_size=1, max_size=5))
+    for a, b, sign in list(terms):
+        echo = draw(st.sampled_from(["none", "negated", "swapped"]))
+        if echo == "negated":
+            terms.append((a, b, -sign))
+        elif echo == "swapped":
+            terms.append((b, a, sign))
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(product_lists())
+def test_sum_of_products_matches_chained_operators_and_sympy(terms):
+    zero = ScalarPoly.zero(VARS)
+    before = [(a.terms, b.terms) for a, b, _ in terms]
+    total = sum_of_products(zero, terms)
+    chained = zero
+    expected = sympy.Integer(0)
+    for a, b, sign in terms:
+        chained = chained + a * b if sign > 0 else chained - a * b
+        expected += sign * to_sympy(a) * to_sympy(b)
+    assert total == chained and hash(total) == hash(chained) and str(total) == str(chained)
+    assert_matches(total, sympy.expand(expected))
+    if total.is_zero():
+        assert total is zero
+    # the operands stay intact
+    assert [(a.terms, b.terms) for a, b, _ in terms] == before
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(signed_pairs, min_size=1, max_size=4))
+def test_sum_of_products_that_cancels_is_the_zero_passed_in(terms):
+    zero = ScalarPoly.zero(VARS)
+    cancelling = terms + [(b, a, -sign) for a, b, sign in terms]
+    assert sum_of_products(zero, cancelling) is zero
+
+
+def test_sum_of_products_of_one_pair_is_the_plain_product():
+    zero, one = ScalarPoly.zero(VARS), ScalarPoly.one(VARS)
+    x, y = ScalarPoly.var(VARS, "x"), ScalarPoly.var(VARS, "y")
+    # the fast paths of *: a product with 1 is the other operand itself
+    assert sum_of_products(zero, [(x, one, 1)]) is x
+    assert sum_of_products(zero, [(one, y, 1)]) is y
+    assert sum_of_products(zero, [(x, y, -1)]) == -(x * y)
+    with pytest.raises(VariableMismatchError):
+        sum_of_products(zero, [(x, y, 1), (x, ScalarPoly.var(WIDE, "w"), 1)])
+
+
+def test_sum_of_products_refuses_an_overflow_whose_coefficient_cancels():
+    zero = ScalarPoly.zero(VARS)
+    x, y = ScalarPoly.var(VARS, "x"), ScalarPoly.var(VARS, "y")
+    top = x ** (LIMIT - 1)
+    # x^LIMIT sets the guard bit of x's field; the two products cancel, so a
+    # check after dropping zero coefficients would miss it
+    for terms in ([(top, x, 1), (top, x, -1)],
+                  [(y, y, 1), (x, top, 1), (top * Fraction(1, 2), x * 2, -1)],
+                  [(top + y, x, 1), (x, top, -1)]):
+        with pytest.raises(PolyError, match="exponent overflow"):
+            sum_of_products(zero, terms)
+    # just below the limit the same sums are exact
+    below = x ** (LIMIT - 2)
+    assert sum_of_products(zero, [(below, x, 1), (below, x, -1)]) is zero
+    assert sum_of_products(zero, [(below + y, x, 1), (x, below, -1)]) == x * y

@@ -76,6 +76,7 @@ FUNCTIONS = {
     "lie_form_comps": _poly_kernel(lambda args: args[0]),
     "interior_two_form": _poly_kernel(lambda args: args[0]),
     "courant_dorfman_form_part": _poly_kernel(lambda args: args[4]),
+    "sum_of_products": _poly_kernel(None, (0,)),
 }
 
 
