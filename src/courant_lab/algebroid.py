@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bundle import (Battery, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     leibniz, nonzero_terms, random_sections, vf_apply, vf_bracket,
+                     leibniz, random_sections, vf_apply, vf_bracket,
                      BATTERY_SEED)
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, PASS
@@ -247,7 +247,7 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
     rho(v), [v, w] over w_entries and Delta_v s over s_entries."""
     pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
     for label, rho_v, brackets, applied in rows:
-        rho_terms, base = nonzero_terms(rho_v.coeffs), rho_v.bundle.patch
+        rho_terms, base = rho_v.nonzero(), rho_v.bundle.patch
         for j, (name, w) in enumerate(w_entries):
             for k, (label_s, s) in enumerate(s_entries):
                 paired = pairings[j][k]

@@ -14,12 +14,22 @@ and a Bundle its zero section (Bundle.zero_section), each built once.  A
 kernel whose result vanishes returns that owner's zero, or an operand it
 hands back unchanged: Section `+`, `-`, unary `-`, `scale` and
 `component`, Bundle.join, `leibniz`, HomSection.apply, `matrix_d`,
-`vf_bracket` and `lie_derivative_form` return the bundle's zero section,
-and the Cartan kernels (`vf_apply`, `vf_bracket_comps`, `lie_form_comps`,
-`courant_dorfman_form_part`, `interior_two_form`), which take the Patch
-their polynomials live over, return its zero polynomial.  Section `+` and
-`-` hand back the left operand when the right one is the shared zero
-section, and `+` the right one when the left one is.
+`vf_bracket`, `lie_derivative_form` and SubBundle.residual return the
+bundle's zero section, and the Cartan kernels (`vf_apply`,
+`vf_bracket_comps`, `lie_form_comps`, `courant_dorfman_form_part`,
+`interior_two_form`), which take the Patch their polynomials live over,
+return its zero polynomial.  Section `+` and `-` hand back the left
+operand when the right one is the shared zero section, and `+` the right
+one when the left one is.
+
+A section carries its nonzero components: Section.nonzero() gives the
+(index, coefficient) pairs of its nonzero coefficients, found on the first
+call and kept by the section (it is immutable, so the view never goes
+stale).  Every section kernel here iterates that view instead of the
+coefficients, and no other module rescans a section's coefficients for
+its nonzero ones.  A pairing matrix is read as rows, the nonzero (j, P_ij)
+of each left frame index i (pairing_rows), which `matrix_pair` and
+`leibniz` walk against the left operand's view.
 
 The layout of a direct sum is known to this module alone.  A summand is
 read and written through three operations: Bundle.summand (the bundle of
@@ -318,15 +328,32 @@ class Bundle:
 
 
 class Section:
-    """An element of Gamma of a trivialized bundle: ScalarPoly coefficients."""
+    """An element of Gamma of a trivialized bundle: ScalarPoly coefficients.
 
-    __slots__ = ("bundle", "coeffs")
+    A section is immutable, so its nonzero components are found once: the
+    first call of nonzero() scans the coefficients and keeps the (index,
+    coefficient) pairs in a slot of the instance, and every section kernel
+    (`+`, `-`, `scale`, `is_zero`, the pairings, HomSection.apply, `leibniz`
+    and the SubBundle decompositions) iterates that view instead of the
+    coefficients.  A battery section f*e_i has one entry in it."""
+
+    __slots__ = ("bundle", "coeffs", "_nonzero")  # see nonzero()
 
     def __init__(self, bundle: Bundle, coeffs: Sequence[ScalarPoly]):
         if len(coeffs) != bundle.rank:
             raise BundleError(f"{len(coeffs)} coefficients for rank {bundle.rank}")
         self.bundle = bundle
         self.coeffs = tuple(coeffs)
+        self._nonzero = None
+
+    def nonzero(self) -> Tuple[Tuple[int, ScalarPoly], ...]:
+        """The (index, coefficient) pairs of the nonzero coefficients, in
+        frame order: computed on the first call, the same tuple afterwards."""
+        view = self._nonzero
+        if view is None:
+            view = self._nonzero = tuple([(k, c) for k, c in enumerate(self.coeffs)
+                                          if c._terms])
+        return view
 
     def __add__(self, other: "Section") -> "Section":
         if other.bundle is not self.bundle:
@@ -337,8 +364,10 @@ class Section:
             return self
         if self is zero:
             return other
-        return _nonzero(self.bundle, tuple(a + b if b._terms else a
-                                           for a, b in zip(self.coeffs, other.coeffs)))
+        coeffs = list(self.coeffs)
+        for k, b in other.nonzero():
+            coeffs[k] = coeffs[k] + b
+        return _nonzero(self.bundle, tuple(coeffs))
 
     def __sub__(self, other: "Section") -> "Section":
         if other.bundle is not self.bundle:
@@ -346,23 +375,29 @@ class Section:
                               f"{self.bundle.label()} vs {other.bundle.label()}")
         if other is self.bundle._zero_section:
             return self
-        return _nonzero(self.bundle, tuple(a - b if b._terms else a
-                                           for a, b in zip(self.coeffs, other.coeffs)))
+        coeffs = list(self.coeffs)
+        for k, b in other.nonzero():
+            coeffs[k] = coeffs[k] - b
+        return _nonzero(self.bundle, tuple(coeffs))
 
     def __neg__(self) -> "Section":
-        return _nonzero(self.bundle, tuple(-a for a in self.coeffs))
+        coeffs = list(self.coeffs)
+        for k, a in self.nonzero():
+            coeffs[k] = -a
+        return _nonzero(self.bundle, tuple(coeffs))
 
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
         if not factor._terms:
             return self.bundle.zero_section()
-        zero = self.bundle.patch.zero()
-        return _nonzero(self.bundle, tuple(factor * a if a._terms else zero
-                                           for a in self.coeffs))
+        coeffs = list(self.coeffs)
+        for k, a in self.nonzero():
+            coeffs[k] = factor * a
+        return _nonzero(self.bundle, tuple(coeffs))
 
     def is_zero(self) -> bool:
-        return not any(c._terms for c in self.coeffs)
+        return not self.nonzero()
 
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.coeffs)
@@ -418,6 +453,7 @@ def _section(bundle: Bundle, coeffs: Tuple[ScalarPoly, ...]) -> Section:
     sec = object.__new__(Section)
     sec.bundle = bundle
     sec.coeffs = coeffs
+    sec._nonzero = None
     return sec
 
 
@@ -492,7 +528,7 @@ class HomSection:
         if section.bundle is not self.source:
             raise BundleError("section is not in the source bundle")
         zero = self.source.patch.zero()
-        nonzero = [(j, coeff) for j, coeff in enumerate(section.coeffs) if coeff._terms]
+        nonzero = section.nonzero()
         out = []
         for row in self.matrix:
             total = zero
@@ -562,39 +598,46 @@ def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
     return matrix
 
 
-def nonzero_entries(matrix: Sequence[Sequence[ScalarPoly]]
-                    ) -> Tuple[Tuple[int, int, ScalarPoly], ...]:
-    """The (i, j, entry) triples of the nonzero entries of a matrix, row by row."""
-    return tuple((i, j, entry) for i, row in enumerate(matrix)
-                 for j, entry in enumerate(row) if not entry.is_zero())
+PairRows = Tuple[Tuple[Tuple[int, ScalarPoly], ...], ...]
 
 
-def matrix_pair(entries: Sequence[Tuple[int, int, ScalarPoly]],
-                s1: Section, s2: Section) -> ScalarPoly:
-    """sum s1_i s2_j P_ij over the nonzero entries of a pairing matrix P,
-    given as the triples of `nonzero_entries`."""
+def pairing_rows(matrix: Sequence[Sequence[ScalarPoly]]) -> PairRows:
+    """The rows of a pairing matrix P as `matrix_pair` and `leibniz` read
+    them: for each left frame index i, the nonzero (j, P_ij)."""
+    return tuple(nonzero_terms(row) for row in matrix)
+
+
+def matrix_pair(rows: PairRows, s1: Section, s2: Section) -> ScalarPoly:
+    """sum s1_i s2_j P_ij over the nonzero s1_i (s1's view) and the nonzero
+    entries of their rows of P (see pairing_rows)."""
     total = s1.bundle.patch.zero()
-    c1, c2 = s1.coeffs, s2.coeffs
-    for i, j, entry in entries:
-        a, b = c1[i], c2[j]
-        if a._terms and b._terms:
-            total = total + a * b * entry
+    c2 = s2.coeffs
+    for i, a in s1.nonzero():
+        for j, entry in rows[i]:
+            b = c2[j]
+            if b._terms:
+                total = total + a * b * entry
     return total
 
 
 def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
-    """sum_k s1_k s2_k: the pairing of two sections over mutually dual frames."""
-    return dual_pair_comps(s1.coeffs, s2.coeffs, s1.bundle.patch.zero())
+    """sum_k s1_k s2_k: the pairing of two sections over mutually dual
+    frames, over the nonzero s1_k (s1's view)."""
+    return dual_pair_comps(s1.nonzero(), s2.coeffs, s1.bundle.patch.zero())
 
 
-def dual_pair_comps(a: Sequence[ScalarPoly], b: Sequence[ScalarPoly],
+def dual_pair_comps(a_terms: Iterable[Tuple[int, ScalarPoly]], b: Sequence[ScalarPoly],
                     zero: ScalarPoly) -> ScalarPoly:
-    """sum_k a_k b_k from zero, the one pairing kernel; a product is formed
-    only where both a_k and b_k are nonzero."""
+    """sum_k a_k b_k from zero, the one pairing kernel.  a_terms gives a as
+    (k, a_k) pairs: a section's view (Section.nonzero), or enumerate(a) for
+    dense components, whose zeros are skipped.  A product is formed only
+    where both a_k and b_k are nonzero."""
     total = zero
-    for x, y in zip(a, b):
-        if x._terms and y._terms:
-            total = total + x * y
+    for k, x in a_terms:
+        if x._terms:
+            y = b[k]
+            if y._terms:
+                total = total + x * y
     return total
 
 
@@ -608,16 +651,18 @@ def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     return bundle_b.join(d_scalar(bundle_b.patch, phi))
 
 
-def constant_apply(matrix: Sequence[Sequence[Rational]], polys: Sequence[ScalarPoly],
+def constant_apply(matrix: Sequence[Sequence[Rational]], terms: Sequence[Tuple[int, ScalarPoly]],
                    zero: ScalarPoly) -> List[ScalarPoly]:
-    """matrix . polys for a constant matrix, the one kernel behind the solves
-    with an inverse constant pairing; a product is formed only where both
-    the entry and the polynomial are nonzero."""
+    """matrix . v for a constant matrix and a vector v of polynomials given by
+    its nonzero (k, v_k) (a section's view, or nonzero_terms of a list): the
+    one kernel behind the solves with an inverse constant pairing; a product
+    is formed only where the entry is nonzero too."""
     out = []
     for row in matrix:
         total = zero
-        for c, poly in zip(row, polys):
-            if c and poly._terms:
+        for k, poly in terms:
+            c = row[k]
+            if c:
                 total = total + poly * c
         out.append(total)
     return out
@@ -640,9 +685,10 @@ def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPo
 
 # -- Leibniz extension of a frame table ----------------------------------
 
-def nonzero_terms(comps: Sequence[ScalarPoly]) -> List[Tuple[int, ScalarPoly]]:
-    """The (index, component) pairs of the nonzero components."""
-    return [(k, c) for k, c in enumerate(comps) if c._terms]
+def nonzero_terms(comps: Sequence[ScalarPoly]) -> Tuple[Tuple[int, ScalarPoly], ...]:
+    """The (index, component) pairs of the nonzero components of a list; a
+    Section keeps its own (Section.nonzero)."""
+    return tuple([(k, c) for k, c in enumerate(comps) if c._terms])
 
 
 class FrameTable:
@@ -658,23 +704,25 @@ class FrameTable:
 
     def __init__(self, table: Sequence[Sequence[Section]],
                  frame_rho: Sequence[Sequence[ScalarPoly]]):
-        self.entries = tuple(tuple(nonzero_terms(sec.coeffs) for sec in row) for row in table)
+        self.entries = tuple(tuple(sec.nonzero() for sec in row) for row in table)
         self.anchors = tuple(nonzero_terms(rho) for rho in frame_rho)
 
 
 def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
-            bracket: bool = False, pair_entries: Sequence[Tuple[int, int, ScalarPoly]] = (),
+            bracket: bool = False, pair_rows: PairRows = (),
             d: Optional[Callable[[ScalarPoly], Section]] = None) -> Section:
     """The operator with frame table S, extended to sections by the Leibniz rules:
 
         sum over nonzero x_i, y_j of  x_i y_j S_ij + x_i rho_i(y_j) f_j,
         less y_j rho_j(x_i) f_i for a bracket,
-        plus y_j P_ij d(x_i) over the nonzero pairing entries (i, j, P_ij),
+        plus y_j P_ij d(x_i) over the nonzero pairing entries P_ij,
 
-    with f the frame of target and S and rho read off frame (see
-    FrameTable).  The one kernel behind the dull bracket, a Dorfman
-    connection, a Courant bracket, a TM-connection and the generator
-    bracket over TM + A*.  rho_i(y_j) and rho_j(x_i) come from vf_apply,
+    with f the frame of target, S and rho read off frame (see FrameTable)
+    and P off pair_rows (see `pairing_rows`; no pairing term when empty).
+    The one kernel behind the dull bracket, a Dorfman connection, a
+    Courant bracket, a TM-connection and the generator bracket over
+    TM + A*.  The nonzero x_i and y_j are the views of x and y
+    (Section.nonzero).  rho_i(y_j) and rho_j(x_i) come from vf_apply,
     so each coefficient is differentiated at most once (its gradient is
     kept, see ScalarPoly.gradient); x_i y_j is formed only when S_ij is
     nonzero, rho_i(y_j) only when rho_i is, and d(x_i) is taken once per
@@ -689,8 +737,7 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
     zero = target.zero_section()
     if x is x.bundle.zero_section() or y is y.bundle.zero_section():
         return zero
-    xs = [(i, phi) for i, phi in enumerate(x.coeffs) if phi._terms]
-    ys = [(j, psi) for j, psi in enumerate(y.coeffs) if psi._terms]
+    xs, ys = x.nonzero(), y.nonzero()
     if not (xs and ys):
         return zero
     sums: Dict[int, List[Tuple[ScalarPoly, ScalarPoly, int]]] = {}
@@ -711,17 +758,19 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
                 d_phi = vf_apply(base, anchors[j], phi)
                 if d_phi._terms:
                     sums.setdefault(i, []).append((psi, d_phi, -1))
-    d_x: Dict[int, Tuple[ScalarPoly, ...]] = {}
-    for i, j, entry in pair_entries:
-        phi, psi = x.coeffs[i], y.coeffs[j]
-        if not (phi._terms and psi._terms):
-            continue
-        if i not in d_x:
-            d_x[i] = d(phi).coeffs
-        factor = psi * entry
-        for k, c in enumerate(d_x[i]):
-            if c._terms:
-                sums.setdefault(k, []).append((factor, c, 1))
+    if pair_rows:
+        y_coeffs = y.coeffs
+        for i, phi in xs:
+            d_phi = None
+            for j, entry in pair_rows[i]:
+                psi = y_coeffs[j]
+                if not psi._terms:
+                    continue
+                if d_phi is None:
+                    d_phi = d(phi).nonzero()
+                factor = psi * entry
+                for k, c in d_phi:
+                    sums.setdefault(k, []).append((factor, c, 1))
     if not sums:
         return zero
     out = list(zero.coeffs)
@@ -738,12 +787,12 @@ def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
     acting on a function.
 
     x_terms gives the components of X as (index, X^i) pairs: the sparse
-    anchor rows of a FrameTable, or enumerate(comps) for dense components,
-    whose zeros are skipped.  base is the patch phi lives over: its
-    coordinates x_i are the order of phi.gradient(), which supplies the
-    partials.  A product is formed only where both X^i and d phi / d x_i
-    are nonzero.  A zero phi is returned at once, and any other vanishing
-    result is base.zero().
+    anchor rows of a FrameTable, a section's view (Section.nonzero), or
+    enumerate(comps) for dense components, whose zeros are skipped.  base
+    is the patch phi lives over: its coordinates x_i are the order of
+    phi.gradient(), which supplies the partials.  A product is formed only
+    where both X^i and d phi / d x_i are nonzero.  A zero phi is returned
+    at once, and any other vanishing result is base.zero().
     """
     if not phi._terms:
         return phi
@@ -754,6 +803,16 @@ def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
         if xi._terms and g._terms:
             total = xi * g if total is None else total + xi * g
     return total if total is not None and total._terms else base.zero()
+
+
+def vf_apply_each(x_terms: Sequence[Tuple[int, ScalarPoly]], sec: Section) -> List[ScalarPoly]:
+    """[X(s_k)] over the components of sec, for the vector field X with
+    these nonzero components: vf_apply runs on the nonzero s_k alone (the
+    view of sec), and a zero s_k stays as it is."""
+    out = list(sec.coeffs)
+    for k, c in sec.nonzero():
+        out[k] = vf_apply(sec.bundle.patch, x_terms, c)
+    return out
 
 
 def vf_bracket_comps(base: Patch, x: Sequence[ScalarPoly],
@@ -931,34 +990,40 @@ class SubBundle:
     def rank(self) -> int:
         return len(self.sections)
 
-    def _apply(self, matrix: Sequence[Sequence[Fraction]], coeffs: Sequence[ScalarPoly],
-               zero: ScalarPoly) -> List[ScalarPoly]:
-        if len(coeffs) != self.ambient.rank:
-            raise BundleError(f"{len(coeffs)} coefficients for {self.name} in rank "
+    def _checked(self, count: int, terms: Sequence[Tuple[int, ScalarPoly]]
+                 ) -> Sequence[Tuple[int, ScalarPoly]]:
+        """terms, the nonzero (k, v_k) of an ambient vector of count
+        coefficients; a vector of another length is refused."""
+        if count != self.ambient.rank:
+            raise BundleError(f"{count} coefficients for {self.name} in rank "
                               f"{self.ambient.rank}")
-        return constant_apply(matrix, coeffs, zero)
+        return terms
 
     def split(self, coeffs: Sequence[ScalarPoly], zero: ScalarPoly
               ) -> Tuple[List[ScalarPoly], List[ScalarPoly]]:
         """(frame coordinates, complement coordinates) of an ambient vector of
         polynomials over any variable list, whose zero is given."""
-        return self._apply(self._head, coeffs, zero), self._apply(self._rest, coeffs, zero)
+        terms = self._checked(len(coeffs), nonzero_terms(coeffs))
+        return constant_apply(self._head, terms, zero), constant_apply(self._rest, terms, zero)
 
     def contains(self, section: Section) -> bool:
-        return not any(c._terms for c in self._apply(self._rest, section.coeffs,
-                                                     self.ambient.patch.zero()))
+        terms = self._checked(section.bundle.rank, section.nonzero())
+        return not any(c._terms for c in constant_apply(self._rest, terms,
+                                                        self.ambient.patch.zero()))
 
     def residual(self, section: Section) -> Section:
         """Component of the section transverse to the span (zero iff member)."""
-        return _section(self.ambient, tuple(self._apply(self._projection, section.coeffs,
-                                                        self.ambient.patch.zero())))
+        terms = self._checked(section.bundle.rank, section.nonzero())
+        return _nonzero(self.ambient, tuple(constant_apply(self._projection, terms,
+                                                           self.ambient.patch.zero())))
 
     def coords(self, section: Section) -> List[ScalarPoly]:
         """Coefficients over the subbundle frame; section must be a member."""
-        head, rest = self.split(section.coeffs, self.ambient.patch.zero())
-        if any(r._terms for r in rest):
+        terms = self._checked(section.bundle.rank, section.nonzero())
+        zero = self.ambient.patch.zero()
+        if any(r._terms for r in constant_apply(self._rest, terms, zero)):
             raise BundleError(f"section is not in span of {self.name}")
-        return head
+        return constant_apply(self._head, terms, zero)
 
     def include(self, coeffs: Sequence[ScalarPoly]) -> Section:
         out = self.ambient.zero_section()

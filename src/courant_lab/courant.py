@@ -30,7 +30,8 @@ from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, r
                         record_metric, record_right_leibniz, record_symmetrized)
 from .bundle import (COTM, TM, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      constant_apply, d_scalar, db_canonical, leibniz,
-                     matrix_d, matrix_pair, nonzero_entries, pairing_matrix, vf_apply)
+                     matrix_d, matrix_pair, nonzero_terms, pairing_matrix, pairing_rows,
+                     vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import LieAlgebroidData, check_la_dirac
@@ -60,10 +61,10 @@ class CourantData:
         self.pairing = tuple(tuple(row) for row in pairing)
         self.symbols = tuple(tuple(row) for row in symbols)
         self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
-        # anchor images of the frame and the nonzero pairing entries; the
-        # anchor and the pairing are fixed once built
+        # anchor images of the frame and the rows of the pairing; the anchor
+        # and the pairing are fixed once built
         self.frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
-        self._pair_entries = nonzero_entries(self.pairing)
+        self.pair_rows = pairing_rows(self.pairing)
 
     def shifted(self, i: int, j: int, section: Section) -> "CourantData":
         """A new CourantData whose (i, j) bracket symbol is moved by section."""
@@ -74,7 +75,7 @@ class CourantData:
     # -- pairing and anchor ------------------------------------------------
 
     def pair(self, e1: Section, e2: Section) -> ScalarPoly:
-        return matrix_pair(self._pair_entries, e1, e2)
+        return matrix_pair(self.pair_rows, e1, e2)
 
     def d_matrix(self) -> List[List[ScalarPoly]]:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
@@ -82,7 +83,8 @@ class CourantData:
             return self._dmat
         p_inv = invert([[entry.constant_value() for entry in row] for row in self.pairing])
         # column l of the matrix is p_inv times row l of the anchor matrix
-        cols = [constant_apply(p_inv, row, self.bundle.patch.zero()) for row in self.anchor.matrix]
+        cols = [constant_apply(p_inv, nonzero_terms(row), self.bundle.patch.zero())
+                for row in self.anchor.matrix]
         self._dmat = [[col[m] for col in cols] for m in range(self.bundle.rank)]
         return self._dmat
 
@@ -93,7 +95,7 @@ class CourantData:
 
     def bracket(self, e1: Section, e2: Section) -> Section:
         return leibniz(e1, e2, self.frame_table, self.bundle, bracket=True,
-                       pair_entries=self._pair_entries, d=self.D)
+                       pair_rows=self.pair_rows, d=self.D)
 
     @cached_property
     def frame_table(self) -> FrameTable:

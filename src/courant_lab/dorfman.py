@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Tuple
 from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, FrameTable, HomSection,
                      Section, SubBundle, constant_apply, dual_pair, leibniz,
-                     matrix_d, matrix_pair, nonzero_entries, nonzero_terms, pairing_matrix,
+                     matrix_d, matrix_pair, nonzero_terms, pairing_matrix, pairing_rows,
                      vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
@@ -99,11 +99,11 @@ class PreDual:
         self.pairing = tuple(tuple(row) for row in pairing)
         self.dmat = tuple(tuple(row) for row in dmat)
         self.canonical = canonical
-        # the pairing is fixed once built
-        self._pair_entries = nonzero_entries(self.pairing)
+        # the pairing is fixed once built: its rows, as matrix_pair reads them
+        self.pair_rows = pairing_rows(self.pairing)
 
     def pair(self, q_sec: Section, b_sec: Section) -> ScalarPoly:
-        return matrix_pair(self._pair_entries, q_sec, b_sec)
+        return matrix_pair(self.pair_rows, q_sec, b_sec)
 
     def d(self, phi: ScalarPoly) -> Section:
         return matrix_d(self.b, self.dmat, phi)
@@ -172,7 +172,7 @@ class DorfmanConnection:
         if v.bundle is not q or s.bundle is not b:
             raise BundleError("apply expects sections of Q and B")
         return leibniz(v, s, self.frame_table, b,
-                       pair_entries=self.predual._pair_entries, d=self.predual.d)
+                       pair_rows=self.predual.pair_rows, d=self.predual.d)
 
     @cached_property
     def frame_table(self) -> FrameTable:
@@ -210,15 +210,17 @@ class DorfmanConnection:
         b_frames = predual.b.frame_sections()
         symbols = []
         for i in range(q.rank):
+            # rho(q_i)<q_j, b_k> over the nonzero pairing entries
+            derived = _derived_pairing(predual, bracket.frame_table.anchors[i])
             row = []
             for k in range(predual.b.rank):
                 rhs = []
                 for j in range(q.rank):
-                    value = vf_apply(q.patch, bracket.frame_table.anchors[i],
-                                     predual.pairing[j][k])
+                    value = derived[j].get(k, q.patch.zero())
                     pairing = predual.pair(bracket.structure[i][j], b_frames[k])
                     rhs.append(value - pairing if pairing._terms else value)
-                row.append(Section(predual.b, tuple(constant_apply(p, rhs, q.patch.zero()))))
+                row.append(Section(predual.b, tuple(constant_apply(p, nonzero_terms(rhs),
+                                                                   q.patch.zero()))))
             symbols.append(row)
         return cls(predual, bracket, symbols)
 
@@ -432,17 +434,28 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     q_frames = q.frame_sections()
     table = []
     for i in range(q.rank):
-        rho_i = nonzero_terms(anchor.column(i).coeffs)
+        derived = _derived_pairing(predual, anchor.column(i).nonzero())
         row = []
         for j in range(q.rank):
             values = []
             for k in range(b.rank):
-                value = vf_apply(q.patch, rho_i, predual.pairing[j][k])
+                value = derived[j].get(k, q.patch.zero())
                 pairing = predual.pair(q_frames[j], symbols[i][k])
                 values.append(value - pairing if pairing._terms else value)
-            row.append(Section(q, tuple(constant_apply(p_t, values, q.patch.zero()))))
+            row.append(Section(q, tuple(constant_apply(p_t, nonzero_terms(values),
+                                                       q.patch.zero()))))
         table.append(row)
     return AnchoredBracket(q, anchor, table)
+
+
+def _derived_pairing(predual: PreDual, rho: Sequence[Tuple[int, ScalarPoly]]
+                     ) -> List[Dict[int, ScalarPoly]]:
+    """X<q_j, b_k> = X(P_jk) for the vector field X with nonzero components
+    rho, as {k: X(P_jk)} for each j over the nonzero pairing entries (the
+    pairing rows): a zero entry gives a zero derivative, so it is not
+    differentiated."""
+    return [{k: vf_apply(predual.q.patch, rho, entry) for k, entry in row}
+            for row in predual.pair_rows]
 
 
 # -- constructions ----------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi, record_symmetrized
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, HomSection, Section,
                      courant_dorfman_form_part, db_canonical, dual_pair, lie_derivative_form,
-                     nonzero_terms, vf_apply, vf_bracket)
+                     vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport, NOT_APPLICABLE
@@ -215,12 +215,11 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     x = lad.x_part(v)
     xi = lad.xi_part(v)
     rho_a = lad.rho(a)
-    rho_terms = nonzero_terms(rho_a.coeffs)
-    comps = []
+    comps = vf_apply_each(rho_a.nonzero(), xi)
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
-        value = vf_apply(lad.base, rho_terms, xi.coeffs[k])
         pairing = dual_pair(xi, lad.a_bracket(a, ek))
-        comps.append(value - pairing if pairing._terms else value)
+        if pairing._terms:
+            comps[k] = comps[k] - pairing
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
     return lad.to_v(x=vf_bracket(rho_a, x), xi=new_xi)
 
@@ -283,8 +282,7 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         vname = lad.v_bundle.frame[i]
         x = lad.x_part(v)
         xi = lad.xi_part(v)
-        x_terms = nonzero_terms(x.coeffs)
-        x_of = [vf_apply(lad.base, x_terms, phi) for phi in a_batt.functions]
+        x_of = [vf_apply(lad.base, x.nonzero(), phi) for phi in a_batt.functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
             aname = lad.a_bundle.frame[k]
@@ -344,7 +342,8 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
             for q, (label_s, sigma) in enumerate(targets[n_v:]):
                 lhs = (delta.predual.pair(nablas[k][p], sigma)
                        + delta.predual.pair(v, nablas[k][n_v + q]))
-                rhs = vf_apply(lad.base, anchors[k], pairings[p][q])
+                paired = pairings[p][q]
+                rhs = vf_apply(lad.base, anchors[k], paired) if paired._terms else paired
                 defect = delta.predual.pair(skew[p][q], a_lift)
                 if defect._terms:
                     rhs = rhs - defect

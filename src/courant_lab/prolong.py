@@ -41,7 +41,8 @@ from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
                      Patch, Section, courant_dorfman_form_part, db_canonical, dual_pair,
                      dual_pair_comps, interior_two_form, lie_derivative_form, pairing_matrix,
-                     two_form_of_oneform, vf_apply, vf_bracket, vf_bracket_comps)
+                     two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket,
+                     vf_bracket_comps)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
 from .laops import LieAlgebroidData, basic_curvature
@@ -191,7 +192,7 @@ def _core_section(tp: TotalPatch, b: Bundle, comps: List[ScalarPoly]) -> LiftedS
 
 
 def total_pairing(s1: LiftedSection, s2: LiftedSection) -> ScalarPoly:
-    return dual_pair_comps(s1.form + s2.form, s2.vf + s1.vf, s1.total.zero())
+    return dual_pair_comps(enumerate(s1.form + s2.form), s2.vf + s1.vf, s1.total.zero())
 
 
 def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
@@ -268,10 +269,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     for i in range(q.rank):
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
             lhs = vf_apply(tp.patch, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
-            rhs = tp.linear([
-                _difference(vf_apply(q.patch, delta.bracket.frame_table.anchors[i], c),
-                            dual_pair(eta, value.component(VEC)))
-                for c, value in zip(eta.coeffs, applied[i])])
+            x_eta = vf_apply_each(delta.bracket.frame_table.anchors[i], eta)
+            rhs = tp.linear([_difference(x, dual_pair(eta, value.component(VEC)))
+                             for x, value in zip(x_eta, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
     return chk.report()
 
@@ -392,7 +392,7 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
         lhs = interior_two_form(tp.patch, pulled, table)
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
         rhs = [tp.zero()] * n + [
-            -tp.embed(dual_pair_comps(theta.coeffs, lad.bracket.frame_rho[k], base.zero()))
+            -tp.embed(dual_pair_comps(theta.nonzero(), lad.bracket.frame_rho[k], base.zero()))
             for k in range(r)]
         chk.record("sharp-of-pullback", label,
                    _vf_diff(tp, lhs, rhs))
@@ -444,7 +444,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     w = two_form_of_oneform(tp.allvars, theta)
 
     def omega_eval(v1: Sequence[ScalarPoly], v2: Sequence[ScalarPoly]) -> ScalarPoly:
-        return dual_pair_comps(interior_two_form(tp.patch, v1, w), v2, tp.zero())
+        return dual_pair_comps(enumerate(interior_two_form(tp.patch, v1, w)), v2, tp.zero())
 
     def linear_lift(x: Section) -> List[ScalarPoly]:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
@@ -563,7 +563,7 @@ class GeneratorAlgebra:
             for v in self.lad.v_bundle.frame_sections():
                 x = self.lad.x_part(v)
                 xi = self.lad.xi_part(v)
-                x_phi = vf_apply(base, enumerate(x.coeffs), phi)
+                x_phi = vf_apply(base, x.nonzero(), phi)
                 col = (self.lad.to_sigma(a=e_k).scale(x_phi)
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
@@ -718,11 +718,13 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         expected = [tp.embed(c) for c in lad.bracket.frame_rho[i]]
         for j in range(lad.v_bundle.rank):
             tau = lad.sigma_bundle.frame_section(alg.partner[j])
+            # X<v, tau> with X = rho(a), differentiated where <v, tau> is nonzero
+            paired = [delta.predual.pair(v, tau) for v in v_frames]
             expected.append(tp.linear([
-                _difference(vf_apply(lad.base, lad.bracket.frame_table.anchors[i],
-                                     delta.predual.pair(v, tau)),
+                _difference(vf_apply(lad.base, lad.bracket.frame_table.anchors[i], p)
+                            if p._terms else p,
                             delta.predual.pair(lad.basic_v(delta, a, v), tau))
-                for v in v_frames]))
+                for v, p in zip(v_frames, paired)]))
         chk.record("anchor-of-sigma", f"a{i + 1}", _vf_diff(tp, vf, expected))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
         vf = alg.theta(alg.dagger_of(sigma))

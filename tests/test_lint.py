@@ -13,7 +13,9 @@ Two kinds of hidden state fail it too: `functools.lru_cache` and
 class, and a `global` statement.  A memo lives on the immutable object it
 is derived from (`cached_property`, such as the battery of a `Patch` and
 of a `Bundle`, or the positional battery tables of an `AnchoredBracket`
-and a `DorfmanConnection`), in the value table of the per-spec
+and a `DorfmanConnection`; or a per-instance slot on an immutable object,
+such as the gradient and the hash of a `ScalarPoly` and the view of the
+nonzero components of a `Section`), in the value table of the per-spec
 `LieAlgebroidData`, or in a table local to one check.
 
 The stored form of a polynomial (int numerators over one denominator) is
@@ -35,6 +37,11 @@ reads the summand-offset API it replaced (`atom_index`, `atom_slice`,
 `Section.part`, `Section.with_part`) or the lookups behind `summand`,
 `component`, `join` and `positions`, which are the one way to read and
 write a summand.
+
+A section keeps its nonzero components (`Section.nonzero()`), and that
+view is the one way to read them: outside `bundle.py` no module rebuilds
+the scan, either as `nonzero_terms(<x>.coeffs)` or as a comprehension
+over `enumerate(<x>.coeffs)` filtered by `._terms`.
 """
 
 import ast
@@ -230,3 +237,42 @@ def test_only_bundle_reads_the_layout_of_a_direct_sum():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in LAYOUT_READS]
     assert found == []
+
+
+def _reads_coeffs(node):
+    """Whether node is `<x>.coeffs`."""
+    return isinstance(node, ast.Attribute) and node.attr == "coeffs"
+
+
+def _rescans_coeffs(node):
+    """Whether node rebuilds a section's nonzero view: the call
+    `nonzero_terms(<x>.coeffs)`, or a comprehension over
+    `enumerate(<x>.coeffs)` with an `if` that reads `._terms`."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "nonzero_terms" and node.args and _reads_coeffs(node.args[0])):
+        return True
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        for gen in node.generators:
+            source = gen.iter
+            if (isinstance(source, ast.Call) and isinstance(source.func, ast.Name)
+                    and source.func.id == "enumerate" and source.args
+                    and _reads_coeffs(source.args[0])
+                    and any(isinstance(sub, ast.Attribute) and sub.attr == "_terms"
+                            for cond in gen.ifs for sub in ast.walk(cond))):
+                return True
+    return False
+
+
+def test_only_bundle_scans_a_section_for_its_nonzero_components():
+    found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
+             if module != "bundle.py" for node in ast.walk(tree) if _rescans_coeffs(node)]
+    assert found == []
+
+
+def test_the_rescan_rule_sees_both_forms():
+    # the rule is not vacuous: it flags the two forms the view replaced
+    for text in ("terms = nonzero_terms(x.coeffs)",
+                 "xs = [(i, c) for i, c in enumerate(x.coeffs) if c._terms]"):
+        assert any(_rescans_coeffs(node) for node in ast.walk(ast.parse(text)))
+    assert not any(_rescans_coeffs(node) for node in ast.walk(ast.parse(
+        "terms = nonzero_terms(row); xs = [c for i, c in enumerate(x.coeffs)]")))

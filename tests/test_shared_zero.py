@@ -6,6 +6,12 @@ polynomial and a `Bundle` one zero section, and every kernel below whose
 result vanishes returns that owner's zero, or an operand it hands back
 unchanged, never a zero of its own.  The test counts, over one
 `verify-all --seed 7`, the vanishing results that are neither.
+
+Nor is a zero differentiated: every caller of `vf_apply` skips a zero
+function (through a section's view, the nonzero pairing rows or a test
+for zero first), so `vf_apply` never hands back a zero operand.  Before
+the callers skipped them, 1,566 of its calls there acted on a zero
+function.
 """
 
 import importlib
@@ -18,7 +24,7 @@ import pytest
 
 import courant_lab
 from courant_lab import bundle, prolong
-from courant_lab.bundle import Bundle, HomSection, Section
+from courant_lab.bundle import Bundle, HomSection, Section, SubBundle
 from courant_lab.cli import main
 from courant_lab.poly import ScalarPoly
 
@@ -63,6 +69,7 @@ METHODS = {
     (Section, "component"): _section_kernel(()),
     (Bundle, "join"): _section_kernel(()),
     (HomSection, "apply"): _section_kernel((1,)),
+    (SubBundle, "residual"): _section_kernel(()),
     (ScalarPoly, "__neg__"): _poly_kernel(None, (0,)),
     (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0]),
 }
@@ -116,4 +123,7 @@ def test_verify_all_builds_no_zero_of_its_own(zero_results):
     assert sum(zero_results[name, "shared"] for name in kernels) > 10_000
     built = {name: zero_results[name, "built"] for name in kernels if zero_results[name, "built"]}
     assert built == {}
+    # vf_apply returns phi itself exactly when phi is zero
+    assert zero_results["vf_apply", "calls"] > 10_000
+    assert zero_results["vf_apply", "operand"] == 0
 
