@@ -26,8 +26,10 @@ A section carries its nonzero components: Section.nonzero() gives the
 (index, coefficient) pairs of its nonzero coefficients, found on the first
 call and kept by the section (it is immutable, so the view never goes
 stale).  Every section kernel here iterates that view instead of the
-coefficients, and no other module rescans a section's coefficients for
-its nonzero ones.  A pairing matrix is read as rows, the nonzero (j, P_ij)
+coefficients, the Cartan kernels take views (a section's, a lifted
+section's of `prolong`, or FrameTable anchors) rather than coefficient
+lists, and no other module rescans a section's coefficients for its
+nonzero ones.  A pairing matrix is read as rows, the nonzero (j, P_ij)
 of each left frame index i (pairing_rows), which `matrix_pair` and
 `leibniz` walk against the left operand's view.
 
@@ -64,6 +66,9 @@ VEC = "V"
 VEC_DUAL = "V*"
 
 _DUAL_KIND = {TM: COTM, COTM: TM, VEC: VEC_DUAL, VEC_DUAL: VEC}
+
+# a view: the nonzero (index, component) pairs of a vector, in index order
+Terms = Sequence[Tuple[int, ScalarPoly]]
 
 
 class BundleError(ValueError):
@@ -346,7 +351,7 @@ class Section:
         self.coeffs = tuple(coeffs)
         self._nonzero = None
 
-    def nonzero(self) -> Tuple[Tuple[int, ScalarPoly], ...]:
+    def nonzero(self) -> Terms:
         """The (index, coefficient) pairs of the nonzero coefficients, in
         frame order: computed on the first call, the same tuple afterwards."""
         view = self._nonzero
@@ -598,7 +603,7 @@ def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
     return matrix
 
 
-PairRows = Tuple[Tuple[Tuple[int, ScalarPoly], ...], ...]
+PairRows = Tuple[Terms, ...]
 
 
 def pairing_rows(matrix: Sequence[Sequence[ScalarPoly]]) -> PairRows:
@@ -651,7 +656,7 @@ def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     return bundle_b.join(d_scalar(bundle_b.patch, phi))
 
 
-def constant_apply(matrix: Sequence[Sequence[Rational]], terms: Sequence[Tuple[int, ScalarPoly]],
+def constant_apply(matrix: Sequence[Sequence[Rational]], terms: Terms,
                    zero: ScalarPoly) -> List[ScalarPoly]:
     """matrix . v for a constant matrix and a vector v of polynomials given by
     its nonzero (k, v_k) (a section's view, or nonzero_terms of a list): the
@@ -685,7 +690,7 @@ def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPo
 
 # -- Leibniz extension of a frame table ----------------------------------
 
-def nonzero_terms(comps: Sequence[ScalarPoly]) -> Tuple[Tuple[int, ScalarPoly], ...]:
+def nonzero_terms(comps: Sequence[ScalarPoly]) -> Terms:
     """The (index, component) pairs of the nonzero components of a list; a
     Section keeps its own (Section.nonzero)."""
     return tuple([(k, c) for k, c in enumerate(comps) if c._terms])
@@ -805,7 +810,7 @@ def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
     return total if total is not None and total._terms else base.zero()
 
 
-def vf_apply_each(x_terms: Sequence[Tuple[int, ScalarPoly]], sec: Section) -> List[ScalarPoly]:
+def vf_apply_each(x_terms: Terms, sec: Section) -> List[ScalarPoly]:
     """[X(s_k)] over the components of sec, for the vector field X with
     these nonzero components: vf_apply runs on the nonzero s_k alone (the
     view of sec), and a zero s_k stays as it is."""
@@ -815,43 +820,45 @@ def vf_apply_each(x_terms: Sequence[Tuple[int, ScalarPoly]], sec: Section) -> Li
     return out
 
 
-def vf_bracket_comps(base: Patch, x: Sequence[ScalarPoly],
-                     y: Sequence[ScalarPoly]) -> List[ScalarPoly]:
-    """[X, Y]^j = X(Y^j) - Y(X^j); vf_apply runs only on nonzero components,
-    and a zero X or Y gives the patch's zero in every component."""
-    x_terms, y_terms = nonzero_terms(x), nonzero_terms(y)
+def vf_bracket_comps(base: Patch, x_terms: Terms, y_terms: Terms) -> List[ScalarPoly]:
+    """[X, Y]^j = X(Y^j) - Y(X^j) for X and Y given by their views (a
+    section's, a lifted section's, FrameTable anchors): vf_apply runs only on
+    nonzero components, and a zero X or Y gives the patch's zero in every one."""
     zero = base.zero()
-    if not (x_terms and y_terms):
-        return [zero] * base.dim
-    out = []
-    for j in range(base.dim):
-        lhs = vf_apply(base, x_terms, y[j]) if y[j]._terms else zero
-        if x[j]._terms:
-            rhs = vf_apply(base, y_terms, x[j])
+    out = [zero] * base.dim
+    if x_terms and y_terms:
+        for j, c in y_terms:
+            out[j] = vf_apply(base, x_terms, c)
+        for j, c in x_terms:
+            rhs = vf_apply(base, y_terms, c)
             if rhs._terms:
-                lhs = lhs - rhs
-        out.append(lhs if lhs._terms else zero)
+                value = out[j] - rhs
+                out[j] = value if value._terms else zero
     return out
 
 
-def lie_form_comps(base: Patch, x: Sequence[ScalarPoly],
-                   theta: Sequence[ScalarPoly]) -> List[ScalarPoly]:
-    """(L_X theta)_j = X(theta_j) + sum_i theta_i d_j X^i; vf_apply runs only
-    on nonzero components, and a zero X gives the patch's zero in every
-    component."""
-    x_terms = nonzero_terms(x)
-    zero = base.zero()
-    if not x_terms:
-        return [zero] * base.dim
-    pairs = [(t, xi.gradient()) for t, xi in zip(theta, x) if t._terms]
-    out = []
-    for j in range(base.dim):
-        term = vf_apply(base, x_terms, theta[j]) if theta[j]._terms else zero
-        for t, grad in pairs:
+def lie_form_comps(base: Patch, x_terms: Terms, theta_terms: Terms) -> List[ScalarPoly]:
+    """(L_X theta)_j = X(theta_j) + sum_i theta_i d_j X^i for X and theta
+    given by their views, as in vf_bracket_comps."""
+    out = [base.zero()] * base.dim
+    if x_terms:
+        for j, t in theta_terms:
+            out[j] = vf_apply(base, x_terms, t)
+        thetas = dict(theta_terms)
+        _add_gradient_terms(out, [(thetas[i], xi.gradient()) for i, xi in x_terms if i in thetas],
+                            base.zero())
+    return out
+
+
+def _add_gradient_terms(out: List[ScalarPoly], pairs: Sequence[Tuple[ScalarPoly, Sequence[ScalarPoly]]],
+                        zero: ScalarPoly) -> None:
+    """out[j] += sum c * grad[j] over the (c, grad) of pairs, in place, and
+    a vanishing out[j] becomes zero."""
+    for j, value in enumerate(out):
+        for c, grad in pairs:
             if grad[j]._terms:
-                term = term + t * grad[j]
-        out.append(term if term._terms else zero)
-    return out
+                value = value + c * grad[j]
+        out[j] = value if value._terms else zero
 
 
 def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> List[List[ScalarPoly]]:
@@ -883,7 +890,7 @@ def vf_bracket(x: Section, y: Section) -> Section:
     tangent = Bundle.tangent(base)
     if x.bundle is not tangent or y.bundle is not tangent:
         raise BundleError("vf_bracket expects two TM sections over one patch")
-    return _nonzero(x.bundle, tuple(vf_bracket_comps(base, x.coeffs, y.coeffs)))
+    return _nonzero(x.bundle, tuple(vf_bracket_comps(base, x.nonzero(), y.nonzero())))
 
 
 def lie_derivative_form(x: Section, theta: Section) -> Section:
@@ -892,30 +899,26 @@ def lie_derivative_form(x: Section, theta: Section) -> Section:
     cotangent = Bundle.cotangent(base)
     if theta.bundle is not cotangent:
         raise BundleError("lie_derivative_form expects a T*M section")
-    return _nonzero(theta.bundle, tuple(lie_form_comps(base, x.coeffs, theta.coeffs)))
+    return _nonzero(theta.bundle, tuple(lie_form_comps(base, x.nonzero(), theta.nonzero())))
 
 
-def courant_dorfman_form_part(x1, theta1, x2, theta2, base: Patch):
-    """The T*M-component L_{X1} theta2 - i_{X2} d theta1, over the patch the
-    components live over.
+def courant_dorfman_form_part(x1, theta1, x2, theta2, base: Patch) -> List[ScalarPoly]:
+    """The T*M-component L_{X1} theta2 - i_{X2} d theta1 for X1, theta1, X2
+    and theta2 given by their views (see vf_bracket_comps), over the patch
+    the components live over.
 
-    i_{X2} d theta1 is taken as X2(theta1_j) - sum_i X2^i d_j theta1_i, so a
-    zero component of X2 or theta1 costs no partial derivative.
+    i_{X2} d theta1 is taken as X2(theta1_j) - sum_i X2^i d_j theta1_i, so
+    only a nonzero theta1_i with a nonzero X2^i is differentiated.
     """
-    pairs = [(c, t.gradient()) for c, t in zip(x2, theta1) if c._terms and t._terms]
-    x2_terms = nonzero_terms(x2)
-    zero = base.zero()
-    out = []
-    for j, lie in enumerate(lie_form_comps(base, x1, theta2)):
-        value = lie
-        if theta1[j]._terms:
-            d_theta = vf_apply(base, x2_terms, theta1[j])
+    out = lie_form_comps(base, x1, theta2)
+    if x2 and theta1:
+        for j, t in theta1:
+            d_theta = vf_apply(base, x2, t)
             if d_theta._terms:
-                value = lie - d_theta
-        for c, grad in pairs:
-            if grad[j]._terms:
-                value = value + c * grad[j]
-        out.append(value if value._terms else zero)
+                out[j] = out[j] - d_theta
+        x2s = dict(x2)
+        _add_gradient_terms(out, [(x2s[i], t.gradient()) for i, t in theta1 if i in x2s],
+                            base.zero())
     return out
 
 
@@ -990,36 +993,33 @@ class SubBundle:
     def rank(self) -> int:
         return len(self.sections)
 
-    def _checked(self, count: int, terms: Sequence[Tuple[int, ScalarPoly]]
-                 ) -> Sequence[Tuple[int, ScalarPoly]]:
-        """terms, the nonzero (k, v_k) of an ambient vector of count
-        coefficients; a vector of another length is refused."""
+    def _view(self, section: Section) -> Terms:
+        """The view of an ambient section; a section of another rank is refused."""
+        count = section.bundle.rank
         if count != self.ambient.rank:
-            raise BundleError(f"{count} coefficients for {self.name} in rank "
-                              f"{self.ambient.rank}")
-        return terms
+            raise BundleError(f"{count} coefficients for {self.name} in rank {self.ambient.rank}")
+        return section.nonzero()
 
-    def split(self, coeffs: Sequence[ScalarPoly], zero: ScalarPoly
-              ) -> Tuple[List[ScalarPoly], List[ScalarPoly]]:
+    def split(self, terms: Terms, zero: ScalarPoly) -> Tuple[List[ScalarPoly], List[ScalarPoly]]:
         """(frame coordinates, complement coordinates) of an ambient vector of
-        polynomials over any variable list, whose zero is given."""
-        terms = self._checked(len(coeffs), nonzero_terms(coeffs))
+        polynomials over any variable list, given by its view, whose zero is
+        given."""
         return constant_apply(self._head, terms, zero), constant_apply(self._rest, terms, zero)
 
     def contains(self, section: Section) -> bool:
-        terms = self._checked(section.bundle.rank, section.nonzero())
+        terms = self._view(section)
         return not any(c._terms for c in constant_apply(self._rest, terms,
                                                         self.ambient.patch.zero()))
 
     def residual(self, section: Section) -> Section:
         """Component of the section transverse to the span (zero iff member)."""
-        terms = self._checked(section.bundle.rank, section.nonzero())
+        terms = self._view(section)
         return _nonzero(self.ambient, tuple(constant_apply(self._projection, terms,
                                                            self.ambient.patch.zero())))
 
     def coords(self, section: Section) -> List[ScalarPoly]:
         """Coefficients over the subbundle frame; section must be a member."""
-        terms = self._checked(section.bundle.rank, section.nonzero())
+        terms = self._view(section)
         zero = self.ambient.patch.zero()
         if any(r._terms for r in constant_apply(self._rest, terms, zero)):
             raise BundleError(f"section is not in span of {self.name}")

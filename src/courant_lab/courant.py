@@ -162,8 +162,7 @@ class ManinPairData:
         sigma = kappa + omega with kappa in K and omega in the deterministic
         complement W; the class is (u + (rho,rho*) kappa) + omega.
         """
-        k_coords, w_coords = self.k_sub.split(sigma_sec.coeffs,
-                                                sigma_sec.bundle.patch.zero())
+        k_coords, w_coords = self.k_sub.split(sigma_sec.nonzero(), sigma_sec.bundle.patch.zero())
         kappa = self.k_sub.include(k_coords)
         shifted = u_sec + self.lad.pair_map().apply(kappa)
         u_coords = self.u_sub.coords(shifted)
@@ -464,7 +463,7 @@ def roundtrip_check(lad: LieAlgebroidData, triple: VBTriple,
                 mp.c_bundle.frame_section(i),
                 mp.normalize(lad.v_bundle.zero_section(), tau))
             direct = triple.delta.apply(triple.u_sub.sections[i], tau)
-            _, w_coords = triple.k_sub.split(direct.coeffs, direct.bundle.patch.zero())
+            _, w_coords = triple.k_sub.split(direct.nonzero(), direct.bundle.patch.zero())
             diff = [a - b if b._terms else a for a, b in zip(value.coeffs[p:], w_coords)]
             chk.record("read-off", f"(u{i + 1}; sigma{j + 1})",
                        Section(mp.c_bundle, tuple([lad.base.zero()] * p + diff)))

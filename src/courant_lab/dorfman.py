@@ -558,7 +558,7 @@ def bott_dorfman(courant, k_sub: SubBundle):
     comp_sections = [Section(big, tuple(base.const(v) for v in vec)) for vec in comp_vectors]
 
     def project(section: Section) -> Section:
-        _, rest = k_sub.split(section.coeffs, section.bundle.patch.zero())
+        _, rest = k_sub.split(section.nonzero(), section.bundle.patch.zero())
         return Section(quotient, tuple(rest))
 
     pairing = [[courant.pair(k1, w) for w in comp_sections] for k1 in k_sub.sections]

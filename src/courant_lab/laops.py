@@ -228,8 +228,8 @@ def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Sec
     """[(a,theta),(b,omega)]_D = ([a,b], L_{rho(a)} omega - i_{rho(b)} d theta)."""
     a, theta = lad.a_part(s1), lad.theta_part(s1)
     b, omg = lad.a_part(s2), lad.theta_part(s2)
-    form = courant_dorfman_form_part(lad.rho(a).coeffs, theta.coeffs,
-                                     lad.rho(b).coeffs, omg.coeffs, lad.base)
+    form = courant_dorfman_form_part(lad.rho(a).nonzero(), theta.nonzero(),
+                                     lad.rho(b).nonzero(), omg.nonzero(), lad.base)
     return lad.to_sigma(a=lad.a_bracket(a, b),
                         theta=Section(Bundle.cotangent(lad.base), tuple(form)))
 

@@ -572,7 +572,8 @@ def _ratio_str(num: int, den: int) -> str:
 # ident    := letter (letter|digit)*
 #
 # Whitespace is insignificant.  '/' is only legal inside a rational
-# literal; dividing by anything else is rejected.
+# literal; dividing by anything else is rejected.  A negated atom takes
+# no '^': the grammar would read -x1^2 as (-x1)^2, so it is refused.
 
 
 class _Parser:
@@ -638,8 +639,15 @@ class _Parser:
     def parse_atom(self) -> ScalarPoly:
         ch = self.peek()
         if ch == "-":
+            start = self.pos
             self.take()
-            return -self.parse_atom()
+            atom = self.parse_atom()
+            if self.peek() == "^":  # the grammar would read -x^2 as (-x)^2
+                base = self.text[start + 1:self.pos].strip()
+                self.take()
+                e = self.parse_uint()
+                raise PolySyntaxError(f"-{base}^{e} is ambiguous: write -({base}^{e}) or (-{base})^{e}", start)
+            return -atom
         if ch == "(":
             self.take()
             inner = self.parse_poly()

@@ -8,8 +8,8 @@ runs in full (n+r)-dimensional coordinates.  Agreement of the two routes
 is the package's master invariant.
 
 The total-space calculus runs on the shared kernels of `bundle` over the
-`Patch` of a `TotalPatch`: `vf_apply`, `dual_pair_comps` (the
-pairing kernel behind `dual_pair`, on coefficient tuples),
+`Patch` of a `TotalPatch`: `vf_apply`, `dual_pair_comps`, the Cartan
+kernels (handed the views a lifted section keeps, LiftedSection.nonzero),
 `interior_two_form` and `HomSection.transpose`; every fiberwise-linear
 function sum_k c_k(x) y_k is built by `TotalPatch.linear`.  The generator
 calculus over TM + A* is a `Section` calculus too: its elements are
@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
-                     Patch, Section, courant_dorfman_form_part, db_canonical, dual_pair,
+                     Patch, Section, Terms, courant_dorfman_form_part, db_canonical, dual_pair,
                      dual_pair_comps, interior_two_form, lie_derivative_form, pairing_matrix,
                      two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket,
                      vf_bracket_comps)
@@ -110,9 +110,12 @@ def total_patch_of(bundle: Bundle, prefix: str = "y") -> TotalPatch:
 
 
 class LiftedSection:
-    """A section of TE + T*E over E: a vector field and a 1-form in (x, y)."""
+    """A section of TE + T*E over E: a vector field and a 1-form in (x, y).
 
-    __slots__ = ("total", "vf", "form")
+    Like a Section it keeps the views of its nonzero components (nonzero()),
+    and `-`, `scale`, `is_zero`, the printer and the kernels read them."""
+
+    __slots__ = ("total", "vf", "form", "_nonzero")  # see nonzero()
 
     def __init__(self, total: TotalPatch, vf: Sequence[ScalarPoly],
                  form: Sequence[ScalarPoly]):
@@ -121,29 +124,54 @@ class LiftedSection:
         self.total = total
         self.vf = tuple(vf)
         self.form = tuple(form)
+        self._nonzero = None
 
-    # zero components are skipped, and kept as the same objects a
-    # ScalarPoly operation with a zero operand would return
+    def nonzero(self) -> Tuple[Terms, Terms]:
+        """The views of vf and of form (see Section.nonzero), found once."""
+        if self._nonzero is None:
+            self._nonzero = tuple(tuple([(k, c) for k, c in enumerate(comps) if c._terms])
+                                  for comps in (self.vf, self.form))
+        return self._nonzero
+
+    # a component is subtracted only where other's is nonzero
     def __sub__(self, other: "LiftedSection") -> "LiftedSection":
-        return LiftedSection(self.total,
-                             [a - b if b._terms else a for a, b in zip(self.vf, other.vf)],
-                             [a - b if b._terms else a for a, b in zip(self.form, other.form)])
+        vf, form = list(self.vf), list(self.form)
+        for comps, terms in zip((vf, form), other.nonzero()):
+            for k, c in terms:
+                comps[k] = comps[k] - c
+        return _lifted(self.total, tuple(vf), tuple(form))
 
     def scale(self, factor: ScalarPoly) -> "LiftedSection":
-        if not factor._terms:
-            zeros = [factor] * self.total.dim
-            return LiftedSection(self.total, zeros, zeros)
-        return LiftedSection(self.total, [factor * a if a._terms else a for a in self.vf],
-                             [factor * a if a._terms else a for a in self.form])
+        # a product of nonzero polynomials is nonzero: the views carry over
+        views = self.nonzero() if factor._terms else ((), ())
+        return _from_views(self.total, *(tuple([(k, factor * c) for k, c in v]) for v in views))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.vf) and all(c.is_zero() for c in self.form)
+        return not any(self.nonzero())
 
     def __str__(self) -> str:
-        names = self.total.allvars
-        vf = " + ".join(f"({c})*d/d{v}" for c, v in zip(self.vf, names) if not c.is_zero())
-        fm = " + ".join(f"({c})*d{v}" for c, v in zip(self.form, names) if not c.is_zero())
+        names, (vf, form) = self.total.allvars, self.nonzero()
+        vf = " + ".join(f"({c})*d/d{names[k]}" for k, c in vf)
+        fm = " + ".join(f"({c})*d{names[k]}" for k, c in form)
         return f"({vf or '0'}; {fm or '0'})"
+
+
+def _lifted(tp: TotalPatch, vf: Tuple[ScalarPoly, ...], form: Tuple[ScalarPoly, ...],
+            views=None) -> LiftedSection:
+    """A LiftedSection over tp.dim polynomials in each of vf and form, as ring
+    ops and kernels give them, unchecked; views, if given, is its nonzero()."""
+    sec = object.__new__(LiftedSection)
+    sec.total, sec.vf, sec.form, sec._nonzero = tp, vf, form, views
+    return sec
+
+
+def _from_views(tp: TotalPatch, *views) -> LiftedSection:
+    """The LiftedSection whose nonzero() is views, the other components zero."""
+    dense = [[tp.zero()] * tp.dim, [tp.zero()] * tp.dim]
+    for comps, terms in zip(dense, views):
+        for k, c in terms:
+            comps[k] = c
+    return _lifted(tp, tuple(dense[0]), tuple(dense[1]), views)
 
 
 # -- lifts -------------------------------------------------------------------
@@ -151,7 +179,7 @@ class LiftedSection:
 
 def lift_core(tp: TotalPatch, sigma: Section) -> LiftedSection:
     """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form."""
-    return _core_section(tp, sigma.bundle, [tp.embed(c) for c in sigma.coeffs])
+    return _core_section(tp, sigma.bundle, [(k, tp.embed(c)) for k, c in sigma.nonzero()])
 
 
 def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
@@ -172,34 +200,37 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
     if cols is None:
         cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(VEC)]
     rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
-    return horizontal - _core_section(tp, b, rows)
+    return horizontal - _core_section(tp, b, enumerate(rows))
 
 
 def vertical_hom(tp: TotalPatch, delta: DorfmanConnection, hom: HomSection) -> LiftedSection:
     """Phi^ for Phi: E -> E + T*M, evaluated on the tautological section."""
-    return _core_section(tp, delta.b, [tp.linear(row) for row in hom.matrix])
+    return _core_section(tp, delta.b, enumerate(tp.linear(row) for row in hom.matrix))
 
 
-def _core_section(tp: TotalPatch, b: Bundle, comps: List[ScalarPoly]) -> LiftedSection:
-    # comps are total-space functions in B = E + T*M frame order: the E-part
-    # is a vertical vector field, the T*M-part a form along the base
-    n, r = len(tp.base_coords), len(tp.fiber_coords)
-    return LiftedSection(tp, [tp.zero()] * n + [comps[k] for k in b.positions(VEC)],
-                         [comps[k] for k in b.positions(COTM)] + [tp.zero()] * r)
+def _core_section(tp: TotalPatch, b: Bundle, terms: Iterable[Tuple[int, ScalarPoly]]
+                  ) -> LiftedSection:
+    # terms are the (k, c_k), zeros skipped, of a total-space vector in B = E + T*M
+    # order: the E-part is a vertical vector field, the T*M-part a form along the base
+    n, vec, cotm = len(tp.base_coords), b.positions(VEC), b.positions(COTM)
+    terms = [(k, c) for k, c in terms if c._terms]
+    return _from_views(tp, tuple([(n + k - vec.start, c) for k, c in terms if k in vec]),
+                       tuple([(k - cotm.start, c) for k, c in terms if k in cotm]))
 
 
 # -- total-space Courant calculus --------------------------------------------
 
 
 def total_pairing(s1: LiftedSection, s2: LiftedSection) -> ScalarPoly:
-    return dual_pair_comps(enumerate(s1.form + s2.form), s2.vf + s1.vf, s1.total.zero())
+    # theta1(X2) + theta2(X1), the second sum starting from the first
+    (_, theta1), (_, theta2) = s1.nonzero(), s2.nonzero()
+    return dual_pair_comps(theta2, s1.vf, dual_pair_comps(theta1, s2.vf, s1.total.zero()))
 
 
 def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
-    base = s1.total.patch
-    vf = vf_bracket_comps(base, s1.vf, s2.vf)
-    form = courant_dorfman_form_part(s1.vf, s1.form, s2.vf, s2.form, base)
-    return LiftedSection(s1.total, vf, form)
+    base, (x1, theta1), (x2, theta2) = s1.total.patch, s1.nonzero(), s2.nonzero()
+    return _lifted(s1.total, tuple(vf_bracket_comps(base, x1, x2)),
+                   tuple(courant_dorfman_form_part(x1, theta1, x2, theta2, base)))
 
 
 # -- the splitting theorems ---------------------------------------------------
@@ -268,7 +299,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     eta_batt = e_bundle.dual().battery
     for i in range(q.rank):
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
-            lhs = vf_apply(tp.patch, enumerate(lifts[i].vf), tp.linear(eta.coeffs))
+            lhs = vf_apply(tp.patch, lifts[i].nonzero()[0], tp.linear(eta.coeffs))
             x_eta = vf_apply_each(delta.bracket.frame_table.anchors[i], eta)
             rhs = tp.linear([_difference(x, dual_pair(eta, value.component(VEC)))
                              for x, value in zip(x_eta, applied[i])])
@@ -328,30 +359,26 @@ def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
     """
     # the (d/dx, dy) components are constant-coefficient in the U-frame:
     # solve for the linear coefficients, subtract, then match core parts
-    tp = section.total
-    n, r = len(tp.base_coords), len(tp.fiber_coords)
-    projected = list(section.vf[:n]) + list(section.form[n:])
-    u_coords, u_rest = triple.u_sub.split(projected, tp.zero())
-    if any(not c.is_zero() for c in u_rest):
+    tp, (vf, form) = section.total, section.nonzero()
+    n = len(tp.base_coords)
+    projected = (tuple([(k, c) for k, c in vf if k < n]), tuple([(k, c) for k, c in form if k >= n]))
+    u_coords, u_rest = triple.u_sub.split(projected[0] + projected[1], tp.zero())
+    if any(c._terms for c in u_rest):
         # the projection already fails to lie over U
-        return LiftedSection(tp, list(section.vf[:n]) + [tp.zero()] * r,
-                             [tp.zero()] * n + list(section.form[n:]))
+        return _from_views(tp, *projected)
     remainder = section
     for coeff, lift in zip(u_coords, u_lifts):
-        remainder = remainder - lift.scale(coeff)
+        if coeff._terms:
+            remainder = remainder - lift.scale(coeff)
     # remainder must be a K-core combination: no d/dx, no dy components
-    if any(not c.is_zero() for c in remainder.vf[:n] + remainder.form[n:]):
+    vf, form = remainder.nonzero()
+    if any(k < n for k, _ in vf) or any(k >= n for k, _ in form):
         return remainder
-    # order the core vector as (E-part, T*M-part) to match K's ambient
-    b = triple.delta.b
-    ordered = [None] * b.rank
-    for kind, comps in ((VEC, remainder.vf[n:]), (COTM, remainder.form[:n])):
-        for k, c in zip(b.positions(kind), comps):
-            ordered[k] = c
-    _, rest = triple.k_sub.split(ordered, tp.zero())
-    if all(c.is_zero() for c in rest):
-        return LiftedSection(tp, [tp.zero()] * (n + r), [tp.zero()] * (n + r))
-    return remainder
+    # the core vector in (E-part, T*M-part) frame positions, K's ambient
+    vec, cotm = triple.delta.b.positions(VEC), triple.delta.b.positions(COTM)
+    _, rest = triple.k_sub.split([(vec[k - n], c) for k, c in vf]
+                                 + [(cotm[k], c) for k, c in form], tp.zero())
+    return remainder if any(c._terms for c in rest) else _from_views(tp, (), ())
 
 
 # -- linear almost Poisson structure on the dual -------------------------------
@@ -648,7 +675,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                     tuple(gens + [gen.scale(c) for c, gen in zip(factors, gens)]),
                     tuple(range(len(gens))))
     pairs = BatteryTable(elems, elems).full(alg.bracket)
-    anchors = [alg.theta(e) for e in elems.sections]
+    anchors = [alg.anchored.rho(e).nonzero() for e in elems.sections]
     for p, n1 in enumerate(elems.labels):
         for q, n2 in enumerate(elems.labels):
             chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])

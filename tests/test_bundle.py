@@ -143,8 +143,8 @@ def test_cartan_identity():
             # the form part of the Courant-Dorfman bracket: L_Y eta - i_X d theta
             for y in xs:
                 for eta in thetas:
-                    assert courant_dorfman_form_part(y.coeffs, theta.coeffs, x.coeffs,
-                                                     eta.coeffs, BASE) == \
+                    assert courant_dorfman_form_part(y.nonzero(), theta.nonzero(), x.nonzero(),
+                                                     eta.nonzero(), BASE) == \
                         [a - b for a, b in zip(lie_derivative_form(y, eta).coeffs, contraction)]
 
 
@@ -193,7 +193,7 @@ def test_subbundle_projection_decomposes_every_section():
     complement = [B.section(dict(zip(B.frame, vec))) for vec in k.complement]
     member = k.include([BASE.coord("x1"), BASE.const(Fraction(1, 3))])
     for s in random_sections(B, 4, random.Random(3)) + [member, B.zero_section()]:
-        head, rest = k.split(s.coeffs, BASE.zero())
+        head, rest = k.split(s.nonzero(), BASE.zero())
         transverse = B.zero_section()
         for coeff, w in zip(rest, complement):
             transverse = transverse + w.scale(coeff)

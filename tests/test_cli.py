@@ -291,6 +291,21 @@ def test_repeated_declarations_are_spec_errors(tmp_path, capsys, text, line, mes
     assert f"line {line}: {message}" in capsys.readouterr().err
 
 
+def test_a_negated_power_is_a_spec_error(tmp_path, capsys):
+    # -x1^2 would read as (-x1)^2 = x1^2: the spec is refused on its line
+    text = MINIMAL.replace("x2, eps = x1*eps", "x2, eps = -x1^2*eps")
+    message = "-x1^2 is ambiguous: write -(x1^2) or (-x1)^2"
+    with pytest.raises(SpecError, match=re.escape(message)) as err:
+        parse_spec(text)
+    assert err.value.line == text.splitlines().index("x2, eps = -x1^2*eps") + 1 == 10
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "line 10: " in captured.err and message in captured.err
+    assert "Traceback" not in captured.err
+
+
 TWO_BUNDLES = """
 [patch]
 coords = x1, x2

@@ -138,7 +138,7 @@ def test_span_coordinates_match_sympy(case):
 
     sub = SubBundle("K", [constant(row) for row in frame], ambient)
     section = constant(vector)
-    head, rest = sub.split(section.coeffs, POINT.zero())
+    head, rest = sub.split(section.nonzero(), POINT.zero())
     # the complement is the standard-basis completion over the non-pivot columns
     pivots = list(to_sympy(frame, dim).rref()[1]) if frame else []
     assert sub.complement == [[Fraction(int(i == j)) for i in range(dim)]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,18 @@ def test_parse_rational_coefficients():
     assert parse_poly(str(parse_poly(str(value), VARS)), VARS) == value
 
 
-def test_unary_minus_binds_before_exponent():
-    # per the grammar, -x1^2 is (-x1)^2
-    assert p("-x1^2") == p("x1^2")
-    assert p("0 - x1^2") == -p("x1^2")
+def test_unary_minus_before_an_exponent_is_refused():
+    # the grammar would read -x1^2 as (-x1)^2, so the parser refuses it and
+    # names both readings; each is written out with parentheses
+    for text, position in (("-x1^2", 0), ("x2 * -x1^2", 5), ("-(x1 + 1)^2", 0), ("-3^2", 0)):
+        with pytest.raises(PolySyntaxError, match=r"is ambiguous: write -\(") as err:
+            p(text)
+        assert err.value.position == position
+    with pytest.raises(PolySyntaxError, match=re.escape("write -(x1^2) or (-x1)^2")):
+        p("-x1^2")
+    assert p("-(x1^2)") == p("0 - x1^2") == p("-1*x1^2") == -p("x1^2")
+    assert p("(-x1)^2") == p("x1^2")
+    assert p("-x1*x2^2") == -p("x1*x2^2")
 
 
 def test_add_inverse_and_identities():

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
@@ -8,7 +11,8 @@ from courant_lab.dorfman import (Connection, DorfmanConnection,
                                  pr_tm_hom, standard_dorfman)
 from courant_lab.laops import LieAlgebroidData
 from courant_lab.poly import ScalarPoly
-from courant_lab.prolong import (GeneratorAlgebra, canonical_form_check,
+from courant_lab.prolong import (GeneratorAlgebra, LiftedSection, TotalPatch,
+                                 canonical_form_check,
                                  check_geometric_dirac, lift_core, lift_linear,
                                  linear_poisson_check, ta_generator_check,
                                  total_courant, total_pairing, total_patch_of,
@@ -89,6 +93,80 @@ def test_total_pairing_multiplies_no_zero_component(ex_a, monkeypatch):
     monkeypatch.setattr(ScalarPoly, "__mul__", counting)
     assert total_pairing(lifted, core) == expected and not expected.is_zero()
     assert products and all(a._terms and b._terms for a, b in products)
+
+
+
+# -- the sparse total-space kernels against the dense formulas -----------------
+
+TOTAL = TotalPatch(("x1", "x2"), ("y1", "y2"))
+
+
+def _poly(terms):
+    """sum n/d * prod v^e over (n, d, exponents): coefficients over 1, 2 and 3."""
+    total = TOTAL.zero()
+    for num, den, exps in terms:
+        term = TOTAL.patch.const(Fraction(num, den))
+        for name, e in zip(TOTAL.allvars, exps):
+            term = term * TOTAL.patch.coord(name) ** e
+        total = total + term
+    return total
+
+
+def _with_zeros(vf, form, kind):
+    """The section with this vf and form, or zero in place of one or both."""
+    zeros = [TOTAL.zero()] * TOTAL.dim
+    return LiftedSection(TOTAL, vf if kind in ("both", "vf") else zeros,
+                         form if kind in ("both", "form") else zeros)
+
+
+POLYS = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2, 3)),
+                           st.tuples(*[st.integers(0, 2)] * TOTAL.dim)),
+                 min_size=1, max_size=2).map(_poly)
+# each component is zero half the time, and a whole vf or form now and then
+COMPONENTS = st.lists(st.one_of(st.just(TOTAL.zero()), POLYS),
+                      min_size=TOTAL.dim, max_size=TOTAL.dim)
+LIFTED = st.builds(_with_zeros, COMPONENTS, COMPONENTS,
+                   st.sampled_from(("both", "both", "vf", "form", "zero")))
+
+
+def _dense_pairing(s1, s2):
+    return sum((a * b + c * d for a, b, c, d in zip(s1.form, s2.vf, s2.form, s1.vf)),
+               TOTAL.zero())
+
+
+def _dense_courant(s1, s2):
+    """[X1, X2]^j = X1(X2^j) - X2(X1^j) and L_{X1} theta2 - i_{X2} d theta1,
+    from partial derivatives over every component."""
+    names = TOTAL.allvars
+    x1, t1, x2, t2 = s1.vf, s1.form, s2.vf, s2.form
+    vf, form = [], []
+    for j, v in enumerate(names):
+        vf.append(sum((x1[i] * x2[j].partial(u) - x2[i] * x1[j].partial(u)
+                       for i, u in enumerate(names)), TOTAL.zero()))
+        lie = sum((x1[i] * t2[j].partial(u) + t2[i] * x1[i].partial(v)
+                   for i, u in enumerate(names)), TOTAL.zero())
+        contraction = sum((x2[i] * (t1[j].partial(u) - t1[i].partial(v))
+                           for i, u in enumerate(names)), TOTAL.zero())
+        form.append(lie - contraction)
+    return vf, form
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(LIFTED, LIFTED, POLYS)
+def test_sparse_total_kernels_match_the_dense_formulas(s1, s2, phi):
+    # total_pairing and total_courant read views and touch nonzero
+    # components only; the reference sums over every component
+    for a, b in ((s1, s2), (s2, s1), (s1.scale(phi), s2), (s1 - s2, s1)):
+        assert total_pairing(a, b) == _dense_pairing(a, b)
+        out = total_courant(a, b)
+        assert [list(out.vf), list(out.form)] == list(_dense_courant(a, b))
+        # the views are the nonzero components, and zero is zero
+        for sec in (a, b, out):
+            assert sec.nonzero() == tuple(tuple((k, c) for k, c in enumerate(comps) if not c.is_zero())
+                                          for comps in (sec.vf, sec.form))
+            assert sec.is_zero() == all(c.is_zero() for c in sec.vf + sec.form)
+    assert all(c == phi * a for c, a in zip(s1.scale(phi).vf, s1.vf))
+    assert all(c == a - b for c, a, b in zip((s1 - s2).form, s1.form, s2.form))
 
 
 def test_lifted_section_ops_multiply_and_subtract_no_zero_component(ex_a, monkeypatch):
