@@ -26,12 +26,14 @@ A section carries its nonzero components: Section.nonzero() gives the
 (index, coefficient) pairs of its nonzero coefficients, found on the first
 call and kept by the section (it is immutable, so the view never goes
 stale).  Every section kernel here iterates that view instead of the
-coefficients, the Cartan kernels take views (a section's, a lifted
-section's of `prolong`, or FrameTable anchors) rather than coefficient
-lists, and no other module rescans a section's coefficients for its
-nonzero ones.  A pairing matrix is read as rows, the nonzero (j, P_ij)
-of each left frame index i (pairing_rows), which `matrix_pair` and
-`leibniz` walk against the left operand's view.
+coefficients, the Cartan kernels and `interior_two_form` take views (a
+section's, or FrameTable anchors) rather than coefficient lists, and no
+other module rescans a section's coefficients for its nonzero ones.  A
+lifted section of `prolong` is a vector field and a form on the total
+space, two Sections, so it has no calculus of its own.  A pairing matrix
+is read as rows, the nonzero (j, P_ij) of each left frame index i
+(pairing_rows), which `matrix_pair` and `leibniz` walk against the left
+operand's view.
 
 The layout of a direct sum is known to this module alone.  A summand is
 read and written through three operations: Bundle.summand (the bundle of
@@ -822,7 +824,7 @@ def vf_apply_each(x_terms: Terms, sec: Section) -> List[ScalarPoly]:
 
 def vf_bracket_comps(base: Patch, x_terms: Terms, y_terms: Terms) -> List[ScalarPoly]:
     """[X, Y]^j = X(Y^j) - Y(X^j) for X and Y given by their views (a
-    section's, a lifted section's, FrameTable anchors): vf_apply runs only on
+    section's, or FrameTable anchors): vf_apply runs only on
     nonzero components, and a zero X or Y gives the patch's zero in every one."""
     zero = base.zero()
     out = [zero] * base.dim
@@ -868,14 +870,15 @@ def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> Li
              for j in range(len(vars_))] for i in range(len(vars_))]
 
 
-def interior_two_form(base: Patch, x: Sequence[ScalarPoly],
+def interior_two_form(base: Patch, x_terms: Terms,
                       w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
-    """(i_X W)_j = sum_i X^i W[i][j]; zero components of X and zero entries
-    of W are skipped."""
-    rows = [(c, w[i]) for i, c in enumerate(x) if c._terms]
+    """(i_X W)_j = sum_i X^i W[i][j] for X given by its view (a section's),
+    over the patch the components live over; zero entries of W are
+    skipped."""
+    rows = [(c, w[i]) for i, c in x_terms]
     zero = base.zero()
     out = []
-    for j in range(len(x)):
+    for j in range(base.dim):
         total = zero
         for c, row in rows:
             if row[j]._terms:

@@ -8,14 +8,13 @@
 `catalog` lists or prints the built-in entries; `verify-all` runs every
 catalog entry.  Exit codes: 0 all checks as expected, 1 at least one
 unexpected failure, 2 usage or parse errors.  The battery seed defaults
-to a fixed constant, overridable with --seed or COURANT_LAB_SEED.
+to a fixed constant, overridable with --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -95,16 +94,6 @@ def _read_spec(path: str) -> StructureSpec:
     return parse_spec(text)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("COURANT_LAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SpecError(f"COURANT_LAB_SEED is not an integer: {env!r}")
-    return BATTERY_SEED
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="courant-lab",
                                      description="exact symbolic checks for "
@@ -115,14 +104,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("spec", nargs="?", default="-",
                        help="spec file path, or - for stdin (default)")
     p_run.add_argument("--check", help="comma-separated check names to run")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int, default=BATTERY_SEED)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
 
     p_cat = sub.add_parser("catalog", help="list entries or print one spec")
     p_cat.add_argument("name", nargs="?")
 
     p_all = sub.add_parser("verify-all", help="run every catalog entry")
-    p_all.add_argument("--seed", type=int, default=None)
+    p_all.add_argument("--seed", type=int, default=BATTERY_SEED)
     p_all.add_argument("--format", choices=("text", "json"), default="text")
 
     args = parser.parse_args(argv)
@@ -143,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
             return 0
 
-        seed = args.seed if args.seed is not None else _default_seed()
         if args.command == "run":
             spec = _read_spec(args.spec)
             selection = None
@@ -154,8 +142,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if c not in known:
                         print(f"check {c!r} is not declared in the spec", file=sys.stderr)
                         return 2
-            results = _results_for_spec(spec, selection, seed)
-            document = {"seed": seed, "results": results, "summary": _summary(results)}
+            results = _results_for_spec(spec, selection, args.seed)
+            document = {"seed": args.seed, "results": results, "summary": _summary(results)}
             _emit(document, args.format, sys.stdout)
             return 0 if document["summary"]["ok"] else 1
 
@@ -164,10 +152,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             all_results = []
             for name in catalog_names():
                 spec = parse_spec(catalog_text(name))
-                results = _results_for_spec(spec, None, seed)
+                results = _results_for_spec(spec, None, args.seed)
                 blocks.append({"name": name, "results": results})
                 all_results.extend(results)
-            document = {"seed": seed, "specs": blocks,
+            document = {"seed": args.seed, "specs": blocks,
                         "summary": _summary(all_results)}
             _emit(document, args.format, sys.stdout)
             return 0 if document["summary"]["ok"] else 1

@@ -33,11 +33,10 @@ above the limit, and a product raises it when a result key sets a guard
 bit.  ``gradient`` lowers one field by subtracting its unit.  ``extend``
 to a variable list that starts with the old one (the layout of a total
 space: base variables, then fiber variables) shifts each key left by one
-field per added variable, and to any other list repacks the fields at
-their new positions.  A product with the constant 1 returns the other
-operand, as a product with 0 returns the zero operand, unary ``-``
-returns a zero operand itself, and a product of one term by one term is a
-single key addition.
+field per added variable; it refuses any other list.  A product with the
+constant 1 returns the other operand, as a product with 0 returns the
+zero operand, unary ``-`` returns a zero operand itself, and a product of
+one term by one term is a single key addition.
 The public views hand out exponent tuples and ``Fraction``: ``terms``
 returns a copy keyed by exponent tuples with ``Fraction`` values and
 ``constant_value`` returns a ``Fraction``.  No module but this one reads
@@ -407,33 +406,22 @@ class ScalarPoly:
         return self.gradient()[self._index(name)]
 
     def extend(self, new_vars: Iterable[str]) -> "ScalarPoly":
-        """Reinterpret the polynomial over a larger variable list.
-
-        Every variable of self must occur in new_vars; exponents move to
-        the matching positions.  When new_vars starts with self.vars, each
-        key moves by one shift: its fields keep their order and the new
-        variables' fields, all zero, come after them.
-        """
+        """Reinterpret the polynomial over a longer variable list that starts
+        with self.vars, the layout of a total space (base variables, then
+        fiber variables): each key moves by one shift, its fields keep their
+        order and the new variables' fields, all zero, come after them.  A
+        list without some variable of self, or with them in another order,
+        is refused."""
         new_vars = tuple(new_vars)
         width = len(self.vars)
-        if new_vars[:width] == self.vars:
-            shift = FIELD_BITS * (len(new_vars) - width)
-            return _normal(new_vars, {key << shift: c for key, c in self._terms.items()},
-                           self._den)
-        for name in self.vars:
-            if name not in new_vars:
-                raise UnknownVariableError(name, 0)
-        new_shifts = _shifts(len(new_vars))
-        # (old offset, new offset) of the field of each variable of self
-        moves = [(shift, new_shifts[new_vars.index(name)])
-                 for name, shift in zip(self.vars, _shifts(len(self.vars)))]
-        terms: Dict[int, int] = {}
-        for key, coeff in self._terms.items():
-            widened = 0
-            for old, new in moves:
-                widened |= (key >> old & _FIELD) << new
-            terms[widened] = coeff
-        return _normal(new_vars, terms, self._den)
+        if new_vars[:width] != self.vars:
+            for name in self.vars:
+                if name not in new_vars:
+                    raise UnknownVariableError(name, 0)
+            raise VariableMismatchError(
+                f"extend keeps the variables {self.vars} first, in order: got {new_vars}")
+        shift = FIELD_BITS * (len(new_vars) - width)
+        return _normal(new_vars, {key << shift: c for key, c in self._terms.items()}, self._den)
 
     # -- printing -----------------------------------------------------
 
@@ -697,5 +685,11 @@ class _Parser:
 
 
 def parse_poly(text: str, vars: Iterable[str]) -> ScalarPoly:
-    """Parse text into a normal-form polynomial over the given variables."""
-    return _Parser(text, tuple(vars)).parse()
+    """Parse text into a normal-form polynomial over the given variables,
+    which must be distinct: a name given twice would be read as its first
+    occurrence."""
+    vars = tuple(vars)
+    for i, name in enumerate(vars):
+        if name in vars[:i]:
+            raise PolyError(f"{name!r} is named twice among the variables {', '.join(vars)}")
+    return _Parser(text, vars).parse()

@@ -7,11 +7,14 @@ TE + T*E are materialized componentwise, and the Courant-Dorfman calculus
 runs in full (n+r)-dimensional coordinates.  Agreement of the two routes
 is the package's master invariant.
 
-The total-space calculus runs on the shared kernels of `bundle` over the
-`Patch` of a `TotalPatch`: `vf_apply`, `dual_pair_comps`, the Cartan
-kernels (handed the views a lifted section keeps, LiftedSection.nonzero),
-`interior_two_form` and `HomSection.transpose`; every fiberwise-linear
-function sum_k c_k(x) y_k is built by `TotalPatch.linear`.  The generator
+A lifted section is a pair of `Section`s over the `Patch` of a
+`TotalPatch`, a vector field and a 1-form, so the total-space calculus is
+the `Section` calculus of `bundle`: Section `-` and `scale`, `dual_pair`,
+`vf_apply`, `vf_bracket` and the other Cartan kernels (handed the
+sections' views), `interior_two_form` and `HomSection.transpose`.  Every
+vector field and form on the total space is built from its base and fiber
+parts by `TotalPatch.field`, and every fiberwise-linear function
+sum_k c_k(x) y_k by `TotalPatch.linear`.  The generator
 calculus over TM + A* is a `Section` calculus too: its elements are
 sections of a generator bundle over the `Patch` of the total-space
 variables, and its bracket is the `AnchoredBracket` whose frame table is
@@ -35,14 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
-                     Patch, Section, Terms, courant_dorfman_form_part, db_canonical, dual_pair,
-                     dual_pair_comps, interior_two_form, lie_derivative_form, pairing_matrix,
-                     two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket,
-                     vf_bracket_comps)
+                     Patch, Section, courant_dorfman_form_part, db_canonical,
+                     dual_pair, dual_pair_comps, interior_two_form, lie_derivative_form,
+                     pairing_matrix, two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
 from .laops import LieAlgebroidData, basic_curvature
@@ -88,6 +90,19 @@ class TotalPatch:
     def fiber(self, k: int) -> ScalarPoly:
         return self._fibers[k]
 
+    def field(self, kind: str, base: Sequence[ScalarPoly] = (),
+              fiber: Sequence[ScalarPoly] = ()) -> Section:
+        """The vector field (kind TM) or 1-form (kind T*M) on the total space
+        whose components are base along the base coordinates and fiber along
+        the fiber coordinates, total-space polynomials; a part not given is
+        zero, and the shared zero section when neither is given."""
+        bundle = Bundle.tangent(self.patch) if kind == TM else Bundle.cotangent(self.patch)
+        if not base and not fiber:
+            return bundle.zero_section()
+        zero = self.zero()
+        return Section(bundle, (tuple(base) or (zero,) * len(self.base_coords))
+                       + (tuple(fiber) or (zero,) * len(self.fiber_coords)))
+
     def linear(self, coeffs: Sequence[ScalarPoly]) -> ScalarPoly:
         """The fiberwise-linear function sum_k c_k(x) y_k of base coefficients c_k."""
         total = self.zero()
@@ -110,68 +125,30 @@ def total_patch_of(bundle: Bundle, prefix: str = "y") -> TotalPatch:
 
 
 class LiftedSection:
-    """A section of TE + T*E over E: a vector field and a 1-form in (x, y).
+    """A section of TE + T*E over E: a vector field `vf` and a 1-form `form`
+    on the total space, sections of Bundle.tangent and Bundle.cotangent of
+    a TotalPatch's patch, which carry its calculus."""
 
-    Like a Section it keeps the views of its nonzero components (nonzero()),
-    and `-`, `scale`, `is_zero`, the printer and the kernels read them."""
+    __slots__ = ("vf", "form")
 
-    __slots__ = ("total", "vf", "form", "_nonzero")  # see nonzero()
+    def __init__(self, vf: Section, form: Section):
+        self.vf = vf
+        self.form = form
 
-    def __init__(self, total: TotalPatch, vf: Sequence[ScalarPoly],
-                 form: Sequence[ScalarPoly]):
-        if len(vf) != total.dim or len(form) != total.dim:
-            raise BundleError("component count must match the total dimension")
-        self.total = total
-        self.vf = tuple(vf)
-        self.form = tuple(form)
-        self._nonzero = None
-
-    def nonzero(self) -> Tuple[Terms, Terms]:
-        """The views of vf and of form (see Section.nonzero), found once."""
-        if self._nonzero is None:
-            self._nonzero = tuple(tuple([(k, c) for k, c in enumerate(comps) if c._terms])
-                                  for comps in (self.vf, self.form))
-        return self._nonzero
-
-    # a component is subtracted only where other's is nonzero
     def __sub__(self, other: "LiftedSection") -> "LiftedSection":
-        vf, form = list(self.vf), list(self.form)
-        for comps, terms in zip((vf, form), other.nonzero()):
-            for k, c in terms:
-                comps[k] = comps[k] - c
-        return _lifted(self.total, tuple(vf), tuple(form))
+        return LiftedSection(self.vf - other.vf, self.form - other.form)
 
     def scale(self, factor: ScalarPoly) -> "LiftedSection":
-        # a product of nonzero polynomials is nonzero: the views carry over
-        views = self.nonzero() if factor._terms else ((), ())
-        return _from_views(self.total, *(tuple([(k, factor * c) for k, c in v]) for v in views))
+        return LiftedSection(self.vf.scale(factor), self.form.scale(factor))
 
     def is_zero(self) -> bool:
-        return not any(self.nonzero())
+        return self.vf.is_zero() and self.form.is_zero()
 
     def __str__(self) -> str:
-        names, (vf, form) = self.total.allvars, self.nonzero()
-        vf = " + ".join(f"({c})*d/d{names[k]}" for k, c in vf)
-        fm = " + ".join(f"({c})*d{names[k]}" for k, c in form)
+        names = self.vf.bundle.patch.coords
+        vf = " + ".join(f"({c})*d/d{names[k]}" for k, c in self.vf.nonzero())
+        fm = " + ".join(f"({c})*d{names[k]}" for k, c in self.form.nonzero())
         return f"({vf or '0'}; {fm or '0'})"
-
-
-def _lifted(tp: TotalPatch, vf: Tuple[ScalarPoly, ...], form: Tuple[ScalarPoly, ...],
-            views=None) -> LiftedSection:
-    """A LiftedSection over tp.dim polynomials in each of vf and form, as ring
-    ops and kernels give them, unchecked; views, if given, is its nonzero()."""
-    sec = object.__new__(LiftedSection)
-    sec.total, sec.vf, sec.form, sec._nonzero = tp, vf, form, views
-    return sec
-
-
-def _from_views(tp: TotalPatch, *views) -> LiftedSection:
-    """The LiftedSection whose nonzero() is views, the other components zero."""
-    dense = [[tp.zero()] * tp.dim, [tp.zero()] * tp.dim]
-    for comps, terms in zip(dense, views):
-        for k, c in terms:
-            comps[k] = c
-    return _lifted(tp, tuple(dense[0]), tuple(dense[1]), views)
 
 
 # -- lifts -------------------------------------------------------------------
@@ -179,7 +156,7 @@ def _from_views(tp: TotalPatch, *views) -> LiftedSection:
 
 def lift_core(tp: TotalPatch, sigma: Section) -> LiftedSection:
     """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form."""
-    return _core_section(tp, sigma.bundle, [(k, tp.embed(c)) for k, c in sigma.nonzero()])
+    return _core_lift(tp, sigma.bundle, [tp.embed(c) for c in sigma.coeffs])
 
 
 def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
@@ -193,44 +170,40 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
     """
     b = delta.b
     ell = tp.linear(v.component(VEC_DUAL).coeffs)
-    x_part = [tp.embed(c) for c in v.component(TM).coeffs]
-    horizontal = LiftedSection(tp, x_part + [tp.zero()] * len(tp.fiber_coords),
-                               [ell.partial(y) for y in tp.allvars])
+    d_ell = Section(Bundle.cotangent(tp.patch), [ell.partial(y) for y in tp.allvars])
+    horizontal = LiftedSection(tp.field(TM, base=[tp.embed(c) for c in v.component(TM).coeffs]),
+                               d_ell)
     # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
     if cols is None:
         cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(VEC)]
     rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
-    return horizontal - _core_section(tp, b, enumerate(rows))
+    return horizontal - _core_lift(tp, b, rows)
 
 
 def vertical_hom(tp: TotalPatch, delta: DorfmanConnection, hom: HomSection) -> LiftedSection:
     """Phi^ for Phi: E -> E + T*M, evaluated on the tautological section."""
-    return _core_section(tp, delta.b, enumerate(tp.linear(row) for row in hom.matrix))
+    return _core_lift(tp, delta.b, [tp.linear(row) for row in hom.matrix])
 
 
-def _core_section(tp: TotalPatch, b: Bundle, terms: Iterable[Tuple[int, ScalarPoly]]
-                  ) -> LiftedSection:
-    # terms are the (k, c_k), zeros skipped, of a total-space vector in B = E + T*M
-    # order: the E-part is a vertical vector field, the T*M-part a form along the base
-    n, vec, cotm = len(tp.base_coords), b.positions(VEC), b.positions(COTM)
-    terms = [(k, c) for k, c in terms if c._terms]
-    return _from_views(tp, tuple([(n + k - vec.start, c) for k, c in terms if k in vec]),
-                       tuple([(k - cotm.start, c) for k, c in terms if k in cotm]))
+def _core_lift(tp: TotalPatch, b: Bundle, comps: Sequence[ScalarPoly]) -> LiftedSection:
+    # comps is a total-space vector in B = E + T*M, by frame position: the
+    # E-part is a vertical vector field, the T*M-part a form along the base
+    vec, cotm = b.positions(VEC), b.positions(COTM)
+    return LiftedSection(tp.field(TM, fiber=comps[vec.start:vec.stop]),
+                         tp.field(COTM, base=comps[cotm.start:cotm.stop]))
 
 
 # -- total-space Courant calculus --------------------------------------------
 
 
 def total_pairing(s1: LiftedSection, s2: LiftedSection) -> ScalarPoly:
-    # theta1(X2) + theta2(X1), the second sum starting from the first
-    (_, theta1), (_, theta2) = s1.nonzero(), s2.nonzero()
-    return dual_pair_comps(theta2, s1.vf, dual_pair_comps(theta1, s2.vf, s1.total.zero()))
+    return dual_pair(s1.form, s2.vf) + dual_pair(s2.form, s1.vf)
 
 
 def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
-    base, (x1, theta1), (x2, theta2) = s1.total.patch, s1.nonzero(), s2.nonzero()
-    return _lifted(s1.total, tuple(vf_bracket_comps(base, x1, x2)),
-                   tuple(courant_dorfman_form_part(x1, theta1, x2, theta2, base)))
+    form = courant_dorfman_form_part(s1.vf.nonzero(), s1.form.nonzero(), s2.vf.nonzero(),
+                                     s2.form.nonzero(), s1.vf.bundle.patch)
+    return LiftedSection(vf_bracket(s1.vf, s2.vf), Section(s1.form.bundle, form))
 
 
 # -- the splitting theorems ---------------------------------------------------
@@ -299,7 +272,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     eta_batt = e_bundle.dual().battery
     for i in range(q.rank):
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
-            lhs = vf_apply(tp.patch, lifts[i].nonzero()[0], tp.linear(eta.coeffs))
+            lhs = vf_apply(tp.patch, lifts[i].vf.nonzero(), tp.linear(eta.coeffs))
             x_eta = vf_apply_each(delta.bracket.frame_table.anchors[i], eta)
             rhs = tp.linear([_difference(x, dual_pair(eta, value.component(VEC)))
                              for x, value in zip(x_eta, applied[i])])
@@ -338,7 +311,7 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
     for name1, s1 in spanning:
         for name2, s2 in spanning:
             chk.record("closure", f"[{name1}, {name2}]",
-                       _closure_residual(triple, u_lifts, total_courant(s1, s2)))
+                       _closure_residual(tp, triple, u_lifts, total_courant(s1, s2)))
 
     verdicts = dirac_verdicts(check_dirac(triple))
     geometric = (chk.sub_passed("rank") and chk.sub_passed("isotropic")
@@ -350,8 +323,8 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
     return chk.report()
 
 
-def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
-                     section: LiftedSection) -> LiftedSection:
+def _closure_residual(tp: TotalPatch, triple: VBTriple, u_lifts: Sequence[LiftedSection],
+                      section: LiftedSection) -> LiftedSection:
     """The part of a lifted section outside the module spanned by D's frames.
 
     u_lifts are the linear lifts of the U-frame, in order; the result is
@@ -359,26 +332,29 @@ def _closure_residual(triple: VBTriple, u_lifts: Sequence[LiftedSection],
     """
     # the (d/dx, dy) components are constant-coefficient in the U-frame:
     # solve for the linear coefficients, subtract, then match core parts
-    tp, (vf, form) = section.total, section.nonzero()
     n = len(tp.base_coords)
-    projected = (tuple([(k, c) for k, c in vf if k < n]), tuple([(k, c) for k, c in form if k >= n]))
-    u_coords, u_rest = triple.u_sub.split(projected[0] + projected[1], tp.zero())
+    projected = LiftedSection(tp.field(TM, base=section.vf.coeffs[:n]),
+                              tp.field(COTM, fiber=section.form.coeffs[n:]))
+    u_coords, u_rest = triple.u_sub.split(projected.vf.nonzero() + projected.form.nonzero(),
+                                          tp.zero())
     if any(c._terms for c in u_rest):
         # the projection already fails to lie over U
-        return _from_views(tp, *projected)
+        return projected
     remainder = section
     for coeff, lift in zip(u_coords, u_lifts):
         if coeff._terms:
             remainder = remainder - lift.scale(coeff)
     # remainder must be a K-core combination: no d/dx, no dy components
-    vf, form = remainder.nonzero()
+    vf, form = remainder.vf.nonzero(), remainder.form.nonzero()
     if any(k < n for k, _ in vf) or any(k >= n for k, _ in form):
         return remainder
     # the core vector in (E-part, T*M-part) frame positions, K's ambient
     vec, cotm = triple.delta.b.positions(VEC), triple.delta.b.positions(COTM)
     _, rest = triple.k_sub.split([(vec[k - n], c) for k, c in vf]
                                  + [(cotm[k], c) for k, c in form], tp.zero())
-    return remainder if any(c._terms for c in rest) else _from_views(tp, (), ())
+    if any(c._terms for c in rest):
+        return remainder
+    return LiftedSection(tp.field(TM), tp.field(COTM))
 
 
 # -- linear almost Poisson structure on the dual -------------------------------
@@ -409,38 +385,39 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
             return tp.embed(lad.bracket.frame_rho[k][beta])
         return -coord_bracket(beta, alpha)
 
-    # the Poisson bivector; sharp(form) = interior_two_form(tp.patch, form, table)
+    # the Poisson bivector, whose contraction with a form is the sharp map
     table = [[coord_bracket(a, b) for b in range(n + r)] for a in range(n + r)]
+    tangent, cotangent = Bundle.tangent(tp.patch), Bundle.cotangent(tp.patch)
+
+    def sharp(form: Section) -> Section:
+        return Section(tangent, interior_two_form(tp.patch, form.nonzero(), table))
+
+    no_form = cotangent.zero_section()
 
     ct = Bundle.cotangent(base)
     ct_batt, a_batt = ct.battery, a_bundle.battery
     for label, theta in zip(ct_batt.labels, ct_batt.sections):
-        pulled = [tp.embed(c) for c in theta.coeffs] + [tp.zero()] * r
-        lhs = interior_two_form(tp.patch, pulled, table)
+        lhs = sharp(tp.field(COTM, base=[tp.embed(c) for c in theta.coeffs]))
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
-        rhs = [tp.zero()] * n + [
+        rhs = tp.field(TM, fiber=[
             -tp.embed(dual_pair_comps(theta.nonzero(), lad.bracket.frame_rho[k], base.zero()))
-            for k in range(r)]
-        chk.record("sharp-of-pullback", label,
-                   _vf_diff(tp, lhs, rhs))
+            for k in range(r)])
+        chk.record("sharp-of-pullback", label, LiftedSection(lhs - rhs, no_form))
     for p, (label, a) in enumerate(zip(a_batt.labels, a_batt.sections)):
         ell = tp.linear(a.coeffs)
-        lhs = interior_two_form(tp.patch, [ell.partial(v) for v in tp.allvars], table)
-        # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi
-        rhs = [tp.embed(c) for c in lad.bracket.rho(a).coeffs]
-        # <L_a xi, e_l> with xi the frozen tautological section
-        rhs += [tp.linear(lad.bracket.battery_bracket(p, t).coeffs) for t in a_batt.frames]
-        chk.record("sharp-of-linear", label, _vf_diff(tp, lhs, rhs))
+        lhs = sharp(Section(cotangent, [ell.partial(v) for v in tp.allvars]))
+        # rho(a)~ : T xi rho(a) minus the vertical correction by L_a xi, where
+        # <L_a xi, e_l> is taken with xi the frozen tautological section
+        rhs = tp.field(TM, base=[tp.embed(c) for c in lad.bracket.rho(a).coeffs],
+                       fiber=[tp.linear(lad.bracket.battery_bracket(p, t).coeffs)
+                              for t in a_batt.frames])
+        chk.record("sharp-of-linear", label, LiftedSection(lhs - rhs, no_form))
     return chk.report()
 
 
 def _difference(lhs: ScalarPoly, rhs: ScalarPoly) -> ScalarPoly:
     """lhs - rhs, with no subtraction where rhs is zero."""
     return lhs - rhs if rhs._terms else lhs
-
-
-def _vf_diff(tp: TotalPatch, lhs: Sequence[ScalarPoly], rhs: Sequence[ScalarPoly]):
-    return LiftedSection(tp, [_difference(a, b) for a, b in zip(lhs, rhs)], [tp.zero()] * tp.dim)
 
 
 # -- pullback of the canonical forms -------------------------------------------
@@ -467,59 +444,60 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     sigma_star = sigma.transpose()
 
     # theta = sum_i (sum_k sigma_{ik}(x) y_k) dx_i
-    theta = [tp.linear(row) for row in sigma.matrix] + [tp.zero()] * r
-    w = two_form_of_oneform(tp.allvars, theta)
+    theta = tp.field(COTM, base=[tp.linear(row) for row in sigma.matrix])
+    w = two_form_of_oneform(tp.allvars, theta.coeffs)
+    no_vf = tp.field(TM)
 
-    def omega_eval(v1: Sequence[ScalarPoly], v2: Sequence[ScalarPoly]) -> ScalarPoly:
-        return dual_pair_comps(enumerate(interior_two_form(tp.patch, v1, w)), v2, tp.zero())
+    # omega(v1, v2) = <flat(v1), v2>, so each flat below is taken once
+    def flat(v: Section) -> Section:
+        return Section(theta.bundle, interior_two_form(tp.patch, v.nonzero(), w))
 
-    def linear_lift(x: Section) -> List[ScalarPoly]:
+    def linear_lift(x: Section) -> Section:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
         cols = [conn.nabla(x, e) for e in e_frames]
-        return ([tp.embed(c) for c in x.coeffs]
-                + [-tp.linear([col.coeffs[k] for col in cols]) for k in range(r)])
+        return tp.field(TM, base=[tp.embed(c) for c in x.coeffs],
+                        fiber=[-tp.linear([col.coeffs[k] for col in cols]) for k in range(r)])
 
-    def core_lift(e: Section) -> List[ScalarPoly]:
-        return [tp.zero()] * n + [tp.embed(c) for c in e.coeffs]
+    def core_lift(e: Section) -> Section:
+        return tp.field(TM, fiber=[tp.embed(c) for c in e.coeffs])
 
     x_frames, x_batt = tangent.frame_sections(), tangent.battery
-    e_batt = list(zip(e_bundle.battery.labels, e_bundle.battery.sections))
-    for i, x in enumerate(x_frames):
-        x_lift = linear_lift(x)
+    x_flats = [flat(linear_lift(x)) for x in x_frames]
+    cores = [(label, e, core_lift(e))
+             for label, e in zip(e_bundle.battery.labels, e_bundle.battery.sections)]
+    for i, (x, x_flat) in enumerate(zip(x_frames, x_flats)):
         for j in range(n):
             for f, text in enumerate(x_batt.texts):
                 ys = x_batt.sections[x_batt.pos(j, f)]
-                lhs = omega_eval(x_lift, linear_lift(ys))
+                lhs = dual_pair(x_flat, linear_lift(ys))
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
                          - conn.nabla_dual(ys, sigma_star.apply(x))
                          - sigma_star.apply(vf_bracket(x, ys)))
                 chk.record("two-form-linear-linear", f"(Dx{i + 1}; ({text})*Dx{j + 1})",
                            _difference(lhs, tp.linear(value.coeffs)))
-        for label_e, e in e_batt:
-            lhs = omega_eval(x_lift, core_lift(e))
+        for label_e, e, core in cores:
+            lhs = dual_pair(x_flat, core)
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
             chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", _difference(lhs, rhs))
-    for label1, e1 in e_batt:
-        for label2, e2 in e_batt:
-            chk.record("two-form-core-core", f"({label1}; {label2})",
-                       omega_eval(core_lift(e1), core_lift(e2)))
+    for label1, _, core1 in cores:
+        core_flat = flat(core1)
+        for label2, _, core2 in cores:
+            chk.record("two-form-core-core", f"({label1}; {label2})", dual_pair(core_flat, core2))
 
     # flat maps: omega-flat(X~) = d l_{-sigma* X} + (L_X(sigma .) - sigma(nabla_X .))^
-    for i, x in enumerate(x_frames):
-        flat = interior_two_form(tp.patch, linear_lift(x), w)
+    for i, (x, x_flat) in enumerate(zip(x_frames, x_flats)):
         ell = tp.linear(sigma_star.apply(x).coeffs)
         cols = [lie_derivative_form(x, sigma.apply(e)) - sigma.apply(conn.nabla(x, e))
                 for e in e_frames]
-        pulled = [tp.linear([col.coeffs[m] for col in cols]) for m in range(n)] + [tp.zero()] * r
-        diff = [_difference(a + ell.partial(v), b) for a, v, b in zip(flat, tp.allvars, pulled)]
+        pulled = tp.field(COTM, base=[tp.linear([col.coeffs[m] for col in cols])
+                                      for m in range(n)])
+        d_ell = Section(theta.bundle, [ell.partial(v) for v in tp.allvars])
         chk.record("flat-of-linear", f"Dx{i + 1}",
-                   LiftedSection(tp, [tp.zero()] * (n + r), diff))
+                   LiftedSection(no_vf, x_flat + d_ell - pulled))
     for l, e_l in enumerate(e_frames):
-        flat = interior_two_form(tp.patch, core_lift(e_l), w)
-        expected = [tp.embed(c) for c in sigma.apply(e_l).coeffs] + [tp.zero()] * r
-        diff = [_difference(a, b) for a, b in zip(flat, expected)]
+        expected = tp.field(COTM, base=[tp.embed(c) for c in sigma.apply(e_l).coeffs])
         chk.record("flat-of-core", e_bundle.frame[l],
-                   LiftedSection(tp, [tp.zero()] * (n + r), diff))
+                   LiftedSection(no_vf, flat(core_lift(e_l)) - expected))
     return chk.report()
 
 
@@ -559,9 +537,8 @@ class GeneratorAlgebra:
             + Bundle.vector(self.tp.patch, "core", (f + "!" for f in lad.sigma_bundle.frame)))
         self._lin, self._core = (self.bundle.summand(VEC, name) for name in ("lin", "core"))
         gens = range(self.bundle.rank)
-        tangent = Bundle.tangent(self.tp.patch)
-        anchor = HomSection.from_columns(self.bundle, tangent, [
-            Section(tangent, self._theta_generator(k)) for k in gens])
+        anchor = HomSection.from_columns(self.bundle, Bundle.tangent(self.tp.patch),
+                                         [self._theta_generator(k) for k in gens])
         # rows are filled in order, and _bracket_generators reads finished ones
         self._rows: List[List[Section]] = []
         for k1 in gens:
@@ -610,27 +587,21 @@ class GeneratorAlgebra:
 
     # -- the generator table ---------------------------------------------------
 
-    def _theta_generator(self, k: int) -> Tuple[ScalarPoly, ...]:
+    def _theta_generator(self, k: int) -> Section:
         r = self.lad.a_bundle.rank
-        n = len(self.tp.base_coords)
-        out = [self.tp.zero()] * self.tp.dim
+        taus = [self.lad.sigma_bundle.frame_section(m) for m in self.partner]
         if k < r:
             a = self.lad.a_bundle.frame_section(k)
-            for i in range(n):
-                out[i] = self.tp.embed(self.lad.bracket.frame_rho[k][i])
-            for j in range(self.lad.v_bundle.rank):
-                tau = self.lad.sigma_bundle.frame_section(self.partner[j])
-                lied = self.lad.lie_der_sigma(a, tau)
-                # l_{L_a tau} = sum_j' w_j' <v_j', L_a tau>
-                out[n + j] = self.tp.linear([self.delta.predual.pair(v, lied)
-                                             for v in self.lad.v_bundle.frame_sections()])
-        else:
-            sigma = self.lad.sigma_bundle.frame_section(k - r)
-            up = self.lad.pair_map().apply(sigma)
-            for j in range(self.lad.v_bundle.rank):
-                tau = self.lad.sigma_bundle.frame_section(self.partner[j])
-                out[n + j] = self.tp.embed(self.delta.predual.pair(up, tau))
-        return tuple(out)
+            v_frames = self.lad.v_bundle.frame_sections()
+            lied = [self.lad.lie_der_sigma(a, tau) for tau in taus]
+            # l_{L_a tau} = sum_j' w_j' <v_j', L_a tau>
+            return self.tp.field(
+                TM, base=[self.tp.embed(c) for c in self.lad.bracket.frame_rho[k]],
+                fiber=[self.tp.linear([self.delta.predual.pair(v, lie) for v in v_frames])
+                       for lie in lied])
+        up = self.lad.pair_map().apply(self.lad.sigma_bundle.frame_section(k - r))
+        return self.tp.field(TM, fiber=[self.tp.embed(self.delta.predual.pair(up, tau))
+                                        for tau in taus])
 
     def _bracket_generators(self, k1: int, k2: int) -> Section:
         r = self.lad.a_bundle.rank
@@ -643,9 +614,9 @@ class GeneratorAlgebra:
         tau = self.lad.sigma_bundle.frame_section(k2 - r)
         return self.dagger_of(self.lad.lie_der_sigma(a, tau))
 
-    def theta(self, elem: Section) -> Tuple[ScalarPoly, ...]:
-        """The anchor of elem: a vector field on the total space, by components."""
-        return self.anchored.rho(elem).coeffs
+    def theta(self, elem: Section) -> Section:
+        """The anchor of elem: a vector field on the total space."""
+        return self.anchored.rho(elem)
 
     def bracket(self, e1: Section, e2: Section) -> Section:
         return self.anchored.bracket(e1, e2)
@@ -665,7 +636,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                   "generator calculus of the big algebroid over TM + A*")
     alg = GeneratorAlgebra(lad, delta)
     tp = alg.tp
-    n, r = len(tp.base_coords), lad.a_bundle.rank
+    r = lad.a_bundle.rank
     gens, names = alg.bundle.frame_sections(), alg.bundle.frame
     factors = [tp.fiber(idx % len(tp.fiber_coords)) if tp.fiber_coords else tp.one()
                for idx in range(len(gens))]
@@ -675,13 +646,14 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                     tuple(gens + [gen.scale(c) for c, gen in zip(factors, gens)]),
                     tuple(range(len(gens))))
     pairs = BatteryTable(elems, elems).full(alg.bracket)
-    anchors = [alg.anchored.rho(e).nonzero() for e in elems.sections]
+    anchors = [alg.theta(e) for e in elems.sections]
+    no_form = tp.field(COTM)
     for p, n1 in enumerate(elems.labels):
         for q, n2 in enumerate(elems.labels):
             chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])
-            lhs = alg.theta(pairs[p][q])
-            rhs = vf_bracket_comps(tp.patch, anchors[p], anchors[q])
-            chk.record("anchor-morphism", f"({n1}; {n2})", _vf_diff(tp, lhs, rhs))
+            rhs = vf_bracket(anchors[p], anchors[q])
+            chk.record("anchor-morphism", f"({n1}; {n2})",
+                       LiftedSection(alg.theta(pairs[p][q]) - rhs, no_form))
     # third slot: the generators and the first two weighted ones
     record_jacobi(chk, "jacobi", elems, alg.bracket, pairs,
                   third=range(len(gens) + min(2, len(gens))))
@@ -740,28 +712,26 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                        alg.bracket(gens[r + m1], gens[r + m2]))
 
     # (iii) anchors
+    taus = [lad.sigma_bundle.frame_section(m) for m in alg.partner]
     for i, a in enumerate(a_frames):
-        vf = alg.theta(sig_frames[i])
-        expected = [tp.embed(c) for c in lad.bracket.frame_rho[i]]
-        for j in range(lad.v_bundle.rank):
-            tau = lad.sigma_bundle.frame_section(alg.partner[j])
+        fiber = []
+        for tau in taus:
             # X<v, tau> with X = rho(a), differentiated where <v, tau> is nonzero
             paired = [delta.predual.pair(v, tau) for v in v_frames]
-            expected.append(tp.linear([
+            fiber.append(tp.linear([
                 _difference(vf_apply(lad.base, lad.bracket.frame_table.anchors[i], p)
                             if p._terms else p,
                             delta.predual.pair(lad.basic_v(delta, a, v), tau))
                 for v, p in zip(v_frames, paired)]))
-        chk.record("anchor-of-sigma", f"a{i + 1}", _vf_diff(tp, vf, expected))
+        expected = tp.field(TM, base=[tp.embed(c) for c in lad.bracket.frame_rho[i]],
+                            fiber=fiber)
+        chk.record("anchor-of-sigma", f"a{i + 1}",
+                   LiftedSection(alg.theta(sig_frames[i]) - expected, no_form))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
-        vf = alg.theta(alg.dagger_of(sigma))
         up = lad.pair_map().apply(sigma)
-        expected = [tp.zero()] * n
-        for j in range(lad.v_bundle.rank):
-            tau = lad.sigma_bundle.frame_section(alg.partner[j])
-            expected.append(tp.embed(delta.predual.pair(up, tau)))
+        expected = tp.field(TM, fiber=[tp.embed(delta.predual.pair(up, tau)) for tau in taus])
         chk.record("anchor-of-core", f"{lad.sigma_bundle.frame[m]}!",
-                   _vf_diff(tp, vf, expected))
+                   LiftedSection(alg.theta(alg.dagger_of(sigma)) - expected, no_form))
     return chk.report()
 
 

@@ -133,9 +133,8 @@ def test_criterion_03_splitting_theorems():
     l1 = lift_linear(tp, delta, delta.q.section(Dx1=1))
     l2 = lift_linear(tp, delta, delta.q.section(Dx2=1))
     out = total_courant(l1, l2)
-    value_ok = (str(out.vf[2]) == "-y1"
-                and all(c.is_zero() for c in out.form)
-                and out.vf[0].is_zero() and out.vf[1].is_zero())
+    value_ok = (str(out.vf.coeffs[2]) == "-y1" and out.form.is_zero()
+                and out.vf.coeffs[0].is_zero() and out.vf.coeffs[1].is_zero())
     _verdict("criterion 3: six pairing/bracket identities on the total space",
              report.passed and value_ok, started)
 
@@ -175,13 +174,13 @@ def test_criterion_04_dirac_triples():
     u_lifts = [lift_linear(tp, delta_a, u) for u in triple_a.u_sub.sections]
     l1 = lift_linear(tp, delta_a, delta_a.q.section(Dx1=1))
     l2 = lift_linear(tp, delta_a, delta_a.q.section(Dx2=1))
-    residual = _closure_residual(triple_a, u_lifts, total_courant(l1, l2))
+    residual = _closure_residual(tp, triple_a, u_lifts, total_courant(l1, l2))
     hom = delta_a.curvature(delta_a.q.section(Dx1=1), delta_a.q.section(Dx2=1))
     e_cols = [hom.apply(delta_a.b.frame_section(0))]
     lifted_curv = vertical_hom(tp, delta_a, HomSection.from_columns(
         Bundle.vector(BASE, "E", ("eps",)), delta_a.b, e_cols))
-    ok = ok and all((a + b).is_zero() for a, b in zip(residual.vf + residual.form,
-                                                       lifted_curv.vf + lifted_curv.form))
+    ok = ok and (residual.vf + lifted_curv.vf).is_zero() and \
+        (residual.form + lifted_curv.form).is_zero()
     _verdict("criterion 4: Dirac verdicts agree algebraically and geometrically",
              ok, started)
 

@@ -135,7 +135,7 @@ def test_cartan_identity():
         for theta in thetas:
             lie = lie_derivative_form(x, theta)
             w = two_form_of_oneform(BASE.coords, theta.coeffs)
-            contraction = interior_two_form(BASE, x.coeffs, w)
+            contraction = interior_two_form(BASE, x.nonzero(), w)
             inner = dual_pair(x, theta)
             d_inner = d_scalar(BASE, inner)
             for a, b, c in zip(lie.coeffs, contraction, d_inner.coeffs):

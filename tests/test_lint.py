@@ -14,10 +14,9 @@ class, and a `global` statement.  A memo lives on the immutable object it
 is derived from (`cached_property`, such as the battery of a `Patch` and
 of a `Bundle`, or the positional battery tables of an `AnchoredBracket`
 and a `DorfmanConnection`; or a per-instance slot on an immutable object,
-such as the gradient and the hash of a `ScalarPoly` and the views of the
-nonzero components of a `Section` and of a `LiftedSection`), in the
-value table of the per-spec `LieAlgebroidData`, or in a table local to
-one check.
+such as the gradient and the hash of a `ScalarPoly` and the view of the
+nonzero components of a `Section`), in the value table of the per-spec
+`LieAlgebroidData`, or in a table local to one check.
 
 The stored form of a polynomial (int numerators over one denominator) is
 private to `poly.py`: every other module reads `._terms` only as a zero
@@ -43,9 +42,8 @@ A section keeps its nonzero components (`Section.nonzero()`), and that
 view is the one way to read them: outside `bundle.py` no module rebuilds
 the scan, either as `nonzero_terms(<x>.coeffs)` or as a comprehension
 over `enumerate(<x>.coeffs)` filtered by `._terms`.  A lifted section of
-`prolong` keeps its own views, of its `vf` and its `form`
-(`LiftedSection.nonzero()`), and outside that class no code rescans
-`<x>.vf` or `<x>.form` in either way.
+`prolong` is a pair of sections, its `vf` and its `form`, so the same rule
+covers them (`nonzero_terms(s.vf.coeffs)` is a rescan).
 """
 
 import ast
@@ -243,57 +241,44 @@ def test_only_bundle_reads_the_layout_of_a_direct_sum():
     assert found == []
 
 
-def _reads(node, attrs):
-    """Whether node is `<x>.<attr>` for an attr in attrs."""
-    return isinstance(node, ast.Attribute) and node.attr in attrs
+def _reads_coeffs(node):
+    """Whether node is `<x>.coeffs`."""
+    return isinstance(node, ast.Attribute) and node.attr == "coeffs"
 
 
-def _rescans(node, attrs=("coeffs",)):
-    """Whether node rebuilds a nonzero view of `<x>.<attr>`, attr in attrs:
-    the call `nonzero_terms(<x>.<attr>)`, or a comprehension over
-    `enumerate(<x>.<attr>)` with an `if` that reads `._terms`."""
+def _rescans(node):
+    """Whether node rebuilds a nonzero view of `<x>.coeffs`: the call
+    `nonzero_terms(<x>.coeffs)`, or a comprehension over
+    `enumerate(<x>.coeffs)` with an `if` that reads `._terms`."""
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "nonzero_terms" and node.args and _reads(node.args[0], attrs)):
+            and node.func.id == "nonzero_terms" and node.args and _reads_coeffs(node.args[0])):
         return True
     if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
         for gen in node.generators:
             source = gen.iter
             if (isinstance(source, ast.Call) and isinstance(source.func, ast.Name)
                     and source.func.id == "enumerate" and source.args
-                    and _reads(source.args[0], attrs)
+                    and _reads_coeffs(source.args[0])
                     and any(isinstance(sub, ast.Attribute) and sub.attr == "_terms"
                             for cond in gen.ifs for sub in ast.walk(cond))):
                 return True
     return False
 
 
-# the dense components of a lifted section (prolong.LiftedSection)
-LIFTED = ("vf", "form")
-
-
 def test_only_bundle_scans_a_section_for_its_nonzero_components():
     found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
              if module != "bundle.py" for node in ast.walk(tree) if _rescans(node)]
-    # a lifted section keeps its own views (LiftedSection.nonzero())
-    own = {node for top in TREES["prolong.py"].body
-           if isinstance(top, ast.ClassDef) and top.name == "LiftedSection"
-           for node in ast.walk(top)}
-    assert own  # the class is there, so the exemption is not vacuous
-    found += [f"{module}: line {node.lineno} rescans a lifted section"
-              for module, tree in TREES.items() for node in ast.walk(tree)
-              if node not in own and _rescans(node, LIFTED)]
     assert found == []
 
 
 def test_the_rescan_rule_sees_both_forms():
     # the rule is not vacuous: it flags the two forms the views replaced,
-    # over a section's coefficients and over a lifted section's components
-    for text, attrs in (("terms = nonzero_terms(x.coeffs)", ("coeffs",)),
-                        ("xs = [(i, c) for i, c in enumerate(x.coeffs) if c._terms]", ("coeffs",)),
-                        ("terms = nonzero_terms(s.vf)", LIFTED),
-                        ("xs = [(i, c) for i, c in enumerate(s.form) if c._terms]", LIFTED)):
-        assert any(_rescans(node, attrs) for node in ast.walk(ast.parse(text)))
-    for attrs in (("coeffs",), LIFTED):
-        assert not any(_rescans(node, attrs) for node in ast.walk(ast.parse(
-            "terms = nonzero_terms(row); xs = [c for i, c in enumerate(x.coeffs)]; "
-            "ys = [c for i, c in enumerate(s.vf)]; zs = [c for c in s.form if c._terms]")))
+    # also over the sections of a lifted section (prolong.LiftedSection)
+    for text in ("terms = nonzero_terms(x.coeffs)",
+                 "xs = [(i, c) for i, c in enumerate(x.coeffs) if c._terms]",
+                 "terms = nonzero_terms(s.vf.coeffs)",
+                 "xs = [(i, c) for i, c in enumerate(s.form.coeffs) if c._terms]"):
+        assert any(_rescans(node) for node in ast.walk(ast.parse(text)))
+    assert not any(_rescans(node) for node in ast.walk(ast.parse(
+        "terms = nonzero_terms(row); xs = [c for i, c in enumerate(x.coeffs)]; "
+        "zs = [c for c in s.form.coeffs if c._terms]")))

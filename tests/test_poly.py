@@ -93,12 +93,14 @@ def test_gradient_examples():
 
 
 def test_extend():
-    wide = p("x1*x2").extend(("x1", "y", "x2"))
-    assert wide == parse_poly("x1*x2", ("x1", "y", "x2"))
     # a list that starts with the old one: the layout of a total space
     total = ("x1", "x2", "y1", "y2")
     assert p("3*x1^2*x2 - x2 + 1/2").extend(total) == \
         parse_poly("3*x1^2*x2 - x2 + 1/2", total)
+    # the old variables in another order, or with a new one among them
+    for reordered in (("x1", "y", "x2"), ("x2", "x1"), ("y", "x1", "x2")):
+        with pytest.raises(VariableMismatchError, match="first, in order"):
+            p("x1*x2").extend(reordered)
 
 
 @pytest.mark.parametrize("new_vars", [("x1",), ("x1", "y"), ("y", "x1")])

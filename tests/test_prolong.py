@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import Bundle, HomSection, SubBundle, patch
+from courant_lab.bundle import COTM, TM, Bundle, HomSection, SubBundle, patch
 from courant_lab.dirac import VBTriple, dirac_verdicts, check_dirac
 from courant_lab.dorfman import (Connection, DorfmanConnection,
                                  canonical_predual, im2form_dorfman,
                                  pr_tm_hom, standard_dorfman)
 from courant_lab.laops import LieAlgebroidData
 from courant_lab.poly import ScalarPoly
+from courant_lab import prolong
 from courant_lab.prolong import (GeneratorAlgebra, LiftedSection, TotalPatch,
                                  canonical_form_check,
                                  check_geometric_dirac, lift_core, lift_linear,
@@ -52,12 +53,12 @@ def test_total_patch_linear_is_the_explicit_sum():
 def test_lift_examples(ex_a):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     l1 = lift_linear(tp, ex_a, ex_a.q.section(Dx1=1))
-    assert [str(c) for c in l1.vf] == ["1", "0", "0"]
-    assert all(c.is_zero() for c in l1.form)
+    assert [str(c) for c in l1.vf.coeffs] == ["1", "0", "0"]
+    assert all(c.is_zero() for c in l1.form.coeffs)
     l2 = lift_linear(tp, ex_a, ex_a.q.section(Dx2=1))
-    assert str(l2.vf[1]) == "1" and str(l2.vf[2]) == "-x1*y1"
+    assert str(l2.vf.coeffs[1]) == "1" and str(l2.vf.coeffs[2]) == "-x1*y1"
     core = lift_core(tp, ex_a.b.section(eps=1))
-    assert str(core.vf[2]) == "1" and all(c.is_zero() for c in core.form)
+    assert str(core.vf.coeffs[2]) == "1" and all(c.is_zero() for c in core.form.coeffs)
 
 
 def test_total_bracket_example(ex_a):
@@ -65,8 +66,8 @@ def test_total_bracket_example(ex_a):
     l1 = lift_linear(tp, ex_a, ex_a.q.section(Dx1=1))
     l2 = lift_linear(tp, ex_a, ex_a.q.section(Dx2=1))
     out = total_courant(l1, l2)
-    assert str(out.vf[2]) == "-y1"
-    assert all(c.is_zero() for c in out.form)
+    assert str(out.vf.coeffs[2]) == "-y1"
+    assert all(c.is_zero() for c in out.form.coeffs)
 
 
 def test_total_pairing_identities(ex_a):
@@ -114,9 +115,11 @@ def _poly(terms):
 
 def _with_zeros(vf, form, kind):
     """The section with this vf and form, or zero in place of one or both."""
-    zeros = [TOTAL.zero()] * TOTAL.dim
-    return LiftedSection(TOTAL, vf if kind in ("both", "vf") else zeros,
-                         form if kind in ("both", "form") else zeros)
+    n = len(TOTAL.base_coords)
+    return LiftedSection(
+        TOTAL.field(TM, base=vf[:n], fiber=vf[n:]) if kind in ("both", "vf") else TOTAL.field(TM),
+        TOTAL.field(COTM, base=form[:n], fiber=form[n:]) if kind in ("both", "form")
+        else TOTAL.field(COTM))
 
 
 POLYS = st.lists(st.tuples(st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2, 3)),
@@ -130,7 +133,8 @@ LIFTED = st.builds(_with_zeros, COMPONENTS, COMPONENTS,
 
 
 def _dense_pairing(s1, s2):
-    return sum((a * b + c * d for a, b, c, d in zip(s1.form, s2.vf, s2.form, s1.vf)),
+    return sum((a * b + c * d for a, b, c, d in zip(s1.form.coeffs, s2.vf.coeffs,
+                                                    s2.form.coeffs, s1.vf.coeffs)),
                TOTAL.zero())
 
 
@@ -138,7 +142,7 @@ def _dense_courant(s1, s2):
     """[X1, X2]^j = X1(X2^j) - X2(X1^j) and L_{X1} theta2 - i_{X2} d theta1,
     from partial derivatives over every component."""
     names = TOTAL.allvars
-    x1, t1, x2, t2 = s1.vf, s1.form, s2.vf, s2.form
+    x1, t1, x2, t2 = s1.vf.coeffs, s1.form.coeffs, s2.vf.coeffs, s2.form.coeffs
     vf, form = [], []
     for j, v in enumerate(names):
         vf.append(sum((x1[i] * x2[j].partial(u) - x2[i] * x1[j].partial(u)
@@ -159,14 +163,12 @@ def test_sparse_total_kernels_match_the_dense_formulas(s1, s2, phi):
     for a, b in ((s1, s2), (s2, s1), (s1.scale(phi), s2), (s1 - s2, s1)):
         assert total_pairing(a, b) == _dense_pairing(a, b)
         out = total_courant(a, b)
-        assert [list(out.vf), list(out.form)] == list(_dense_courant(a, b))
-        # the views are the nonzero components, and zero is zero
+        assert [list(out.vf.coeffs), list(out.form.coeffs)] == list(_dense_courant(a, b))
         for sec in (a, b, out):
-            assert sec.nonzero() == tuple(tuple((k, c) for k, c in enumerate(comps) if not c.is_zero())
-                                          for comps in (sec.vf, sec.form))
-            assert sec.is_zero() == all(c.is_zero() for c in sec.vf + sec.form)
-    assert all(c == phi * a for c, a in zip(s1.scale(phi).vf, s1.vf))
-    assert all(c == a - b for c, a, b in zip((s1 - s2).form, s1.form, s2.form))
+            assert sec.is_zero() == all(c.is_zero() for c in sec.vf.coeffs + sec.form.coeffs)
+    assert all(c == phi * a for c, a in zip(s1.scale(phi).vf.coeffs, s1.vf.coeffs))
+    assert all(c == a - b for c, a, b in zip((s1 - s2).form.coeffs, s1.form.coeffs,
+                                             s2.form.coeffs))
 
 
 def test_lifted_section_ops_multiply_and_subtract_no_zero_component(ex_a, monkeypatch):
@@ -324,7 +326,7 @@ def test_tilde_expansion_consistent_with_anchor():
     psi = alg.tp.embed(BASE.poly("x1*x1"))
     from courant_lab.bundle import vf_apply
 
-    assert vf_apply(alg.tp.patch, enumerate(vf), psi) == alg.tp.embed(BASE.poly("2*x2*x1"))
+    assert vf_apply(alg.tp.patch, vf.nonzero(), psi) == alg.tp.embed(BASE.poly("2*x2*x1"))
     # on the linear function of tau = (t2, 0): l_{L_{phi a} tau}
     tau = lad.to_sigma(a=a.section(t2=1))
     from courant_lab.laops import lie_der_sigma
@@ -336,4 +338,64 @@ def test_tilde_expansion_consistent_with_anchor():
     expected = alg.tp.zero()
     for j, v in enumerate(lad.v_bundle.frame_sections()):
         expected = expected + alg.tp.fiber(j) * alg.tp.embed(delta.predual.pair(v, lied))
-    assert vf_apply(alg.tp.patch, enumerate(vf), ell) == expected
+    assert vf_apply(alg.tp.patch, vf.nonzero(), ell) == expected
+
+
+# -- the lifted printer on the shapes no golden prints ---------------------------
+# expected strings captured from the printer of the dense lifted sections
+
+
+def _witnesses(report, prefix=""):
+    return [(w.identity, w.inputs, w.difference) for w in report.witnesses
+            if w.identity.startswith(prefix)]
+
+
+def test_printer_on_vector_field_only_differences(monkeypatch):
+    # sharp maps against a wrong rho(a) and a wrong bracket [a, e_l]
+    line = patch("x")
+    a = Bundle.vector(line, "a", ("a1",))
+    lad = LieAlgebroidData(AnchoredBracket.from_pairs(
+        a, HomSection(a, Bundle.tangent(line), [[line.poly("x")]])))
+    bracket, rho = lad.bracket.battery_bracket, lad.bracket.rho
+    monkeypatch.setattr(lad.bracket, "battery_bracket",
+                        lambda p, t: bracket(p, t).scale(line.poly("x + 2")))
+    monkeypatch.setattr(lad.bracket, "rho", lambda s: rho(s).scale(line.poly("3")))
+    assert _witnesses(linear_poisson_check(lad)) == [
+        ("sharp-of-linear", "a1", "((-2*x)*d/dx; 0)"),
+        ("sharp-of-linear", "(x)*a1", "((-2*x^2)*d/dx + (x^2*p1 + x*p1)*d/dp1; 0)"),
+        ("sharp-of-linear", "(x^2)*a1",
+         "((-2*x^3)*d/dx + (2*x^3*p1 + 2*x^2*p1)*d/dp1; 0)")]
+    # generator anchors against a wrong basic connection
+    t = Bundle.vector(BASE, "t", ("t1", "t2"))
+    lad = LieAlgebroidData(AnchoredBracket.from_pairs(t, HomSection(
+        t, Bundle.tangent(BASE), [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.one()]])))
+    basic_v = lad.basic_v
+    monkeypatch.setattr(lad, "basic_v", lambda d, b, v: basic_v(d, b, v)
+                        + lad.v_bundle.frame_section(2).scale(BASE.poly("x2")))
+    report = ta_generator_check(lad, standard_dorfman(flat_connection(t)))
+    assert _witnesses(report, "anchor") == [
+        ("anchor-of-sigma", f"a{i}", "((x2*w1 + x2*w2 + x2*w3 + x2*w4)*d/dw3; 0)")
+        for i in (1, 2)]
+
+
+def test_printer_on_form_only_differences(monkeypatch):
+    # flat maps against a wrong Lie derivative
+    e = Bundle.vector(BASE, "L", ("eps",))
+    sigma = HomSection(e, Bundle.cotangent(BASE), [[BASE.poly("x2")], [BASE.poly("x1*x1")]])
+    conn = Connection(e, [[e.zero_section()], [e.section(eps="x1")]])
+    lie = prolong.lie_derivative_form
+    monkeypatch.setattr(prolong, "lie_derivative_form",
+                        lambda x, theta: lie(x, theta).scale(BASE.poly("x1 + 1")))
+    assert _witnesses(canonical_form_check(sigma, conn)) == [
+        ("flat-of-linear", "Dx1", "(0; (-2*x1^2*y1)*dx2)"),
+        ("flat-of-linear", "Dx2", "(0; (-x1*y1)*dx1)")]
+
+
+def test_printer_on_both_parts(ex_a):
+    tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
+    lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
+    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    assert str(lifted) == "((x2)*d/dx2 + (-x1*x2*y1)*d/dy1; (x1*y1)*dx2 + (1)*dy1)"
+    assert str(core) == "((x1)*d/dy1; (1)*dx1)"
+    assert str(lifted - core) == \
+        "((x2)*d/dx2 + (-x1*x2*y1 - x1)*d/dy1; (-1)*dx1 + (x1*y1)*dx2 + (1)*dy1)"
