@@ -12,28 +12,24 @@ sections over two equal but distinct patches never mix.
 Zero is shared, not built.  A Patch owns its zero polynomial (Patch.zero)
 and a Bundle its zero section (Bundle.zero_section), each built once.  A
 kernel whose result vanishes returns that owner's zero, or an operand it
-hands back unchanged: Section `+`, `-`, unary `-`, `scale` and
-`component`, Bundle.join, `leibniz`, HomSection.apply, `matrix_d`,
-`vf_bracket`, `lie_derivative_form` and SubBundle.residual return the
-bundle's zero section, and the Cartan kernels (`vf_apply`,
-`vf_bracket_comps`, `lie_form_comps`, `courant_dorfman_form_part`,
-`interior_two_form`), which take the Patch their polynomials live over,
-return its zero polynomial.  Section `+` and `-` hand back the left
-operand when the right one is the shared zero section, and `+` the right
-one when the left one is.
+hands back unchanged: the section kernels (Section `+`, `-`, unary `-`,
+`scale` and `component`, Bundle.join, `leibniz`, `column_section`,
+`vf_bracket`, `lie_derivative_form`) return the bundle's zero section, and
+the polynomial kernels (`column_apply`, and the Cartan kernels `vf_apply`,
+`vf_bracket_comps`, `lie_form_comps`, `courant_dorfman_form_part`, which
+take the Patch their polynomials live over) return its zero polynomial,
+also for a component that cancels.
 
 A section carries its nonzero components: Section.nonzero() gives the
 (index, coefficient) pairs of its nonzero coefficients, found on the first
-call and kept by the section (it is immutable, so the view never goes
-stale).  Every section kernel here iterates that view instead of the
-coefficients, the Cartan kernels and `interior_two_form` take views (a
-section's, or FrameTable anchors) rather than coefficient lists, and no
-other module rescans a section's coefficients for its nonzero ones.  A
-lifted section of `prolong` is a vector field and a form on the total
-space, two Sections, so it has no calculus of its own.  A pairing matrix
-is read as rows, the nonzero (j, P_ij) of each left frame index i
-(pairing_rows), which `matrix_pair` and `leibniz` walk against the left
-operand's view.
+call and kept (a section is immutable).  Every kernel here iterates such
+views, a section's or FrameTable anchors, and no other module rescans a
+section's coefficients.  A fixed matrix (an anchor, d_B, D, a pairing, a
+subbundle projection, a constant solve, a fixed two-form) is read once
+into Marked rows or columns: its nonzero entries, an entry equal to 1
+marked so that it costs no product.  `column_apply` applies a ColumnTable
+to a view (HomSection.apply keeps its map's table), and `matrix_pair` and
+`leibniz` walk the rows of a pairing (pairing_rows) against a view.
 
 The layout of a direct sum is known to this module alone.  A summand is
 read and written through three operations: Bundle.summand (the bundle of
@@ -373,7 +369,8 @@ class Section:
             return other
         coeffs = list(self.coeffs)
         for k, b in other.nonzero():
-            coeffs[k] = coeffs[k] + b
+            c = coeffs[k] + b
+            coeffs[k] = c if c._terms else self.bundle.patch.zero()
         return _nonzero(self.bundle, tuple(coeffs))
 
     def __sub__(self, other: "Section") -> "Section":
@@ -384,7 +381,8 @@ class Section:
             return self
         coeffs = list(self.coeffs)
         for k, b in other.nonzero():
-            coeffs[k] = coeffs[k] - b
+            c = coeffs[k] - b
+            coeffs[k] = c if c._terms else self.bundle.patch.zero()
         return _nonzero(self.bundle, tuple(coeffs))
 
     def __neg__(self) -> "Section":
@@ -504,7 +502,7 @@ class Battery(NamedTuple):
 class HomSection:
     """A bundle map as a matrix of ScalarPoly (target rank x source rank)."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_columns")  # see apply()
 
     def __init__(self, source: Bundle, target: Bundle, matrix: Sequence[Sequence[ScalarPoly]]):
         if len(matrix) != target.rank or any(len(row) != source.rank for row in matrix):
@@ -532,19 +530,14 @@ class HomSection:
         return Section(self.target, tuple(self.matrix[i][j] for i in range(self.target.rank)))
 
     def apply(self, section: Section) -> Section:
+        """column_section over the matrix's column table, kept from the first call."""
         if section.bundle is not self.source:
             raise BundleError("section is not in the source bundle")
-        zero = self.source.patch.zero()
-        nonzero = section.nonzero()
-        out = []
-        for row in self.matrix:
-            total = zero
-            for j, coeff in nonzero:
-                entry = row[j]
-                if entry._terms:
-                    total = total + entry * coeff
-            out.append(total)
-        return _nonzero(self.target, tuple(out))
+        try:
+            table = self._columns
+        except AttributeError:  # the first call, as in ScalarPoly.gradient
+            table = self._columns = column_table(self.matrix, self.source.rank)
+        return column_section(self.target, table, section.nonzero())
 
     def transpose(self) -> "HomSection":
         """The map target* -> source* over the dual frames: <T* a, s> = <a, T s>."""
@@ -576,6 +569,57 @@ class HomSection:
         return f"[{cols}]"
 
 
+# -- fixed matrices: marked rows and column tables -----------------------
+
+# the nonzero (index, entry) of a fixed row or column, in order, an entry 1 as None
+Marked = Tuple[Tuple[int, Optional[Union[ScalarPoly, Fraction]]], ...]
+
+
+def _marked(entries: Sequence[Union[ScalarPoly, Rational]]) -> Marked:
+    return tuple([(k, None if e == 1 else e) for k, e in enumerate(entries) if e != 0])
+
+
+class ColumnTable(NamedTuple):
+    """A fixed matrix M: its number of rows, and the Marked column j of M."""
+
+    rows: int
+    columns: Tuple[Marked, ...]
+
+
+def column_table(matrix: Sequence[Sequence[Union[ScalarPoly, Rational]]],
+                 width: int) -> ColumnTable:
+    """The column table of a matrix with width columns (and possibly no rows)."""
+    return ColumnTable(len(matrix), tuple(_marked([row[j] for row in matrix])
+                                          for j in range(width)))
+
+
+def column_apply(table: ColumnTable, terms: Terms, zero: ScalarPoly) -> List[ScalarPoly]:
+    """M v, out_r = sum M_rj v_j, for v given by its view over zero's
+    variables, the one kernel for a fixed matrix times polynomials: v_j
+    itself is added for a marked 1, and a product is formed only for
+    another nonzero M_rj.  A vanishing out_r, one that cancels too, is zero."""
+    out = [zero] * table.rows
+    columns = table.columns
+    for j, v in terms:
+        for r, entry in columns[j]:
+            term = v if entry is None else v * entry
+            total = out[r]
+            if total is not zero:
+                term = total + term
+                if not term._terms:
+                    term = zero
+            out[r] = term
+    return out
+
+
+def column_section(target: Bundle, table: ColumnTable, terms: Terms) -> Section:
+    """`column_apply` as a section of target, its shared zero section when
+    every component vanishes (at once for an empty view)."""
+    if not terms:
+        return target._zero_section
+    return _nonzero(target, tuple(column_apply(table, terms, target.patch.zero())))
+
+
 # -- canonical pairing ---------------------------------------------------
 
 def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
@@ -605,46 +649,36 @@ def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
     return matrix
 
 
-PairRows = Tuple[Terms, ...]
-
-
-def pairing_rows(matrix: Sequence[Sequence[ScalarPoly]]) -> PairRows:
+def pairing_rows(matrix: Sequence[Sequence[ScalarPoly]]) -> Tuple[Marked, ...]:
     """The rows of a pairing matrix P as `matrix_pair` and `leibniz` read
-    them: for each left frame index i, the nonzero (j, P_ij)."""
-    return tuple(nonzero_terms(row) for row in matrix)
+    them: for each left frame index i, the Marked nonzero (j, P_ij)."""
+    return tuple(_marked(row) for row in matrix)
 
 
-def matrix_pair(rows: PairRows, s1: Section, s2: Section) -> ScalarPoly:
+def matrix_pair(rows: Sequence[Marked], s1: Section, s2: Section) -> ScalarPoly:
     """sum s1_i s2_j P_ij over the nonzero s1_i (s1's view) and the nonzero
-    entries of their rows of P (see pairing_rows)."""
-    total = s1.bundle.patch.zero()
+    entries of their rows of P (see pairing_rows); a marked 1 is not
+    multiplied."""
+    total = None
     c2 = s2.coeffs
     for i, a in s1.nonzero():
         for j, entry in rows[i]:
             b = c2[j]
             if b._terms:
-                total = total + a * b * entry
-    return total
+                b = a * b if entry is None else a * b * entry
+                total = b if total is None else total + b
+    return total if total is not None and total._terms else s1.bundle.patch.zero()
 
 
 def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
     """sum_k s1_k s2_k: the pairing of two sections over mutually dual
-    frames, over the nonzero s1_k (s1's view)."""
-    return dual_pair_comps(s1.nonzero(), s2.coeffs, s1.bundle.patch.zero())
-
-
-def dual_pair_comps(a_terms: Iterable[Tuple[int, ScalarPoly]], b: Sequence[ScalarPoly],
-                    zero: ScalarPoly) -> ScalarPoly:
-    """sum_k a_k b_k from zero, the one pairing kernel.  a_terms gives a as
-    (k, a_k) pairs: a section's view (Section.nonzero), or enumerate(a) for
-    dense components, whose zeros are skipped.  A product is formed only
-    where both a_k and b_k are nonzero."""
-    total = zero
-    for k, x in a_terms:
-        if x._terms:
-            y = b[k]
-            if y._terms:
-                total = total + x * y
+    frames, over the nonzero s1_k (s1's view), with a product formed only
+    where s2_k is nonzero too."""
+    total, b = s1.bundle.patch.zero(), s2.coeffs
+    for k, x in s1.nonzero():
+        y = b[k]
+        if y._terms:
+            total = total + x * y
     return total
 
 
@@ -656,38 +690,6 @@ def d_scalar(base: Patch, phi: ScalarPoly) -> Section:
 def db_canonical(bundle_b: Bundle, phi: ScalarPoly) -> Section:
     """d_B phi = (0, d phi) for a bundle with a T*M summand."""
     return bundle_b.join(d_scalar(bundle_b.patch, phi))
-
-
-def constant_apply(matrix: Sequence[Sequence[Rational]], terms: Terms,
-                   zero: ScalarPoly) -> List[ScalarPoly]:
-    """matrix . v for a constant matrix and a vector v of polynomials given by
-    its nonzero (k, v_k) (a section's view, or nonzero_terms of a list): the
-    one kernel behind the solves with an inverse constant pairing; a product
-    is formed only where the entry is nonzero too."""
-    out = []
-    for row in matrix:
-        total = zero
-        for k, poly in terms:
-            c = row[k]
-            if c:
-                total = total + poly * c
-        out.append(total)
-    return out
-
-
-def matrix_d(bundle: Bundle, dmat: Sequence[Sequence[ScalarPoly]], phi: ScalarPoly) -> Section:
-    """d phi = dmat . grad(phi) as a section of bundle: the one kernel behind
-    d_B of a pre-dual pair and D = rho* d of a Courant algebroid."""
-    grad = phi.gradient()
-    zero = bundle.patch.zero()
-    comps = []
-    for row in dmat:
-        value = zero
-        for entry, g in zip(row, grad):
-            if entry._terms and g._terms:
-                value = value + entry * g
-        comps.append(value)
-    return _nonzero(bundle, tuple(comps))
 
 
 # -- Leibniz extension of a frame table ----------------------------------
@@ -716,7 +718,7 @@ class FrameTable:
 
 
 def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
-            bracket: bool = False, pair_rows: PairRows = (),
+            bracket: bool = False, pair_rows: Sequence[Marked] = (),
             d: Optional[Callable[[ScalarPoly], Section]] = None) -> Section:
     """The operator with frame table S, extended to sections by the Leibniz rules:
 
@@ -775,7 +777,7 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
                     continue
                 if d_phi is None:
                     d_phi = d(phi).nonzero()
-                factor = psi * entry
+                factor = psi if entry is None else psi * entry
                 for k, c in d_phi:
                     sums.setdefault(k, []).append((factor, c, 1))
     if not sums:
@@ -870,23 +872,6 @@ def two_form_of_oneform(vars_: Sequence[str], theta: Sequence[ScalarPoly]) -> Li
              for j in range(len(vars_))] for i in range(len(vars_))]
 
 
-def interior_two_form(base: Patch, x_terms: Terms,
-                      w: Sequence[Sequence[ScalarPoly]]) -> List[ScalarPoly]:
-    """(i_X W)_j = sum_i X^i W[i][j] for X given by its view (a section's),
-    over the patch the components live over; zero entries of W are
-    skipped."""
-    rows = [(c, w[i]) for i, c in x_terms]
-    zero = base.zero()
-    out = []
-    for j in range(base.dim):
-        total = zero
-        for c, row in rows:
-            if row[j]._terms:
-                total = total + c * row[j]
-        out.append(total if total._terms else zero)
-    return out
-
-
 def vf_bracket(x: Section, y: Section) -> Section:
     """Lie bracket of vector fields, [X, Y]^j = X^i d_i Y^j - Y^i d_i X^j."""
     base = x.bundle.patch
@@ -959,8 +944,9 @@ class SubBundle:
 
     Membership of a polynomial section is decided by projecting onto the
     deterministic rational complement and testing zero.  The constant
-    matrices of that projection are built once, here, and every
-    decomposition of a section applies them through `constant_apply`.
+    matrices of that projection are built once, here, as column tables,
+    and every decomposition of a section applies them through
+    `column_apply`.
     """
 
     def __init__(self, name: str, sections: Sequence[Section], ambient: Bundle | None = None):
@@ -986,11 +972,13 @@ class SubBundle:
         # matrix whose columns are the frame and complement vectors, and the
         # residual: the sum of the complement coordinates times those vectors
         columns, r = rows + self.complement, len(rows)
-        inv = invert([[vec[i] for vec in columns] for i in range(ambient.rank)])
-        self._head, self._rest = inv[:r], inv[r:]
-        pieces = list(zip(self.complement, self._rest))
-        self._projection = [[sum((vec[i] * row[j] for vec, row in pieces if vec[i]), Fraction(0))
-                             for j in range(ambient.rank)] for i in range(ambient.rank)]
+        n = ambient.rank
+        inv = invert([[vec[i] for vec in columns] for i in range(n)])
+        pieces = list(zip(self.complement, inv[r:]))
+        projection = [[sum((vec[i] * row[j] for vec, row in pieces if vec[i]), Fraction(0))
+                       for j in range(n)] for i in range(n)]
+        self._head, self._rest = column_table(inv[:r], n), column_table(inv[r:], n)
+        self._projection = column_table(projection, n)
 
     @property
     def rank(self) -> int:
@@ -1007,26 +995,22 @@ class SubBundle:
         """(frame coordinates, complement coordinates) of an ambient vector of
         polynomials over any variable list, given by its view, whose zero is
         given."""
-        return constant_apply(self._head, terms, zero), constant_apply(self._rest, terms, zero)
+        return column_apply(self._head, terms, zero), column_apply(self._rest, terms, zero)
 
     def contains(self, section: Section) -> bool:
-        terms = self._view(section)
-        return not any(c._terms for c in constant_apply(self._rest, terms,
-                                                        self.ambient.patch.zero()))
+        rest = column_apply(self._rest, self._view(section), self.ambient.patch.zero())
+        return not any(c._terms for c in rest)
 
     def residual(self, section: Section) -> Section:
         """Component of the section transverse to the span (zero iff member)."""
-        terms = self._view(section)
-        return _nonzero(self.ambient, tuple(constant_apply(self._projection, terms,
-                                                           self.ambient.patch.zero())))
+        return column_section(self.ambient, self._projection, self._view(section))
 
     def coords(self, section: Section) -> List[ScalarPoly]:
         """Coefficients over the subbundle frame; section must be a member."""
-        terms = self._view(section)
-        zero = self.ambient.patch.zero()
-        if any(r._terms for r in constant_apply(self._rest, terms, zero)):
+        head, rest = self.split(self._view(section), self.ambient.patch.zero())
+        if any(c._terms for c in rest):
             raise BundleError(f"section is not in span of {self.name}")
-        return constant_apply(self._head, terms, zero)
+        return head
 
     def include(self, coeffs: Sequence[ScalarPoly]) -> Section:
         out = self.ambient.zero_section()

@@ -28,10 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
                         record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (COTM, TM, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     constant_apply, d_scalar, db_canonical, leibniz,
-                     matrix_d, matrix_pair, nonzero_terms, pairing_matrix, pairing_rows,
-                     vf_apply)
+from .bundle import (COTM, TM, Bundle, BundleError, ColumnTable, FrameTable, HomSection,
+                     Section, SubBundle, column_apply, column_section, column_table, d_scalar,
+                     db_canonical, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
+                     pairing_rows, vf_apply)
 from .dirac import VBTriple, check_equivalent
 from .dorfman import DorfmanConnection, pr_tm_hom
 from .laops import LieAlgebroidData, check_la_dirac
@@ -81,15 +81,22 @@ class CourantData:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
         if self._dmat is not None:
             return self._dmat
-        p_inv = invert([[entry.constant_value() for entry in row] for row in self.pairing])
+        p_inv = column_table(invert([[entry.constant_value() for entry in row]
+                                     for row in self.pairing]), self.bundle.rank)
         # column l of the matrix is p_inv times row l of the anchor matrix
-        cols = [constant_apply(p_inv, nonzero_terms(row), self.bundle.patch.zero())
+        cols = [column_apply(p_inv, nonzero_terms(row), self.bundle.patch.zero())
                 for row in self.anchor.matrix]
         self._dmat = [[col[m] for col in cols] for m in range(self.bundle.rank)]
         return self._dmat
 
+    @cached_property
+    def _d_table(self) -> ColumnTable:
+        return column_table(self.d_matrix(), self.bundle.patch.dim)
+
     def D(self, phi: ScalarPoly) -> Section:
-        return matrix_d(self.bundle, self.d_matrix(), phi)
+        """D phi = d_matrix() . grad(phi), over the nonzero partials of phi,
+        with the column table of d_matrix() kept from the first call."""
+        return column_section(self.bundle, self._d_table, nonzero_terms(phi.gradient()))
 
     # -- bracket -------------------------------------------------------------
 
@@ -243,12 +250,10 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         symbols.append(row)
 
     # D phi = class of (0, (0, d phi)): assemble its matrix in grad(phi)
-    dmat = [[base.zero() for _ in range(base.dim)] for _ in range(c_bundle.rank)]
-    for l, coord in enumerate(base.coords):
-        cls = mp.normalize(lad.v_bundle.zero_section(),
-                           lad.to_sigma(theta=d_scalar(base, base.coord(coord))))
-        for m in range(c_bundle.rank):
-            dmat[m][l] = cls.coeffs[m]
+    classes = [mp.normalize(lad.v_bundle.zero_section(),
+                            lad.to_sigma(theta=d_scalar(base, base.coord(coord)))).coeffs
+               for coord in base.coords]
+    dmat = [[cls[m] for cls in classes] for m in range(c_bundle.rank)]
 
     mp.courant = CourantData(c_bundle, anchor, pairing, symbols, d_matrix_override=dmat)
 

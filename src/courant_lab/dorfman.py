@@ -37,9 +37,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, FrameTable, HomSection,
-                     Section, SubBundle, constant_apply, dual_pair, leibniz,
-                     matrix_d, matrix_pair, nonzero_terms, pairing_matrix, pairing_rows,
-                     vf_apply, vf_bracket, lie_derivative_form)
+                     Section, SubBundle, column_section, column_table,
+                     dual_pair, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
+                     pairing_rows, vf_apply, vf_bracket, lie_derivative_form)
 from .linalg import invert
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, ERROR
@@ -97,16 +97,18 @@ class PreDual:
         self.q = q
         self.b = b
         self.pairing = tuple(tuple(row) for row in pairing)
-        self.dmat = tuple(tuple(row) for row in dmat)
         self.canonical = canonical
-        # the pairing is fixed once built: its rows, as matrix_pair reads them
+        # the pairing and d_B are fixed once built: the rows of the pairing,
+        # as matrix_pair reads them, and the column table of dmat
         self.pair_rows = pairing_rows(self.pairing)
+        self._d_table = column_table(dmat, q.patch.dim)
 
     def pair(self, q_sec: Section, b_sec: Section) -> ScalarPoly:
         return matrix_pair(self.pair_rows, q_sec, b_sec)
 
     def d(self, phi: ScalarPoly) -> Section:
-        return matrix_d(self.b, self.dmat, phi)
+        """d_B phi = dmat . grad(phi), over the nonzero partials of phi."""
+        return column_section(self.b, self._d_table, nonzero_terms(phi.gradient()))
 
     def constant_pairing(self) -> List[List[Fraction]]:
         return [[entry.constant_value() for entry in row] for row in self.pairing]
@@ -205,7 +207,7 @@ class DorfmanConnection:
     @classmethod
     def from_dull(cls, bracket: AnchoredBracket, predual: PreDual) -> "DorfmanConnection":
         """Invert axiom (c): <q_j, Delta_{q_i} b_k> = rho(q_i)<q_j,b_k> - <[q_i,q_j],b_k>."""
-        p = invert(predual.constant_pairing())
+        p = column_table(invert(predual.constant_pairing()), predual.q.rank)
         q = predual.q
         b_frames = predual.b.frame_sections()
         symbols = []
@@ -219,8 +221,7 @@ class DorfmanConnection:
                     value = derived[j].get(k, q.patch.zero())
                     pairing = predual.pair(bracket.structure[i][j], b_frames[k])
                     rhs.append(value - pairing if pairing._terms else value)
-                row.append(Section(predual.b, tuple(constant_apply(p, nonzero_terms(rhs),
-                                                                   q.patch.zero()))))
+                row.append(column_section(predual.b, p, nonzero_terms(rhs)))
             symbols.append(row)
         return cls(predual, bracket, symbols)
 
@@ -429,8 +430,8 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     """The dull bracket with this anchor dual to the symbols,
     <[q_i, q_j], b_k> = rho(q_i)<q_j, b_k> - <q_j, Delta_{q_i} b_k>, solved
     with the inverse of the constant pairing."""
-    p_t = [list(col) for col in zip(*invert(predual.constant_pairing()))]  # transposed
     q, b = predual.q, predual.b
+    p_t = column_table(list(zip(*invert(predual.constant_pairing()))), b.rank)  # transposed
     q_frames = q.frame_sections()
     table = []
     for i in range(q.rank):
@@ -442,8 +443,7 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
                 value = derived[j].get(k, q.patch.zero())
                 pairing = predual.pair(q_frames[j], symbols[i][k])
                 values.append(value - pairing if pairing._terms else value)
-            row.append(Section(q, tuple(constant_apply(p_t, nonzero_terms(values),
-                                                       q.patch.zero()))))
+            row.append(column_section(q, p_t, nonzero_terms(values)))
         table.append(row)
     return AnchoredBracket(q, anchor, table)
 
@@ -451,10 +451,11 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
 def _derived_pairing(predual: PreDual, rho: Sequence[Tuple[int, ScalarPoly]]
                      ) -> List[Dict[int, ScalarPoly]]:
     """X<q_j, b_k> = X(P_jk) for the vector field X with nonzero components
-    rho, as {k: X(P_jk)} for each j over the nonzero pairing entries (the
-    pairing rows): a zero entry gives a zero derivative, so it is not
-    differentiated."""
-    return [{k: vf_apply(predual.q.patch, rho, entry) for k, entry in row}
+    rho, as {k: X(P_jk)} for each j over the non-constant pairing entries
+    (read off the pairing rows): a constant entry, a marked 1 among them,
+    has a zero derivative, so it is not differentiated."""
+    return [{k: vf_apply(predual.q.patch, rho, entry) for k, entry in row
+             if entry is not None and not entry.is_constant()}
             for row in predual.pair_rows]
 
 
@@ -564,12 +565,9 @@ def bott_dorfman(courant, k_sub: SubBundle):
     pairing = [[courant.pair(k1, w) for w in comp_sections] for k1 in k_sub.sections]
     big_dmat = courant.d_matrix()
     # rows of the quotient d: complement coordinates of the big D matrix columns
-    dmat = [[base.zero() for _ in range(base.dim)] for _ in range(len(comp_vectors))]
-    for l in range(base.dim):
-        column = Section(big, tuple(big_dmat[r][l] for r in range(big.rank)))
-        projected = project(column)
-        for j in range(len(comp_vectors)):
-            dmat[j][l] = projected.coeffs[j]
+    cols = [project(Section(big, tuple(row[l] for row in big_dmat))).coeffs
+            for l in range(base.dim)]
+    dmat = [[col[j] for col in cols] for j in range(quotient.rank)]
     predual = PreDual(k_bundle, quotient, pairing, dmat)
 
     symbols = []

@@ -361,6 +361,8 @@ class ScalarPoly:
         return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
 
     def __eq__(self, other: object) -> bool:
+        if type(other) is int:  # compared in place: an int is the key 0 over 1
+            return self._den == 1 and self._terms == ({0: other} if other else {})
         if isinstance(other, (int, Fraction)):
             other = ScalarPoly.const(self.vars, other)
         if not isinstance(other, ScalarPoly):

@@ -11,7 +11,8 @@ A lifted section is a pair of `Section`s over the `Patch` of a
 `TotalPatch`, a vector field and a 1-form, so the total-space calculus is
 the `Section` calculus of `bundle`: Section `-` and `scale`, `dual_pair`,
 `vf_apply`, `vf_bracket` and the other Cartan kernels (handed the
-sections' views), `interior_two_form` and `HomSection.transpose`.  Every
+sections' views), `column_section` for the contraction with a fixed
+two-form or bivector, and `HomSection.transpose`.  Every
 vector field and form on the total space is built from its base and fiber
 parts by `TotalPatch.field`, and every fiberwise-linear function
 sum_k c_k(x) y_k by `TotalPatch.linear`.  The generator
@@ -42,8 +43,8 @@ from typing import List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
-                     Patch, Section, courant_dorfman_form_part, db_canonical,
-                     dual_pair, dual_pair_comps, interior_two_form, lie_derivative_form,
+                     Patch, Section, column_section, column_table, courant_dorfman_form_part,
+                     db_canonical, dual_pair, lie_derivative_form,
                      pairing_matrix, two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
@@ -385,23 +386,23 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
             return tp.embed(lad.bracket.frame_rho[k][beta])
         return -coord_bracket(beta, alpha)
 
-    # the Poisson bivector, whose contraction with a form is the sharp map
-    table = [[coord_bracket(a, b) for b in range(n + r)] for a in range(n + r)]
+    # the Poisson bivector P, whose contraction with a form is the sharp map:
+    # (sharp form)_b = sum_a form_a P[a][b], the transpose of P times form
+    table = column_table([[coord_bracket(a, b) for a in range(n + r)] for b in range(n + r)],
+                         n + r)
     tangent, cotangent = Bundle.tangent(tp.patch), Bundle.cotangent(tp.patch)
 
     def sharp(form: Section) -> Section:
-        return Section(tangent, interior_two_form(tp.patch, form.nonzero(), table))
+        return column_section(tangent, table, form.nonzero())
 
     no_form = cotangent.zero_section()
 
-    ct = Bundle.cotangent(base)
-    ct_batt, a_batt = ct.battery, a_bundle.battery
+    ct_batt, a_batt = Bundle.cotangent(base).battery, a_bundle.battery
+    rho_star = lad.bracket.anchor.transpose()
     for label, theta in zip(ct_batt.labels, ct_batt.sections):
         lhs = sharp(tp.field(COTM, base=[tp.embed(c) for c in theta.coeffs]))
         # -(rho* theta)^: vertical with components -<theta, rho(e_k)>
-        rhs = tp.field(TM, fiber=[
-            -tp.embed(dual_pair_comps(theta.nonzero(), lad.bracket.frame_rho[k], base.zero()))
-            for k in range(r)])
+        rhs = tp.field(TM, fiber=[-tp.embed(c) for c in rho_star.apply(theta).coeffs])
         chk.record("sharp-of-pullback", label, LiftedSection(lhs - rhs, no_form))
     for p, (label, a) in enumerate(zip(a_batt.labels, a_batt.sections)):
         ell = tp.linear(a.coeffs)
@@ -445,12 +446,13 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 
     # theta = sum_i (sum_k sigma_{ik}(x) y_k) dx_i
     theta = tp.field(COTM, base=[tp.linear(row) for row in sigma.matrix])
-    w = two_form_of_oneform(tp.allvars, theta.coeffs)
+    # (flat v)_j = sum_i v_i w[i][j], the transpose of w times v
+    w = column_table(list(zip(*two_form_of_oneform(tp.allvars, theta.coeffs))), n + r)
     no_vf = tp.field(TM)
 
     # omega(v1, v2) = <flat(v1), v2>, so each flat below is taken once
     def flat(v: Section) -> Section:
-        return Section(theta.bundle, interior_two_form(tp.patch, v.nonzero(), w))
+        return column_section(theta.bundle, w, v.nonzero())
 
     def linear_lift(x: Section) -> Section:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction

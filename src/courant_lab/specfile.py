@@ -294,7 +294,14 @@ def _bundle(body: _Body) -> Bundle:
         raise SpecError(f"{_header(body.sec)}: a bundle cannot be named {name!r}; TM and T*M "
                         "name the tangent and cotangent bundles, + and * build references",
                         body.sec.line)
-    return Bundle.vector(body.spec.base, name, _idents(*body.get("frame")))
+    text, line = body.get("frame")
+    frame, coords = _idents(text, line), body.spec.base.coords
+    taken = set(coords) | {prefix + c for c in coords for prefix in "Dd"}
+    for f in frame:
+        for clash, what in ((f, f"frame name {f!r}"), (f + "s", f"'{f}s', the dual of '{f}',")):
+            if clash in taken:
+                raise SpecError(f"{what} is also a coordinate or a frame name of TM or T*M", line)
+    return Bundle.vector(body.spec.base, name, frame)
 
 
 def _connection(body: _Body) -> Connection:

@@ -127,15 +127,17 @@ def test_lie_derivative_examples():
 
 def test_cartan_identity():
     # L_X theta = i_X d theta + d(i_X theta), also where X or theta has zero components
-    from courant_lab.bundle import (courant_dorfman_form_part, dual_pair,
-                                    interior_two_form, two_form_of_oneform)
+    from courant_lab.bundle import (column_apply, column_table, courant_dorfman_form_part,
+                                    dual_pair, two_form_of_oneform)
     xs = [TM.section(Dx1="x2", Dx2="x1"), TM.section(Dx2="x1*x1"), TM.zero_section()]
     thetas = [CT.section(dx1="x1*x2", dx2="x2"), CT.section(dx1="x2"), CT.zero_section()]
     for x in xs:
         for theta in thetas:
             lie = lie_derivative_form(x, theta)
             w = two_form_of_oneform(BASE.coords, theta.coeffs)
-            contraction = interior_two_form(BASE, x.nonzero(), w)
+            # (i_X d theta)_j = sum_i X^i w[i][j], the transpose of w times X
+            contraction = column_apply(column_table(list(zip(*w)), BASE.dim), x.nonzero(),
+                                       BASE.zero())
             inner = dual_pair(x, theta)
             d_inner = d_scalar(BASE, inner)
             for a, b, c in zip(lie.coeffs, contraction, d_inner.coeffs):

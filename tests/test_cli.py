@@ -404,16 +404,29 @@ MALFORMED = {
                                                                  "span = e1s ; e1s"),
                        "span = e1s ; e1s", "[subbundle.U]: frame vectors are linearly dependent"),
     # a frame name equal to a coordinate or to another frame name of the
-    # sum would be read as its first occurrence
+    # sum would be read as its first occurrence; a frame name (or its dual)
+    # that is a coordinate, or a frame name of TM or T*M, is refused on its
+    # frame line, also where no expression over the bundle is parsed
     "frame-named-as-coordinate": (
         MINIMAL.replace("frame = eps", "frame = x1").replace("x2, eps = x1*eps", "x2, x1 = x1"),
-        "x2, x1 = x1", "'x1' is named twice among the variables x1, x2, x1"),
+        "frame = x1", "frame name 'x1' is also a coordinate or a frame name of TM or T*M"),
+    "frame-named-as-coordinate-unused": (
+        MINIMAL.replace("frame = eps", "frame = x1").replace("x2, eps = x1*eps\n", ""),
+        "frame = x1", "frame name 'x1' is also a coordinate"),
+    "frame-named-as-tangent-frame-unused": (
+        MINIMAL.replace("frame = eps", "frame = Dx1").replace("x2, eps = x1*eps\n", ""),
+        "frame = Dx1", "frame name 'Dx1' is also a coordinate or a frame name of TM or T*M"),
+    "frame-named-as-cotangent-frame": (MINIMAL.replace("frame = eps", "frame = eps, dx2"),
+                                       "frame = eps, dx2", "frame name 'dx2' is also"),
+    "dual-frame-named-as-coordinate": (
+        MINIMAL.replace("coords = x1, x2", "coords = x1, x2, epss"), "frame = eps",
+        "'epss', the dual of 'eps', is also a coordinate"),
     "frame-named-as-dual-frame": (MINIMAL + "\n[bundle.F]\nframe = f, fs\n\n[subbundle.U]\n"
                                             "ambient = F+F*\nspan = fs\n",
                                   "span = fs", "'fs' is named twice"),
     "frame-named-as-tangent-frame": (MINIMAL + "\n[bundle.F]\nframe = Dx1\n\n[subbundle.U]\n"
                                                "ambient = TM+F\nspan = Dx1\n",
-                                     "span = Dx1", "'Dx1' is named twice"),
+                                     "frame = Dx1", "frame name 'Dx1' is also a coordinate"),
     # refused before any multiplication, so the parse returns at once
     "huge-exponent": (MINIMAL.replace("x2, eps = x1*eps", "x2, eps = x1^99999999999*eps"),
                       "x2, eps = x1^99999999999*eps",

@@ -5,7 +5,8 @@ equal the dense scan of the coefficients, on every kind of section the
 kernels meet and make, and be the same tuple on a second call.  The rows
 of a pairing (`PreDual.pair_rows`) must give the dense sum
 sum s1_i s2_j P_ij, and the Leibniz extension must read them right, for a
-pairing that is neither diagonal nor constant.
+pairing that is neither diagonal nor constant, and for one with entries
+equal to 1, which the rows mark instead of multiplying by them.
 """
 
 import random
@@ -87,10 +88,14 @@ def test_view_of_leibniz_and_hom_apply():
 PAIRING = [["x1", "0", "1 + x2"],
            ["0", "2", "0"],
            ["x2", "-1/2", "x1*x2"]]
+# the same with a 1 in each row, each held as None in its row
+UNIT_PAIRING = [["x1", "0", "1"],
+                ["1", "2", "0"],
+                ["x2", "1", "-1"]]
 
 
-def hand_built_predual() -> PreDual:
-    pairing = [[BASE.poly(text) for text in row] for row in PAIRING]
+def hand_built_predual(texts=PAIRING) -> PreDual:
+    pairing = [[BASE.poly(text) for text in row] for row in texts]
     # d_B phi = (d_1 phi, x1*d_2 phi, 0): any matrix of polynomials will do
     dmat = [[BASE.one(), BASE.zero()], [BASE.zero(), BASE.coord("x1")],
             [BASE.zero(), BASE.zero()]]
@@ -101,32 +106,37 @@ def test_pairing_rows_hold_the_nonzero_entries_of_each_row():
     predual = hand_built_predual()
     assert [[(j, str(p)) for j, p in row] for row in predual.pair_rows] == [
         [(0, "x1"), (2, "x2 + 1")], [(1, "2")], [(0, "x2"), (1, "-1/2"), (2, "x1*x2")]]
+    # an entry equal to 1 is marked None, and -1 is held as it is
+    unit = hand_built_predual(UNIT_PAIRING)
+    assert [[(j, p if p is None else str(p)) for j, p in row] for row in unit.pair_rows] == [
+        [(0, "x1"), (2, None)], [(0, None), (1, "2")], [(0, "x2"), (1, None), (2, "-1")]]
 
 
 def test_pair_over_rows_equals_the_dense_sum():
-    predual = hand_built_predual()
-    for v in samples(Q, 6):
-        for s in samples(B, 7):
-            total = BASE.zero()
-            for i, a in enumerate(v.coeffs):
-                for j, b in enumerate(s.coeffs):
-                    total = total + a * b * predual.pairing[i][j]
-            assert predual.pair(v, s) == total
+    for predual in (hand_built_predual(), hand_built_predual(UNIT_PAIRING)):
+        for v in samples(Q, 6):
+            for s in samples(B, 7):
+                total = BASE.zero()
+                for i, a in enumerate(v.coeffs):
+                    for j, b in enumerate(s.coeffs):
+                        total = total + a * b * predual.pairing[i][j]
+                assert predual.pair(v, s) == total
 
 
 def test_leibniz_reads_the_pairing_rows_in_the_first_slot():
     """Delta_{phi v} s = phi Delta_v s + <v, s> d_B phi over the hand-built
-    pairing: the pairing term of the Leibniz extension."""
-    predual = hand_built_predual()
-    rng = random.Random(8)
-    bracket = AnchoredBracket(Q, pr_tm_hom(Q), [random_sections(Q, Q.rank, rng)
-                                                for _ in range(Q.rank)])
-    delta = DorfmanConnection(predual, bracket,
-                              [random_sections(B, B.rank, rng) for _ in range(Q.rank)])
-    for phi in (BASE.poly("x1"), BASE.poly("x1*x2 + 3"), BASE.poly("x2^2")):
-        assert not predual.d(phi).is_zero()
-        for v in samples(Q, 9)[::2]:
-            for s in samples(B, 10)[::3]:
-                expected = (delta.apply(v, s).scale(phi)
-                            + predual.d(phi).scale(predual.pair(v, s)))
-                assert delta.apply(v.scale(phi), s) == expected
+    pairings: the pairing term of the Leibniz extension."""
+    for texts in (PAIRING, UNIT_PAIRING):
+        predual = hand_built_predual(texts)
+        rng = random.Random(8)
+        bracket = AnchoredBracket(Q, pr_tm_hom(Q), [random_sections(Q, Q.rank, rng)
+                                                    for _ in range(Q.rank)])
+        delta = DorfmanConnection(predual, bracket,
+                                  [random_sections(B, B.rank, rng) for _ in range(Q.rank)])
+        for phi in (BASE.poly("x1"), BASE.poly("x1*x2 + 3"), BASE.poly("x2^2")):
+            assert not predual.d(phi).is_zero()
+            for v in samples(Q, 9)[::2]:
+                for s in samples(B, 10)[::3]:
+                    expected = (delta.apply(v, s).scale(phi)
+                                + predual.d(phi).scale(predual.pair(v, s)))
+                    assert delta.apply(v.scale(phi), s) == expected

@@ -5,7 +5,9 @@ the values a passing run builds vanish.  A `Patch` owns one zero
 polynomial and a `Bundle` one zero section, and every kernel below whose
 result vanishes returns that owner's zero, or an operand it hands back
 unchanged, never a zero of its own.  The test counts, over one
-`verify-all --seed 7`, the vanishing results that are neither.
+`verify-all --seed 7`, the vanishing results that are neither.  It counts
+the zero components of a Section `+` or `-` result too: one that cancels
+is the patch's zero, and any other is the left operand's own component.
 
 Nor is a zero differentiated: every caller of `vf_apply` skips a zero
 function (through a section's view, the nonzero pairing rows or a test
@@ -44,10 +46,24 @@ def _section_kernel(operands):
     return classify
 
 
-def _poly_kernel(owner, operands=()):
+def _section_sum(args, result):
+    """_section_kernel((0, 1)), and each zero component of a result that is
+    not an operand, against the left operand's component and the patch's
+    zero: "operand component", "shared component" or "built component"."""
+    kinds = _section_kernel((0, 1))(args, result)
+    if not any(result is arg for arg in args[:2]):
+        zero = result.bundle.patch.zero()
+        for c, kept in zip(result.coeffs, args[0].coeffs):
+            if c.is_zero():
+                kind = "operand" if c is kept else "shared" if c is zero else "built"
+                kinds.append(f"{kind} component")
+    return kinds
+
+
+def _poly_kernel(zero_of, operands=()):
     """Classify a vanishing polynomial result, or each vanishing component of
-    a list result, against the operands at these positions and the zero of
-    the patch owner(args); a polynomial with no owner has no shared zero."""
+    a list result, against the operands at these positions and the shared
+    zero zero_of(args); a polynomial with no zero_of has no shared zero."""
     def classify(args, result):
         kinds = []
         for value in result if isinstance(result, list) else [result]:
@@ -55,15 +71,15 @@ def _poly_kernel(owner, operands=()):
                 if any(value is args[i] for i in operands):
                     kinds.append("operand")
                 else:
-                    shared = owner is not None and value is owner(args).zero()
+                    shared = zero_of is not None and value is zero_of(args)
                     kinds.append("shared" if shared else "built")
         return kinds
     return classify
 
 
 METHODS = {
-    (Section, "__add__"): _section_kernel((0, 1)),
-    (Section, "__sub__"): _section_kernel((0, 1)),
+    (Section, "__add__"): _section_sum,
+    (Section, "__sub__"): _section_sum,
     (Section, "__neg__"): _section_kernel((0,)),
     (Section, "scale"): _section_kernel((0,)),
     (Section, "component"): _section_kernel(()),
@@ -71,18 +87,17 @@ METHODS = {
     (HomSection, "apply"): _section_kernel((1,)),
     (SubBundle, "residual"): _section_kernel(()),
     (ScalarPoly, "__neg__"): _poly_kernel(None, (0,)),
-    (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0]),
+    (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0].zero()),
 }
 FUNCTIONS = {
     "leibniz": _section_kernel((0, 1)),
-    "matrix_d": _section_kernel(()),
+    "column_apply": _poly_kernel(lambda args: args[2]),
     "vf_bracket": _section_kernel((0, 1)),
     "lie_derivative_form": _section_kernel((0, 1)),
-    "vf_apply": _poly_kernel(lambda args: args[0], (2,)),
-    "vf_bracket_comps": _poly_kernel(lambda args: args[0]),
-    "lie_form_comps": _poly_kernel(lambda args: args[0]),
-    "interior_two_form": _poly_kernel(lambda args: args[0]),
-    "courant_dorfman_form_part": _poly_kernel(lambda args: args[4]),
+    "vf_apply": _poly_kernel(lambda args: args[0].zero(), (2,)),
+    "vf_bracket_comps": _poly_kernel(lambda args: args[0].zero()),
+    "lie_form_comps": _poly_kernel(lambda args: args[0].zero()),
+    "courant_dorfman_form_part": _poly_kernel(lambda args: args[4].zero()),
     "sum_of_products": _poly_kernel(None, (0,)),
 }
 
@@ -123,6 +138,10 @@ def test_verify_all_builds_no_zero_of_its_own(zero_results):
     assert sum(zero_results[name, "shared"] for name in kernels) > 10_000
     built = {name: zero_results[name, "built"] for name in kernels if zero_results[name, "built"]}
     assert built == {}
+    # a component of a sum or difference that cancels is the patch's zero
+    sums = ["Section.__add__", "Section.__sub__"]
+    assert [zero_results[name, "built component"] for name in sums] == [0, 0]
+    assert all(zero_results[name, "shared component"] for name in sums)
     # vf_apply returns phi itself exactly when phi is zero
     assert zero_results["vf_apply", "calls"] > 10_000
     assert zero_results["vf_apply", "operand"] == 0
