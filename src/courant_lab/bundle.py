@@ -747,8 +747,6 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
     if x is x.bundle.zero_section() or y is y.bundle.zero_section():
         return zero
     xs, ys = x.nonzero(), y.nonzero()
-    if not (xs and ys):
-        return zero
     sums: Dict[int, List[Tuple[ScalarPoly, ScalarPoly, int]]] = {}
     entries, anchors = frame.entries, frame.anchors
     for i, phi in xs:
@@ -940,7 +938,8 @@ def annihilator(frame: Sequence[Section], partner: Bundle) -> List[Section]:
 class SubBundle:
     """A constant-coefficient subbundle with canonical complement: the
     constant vectors `complement`, the standard-basis completion of
-    `linalg.complete_basis`.
+    `linalg.complete_basis`, which other modules read as constant sections
+    of the ambient bundle (`complement_sections`) and through `split`.
 
     Membership of a polynomial section is decided by projecting onto the
     deterministic rational complement and testing zero.  The constant
@@ -983,6 +982,13 @@ class SubBundle:
     @property
     def rank(self) -> int:
         return len(self.sections)
+
+    @cached_property
+    def complement_sections(self) -> Tuple[Section, ...]:
+        """The complement vectors as constant sections of the ambient bundle."""
+        patch = self.ambient.patch
+        return tuple(Section(self.ambient, [patch.const(v) if v else patch.zero() for v in vec])
+                     for vec in self.complement)
 
     def _view(self, section: Section) -> Terms:
         """The view of an ambient section; a section of another rank is refused."""

@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
                         record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (COTM, TM, Bundle, BundleError, ColumnTable, FrameTable, HomSection,
-                     Section, SubBundle, column_apply, column_section, column_table, d_scalar,
+from .bundle import (COTM, TM, VEC, Bundle, BundleError, ColumnTable, FrameTable, HomSection,
+                     Section, SubBundle, column_apply, column_section, column_table,
                      db_canonical, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
                      pairing_rows, vf_apply)
 from .dirac import VBTriple, check_equivalent
@@ -159,7 +159,6 @@ class ManinPairData:
     delta: DorfmanConnection
     u_sub: SubBundle
     k_sub: SubBundle
-    w_sections: List[Section]
     c_bundle: Bundle
     courant: Optional[CourantData]
 
@@ -171,7 +170,7 @@ class ManinPairData:
         """
         k_coords, w_coords = self.k_sub.split(sigma_sec.nonzero(), sigma_sec.bundle.patch.zero())
         kappa = self.k_sub.include(k_coords)
-        shifted = u_sec + self.lad.pair_map().apply(kappa)
+        shifted = u_sec + self.lad.pair_map.apply(kappa)
         u_coords = self.u_sub.coords(shifted)
         return Section(self.c_bundle, tuple(list(u_coords) + list(w_coords)))
 
@@ -180,7 +179,7 @@ class ManinPairData:
         p = self.u_sub.rank
         u_sec = self.u_sub.include(c_sec.coeffs[:p])
         sigma = self.lad.sigma_bundle.zero_section()
-        for coeff, w in zip(c_sec.coeffs[p:], self.w_sections):
+        for coeff, w in zip(c_sec.coeffs[p:], self.k_sub.complement_sections):
             sigma = sigma + w.scale(coeff)
         return u_sec, sigma
 
@@ -189,8 +188,8 @@ class ManinPairData:
         """The bracket on representatives, before normalization."""
         lad, delta = self.lad, self.delta
         v_part = (lad.dull_bracket(delta, u1, u2)
-                  + lad.basic_v(delta, lad.a_part(s1), u2)
-                  - lad.basic_v(delta, lad.a_part(s2), u1))
+                  + lad.basic_v(delta, s1.component(VEC), u2)
+                  - lad.basic_v(delta, s2.component(VEC), u1))
         s_part = (lad.dorfman_like_bracket(s1, s2)
                   + lad.dorfman(delta, u1, s2) - lad.dorfman(delta, u2, s1)
                   + db_canonical(lad.sigma_bundle, delta.predual.pair(u2, s1)))
@@ -207,11 +206,9 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
         return None, chk.report()
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     base = lad.base
-    pm = lad.pair_map()
+    pm = lad.pair_map
 
-    w_vectors = k_sub.complement
-    w_sections = [Section(lad.sigma_bundle, tuple(base.const(v) for v in vec))
-                  for vec in w_vectors]
+    w_sections = k_sub.complement_sections
     frame_names = tuple([f"cu{i + 1}" for i in range(u_sub.rank)]
                         + [f"cw{j + 1}" for j in range(len(w_sections))])
     c_bundle = Bundle.vector(base, "C", frame_names)
@@ -222,17 +219,12 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
     for w in w_sections:
         reps.append((lad.v_bundle.zero_section(), w))
 
-    mp = ManinPairData(lad, delta, u_sub, k_sub, w_sections, c_bundle,
+    mp = ManinPairData(lad, delta, u_sub, k_sub, c_bundle,
                        courant=None)  # symbols need mp.normalize
 
     # anchor columns: c(u + sigma) = pr_TM(u) + rho(pr_A sigma)
-    tangent = Bundle.tangent(base)
-    anchor_cols = []
-    for u_sec, s_sec in reps:
-        anchor_cols.append(Section(
-            tangent, tuple(a + b for a, b in zip(
-                lad.x_part(u_sec).coeffs, lad.rho(lad.a_part(s_sec)).coeffs))))
-    anchor = HomSection.from_columns(c_bundle, tangent, anchor_cols)
+    anchor = HomSection.from_columns(c_bundle, Bundle.tangent(base), [
+        u_sec.component(TM) + lad.rho(s_sec.component(VEC)) for u_sec, s_sec in reps])
 
     def cpair(r1, r2) -> ScalarPoly:
         (ua, sa), (ub, sb) = r1, r2
@@ -251,7 +243,7 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
 
     # D phi = class of (0, (0, d phi)): assemble its matrix in grad(phi)
     classes = [mp.normalize(lad.v_bundle.zero_section(),
-                            lad.to_sigma(theta=d_scalar(base, base.coord(coord)))).coeffs
+                            db_canonical(lad.sigma_bundle, base.coord(coord))).coeffs
                for coord in base.coords]
     dmat = [[cls[m] for cls in classes] for m in range(c_bundle.rank)]
 
@@ -321,7 +313,7 @@ def check_c_iso(mp: ManinPairData) -> CheckReport:
         chk.record("iota", f"u{i + 1}", cls - mp.c_bundle.frame_section(i))
     # pi(u + sigma)(v) = <sigma, v>; on the frame: rows [<w_j, u_i>]
     rows = []
-    for j, w in enumerate(mp.w_sections):
+    for j, w in enumerate(mp.k_sub.complement_sections):
         row = []
         for i, u in enumerate(mp.u_sub.sections):
             value = mp.delta.predual.pair(u, w)
@@ -376,7 +368,7 @@ def recover_triple(mp: ManinPairData) -> Tuple[Optional[VBTriple], CheckReport]:
     """
     chk = Checker("recover-triple", "triple recovered from the Manin pair")
     lad, u_sub = mp.lad, mp.u_sub
-    pm = lad.pair_map()
+    pm = lad.pair_map
     k_sub = u_sub.annihilator_in(lad.sigma_bundle, "K")
     failed = False
     for i, k in enumerate(k_sub.sections):
@@ -409,21 +401,18 @@ def recover_triple(mp: ManinPairData) -> Tuple[Optional[VBTriple], CheckReport]:
                 return None, chk.report()
             u_values[(i, j)] = u_sub.include(value.coeffs[:p])
 
-    # zero-extend over the canonical complement of U inside TM + A*
-    basis_vectors = [sec.constant_coeffs() for sec in u_sub.sections]
-    basis_vectors += u_sub.complement
-    n_total = lad.v_bundle.rank
-    basis_matrix = [[basis_vectors[j][i] for j in range(n_total)] for i in range(n_total)]
-    inv = invert(basis_matrix)
+    # zero-extend over the canonical complement of U inside TM + A*: the
+    # structure function on (e_m, e_l) reads the U-coordinates of e_m and e_l
+    heads = [u_sub.split(e.nonzero(), base.zero())[0] for e in lad.v_bundle.frame_sections()]
     structure = []
-    for m in range(n_total):
+    for head_m in heads:
         row = []
-        for l in range(n_total):
+        for head_l in heads:
             total = lad.v_bundle.zero_section()
             for i in range(p):
                 for j in range(p):
-                    coeff = inv[i][m] * inv[j][l]
-                    if coeff:
+                    coeff = head_m[i] * head_l[j]
+                    if coeff._terms:
                         total = total + u_values[(i, j)].scale(coeff)
             row.append(total)
         structure.append(row)
@@ -494,9 +483,9 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     pi_cols = []
     for idx in range(mp.c_bundle.rank):
         u_sec, s_sec = mp.embed(mp.c_bundle.frame_section(idx))
-        a = lad.a_part(s_sec)
-        x_val = lad.x_part(u_sec) + lad.rho(a)
-        th_val = lad.theta_part(s_sec) + sigma.apply(a)
+        a = s_sec.component(VEC)
+        x_val = u_sec.component(TM) + lad.rho(a)
+        th_val = s_sec.component(COTM) + sigma.apply(a)
         pi_cols.append(std.bundle.join(x_val, th_val))
     pi_hom = HomSection.from_columns(mp.c_bundle, std.bundle, pi_cols)
 
@@ -505,8 +494,8 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     for idx in range(std.bundle.rank):
         t = std.bundle.frame_section(idx)
         x, th = t.component(TM), t.component(COTM)
-        u_sec = lad.to_v(x=x, xi=-sigma_star.apply(x))
-        theta_cols.append(mp.normalize(u_sec, lad.to_sigma(theta=th)))
+        u_sec = lad.v_bundle.join(x, -sigma_star.apply(x))
+        theta_cols.append(mp.normalize(u_sec, lad.sigma_bundle.join(th)))
     theta_hom = HomSection.from_columns(std.bundle, mp.c_bundle, theta_cols)
 
     for idx in range(std.bundle.rank):

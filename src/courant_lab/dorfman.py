@@ -554,9 +554,8 @@ def bott_dorfman(courant, k_sub: SubBundle):
     k_bundle = k_bracket.bundle
 
     # quotient bundle: canonical complement classes
-    comp_vectors = k_sub.complement
-    quotient = Bundle.vector(base, "Ebar", tuple(f"w{i + 1}" for i in range(len(comp_vectors))))
-    comp_sections = [Section(big, tuple(base.const(v) for v in vec)) for vec in comp_vectors]
+    comp_sections = k_sub.complement_sections
+    quotient = Bundle.vector(base, "Ebar", tuple(f"w{i + 1}" for i in range(len(comp_sections))))
 
     def project(section: Section) -> Section:
         _, rest = k_sub.split(section.nonzero(), section.bundle.patch.zero())

@@ -17,6 +17,11 @@ and the basic curvature is
     R^bas(a,b) v = -Omega_v [a,b] + L_a(Omega_v b) - L_b(Omega_v a)
                    + Omega_{nabla^bas_b v} a - Omega_{nabla^bas_a v} b.
 
+LieAlgebroidData owns the bundles TM + A* and A + T*M (v_bundle,
+sigma_bundle) and the pair map (rho, rho*) between them (pair_map, built
+once); a summand of either is read through Section.component and written
+through Bundle.join, as everywhere else.
+
 Each operator value is evaluated once per spec.  LieAlgebroidData, built
 once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
 (rho,rho*) sigma, Delta_v sigma, the dull bracket [[u, v]], Omega_v a,
@@ -106,12 +111,9 @@ class LieAlgebroidData:
                               "TM + A* and A + T*M need A to be one bundle")
         return self.a_bundle
 
+    @cached_property
     def pair_map(self) -> HomSection:
         """(rho, rho*): A + T*M -> TM + A*, assembled blockwise."""
-        return self._pair_map
-
-    @cached_property
-    def _pair_map(self) -> HomSection:
         # columns over the frame of A + T*M: (rho e_k, 0), then
         # (0, rho* dx_l) with <rho* theta, e_k> = <theta, rho(e_k)>
         anchor, tgt = self.bracket.anchor, self.v_bundle
@@ -119,26 +121,6 @@ class LieAlgebroidData:
         columns = ([tgt.join(anchor.column(k)) for k in range(anchor.source.rank)]
                    + [tgt.join(rho_star.column(l)) for l in range(rho_star.source.rank)])
         return HomSection.from_columns(self.sigma_bundle, tgt, columns)
-
-    # -- section builders ---------------------------------------------
-
-    def to_sigma(self, a: Optional[Section] = None, theta: Optional[Section] = None) -> Section:
-        return self.sigma_bundle.join(*(p for p in (a, theta) if p is not None))
-
-    def to_v(self, x: Optional[Section] = None, xi: Optional[Section] = None) -> Section:
-        return self.v_bundle.join(*(p for p in (x, xi) if p is not None))
-
-    def a_part(self, sigma: Section) -> Section:
-        return sigma.component(VEC)
-
-    def theta_part(self, sigma: Section) -> Section:
-        return sigma.component(COTM)
-
-    def x_part(self, v: Section) -> Section:
-        return v.component(TM)
-
-    def xi_part(self, v: Section) -> Section:
-        return v.component(VEC_DUAL)
 
     # -- the table of operator values ---------------------------------
 
@@ -158,7 +140,7 @@ class LieAlgebroidData:
 
     def image(self, sigma: Section) -> Section:  # (rho,rho*) sigma
         return self._once(("image", _coeffs(sigma, self.sigma_bundle)),
-                          self._pair_map.apply, sigma)
+                          self.pair_map.apply, sigma)
 
     def dorfman(self, delta: DorfmanConnection, v: Section, sigma: Section) -> Section:
         return self._once(("dorfman", delta, _coeffs(v, self.v_bundle),
@@ -198,22 +180,21 @@ class LieAlgebroidData:
 
 def omega(lad: LieAlgebroidData, delta: DorfmanConnection, v: Section, a: Section) -> Section:
     """Omega_v a = Delta_v (a, 0) - (0, d<xi, a>)."""
-    sigma = lad.to_sigma(a=a)
+    sigma = lad.sigma_bundle.join(a)
     pairing = delta.predual.pair(v, sigma)
     return lad.dorfman(delta, v, sigma) - db_canonical(lad.sigma_bundle, pairing)
 
 
 def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section) -> Section:
     """L_a (b, theta) = ([a, b], L_{rho(a)} theta)."""
-    theta = lad.theta_part(sigma)
-    return lad.to_sigma(a=lad.a_bracket(a, lad.a_part(sigma)),
-                        theta=lie_derivative_form(lad.rho(a), theta))
+    return lad.sigma_bundle.join(lad.a_bracket(a, sigma.component(VEC)),
+                                 lie_derivative_form(lad.rho(a), sigma.component(COTM)))
 
 
 def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, e_k> = rho(a)<xi,e_k> - <xi,[a,e_k]>."""
-    x = lad.x_part(v)
-    xi = lad.xi_part(v)
+    x = v.component(TM)
+    xi = v.component(VEC_DUAL)
     rho_a = lad.rho(a)
     comps = vf_apply_each(rho_a.nonzero(), xi)
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
@@ -221,22 +202,22 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
         if pairing._terms:
             comps[k] = comps[k] - pairing
     new_xi = Section(lad.a_bundle.dual(), tuple(comps))
-    return lad.to_v(x=vf_bracket(rho_a, x), xi=new_xi)
+    return lad.v_bundle.join(vf_bracket(rho_a, x), new_xi)
 
 
 def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Section:
     """[(a,theta),(b,omega)]_D = ([a,b], L_{rho(a)} omega - i_{rho(b)} d theta)."""
-    a, theta = lad.a_part(s1), lad.theta_part(s1)
-    b, omg = lad.a_part(s2), lad.theta_part(s2)
+    a, theta = s1.component(VEC), s1.component(COTM)
+    b, omg = s2.component(VEC), s2.component(COTM)
     form = courant_dorfman_form_part(lad.rho(a).nonzero(), theta.nonzero(),
                                      lad.rho(b).nonzero(), omg.nonzero(), lad.base)
-    return lad.to_sigma(a=lad.a_bracket(a, b),
-                        theta=Section(Bundle.cotangent(lad.base), tuple(form)))
+    return lad.sigma_bundle.join(lad.a_bracket(a, b),
+                                 Section(Bundle.cotangent(lad.base), tuple(form)))
 
 
 def basic_v(lad: LieAlgebroidData, delta: DorfmanConnection, a: Section, v: Section) -> Section:
     """nabla^bas_a v = (rho,rho*)(Omega_v a) + L_a v on TM + A*."""
-    return lad.pair_map().apply(lad.omega(delta, v, a)) + lad.lie_der_v(a, v)
+    return lad.pair_map.apply(lad.omega(delta, v, a)) + lad.lie_der_v(a, v)
 
 
 def basic_sigma(lad: LieAlgebroidData, delta: DorfmanConnection,
@@ -277,11 +258,11 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     v_batt, a_batt = lad.v_bundle.battery, lad.a_bundle.battery
     a_frames = lad.a_bundle.frame_sections()
     d_functions = [db_canonical(lad.sigma_bundle, phi) for phi in a_batt.functions]
-    a_lifts = [lad.to_sigma(a=a) for a in a_frames]
+    a_lifts = [lad.sigma_bundle.join(a) for a in a_frames]
     for i, v in enumerate(lad.v_bundle.frame_sections()):
         vname = lad.v_bundle.frame[i]
-        x = lad.x_part(v)
-        xi = lad.xi_part(v)
+        x = v.component(TM)
+        xi = v.component(VEC_DUAL)
         x_of = [vf_apply(lad.base, x.nonzero(), phi) for phi in a_batt.functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
@@ -337,7 +318,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                 for v in v_batt.sections]
     for k, a in enumerate(a_frames):
         aname = lad.a_bundle.frame[k]
-        a_lift = lad.to_sigma(a=a)
+        a_lift = lad.sigma_bundle.join(a)
         for p, (label_v, v) in enumerate(targets[:n_v]):
             for q, (label_s, sigma) in enumerate(targets[n_v:]):
                 lhs = (delta.predual.pair(nablas[k][p], sigma)
@@ -359,7 +340,7 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
     chk = Checker("basic-curvature",
                   "tensoriality of R^bas and its two composition identities")
     a_batt, v_batt = lad.a_bundle.battery, lad.v_bundle.battery
-    pm = lad.pair_map()
+    pm = lad.pair_map
     a_frames = lad.a_bundle.frame_sections()
     v_frames = lad.v_bundle.frame_sections()
     # tensorial-a at (i, j) and tensorial-b at (j, i) scale the same a, so
@@ -421,7 +402,7 @@ def check_la_dirac(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
 def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport:
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
     chk = Checker("la-dirac", "LA-Dirac triple conditions (1)-(5)")
-    pm = lad.pair_map()
+    pm = lad.pair_map
 
     u_ann = triple.u_annihilator
     for ki, k in enumerate(k_sub.sections):
@@ -483,10 +464,10 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     """
     chk = Checker("identity-lemmas",
                   "nabla^bas vs the Dorfman-like bracket; the mixed pairing identity")
-    pm = lad.pair_map()
+    pm = lad.pair_map
     s_frames = lad.sigma_bundle.frame_sections()
     s_batt = lad.sigma_bundle.battery
-    s_parts = [lad.a_part(s) for s in s_frames]
+    s_parts = [s.component(VEC) for s in s_frames]
     images = [lad.image(s2) for s2 in s_batt.sections]
     for i, s1 in enumerate(s_frames):
         for t, (label2, s2) in enumerate(zip(s_batt.labels, s_batt.sections)):
@@ -514,7 +495,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
                                lhs - rhs if rhs._terms else lhs)
         k_sections = triple.k_sub.sections
         k_images = [pm.apply(k) for k in k_sections]
-        k_parts = [lad.a_part(k) for k in k_sections]
+        k_parts = [k.component(VEC) for k in k_sections]
         for u_i, u in enumerate(triple.u_sub.sections):
             for k_i, k in enumerate(k_sections):
                 lhs = pm.apply(lad.dorfman(delta, u, k))
@@ -535,7 +516,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
         chk.note("precondition la-dirac failed; not applicable")
         return None, chk.report(NOT_APPLICABLE)
     delta, k_sub, u_sub = triple.delta, triple.k_sub, triple.u_sub
-    pm = lad.pair_map()
+    pm = lad.pair_map
     values = [[lad.dorfman_like_bracket(k1, k2) for k2 in k_sub.sections]
               for k1 in k_sub.sections]
     ok = True
@@ -546,7 +527,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
                 ok = False
     if not ok:
         return None, chk.report()
-    anchors = [lad.rho(lad.a_part(k)) for k in k_sub.sections]
+    anchors = [lad.rho(k.component(VEC)) for k in k_sub.sections]
     k_bracket = AnchoredBracket.induced(k_sub, anchors, values)
     lie = k_bracket.check_lie(triple.seed)
     chk.require("lie", "induced bracket on K", lie.passed,
@@ -554,7 +535,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
     # morphism: anchors match and the pair map intertwines the brackets
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
-                   anchors[i] - lad.x_part(pm.apply(k)))
+                   anchors[i] - pm.apply(k).component(TM))
     for i, k1 in enumerate(k_sub.sections):
         for phi, text in lad.base.battery:
             for j, k2 in enumerate(k_sub.sections):
@@ -579,16 +560,16 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     """
     chk = Checker("ruth-compat", "mixed identities tying Delta to the basic data")
     u_secs = triple.u_sub.sections
-    pm = lad.pair_map()
+    pm = lad.pair_map
     s_frames = lad.sigma_bundle.frame_sections()
     names = lad.sigma_bundle.frame
     # a_parts[t] = pr_A s_t over the battery, moved[i][t] = Delta_{u_i} s_t
     # serves both identities, and twice[i][j][t] = Delta_{u_i} Delta_{u_j} s_t
     # is the first term of R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
     s_batt = lad.sigma_bundle.battery
-    a_parts = [lad.a_part(s) for s in s_batt.sections]
+    a_parts = [s.component(VEC) for s in s_batt.sections]
     moved = [[lad.dorfman(delta, u, s) for s in s_batt.sections] for u in u_secs]
-    moved_parts = [[lad.a_part(value) for value in row] for row in moved]
+    moved_parts = [[value.component(VEC) for value in row] for row in moved]
     twice = [[[lad.dorfman(delta, u, s) for s in row] for row in moved] for u in u_secs]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):

@@ -44,8 +44,8 @@ from typing import List, Sequence, Tuple
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
                      Patch, Section, column_section, column_table, courant_dorfman_form_part,
-                     db_canonical, dual_pair, lie_derivative_form,
-                     pairing_matrix, two_form_of_oneform, vf_apply, vf_apply_each, vf_bracket)
+                     db_canonical, dual_pair, lie_derivative_form, two_form_of_oneform,
+                     vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
 from .laops import LieAlgebroidData, basic_curvature
@@ -118,11 +118,13 @@ class TotalPatch:
 
 
 def total_patch_of(bundle: Bundle, prefix: str = "y") -> TotalPatch:
-    fibers = tuple(f"{prefix}{k + 1}" for k in range(bundle.rank))
-    clash = set(fibers) & set(bundle.patch.coords)
-    if clash:
-        raise BundleError(f"fiber names collide with base coordinates: {clash}")
-    return TotalPatch(bundle.patch.coords, fibers)
+    """The total space of bundle: the base coordinates, then a fiber
+    coordinate <prefix>k per frame element, the prefix's letter repeated
+    (y1, then yy1, ...) until no fiber name is a base coordinate."""
+    coords = bundle.patch.coords
+    while any(f"{prefix}{k + 1}" in coords for k in range(bundle.rank)):
+        prefix += prefix[-1]
+    return TotalPatch(coords, tuple(f"{prefix}{k + 1}" for k in range(bundle.rank)))
 
 
 class LiftedSection:
@@ -528,12 +530,8 @@ class GeneratorAlgebra:
         self.lad = lad
         self.delta = delta
         self.tp = total_patch_of(lad.v_bundle, prefix="w")
-        # partner[j] = index m with <v_j, tau_m> = 1 (canonical permutation)
-        p = pairing_matrix(lad.v_bundle, lad.sigma_bundle)
-        self.partner = []
-        for j in range(lad.v_bundle.rank):
-            hits = [m for m in range(lad.sigma_bundle.rank) if p[j][m]]
-            self.partner.append(hits[0])
+        # partner[j] = index m with <v_j, tau_m> = 1: TM + A* pairs with T*M + A
+        self.partner = [*lad.sigma_bundle.positions(COTM), *lad.sigma_bundle.positions(VEC)]
         self.bundle = (
             Bundle.vector(self.tp.patch, "lin", (f + "~" for f in lad.a_bundle.frame))
             + Bundle.vector(self.tp.patch, "core", (f + "!" for f in lad.sigma_bundle.frame)))
@@ -567,10 +565,10 @@ class GeneratorAlgebra:
             e_k = self.lad.a_bundle.frame_section(k)
             cols = []
             for v in self.lad.v_bundle.frame_sections():
-                x = self.lad.x_part(v)
-                xi = self.lad.xi_part(v)
+                x = v.component(TM)
+                xi = v.component(VEC_DUAL)
                 x_phi = vf_apply(base, x.nonzero(), phi)
-                col = (self.lad.to_sigma(a=e_k).scale(x_phi)
+                col = (self.lad.sigma_bundle.join(e_k).scale(x_phi)
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))
                 cols.append(col)
             out = out + self.hom_dagger(HomSection.from_columns(
@@ -601,7 +599,7 @@ class GeneratorAlgebra:
                 TM, base=[self.tp.embed(c) for c in self.lad.bracket.frame_rho[k]],
                 fiber=[self.tp.linear([self.delta.predual.pair(v, lie) for v in v_frames])
                        for lie in lied])
-        up = self.lad.pair_map().apply(self.lad.sigma_bundle.frame_section(k - r))
+        up = self.lad.pair_map.apply(self.lad.sigma_bundle.frame_section(k - r))
         return self.tp.field(TM, fiber=[self.tp.embed(self.delta.predual.pair(up, tau))
                                         for tau in taus])
 
@@ -662,7 +660,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
 
     # hom-generator rows of the table
     homs = _battery_homs(lad)
-    pm = lad.pair_map()
+    pm = lad.pair_map
     a_frames = lad.a_bundle.frame_sections()
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
@@ -730,7 +728,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
         chk.record("anchor-of-sigma", f"a{i + 1}",
                    LiftedSection(alg.theta(sig_frames[i]) - expected, no_form))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
-        up = lad.pair_map().apply(sigma)
+        up = lad.pair_map.apply(sigma)
         expected = tp.field(TM, fiber=[tp.embed(delta.predual.pair(up, tau)) for tau in taus])
         chk.record("anchor-of-core", f"{lad.sigma_bundle.frame[m]}!",
                    LiftedSection(alg.theta(alg.dagger_of(sigma)) - expected, no_form))

@@ -61,7 +61,10 @@ im2form-of, the bundle of their connection); only pairing reads b.
 Every section but [patch] and [checks] needs a name ([bundle.E]), and a
 bundle name may be neither TM nor contain + or *.  Bundle references are
 sums over {TM, T*M, <name>, <name>*}; dual frames carry an 's' suffix
-(eps -> epss).  A section, and a key within one, may be declared only
+(eps -> epss).  A frame name and its dual may repeat no coordinate, no
+frame name of TM, T*M, this bundle or an earlier one, and no dual frame
+name, since a section expression reads a name at its first place in a sum;
+the frame line is the error's line.  A section, and a key within one, may be declared only
 once ([anchor.X] and [hom.X] declare the same map X); [checks] lines may
 repeat.  Each [checks] line must name a check of checks.CHECKS, the one
 table that declares every check, with an argument count it accepts, and
@@ -296,11 +299,20 @@ def _bundle(body: _Body) -> Bundle:
                         body.sec.line)
     text, line = body.get("frame")
     frame, coords = _idents(text, line), body.spec.base.coords
-    taken = set(coords) | {prefix + c for c in coords for prefix in "Dd"}
+    # each name a section expression may read, with what it names: a frame
+    # name of this or an earlier bundle, or its dual, is read as its first
+    # occurrence in a sum, so a repeat is refused
+    taken = {prefix + c: "a coordinate or a frame name of TM or T*M"
+             for c in coords for prefix in ("", "D", "d")}
+    for earlier in body.spec.objects["bundle"].values():
+        for f in earlier.frame:
+            taken[f], taken[f + "s"] = (f"a frame name of {earlier.label()}",
+                                        f"a frame name of {earlier.label()}*")
     for f in frame:
         for clash, what in ((f, f"frame name {f!r}"), (f + "s", f"'{f}s', the dual of '{f}',")):
             if clash in taken:
-                raise SpecError(f"{what} is also a coordinate or a frame name of TM or T*M", line)
+                raise SpecError(f"{what} is also {taken[clash]}", line)
+        taken[f], taken[f + "s"] = f"a frame name of {name}", f"a frame name of {name}*"
     return Bundle.vector(body.spec.base, name, frame)
 
 

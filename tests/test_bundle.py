@@ -192,12 +192,11 @@ def test_subbundle_projection_decomposes_every_section():
     # part, the residual, and is a member exactly when that part is zero
     k = SubBundle("K", [B.section(eps=Fraction(1, 2), dx1=1),
                         B.section(dx1=Fraction(2, 3), dx2=-1)], B)
-    complement = [B.section(dict(zip(B.frame, vec))) for vec in k.complement]
     member = k.include([BASE.coord("x1"), BASE.const(Fraction(1, 3))])
     for s in random_sections(B, 4, random.Random(3)) + [member, B.zero_section()]:
         head, rest = k.split(s.nonzero(), BASE.zero())
         transverse = B.zero_section()
-        for coeff, w in zip(rest, complement):
+        for coeff, w in zip(rest, k.complement_sections):
             transverse = transverse + w.scale(coeff)
         assert k.include(head) + transverse == s
         assert k.residual(s) == transverse

@@ -364,6 +364,22 @@ def _with(text, after, added):
     return text.replace(after + "\n", f"{after}\n{added}\n", 1)
 
 
+# two bundles and an anchor on a sum of them, one line naming a frame element
+TWO_FRAMES = """
+[patch]
+coords = x1, x2
+
+[bundle.E]
+frame = {e}
+
+[bundle.F]
+frame = {f}
+
+[anchor.rho]
+bundle = {ref}
+{name} = Dx1
+"""
+
 # (spec text, the line the error names, a fragment of its message)
 MALFORMED = {
     "missing-bundle": (MINIMAL.replace("bundle = E\n", ""), "[connection.nabla]",
@@ -423,7 +439,14 @@ MALFORMED = {
         "'epss', the dual of 'eps', is also a coordinate"),
     "frame-named-as-dual-frame": (MINIMAL + "\n[bundle.F]\nframe = f, fs\n\n[subbundle.U]\n"
                                             "ambient = F+F*\nspan = fs\n",
-                                  "span = fs", "'fs' is named twice"),
+                                  "frame = f, fs", "frame name 'fs' is also a frame name of F*"),
+    # nor may it repeat a frame name of an earlier bundle, or of its dual
+    "frame-named-as-earlier-frame": (
+        TWO_FRAMES.format(e="a", f="b, a", ref="E+F", name="a"),
+        "frame = b, a", "frame name 'a' is also a frame name of E"),
+    "frame-named-as-earlier-dual-frame": (
+        TWO_FRAMES.format(e="a", f="as", ref="E*+F", name="as"),
+        "frame = as", "frame name 'as' is also a frame name of E*"),
     "frame-named-as-tangent-frame": (MINIMAL + "\n[bundle.F]\nframe = Dx1\n\n[subbundle.U]\n"
                                                "ambient = TM+F\nspan = Dx1\n",
                                      "frame = Dx1", "frame name 'Dx1' is also a coordinate"),

@@ -100,10 +100,10 @@ def test_manin_pair_ex_b(ex_b):
     assert mp.courant.check_axioms().passed
     # C = g* + g with [[xi + a, eta + b]] = (L_a eta - L_b xi) + [a, b]
     a = lad.a_bundle
-    e2s_cls = mp.normalize(lad.to_v(xi=a.dual().section(e2s=1)),
+    e2s_cls = mp.normalize(lad.v_bundle.join(a.dual().section(e2s=1)),
                            lad.sigma_bundle.zero_section())
-    e1_cls = mp.normalize(lad.v_bundle.zero_section(), lad.to_sigma(a=a.section(e1=1)))
-    e2_cls = mp.normalize(lad.v_bundle.zero_section(), lad.to_sigma(a=a.section(e2=1)))
+    e1_cls = mp.normalize(lad.v_bundle.zero_section(), lad.sigma_bundle.join(a.section(e1=1)))
+    e2_cls = mp.normalize(lad.v_bundle.zero_section(), lad.sigma_bundle.join(a.section(e2=1)))
     assert mp.courant.bracket(e2s_cls, e1_cls) == e2s_cls
     assert mp.courant.bracket(e1_cls, e2_cls) == e2_cls
 

@@ -61,7 +61,7 @@ def test_omega_vanishes_over_point(ex_b):
 
 def test_omega_flat_tangent(ex_e):
     lad, delta, _ = ex_e
-    v = lad.to_v(x=Bundle.tangent(BASE).section(Dx1=1))
+    v = lad.v_bundle.join(Bundle.tangent(BASE).section(Dx1=1))
     assert omega(lad, delta, v, lad.a_bundle.section(a2=1)).is_zero()
 
 
@@ -69,15 +69,15 @@ def test_omega_with_dual_slot_only(ex_e):
     # Omega_{(0,xi)} a = (0, <nabla*_. xi, a> - d<xi, a>)
     lad, delta, _ = ex_e
     xi = lad.a_bundle.dual().section(a1s="x1")
-    value = omega(lad, delta, lad.to_v(xi=xi), lad.a_bundle.section(a1=1))
+    value = omega(lad, delta, lad.v_bundle.join(xi), lad.a_bundle.section(a1=1))
     assert value.is_zero()  # flat case: the two terms coincide
     curved = standard_dorfman(Connection(
         lad.a_bundle, [[lad.a_bundle.zero_section(), lad.a_bundle.zero_section()],
                        [lad.a_bundle.section(a1="x1"), lad.a_bundle.zero_section()]]))
     xi1 = lad.a_bundle.dual().section(a1s=1)
-    value = omega(lad, curved, lad.to_v(xi=xi1), lad.a_bundle.section(a1=1))
+    value = omega(lad, curved, lad.v_bundle.join(xi1), lad.a_bundle.section(a1=1))
     # <nabla*_X a1s, a1> = -x1 dx2(X); <xi, a1> constant kills the d term
-    assert value == -lad.to_sigma(theta=Bundle.cotangent(BASE).section(dx2="x1"))
+    assert value == -lad.sigma_bundle.join(Bundle.cotangent(BASE).section(dx2="x1"))
 
 
 def test_omega_properties(ex_b, ex_e):
@@ -89,10 +89,10 @@ def test_lie_derivative_examples(ex_b):
     lad, _, _ = ex_b
     a = lad.a_bundle
     # L_{e1} e2* = -e2*
-    out = lie_der_v(lad, a.section(e1=1), lad.to_v(xi=a.dual().section(e2s=1)))
-    assert out == -lad.to_v(xi=a.dual().section(e2s=1))
+    out = lie_der_v(lad, a.section(e1=1), lad.v_bundle.join(a.dual().section(e2s=1)))
+    assert out == -lad.v_bundle.join(a.dual().section(e2s=1))
     # abelian-direction: L_{e2} e1* = <e1*, [e2, .]> = 0... check via formula
-    out2 = lie_der_v(lad, a.section(e2=1), lad.to_v(xi=a.dual().section(e1s=1)))
+    out2 = lie_der_v(lad, a.section(e2=1), lad.v_bundle.join(a.dual().section(e1s=1)))
     assert out2.is_zero()
 
 
@@ -111,14 +111,14 @@ def test_lie_der_v_applies_the_anchor_once(ex_e, hom_apply_calls):
 def test_dorfman_like_bracket_values(ex_b, ex_e):
     lad, _, _ = ex_b
     a = lad.a_bundle
-    value = dorfman_like_bracket(lad, lad.to_sigma(a=a.section(e1=1)),
-                                 lad.to_sigma(a=a.section(e2=1)))
-    assert value == lad.to_sigma(a=a.section(e2=1))
+    value = dorfman_like_bracket(lad, lad.sigma_bundle.join(a.section(e1=1)),
+                                 lad.sigma_bundle.join(a.section(e2=1)))
+    assert value == lad.sigma_bundle.join(a.section(e2=1))
     lad_e, _, _ = ex_e
     ct = Bundle.cotangent(BASE)
-    s1 = lad_e.to_sigma(a=lad_e.a_bundle.section(a1=1))
-    s2 = lad_e.to_sigma(a=lad_e.a_bundle.section(a2=1), theta=ct.section(dx2="x1"))
-    assert dorfman_like_bracket(lad_e, s1, s2) == lad_e.to_sigma(theta=ct.section(dx2=1))
+    s1 = lad_e.sigma_bundle.join(lad_e.a_bundle.section(a1=1))
+    s2 = lad_e.sigma_bundle.join(lad_e.a_bundle.section(a2=1), ct.section(dx2="x1"))
+    assert dorfman_like_bracket(lad_e, s1, s2) == lad_e.sigma_bundle.join(ct.section(dx2=1))
 
 
 def test_dlike_identities(ex_b, ex_e):
@@ -129,14 +129,14 @@ def test_dlike_identities(ex_b, ex_e):
 def test_basic_connection_values(ex_b, ex_e):
     lad, delta, _ = ex_b
     a = lad.a_bundle
-    out = lad.basic_v(delta, a.section(e1=1), lad.to_v(xi=a.dual().section(e2s=1)))
-    assert out == -lad.to_v(xi=a.dual().section(e2s=1))
+    out = lad.basic_v(delta, a.section(e1=1), lad.v_bundle.join(a.dual().section(e2s=1)))
+    assert out == -lad.v_bundle.join(a.dual().section(e2s=1))
     assert lad.basic_v(delta, a.zero_section(),
-                       lad.to_v(xi=a.dual().section(e1s=1))).is_zero()
+                       lad.v_bundle.join(a.dual().section(e1s=1))).is_zero()
     lad_e, delta_e, _ = ex_e
     # flat tangent case: nabla^bas reduces to the Lie derivative
     a1 = lad_e.a_bundle.section(a1=1)
-    sig = lad_e.to_sigma(a=lad_e.a_bundle.section(a2="x1"))
+    sig = lad_e.sigma_bundle.join(lad_e.a_bundle.section(a2="x1"))
     assert lad_e.basic_sigma(delta_e, a1, sig) == lad_e.lie_der_sigma(a1, sig)
 
 

@@ -36,7 +36,9 @@ The layout of a direct sum is known to `bundle.py` alone: no other module
 reads the summand-offset API it replaced (`atom_index`, `atom_slice`,
 `Section.part`, `Section.with_part`) or the lookups behind `summand`,
 `component`, `join` and `positions`, which are the one way to read and
-write a summand.
+write a summand.  Likewise a subbundle's complement is read through its
+owner: no other module reads the constant vectors `SubBundle.complement`,
+only the sections `complement_sections` and the coordinates of `split`.
 
 A section keeps its nonzero components (`Section.nonzero()`), and that
 view is the one way to read them: outside `bundle.py` no module rebuilds
@@ -228,9 +230,11 @@ def test_only_patch_builds_a_zero_polynomial():
 
 
 # the summand-offset API that Bundle.summand, Section.component,
-# Bundle.join and Bundle.positions replaced, and the lookups behind them
+# Bundle.join and Bundle.positions replaced, the lookups behind them, and
+# the constant vectors of a subbundle's complement, which other modules
+# read as SubBundle.complement_sections and through SubBundle.split
 LAYOUT_READS = {"atom_index", "atom_slice", "part", "with_part",
-                "_atom_slices", "_summands", "_summand"}
+                "_atom_slices", "_summands", "_summand", "complement"}
 
 
 def test_only_bundle_reads_the_layout_of_a_direct_sum():

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import COTM, TM, Bundle, HomSection, SubBundle, patch
+from courant_lab.bundle import (COTM, TM, Bundle, HomSection, SubBundle, pairing_matrix,
+                                patch)
+from courant_lab.catalog import catalog_text
+from courant_lab.cli import _results_for_spec
 from courant_lab.dirac import VBTriple, dirac_verdicts, check_dirac
 from courant_lab.dorfman import (Connection, DorfmanConnection,
                                  canonical_predual, im2form_dorfman,
@@ -18,6 +22,7 @@ from courant_lab.prolong import (GeneratorAlgebra, LiftedSection, TotalPatch,
                                  linear_poisson_check, ta_generator_check,
                                  total_courant, total_pairing, total_patch_of,
                                  verify_splitting_theorems)
+from courant_lab.specfile import parse_spec
 from builders import flat_connection
 
 BASE = patch("x1", "x2")
@@ -37,6 +42,34 @@ def test_total_patch_shares_its_polynomials():
     assert tp.zero() is tp.zero() and tp.one() is tp.one()
     assert tp.fiber(1) is tp.fiber(1)
     assert tp.zero().vars is tp.allvars and tp.fiber(0).vars is tp.allvars
+
+
+def test_total_patch_fiber_names_avoid_the_base_coordinates():
+    # the prefix's letter repeats until no fiber name is a coordinate
+    assert total_patch_of(Bundle.vector(BASE, "F", ("f1", "f2"))).fiber_coords == ("y1", "y2")
+    clashing = patch("x1", "y2", "yy1")
+    assert total_patch_of(Bundle.vector(clashing, "F", ("f1", "f2"))).fiber_coords == (
+        "yyy1", "yyy2")
+    assert total_patch_of(Bundle.vector(clashing, "F", ("f1",)), prefix="w").fiber_coords == (
+        "w1",)
+
+
+def _ta_generators_only():
+    text = catalog_text("im2form-zero")
+    return text[:text.index("[checks]")] + "[checks]\nta-generators = A, Delta\n"
+
+
+# a base coordinate named like a fiber of the total space the check lifts to:
+# y for splitting-theorems and geometric-dirac, p for linear-poisson, w for
+# ta-generators
+@pytest.mark.parametrize("text", [
+    catalog_text("line-bundle-r2").replace("x2", "y1"),
+    (Path(__file__).parent / "golden" / "tangent-poisson.spec").read_text().replace("x1", "p1"),
+    _ta_generators_only().replace("x2", "w1"),
+], ids=["splitting-theorems", "linear-poisson", "ta-generators"])
+def test_lifted_checks_run_over_a_coordinate_named_like_a_fiber(text):
+    results = _results_for_spec(parse_spec(text), None, 7)
+    assert results and all(r["as_expected"] for r in results), results
 
 
 def test_total_patch_linear_is_the_explicit_sum():
@@ -305,8 +338,11 @@ def test_ta_generators_tangent_plane():
     delta = standard_dorfman(flat_connection(a))
     assert ta_generator_check(lad, delta).passed
     alg = GeneratorAlgebra(lad, delta)
+    # partner[j] is the frame element of A + T*M dual to the j-th of TM + A*
+    p = pairing_matrix(lad.v_bundle, lad.sigma_bundle)
+    assert [row.index(1) for row in p] == alg.partner == [2, 3, 0, 1]
     out = alg.bracket(alg.sigma_gen(a.section(t1=1)),
-                      alg.dagger_of(lad.to_sigma(a=a.section(t2=1))))
+                      alg.dagger_of(lad.sigma_bundle.join(a.section(t2=1))))
     assert out.is_zero()  # (nabla^bas_{t1}(t2, 0))! = ([t1, t2], 0)! = 0
 
 
@@ -328,7 +364,7 @@ def test_tilde_expansion_consistent_with_anchor():
 
     assert vf_apply(alg.tp.patch, vf.nonzero(), psi) == alg.tp.embed(BASE.poly("2*x2*x1"))
     # on the linear function of tau = (t2, 0): l_{L_{phi a} tau}
-    tau = lad.to_sigma(a=a.section(t2=1))
+    tau = lad.sigma_bundle.join(a.section(t2=1))
     from courant_lab.laops import lie_der_sigma
 
     lied = lie_der_sigma(lad, phi_a, tau)
