@@ -18,7 +18,12 @@ hands back unchanged: the section kernels (Section `+`, `-`, unary `-`,
 the polynomial kernels (`column_apply`, and the Cartan kernels `vf_apply`,
 `vf_bracket_comps`, `lie_form_comps`, `courant_dorfman_form_part`, which
 take the Patch their polynomials live over) return its zero polynomial,
-also for a component that cancels.
+also for a component that cancels.  The kernels here read the stored
+zeros (Patch._zero, Bundle._zero_section) directly, without a method
+call each time; other modules call Patch.zero() and zero_section().
+Section `-` returns the zero section at once, after its bundle check,
+when the two coefficient tuples are equal: nearly every difference a
+check forms cancels.
 
 A section carries its nonzero components: Section.nonzero() gives the
 (index, coefficient) pairs of its nonzero coefficients, found on the first
@@ -44,7 +49,9 @@ frame data from a FrameTable its owner builds once), annihilators of
 constant subbundles, and the deterministic function battery used by every
 identity check.  This module alone knows the battery: its functions and
 their texts (Patch.battery), and the labelled sections of a bundle's
-battery with their layout (Bundle.battery, a Battery).
+battery with their layout (Bundle.battery, a Battery).  Its random
+sections (random_sections) are built from polynomials that random_poly
+collects by exponents and builds by one constructor call.
 """
 
 from __future__ import annotations
@@ -298,11 +305,11 @@ class Bundle:
 
     @cached_property
     def _zero_section(self) -> "Section":
-        return Section(self, (self.patch.zero(),) * self._rank)
+        return Section(self, (self.patch._zero,) * self._rank)
 
     @cached_property
     def _frame_sections(self) -> Tuple["Section", ...]:
-        zero, one = self.patch.zero(), self.patch.one()
+        zero, one = self.patch._zero, self.patch._one
         return tuple(Section(self, tuple(one if k == i else zero for k in range(self._rank)))
                      for i in range(self._rank))
 
@@ -321,7 +328,7 @@ class Bundle:
         """Build a section from {frame name: coefficient} data."""
         data = dict(mapping or {})
         data.update(by_name)
-        coeffs = [self.patch.zero() for _ in range(self.rank)]
+        coeffs = [self.patch._zero for _ in range(self.rank)]
         frame = self.frame
         for name, value in data.items():
             if name not in frame:
@@ -370,19 +377,22 @@ class Section:
         coeffs = list(self.coeffs)
         for k, b in other.nonzero():
             c = coeffs[k] + b
-            coeffs[k] = c if c._terms else self.bundle.patch.zero()
+            coeffs[k] = c if c._terms else self.bundle.patch._zero
         return _nonzero(self.bundle, tuple(coeffs))
 
     def __sub__(self, other: "Section") -> "Section":
         if other.bundle is not self.bundle:
             raise BundleError("sections of different bundles (build both over one Patch): "
                               f"{self.bundle.label()} vs {other.bundle.label()}")
-        if other is self.bundle._zero_section:
+        zero = self.bundle._zero_section
+        if other is zero:
             return self
+        if self.coeffs == other.coeffs:  # the operands cancel, as most checked differences do
+            return zero
         coeffs = list(self.coeffs)
         for k, b in other.nonzero():
             c = coeffs[k] - b
-            coeffs[k] = c if c._terms else self.bundle.patch.zero()
+            coeffs[k] = c if c._terms else self.bundle.patch._zero
         return _nonzero(self.bundle, tuple(coeffs))
 
     def __neg__(self) -> "Section":
@@ -395,7 +405,7 @@ class Section:
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
         if not factor._terms:
-            return self.bundle.zero_section()
+            return self.bundle._zero_section
         coeffs = list(self.coeffs)
         for k, a in self.nonzero():
             coeffs[k] = factor * a
@@ -513,7 +523,7 @@ class HomSection:
 
     @staticmethod
     def zero(source: Bundle, target: Bundle) -> "HomSection":
-        z = source.patch.zero()
+        z = source.patch._zero
         return HomSection(source, target, [[z] * source.rank for _ in range(target.rank)])
 
     @staticmethod
@@ -617,7 +627,7 @@ def column_section(target: Bundle, table: ColumnTable, terms: Terms) -> Section:
     every component vanishes (at once for an empty view)."""
     if not terms:
         return target._zero_section
-    return _nonzero(target, tuple(column_apply(table, terms, target.patch.zero())))
+    return _nonzero(target, tuple(column_apply(table, terms, target.patch._zero)))
 
 
 # -- canonical pairing ---------------------------------------------------
@@ -667,14 +677,14 @@ def matrix_pair(rows: Sequence[Marked], s1: Section, s2: Section) -> ScalarPoly:
             if b._terms:
                 b = a * b if entry is None else a * b * entry
                 total = b if total is None else total + b
-    return total if total is not None and total._terms else s1.bundle.patch.zero()
+    return total if total is not None and total._terms else s1.bundle.patch._zero
 
 
 def dual_pair(s1: Section, s2: Section) -> ScalarPoly:
     """sum_k s1_k s2_k: the pairing of two sections over mutually dual
     frames, over the nonzero s1_k (s1's view), with a product formed only
     where s2_k is nonzero too."""
-    total, b = s1.bundle.patch.zero(), s2.coeffs
+    total, b = s1.bundle.patch._zero, s2.coeffs
     for k, x in s1.nonzero():
         y = b[k]
         if y._terms:
@@ -743,8 +753,8 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
     vanishing coefficient is the patch's zero.
     """
     base = target.patch
-    zero = target.zero_section()
-    if x is x.bundle.zero_section() or y is y.bundle.zero_section():
+    zero = target._zero_section
+    if x is x.bundle._zero_section or y is y.bundle._zero_section:
         return zero
     xs, ys = x.nonzero(), y.nonzero()
     sums: Dict[int, List[Tuple[ScalarPoly, ScalarPoly, int]]] = {}
@@ -782,7 +792,7 @@ def leibniz(x: Section, y: Section, frame: FrameTable, target: Bundle,
         return zero
     out = list(zero.coeffs)
     for k, terms in sums.items():
-        out[k] = sum_of_products(base.zero(), terms)
+        out[k] = sum_of_products(base._zero, terms)
     return _nonzero(target, tuple(out))
 
 
@@ -809,7 +819,7 @@ def vf_apply(base: Patch, x_terms: Iterable[Tuple[int, ScalarPoly]],
         g = grad[i]
         if xi._terms and g._terms:
             total = xi * g if total is None else total + xi * g
-    return total if total is not None and total._terms else base.zero()
+    return total if total is not None and total._terms else base._zero
 
 
 def vf_apply_each(x_terms: Terms, sec: Section) -> List[ScalarPoly]:
@@ -826,7 +836,7 @@ def vf_bracket_comps(base: Patch, x_terms: Terms, y_terms: Terms) -> List[Scalar
     """[X, Y]^j = X(Y^j) - Y(X^j) for X and Y given by their views (a
     section's, or FrameTable anchors): vf_apply runs only on
     nonzero components, and a zero X or Y gives the patch's zero in every one."""
-    zero = base.zero()
+    zero = base._zero
     out = [zero] * base.dim
     if x_terms and y_terms:
         for j, c in y_terms:
@@ -842,13 +852,13 @@ def vf_bracket_comps(base: Patch, x_terms: Terms, y_terms: Terms) -> List[Scalar
 def lie_form_comps(base: Patch, x_terms: Terms, theta_terms: Terms) -> List[ScalarPoly]:
     """(L_X theta)_j = X(theta_j) + sum_i theta_i d_j X^i for X and theta
     given by their views, as in vf_bracket_comps."""
-    out = [base.zero()] * base.dim
+    out = [base._zero] * base.dim
     if x_terms:
         for j, t in theta_terms:
             out[j] = vf_apply(base, x_terms, t)
         thetas = dict(theta_terms)
         _add_gradient_terms(out, [(thetas[i], xi.gradient()) for i, xi in x_terms if i in thetas],
-                            base.zero())
+                            base._zero)
     return out
 
 
@@ -904,7 +914,7 @@ def courant_dorfman_form_part(x1, theta1, x2, theta2, base: Patch) -> List[Scala
                 out[j] = out[j] - d_theta
         x2s = dict(x2)
         _add_gradient_terms(out, [(x2s[i], t.gradient()) for i, t in theta1 if i in x2s],
-                            base.zero())
+                            base._zero)
     return out
 
 
@@ -927,7 +937,7 @@ def annihilator(frame: Sequence[Section], partner: Bundle) -> List[Section]:
     if mat_rank(rows) != len(rows):
         raise BundleError("annihilator frame is linearly dependent")
     basis = nullspace(rows, partner.rank)
-    zero = partner.patch.zero()
+    zero = partner.patch._zero
     out = []
     for vec in basis:
         out.append(Section(partner, tuple(
@@ -987,7 +997,7 @@ class SubBundle:
     def complement_sections(self) -> Tuple[Section, ...]:
         """The complement vectors as constant sections of the ambient bundle."""
         patch = self.ambient.patch
-        return tuple(Section(self.ambient, [patch.const(v) if v else patch.zero() for v in vec])
+        return tuple(Section(self.ambient, [patch.const(v) if v else patch._zero for v in vec])
                      for vec in self.complement)
 
     def _view(self, section: Section) -> Terms:
@@ -1004,7 +1014,7 @@ class SubBundle:
         return column_apply(self._head, terms, zero), column_apply(self._rest, terms, zero)
 
     def contains(self, section: Section) -> bool:
-        rest = column_apply(self._rest, self._view(section), self.ambient.patch.zero())
+        rest = column_apply(self._rest, self._view(section), self.ambient.patch._zero)
         return not any(c._terms for c in rest)
 
     def residual(self, section: Section) -> Section:
@@ -1013,13 +1023,13 @@ class SubBundle:
 
     def coords(self, section: Section) -> List[ScalarPoly]:
         """Coefficients over the subbundle frame; section must be a member."""
-        head, rest = self.split(self._view(section), self.ambient.patch.zero())
+        head, rest = self.split(self._view(section), self.ambient.patch._zero)
         if any(c._terms for c in rest):
             raise BundleError(f"section is not in span of {self.name}")
         return head
 
     def include(self, coeffs: Sequence[ScalarPoly]) -> Section:
-        out = self.ambient.zero_section()
+        out = self.ambient._zero_section
         for coeff, sec in zip(coeffs, self.sections):
             out = out + sec.scale(coeff)
         return out
@@ -1042,15 +1052,22 @@ BATTERY_SEED = 7
 
 
 def random_poly(base: Patch, rng: random.Random, degree: int = 2) -> ScalarPoly:
+    """c0 + c1 * m1 + c2 * m2: an integer c0 from -2 to 2, each ck for k > 0
+    an integer from -2 to 2 over 1 or 2, and each mk a product of 0 to
+    degree coordinates drawn with replacement (1 at a point).  The terms
+    are collected by exponents and built by one constructor call."""
     coords = base.coords
-    poly = base.const(Fraction(rng.randint(-2, 2)))
+    constant = (0,) * len(coords)
+    terms: Dict[Tuple[int, ...], Rational] = {constant: rng.randint(-2, 2)}
     for _ in range(2):
-        term = base.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        coeff = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        exps = list(constant)
         for _ in range(rng.randint(0, degree)):
             if coords:
-                term = term * base.coord(rng.choice(coords))
-        poly = poly + term
-    return poly
+                exps[coords.index(rng.choice(coords))] += 1
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return ScalarPoly(coords, terms)
 
 
 def random_sections(bundle: Bundle, count: int, rng: random.Random,

@@ -94,7 +94,7 @@ def _read_spec(path: str) -> StructureSpec:
     return parse_spec(text)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="courant-lab",
                                      description="exact symbolic checks for "
                                                  "bracket geometries on bundles")
@@ -113,10 +113,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_all = sub.add_parser("verify-all", help="run every catalog entry")
     p_all.add_argument("--seed", type=int, default=BATTERY_SEED)
     p_all.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# one parser for every call: parse_args keeps nothing between calls
+_PARSER = _parser()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     if args.command is None:
-        parser.print_help()
+        _PARSER.print_help()
         return 2
 
     try:

@@ -36,7 +36,8 @@ space: base variables, then fiber variables) shifts each key left by one
 field per added variable; it refuses any other list.  A product with the
 constant 1 returns the other operand, as a product with 0 returns the
 zero operand, unary ``-`` returns a zero operand itself, and a product of
-one term by one term is a single key addition.
+one term by one term is a single key addition (over denominator 1, the
+common case, built by ``_normal`` at once).
 The public views hand out exponent tuples and ``Fraction``: ``terms``
 returns a copy keyed by exponent tuples with ``Fraction`` values and
 ``constant_value`` returns a ``Fraction``.  No module but this one reads
@@ -51,7 +52,13 @@ checking them again; a zero operand returns at once, possibly as the other
 operand itself, and so does the constant 1 in a product, which is safe
 because polynomials are never mutated (``terms`` hands out a copy).  For the same reason ``bundle.Patch`` shares
 one zero and one unit polynomial per patch, and every vector field acting
-on a polynomial goes through the single kernel ``bundle.vf_apply``.
+on a polynomial goes through the single kernel ``bundle.vf_apply``.  A
+difference of two operands with equal terms over one denominator, the
+vanishing difference every checked identity ends in, returns a zero at
+once, without copying a term dict; the variable check comes first.
+``==`` tests for a ``ScalarPoly`` operand before an ``int`` or
+``Fraction`` one, since comparing two sections' coefficient tuples calls
+it once per coefficient.
 
 The gradient and the hash are the only state an instance fills in after
 it is built: each is computed on first use and kept in a ``__slots__``
@@ -277,6 +284,8 @@ class ScalarPoly:
             return -other
         den = self._den
         if den == other._den:
+            if self._terms == other._terms:  # the operands cancel
+                return _normal(self.vars, {}, 1)
             terms, rhs = dict(self._terms), other._terms
         else:
             terms, rhs, den = _over_common_den(self, other)
@@ -318,6 +327,8 @@ class ScalarPoly:
             key = k1 + k2
             if key & guards:
                 raise _overflow(key, width)
+            if den == 1:  # nearly every product of two monomials: nothing to reduce
+                return _normal(self.vars, {key: c1 * c2}, 1)
             return _reduced(self.vars, {key: c1 * c2}, den)
         terms: Dict[int, int] = {}
         for k1, c1 in lhs.items():
@@ -361,12 +372,13 @@ class ScalarPoly:
         return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is int:  # compared in place: an int is the key 0 over 1
-            return self._den == 1 and self._terms == ({0: other} if other else {})
-        if isinstance(other, (int, Fraction)):
-            other = ScalarPoly.const(self.vars, other)
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
+        if type(other) is not ScalarPoly:  # tested first: a tuple compare of coefficients
+            if type(other) is int:  # compared in place: an int is the key 0 over 1
+                return self._den == 1 and self._terms == ({0: other} if other else {})
+            if isinstance(other, (int, Fraction)):
+                other = ScalarPoly.const(self.vars, other)
+            elif not isinstance(other, ScalarPoly):
+                return NotImplemented
         return (self.vars == other.vars and self._den == other._den
                 and self._terms == other._terms)
 

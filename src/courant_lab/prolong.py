@@ -239,12 +239,11 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             # l of the E*-part of the symmetrization
             ell = tp.linear(delta.battery_skew(p1, p2).component(VEC_DUAL).coeffs)
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
-                       _difference(total_pairing(lifts[i], lifts[j]), ell))
+                       total_pairing(lifts[i], lifts[j]) - ell)
     for i, v in enumerate(q_frames):
         for label_s, s, core in cores:
             chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})",
-                       _difference(total_pairing(lifts[i], core),
-                                   tp.embed(delta.predual.pair(v, s))))
+                       total_pairing(lifts[i], core) - tp.embed(delta.predual.pair(v, s)))
     for label1, _, c1 in cores:
         for label2, _, c2 in cores:
             chk.record("pairing-core-core", f"({label1}; {label2})",
@@ -277,9 +276,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
             lhs = vf_apply(tp.patch, lifts[i].vf.nonzero(), tp.linear(eta.coeffs))
             x_eta = vf_apply_each(delta.bracket.frame_table.anchors[i], eta)
-            rhs = tp.linear([_difference(x, dual_pair(eta, value.component(VEC)))
+            rhs = tp.linear([x - dual_pair(eta, value.component(VEC))
                              for x, value in zip(x_eta, applied[i])])
-            chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", _difference(lhs, rhs))
+            chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
     return chk.report()
 
 
@@ -418,11 +417,6 @@ def linear_poisson_check(lad: LieAlgebroidData) -> CheckReport:
     return chk.report()
 
 
-def _difference(lhs: ScalarPoly, rhs: ScalarPoly) -> ScalarPoly:
-    """lhs - rhs, with no subtraction where rhs is zero."""
-    return lhs - rhs if rhs._terms else lhs
-
-
 # -- pullback of the canonical forms -------------------------------------------
 
 
@@ -478,11 +472,11 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                          - conn.nabla_dual(ys, sigma_star.apply(x))
                          - sigma_star.apply(vf_bracket(x, ys)))
                 chk.record("two-form-linear-linear", f"(Dx{i + 1}; ({text})*Dx{j + 1})",
-                           _difference(lhs, tp.linear(value.coeffs)))
+                           lhs - tp.linear(value.coeffs))
         for label_e, e, core in cores:
             lhs = dual_pair(x_flat, core)
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
-            chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", _difference(lhs, rhs))
+            chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", lhs - rhs)
     for label1, _, core1 in cores:
         core_flat = flat(core1)
         for label2, _, core2 in cores:
@@ -719,9 +713,8 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             # X<v, tau> with X = rho(a), differentiated where <v, tau> is nonzero
             paired = [delta.predual.pair(v, tau) for v in v_frames]
             fiber.append(tp.linear([
-                _difference(vf_apply(lad.base, lad.bracket.frame_table.anchors[i], p)
-                            if p._terms else p,
-                            delta.predual.pair(lad.basic_v(delta, a, v), tau))
+                (vf_apply(lad.base, lad.bracket.frame_table.anchors[i], p) if p._terms else p)
+                - delta.predual.pair(lad.basic_v(delta, a, v), tau)
                 for v, p in zip(v_frames, paired)]))
         expected = tp.field(TM, base=[tp.embed(c) for c in lad.bracket.frame_rho[i]],
                             fiber=fiber)

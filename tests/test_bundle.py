@@ -385,3 +385,27 @@ def test_bundle_battery_layout(base, frame, texts):
     assert b.battery is batt and b.dual().dual().battery is batt
     assert base.battery is base.battery
     assert all(isinstance(field, tuple) for field in batt)
+
+
+def _ring_random_poly(base, rng, degree):
+    """random_poly as a chain of ring operations on checked constants and
+    coordinates: the reference for its one-constructor build."""
+    poly = base.const(Fraction(rng.randint(-2, 2)))
+    for _ in range(2):
+        term = base.const(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        for _ in range(rng.randint(0, degree)):
+            if base.coords:
+                term = term * base.coord(rng.choice(base.coords))
+        poly = poly + term
+    return poly
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_random_poly_matches_the_ring_operation_reference(dim):
+    base = patch(*(f"x{i + 1}" for i in range(dim)))
+    for degree in range(4):
+        for seed in range(200):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            poly = bundle.random_poly(base, rng, degree)
+            assert poly == _ring_random_poly(base, reference_rng, degree), (seed, degree)
+            assert rng.getstate() == reference_rng.getstate(), (seed, degree)

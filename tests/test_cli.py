@@ -1034,27 +1034,32 @@ def test_basic_connection_lines_evaluate_each_bracket_once(monkeypatch, name):
     assert counts and max(counts.values()) == 1  # 256 and 1052 brackets
 
 
-# the kernels that subtract a difference which is often zero on both sides
+# the kernels that subtract a difference which is often zero on both sides;
+# the total-space checks of prolong (verify_splitting_theorems,
+# canonical_form_check, ta_generator_check) are not among them: they
+# subtract with `-`, which hands back the left operand of a zero subtrahend
 DIFFERENCE_KERNELS = {"vf_bracket_comps", "courant_dorfman_form_part", "lie_der_v",
                       "record_metric", "check_basic_identities",
                       "check_identity_lemmas", "DorfmanConnection.curvature_vs_jacobiator",
                       "DorfmanConnection.from_dull", "_dual_bracket",
-                      "verify_splitting_theorems", "canonical_form_check", "ta_generator_check",
                       "roundtrip_check", "build_manin_pair", "two_form_of_oneform",
                       "im2form_standard_iso"}
 
 
 def test_kernels_form_no_difference_of_two_zeros(monkeypatch, capsys):
     # each kernel leaves out a zero subtrahend, so verify-all --seed 7 calls
-    # ScalarPoly.__sub__ on two zero operands from none of them
+    # ScalarPoly.__sub__ on two zero operands from none of them, and any
+    # other such call returns its left operand without building a zero
     calls, callers = [], Counter()
     real = ScalarPoly.__sub__
 
     def counting(self, other):
         calls.append(1)
+        result = real(self, other)
         if isinstance(other, ScalarPoly) and self.is_zero() and other.is_zero():
             callers[sys._getframe(1).f_code.co_qualname.split(".<locals>")[0]] += 1
-        return real(self, other)
+            assert result is self
+        return result
 
     monkeypatch.setattr(ScalarPoly, "__sub__", counting)
     assert main(["verify-all", "--seed", "7"]) == 0
@@ -1136,3 +1141,21 @@ def test_python_m_runs_the_command_line():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == catalog_names()
+
+
+def test_one_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    path = tmp_path / "spec.clab"
+    path.write_text(NOT_LIE)
+    calls = [["run", "--check", "lie", "--format", "json", str(path)], ["run", str(path)]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    alone = [subprocess.run([sys.executable, "-m", "courant_lab", *argv],
+                            capture_output=True, text=True, env=env) for argv in calls]
+    for argv, result in zip(calls, alone):
+        assert main(argv) == result.returncode, result.stderr
+        assert capsys.readouterr().out == result.stdout
+    assert json.loads(alone[0].stdout)["results"][0]["check"] == "lie"
+    assert len(json.loads(alone[0].stdout)["results"]) == 1
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: courant-lab")

@@ -19,16 +19,18 @@ function.
 import importlib
 import io
 import pkgutil
+import random
 from collections import Counter
 from contextlib import redirect_stdout
+from copy import copy
 
 import pytest
 
 import courant_lab
 from courant_lab import bundle, prolong
-from courant_lab.bundle import Bundle, HomSection, Section, SubBundle
+from courant_lab.bundle import Bundle, BundleError, HomSection, Section, SubBundle, patch
 from courant_lab.cli import main
-from courant_lab.poly import ScalarPoly
+from courant_lab.poly import ScalarPoly, VariableMismatchError, parse_poly
 
 MODULES = [importlib.import_module(f"courant_lab.{info.name}")
            for info in pkgutil.iter_modules(courant_lab.__path__)]
@@ -146,3 +148,32 @@ def test_verify_all_builds_no_zero_of_its_own(zero_results):
     assert zero_results["vf_apply", "calls"] > 10_000
     assert zero_results["vf_apply", "operand"] == 0
 
+
+
+def test_a_section_less_an_equal_one_is_the_shared_zero_section():
+    base = patch("x1", "x2")
+    sum_bundle = Bundle.tangent(base) + Bundle.cotangent(base)
+    [s] = bundle.random_sections(sum_bundle, 1, random.Random(5))
+    rebuilt = sum_bundle.section({name: str(c) for name, c in zip(sum_bundle.frame, s.coeffs)})
+    assert not s.is_zero() and rebuilt.coeffs[0] is not s.coeffs[0]
+    for other in (s, copy(s), rebuilt):
+        assert s - other is sum_bundle.zero_section()
+
+
+def test_equal_polynomials_subtract_to_zero_over_one():
+    vars = ("x1", "x2")
+    p, q = parse_poly("1/2*x1^2 - 3/4*x2", vars), parse_poly("-3/4*x2 + 1/2*x1^2", vars)
+    assert p is not q and p == q
+    for difference in (p - q, p - p):
+        assert difference.is_zero()
+        assert difference == ScalarPoly.zero(vars)  # == compares the denominator too
+
+
+def test_cancelling_operands_are_still_checked_first():
+    base = patch("x1")
+    tangent, cotangent = Bundle.tangent(base), Bundle.cotangent(base)
+    assert tangent.zero_section().coeffs == cotangent.zero_section().coeffs
+    with pytest.raises(BundleError):
+        tangent.zero_section() - cotangent.zero_section()
+    with pytest.raises(VariableMismatchError):
+        parse_poly("1", ("x",)) - parse_poly("1", ("y",))
