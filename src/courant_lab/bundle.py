@@ -37,11 +37,14 @@ to a view (HomSection.apply keeps its map's table), and `matrix_pair` and
 `leibniz` walk the rows of a pairing (pairing_rows) against a view.
 
 The layout of a direct sum is known to this module alone.  A summand is
-read and written through three operations: Bundle.summand (the bundle of
-one atom alone, the very Bundle that Bundle.tangent, `dual` and so on
-return), Section.component (the projection onto a summand) and
-Bundle.join (the inclusion of summand sections).  Bundle.positions gives
-a summand's frame positions to the tables indexed by frame position.
+named by the bundle that fills it, the very Bundle that Bundle.tangent,
+`dual`, `vector` and so on return (E, E.dual(), Bundle.tangent(base)),
+so whoever built a sum names its summands: Section.component (the
+projection onto a summand) and Bundle.join (the inclusion of summand
+sections) read and write them, and Bundle.positions gives a summand's
+frame positions to the tables indexed by frame position.  A direct sum
+that repeats an atom (T*M + T*M) is refused where it is built, since its
+summands could not be told apart.
 
 The module also houses the canonical pairing, the elementary Cartan
 operations, the one Leibniz kernel (`leibniz`, which reads an operator's
@@ -69,8 +72,6 @@ TM = "TM"
 COTM = "T*M"
 VEC = "V"
 VEC_DUAL = "V*"
-
-_DUAL_KIND = {TM: COTM, COTM: TM, VEC: VEC_DUAL, VEC_DUAL: VEC}
 
 # a view: the nonzero (index, component) pairs of a vector, in index order
 Terms = Sequence[Tuple[int, ScalarPoly]]
@@ -171,16 +172,13 @@ class Atom:
     frame: Tuple[str, ...]
 
     def dual(self) -> "Atom":
-        kind = _DUAL_KIND[self.kind]
         if self.kind == TM:
-            frame = tuple("d" + f[1:] for f in self.frame)
-        elif self.kind == COTM:
-            frame = tuple("D" + f[1:] for f in self.frame)
-        elif self.kind == VEC:
-            frame = tuple(f + "s" for f in self.frame)
-        else:
-            frame = tuple(f[:-1] for f in self.frame)
-        return Atom(kind, self.name, frame)
+            return Atom(COTM, self.name, tuple("d" + f[1:] for f in self.frame))
+        if self.kind == COTM:
+            return Atom(TM, self.name, tuple("D" + f[1:] for f in self.frame))
+        if self.kind == VEC:
+            return Atom(VEC_DUAL, self.name, tuple(f + "s" for f in self.frame))
+        return Atom(VEC, self.name, tuple(f[:-1] for f in self.frame))
 
     def label(self) -> str:
         return {TM: "TM", COTM: "T*M"}.get(self.kind, self.name + ("*" if self.kind == VEC_DUAL else ""))
@@ -190,9 +188,9 @@ class Atom:
 class Bundle:
     """A direct sum of atoms over a patch.
 
-    Immutable once built: the frame names, the rank and the atom lookups
-    are computed in __post_init__, the dual bundle, the frame sections and
-    the zero section on first use, and all are shared by every caller
+    Immutable once built: the frame names and the rank are computed in
+    __post_init__, the dual bundle, the frame sections, the summand slices
+    and the zero section on first use, and all are shared by every caller
     afterwards.  Build one through its patch (Patch.bundle, which tangent,
     cotangent, vector, + and dual call), so that each is built once; it
     is equal only to itself.
@@ -205,11 +203,6 @@ class Bundle:
         frame = tuple(name for atom in self.atoms for name in atom.frame)
         object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_rank", len(frame))
-        slices, start = [], 0
-        for atom in self.atoms:
-            slices.append(slice(start, start + len(atom.frame)))
-            start += len(atom.frame)
-        object.__setattr__(self, "_atom_slices", tuple(slices))
 
     @staticmethod
     def tangent(base: Patch) -> "Bundle":
@@ -229,6 +222,10 @@ class Bundle:
     def __add__(self, other: "Bundle") -> "Bundle":
         if other.patch is not self.patch:
             raise BundleError("direct sum over different patches")
+        for atom in other.atoms:
+            if atom in self.atoms:
+                raise BundleError(f"{self.label()}+{other.label()} repeats the summand "
+                                  f"{atom.label()}")
         return self.patch.bundle(self.atoms + other.atoms)
 
     @property
@@ -242,18 +239,11 @@ class Bundle:
     def label(self) -> str:
         return "+".join(a.label() for a in self.atoms) if self.atoms else "0"
 
-    def summand(self, kind: str, name: str = "") -> "Bundle":
-        """The bundle of one summand alone: the atom of this kind and name,
-        or the first of its kind when no name is given.  It is the one
-        Bundle of that atom over the patch, so the TM summand of TM + E* is
-        Bundle.tangent(patch) and its E* summand is E.dual()."""
-        return self._summand(kind, name)[0]
-
-    def positions(self, kind: str, name: str = "") -> range:
-        """The positions of one summand's frame in this bundle's frame, for
+    def positions(self, summand: "Bundle") -> range:
+        """The positions of a summand's frame in this bundle's frame, for
         the tables indexed by frame position (frame_section, symbols, the
         battery frames) and coefficient lists over other patches."""
-        where = self._summand(kind, name)[1]
+        where = self._where(summand)
         return range(where.start, where.stop)
 
     def join(self, *parts: "Section") -> "Section":
@@ -265,29 +255,24 @@ class Bundle:
             raise BundleError(f"a summand of {self.label()} is given twice")
         coeffs = list(self._zero_section.coeffs)
         for part in parts:
-            found = self._summands.get(part.bundle)
-            if found is None:
-                raise BundleError(f"{part.bundle.label()} is not a summand of {self.label()}")
-            coeffs[found[1]] = part.coeffs
+            coeffs[self._where(part.bundle)] = part.coeffs
         return _nonzero(self, tuple(coeffs))
 
-    def _summand(self, kind: str, name: str) -> Tuple["Bundle", slice]:
-        found = self._summands.get((kind, name))
-        if found is None:
-            raise BundleError(f"no {kind} {name!r} summand in {self.label()}")
-        return found
+    def _where(self, summand: "Bundle") -> slice:
+        where = self._summands.get(summand)
+        if where is None:
+            raise BundleError(f"{summand.label()} is not a summand of {self.label()}")
+        return where
 
     @cached_property
-    def _summands(self) -> Dict[object, Tuple["Bundle", slice]]:
-        """(summand bundle, its slice of the frame), looked up by (kind,
-        name), by (kind, "") for the first atom of a kind, and by the
-        summand bundle itself (join).  Built on first use: a summand is
-        built through the patch, which builds this bundle first."""
-        layout: Dict[object, Tuple[Bundle, slice]] = {}
-        for atom, where in zip(self.atoms, self._atom_slices):
-            found = (self.patch.bundle((atom,)), where)
-            for key in ((atom.kind, atom.name), (atom.kind, ""), found[0]):
-                layout.setdefault(key, found)
+    def _summands(self) -> Dict["Bundle", slice]:
+        """The slice of the frame of each summand, in order, keyed by the
+        summand's bundle.  Built on first use: a summand is built through
+        the patch, which builds this bundle first."""
+        layout, start = {}, 0
+        for atom in self.atoms:
+            layout[self.patch.bundle((atom,))] = slice(start, start + len(atom.frame))
+            start += len(atom.frame)
         return layout
 
     def zero_section(self) -> "Section":
@@ -420,11 +405,11 @@ class Section:
     def constant_coeffs(self) -> List[Fraction]:
         return [c.constant_value() for c in self.coeffs]
 
-    def component(self, kind: str, name: str = "") -> "Section":
-        """The projection onto one summand (Bundle.summand): a section of
-        that summand, its shared zero section when nothing survives."""
-        summand, where = self.bundle._summand(kind, name)
-        return _nonzero(summand, self.coeffs[where])
+    def component(self, summand: Bundle) -> "Section":
+        """The projection onto a summand, named by the bundle that fills it:
+        a section of that bundle, its shared zero section when nothing
+        survives."""
+        return _nonzero(summand, self.coeffs[self.bundle._where(summand)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Section):
@@ -635,27 +620,16 @@ def column_section(target: Bundle, table: ColumnTable, terms: Terms) -> Section:
 def pairing_matrix(left: Bundle, right: Bundle) -> List[List[Fraction]]:
     """Matrix of the canonical pairing: <v, s> = v^T M s over the frames.
 
-    Defined when every atom of the left bundle has exactly one dual atom in
-    the right bundle and vice versa (rank mismatches are rejected).
+    Defined when the summands of right are the duals of the summands of
+    left, in any order; each summand pairs with its dual frame by frame.
     """
+    if len(right.atoms) != len(left.atoms):
+        raise BundleError(f"{right.label()} is not the dual of {left.label()} up to order")
     matrix = [[Fraction(0)] * right.rank for _ in range(left.rank)]
-    used = set()
-    for i, atom in enumerate(left.atoms):
-        matches = [j for j, other in enumerate(right.atoms)
-                   if other.kind == _DUAL_KIND[atom.kind] and other.name == atom.name
-                   and j not in used]
-        if not matches:
-            raise BundleError(
-                f"no dual of {atom.label()} in {right.label()} for the canonical pairing")
-        j = matches[0]
-        used.add(j)
-        if len(right.atoms[j].frame) != len(atom.frame):
-            raise BundleError("paired atoms have different ranks")
-        ls, rs = left._atom_slices[i], right._atom_slices[j]
-        for k in range(len(atom.frame)):
-            matrix[ls.start + k][rs.start + k] = Fraction(1)
-    if len(used) != len(right.atoms):
-        raise BundleError(f"{right.label()} has atoms unmatched by {left.label()}")
+    for summand, where in left._summands.items():
+        offset = right._where(summand.dual()).start - where.start
+        for k in range(where.start, where.stop):
+            matrix[k][offset + k] = Fraction(1)
     return matrix
 
 

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
                         record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (COTM, TM, VEC, Bundle, BundleError, ColumnTable, FrameTable, HomSection,
+from .bundle import (Bundle, BundleError, ColumnTable, FrameTable, HomSection,
                      Section, SubBundle, column_apply, column_section, column_table,
                      db_canonical, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
                      pairing_rows, vf_apply)
@@ -188,8 +188,8 @@ class ManinPairData:
         """The bracket on representatives, before normalization."""
         lad, delta = self.lad, self.delta
         v_part = (lad.dull_bracket(delta, u1, u2)
-                  + lad.basic_v(delta, s1.component(VEC), u2)
-                  - lad.basic_v(delta, s2.component(VEC), u1))
+                  + lad.basic_v(delta, s1.component(lad.a_bundle), u2)
+                  - lad.basic_v(delta, s2.component(lad.a_bundle), u1))
         s_part = (lad.dorfman_like_bracket(s1, s2)
                   + lad.dorfman(delta, u1, s2) - lad.dorfman(delta, u2, s1)
                   + db_canonical(lad.sigma_bundle, delta.predual.pair(u2, s1)))
@@ -223,8 +223,10 @@ def build_manin_pair(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[
                        courant=None)  # symbols need mp.normalize
 
     # anchor columns: c(u + sigma) = pr_TM(u) + rho(pr_A sigma)
-    anchor = HomSection.from_columns(c_bundle, Bundle.tangent(base), [
-        u_sec.component(TM) + lad.rho(s_sec.component(VEC)) for u_sec, s_sec in reps])
+    tangent = Bundle.tangent(base)
+    anchor = HomSection.from_columns(c_bundle, tangent, [
+        u_sec.component(tangent) + lad.rho(s_sec.component(lad.a_bundle))
+        for u_sec, s_sec in reps])
 
     def cpair(r1, r2) -> ScalarPoly:
         (ua, sa), (ub, sb) = r1, r2
@@ -478,14 +480,15 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     base = lad.base
     std = standard_courant(base)
     sigma_star = sigma.transpose()
+    tangent, cotangent = Bundle.tangent(base), Bundle.cotangent(base)
 
     # Pi on the C-frame
     pi_cols = []
     for idx in range(mp.c_bundle.rank):
         u_sec, s_sec = mp.embed(mp.c_bundle.frame_section(idx))
-        a = s_sec.component(VEC)
-        x_val = u_sec.component(TM) + lad.rho(a)
-        th_val = s_sec.component(COTM) + sigma.apply(a)
+        a = s_sec.component(lad.a_bundle)
+        x_val = u_sec.component(tangent) + lad.rho(a)
+        th_val = s_sec.component(cotangent) + sigma.apply(a)
         pi_cols.append(std.bundle.join(x_val, th_val))
     pi_hom = HomSection.from_columns(mp.c_bundle, std.bundle, pi_cols)
 
@@ -493,7 +496,7 @@ def im2form_standard_iso(mp: ManinPairData, sigma: HomSection) -> CheckReport:
     theta_cols = []
     for idx in range(std.bundle.rank):
         t = std.bundle.frame_section(idx)
-        x, th = t.component(TM), t.component(COTM)
+        x, th = t.component(tangent), t.component(cotangent)
         u_sec = lad.v_bundle.join(x, -sigma_star.apply(x))
         theta_cols.append(mp.normalize(u_sec, lad.sigma_bundle.join(th)))
     theta_hom = HomSection.from_columns(std.bundle, mp.c_bundle, theta_cols)

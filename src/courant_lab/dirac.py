@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket
-from .bundle import BATTERY_SEED, VEC, BundleError, Section, SubBundle
+from .bundle import BATTERY_SEED, BundleError, Section, SubBundle
 from .dorfman import DorfmanConnection
 from .report import Checker, CheckReport
 
@@ -57,7 +57,7 @@ def shift_dorfman(delta: DorfmanConnection,
     would break Delta_v(0, theta) = (0, L_X theta) and with it the anchor
     of the dual bracket.
     """
-    e_columns = delta.b.positions(VEC)
+    e_columns = delta.b.positions(delta.e)
     symbols = [list(row) for row in delta.symbols]
     for (i, j), shift in shifts.items():
         if j not in e_columns:
@@ -73,10 +73,11 @@ def check_equivalent(d1: DorfmanConnection, d2: DorfmanConnection,
     if d1.q is not d2.q or d1.b is not d2.b:
         raise BundleError("representatives must share the pre-dual")
     b = d1.b
+    e_columns = b.positions(d1.e)
     for ui, u in enumerate(u_sub.sections):
         for phi, text in b.patch.battery:
             scaled = u.scale(phi)
-            for j in b.positions(VEC):
+            for j in e_columns:
                 s = b.frame_section(j)
                 diff = d1.apply(scaled, s) - d2.apply(scaled, s)
                 chk.record("difference-in-K",
@@ -205,7 +206,7 @@ def _default_shift(delta: DorfmanConnection, k_sub: SubBundle) -> DorfmanConnect
     shifts = {}
     count = 0
     for i in range(delta.q.rank):
-        for j in b.positions(VEC):
+        for j in b.positions(delta.e):
             k = k_sub.sections[count % len(k_sub.sections)]
             phi, _ = battery[count % len(battery)]
             shifts[(i, j)] = k.scale(phi)

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
-from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, FrameTable, HomSection,
+from .bundle import (Bundle, BundleError, FrameTable, HomSection,
                      Section, SubBundle, column_section, column_table,
                      dual_pair, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
                      pairing_rows, vf_apply, vf_bracket, lie_derivative_form)
@@ -86,10 +86,12 @@ class Connection(object):
 
 
 class PreDual:
-    """A bundle B paired with Q, with d_B phi = dmat . grad(phi)."""
+    """A bundle B paired with Q, with d_B phi = dmat . grad(phi).  The
+    canonical pre-dual of a bundle E records E (`e`); any other has e None."""
 
     def __init__(self, q: Bundle, b: Bundle, pairing: Sequence[Sequence[ScalarPoly]],
-                 dmat: Sequence[Sequence[ScalarPoly]], canonical: bool = False):
+                 dmat: Sequence[Sequence[ScalarPoly]], canonical: bool = False,
+                 e: Optional[Bundle] = None):
         if len(pairing) != q.rank or any(len(row) != b.rank for row in pairing):
             raise BundleError("pairing matrix shape mismatch")
         if len(dmat) != b.rank or any(len(row) != q.patch.dim for row in dmat):
@@ -98,6 +100,7 @@ class PreDual:
         self.b = b
         self.pairing = tuple(tuple(row) for row in pairing)
         self.canonical = canonical
+        self.e = e
         # the pairing and d_B are fixed once built: the rows of the pairing,
         # as matrix_pair reads them, and the column table of dmat
         self.pair_rows = pairing_rows(self.pairing)
@@ -125,7 +128,7 @@ def canonical_predual(e_bundle: Bundle) -> PreDual:
     # d_B phi = (0, d phi): column i of dmat is (0, dx_i)
     columns = [b.join(theta) for theta in cotangent.frame_sections()]
     dmat = HomSection.from_columns(cotangent, b, columns).matrix
-    return PreDual(q, b, pairing, dmat, canonical=True)
+    return PreDual(q, b, pairing, dmat, canonical=True, e=e_bundle)
 
 
 def zero_predual(q: Bundle, b: Bundle) -> PreDual:
@@ -138,8 +141,8 @@ def zero_predual(q: Bundle, b: Bundle) -> PreDual:
 
 def pr_tm_hom(q: Bundle) -> HomSection:
     """Projection of Q onto its TM summand, as a HomSection Q -> TM."""
-    return HomSection.from_columns(q, Bundle.tangent(q.patch),
-                                   [v.component(TM) for v in q.frame_sections()])
+    tangent = Bundle.tangent(q.patch)
+    return HomSection.from_columns(q, tangent, [v.component(tangent) for v in q.frame_sections()])
 
 
 class DorfmanConnection:
@@ -166,6 +169,13 @@ class DorfmanConnection:
     @property
     def b(self) -> Bundle:
         return self.predual.b
+
+    @property
+    def e(self) -> Bundle:
+        """The E of B = E + T*M, for a connection on the canonical pre-dual of E."""
+        if self.predual.e is None:
+            raise BundleError(f"{self.b.label()} is not E + T*M for a bundle E")
+        return self.predual.e
 
     # -- application -----------------------------------------------------
 
@@ -236,13 +246,13 @@ class DorfmanConnection:
                 for k in range(self.b.rank):
                     chk.record("roundtrip", f"({self.q.frame[i]}; {self.b.frame[k]})",
                                recovered.symbols[i][k] - self.symbols[i][k])
-        if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
+        if self.predual.e is not None:
             # Delta_v(0, theta) = (0, L_{pr_TM v} theta) on every representative
-            ct = Bundle.cotangent(self.q.patch)
+            ct, tangent = Bundle.cotangent(self.q.patch), Bundle.tangent(self.q.patch)
             # (0, theta_j) is the B-frame section at the j-th T*M position
-            forms = list(zip(ct.frame, ct.frame_sections(), self.b.positions(COTM)))
+            forms = list(zip(ct.frame, ct.frame_sections(), self.b.positions(ct)))
             for p, (label_v, v) in enumerate(zip(q_batt.labels, q_batt.sections)):
-                x = v.component(TM)
+                x = v.component(tangent)
                 for name, theta, k in forms:
                     expected = self.b.join(lie_derivative_form(x, theta))
                     chk.record("forms-rule", f"({label_v}; {name})",
@@ -387,11 +397,12 @@ class DorfmanConnection:
                         rhs = self.predual.pair(triple, bsec)
                         chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
                                    lhs - rhs if rhs._terms else lhs)
-        if self.predual.canonical and any(a.kind == "T*M" for a in self.b.atoms):
+        if self.predual.e is not None:
+            forms = self.b.positions(Bundle.cotangent(self.q.patch))
             for i, q1 in enumerate(q_frames):
                 for j, q2 in enumerate(q_frames):
                     hom = self.frame_curvature(i, j)
-                    for k in self.b.positions(COTM):
+                    for k in forms:
                         chk.record("vanishes-on-forms",
                                    f"({names[i]}; {names[j]}; {self.b.frame[k]})",
                                    hom.apply(self.b.frame_section(k)))
@@ -410,11 +421,12 @@ class DorfmanConnection:
     def check_skew(self) -> CheckReport:
         chk = Checker("skew", "symmetrized bracket is tensorial with vanishing TM part")
         batt = self.bracket.battery_table.rows
+        tangent = Bundle.tangent(self.q.patch)
         for i, p1 in enumerate(batt.frames):
             for j, p2 in enumerate(batt.frames):
                 sym = self.battery_skew(p1, p2)
                 inputs = f"({self.q.frame[i]}; {self.q.frame[j]})"
-                for comp in sym.component(TM).coeffs:
+                for comp in sym.component(tangent).coeffs:
                     chk.record("tm-part", inputs, comp)
                 for f, (phi, text) in enumerate(zip(batt.functions, batt.texts)):
                     scaled = sym.scale(phi)
@@ -486,8 +498,8 @@ def im2form_dorfman(sigma: HomSection, conn: Connection) -> DorfmanConnection:
     sigma_star = sigma.transpose()
 
     def delta_value(v: Section, s: Section) -> Section:
-        x, xi, e_sec, theta = (v.component(TM), v.component(VEC_DUAL),
-                               s.component(VEC), s.component(COTM))
+        x, xi, e_sec, theta = (v.component(tangent), v.component(e_bundle.dual()),
+                               s.component(e_bundle), s.component(cotangent))
         nab = conn.nabla(x, e_sec)
         form = lie_derivative_form(x, theta - sigma.apply(e_sec))
         shifted = sigma_star.apply(x) + xi

@@ -20,7 +20,10 @@ and the basic curvature is
 LieAlgebroidData owns the bundles TM + A* and A + T*M (v_bundle,
 sigma_bundle) and the pair map (rho, rho*) between them (pair_map, built
 once); a summand of either is read through Section.component and written
-through Bundle.join, as everywhere else.
+through Bundle.join, as everywhere else, each named by the bundle that
+fills it (a_bundle, its dual, Bundle.tangent, Bundle.cotangent).  So A
+may be TM, and then TM + A* and A + T*M are both TM + T*M.  A sum A, or
+A = T*M (TM + A* would repeat TM), ends in a BundleError that names it.
 
 Each operator value is evaluated once per spec.  LieAlgebroidData, built
 once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
@@ -46,7 +49,7 @@ from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi, record_symmetrized
-from .bundle import (COTM, TM, VEC, VEC_DUAL, Bundle, BundleError, HomSection, Section,
+from .bundle import (Bundle, BundleError, HomSection, Section,
                      courant_dorfman_form_part, db_canonical, dual_pair, lie_derivative_form,
                      vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple
@@ -95,21 +98,11 @@ class LieAlgebroidData:
 
     @cached_property
     def v_bundle(self) -> Bundle:
-        return Bundle.tangent(self.base) + self._one_a().dual()
+        return Bundle.tangent(self.base) + self.a_bundle.dual()
 
     @cached_property
     def sigma_bundle(self) -> Bundle:
-        return self._one_a() + Bundle.cotangent(self.base)
-
-    def _one_a(self) -> Bundle:
-        """A, which TM + A* and A + T*M hold as one summand: a sum of bundles
-        is refused by name here, where the section-4 operators would read
-        only its first summand as A."""
-        atoms = self.a_bundle.atoms
-        if len(atoms) > 1:
-            raise BundleError(f"A = {self.a_bundle.label()} is a sum of {len(atoms)} bundles; "
-                              "TM + A* and A + T*M need A to be one bundle")
-        return self.a_bundle
+        return self.a_bundle + Bundle.cotangent(self.base)
 
     @cached_property
     def pair_map(self) -> HomSection:
@@ -187,14 +180,15 @@ def omega(lad: LieAlgebroidData, delta: DorfmanConnection, v: Section, a: Sectio
 
 def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section) -> Section:
     """L_a (b, theta) = ([a, b], L_{rho(a)} theta)."""
-    return lad.sigma_bundle.join(lad.a_bracket(a, sigma.component(VEC)),
-                                 lie_derivative_form(lad.rho(a), sigma.component(COTM)))
+    return lad.sigma_bundle.join(
+        lad.a_bracket(a, sigma.component(lad.a_bundle)),
+        lie_derivative_form(lad.rho(a), sigma.component(Bundle.cotangent(lad.base))))
 
 
 def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
     """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, e_k> = rho(a)<xi,e_k> - <xi,[a,e_k]>."""
-    x = v.component(TM)
-    xi = v.component(VEC_DUAL)
+    x = v.component(Bundle.tangent(lad.base))
+    xi = v.component(lad.a_bundle.dual())
     rho_a = lad.rho(a)
     comps = vf_apply_each(rho_a.nonzero(), xi)
     for k, ek in enumerate(lad.a_bundle.frame_sections()):
@@ -207,12 +201,12 @@ def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
 
 def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Section:
     """[(a,theta),(b,omega)]_D = ([a,b], L_{rho(a)} omega - i_{rho(b)} d theta)."""
-    a, theta = s1.component(VEC), s1.component(COTM)
-    b, omg = s2.component(VEC), s2.component(COTM)
+    cotangent = Bundle.cotangent(lad.base)
+    a, theta = s1.component(lad.a_bundle), s1.component(cotangent)
+    b, omg = s2.component(lad.a_bundle), s2.component(cotangent)
     form = courant_dorfman_form_part(lad.rho(a).nonzero(), theta.nonzero(),
                                      lad.rho(b).nonzero(), omg.nonzero(), lad.base)
-    return lad.sigma_bundle.join(lad.a_bracket(a, b),
-                                 Section(Bundle.cotangent(lad.base), tuple(form)))
+    return lad.sigma_bundle.join(lad.a_bracket(a, b), Section(cotangent, tuple(form)))
 
 
 def basic_v(lad: LieAlgebroidData, delta: DorfmanConnection, a: Section, v: Section) -> Section:
@@ -261,8 +255,8 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     a_lifts = [lad.sigma_bundle.join(a) for a in a_frames]
     for i, v in enumerate(lad.v_bundle.frame_sections()):
         vname = lad.v_bundle.frame[i]
-        x = v.component(TM)
-        xi = v.component(VEC_DUAL)
+        x = v.component(Bundle.tangent(lad.base))
+        xi = v.component(lad.a_bundle.dual())
         x_of = [vf_apply(lad.base, x.nonzero(), phi) for phi in a_batt.functions]
         for k, a in enumerate(a_frames):
             base_val = lad.omega(delta, v, a)
@@ -313,7 +307,8 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
         return chk.report()
     images = [lad.image(sigma) for sigma in s_batt.sections]
     # the symmetrization Skew(v, (rho,rho*) sigma); the defect pairs it with (a, 0)
-    skew = [[delta.skew_symmetrization(v, image) for image in images] for v in v_batt.sections]
+    skew = [[lad.dull_bracket(delta, v, image) + lad.dull_bracket(delta, image, v)
+             for image in images] for v in v_batt.sections]
     pairings = [[delta.predual.pair(v, sigma) for sigma in s_batt.sections]
                 for v in v_batt.sections]
     for k, a in enumerate(a_frames):
@@ -467,7 +462,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
     pm = lad.pair_map
     s_frames = lad.sigma_bundle.frame_sections()
     s_batt = lad.sigma_bundle.battery
-    s_parts = [s.component(VEC) for s in s_frames]
+    s_parts = [s.component(lad.a_bundle) for s in s_frames]
     images = [lad.image(s2) for s2 in s_batt.sections]
     for i, s1 in enumerate(s_frames):
         for t, (label2, s2) in enumerate(zip(s_batt.labels, s_batt.sections)):
@@ -495,7 +490,7 @@ def check_identity_lemmas(lad: LieAlgebroidData, delta: DorfmanConnection,
                                lhs - rhs if rhs._terms else lhs)
         k_sections = triple.k_sub.sections
         k_images = [pm.apply(k) for k in k_sections]
-        k_parts = [k.component(VEC) for k in k_sections]
+        k_parts = [k.component(lad.a_bundle) for k in k_sections]
         for u_i, u in enumerate(triple.u_sub.sections):
             for k_i, k in enumerate(k_sections):
                 lhs = pm.apply(lad.dorfman(delta, u, k))
@@ -527,7 +522,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
                 ok = False
     if not ok:
         return None, chk.report()
-    anchors = [lad.rho(k.component(VEC)) for k in k_sub.sections]
+    anchors = [lad.rho(k.component(lad.a_bundle)) for k in k_sub.sections]
     k_bracket = AnchoredBracket.induced(k_sub, anchors, values)
     lie = k_bracket.check_lie(triple.seed)
     chk.require("lie", "induced bracket on K", lie.passed,
@@ -535,7 +530,7 @@ def k_algebroid(lad: LieAlgebroidData, triple: VBTriple) -> Tuple[Optional[Ancho
     # morphism: anchors match and the pair map intertwines the brackets
     for i, k in enumerate(k_sub.sections):
         chk.record("morphism-anchor", f"k{i + 1}",
-                   anchors[i] - pm.apply(k).component(TM))
+                   anchors[i] - pm.apply(k).component(Bundle.tangent(lad.base)))
     for i, k1 in enumerate(k_sub.sections):
         for phi, text in lad.base.battery:
             for j, k2 in enumerate(k_sub.sections):
@@ -567,9 +562,9 @@ def check_ruth_compat(lad: LieAlgebroidData, delta: DorfmanConnection,
     # serves both identities, and twice[i][j][t] = Delta_{u_i} Delta_{u_j} s_t
     # is the first term of R(u_i, u_j) s_t and the second of R(u_j, u_i) s_t
     s_batt = lad.sigma_bundle.battery
-    a_parts = [s.component(VEC) for s in s_batt.sections]
+    a_parts = [s.component(lad.a_bundle) for s in s_batt.sections]
     moved = [[lad.dorfman(delta, u, s) for s in s_batt.sections] for u in u_secs]
-    moved_parts = [[value.component(VEC) for value in row] for row in moved]
+    moved_parts = [[value.component(lad.a_bundle) for value in row] for row in moved]
     twice = [[[lad.dorfman(delta, u, s) for s in row] for row in moved] for u in u_secs]
     for i, u in enumerate(u_secs):
         for j, v in enumerate(u_secs):

@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
-from .bundle import (COTM, TM, VEC, VEC_DUAL, Battery, Bundle, BundleError, HomSection,
+from .bundle import (COTM, TM, Battery, Bundle, BundleError, HomSection,
                      Patch, Section, column_section, column_table, courant_dorfman_form_part,
                      db_canonical, dual_pair, lie_derivative_form, two_form_of_oneform,
                      vf_apply, vf_apply_each, vf_bracket)
@@ -157,9 +157,10 @@ class LiftedSection:
 # -- lifts -------------------------------------------------------------------
 
 
-def lift_core(tp: TotalPatch, sigma: Section) -> LiftedSection:
-    """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form."""
-    return _core_lift(tp, sigma.bundle, [tp.embed(c) for c in sigma.coeffs])
+def lift_core(tp: TotalPatch, delta: DorfmanConnection, sigma: Section) -> LiftedSection:
+    """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form,
+    for sigma = (f, theta) in the B = E + T*M of delta."""
+    return _core_lift(tp, delta, [tp.embed(c) for c in sigma.coeffs])
 
 
 def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
@@ -172,26 +173,28 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
     are the values Delta_v(e_m, 0) over the frame of E.
     """
     b = delta.b
-    ell = tp.linear(v.component(VEC_DUAL).coeffs)
+    ell = tp.linear(v.component(delta.e.dual()).coeffs)
     d_ell = Section(Bundle.cotangent(tp.patch), [ell.partial(y) for y in tp.allvars])
-    horizontal = LiftedSection(tp.field(TM, base=[tp.embed(c) for c in v.component(TM).coeffs]),
-                               d_ell)
+    x = v.component(Bundle.tangent(b.patch))
+    horizontal = LiftedSection(tp.field(TM, base=[tp.embed(c) for c in x.coeffs]), d_ell)
     # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
     if cols is None:
-        cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(VEC)]
+        cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(delta.e)]
     rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
-    return horizontal - _core_lift(tp, b, rows)
+    return horizontal - _core_lift(tp, delta, rows)
 
 
 def vertical_hom(tp: TotalPatch, delta: DorfmanConnection, hom: HomSection) -> LiftedSection:
     """Phi^ for Phi: E -> E + T*M, evaluated on the tautological section."""
-    return _core_lift(tp, delta.b, [tp.linear(row) for row in hom.matrix])
+    return _core_lift(tp, delta, [tp.linear(row) for row in hom.matrix])
 
 
-def _core_lift(tp: TotalPatch, b: Bundle, comps: Sequence[ScalarPoly]) -> LiftedSection:
+def _core_lift(tp: TotalPatch, delta: DorfmanConnection,
+               comps: Sequence[ScalarPoly]) -> LiftedSection:
     # comps is a total-space vector in B = E + T*M, by frame position: the
     # E-part is a vertical vector field, the T*M-part a form along the base
-    vec, cotm = b.positions(VEC), b.positions(COTM)
+    b = delta.b
+    vec, cotm = b.positions(delta.e), b.positions(Bundle.cotangent(b.patch))
     return LiftedSection(tp.field(TM, fiber=comps[vec.start:vec.stop]),
                          tp.field(COTM, base=comps[cotm.start:cotm.stop]))
 
@@ -222,22 +225,22 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     """
     chk = Checker("splitting-theorems",
                   "lifted sections reproduce the connection calculus exactly")
-    q, b = delta.q, delta.b
-    e_bundle = b.summand(VEC)
+    q, b, e_bundle = delta.q, delta.b, delta.e
     tp = total_patch_of(e_bundle)
     q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
     q_frames = q.frame_sections()
-    e_frames = [b.frame_section(m) for m in b.positions(VEC)]
+    e_frames = [b.frame_section(m) for m in b.positions(e_bundle)]
     # applied[i][m] = Delta_{q_i}(e_m, 0): the lift of q_i and its l-calculus
-    applied = [[delta.battery_apply(p, b_batt.frames[m]) for m in b.positions(VEC)]
+    applied = [[delta.battery_apply(p, b_batt.frames[m]) for m in b.positions(e_bundle)]
                for p in q_batt.frames]
     lifts = [lift_linear(tp, delta, v, cols) for v, cols in zip(q_frames, applied)]
-    cores = [(label, s, lift_core(tp, s)) for label, s in zip(b_batt.labels, b_batt.sections)]
+    cores = [(label, s, lift_core(tp, delta, s))
+             for label, s in zip(b_batt.labels, b_batt.sections)]
 
     for i, p1 in enumerate(q_batt.frames):
         for j, p2 in enumerate(q_batt.frames):
             # l of the E*-part of the symmetrization
-            ell = tp.linear(delta.battery_skew(p1, p2).component(VEC_DUAL).coeffs)
+            ell = tp.linear(delta.battery_skew(p1, p2).component(e_bundle.dual()).coeffs)
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        total_pairing(lifts[i], lifts[j]) - ell)
     for i, v in enumerate(q_frames):
@@ -255,7 +258,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             lifted_v = lifts[i].scale(tp.embed(phi))
             for t, (label_s, _, core) in enumerate(cores):
                 lhs = total_courant(lifted_v, core)
-                rhs = lift_core(tp, delta.battery_apply(q_batt.pos(i, f), t))
+                rhs = lift_core(tp, delta, delta.battery_apply(q_batt.pos(i, f), t))
                 chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
     for i, p1 in enumerate(q_batt.frames):
@@ -276,7 +279,7 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         for label_eta, eta in zip(eta_batt.labels, eta_batt.sections):
             lhs = vf_apply(tp.patch, lifts[i].vf.nonzero(), tp.linear(eta.coeffs))
             x_eta = vf_apply_each(delta.bracket.frame_table.anchors[i], eta)
-            rhs = tp.linear([x - dual_pair(eta, value.component(VEC))
+            rhs = tp.linear([x - dual_pair(eta, value.component(e_bundle))
                              for x, value in zip(x_eta, applied[i])])
             chk.record("ell-calculus", f"({q.frame[i]}; {label_eta})", lhs - rhs)
     return chk.report()
@@ -295,11 +298,11 @@ def check_geometric_dirac(triple: VBTriple) -> CheckReport:
     """
     chk = Checker("geometric-dirac", "total-space isotropy, rank and bracket closure")
     delta, u_sub, k_sub = triple.delta, triple.u_sub, triple.k_sub
-    tp = total_patch_of(delta.b.summand(VEC))
+    tp = total_patch_of(delta.e)
     n, r = len(tp.base_coords), len(tp.fiber_coords)
 
     u_lifts = [lift_linear(tp, delta, u) for u in u_sub.sections]
-    k_lifts = [lift_core(tp, k) for k in k_sub.sections]
+    k_lifts = [lift_core(tp, delta, k) for k in k_sub.sections]
     spanning = [(f"u{i + 1}~", s) for i, s in enumerate(u_lifts)] + \
                [(f"k{j + 1}^", s) for j, s in enumerate(k_lifts)]
 
@@ -351,7 +354,8 @@ def _closure_residual(tp: TotalPatch, triple: VBTriple, u_lifts: Sequence[Lifted
     if any(k < n for k, _ in vf) or any(k >= n for k, _ in form):
         return remainder
     # the core vector in (E-part, T*M-part) frame positions, K's ambient
-    vec, cotm = triple.delta.b.positions(VEC), triple.delta.b.positions(COTM)
+    b = triple.delta.b
+    vec, cotm = b.positions(triple.delta.e), b.positions(Bundle.cotangent(b.patch))
     _, rest = triple.k_sub.split([(vec[k - n], c) for k, c in vf]
                                  + [(cotm[k], c) for k, c in form], tp.zero())
     if any(c._terms for c in rest):
@@ -525,11 +529,12 @@ class GeneratorAlgebra:
         self.delta = delta
         self.tp = total_patch_of(lad.v_bundle, prefix="w")
         # partner[j] = index m with <v_j, tau_m> = 1: TM + A* pairs with T*M + A
-        self.partner = [*lad.sigma_bundle.positions(COTM), *lad.sigma_bundle.positions(VEC)]
-        self.bundle = (
-            Bundle.vector(self.tp.patch, "lin", (f + "~" for f in lad.a_bundle.frame))
-            + Bundle.vector(self.tp.patch, "core", (f + "!" for f in lad.sigma_bundle.frame)))
-        self._lin, self._core = (self.bundle.summand(VEC, name) for name in ("lin", "core"))
+        self.partner = [*lad.sigma_bundle.positions(Bundle.cotangent(lad.base)),
+                        *lad.sigma_bundle.positions(lad.a_bundle)]
+        self._lin = Bundle.vector(self.tp.patch, "lin", (f + "~" for f in lad.a_bundle.frame))
+        self._core = Bundle.vector(self.tp.patch, "core",
+                                   (f + "!" for f in lad.sigma_bundle.frame))
+        self.bundle = self._lin + self._core
         gens = range(self.bundle.rank)
         anchor = HomSection.from_columns(self.bundle, Bundle.tangent(self.tp.patch),
                                          [self._theta_generator(k) for k in gens])
@@ -559,8 +564,8 @@ class GeneratorAlgebra:
             e_k = self.lad.a_bundle.frame_section(k)
             cols = []
             for v in self.lad.v_bundle.frame_sections():
-                x = v.component(TM)
-                xi = v.component(VEC_DUAL)
+                x = v.component(Bundle.tangent(base))
+                xi = v.component(self.lad.a_bundle.dual())
                 x_phi = vf_apply(base, x.nonzero(), phi)
                 col = (self.lad.sigma_bundle.join(e_k).scale(x_phi)
                        - db_canonical(self.lad.sigma_bundle, phi).scale(dual_pair(xi, e_k)))

@@ -60,8 +60,10 @@ im2form-of, the bundle of their connection); only pairing reads b.
 
 Every section but [patch] and [checks] needs a name ([bundle.E]), and a
 bundle name may be neither TM nor contain + or *.  Bundle references are
-sums over {TM, T*M, <name>, <name>*}; dual frames carry an 's' suffix
-(eps -> epss).  A frame name and its dual may repeat no coordinate, no
+sums over {TM, T*M, <name>, <name>*} that repeat no summand, so e, bundle
+and ambient may name TM; a repeated summand (E+E, or e = T*M, which
+makes E + T*M repeat T*M) is a SpecError on its line.  Dual frames carry
+an 's' suffix (eps -> epss).  A frame name and its dual may repeat no coordinate, no
 frame name of TM, T*M, this bundle or an earlier one, and no dual frame
 name, since a section expression reads a name at its first place in a sum;
 the frame line is the error's line.  A section, and a key within one, may be declared only
@@ -151,7 +153,10 @@ class StructureSpec:
             else:
                 bundle = self.objects["bundle"][name]
                 pieces.append(bundle.dual() if part.endswith("*") else bundle)
-        return sum(pieces[1:], pieces[0])
+        try:
+            return sum(pieces[1:], pieces[0])
+        except BundleError as exc:  # a sum that repeats a summand
+            raise SpecError(str(exc), line) from exc
 
     def lookup(self, kind: str, name: str, line: Optional[int] = None,
                context: str = "") -> object:
@@ -370,6 +375,14 @@ _DORFMAN_FORMS: Dict[str, Callable[[_Body], DorfmanConnection]] = {
 
 
 def _dorfman(body: _Body) -> DorfmanConnection:
+    # delta acts on E + T*M for the E that e names, refused on e's line
+    # when it repeats a summand (E = T*M), before a constructor builds it
+    if "e" in body.keys:
+        value, line = body.value("e")
+        try:
+            named = body.one_bundle("e") + Bundle.cotangent(body.spec.base)
+        except BundleError as exc:
+            raise SpecError(str(exc), line) from exc
     form = next((key for key in _DORFMAN_FORMS if key in body.keys), None)
     if form:
         delta = _DORFMAN_FORMS[form](body)
@@ -377,12 +390,8 @@ def _dorfman(body: _Body) -> DorfmanConnection:
         predual = canonical_predual(body.one_bundle("e"))
         delta = DorfmanConnection.with_dual_bracket(predual, pr_tm_hom(predual.q),
                                                     _zero_symbols(predual))
-    # delta acts on E + T*M for the E that e names
-    if "e" in body.keys:
-        named = body.one_bundle("e") + Bundle.cotangent(body.spec.base)
-        if named is not delta.b:
-            raise SpecError(f"e = {body.get('e')[0]} is not the bundle E of "
-                            f"{form} = {body.get(form)[0]}", body.keys["e"][1])
+    if "e" in body.keys and named is not delta.b:
+        raise SpecError(f"e = {value} is not the bundle E of {form} = {body.get(form)[0]}", line)
     if "b" in body.keys and form != "pairing":
         raise SpecError("b is read only with pairing = zero", body.keys["b"][1])
     bracket = body.named("bracket", "bracket") if "bracket" in body.keys else delta.bracket

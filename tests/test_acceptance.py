@@ -11,7 +11,7 @@ import sys
 import time
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import (TM, VEC, VEC_DUAL, Bundle, HomSection, Section, SubBundle,
+from courant_lab.bundle import (Bundle, HomSection, Section, SubBundle,
                                  patch, vf_bracket)
 from courant_lab.catalog import catalog_text
 from courant_lab.checks import run_check
@@ -91,9 +91,9 @@ def test_criterion_01_standard_dorfman_curvature():
     ok = hom.apply(delta.b.section(eps=1)) == delta.b.section(eps=1)
 
     def closed_form(v1, v2, s):
-        x, xi = v1.component(TM), v1.component(VEC_DUAL)
-        y, eta = v2.component(TM), v2.component(VEC_DUAL)
-        e = s.component(VEC)
+        x, xi = v1.component(tm), v1.component(conn.bundle.dual())
+        y, eta = v2.component(tm), v2.component(conn.bundle.dual())
+        e = s.component(conn.bundle)
         e_out = _connection_curvature(conn, x, y, e)
 
         def rstar(a, b, f):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                                 annihilator, d_scalar,
                                 db_canonical, dual_pair, leibniz, lie_derivative_form,
-                                nonzero_terms, patch, random_sections, vf_apply, vf_bracket)
+                                nonzero_terms, pairing_matrix, patch, random_sections, vf_apply,
+                                vf_bracket)
 from courant_lab.dorfman import standard_dorfman
 from courant_lab.poly import ScalarPoly
 from builders import canonical_pairing, flat_connection, identity_map
@@ -29,41 +31,48 @@ def test_frames_and_ranks():
 
 
 def test_summands_are_the_bundles_of_their_atoms():
-    assert Q.summand(bundle.TM) is Bundle.tangent(BASE)
-    assert Q.summand(bundle.VEC_DUAL) is E.dual()
-    assert B.summand(bundle.VEC, "E") is B.summand(bundle.VEC) is E
-    assert B.summand(bundle.COTM) is CT
-    assert list(B.positions(bundle.COTM)) == [1, 2] and list(Q.positions(bundle.TM)) == [0, 1]
-    with pytest.raises(BundleError):
-        Q.summand(bundle.COTM)
+    assert Q.section(Dx1=1, epss="x1").component(E.dual()) == E.dual().section(epss="x1")
+    assert B.section(eps=1, dx2=1).component(CT) == CT.section(dx2=1)
+    assert list(B.positions(CT)) == [1, 2] and list(Q.positions(TM)) == [0, 1]
+    assert list(B.positions(E)) == [0] and list(Q.positions(E.dual())) == [2]
+    with pytest.raises(BundleError, match="T\\*M is not a summand of TM\\+E\\*"):
+        Q.positions(CT)
+    with pytest.raises(BundleError, match="E\\+T\\*M is not a summand of E\\+T\\*M"):
+        B.zero_section().component(B)  # a sum is not its own summand
 
 
-# two named V summands over one patch, as the generator bundle lin + core
+# two named summands over one patch, as the generator bundle lin + core, and
+# TM + T*M, which is both TM + E* and E + T*M for E = TM
 LIN = Bundle.vector(BASE, "lin", ("a~",))
 CORE = Bundle.vector(BASE, "core", ("a!", "dx1!"))
-SUMS = [(Q, [(bundle.TM, ""), (bundle.VEC_DUAL, "")]),
-        (B, [(bundle.VEC, ""), (bundle.COTM, "")]),
-        (LIN + CORE, [(bundle.VEC, "lin"), (bundle.VEC, "core")])]
+SUMS = [(Q, [TM, E.dual()]), (B, [E, CT]), (LIN + CORE, [LIN, CORE]), (TM + CT, [TM, CT])]
 
 
 def test_join_of_the_components_is_the_section():
-    assert (LIN + CORE).summand(bundle.VEC) is LIN  # the first of its kind
-    assert (LIN + CORE).summand(bundle.VEC, "core") is CORE
-    for total, kinds in SUMS:
+    for total, summands in SUMS:
         for s in total.battery.sections:
-            parts = [s.component(kind, name) for kind, name in kinds]
-            assert [p.bundle for p in parts] == [total.summand(*kind) for kind in kinds]
+            parts = [s.component(summand) for summand in summands]
+            assert [p.bundle for p in parts] == summands
             assert total.join(*parts) == s
 
 
 def test_zero_components_and_joins_are_the_shared_zero():
-    for total, kinds in SUMS:
+    for total, summands in SUMS:
         zero = total.zero_section()
-        for kind, name in kinds:
-            assert zero.component(kind, name) is total.summand(kind, name).zero_section()
+        for summand in summands:
+            assert zero.component(summand) is summand.zero_section()
         assert total.join() is zero
-        assert total.join(*(total.summand(*kind).zero_section() for kind in kinds)) is zero
-    assert B.section(dx1="x2").component(bundle.VEC) is E.zero_section()
+        assert total.join(*(summand.zero_section() for summand in summands)) is zero
+    assert B.section(dx1="x2").component(E) is E.zero_section()
+
+
+@pytest.mark.parametrize("left,right,repeated", [
+    (CT, CT, "T*M"), (TM + E, TM, "TM"), (E, Q + E, "E"), (Q, E.dual(), "E*")],
+    ids=["T*M+T*M", "TM+E+TM", "E+TM+E*+E", "TM+E*+E*"])
+def test_a_sum_that_repeats_a_summand_is_refused(left, right, repeated):
+    # a summand is named by its bundle, which a repeated one could not tell apart
+    with pytest.raises(BundleError, match=re.escape(f"repeats the summand {repeated}") + "$"):
+        left + right
 
 
 def test_join_takes_each_summand_once():
@@ -98,6 +107,9 @@ def test_canonical_pairing_examples():
 def test_pairing_mismatch_rejected():
     with pytest.raises(BundleError):
         canonical_pairing(Q.section(Dx1=1), E.section(eps=1))
+    # every summand of the right bundle must be the dual of one on the left
+    with pytest.raises(BundleError, match="is not the dual of"):
+        pairing_matrix(E, E.dual() + CT)
 
 
 def test_db_examples():

@@ -344,16 +344,92 @@ def test_section4_on_a_bracket_over_a_sum_of_bundles_names_the_sum(tmp_path, cap
             "lie-derivative-of = A\n\n[checks]\nlie = A\nlinear-poisson = A\n"
             "section4 = A, Delta\n")
     lie, poisson, section4 = _results_for_spec(parse_spec(text), None, 7)
-    # the bracket and its dual's linear Poisson structure need no single A
+    # the bracket and its dual's linear Poisson structure need no single A;
+    # A + T*M is read by its summand A, which a sum is not
     assert lie["as_expected"] and poisson["as_expected"]
     [rep] = section4["reports"]
     assert (rep["status"], rep["details"]) == ("error", [
-        "BundleError: A = E+F is a sum of 2 bundles; TM + A* and A + T*M need A to be one "
-        "bundle"])
+        "BundleError: E+F is not a summand of E+F+T*M"])
     path = tmp_path / "spec.clab"
     path.write_text(text)
     assert main(["run", str(path)]) == 1
-    assert "A = E+F is a sum of 2 bundles" in capsys.readouterr().out
+    assert "E+F is not a summand of E+F+T*M" in capsys.readouterr().out
+
+
+def test_section4_over_the_cotangent_bundle_names_the_repeated_summand(tmp_path, capsys):
+    # A = T*M makes TM + A* repeat TM, which no summand read could tell apart
+    text = ("[patch]\ncoords = x1, x2\n\n[bracket.A]\nbundle = T*M\nantisymmetric = yes\n\n"
+            "[dorfman.Delta]\nlie-derivative-of = A\n\n[checks]\nlie = A\nsection4 = A, Delta\n")
+    lie, section4 = _results_for_spec(parse_spec(text), None, 7)
+    assert lie["as_expected"]
+    [rep] = section4["reports"]
+    assert (rep["status"], rep["details"]) == ("error", [
+        "BundleError: TM+TM repeats the summand TM"])
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    assert "TM+TM repeats the summand TM" in capsys.readouterr().out
+
+
+# E = TM: Q and B are both TM + T*M, whose summands TM and T*M play the
+# roles of TM and E* in Q and of E and T*M in B; nabla is curved
+E_IS_TM = """
+[patch]
+coords = x1, x2
+
+[connection.nabla]
+bundle = TM
+x2, Dx1 = x1*Dx2
+
+[dorfman.Delta]
+e = TM
+standard-of = nabla
+
+[checks]
+dorfman-axioms = Delta
+duality = Delta
+curvature = Delta
+skew = Delta
+splitting-theorems = Delta
+"""
+
+
+def test_the_tangent_bundle_as_e_passes_the_dorfman_lines(tmp_path):
+    results = _results_for_spec(parse_spec(E_IS_TM), None, 7)
+    assert [r["check"] for r in results] == ["dorfman-axioms", "duality", "curvature", "skew",
+                                             "splitting-theorems"]
+    assert all(r["as_expected"] for r in results)
+    assert all(rep["status"] == "pass" for r in results for rep in r["reports"])
+    path = tmp_path / "spec.clab"
+    path.write_text(E_IS_TM)
+    assert main(["run", str(path)]) == 0
+
+
+def _tangent_algebroid_as_tm(text):
+    """im2form-zero with TM in place of its named copy A of the tangent
+    algebroid: no [bundle.A]; TM is the bundle of the anchor, the bracket,
+    the connection and the source of sigma0, and e; both ambients are
+    TM+T*M, K is spanned by Dx1 ; Dx2, and the bracket keeps its name A."""
+    lines = {"bundle = A": "bundle = TM", "source = A": "source = TM", "e = A": "e = TM",
+             "ambient = TM+A*": "ambient = TM+T*M", "ambient = A+T*M": "ambient = TM+T*M",
+             "span = a1 ; a2": "span = Dx1 ; Dx2", "a1 = Dx1": "Dx1 = Dx1",
+             "a2 = Dx2": "Dx2 = Dx2"}
+    text = text.replace("[bundle.A]\nframe = a1, a2\n\n", "")
+    return "".join(lines.get(line, line) + "\n" for line in text.splitlines())
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_the_tangent_algebroid_as_tm_prints_the_catalog_block(tmp_path, capsys, seed):
+    # the named-copy relation: writing the tangent algebroid of the plane
+    # as TM changes no byte of what its named copy A prints
+    text = _tangent_algebroid_as_tm(catalog_text("im2form-zero"))
+    assert "[bundle.A]" not in text and text.count("bundle = TM\n") == 3
+    path = tmp_path / "spec.clab"
+    path.write_text(text)
+    assert main(["run", "--seed", str(seed), str(path)]) == 0
+    golden = (Path(__file__).parent / "golden" / f"verify-all-seed{seed}.txt").read_text()
+    block = golden.split("== im2form-zero ==\n")[1].split("\n\n")[0]
+    assert capsys.readouterr().out == block + "\n\nsummary: 12/12 checks as expected\n"
 
 
 TRIVIAL = catalog_text("trivial")
@@ -450,6 +526,16 @@ MALFORMED = {
     "frame-named-as-tangent-frame": (MINIMAL + "\n[bundle.F]\nframe = Dx1\n\n[subbundle.U]\n"
                                                "ambient = TM+F\nspan = Dx1\n",
                                      "frame = Dx1", "frame name 'Dx1' is also a coordinate"),
+    # a summand is named by its bundle, so a sum may not repeat one: E = T*M
+    # makes E + T*M repeat T*M (with or without a constructor), and an
+    # ambient E+E repeats E; each is refused on the line that names it
+    "e-is-cotangent": (MINIMAL.replace("e = E\nstandard-of = nabla", "e = T*M"),
+                       "e = T*M", "T*M+T*M repeats the summand T*M"),
+    "e-is-cotangent-with-standard-of": (
+        MINIMAL.replace("bundle = E\nx2, eps = x1*eps", "bundle = T*M").replace("e = E", "e = T*M"),
+        "e = T*M", "T*M+T*M repeats the summand T*M"),
+    "ambient-repeats-a-summand": (MINIMAL + "\n[subbundle.U]\nambient = E+E\nspan = eps\n",
+                                  "ambient = E+E", "E+E repeats the summand E"),
     # refused before any multiplication, so the parse returns at once
     "huge-exponent": (MINIMAL.replace("x2, eps = x1*eps", "x2, eps = x1^99999999999*eps"),
                       "x2, eps = x1^99999999999*eps",

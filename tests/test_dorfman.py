@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from courant_lab.algebroid import AnchoredBracket
-from courant_lab.bundle import (VEC, Bundle, HomSection, Section, SubBundle, dual_pair,
+from courant_lab.bundle import (Bundle, HomSection, Section, SubBundle, dual_pair,
                                 patch, vf_apply, vf_bracket)
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
@@ -152,7 +152,7 @@ def test_curvature_examples(ex_a):
     # R(X, Y) e = nabla_X nabla_Y e - nabla_Y nabla_X e - nabla_[X,Y] e
     r_nabla = (conn.nabla(x, conn.nabla(y, e)) - conn.nabla(y, conn.nabla(x, e))
                - conn.nabla(vf_bracket(x, y), e))
-    assert hom.apply(d.b.section(eps=1)).component(VEC) == r_nabla
+    assert hom.apply(d.b.section(eps=1)).component(E) == r_nabla
     # curvature kills (0, theta)
     assert hom.apply(d.b.section(dx1=1)).is_zero()
     assert hom.apply(d.b.section(dx2="x2")).is_zero()

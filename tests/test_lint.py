@@ -34,11 +34,14 @@ value type needs only `==`.
 
 The layout of a direct sum is known to `bundle.py` alone: no other module
 reads the summand-offset API it replaced (`atom_index`, `atom_slice`,
-`Section.part`, `Section.with_part`) or the lookups behind `summand`,
-`component`, `join` and `positions`, which are the one way to read and
-write a summand.  Likewise a subbundle's complement is read through its
-owner: no other module reads the constant vectors `SubBundle.complement`,
-only the sections `complement_sections` and the coordinates of `split`.
+`Section.part`, `Section.with_part`) or the lookups behind `component`,
+`join` and `positions`, which are the one way to read and write a
+summand.  A summand is named by the bundle that fills it, so outside
+`bundle.py` no call of `component` or `positions` passes an atom kind
+(`TM`, `COTM`, `VEC`, `VEC_DUAL`, or its text such as "T*M").  Likewise
+a subbundle's complement is read through its owner: no other module
+reads the constant vectors `SubBundle.complement`, only the sections
+`complement_sections` and the coordinates of `split`.
 
 A section keeps its nonzero components (`Section.nonzero()`), and that
 view is the one way to read them: outside `bundle.py` no module rebuilds
@@ -229,12 +232,12 @@ def test_only_patch_builds_a_zero_polynomial():
     assert found == []
 
 
-# the summand-offset API that Bundle.summand, Section.component,
-# Bundle.join and Bundle.positions replaced, the lookups behind them, and
-# the constant vectors of a subbundle's complement, which other modules
-# read as SubBundle.complement_sections and through SubBundle.split
-LAYOUT_READS = {"atom_index", "atom_slice", "part", "with_part",
-                "_atom_slices", "_summands", "_summand", "complement"}
+# the summand-offset API that Section.component, Bundle.join and
+# Bundle.positions replaced, the lookups behind them, and the constant
+# vectors of a subbundle's complement, which other modules read as
+# SubBundle.complement_sections and through SubBundle.split
+LAYOUT_READS = {"atom_index", "atom_slice", "part", "with_part", "summand",
+                "_atom_slices", "_summands", "_summand", "_where", "complement"}
 
 
 def test_only_bundle_reads_the_layout_of_a_direct_sum():
@@ -243,6 +246,43 @@ def test_only_bundle_reads_the_layout_of_a_direct_sum():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in LAYOUT_READS]
     assert found == []
+
+
+# the atom kinds of bundle.py, by constant and by text
+ATOM_KINDS = {"TM", "COTM", "VEC", "VEC_DUAL"}
+KIND_TEXTS = {"TM", "T*M", "V", "V*"}
+
+
+def _kind_reads(tree):
+    """The calls of `component` or `positions` in tree that pass an atom
+    kind: a kind constant, bare (`TM`) or as an attribute (`bundle.VEC`),
+    or its text."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("component", "positions")):
+            args = node.args + [keyword.value for keyword in node.keywords]
+            if any((isinstance(arg, ast.Name) and arg.id in ATOM_KINDS)
+                   or (isinstance(arg, ast.Attribute) and arg.attr in ATOM_KINDS)
+                   or (isinstance(arg, ast.Constant) and arg.value in KIND_TEXTS)
+                   for arg in args):
+                yield node
+
+
+def test_no_module_but_bundle_names_a_summand_by_its_kind():
+    found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
+             if module != "bundle.py" for node in _kind_reads(tree)]
+    assert found == []
+
+
+def test_the_kind_rule_sees_every_form():
+    # the rule is not vacuous: it flags the kind reads the bundle key replaced
+    for text in ("x = v.component(TM)", "r = b.positions(VEC)", "y = v.component(VEC_DUAL)",
+                 "t = s.component(bundle.COTM)", "r = b.positions('T*M')",
+                 "g = b.component(VEC, 'lin')", "r = b.positions(summand=COTM)"):
+        assert any(True for _ in _kind_reads(ast.parse(text))), text
+    assert not any(True for _ in _kind_reads(ast.parse(
+        "x = v.component(tangent); r = b.positions(delta.e); t = tp.field(TM); "
+        "y = v.component(lad.a_bundle.dual())")))
 
 
 def _reads_coeffs(node):

@@ -90,7 +90,7 @@ def test_lift_examples(ex_a):
     assert all(c.is_zero() for c in l1.form.coeffs)
     l2 = lift_linear(tp, ex_a, ex_a.q.section(Dx2=1))
     assert str(l2.vf.coeffs[1]) == "1" and str(l2.vf.coeffs[2]) == "-x1*y1"
-    core = lift_core(tp, ex_a.b.section(eps=1))
+    core = lift_core(tp, ex_a, ex_a.b.section(eps=1))
     assert str(core.vf.coeffs[2]) == "1" and all(c.is_zero() for c in core.form.coeffs)
 
 
@@ -107,7 +107,7 @@ def test_total_pairing_identities(ex_a):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     v = ex_a.q.section(Dx2="x2", epss=1)
     s = ex_a.b.section(eps="x1", dx1=1)
-    lifted, core = lift_linear(tp, ex_a, v), lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    lifted, core = lift_linear(tp, ex_a, v), lift_core(tp, ex_a, s)
     assert total_pairing(lifted, core) == tp.embed(ex_a.predual.pair(v, s))
     assert total_pairing(core, core).is_zero()
 
@@ -115,7 +115,7 @@ def test_total_pairing_identities(ex_a):
 def test_total_pairing_multiplies_no_zero_component(ex_a, monkeypatch):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
-    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    core = lift_core(tp, ex_a, ex_a.b.section(eps="x1", dx1=1))
     expected = total_pairing(lifted, core)
     products = []
     real = ScalarPoly.__mul__
@@ -207,7 +207,7 @@ def test_sparse_total_kernels_match_the_dense_formulas(s1, s2, phi):
 def test_lifted_section_ops_multiply_and_subtract_no_zero_component(ex_a, monkeypatch):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
-    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    core = lift_core(tp, ex_a, ex_a.b.section(eps="x1", dx1=1))
     factor = tp.embed(BASE.coord("x1")) + tp.fiber(0)
     expected = [(lifted.scale(factor).vf, lifted.scale(factor).form),
                 ((lifted - core).vf, (lifted - core).form),
@@ -430,7 +430,7 @@ def test_printer_on_form_only_differences(monkeypatch):
 def test_printer_on_both_parts(ex_a):
     tp = total_patch_of(Bundle.vector(BASE, "E", ("eps",)))
     lifted = lift_linear(tp, ex_a, ex_a.q.section(Dx2="x2", epss=1))
-    core = lift_core(tp, ex_a.b.section(eps="x1", dx1=1))
+    core = lift_core(tp, ex_a, ex_a.b.section(eps="x1", dx1=1))
     assert str(lifted) == "((x2)*d/dx2 + (-x1*x2*y1)*d/dy1; (x1*y1)*dx2 + (1)*dy1)"
     assert str(core) == "((x1)*d/dy1; (1)*dx1)"
     assert str(lifted - core) == \
