@@ -13,10 +13,21 @@ record_anchor_morphism, record_metric (axiom (c)) and record_right_leibniz
 Weinstein and Xu) for every check that verifies one.  Each reads the
 values its check already holds, over a `bundle.Battery`, whose bundle
 fixes its functions, labels and layout (Bundle.battery).  A BatteryTable
-keeps op(s_p, t_q) by position: an AnchoredBracket keeps [s_p, s_q] over
-the battery of its bundle for its lifetime, read by its Lie and anchor
-checks and by the Dorfman checks.  On a bundle of rank 0 the Lie check
-records nothing: it passes with a detail line.
+keeps op(s_p, t_q) by position, evaluated on first read: an
+AnchoredBracket keeps [s_p, s_q] over the battery of its bundle for its
+lifetime, read by its Lie and anchor checks and by the Dorfman checks.
+On a bundle of rank 0 the Lie check records nothing: it passes with a
+detail line.
+
+The battery cases of an identity that is a Leibniz extension of frame
+data are derived from frame values where the rule is exact.  Given the
+anchor of its operation, record_jacobi evaluates the Jacobiator on frame
+triples and derives each case phi e_k of its third slot by the lemma in
+its docstring; the Lie check reads antisymmetry on phi e_i, psi e_j as
+phi psi ([e_i, e_j] + [e_j, e_i]).  So the Lie check reads only the
+frame entries of its table, and the derived values are the very normal
+forms that the nested brackets give (tests/test_derived_battery.py).
+The battery itself is unchanged, and so is what it cannot see.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bundle import (Battery, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
-                     leibniz, random_sections, vf_apply, vf_bracket,
+                     Terms, leibniz, random_sections, vf_apply, vf_bracket,
                      BATTERY_SEED)
 from .poly import ScalarPoly
 from .report import Checker, CheckReport, PASS
@@ -123,6 +134,13 @@ class AnchoredBracket:
     def check_lie(self, seed: int = BATTERY_SEED) -> CheckReport:
         """Antisymmetry plus Jacobi on the frame battery -> Lie algebroid.
 
+        Both are read off frame values.  Antisymmetry on phi e_i, psi e_j
+        is phi psi ([e_i, e_j] + [e_j, e_i]): the anchor terms of the two
+        Leibniz extensions cancel exactly, as a bracket has no pairing
+        term.  Jacobi with a scaled third slot follows from the frame
+        Jacobiators and the anchor (record_jacobi).  The Jacobiators of
+        consecutive random sections, drawn from seed, are evaluated
+        literally, so a fault of the extension itself still shows there.
         Computed once per seed; every later call returns the same report.
         """
         report = self._lie_reports.get(seed)
@@ -135,10 +153,22 @@ class AnchoredBracket:
         if not self.bundle.rank:
             chk.note("rank 0: trivially a Lie algebroid")
             return chk.report(PASS)
-        batt, pairs = self.battery_table.rows, self.battery_table.full(self.bracket)
-        record_symmetrized(chk, "antisymmetry", batt, pairs)
+        table = self.battery_table
+        batt = table.rows
+        # [phi e_i, psi e_j] + [psi e_j, phi e_i] = phi psi ([e_i, e_j] + [e_j, e_i]):
+        # the anchor terms of the two brackets cancel
+        values = [[table.get(self.bracket, p, q) for q in batt.frames] for p in batt.frames]
+        sums = [[value + values[j][i] for j, value in enumerate(row)]
+                for i, row in enumerate(values)]
+        products = [[phi * psi for psi in batt.functions] for phi in batt.functions]
+        for p, label1 in enumerate(batt.labels):
+            i, f = batt.factors(p)
+            for q, label2 in enumerate(batt.labels):
+                j, g = batt.factors(q)
+                chk.record("antisymmetry", f"({label1}; {label2})",
+                           sums[i][j].scale(products[f][g]))
         # [[q_i, q_j], s] + [q_j, [q_i, s]] - [q_i, [q_j, s]]: the Courant form negated
-        record_jacobi(chk, "jacobi", batt, self.bracket, pairs, negate=True)
+        record_jacobi(chk, "jacobi", table, self.bracket, negate=True, anchor=self.anchor)
         rng = random.Random(seed)
         randoms = random_sections(self.bundle, 8, rng)
         # adjacent[k] = [r_k, r_{k+1}]: the first inner bracket of window k
@@ -202,22 +232,70 @@ class BatteryTable:
                 for p in range(len(self.rows.sections))]
 
 
-def record_jacobi(chk: Checker, identity: str, batt: Battery, op: Callable, table: Table,
-                  third: Optional[Sequence[int]] = None, negate: bool = False) -> None:
+def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable,
+                  third: Optional[Sequence[int]] = None, negate: bool = False,
+                  anchor: Optional[HomSection] = None) -> None:
     """[e_i, [e_j, s]] = [[e_i, e_j], s] + [e_j, [e_i, s]] for frame sections
-    e_i, e_j and s at the positions third (all by default); table holds op
-    over batt (see BatteryTable.full).
-    negate records the difference with the opposite sign."""
-    third = range(len(batt.sections)) if third is None else third
-    # nested[i][j][t] = [e_i, [e_j, s_t]]: the first term of (i, j, t) and the last of (j, i, t)
-    nested = [[[op(batt.sections[p], table[q][t]) for t in third] for q in batt.frames]
-              for p in batt.frames]
-    for i, p in enumerate(batt.frames):
-        for j, q in enumerate(batt.frames):
-            for k, t in enumerate(third):
-                jac = nested[i][j][k] - (op(table[p][q], batt.sections[t]) + nested[j][i][k])
+    e_i, e_j and s at the positions third (all by default) of the battery
+    table.rows; table holds op over it and is read lazily.  negate records
+    the difference with the opposite sign.
+
+    Without an anchor, every case is evaluated by op.  With the anchor rho
+    of op, only the frame Jacobiators J_ijk are, and the case s = phi e_k
+    is derived from them, by the lemma
+
+        J(e_i, e_j, phi e_k) = phi J(e_i, e_j, e_k) + D_ij(phi) e_k,
+        D_ij = [rho e_i, rho e_j] - rho([e_i, e_j]).
+
+    Proof: expand each of the three terms by right Leibniz, [x, phi y] =
+    phi [x, y] + rho(x)(phi) y; the rho_i(phi) [e_j, e_k] and rho_j(phi)
+    [e_i, e_k] terms cancel, and the multiples of e_k that remain are
+    D_ij(phi) e_k.
+    The right Leibniz rule holds exactly, term by term of `leibniz`, for
+    a bracket (AnchoredBracket), a Courant bracket with its pairing term
+    (CourantData) and the Dorfman-like bracket with anchor rho pr_A, so
+    the derived value is the same ScalarPoly normal form as the nested
+    brackets.  The battery needs a function layout (Battery.factors), and
+    D_ij is formed once per frame pair, with one anchor application to
+    [e_i, e_j].
+    """
+    batt = table.rows
+    frames, sections = batt.frames, batt.sections
+    third = range(len(sections)) if third is None else third
+    # the third slots that op evaluates: the frame sections when the anchor derives the rest
+    inner = third if anchor is None else frames
+    # nested[i][j][k] = [e_i, [e_j, s]] for s at inner[k]: the first term
+    # of (i, j, k) and the last of (j, i, k)
+    nested = [[[op(sections[p], table.get(op, q, t)) for t in inner] for q in frames]
+              for p in frames]
+    columns = [] if anchor is None else [anchor.column(l) for l in range(len(frames))]
+    for i, p in enumerate(frames):
+        for j, q in enumerate(frames):
+            outer = table.get(op, p, q)
+            jacs = [nested[i][j][k] - (op(outer, sections[t]) + nested[j][i][k])
+                    for k, t in enumerate(inner)]
+            if anchor is not None:
+                defect = vf_bracket(columns[i], columns[j])
+                if outer.nonzero():
+                    defect = defect - anchor.apply(outer)
+                jacs = [_scaled_jacobiator(batt, jacs, defect.nonzero(), t) for t in third]
+            for t, jac in zip(third, jacs):
                 chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
                            -jac if negate else jac)
+
+
+def _scaled_jacobiator(batt: Battery, jacs: Sequence[Section], defect: Terms,
+                       t: int) -> Section:
+    """phi J_ijk + D_ij(phi) e_k for the entry t = phi e_k of batt, given
+    jacs[k] = J_ijk and the view of the vector field D_ij."""
+    k, f = batt.factors(t)
+    if not f:
+        return jacs[k]
+    phi, e_k = batt.functions[f], batt.sections[batt.frames[k]]
+    value = jacs[k].scale(phi)
+    if defect:
+        value = value + e_k.scale(vf_apply(e_k.bundle.patch, defect, phi))
+    return value
 
 
 def record_symmetrized(chk: Checker, identity: str, batt: Battery, table: Table,

@@ -493,6 +493,10 @@ class Battery(NamedTuple):
         """The position of battery function f times frame section l."""
         return l * len(self.functions) + f
 
+    def factors(self, p: int) -> Tuple[int, int]:
+        """The frame index l and function index f of entry p: the inverse of pos."""
+        return divmod(p, len(self.functions))
+
 
 class HomSection:
     """A bundle map as a matrix of ScalarPoly (target rank x source rank)."""

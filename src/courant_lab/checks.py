@@ -66,9 +66,17 @@ def _derived(spec, key: tuple, build: Callable):
     return memo[key]
 
 
-def _lad(spec, seed: int, bracket: AnchoredBracket) -> LieAlgebroidData:
-    return _derived(spec, ("lad", bracket, seed),
-                    lambda: LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed)))
+def _lad(spec, seed: int, bracket: AnchoredBracket, delta=None) -> LieAlgebroidData:
+    """The Lie algebroid data of bracket; a Dorfman connection delta that the
+    line pairs with it must act on its TM + A*, or the line is refused (after
+    A is read as a summand of A + T*M, so that a sum A is named as such)."""
+    lad = _derived(spec, ("lad", bracket, seed),
+                   lambda: LieAlgebroidData(bracket, lie_report=bracket.check_lie(seed)))
+    if delta is not None and delta.q is not lad.v_bundle:
+        lad.sigma_bundle.positions(lad.a_bundle)
+        raise BundleError(f"the Dorfman connection acts on {delta.q.label()}, "
+                          f"not on TM + A* = {lad.v_bundle.label()}")
+    return lad
 
 
 def _triple(spec, seed: int, delta, u_sub, k_sub) -> VBTriple:
@@ -79,11 +87,11 @@ def _triple(spec, seed: int, delta, u_sub, k_sub) -> VBTriple:
 def _manin_pair(spec, seed: int, bracket, *triple) -> Tuple[Optional[ManinPairData], CheckReport]:
     """build_manin_pair for the (A, Delta, U, K) of a check line."""
     return _derived(spec, ("manin_pair", bracket, *triple, seed), lambda: build_manin_pair(
-        _lad(spec, seed, bracket), _triple(spec, seed, *triple)))
+        _lad(spec, seed, bracket, triple[0]), _triple(spec, seed, *triple)))
 
 
 def _section4(spec, seed, bracket, delta):
-    lad = _lad(spec, seed, bracket)
+    lad = _lad(spec, seed, bracket, delta)
     return [check_omega_properties(lad, delta), check_dlike(lad, delta),
             check_basic_identities(lad, delta), check_basic_curvature(lad, delta)]
 
@@ -148,28 +156,31 @@ CHECKS: Dict[str, Check] = {
         lambda spec, seed, delta: [verify_splitting_theorems(delta)]),
     "la-dirac": Check(
         "LA-Dirac triple conditions", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [check_la_dirac(_lad(spec, seed, a), _triple(spec, seed, *t))]),
+        lambda spec, seed, a, *t: [check_la_dirac(_lad(spec, seed, a, t[0]),
+                                                  _triple(spec, seed, *t))]),
     "section4": Check(
         "Omega, Dorfman-like bracket, basic connections and curvature", ("bracket", "dorfman"),
         _section4),
     "identity-lemmas": Check(
         "basic-connection identity lemmas", _LA_TRIPLE,
         lambda spec, seed, a, delta, *uk: [check_identity_lemmas(
-            _lad(spec, seed, a), delta, _triple(spec, seed, delta, *uk) if uk else None)],
+            _lad(spec, seed, a, delta), delta, _triple(spec, seed, delta, *uk) if uk else None)],
         optional=2),
     "ruth-compat": Check(
         "mixed compatibility identities", _LA_TRIPLE,
         lambda spec, seed, a, delta, *uk: [check_ruth_compat(
-            _lad(spec, seed, a), delta, _triple(spec, seed, delta, *uk))]),
+            _lad(spec, seed, a, delta), delta, _triple(spec, seed, delta, *uk))]),
     "k-algebroid": Check(
         "induced Lie algebroid on K and its morphism to U", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [k_algebroid(_lad(spec, seed, a), _triple(spec, seed, *t))[1]]),
+        lambda spec, seed, a, *t: [k_algebroid(_lad(spec, seed, a, t[0]),
+                                               _triple(spec, seed, *t))[1]]),
     "manin-pair": Check(
         "Courant algebroid on the quotient, with axioms and extension", _LA_TRIPLE,
         _manin_pair_line),
     "roundtrip": Check(
         "triple to Manin pair and back", _LA_TRIPLE,
-        lambda spec, seed, a, *t: [roundtrip_check(_lad(spec, seed, a), _triple(spec, seed, *t),
+        lambda spec, seed, a, *t: [roundtrip_check(_lad(spec, seed, a, t[0]),
+                                                   _triple(spec, seed, *t),
                                                    built=_manin_pair(spec, seed, a, *t))]),
     "standard-iso": Check(
         "isomorphism with the standard Courant algebroid", _LA_TRIPLE + ("hom",),
@@ -191,7 +202,7 @@ CHECKS: Dict[str, Check] = {
         lambda spec, seed, sigma, conn: [canonical_form_check(sigma, conn)]),
     "ta-generators": Check(
         "generator calculus over TM + A*", ("bracket", "dorfman"),
-        lambda spec, seed, a, delta: [ta_generator_check(_lad(spec, seed, a), delta)]),
+        lambda spec, seed, a, delta: [ta_generator_check(_lad(spec, seed, a, delta), delta)]),
 }
 
 

@@ -116,8 +116,9 @@ class CourantData:
         and the right-Leibniz rule (structural under the extension)."""
         chk = Checker("courant-axioms", "Courant algebroid axioms")
         batt = self.bundle.battery
-        pairs = BatteryTable(batt, batt).full(self.bracket)
-        record_jacobi(chk, "1-leibniz-jacobi", batt, self.bracket, pairs)
+        table = BatteryTable(batt, batt)
+        pairs = table.full(self.bracket)
+        record_jacobi(chk, "1-leibniz-jacobi", table, self.bracket, anchor=self.anchor)
         anchors = [self.anchor.apply(e) for e in batt.sections]
         frames = [(batt.labels[t], batt.sections[t]) for t in batt.frames]
         cols = [[row[t] for t in batt.frames] for row in pairs]  # cols[p][j] = [s_p, e_j]

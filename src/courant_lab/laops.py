@@ -53,7 +53,7 @@ from .bundle import (Bundle, BundleError, HomSection, Section,
                      courant_dorfman_form_part, db_canonical, dual_pair, lie_derivative_form,
                      vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple
-from .dorfman import DorfmanConnection
+from .dorfman import DorfmanConnection, pr_tm_hom
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
@@ -236,11 +236,14 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
     batt = lad.sigma_bundle.battery
     op = lad.dorfman_like_bracket
-    pairs = BatteryTable(batt, batt).full(op)
+    table = BatteryTable(batt, batt)
+    pairs = table.full(op)
     images = [lad.image(s) for s in batt.sections]
     record_symmetrized(chk, "symmetrization", batt, pairs, lambda p, q: db_canonical(
         lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))
-    record_jacobi(chk, "jacobi-leibniz", batt, op, pairs)
+    # the anchor of the bracket on A + T*M is rho pr_A = pr_TM (rho, rho*)
+    record_jacobi(chk, "jacobi-leibniz", table, op,
+                  anchor=pr_tm_hom(lad.v_bundle).compose(lad.pair_map))
     return chk.report()
 
 

@@ -644,7 +644,8 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     elems = Battery(names + tuple(f"({c})*{name}" for c, name in zip(factors, names)),
                     tuple(gens + [gen.scale(c) for c, gen in zip(factors, gens)]),
                     tuple(range(len(gens))))
-    pairs = BatteryTable(elems, elems).full(alg.bracket)
+    table = BatteryTable(elems, elems)
+    pairs = table.full(alg.bracket)
     anchors = [alg.theta(e) for e in elems.sections]
     no_form = tp.field(COTM)
     for p, n1 in enumerate(elems.labels):
@@ -654,7 +655,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
             chk.record("anchor-morphism", f"({n1}; {n2})",
                        LiftedSection(alg.theta(pairs[p][q]) - rhs, no_form))
     # third slot: the generators and the first two weighted ones
-    record_jacobi(chk, "jacobi", elems, alg.bracket, pairs,
+    record_jacobi(chk, "jacobi", table, alg.bracket,
                   third=range(len(gens) + min(2, len(gens))))
 
     # hom-generator rows of the table
