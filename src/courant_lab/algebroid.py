@@ -19,11 +19,13 @@ lifetime, read by its Lie and anchor checks and by the Dorfman checks.
 On a bundle of rank 0 the Lie check records nothing: it passes with a
 detail line.
 
-The battery cases of an identity that is a Leibniz extension of frame
-data are derived from frame values where the rule is exact.  Given the
-anchor of its operation, record_jacobi evaluates the Jacobiator on frame
-triples and derives each case phi e_k of its third slot by the lemma in
-its docstring; the Lie check reads antisymmetry on phi e_i, psi e_j as
+frame_jacobiators is the one table of frame Jacobiators, for record_jacobi
+and DorfmanConnection.curvature_vs_jacobiator.  The battery cases of an
+identity that is a Leibniz extension of frame data are derived from frame
+values where the rule is exact.  Given the anchor of its operation,
+record_jacobi reads the Jacobiator on frame triples and derives each case
+phi e_k of its third slot by the lemma in its docstring; the Lie check
+reads antisymmetry on phi e_i, psi e_j as
 phi psi ([e_i, e_j] + [e_j, e_i]).  So the Lie check reads only the
 frame entries of its table, and the derived values are the very normal
 forms that the nested brackets give (tests/test_derived_battery.py).
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .bundle import (Battery, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      Terms, leibniz, random_sections, vf_apply, vf_bracket,
@@ -232,6 +234,23 @@ class BatteryTable:
                 for p in range(len(self.rows.sections))]
 
 
+def frame_jacobiators(table: BatteryTable, op: Callable, inner: Sequence[int]
+                      ) -> Iterator[Tuple[int, int, List[Section]]]:
+    """Yields (i, j, [J_ijk for s_k at the positions inner]) for the frame
+    sections e_i, e_j of the battery table.rows, J_ijk = [e_i, [e_j, s_k]]
+    - [[e_i, e_j], s_k] - [e_j, [e_i, s_k]], reading op over it lazily:
+    r^2 |inner| nested calls, each shared by (i, j) and (j, i), and as many
+    outer ones."""
+    frames, sections = table.rows.frames, table.rows.sections
+    nested = [[[op(sections[p], table.get(op, q, t)) for t in inner] for q in frames]
+              for p in frames]
+    for i, p in enumerate(frames):
+        for j, q in enumerate(frames):
+            outer = table.get(op, p, q)
+            yield i, j, [nested[i][j][k] - (op(outer, sections[t]) + nested[j][i][k])
+                         for k, t in enumerate(inner)]
+
+
 def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable,
                   third: Optional[Sequence[int]] = None, negate: bool = False,
                   anchor: Optional[HomSection] = None) -> None:
@@ -240,9 +259,9 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     table.rows; table holds op over it and is read lazily.  negate records
     the difference with the opposite sign.
 
-    Without an anchor, every case is evaluated by op.  With the anchor rho
-    of op, only the frame Jacobiators J_ijk are, and the case s = phi e_k
-    is derived from them, by the lemma
+    Without an anchor, every case is a frame Jacobiator (frame_jacobiators).
+    With the anchor rho of op, only those for s = e_k are, and the case
+    s = phi e_k is derived from them, by the lemma
 
         J(e_i, e_j, phi e_k) = phi J(e_i, e_j, e_k) + D_ij(phi) e_k,
         D_ij = [rho e_i, rho e_j] - rho([e_i, e_j]).
@@ -251,37 +270,28 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     phi [x, y] + rho(x)(phi) y; the rho_i(phi) [e_j, e_k] and rho_j(phi)
     [e_i, e_k] terms cancel, and the multiples of e_k that remain are
     D_ij(phi) e_k.
-    The right Leibniz rule holds exactly, term by term of `leibniz`, for
-    a bracket (AnchoredBracket), a Courant bracket with its pairing term
-    (CourantData) and the Dorfman-like bracket with anchor rho pr_A, so
-    the derived value is the same ScalarPoly normal form as the nested
-    brackets.  The battery needs a function layout (Battery.factors), and
-    D_ij is formed once per frame pair, with one anchor application to
-    [e_i, e_j].
+    Right Leibniz holds exactly, term by term of `leibniz`, for a bracket,
+    a Courant bracket and the Dorfman-like bracket with anchor rho pr_A,
+    so the derived value is the normal form the nested brackets give.  The
+    battery needs a function layout (Battery.factors); D_ij is formed once
+    per frame pair, with one anchor application to [e_i, e_j].
     """
-    batt = table.rows
-    frames, sections = batt.frames, batt.sections
-    third = range(len(sections)) if third is None else third
+    batt, frames = table.rows, table.rows.frames
+    third = range(len(batt.sections)) if third is None else third
     # the third slots that op evaluates: the frame sections when the anchor derives the rest
     inner = third if anchor is None else frames
-    # nested[i][j][k] = [e_i, [e_j, s]] for s at inner[k]: the first term
-    # of (i, j, k) and the last of (j, i, k)
-    nested = [[[op(sections[p], table.get(op, q, t)) for t in inner] for q in frames]
-              for p in frames]
     columns = [] if anchor is None else [anchor.column(l) for l in range(len(frames))]
-    for i, p in enumerate(frames):
-        for j, q in enumerate(frames):
+    for i, j, jacs in frame_jacobiators(table, op, inner):
+        p, q = frames[i], frames[j]
+        if anchor is not None:
+            defect = vf_bracket(columns[i], columns[j])
             outer = table.get(op, p, q)
-            jacs = [nested[i][j][k] - (op(outer, sections[t]) + nested[j][i][k])
-                    for k, t in enumerate(inner)]
-            if anchor is not None:
-                defect = vf_bracket(columns[i], columns[j])
-                if outer.nonzero():
-                    defect = defect - anchor.apply(outer)
-                jacs = [_scaled_jacobiator(batt, jacs, defect.nonzero(), t) for t in third]
-            for t, jac in zip(third, jacs):
-                chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
-                           -jac if negate else jac)
+            if outer.nonzero():
+                defect = defect - anchor.apply(outer)
+            jacs = [_scaled_jacobiator(batt, jacs, defect.nonzero(), t) for t in third]
+        for t, jac in zip(third, jacs):
+            chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
+                       -jac if negate else jac)
 
 
 def _scaled_jacobiator(batt: Battery, jacs: Sequence[Section], defect: Terms,

@@ -8,8 +8,9 @@ symbols, extended to sections by
 
 with D = rho* d: `bundle.leibniz` applied to the symbol table (a
 `bundle.FrameTable` built on first use), with the anchor term on both
-sides and the pairing term.  From an LA-Dirac triple
-(U, K, [Delta]) the quotient
+sides and the pairing term.  The pairing and D are one `dorfman.PreDual`
+(E, E), which `shifted` shares.  From an LA-Dirac triple (U, K, [Delta])
+the quotient
 
     C = (U + (A + T*M)) / graph(-(rho,rho*)|K)
 
@@ -22,18 +23,18 @@ phi t_j from the battery of their bundle (Bundle.battery).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from .algebroid import (AnchoredBracket, BatteryTable, record_anchor_morphism, record_jacobi,
                         record_metric, record_right_leibniz, record_symmetrized)
-from .bundle import (Bundle, BundleError, ColumnTable, FrameTable, HomSection,
-                     Section, SubBundle, column_apply, column_section, column_table,
-                     db_canonical, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
-                     pairing_rows, vf_apply)
+from .bundle import (Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
+                     column_apply, column_table, db_canonical, leibniz, nonzero_terms,
+                     pairing_matrix, vf_apply)
 from .dirac import VBTriple, check_equivalent
-from .dorfman import DorfmanConnection, pr_tm_hom
+from .dorfman import DorfmanConnection, PreDual, pr_tm_hom
 from .laops import LieAlgebroidData, check_la_dirac
 from .linalg import determinant, invert, rank as mat_rank
 from .poly import ScalarPoly
@@ -41,7 +42,9 @@ from .report import Checker, CheckReport, ERROR
 
 
 class CourantData:
-    """Anchor, pairing and bracket symbols on one frame."""
+    """Anchor, pairing and bracket symbols on one frame.  (E, E, <,>, D)
+    is a pre-dual pair, held as one PreDual: D is d_matrix_override (the
+    Manin pair's) or rho* d, solved with the constant pairing."""
 
     def __init__(self, bundle: Bundle, anchor: HomSection,
                  pairing: Sequence[Sequence[ScalarPoly]],
@@ -50,59 +53,51 @@ class CourantData:
         r = bundle.rank
         if len(pairing) != r or any(len(row) != r for row in pairing):
             raise BundleError("pairing must be a square matrix over the frame")
-        for i in range(r):
-            for j in range(r):
-                if pairing[i][j] != pairing[j][i]:
-                    raise BundleError("pairing must be symmetric")
+        if any(pairing[i][j] != pairing[j][i] for i in range(r) for j in range(r)):
+            raise BundleError("pairing must be symmetric")
         if len(symbols) != r or any(len(row) != r for row in symbols):
             raise BundleError("bracket symbols must cover all ordered frame pairs")
         self.bundle = bundle
         self.anchor = anchor
         self.pairing = tuple(tuple(row) for row in pairing)
         self.symbols = tuple(tuple(row) for row in symbols)
-        self._dmat = [list(row) for row in d_matrix_override] if d_matrix_override else None
-        # anchor images of the frame and the rows of the pairing; the anchor
-        # and the pairing are fixed once built
+        dmat = d_matrix_override
+        if dmat is None:  # column l of D is P^-1 times row l of the anchor matrix
+            p_inv = column_table(invert([[entry.constant_value() for entry in row]
+                                         for row in self.pairing]), r)
+            cols = [column_apply(p_inv, nonzero_terms(row), bundle.patch.zero())
+                    for row in anchor.matrix]
+            dmat = [[col[m] for col in cols] for m in range(r)]
+        self.predual = PreDual(bundle, bundle, self.pairing, dmat)
         self.frame_rho = [anchor.apply(sec).coeffs for sec in bundle.frame_sections()]
-        self.pair_rows = pairing_rows(self.pairing)
 
     def shifted(self, i: int, j: int, section: Section) -> "CourantData":
-        """A new CourantData whose (i, j) bracket symbol is moved by section."""
+        """A copy, sharing the anchor and pre-dual, with symbol (i, j) moved by section."""
         symbols = [list(row) for row in self.symbols]
         symbols[i][j] = symbols[i][j] + section
-        return CourantData(self.bundle, self.anchor, self.pairing, symbols, self._dmat)
+        shifted = copy.copy(self)
+        shifted.symbols = tuple(tuple(row) for row in symbols)
+        vars(shifted).pop("frame_table", None)  # built from the symbols on first use
+        return shifted
 
     # -- pairing and anchor ------------------------------------------------
 
     def pair(self, e1: Section, e2: Section) -> ScalarPoly:
-        return matrix_pair(self.pair_rows, e1, e2)
+        return self.predual.pair(e1, e2)
 
-    def d_matrix(self) -> List[List[ScalarPoly]]:
+    def d_matrix(self) -> Tuple[Tuple[ScalarPoly, ...], ...]:
         """Matrix of D = rho* d: D(phi) = d_matrix . grad(phi)."""
-        if self._dmat is not None:
-            return self._dmat
-        p_inv = column_table(invert([[entry.constant_value() for entry in row]
-                                     for row in self.pairing]), self.bundle.rank)
-        # column l of the matrix is p_inv times row l of the anchor matrix
-        cols = [column_apply(p_inv, nonzero_terms(row), self.bundle.patch.zero())
-                for row in self.anchor.matrix]
-        self._dmat = [[col[m] for col in cols] for m in range(self.bundle.rank)]
-        return self._dmat
-
-    @cached_property
-    def _d_table(self) -> ColumnTable:
-        return column_table(self.d_matrix(), self.bundle.patch.dim)
+        return self.predual.dmat
 
     def D(self, phi: ScalarPoly) -> Section:
-        """D phi = d_matrix() . grad(phi), over the nonzero partials of phi,
-        with the column table of d_matrix() kept from the first call."""
-        return column_section(self.bundle, self._d_table, nonzero_terms(phi.gradient()))
+        """D phi = d_matrix() . grad(phi), the d of the pre-dual."""
+        return self.predual.d(phi)
 
     # -- bracket -------------------------------------------------------------
 
     def bracket(self, e1: Section, e2: Section) -> Section:
         return leibniz(e1, e2, self.frame_table, self.bundle, bracket=True,
-                       pair_rows=self.pair_rows, d=self.D)
+                       pair_rows=self.predual.pair_rows, d=self.predual.d)
 
     @cached_property
     def frame_table(self) -> FrameTable:
@@ -115,17 +110,17 @@ class CourantData:
         """Leibniz-Jacobi, metric invariance, symmetrized bracket, anchor morphism,
         and the right-Leibniz rule (structural under the extension)."""
         chk = Checker("courant-axioms", "Courant algebroid axioms")
-        batt = self.bundle.battery
+        batt, pair, d = self.bundle.battery, self.predual.pair, self.predual.d
         table = BatteryTable(batt, batt)
         pairs = table.full(self.bracket)
         record_jacobi(chk, "1-leibniz-jacobi", table, self.bracket, anchor=self.anchor)
         anchors = [self.anchor.apply(e) for e in batt.sections]
         frames = [(batt.labels[t], batt.sections[t]) for t in batt.frames]
         cols = [[row[t] for t in batt.frames] for row in pairs]  # cols[p][j] = [s_p, e_j]
-        record_metric(chk, "2-metric", self.pair, frames, frames,
+        record_metric(chk, "2-metric", pair, frames, frames,
                       zip(batt.labels, anchors, cols, cols))
         record_symmetrized(chk, "3-symmetrized", batt, pairs,
-                           lambda p, q: self.D(self.pair(batt.sections[p], batt.sections[q])))
+                           lambda p, q: d(pair(batt.sections[p], batt.sections[q])))
         record_anchor_morphism(chk, "4-anchor-morphism", batt, pairs, self.anchor, anchors)
         for i, t in enumerate(batt.frames):
             for f in range(len(batt.functions)):
@@ -142,13 +137,9 @@ def standard_courant(base) -> CourantData:
     symbols vanish, the structure lives in the extension rules.
     """
     bundle = Bundle.tangent(base) + Bundle.cotangent(base)
-    anchor = pr_tm_hom(bundle)
-    matrix = pairing_matrix(bundle, bundle)
-    pairing = [[base.const(matrix[i][j]) for j in range(bundle.rank)]
-               for i in range(bundle.rank)]
-    symbols = [[bundle.zero_section() for _ in range(bundle.rank)]
-               for _ in range(bundle.rank)]
-    return CourantData(bundle, anchor, pairing, symbols)
+    pairing = [[base.const(x) for x in row] for row in pairing_matrix(bundle, bundle)]
+    symbols = [[bundle.zero_section()] * bundle.rank for _ in range(bundle.rank)]
+    return CourantData(bundle, pr_tm_hom(bundle), pairing, symbols)
 
 
 # -- the Manin pair of an LA-Dirac triple -----------------------------------
@@ -332,7 +323,7 @@ def check_c_iso(mp: ManinPairData) -> CheckReport:
             chk.record("pi-iota-zero", f"pi(iota(u{i + 1}))(u{j + 1})",
                        mp.courant.pair(mp.c_bundle.frame_section(i),
                                        mp.c_bundle.frame_section(j)))
-    gram = [[entry for entry in row] for row in mp.courant.pairing]
+    gram = mp.courant.pairing
     if all(e.is_constant() for row in gram for e in row):
         det = determinant([[e.constant_value() for e in row] for row in gram])
         chk.require("nondegenerate", f"Gram determinant = {det}", det != 0,

@@ -14,9 +14,13 @@ its dual dull bracket via
 
     rho(q) <q', b> = <[q, q'], b> + <q', Delta_q b>,
 
-and both conversion directions are implemented here, together with the
-curvature, the skew-symmetrization tensor, and the standard constructions
-from ordinary connections and from isotropic subalgebroids.
+and both conversion directions (from_dull, the dual bracket) solve it
+through one table, _axiom_c_table.  Here too are the curvature, paired
+with the frame Jacobiators of algebroid.frame_jacobiators, the skew
+tensor, the pairing and d_B of every pre-dual pair (PreDual, a Courant
+algebroid's included), and the standard constructions: from ordinary
+connections, the Lie derivative on Q* (lie_derivative_dorfman, also
+L_a on A* in laops) and from isotropic subalgebroids.
 
 A connection keeps Delta_{s_p} t_q over the batteries of Q and B (each
 bundle's `bundle.Battery`, which also gives the position of a scaled
@@ -33,9 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import AnchoredBracket, BatteryTable, record_metric, record_right_leibniz
+from .algebroid import (AnchoredBracket, BatteryTable, frame_jacobiators, record_metric,
+                        record_right_leibniz)
 from .bundle import (Bundle, BundleError, FrameTable, HomSection,
                      Section, SubBundle, column_section, column_table,
                      dual_pair, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
@@ -99,12 +104,13 @@ class PreDual:
         self.q = q
         self.b = b
         self.pairing = tuple(tuple(row) for row in pairing)
+        self.dmat = tuple(tuple(row) for row in dmat)
         self.canonical = canonical
         self.e = e
         # the pairing and d_B are fixed once built: the rows of the pairing,
         # as matrix_pair reads them, and the column table of dmat
         self.pair_rows = pairing_rows(self.pairing)
-        self._d_table = column_table(dmat, q.patch.dim)
+        self._d_table = column_table(self.dmat, q.patch.dim)
 
     def pair(self, q_sec: Section, b_sec: Section) -> ScalarPoly:
         return matrix_pair(self.pair_rows, q_sec, b_sec)
@@ -217,22 +223,14 @@ class DorfmanConnection:
     @classmethod
     def from_dull(cls, bracket: AnchoredBracket, predual: PreDual) -> "DorfmanConnection":
         """Invert axiom (c): <q_j, Delta_{q_i} b_k> = rho(q_i)<q_j,b_k> - <[q_i,q_j],b_k>."""
-        p = column_table(invert(predual.constant_pairing()), predual.q.rank)
-        q = predual.q
-        b_frames = predual.b.frame_sections()
-        symbols = []
-        for i in range(q.rank):
-            # rho(q_i)<q_j, b_k> over the nonzero pairing entries
-            derived = _derived_pairing(predual, bracket.frame_table.anchors[i])
-            row = []
-            for k in range(predual.b.rank):
-                rhs = []
-                for j in range(q.rank):
-                    value = derived[j].get(k, q.patch.zero())
-                    pairing = predual.pair(bracket.structure[i][j], b_frames[k])
-                    rhs.append(value - pairing if pairing._terms else value)
-                row.append(column_section(predual.b, p, nonzero_terms(rhs)))
-            symbols.append(row)
+        q, b = predual.q, predual.b
+        b_frames = b.frame_sections()
+        table = _axiom_c_table(predual, bracket.frame_table.anchors,
+                               lambda i, j, k: predual.pair(bracket.structure[i][j], b_frames[k]))
+        # Delta_{q_i} b_k = P^-1 (table[i][j][k] over j)
+        p = column_table(invert(predual.constant_pairing()), q.rank)
+        symbols = [[column_section(b, p, nonzero_terms([row[k] for row in rows]))
+                    for k in range(b.rank)] for rows in table]
         return cls(predual, bracket, symbols)
 
     def check_duality(self) -> CheckReport:
@@ -375,32 +373,24 @@ class DorfmanConnection:
         """<R(q1,q2) b, q3> equals the pairing with the bracket Jacobiator."""
         chk = Checker("curvature-jacobiator",
                       "curvature pairs as the Jacobiator of the dual bracket")
-        q_frames = self.q.frame_sections()
         names = self.q.frame
-        q_batt, b_cols = self.battery_table.rows, self.battery_table.cols
+        table = self.bracket.battery_table
+        q_batt, b_cols = table.rows, self.battery_table.cols
         b_batt = list(zip(b_cols.labels, b_cols.sections))
-        brackets = [[self.bracket.battery_bracket(p1, p2) for p2 in q_batt.frames]
-                    for p1 in q_batt.frames]
-        # nested[i][j][k] = [[q_i, [[q_j, q_k]]]]: the last Jacobiator term of
-        # (i, j, k) and the middle one of (j, i, k)
-        nested = [[[self.bracket.bracket(q1, value) for value in row] for row in brackets]
-                  for q1 in q_frames]
-        for i, q1 in enumerate(q_frames):
-            for j, q2 in enumerate(q_frames):
-                images = [self.frame_curvature(i, j).apply(bsec) for _, bsec in b_batt]
-                for k, q3 in enumerate(q_frames):
-                    triple = (self.bracket.bracket(brackets[i][j], q3)
-                              + nested[j][i][k]
-                              - nested[i][j][k])
-                    for t, (label_b, bsec) in enumerate(b_batt):
-                        lhs = self.predual.pair(q3, images[t])
-                        rhs = self.predual.pair(triple, bsec)
-                        chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
-                                   lhs - rhs if rhs._terms else lhs)
+        for i, j, jacs in frame_jacobiators(table, self.bracket.bracket, q_batt.frames):
+            images = [self.frame_curvature(i, j).apply(bsec) for _, bsec in b_batt]
+            for k, jac in enumerate(jacs):
+                q3 = q_batt.sections[q_batt.frames[k]]
+                triple = -jac  # [[q_i, q_j], q_k] + [q_j, [q_i, q_k]] - [q_i, [q_j, q_k]]
+                for t, (label_b, bsec) in enumerate(b_batt):
+                    lhs = self.predual.pair(q3, images[t])
+                    rhs = self.predual.pair(triple, bsec)
+                    chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
+                               lhs - rhs if rhs._terms else lhs)
         if self.predual.e is not None:
             forms = self.b.positions(Bundle.cotangent(self.q.patch))
-            for i, q1 in enumerate(q_frames):
-                for j, q2 in enumerate(q_frames):
+            for i in range(self.q.rank):
+                for j in range(self.q.rank):
                     hom = self.frame_curvature(i, j)
                     for k in forms:
                         chk.record("vanishes-on-forms",
@@ -443,32 +433,34 @@ def _dual_bracket(predual: PreDual, anchor: HomSection,
     <[q_i, q_j], b_k> = rho(q_i)<q_j, b_k> - <q_j, Delta_{q_i} b_k>, solved
     with the inverse of the constant pairing."""
     q, b = predual.q, predual.b
-    p_t = column_table(list(zip(*invert(predual.constant_pairing()))), b.rank)  # transposed
     q_frames = q.frame_sections()
-    table = []
-    for i in range(q.rank):
-        derived = _derived_pairing(predual, anchor.column(i).nonzero())
-        row = []
-        for j in range(q.rank):
-            values = []
-            for k in range(b.rank):
-                value = derived[j].get(k, q.patch.zero())
-                pairing = predual.pair(q_frames[j], symbols[i][k])
-                values.append(value - pairing if pairing._terms else value)
-            row.append(column_section(q, p_t, nonzero_terms(values)))
-        table.append(row)
-    return AnchoredBracket(q, anchor, table)
+    table = _axiom_c_table(predual, [anchor.column(i).nonzero() for i in range(q.rank)],
+                           lambda i, j, k: predual.pair(q_frames[j], symbols[i][k]))
+    # [q_i, q_j] = P^-T (table[i][j][k] over k)
+    p_t = column_table(list(zip(*invert(predual.constant_pairing()))), b.rank)
+    return AnchoredBracket(q, anchor, [[column_section(q, p_t, nonzero_terms(row)) for row in rows]
+                                       for rows in table])
 
 
-def _derived_pairing(predual: PreDual, rho: Sequence[Tuple[int, ScalarPoly]]
-                     ) -> List[Dict[int, ScalarPoly]]:
-    """X<q_j, b_k> = X(P_jk) for the vector field X with nonzero components
-    rho, as {k: X(P_jk)} for each j over the non-constant pairing entries
-    (read off the pairing rows): a constant entry, a marked 1 among them,
-    has a zero derivative, so it is not differentiated."""
-    return [{k: vf_apply(predual.q.patch, rho, entry) for k, entry in row
-             if entry is not None and not entry.is_constant()}
-            for row in predual.pair_rows]
+def _axiom_c_table(predual: PreDual, anchors: Sequence[Sequence[Tuple[int, ScalarPoly]]],
+                   known: Callable[[int, int, int], ScalarPoly]
+                   ) -> List[List[List[ScalarPoly]]]:
+    """[i][j][k] = rho(q_i)<q_j, b_k> - known(i, j, k), anchors[i] the view
+    of rho(q_i): axiom (c) solved for the term that known does not give,
+    for from_dull and _dual_bracket.  Only the non-constant pairing entries
+    are differentiated."""
+    base = predual.q.patch
+    table = [[[base.zero()] * predual.b.rank for _ in predual.pair_rows] for _ in anchors]
+    for i, rho in enumerate(anchors):
+        for j, (pairing_row, row) in enumerate(zip(predual.pair_rows, table[i])):
+            for k, entry in pairing_row:
+                if entry is not None and not entry.is_constant():
+                    row[k] = vf_apply(base, rho, entry)
+            for k, value in enumerate(row):
+                term = known(i, j, k)
+                if term._terms:
+                    row[k] = value - term
+    return table
 
 
 # -- constructions ----------------------------------------------------------

@@ -30,11 +30,12 @@ once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
 (rho,rho*) sigma, Delta_v sigma, the dull bracket [[u, v]], Omega_v a,
 L_a sigma, L_a v, the Dorfman-like bracket and nabla^bas_a v and sigma,
 keyed by the operator, the Dorfman connection where the value depends on
-one and the coefficient tuples of the arguments (each operator's argument
-bundles are fixed and checked).  Its methods read the table and compute a
-value on its first read, with the bracket, the pair map, Delta or the
-module function of the same name.  So every
-line naming the algebroid reads the same values (R^bas(phi a, b) v and
+one and the coefficient tuples of the arguments, of fixed and checked
+bundles.  A method computes a value on its first read, with the bracket,
+the pair map, Delta or the module function of the same name.  L_a xi on
+A* is Delta_a xi for the Dorfman connection on (A, A*) of
+lie_derivative_dorfman (lie_derivative, built once).  So every line
+naming the algebroid reads the same values (R^bas(phi a, b) v and
 R^bas(b, phi a) v share their terms), the anchor is applied to each
 section value once, a value is reused only for the same operator on equal
 arguments, and a new parse starts with an empty table.  The Omega,
@@ -51,9 +52,9 @@ from typing import Callable, Dict, Optional, Tuple
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi, record_symmetrized
 from .bundle import (Bundle, BundleError, HomSection, Section,
                      courant_dorfman_form_part, db_canonical, dual_pair, lie_derivative_form,
-                     vf_apply, vf_apply_each, vf_bracket)
+                     vf_apply, vf_bracket)
 from .dirac import VBTriple
-from .dorfman import DorfmanConnection, pr_tm_hom
+from .dorfman import DorfmanConnection, lie_derivative_dorfman, pr_tm_hom
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
@@ -115,6 +116,11 @@ class LieAlgebroidData:
                    + [tgt.join(rho_star.column(l)) for l in range(rho_star.source.rank)])
         return HomSection.from_columns(self.sigma_bundle, tgt, columns)
 
+    @cached_property
+    def lie_derivative(self) -> DorfmanConnection:
+        """L_a on A*: the Dorfman connection on (A, A*) of the bracket."""
+        return lie_derivative_dorfman(self.bracket)
+
     # -- the table of operator values ---------------------------------
 
     def _once(self, key: tuple, compute: Callable[..., Section], *args) -> Section:
@@ -136,8 +142,8 @@ class LieAlgebroidData:
                           self.pair_map.apply, sigma)
 
     def dorfman(self, delta: DorfmanConnection, v: Section, sigma: Section) -> Section:
-        return self._once(("dorfman", delta, _coeffs(v, self.v_bundle),
-                           _coeffs(sigma, self.sigma_bundle)), delta.apply, v, sigma)
+        return self._once(("dorfman", delta, _coeffs(v, delta.q), _coeffs(sigma, delta.b)),
+                          delta.apply, v, sigma)
 
     def dull_bracket(self, delta: DorfmanConnection, u: Section, v: Section) -> Section:
         return self._once(("dull", delta, _coeffs(u, self.v_bundle), _coeffs(v, self.v_bundle)),
@@ -186,17 +192,10 @@ def lie_der_sigma(lad: LieAlgebroidData, a: Section, sigma: Section) -> Section:
 
 
 def lie_der_v(lad: LieAlgebroidData, a: Section, v: Section) -> Section:
-    """L_a (X, xi) = ([rho(a), X], L_a xi), <L_a xi, e_k> = rho(a)<xi,e_k> - <xi,[a,e_k]>."""
+    """L_a (X, xi) = ([rho(a), X], L_a xi), L_a xi read through the table."""
     x = v.component(Bundle.tangent(lad.base))
     xi = v.component(lad.a_bundle.dual())
-    rho_a = lad.rho(a)
-    comps = vf_apply_each(rho_a.nonzero(), xi)
-    for k, ek in enumerate(lad.a_bundle.frame_sections()):
-        pairing = dual_pair(xi, lad.a_bracket(a, ek))
-        if pairing._terms:
-            comps[k] = comps[k] - pairing
-    new_xi = Section(lad.a_bundle.dual(), tuple(comps))
-    return lad.v_bundle.join(vf_bracket(rho_a, x), new_xi)
+    return lad.v_bundle.join(vf_bracket(lad.rho(a), x), lad.dorfman(lad.lie_derivative, a, xi))
 
 
 def dorfman_like_bracket(lad: LieAlgebroidData, s1: Section, s2: Section) -> Section:
@@ -339,7 +338,7 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
                   "tensoriality of R^bas and its two composition identities")
     a_batt, v_batt = lad.a_bundle.battery, lad.v_bundle.battery
     pm = lad.pair_map
-    a_frames = lad.a_bundle.frame_sections()
+    a_frames, a_names = lad.a_bundle.frame_sections(), lad.a_bundle.frame
     v_frames = lad.v_bundle.frame_sections()
     # tensorial-a at (i, j) and tensorial-b at (j, i) scale the same a, so
     # the two read the same Omega, nabla^bas and L terms from the table
@@ -347,7 +346,7 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
         for j, b in enumerate(a_frames):
             for m, v in enumerate(v_frames):
                 base_val = basic_curvature(lad, delta, a, b, v)
-                inputs = f"(a{i + 1}; a{j + 1}; v{m + 1})"
+                inputs = f"({a_names[i]}; {a_names[j]}; {lad.v_bundle.frame[m]})"
                 for f in range(1, len(a_batt.functions)):
                     text, scaled_val = a_batt.texts[f], base_val.scale(a_batt.functions[f])
                     chk.record("tensorial-a", inputs + f" scale a by {text}", basic_curvature(
@@ -367,14 +366,14 @@ def check_basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection) -> Ch
                 rhs = (lad.basic_sigma(delta, a, lad.basic_sigma(delta, b, sigma))
                        - lad.basic_sigma(delta, b, lad.basic_sigma(delta, a, sigma))
                        - lad.basic_sigma(delta, ab, sigma))
-                chk.record("curvature-of-basic-sigma", f"(a{i + 1}; a{j + 1}; {label_s})",
+                chk.record("curvature-of-basic-sigma", f"({a_names[i]}; {a_names[j]}; {label_s})",
                            lhs - rhs)
             for label_v, v in zip(v_batt.labels, v_batt.sections):
                 lhs = pm.apply(basic_curvature(lad, delta, a, b, v))
                 rhs = (lad.basic_v(delta, a, lad.basic_v(delta, b, v))
                        - lad.basic_v(delta, b, lad.basic_v(delta, a, v))
                        - lad.basic_v(delta, ab, v))
-                chk.record("curvature-of-basic-v", f"(a{i + 1}; a{j + 1}; {label_v})",
+                chk.record("curvature-of-basic-v", f"({a_names[i]}; {a_names[j]}; {label_v})",
                            lhs - rhs)
     return chk.report()
 
@@ -424,19 +423,19 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
 
     # R^bas(a, b) u reads nabla^bas_a u, which the implied check reads
     # again, and every condition reads rho(a) of the same frame elements
-    a_frames = lad.a_bundle.frame_sections()
+    a_frames, a_names = lad.a_bundle.frame_sections(), lad.a_bundle.frame
     for k_i, k in enumerate(k_sub.sections):
         for a_i, a in enumerate(a_frames):
             for phi, text in lad.base.battery:
                 value = lad.basic_sigma(delta, a, k.scale(phi))
-                chk.record("4-basic-preserves-K", f"(a{a_i + 1}; ({text})*k{k_i + 1})",
+                chk.record("4-basic-preserves-K", f"({a_names[a_i]}; ({text})*k{k_i + 1})",
                            k_sub.residual(value))
 
     for i, a in enumerate(a_frames):
         for j, b in enumerate(a_frames):
             for u_i, u in enumerate(u_sub.sections):
                 value = basic_curvature(lad, delta, a, b, u)
-                chk.record("5-basic-curvature-into-K", f"(a{i + 1}; a{j + 1}; u{u_i + 1})",
+                chk.record("5-basic-curvature-into-K", f"({a_names[i]}; {a_names[j]}; u{u_i + 1})",
                            k_sub.residual(value))
 
     implied_ok = True
@@ -445,7 +444,7 @@ def _la_dirac_conditions(lad: LieAlgebroidData, triple: VBTriple) -> CheckReport
             value = lad.basic_v(delta, a, u)
             if not u_sub.contains(value):
                 implied_ok = False
-                chk.require("implied-basic-preserves-U", f"(a{i + 1}; u{u_i + 1})",
+                chk.require("implied-basic-preserves-U", f"({a_names[i]}; u{u_i + 1})",
                             False, str(u_sub.residual(value)))
     if implied_ok:
         chk.require("implied-basic-preserves-U", "all frame pairs", True)

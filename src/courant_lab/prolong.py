@@ -15,7 +15,9 @@ sections' views), `column_section` for the contraction with a fixed
 two-form or bivector, and `HomSection.transpose`.  Every
 vector field and form on the total space is built from its base and fiber
 parts by `TotalPatch.field`, and every fiberwise-linear function
-sum_k c_k(x) y_k by `TotalPatch.linear`.  The generator
+sum_k c_k(x) y_k by `TotalPatch.linear`; a bundle map on the tautological
+section, such as the lift of Delta_v(e, 0) or nabla_X, is
+`TotalPatch.tautological` of a `HomSection`.  The generator
 calculus over TM + A* is a `Section` calculus too: its elements are
 sections of a generator bundle over the `Patch` of the total-space
 variables, and its bracket is the `AnchoredBracket` whose frame table is
@@ -112,6 +114,11 @@ class TotalPatch:
                 total = total + self.embed(c) * y
         return total
 
+    def tautological(self, hom: HomSection) -> List[ScalarPoly]:
+        """hom on the tautological section sum_l y_l e_l of its source, the
+        bundle of these fibers: component m is sum_l hom_ml(x) y_l."""
+        return [self.linear(row) for row in hom.matrix]
+
     @cached_property
     def _fibers(self) -> Tuple[ScalarPoly, ...]:
         return tuple(self.patch.coord(y) for y in self.fiber_coords)
@@ -180,13 +187,12 @@ def lift_linear(tp: TotalPatch, delta: DorfmanConnection, v: Section,
     # Delta_v(e, 0) on the tautological section e = sum_l y_l e_l
     if cols is None:
         cols = [delta.apply(v, b.frame_section(m)) for m in b.positions(delta.e)]
-    rows = [tp.linear([col.coeffs[m] for col in cols]) for m in range(b.rank)]
-    return horizontal - _core_lift(tp, delta, rows)
+    return horizontal - vertical_hom(tp, delta, HomSection.from_columns(delta.e, b, cols))
 
 
 def vertical_hom(tp: TotalPatch, delta: DorfmanConnection, hom: HomSection) -> LiftedSection:
     """Phi^ for Phi: E -> E + T*M, evaluated on the tautological section."""
-    return _core_lift(tp, delta, [tp.linear(row) for row in hom.matrix])
+    return _core_lift(tp, delta, tp.tautological(hom))
 
 
 def _core_lift(tp: TotalPatch, delta: DorfmanConnection,
@@ -445,7 +451,7 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
     sigma_star = sigma.transpose()
 
     # theta = sum_i (sum_k sigma_{ik}(x) y_k) dx_i
-    theta = tp.field(COTM, base=[tp.linear(row) for row in sigma.matrix])
+    theta = tp.field(COTM, base=tp.tautological(sigma))
     # (flat v)_j = sum_i v_i w[i][j], the transpose of w times v
     w = column_table(list(zip(*two_form_of_oneform(tp.allvars, theta.coeffs))), n + r)
     no_vf = tp.field(TM)
@@ -456,14 +462,14 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
 
     def linear_lift(x: Section) -> Section:
         # X~ = hat(nabla_X): horizontal plus the -Gamma correction
-        cols = [conn.nabla(x, e) for e in e_frames]
+        nabla_x = HomSection.from_columns(e_bundle, e_bundle, [conn.nabla(x, e) for e in e_frames])
         return tp.field(TM, base=[tp.embed(c) for c in x.coeffs],
-                        fiber=[-tp.linear([col.coeffs[k] for col in cols]) for k in range(r)])
+                        fiber=[-c for c in tp.tautological(nabla_x)])
 
     def core_lift(e: Section) -> Section:
         return tp.field(TM, fiber=[tp.embed(c) for c in e.coeffs])
 
-    x_frames, x_batt = tangent.frame_sections(), tangent.battery
+    x_frames, x_batt, x_names = tangent.frame_sections(), tangent.battery, tangent.frame
     x_flats = [flat(linear_lift(x)) for x in x_frames]
     cores = [(label, e, core_lift(e))
              for label, e in zip(e_bundle.battery.labels, e_bundle.battery.sections)]
@@ -475,12 +481,12 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
                 value = (conn.nabla_dual(x, sigma_star.apply(ys))
                          - conn.nabla_dual(ys, sigma_star.apply(x))
                          - sigma_star.apply(vf_bracket(x, ys)))
-                chk.record("two-form-linear-linear", f"(Dx{i + 1}; ({text})*Dx{j + 1})",
+                chk.record("two-form-linear-linear", f"({x_names[i]}; ({text})*{x_names[j]})",
                            lhs - tp.linear(value.coeffs))
         for label_e, e, core in cores:
             lhs = dual_pair(x_flat, core)
             rhs = -tp.embed(dual_pair(sigma.apply(e), x))
-            chk.record("two-form-linear-core", f"(Dx{i + 1}; {label_e})", lhs - rhs)
+            chk.record("two-form-linear-core", f"({x_names[i]}; {label_e})", lhs - rhs)
     for label1, _, core1 in cores:
         core_flat = flat(core1)
         for label2, _, core2 in cores:
@@ -491,10 +497,10 @@ def canonical_form_check(sigma: HomSection, conn: Connection) -> CheckReport:
         ell = tp.linear(sigma_star.apply(x).coeffs)
         cols = [lie_derivative_form(x, sigma.apply(e)) - sigma.apply(conn.nabla(x, e))
                 for e in e_frames]
-        pulled = tp.field(COTM, base=[tp.linear([col.coeffs[m] for col in cols])
-                                      for m in range(n)])
+        pulled = tp.field(COTM, base=tp.tautological(
+            HomSection.from_columns(e_bundle, sigma.target, cols)))
         d_ell = Section(theta.bundle, [ell.partial(v) for v in tp.allvars])
-        chk.record("flat-of-linear", f"Dx{i + 1}",
+        chk.record("flat-of-linear", x_names[i],
                    LiftedSection(no_vf, x_flat + d_ell - pulled))
     for l, e_l in enumerate(e_frames):
         expected = tp.field(COTM, base=[tp.embed(c) for c in sigma.apply(e_l).coeffs])
@@ -552,7 +558,7 @@ class GeneratorAlgebra:
 
     def hom_dagger(self, hom: HomSection) -> Section:
         """Phi! for Phi: TM + A* -> A + T*M: core coefficients linear in w."""
-        return self.bundle.join(Section(self._core, [self.tp.linear(row) for row in hom.matrix]))
+        return self.bundle.join(Section(self._core, self.tp.tautological(hom)))
 
     def tilde_of(self, a: Section) -> Section:
         """(sum phi_k e_k)~ expanded through the correction homs."""
@@ -661,7 +667,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
     # hom-generator rows of the table
     homs = _battery_homs(lad)
     pm = lad.pair_map
-    a_frames = lad.a_bundle.frame_sections()
+    a_frames, a_names = lad.a_bundle.frame_sections(), lad.a_bundle.frame
     for h_i, hom in enumerate(homs):
         hd = alg.hom_dagger(hom)
         for k, a in enumerate(a_frames):
@@ -671,7 +677,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                 cols.append(lad.lie_der_sigma(a, hom.apply(v))
                             - hom.apply(lad.lie_der_v(a, v)))
             rhs = alg.hom_dagger(HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, cols))
-            chk.record("row-lin-hom", f"({lad.a_bundle.frame[k]}~; Phi{h_i + 1}!)", lhs - rhs)
+            chk.record("row-lin-hom", f"({a_names[k]}~; Phi{h_i + 1}!)", lhs - rhs)
         for m in range(lad.sigma_bundle.rank):
             sigma = lad.sigma_bundle.frame_section(m)
             lhs = alg.bracket(gens[r + m], hd)
@@ -700,12 +706,12 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                 curv_cols = [basic_curvature(lad, delta, ap, b, v) for v in v_frames]
                 rhs = alg.sigma_gen(lad.a_bracket(ap, b)) - alg.hom_dagger(
                     HomSection.from_columns(lad.v_bundle, lad.sigma_bundle, curv_cols))
-                chk.record("sigma-bracket", f"(({text})*a{i + 1}; a{j + 1})", lhs - rhs)
+                chk.record("sigma-bracket", f"(({text})*{a_names[i]}; {a_names[j]})", lhs - rhs)
             for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
                 lhs = alg.bracket(sig_a, alg.dagger_of(sigma))
                 rhs = alg.dagger_of(lad.basic_sigma(delta, ap, sigma))
                 chk.record("sigma-core",
-                           f"(({text})*a{i + 1}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
+                           f"(({text})*{a_names[i]}; {lad.sigma_bundle.frame[m]}!)", lhs - rhs)
     for m1 in range(lad.sigma_bundle.rank):
         for m2 in range(lad.sigma_bundle.rank):
             chk.record("core-core", f"({m1 + 1}; {m2 + 1})",
@@ -724,7 +730,7 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                 for v, p in zip(v_frames, paired)]))
         expected = tp.field(TM, base=[tp.embed(c) for c in lad.bracket.frame_rho[i]],
                             fiber=fiber)
-        chk.record("anchor-of-sigma", f"a{i + 1}",
+        chk.record("anchor-of-sigma", a_names[i],
                    LiftedSection(alg.theta(sig_frames[i]) - expected, no_form))
     for m, sigma in enumerate(lad.sigma_bundle.frame_sections()):
         up = lad.pair_map.apply(sigma)

@@ -84,6 +84,18 @@ def test_courant_symbols_are_immutable():
     assert c.symbols[0][1].is_zero()
 
 
+def test_a_shift_shares_the_predual_and_rebuilds_its_frame_table():
+    # the pairing and D are one PreDual, which a shift shares; the frame
+    # table, which the original built already, is rebuilt from the moved symbols
+    c = standard_courant(BASE)
+    e1, e2 = c.bundle.frame_section(0), c.bundle.frame_section(1)
+    assert c.bracket(e1, e2).is_zero()
+    shifted = c.shifted(0, 1, c.bundle.section(dx1=1))
+    assert shifted.predual is c.predual and shifted.d_matrix() is c.d_matrix()
+    assert shifted.bracket(e1, e2) == c.bundle.section(dx1=1)
+    assert c.bracket(e1, e2).is_zero()
+
+
 def test_perturbed_bracket_fails_axioms():
     standard = standard_courant(BASE)
     c = standard.shifted(0, 1, standard.bundle.section(dx1=1))

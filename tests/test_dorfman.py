@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,30 @@ def test_with_dual_bracket_matches_the_two_step_construction_on_a_shift(ex_a):
     shifted = shift_dorfman(ex_a, shifts)
     _same_connection(shifted, two_step)
     assert shifted.bracket.structure != ex_a.bracket.structure
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_the_axiom_c_solve_roundtrips_on_every_canonical_connection():
+    # from_dull solves axiom (c) for Delta and the dual bracket solves it for
+    # the bracket; over every catalog and golden connection with a canonical
+    # pre-dual each direction undoes the other, also for the kept-bracket
+    # shifts, whose bracket is not the dual bracket of their symbols
+    texts = [catalog_text(name) for name in catalog_names()]
+    texts += [path.read_text() for path in sorted(GOLDEN.glob("*.spec"))]
+    checked = 0
+    for text in texts:
+        for delta in parse_spec(text).objects["dorfman"].values():
+            if not delta.predual.canonical:
+                continue  # a zero pairing determines no dual bracket
+            recovered = DorfmanConnection.from_dull(delta.dual_bracket(), delta.predual)
+            assert recovered.symbols == delta.symbols
+            dual = DorfmanConnection.from_dull(delta.bracket, delta.predual).dual_bracket()
+            assert dual.structure == delta.bracket.structure
+            assert dual.anchor is delta.bracket.anchor
+            checked += 1
+    assert checked == 9 + 3  # the nine catalog connections and three golden ones
 
 
 def test_duality_roundtrip(ex_a):

@@ -46,6 +46,29 @@ def test_spec_run_matches_golden(spec, seed, fmt, suffix):
     assert out.getvalue() == expected
 
 
+def _frame_p(text):
+    """text with A's frame a1, a2 of curvature-shifts.spec renamed to p1, p2."""
+    return text.replace("a1", "p1").replace("a2", "p2")
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("fmt,suffix", [("text", "txt"), ("json", "json")])
+def test_witnesses_name_the_frame_of_the_spec(tmp_path, seed, fmt, suffix):
+    # a witness names frame elements by the spec's names, never by position:
+    # with A's frame renamed, the output is the golden one renamed the same way
+    path = tmp_path / "curvature-shifts-p.spec"
+    path.write_text(_frame_p((GOLDEN / "curvature-shifts.spec").read_text(encoding="utf-8")))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["run", "--seed", str(seed), "--format", fmt, str(path)])
+    assert rc == 0
+    golden = (GOLDEN / f"curvature-shifts-seed{seed}.{suffix}").read_text(encoding="utf-8")
+    assert out.getvalue() == _frame_p(golden)
+    # the witnesses of la-dirac, after its detail lines and before ruth-compat
+    la_dirac = out.getvalue().split("implied-basic-preserves-U: FAIL")[1].split("ruth-compat")[0]
+    assert "(p1; p2; u1)" in la_dirac and "a1" not in la_dirac and "a2" not in la_dirac
+
+
 def test_the_second_seed_changes_the_verify_all_golden():
     # byte-identity at seed 11 guards the seeded batteries only while the
     # seed reaches them, which shows as different random witnesses

@@ -43,6 +43,11 @@ a subbundle's complement is read through its owner: no other module
 reads the constant vectors `SubBundle.complement`, only the sections
 `complement_sections` and the coordinates of `split`.
 
+A pairing is held by its owner: outside `bundle.py`, where it is
+defined, only `PreDual` calls `pairing_rows`, so the rows of every pairing
+that `matrix_pair` and `leibniz` read, a Courant algebroid's included,
+are those of one pre-dual pair.
+
 A section keeps its nonzero components (`Section.nonzero()`), and that
 view is the one way to read them: outside `bundle.py` no module rebuilds
 the scan, either as `nonzero_terms(<x>.coeffs)` or as a comprehension
@@ -283,6 +288,31 @@ def test_the_kind_rule_sees_every_form():
     assert not any(True for _ in _kind_reads(ast.parse(
         "x = v.component(tangent); r = b.positions(delta.e); t = tp.field(TM); "
         "y = v.component(lad.a_bundle.dual())")))
+
+
+def _pairing_rows_calls(tree):
+    """The calls of `pairing_rows` in tree, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "pairing_rows" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node
+
+
+def test_only_predual_builds_the_rows_of_a_pairing():
+    owners = {node for node in ast.walk(TREES["dorfman.py"])
+              if isinstance(node, ast.ClassDef) and node.name == "PreDual"}
+    allowed = {call for owner in owners for call in _pairing_rows_calls(owner)}
+    assert len(owners) == 1 and allowed
+    found = [f"{module}: line {node.lineno}" for module, tree in TREES.items()
+             for node in _pairing_rows_calls(tree) if node not in allowed]
+    assert found == []
+
+
+def test_the_pairing_rule_sees_both_forms():
+    # the rule is not vacuous: it flags a bare call and a call through the module
+    for text in ("rows = pairing_rows(matrix)", "rows = bundle.pairing_rows(self.pairing)"):
+        assert any(True for _ in _pairing_rows_calls(ast.parse(text))), text
+    assert not any(True for _ in _pairing_rows_calls(ast.parse("rows = predual.pair_rows")))
 
 
 def _reads_coeffs(node):

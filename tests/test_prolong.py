@@ -410,8 +410,8 @@ def test_printer_on_vector_field_only_differences(monkeypatch):
                         + lad.v_bundle.frame_section(2).scale(BASE.poly("x2")))
     report = ta_generator_check(lad, standard_dorfman(flat_connection(t)))
     assert _witnesses(report, "anchor") == [
-        ("anchor-of-sigma", f"a{i}", "((x2*w1 + x2*w2 + x2*w3 + x2*w4)*d/dw3; 0)")
-        for i in (1, 2)]
+        ("anchor-of-sigma", name, "((x2*w1 + x2*w2 + x2*w3 + x2*w4)*d/dw3; 0)")
+        for name in ("t1", "t2")]
 
 
 def test_printer_on_form_only_differences(monkeypatch):
