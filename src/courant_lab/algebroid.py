@@ -274,7 +274,7 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     a Courant bracket and the Dorfman-like bracket with anchor rho pr_A,
     so the derived value is the normal form the nested brackets give.  The
     battery needs a function layout (Battery.factors); D_ij is formed once
-    per frame pair, with one anchor application to [e_i, e_j].
+    per frame pair, by anchor_defect.
     """
     batt, frames = table.rows, table.rows.frames
     third = range(len(batt.sections)) if third is None else third
@@ -284,14 +284,23 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     for i, j, jacs in frame_jacobiators(table, op, inner):
         p, q = frames[i], frames[j]
         if anchor is not None:
-            defect = vf_bracket(columns[i], columns[j])
-            outer = table.get(op, p, q)
-            if outer.nonzero():
-                defect = defect - anchor.apply(outer)
-            jacs = [_scaled_jacobiator(batt, jacs, defect.nonzero(), t) for t in third]
+            defect = anchor_defect(anchor, columns[i], columns[j], table.get(op, p, q))
+            jacs = [_scaled_jacobiator(batt, jacs, defect, t) for t in third]
         for t, jac in zip(third, jacs):
             chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
                        -jac if negate else jac)
+
+
+def anchor_defect(anchor: HomSection, rho_i: Section, rho_j: Section, outer: Section) -> Terms:
+    """The view of the vector field D_ij = [rho_i, rho_j] - rho(outer), for
+    rho_i = rho(e_i), rho_j = rho(e_j) and outer = [e_i, e_j]: the anchor
+    term that the Leibniz lemmas of record_jacobi and of
+    DorfmanConnection.check_curvature_tensorial leave.  The anchor is
+    applied only to a nonzero outer."""
+    defect = vf_bracket(rho_i, rho_j)
+    if outer.nonzero():
+        defect = defect - anchor.apply(outer)
+    return defect.nonzero()
 
 
 def _scaled_jacobiator(batt: Battery, jacs: Sequence[Section], defect: Terms,

@@ -27,20 +27,22 @@ bundle's `bundle.Battery`, which also gives the position of a scaled
 frame section) in a BatteryTable (see algebroid), as its dull bracket
 keeps [[s_p, s_q]]; the axiom, duality, curvature, skew and splitting
 checks read every value at battery positions from these two tables.  A
-connection also keeps the nested applications Delta_{s_x} Delta_{s_y} t_z
-by battery position, and the values R(q_i, q_j) t_k on the frames, so
-R(q_i, q_j) on the Q-frame, built once per connection, and the
-tensoriality check share each of them.
+connection also keeps R(q_i, q_j) on the Q-frame, built once from nested
+applications on frame triples and read by the curvature, Jacobiator and
+splitting checks.  R is evaluated nowhere else: the tensoriality check
+derives each case with a battery function in one slot from the frame
+values by a Leibniz lemma (check_curvature_tensorial), which gives the
+very normal form that nested applications would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .algebroid import (AnchoredBracket, BatteryTable, frame_jacobiators, record_metric,
-                        record_right_leibniz)
+from .algebroid import (AnchoredBracket, BatteryTable, anchor_defect, frame_jacobiators,
+                        record_metric, record_right_leibniz)
 from .bundle import (Bundle, BundleError, FrameTable, HomSection,
                      Section, SubBundle, column_section, column_table,
                      dual_pair, leibniz, matrix_pair, nonzero_terms, pairing_matrix,
@@ -308,65 +310,105 @@ class DorfmanConnection:
 
     @cached_property
     def _frame_curvatures(self) -> Tuple[Tuple[HomSection, ...], ...]:
-        q_pos, b_pos = self.battery_table.rows.frames, self.battery_table.cols.frames
-        frame_values = self._frame_values
-        for a in q_pos:
-            for c in q_pos:
-                for t in b_pos:
-                    frame_values[a, c, t] = self._battery_curvature(a, c, t)
+        """R(q_i, q_j) on every pair of Q-frame elements, built once per
+        connection: the only values of R evaluated by nested applications.
+        Delta_{q_i} Delta_{q_j} t_k is the first term of R(q_i, q_j) t_k and
+        the second of R(q_j, q_i) t_k, so each is applied once."""
+        table = self.battery_table
+        q_pos, b_pos = table.rows.frames, table.cols.frames
+        rows, cols = table.rows.sections, table.cols.sections
+        nested = [[[self.apply(rows[a], self.battery_apply(c, t)) for t in b_pos] for c in q_pos]
+                  for a in q_pos]
         return tuple(tuple(HomSection.from_columns(self.b, self.b, [
-            frame_values[a, c, t] for t in b_pos]) for c in q_pos) for a in q_pos)
-
-    @cached_property
-    def _nested(self) -> Dict[Tuple[int, int, int], Section]:
-        """Delta_{s_x} Delta_{s_y} t_z by the battery positions (x, y, z): the
-        first term of R(s_x, s_y) t_z and the second of R(s_y, s_x) t_z,
-        filled by _battery_curvature and kept as long as the connection."""
-        return {}
-
-    @cached_property
-    def _frame_values(self) -> Dict[Tuple[int, int, int], Section]:
-        """R(s_x, s_y) t_z by the battery positions (x, y, z) of frame
-        sections, filled by _frame_curvatures: the only positions that the
-        tensoriality check reads again.  It reads every other position once,
-        so keeping those values would only raise the peak memory."""
-        return {}
-
-    def _battery_curvature(self, a: int, c: int, t: int) -> Section:
-        """R(s_a, s_c) t_t for the Q-battery positions a, c and the B-battery
-        position t, from _frame_values or the nested applications of _nested."""
-        value = self._frame_values.get((a, c, t))
-        if value is not None:
-            return value
-        table, nested = self.battery_table, self._nested
-        for x, y in ((a, c), (c, a)):
-            if (x, y, t) not in nested:
-                nested[x, y, t] = self.apply(table.rows.sections[x], self.battery_apply(y, t))
-        lie = self.bracket.battery_bracket(a, c)
-        return nested[a, c, t] - nested[c, a, t] - self.apply(lie, table.cols.sections[t])
+            nested[i][j][k] - nested[j][i][k]
+            - self.apply(self.bracket.battery_bracket(a, c), cols[t])
+            for k, t in enumerate(b_pos)]) for j, c in enumerate(q_pos))
+            for i, a in enumerate(q_pos))
 
     def check_curvature_tensorial(self) -> CheckReport:
+        """R(v, v') is C-infinity linear in every argument, on the battery.
+
+        R is evaluated only on frame triples (frame_curvature).  A case with
+        the battery function phi in one slot is recorded as R there less
+        phi R(q_i, q_j) t, which three lemmas give from frame values, with
+        rho_i = rho(q_i), dphi = d_B phi and the anchor defect D_ij =
+        [rho_i, rho_j] - rho([[q_i, q_j]]) (algebroid.anchor_defect):
+
+            R(q_i, q_j)(phi t) = phi R t + D_ij(phi) t,
+            R(phi q_i, q_j) t = phi R t + (<q_i, Delta_j t> - rho_j<q_i, t>
+                - <[[q_i, q_j]], t>) dphi - <q_i, t> (Delta_j dphi - d_B(rho_j phi)),
+            R(q_i, phi q_j) t = phi R t + (rho_i<q_j, t> - <q_j, Delta_i t>
+                - <[[q_i, q_j]], t>) dphi + <q_j, t> (Delta_i dphi - d_B(rho_i phi)).
+
+        Proofs, by the Leibniz rules Delta_{phi q} b = phi Delta_q b +
+        <q, b> dphi, Delta_q (phi b) = phi Delta_q b + rho(q)(phi) b,
+        [[phi q1, q2]] = phi [[q1, q2]] - rho(q2)(phi) q1 and [[q1, phi q2]] =
+        phi [[q1, q2]] + rho(q1)(phi) q2:
+        in b, the rho_i(phi) Delta_j t and rho_j(phi) Delta_i t terms of the
+        two nested terms cancel, leaving [rho_i, rho_j](phi) t, and
+        Delta_{[[q_i, q_j]]} leaves rho([[q_i, q_j]])(phi) t;
+        in q1, expanding Delta_{phi q_i}, Delta_j (phi Delta_i t + <q_i, t>
+        dphi) and Delta over [[phi q_i, q_j]], the rho_j(phi) Delta_i t terms
+        cancel;
+        in q2, the same over Delta_i (phi Delta_j t + <q_j, t> dphi),
+        Delta_{phi q_j} and [[q_i, phi q_j]], the rho_i(phi) Delta_j t terms
+        cancel.
+        `leibniz` satisfies each rule term by term, for Delta and for the
+        dull bracket, so the derived difference is the normal form that the
+        nested applications give (tests/test_derived_battery.py).  Beyond
+        the frame curvatures the check applies Delta only to q_j and dphi.
+        """
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
         q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
         q_names, b_names = self.q.frame, self.b.frame
-        curvature = self._battery_curvature
+        base, zero = self.q.patch, self.b.zero_section()
+        pair, d, anchor = self.predual.pair, self.predual.d, self.bracket.anchor
+        rho = self.bracket.frame_table.anchors
+        q_frames, b_frames = self.q.frame_sections(), self.b.frame_sections()
+        columns = [anchor.column(i) for i in range(self.q.rank)]
+        # battery function 0 is 1: every case with f = 0 is a frame value, its difference zero
+        functions = q_batt.functions
+        d_phis = [d(phi) for phi in functions[1:]]
+        # shifts[f - 1][j] = Delta_j dphi - d_B(rho_j phi)
+        shifts = [[self.apply(q, dphi) - d(vf_apply(base, rho_j, phi))
+                   for q, rho_j in zip(q_frames, rho)] for phi, dphi in zip(functions[1:], d_phis)]
+        pairings = [[pair(q, t) for t in b_frames] for q in q_frames]
+        # first[a][c][k] = <q_a, Delta_c t_k> - rho_c<q_a, t_k>
+        first = [[[pair(q, self.battery_apply(c, t)) for t in b_batt.frames]
+                  for c in q_batt.frames] for q in q_frames]
+        for a, row in enumerate(pairings):
+            for k, paired in enumerate(row):
+                if paired._terms:  # rho_c of a zero pairing is zero
+                    for c, rho_c in enumerate(rho):
+                        first[a][c][k] = first[a][c][k] - vf_apply(base, rho_c, paired)
         for i, p1 in enumerate(q_batt.frames):
             for j, p2 in enumerate(q_batt.frames):
-                base_hom = self.frame_curvature(i, j)
-                base_cols = [base_hom.column(k) for k in range(self.b.rank)]
+                lie = self.bracket.battery_bracket(p1, p2)
+                defect = anchor_defect(anchor, columns[i], columns[j], lie)
+                lies = [pair(lie, t) for t in b_frames]
+                # the coefficients of dphi in the lemmas for q1 and q2
+                coeff_q1 = [first[i][j][k] - lies[k] for k in range(self.b.rank)]
+                coeff_q2 = [-(first[j][i][k] + lies[k]) for k in range(self.b.rank)]
                 inputs = f"({q_names[i]}; {q_names[j]})"
-                for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
-                    scaled_cols = [col.scale(phi) for col in base_cols]
-                    q1, q2 = q_batt.pos(i, f), q_batt.pos(j, f)  # phi_f q_i and phi_f q_j
+                for f, text in enumerate(q_batt.texts):
+                    if f:
+                        dphi, shift = d_phis[f - 1], shifts[f - 1]
+                        d_ij = vf_apply(base, defect, functions[f])
+                        in_b = [t.scale(d_ij) for t in b_frames]
+                        in_q1 = [dphi.scale(c) - shift[j].scale(pairings[i][k])
+                                 for k, c in enumerate(coeff_q1)]
+                        in_q2 = [dphi.scale(c) + shift[i].scale(pairings[j][k])
+                                 for k, c in enumerate(coeff_q2)]
+                    else:
+                        in_b = in_q1 = in_q2 = [zero] * self.b.rank
                     for k in range(self.b.rank):
-                        chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}",
-                                   curvature(p1, p2, b_batt.pos(k, f)) - scaled_cols[k])
-                    for k, t in enumerate(b_batt.frames):
+                        chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}", in_b[k])
+                    for k in range(self.b.rank):
                         chk.record("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
-                                   f"{b_names[k]}", curvature(q1, p2, t) - scaled_cols[k])
+                                   f"{b_names[k]}", in_q1[k])
                         chk.record("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
-                                   f"{b_names[k]}", curvature(p1, q2, t) - scaled_cols[k])
+                                   f"{b_names[k]}", in_q2[k])
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:

@@ -30,7 +30,8 @@ fields, and a sum that reaches the limit in some field sets that field's
 guard bit.  Overflow is refused, never wrapped: the public constructor,
 ``**`` and so the parser's ``^`` raise ``PolyError`` for an exponent at or
 above the limit, and a product raises it when a result key sets a guard
-bit.  ``gradient`` lowers one field by subtracting its unit.  ``extend``
+bit; the guard mask of each width up to 63 is formed once, at import.
+``gradient`` lowers one field by subtracting its unit.  ``extend``
 to a variable list that starts with the old one (the layout of a total
 space: base variables, then fiber variables) shifts each key left by one
 field per added variable; it refuses any other list.  A product with the
@@ -140,6 +141,12 @@ def _unpack(key: int, width: int) -> Exponents:
 def _guards(width: int) -> int:
     """The guard bit of every field of a key over width variables."""
     return (1 << FIELD_BITS * width) // _FIELD << (FIELD_BITS - 1)
+
+
+# _guards of every width below _TABLED, formed once at import: every product
+# reads its mask here, and only a key over more variables forms its own
+_TABLED = 64
+_GUARDS = tuple(_guards(width) for width in range(_TABLED))
 
 
 def _overflow(key: int, width: int) -> PolyError:
@@ -320,7 +327,7 @@ class ScalarPoly:
         if len(rhs) == 1 and other._den == 1 and rhs.get(0) == 1:
             return self
         width = len(self.vars)
-        guards = _guards(width)
+        guards = _GUARDS[width] if width < _TABLED else _guards(width)
         den = self._den * other._den
         if len(lhs) == 1 and len(rhs) == 1:
             [(k1, c1)], [(k2, c2)] = lhs.items(), rhs.items()
@@ -540,9 +547,10 @@ def sum_of_products(zero: ScalarPoly, terms: Sequence[Tuple[ScalarPoly, ScalarPo
             for k2, c2 in rhs:
                 key = k1 + k2
                 acc[key] = get(key, 0) + c1 * c2
-    guards = _guards(len(vars))
+    width = len(vars)
+    guards = _GUARDS[width] if width < _TABLED else _guards(width)
     if reduce(or_, acc) & guards:
-        raise _overflow(next(key for key in acc if key & guards), len(vars))
+        raise _overflow(next(key for key in acc if key & guards), width)
     total = {key: c for key, c in acc.items() if c}
     return _reduced(vars, total, den) if total else zero
 

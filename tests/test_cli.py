@@ -17,7 +17,7 @@ from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
 from courant_lab.bundle import Bundle, HomSection, Patch, patch
 from courant_lab.poly import ScalarPoly
-from courant_lab.dorfman import DorfmanConnection
+from courant_lab.dorfman import DorfmanConnection, PreDual
 
 MINIMAL = """
 [patch]
@@ -835,10 +835,20 @@ def _battery_evaluations(monkeypatch):
     DorfmanConnection.apply and AnchoredBracket.bracket whose arguments are,
     by value, sections of the battery of their bundles, per operator, owner
     and pair of battery positions.  A call on a value of an earlier call
-    (Delta_q applied to Delta_q' b, or Delta applied to a bracket) is a
-    nested term, not a table entry, even where that value equals a battery
-    section.  Owners and values are kept alive, so that no two share an id."""
+    (Delta_q applied to Delta_q' b or to d_B phi, or Delta applied to a
+    bracket) is a nested term, not a table entry, even where that value
+    equals a battery section.  Owners and values are kept alive, so that no
+    two share an id."""
     counts, kept, results, positions = Counter(), [], set(), {}
+    real_d = PreDual.d
+
+    def d(predual, phi):
+        value = real_d(predual, phi)
+        kept.append(value)
+        results.add(id(value))
+        return value
+
+    monkeypatch.setattr(PreDual, "d", d)
 
     def position(sec):
         if sec.bundle not in positions:
@@ -871,10 +881,13 @@ def test_curvature_tensoriality_applies_delta_once_per_pair(monkeypatch):
 
 
 def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
-    # Delta_{s_x} Delta_{s_y} t_z is kept by position (x, y, z) on the connection,
-    # so the check reuses the terms R(q_i, q_j) was built from
+    # Delta_{q_x} Delta_{q_y} t_z is applied once per frame position (x, y, z)
+    # when the frame curvatures are built: the first term of R(q_x, q_y) t_z and
+    # the second of R(q_y, q_x) t_z.  The check derives its scaled cases and
+    # applies Delta to no table entry
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
-    rows = {id(sec): x for x, sec in enumerate(delta.battery_table.rows.sections)}
+    q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
+    rows = {id(sec): x for x, sec in enumerate(q_batt.sections)}
     entries, nested, applied = {}, Counter(), []  # entries: id of Delta_{s_y} t_z -> (y, z)
     real_apply, real_entry = DorfmanConnection.apply, DorfmanConnection.battery_apply
 
@@ -893,57 +906,49 @@ def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
     monkeypatch.setattr(DorfmanConnection, "battery_apply", battery_apply)
     monkeypatch.setattr(DorfmanConnection, "apply", counting)
     delta.frame_curvature(0, 1)
-    built = len(applied)
+    built, positions = len(applied), Counter(nested)
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
-    assert nested and max(nested.values()) == 1
-    # 384 applications with two nonzero operands after the 24 of the frame
-    # curvatures (408 for the check alone)
-    assert (built, len(applied) - built) == (24, 384)
+    assert nested == positions and max(nested.values()) == 1
+    assert set(nested) <= {(x, y, z) for x in q_batt.frames for y in q_batt.frames
+                           for z in b_batt.frames}
+    # 24 applications with two nonzero operands build the frame curvatures, and
+    # the check adds the r (5 - 1) = 12 of Delta_{q_j} d_B phi over the Q-frame
+    # and the four non-constant battery functions (408 before it derived them)
+    assert (built, len(applied) - built) == (24, 12)
 
 
 def test_curvature_bracket_terms_are_evaluated_once_per_position(monkeypatch):
-    # the check visits 351 positions 432 times: the frame positions, whose
-    # values R(q_i, q_j) t_k the connection keeps, again at f = 0; so
-    # Delta_{[s_a, s_c]} t_t is applied once per position (a, c, t).  An
-    # application is counted by the position being visited, since a zero
-    # bracket is one shared section for many positions
+    # Delta_{[[q_i, q_j]]} t_k is applied once per frame position (i, j, k),
+    # when the frame curvatures are built; the check pairs the brackets with
+    # t_k and applies Delta to none (432 visits of 351 positions before it
+    # derived its scaled cases).  An application is counted by the position
+    # of the bracket last read, since a zero bracket is one shared section
+    # for many positions
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
-    cols = delta.battery_table.cols.sections
-    visiting_now, bracket_at, applied = [], {}, Counter()
+    q_frames, cols = delta.battery_table.rows.frames, delta.battery_table.cols
+    last, applied = [], Counter()
     real_bracket, real_apply = algebroid.AnchoredBracket.battery_bracket, DorfmanConnection.apply
 
     def battery_bracket(self, a, c):
         value = real_bracket(self, a, c)
-        if visiting_now and visiting_now[-1][:2] == (a, c):
-            bracket_at[visiting_now[-1]] = value
+        last[:] = [(a, c, value)]
         return value
 
     def counting(self, v, s):
-        if visiting_now:
-            position = visiting_now[-1]
-            if position in bracket_at and v is bracket_at[position] and s is cols[position[2]]:
-                applied[position] += 1
+        if last and v is last[0][2]:
+            a, c, _ = last[0]
+            applied.update((a, c, t) for t in cols.frames if s is cols.sections[t])
         return real_apply(self, v, s)
-
-    visits = Counter()
-    real_curvature = DorfmanConnection._battery_curvature
-
-    def visiting(self, a, c, t):
-        visits[a, c, t] += 1
-        visiting_now.append((a, c, t))
-        try:
-            return real_curvature(self, a, c, t)
-        finally:
-            visiting_now.pop()
 
     monkeypatch.setattr(algebroid.AnchoredBracket, "battery_bracket", battery_bracket)
     monkeypatch.setattr(DorfmanConnection, "apply", counting)
-    monkeypatch.setattr(DorfmanConnection, "_battery_curvature", visiting)
+    delta.frame_curvature(0, 0)
+    built = Counter(applied)
     report = delta.check_curvature_tensorial()
     assert not report.passed and report.witnesses
-    assert (sum(visits.values()), len(visits)) == (432, 351)
-    assert set(applied) == set(visits) and max(applied.values()) == 1
+    assert applied == built and max(applied.values()) == 1
+    assert set(applied) == {(a, c, t) for a in q_frames for c in q_frames for t in cols.frames}
 
 
 DORFMAN_LINES = ("dorfman-axioms", "duality", "curvature", "skew", "splitting-theorems")
@@ -1080,11 +1085,13 @@ def test_a_new_parse_computes_its_own_table(monkeypatch):
     # Jacobiators of six brackets each, less the five inner brackets
     # [r_k, r_k+1] that two consecutive windows share
     ("im2form-zero", "lie", ["A"], 2 ** 2 + 2 * 2 ** 3 + 6 * 6 - 5),
-    # Q and B of rank r = 3 on R^2: 783 applications of Delta and 81
-    # brackets in curvature-tensorial, then the r^3 nested and r^3 outer
-    # terms of the frame Jacobiators, whose r^2 frame brackets the
-    # tensoriality check has read already
-    ("line-bundle-r2", "curvature", ["Delta"], 783 + 81 + 2 * 3 ** 3),
+    # Q and B of rank r = 3 on R^2: the r^2 table entries Delta_{q_j} t_k and
+    # [[q_i, q_j]], the r^3 nested terms and r^3 bracket terms of the frame
+    # curvatures, r (5 - 1) applications Delta_{q_j} d_B phi over the four
+    # non-constant battery functions in curvature-tensorial, which derives
+    # its scaled cases, then the r^3 nested and r^3 outer terms of the frame
+    # Jacobiators, whose r^2 frame brackets are read already
+    ("line-bundle-r2", "curvature", ["Delta"], 2 * 3 ** 2 + 2 * 3 ** 3 + 3 * 4 + 2 * 3 ** 3),
 ], ids=["courant-axioms", "lie", "curvature"])
 def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name, args, calls):
     spec = parse_spec(catalog_text(entry))
@@ -1099,7 +1106,7 @@ def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name
         monkeypatch.setattr(module, "leibniz", counting)
     reports = run_check(spec, name, args, 7)
     assert reports and all(report.status == "pass" for report in reports)
-    assert len(counted) == calls  # 528, 51 and 918
+    assert len(counted) == calls  # 528, 51 and 138 (918 before curvature derived its cases)
 
 
 def _anchor_applications(monkeypatch, name, args):

@@ -15,21 +15,36 @@ The lemma rests on the right Leibniz rule [x, phi y] = phi [x, y] +
 rho(x)(phi) y, which `leibniz` satisfies exactly.  A `leibniz` that breaks
 it is still caught: by the random Jacobi windows of `lie`, which are
 evaluated literally, and by `5-right-leibniz` of `courant-axioms`.
+
+`DorfmanConnection.check_curvature_tensorial` evaluates the curvature R
+on frame triples only and derives each case with a battery function phi
+in one slot by a Leibniz lemma (see its docstring).  Its oracle evaluates
+R at every battery position by nested applications and asserts that each
+recorded difference, R there less phi R(q_i, q_j) t, is the derived one:
+over every Dorfman connection that the catalog, the golden specs and the
+generated workloads at seeds 7 and 11 declare, failing fixtures included,
+and two built so that every term of the lemmas is nonzero somewhere: the
+Lie derivative of a bracket whose anchor is no morphism, and a pre-dual
+pair with non-constant frame pairings.  The lemmas rest on the Leibniz
+rules of Delta and of the dull bracket; a `leibniz` that breaks a rule of
+Delta is still caught by axiom (a) or (b) of `dorfman-axioms`, which stay
+literal.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from courant_lab import algebroid, bundle, checks, courant, dorfman, laops, prolong
 from courant_lab.algebroid import AnchoredBracket, BatteryTable, record_symmetrized
-from courant_lab.bundle import Bundle, FrameTable, SubBundle, patch
+from courant_lab.bundle import Bundle, FrameTable, HomSection, SubBundle, patch
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
 from courant_lab.report import Checker
 from courant_lab.specfile import parse_spec
 
-from builders import identity_map
+from builders import flat_connection, identity_map
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -140,18 +155,25 @@ def test_rank_zero_batteries_derive_nothing(oracle):
     assert all(values == [] for values in oracle.values())
 
 
-def _break_right_leibniz(monkeypatch):
-    """Rebind leibniz to a mutant that doubles its anchor term x_i rho_i(y_j) f_j,
-    so [x, phi y] - phi [x, y] is 2 rho(x)(phi) y: right Leibniz fails for
-    every non-constant coefficient phi."""
+def _double_leibniz_term(monkeypatch, term):
+    """Rebind leibniz to a mutant that doubles one of its terms.  The
+    "anchor" term x_i rho_i(y_j) f_j: [x, phi y] - phi [x, y] is then
+    2 rho(x)(phi) y, and so is Delta_x (phi y) - phi Delta_x y, so right
+    Leibniz fails for every non-constant coefficient phi.  The "pairing"
+    term y_j P_ij d(x_i) of a Dorfman connection: Delta_{phi q} b -
+    phi Delta_q b is then 2 <q, b> d_B phi, so rule (a) fails."""
     real = bundle.leibniz
 
     def mutant(x, y, frame, target, bracket=False, pair_rows=(), d=None):
-        anchor_only = FrameTable([], [])
-        anchor_only.entries = tuple(((),) * len(row) for row in frame.entries)
-        anchor_only.anchors = frame.anchors
-        return (real(x, y, frame, target, bracket, pair_rows, d)
-                + real(x, y, anchor_only, target))
+        one_term = FrameTable([], [])
+        one_term.entries = tuple(((),) * len(row) for row in frame.entries)
+        if term == "anchor":
+            one_term.anchors = frame.anchors
+            extra = real(x, y, one_term, target)
+        else:
+            one_term.anchors = ((),) * len(frame.anchors)
+            extra = real(x, y, one_term, target, pair_rows=pair_rows, d=d)
+        return real(x, y, frame, target, bracket, pair_rows, d) + extra
 
     for module in (algebroid, bundle, courant, dorfman, laops, prolong):
         if getattr(module, "leibniz", None) is real:  # every module that imports it
@@ -159,7 +181,7 @@ def _break_right_leibniz(monkeypatch):
 
 
 def test_a_leibniz_that_breaks_right_leibniz_still_fails_lie_and_courant_axioms(monkeypatch):
-    _break_right_leibniz(monkeypatch)
+    _double_leibniz_term(monkeypatch, "anchor")
     spec = parse_spec(catalog_text("im2form-zero"))
     [lie] = checks.run_check(spec, "lie", ["A"], 7)
     # the derived battery cases follow the lemma; the literal random windows do not
@@ -174,9 +196,139 @@ def test_a_leibniz_that_breaks_right_leibniz_still_fails_lie_and_courant_axioms(
 
 def test_the_mutant_breaks_right_leibniz_of_a_bracket(monkeypatch):
     # the mutant is a real fault: [e_1, x1 e_1] - x1 [e_1, e_1] = 2 rho(e_1)(x1) e_1
-    _break_right_leibniz(monkeypatch)
+    _double_leibniz_term(monkeypatch, "anchor")
     base = patch("x1")
     tangent = Bundle.tangent(base)
     br = AnchoredBracket.from_pairs(tangent, identity_map(tangent))
     [e1] = tangent.frame_sections()
     assert br.bracket(e1, e1.scale(base.coord("x1"))) == e1.scale(base.const(2))
+
+
+@pytest.mark.parametrize("term,axiom", [("anchor", "axiom-b"), ("pairing", "axiom-a")])
+def test_a_leibniz_that_breaks_a_rule_of_delta_still_fails_dorfman_axioms(monkeypatch, term,
+                                                                         axiom):
+    # the curvature lemmas rest on the Leibniz rules of Delta; a leibniz that
+    # doubles the term of one of them still fails the literal axiom (b)
+    # (anchor term) or (a) (pairing term) of dorfman-axioms, on line-bundle-r2,
+    # which passes it, and on DeltaE of curvature-shifts, which fails only (c)
+    _double_leibniz_term(monkeypatch, term)
+    for text, name, before in ((catalog_text("line-bundle-r2"), "Delta", set()),
+                               ((GOLDEN / "curvature-shifts.spec").read_text(), "DeltaE",
+                                {"axiom-c"})):
+        [axioms] = checks.run_check(parse_spec(text), "dorfman-axioms", [name], 7)
+        assert axioms.status == "fail"
+        assert axiom in {w.identity for w in axioms.witnesses} - before
+
+
+def test_the_pairing_mutant_breaks_rule_a_of_a_dorfman_connection(monkeypatch):
+    # on the flat rank-1 connection Delta_{eps*} eps = 0, so rule (a) gives
+    # Delta_{x1 eps*} eps = <eps*, eps> d_B x1 = dx1; the mutant gives twice that
+    _double_leibniz_term(monkeypatch, "pairing")
+    base = patch("x1")
+    e = Bundle.vector(base, "E", ("eps",))
+    delta = dorfman.standard_dorfman(flat_connection(e))
+    q = delta.q.section(epss=1)
+    scaled = delta.apply(q.scale(base.coord("x1")), delta.b.section(eps=1))
+    assert scaled == delta.b.section(dx1=2)
+
+
+def _literal_curvature_cases(delta):
+    """(identity, inputs, difference) of curvature-tensorial in the order the
+    check records them, each R(s_a, s_c) t at battery positions evaluated
+    literally: Delta_{s_a} Delta_{s_c} t - Delta_{s_c} Delta_{s_a} t -
+    Delta_{[[s_a, s_c]]} t, through the public apply and bracket."""
+    q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
+    apply, bracket, nested = delta.apply, delta.bracket.bracket, {}
+
+    def curvature(a, c, t):
+        for x, y in ((a, c), (c, a)):
+            if (x, y, t) not in nested:
+                nested[x, y, t] = apply(q_batt.sections[x],
+                                        apply(q_batt.sections[y], b_batt.sections[t]))
+        lie = bracket(q_batt.sections[a], q_batt.sections[c])
+        return nested[a, c, t] - nested[c, a, t] - apply(lie, b_batt.sections[t])
+
+    q_names, b_names = delta.q.frame, delta.b.frame
+    cases = []
+    for i, p1 in enumerate(q_batt.frames):
+        for j, p2 in enumerate(q_batt.frames):
+            base = [curvature(p1, p2, t) for t in b_batt.frames]
+            inputs = f"({q_names[i]}; {q_names[j]})"
+            for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
+                scaled = [value.scale(phi) for value in base]
+                q1, q2 = q_batt.pos(i, f), q_batt.pos(j, f)
+                for k in range(delta.b.rank):
+                    cases.append(("linear-in-b", inputs + f" on ({text})*{b_names[k]}",
+                                  curvature(p1, p2, b_batt.pos(k, f)) - scaled[k]))
+                for k, t in enumerate(b_batt.frames):
+                    cases.append(("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
+                                  f"{b_names[k]}", curvature(q1, p2, t) - scaled[k]))
+                    cases.append(("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
+                                  f"{b_names[k]}", curvature(p1, q2, t) - scaled[k]))
+    return cases
+
+
+# the Lie derivative on A* of a bracket whose anchor is no morphism:
+# rho[a1, a2] = x1*Dx1 but [Dx1, x1*Dx2] = Dx2, so the anchor defect that
+# linear-in-b derives is nonzero (no declared connection has one)
+ANCHOR_DEFECT = """
+[patch]
+coords = x1, x2
+
+[bundle.A]
+frame = a1, a2
+
+[anchor.rho]
+bundle = A
+a1 = Dx1
+a2 = x1*Dx2
+
+[bracket.A]
+bundle = A
+anchor = rho
+a1, a2 = x1*a1
+
+[dorfman.L]
+lie-derivative-of = A
+"""
+
+
+def _nonconstant_pairing():
+    """Dorfman data on a pre-dual pair whose frame pairings and d_B are not
+    constant, so that the terms rho_j<q_i, t> of the lemmas are nonzero; no
+    spec can declare one.  No axiom needs to hold for the lemmas."""
+    base = patch("x1", "x2")
+    q, b = Bundle.vector(base, "Q", ("u1", "u2")), Bundle.vector(base, "B", ("w1", "w2"))
+    tangent = Bundle.tangent(base)
+    x1, x2, one, zero = base.coord("x1"), base.coord("x2"), base.const(1), base.zero()
+    predual = dorfman.PreDual(q, b, [[x1, one], [zero, x2]], [[x2, zero], [one, x1]])
+    anchor = HomSection.from_columns(q, tangent, [tangent.section(Dx1="x2"),
+                                                  tangent.section(Dx2=1)])
+    bracket = AnchoredBracket.from_pairs(q, anchor, {(0, 1): q.section(u1="x1")})
+    symbols = [[b.section(w2="x1*x2"), b.section(w1=1)], [b.zero_section(), b.section(w1="x2^2")]]
+    return dorfman.DorfmanConnection(predual, bracket, symbols)
+
+
+def test_derived_curvature_cases_equal_the_nested_applications(monkeypatch):
+    texts = _spec_texts(monkeypatch) + [("anchor-defect", ANCHOR_DEFECT, 7)]
+    connections = [(f"{name.split('/')[0]}: {label}", delta) for name, text, _ in texts
+                   for label, delta in parse_spec(text).objects["dorfman"].items()]
+    connections.append(("nonconstant-pairing", _nonconstant_pairing()))
+    compared, nonzero = Counter(), Counter()
+    for name, delta in connections:
+        chk = Recording("derived", "")
+        monkeypatch.setattr(dorfman, "Checker", lambda *args: chk)
+        delta.check_curvature_tensorial()
+        literal = _literal_curvature_cases(delta)
+        assert [case[:2] for case in chk.values] == [case[:2] for case in literal]
+        for (identity, inputs, value), (_, _, expected) in zip(chk.values, literal):
+            assert value == expected, (name, inputs)
+            compared[identity] += 1
+            nonzero[identity] += not value.is_zero()
+    assert {"line-bundle-r2: Delta", "curvature-shifts: DeltaE", "scaling-r3-7: Delta",
+            "scaling-r3-11: Delta", "perturbed-r3-7: Delta", "perturbed-r3-11: Delta",
+            "anchor-defect: L"} <= {name for name, _ in connections}
+    assert set(compared) == {"linear-in-b", "linear-in-q1", "linear-in-q2"}
+    assert sum(compared.values()) > 10000
+    # the failing fixtures: the shifted connections and the two built to fail
+    assert all(nonzero[identity] for identity in compared), nonzero

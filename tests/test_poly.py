@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courant_lab.poly import (PolySyntaxError, ScalarPoly, UnknownVariableError,
-                              VariableMismatchError, parse_poly)
+from courant_lab.poly import (EXPONENT_LIMIT, PolyError, PolySyntaxError, ScalarPoly,
+                              UnknownVariableError, VariableMismatchError, parse_poly,
+                              sum_of_products)
 
 VARS = ("x1", "x2")
 
@@ -113,6 +114,24 @@ def test_extend_refuses_a_list_without_a_variable(new_vars):
 def test_negating_zero_returns_the_operand():
     zero = p("0")
     assert -zero is zero
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 70])
+def test_products_over_any_width_refuse_an_overflow(width):
+    # the guard masks of narrow keys are formed once at import, and a key
+    # over more variables forms its own: either way every field is guarded
+    names = tuple(f"y{i}" for i in range(width))
+    zero = ScalarPoly.zero(names)
+    for name in (names[0], names[-1]):
+        y = ScalarPoly.var(names, name)
+        top = y ** (EXPONENT_LIMIT - 1)
+        with pytest.raises(PolyError, match="exponent overflow"):
+            top * y
+        with pytest.raises(PolyError, match="exponent overflow"):
+            sum_of_products(zero, [(top, y, 1), (top, y, -1)])
+        below = y ** (EXPONENT_LIMIT - 2)
+        assert (below * y).terms == {tuple(EXPONENT_LIMIT - 1 if n == name else 0
+                                           for n in names): 1}
 
 
 small_polys = st.builds(
