@@ -355,8 +355,9 @@ class DorfmanConnection:
         cancel.
         `leibniz` satisfies each rule term by term, for Delta and for the
         dull bracket, so the derived difference is the normal form that the
-        nested applications give (tests/test_derived_battery.py).  Beyond
-        the frame curvatures the check applies Delta only to q_j and dphi.
+        nested applications give (tests/test_derived_battery.py).  Delta_j
+        dphi comes from the table entries Delta_j t_k by the rule in b, so
+        beyond the frame curvatures the check applies Delta to nothing.
         """
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
@@ -367,16 +368,26 @@ class DorfmanConnection:
         rho = self.bracket.frame_table.anchors
         q_frames, b_frames = self.q.frame_sections(), self.b.frame_sections()
         columns = [anchor.column(i) for i in range(self.q.rank)]
+        # deltas[j][k] = Delta_j t_k, the table entries on the frames
+        deltas = [[self.battery_apply(c, t) for t in b_batt.frames] for c in q_batt.frames]
+
+        def shift(j, phi, dphi):
+            """Delta_j dphi - d_B(rho_j phi), with Delta_j dphi = sum_k c_k
+            Delta_j t_k + rho_j(c_k) t_k over the components c_k of dphi."""
+            total = zero
+            for k, c in dphi.nonzero():
+                total = (total + deltas[j][k].scale(c)
+                         + b_frames[k].scale(vf_apply(base, rho[j], c)))
+            return total - d(vf_apply(base, rho[j], phi))
+
         # battery function 0 is 1: every case with f = 0 is a frame value, its difference zero
         functions = q_batt.functions
         d_phis = [d(phi) for phi in functions[1:]]
-        # shifts[f - 1][j] = Delta_j dphi - d_B(rho_j phi)
-        shifts = [[self.apply(q, dphi) - d(vf_apply(base, rho_j, phi))
-                   for q, rho_j in zip(q_frames, rho)] for phi, dphi in zip(functions[1:], d_phis)]
+        shifts = [[shift(j, phi, dphi) for j in range(self.q.rank)]
+                  for phi, dphi in zip(functions[1:], d_phis)]
         pairings = [[pair(q, t) for t in b_frames] for q in q_frames]
         # first[a][c][k] = <q_a, Delta_c t_k> - rho_c<q_a, t_k>
-        first = [[[pair(q, self.battery_apply(c, t)) for t in b_batt.frames]
-                  for c in q_batt.frames] for q in q_frames]
+        first = [[[pair(q, delta) for delta in row] for row in deltas] for q in q_frames]
         for a, row in enumerate(pairings):
             for k, paired in enumerate(row):
                 if paired._terms:  # rho_c of a zero pairing is zero

@@ -17,7 +17,7 @@ from courant_lab.cli import _results_for_spec, main
 from courant_lab.specfile import SpecError, parse_spec, parse_section_expr
 from courant_lab.bundle import Bundle, HomSection, Patch, patch
 from courant_lab.poly import ScalarPoly
-from courant_lab.dorfman import DorfmanConnection, PreDual
+from courant_lab.dorfman import DorfmanConnection
 
 MINIMAL = """
 [patch]
@@ -835,20 +835,10 @@ def _battery_evaluations(monkeypatch):
     DorfmanConnection.apply and AnchoredBracket.bracket whose arguments are,
     by value, sections of the battery of their bundles, per operator, owner
     and pair of battery positions.  A call on a value of an earlier call
-    (Delta_q applied to Delta_q' b or to d_B phi, or Delta applied to a
-    bracket) is a nested term, not a table entry, even where that value
-    equals a battery section.  Owners and values are kept alive, so that no
-    two share an id."""
+    (Delta_q applied to Delta_q' b, or Delta applied to a bracket) is a
+    nested term, not a table entry, even where that value equals a battery
+    section.  Owners and values are kept alive, so that no two share an id."""
     counts, kept, results, positions = Counter(), [], set(), {}
-    real_d = PreDual.d
-
-    def d(predual, phi):
-        value = real_d(predual, phi)
-        kept.append(value)
-        results.add(id(value))
-        return value
-
-    monkeypatch.setattr(PreDual, "d", d)
 
     def position(sec):
         if sec.bundle not in positions:
@@ -884,7 +874,7 @@ def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
     # Delta_{q_x} Delta_{q_y} t_z is applied once per frame position (x, y, z)
     # when the frame curvatures are built: the first term of R(q_x, q_y) t_z and
     # the second of R(q_y, q_x) t_z.  The check derives its scaled cases and
-    # applies Delta to no table entry
+    # applies Delta to nothing
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
     q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
     rows = {id(sec): x for x, sec in enumerate(q_batt.sections)}
@@ -912,19 +902,17 @@ def test_curvature_nested_terms_are_evaluated_once_per_position(monkeypatch):
     assert nested == positions and max(nested.values()) == 1
     assert set(nested) <= {(x, y, z) for x in q_batt.frames for y in q_batt.frames
                            for z in b_batt.frames}
-    # 24 applications with two nonzero operands build the frame curvatures, and
-    # the check adds the r (5 - 1) = 12 of Delta_{q_j} d_B phi over the Q-frame
-    # and the four non-constant battery functions (408 before it derived them)
-    assert (built, len(applied) - built) == (24, 12)
+    # 24 applications with two nonzero operands build the frame curvatures; the
+    # check reads Delta_{q_j} d_B phi off the table entries Delta_{q_j} t_k
+    assert (built, len(applied) - built) == (24, 0)
 
 
 def test_curvature_bracket_terms_are_evaluated_once_per_position(monkeypatch):
     # Delta_{[[q_i, q_j]]} t_k is applied once per frame position (i, j, k),
     # when the frame curvatures are built; the check pairs the brackets with
-    # t_k and applies Delta to none (432 visits of 351 positions before it
-    # derived its scaled cases).  An application is counted by the position
-    # of the bracket last read, since a zero bracket is one shared section
-    # for many positions
+    # t_k and applies Delta to none.  An application is counted by the
+    # position of the bracket last read, since a zero bracket is one shared
+    # section for many positions
     delta = parse_spec(CURVED).lookup("dorfman", "Delta")
     q_frames, cols = delta.battery_table.rows.frames, delta.battery_table.cols
     last, applied = [], Counter()
@@ -1087,11 +1075,10 @@ def test_a_new_parse_computes_its_own_table(monkeypatch):
     ("im2form-zero", "lie", ["A"], 2 ** 2 + 2 * 2 ** 3 + 6 * 6 - 5),
     # Q and B of rank r = 3 on R^2: the r^2 table entries Delta_{q_j} t_k and
     # [[q_i, q_j]], the r^3 nested terms and r^3 bracket terms of the frame
-    # curvatures, r (5 - 1) applications Delta_{q_j} d_B phi over the four
-    # non-constant battery functions in curvature-tensorial, which derives
-    # its scaled cases, then the r^3 nested and r^3 outer terms of the frame
-    # Jacobiators, whose r^2 frame brackets are read already
-    ("line-bundle-r2", "curvature", ["Delta"], 2 * 3 ** 2 + 2 * 3 ** 3 + 3 * 4 + 2 * 3 ** 3),
+    # curvatures, from which curvature-tensorial derives its scaled cases,
+    # then the r^3 nested and r^3 outer terms of the frame Jacobiators, whose
+    # r^2 frame brackets are read already
+    ("line-bundle-r2", "curvature", ["Delta"], 2 * 3 ** 2 + 2 * 3 ** 3 + 2 * 3 ** 3),
 ], ids=["courant-axioms", "lie", "curvature"])
 def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name, args, calls):
     spec = parse_spec(catalog_text(entry))
@@ -1106,7 +1093,7 @@ def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name
         monkeypatch.setattr(module, "leibniz", counting)
     reports = run_check(spec, name, args, 7)
     assert reports and all(report.status == "pass" for report in reports)
-    assert len(counted) == calls  # 528, 51 and 138 (918 before curvature derived its cases)
+    assert len(counted) == calls  # 528, 51 and 126
 
 
 def _anchor_applications(monkeypatch, name, args):
