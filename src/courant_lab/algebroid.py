@@ -24,11 +24,13 @@ and DorfmanConnection.curvature_vs_jacobiator.  The battery cases of an
 identity that is a Leibniz extension of frame data are derived from frame
 values where the rule is exact.  Given the anchor of its operation,
 record_jacobi reads the Jacobiator on frame triples and derives each case
-phi e_k of its third slot by the lemma in its docstring; the Lie check
-reads antisymmetry on phi e_i, psi e_j as
-phi psi ([e_i, e_j] + [e_j, e_i]).  So the Lie check reads only the
-frame entries of its table, and the derived values are the very normal
-forms that the nested brackets give (tests/test_derived_battery.py).
+phi e_k of its third slot by the lemma in its docstring;
+record_symmetrized and record_anchor_morphism derive the cases with a
+battery function in one slot (the Lie check) or in both (courant-axioms)
+from the frame pair.  So the Lie check reads only the frame entries of
+its table, courant-axioms only its frame rows and columns, and the
+derived values are the very normal forms that the nested brackets give
+(tests/test_derived_battery.py).
 The battery itself is unchanged, and so is what it cannot see.
 """
 
@@ -45,7 +47,6 @@ from .poly import ScalarPoly
 from .report import Checker, CheckReport, PASS
 
 Entries = Sequence[Tuple[str, Section]]  # labelled sections
-Table = Sequence[Sequence[Section]]  # op(s_p, s_q) over a Battery
 
 
 class AnchoredBracket:
@@ -129,21 +130,21 @@ class AnchoredBracket:
         """rho[q, q'] = [rho q, rho q'] on frames and the coefficient battery."""
         chk = Checker("anchor-compat", "anchor intertwines the bracket with vector fields")
         table = self.battery_table
-        record_anchor_morphism(chk, "anchor-compat", table.rows, table.full(self.bracket),
-                               self.anchor, [self.rho(q) for q in table.rows.sections])
+        record_anchor_morphism(chk, "anchor-compat", table, self.bracket, self.anchor,
+                               [self.rho(q) for q in table.rows.sections])
         return chk.report()
 
     def check_lie(self, seed: int = BATTERY_SEED) -> CheckReport:
         """Antisymmetry plus Jacobi on the frame battery -> Lie algebroid.
 
         Both are read off frame values.  Antisymmetry on phi e_i, psi e_j
-        is phi psi ([e_i, e_j] + [e_j, e_i]): the anchor terms of the two
-        Leibniz extensions cancel exactly, as a bracket has no pairing
-        term.  Jacobi with a scaled third slot follows from the frame
-        Jacobiators and the anchor (record_jacobi).  The Jacobiators of
-        consecutive random sections, drawn from seed, are evaluated
-        literally, so a fault of the extension itself still shows there.
-        Computed once per seed; every later call returns the same report.
+        is phi psi ([e_i, e_j] + [e_j, e_i]) (record_symmetrized; a
+        bracket has no pairing term).  Jacobi with a scaled third slot
+        follows from the frame Jacobiators and the anchor (record_jacobi).
+        The Jacobiators of consecutive random sections, drawn from seed,
+        are evaluated literally, so a fault of the extension itself still
+        shows there.  Computed once per seed; every later call returns the
+        same report.
         """
         report = self._lie_reports.get(seed)
         if report is None:
@@ -156,19 +157,7 @@ class AnchoredBracket:
             chk.note("rank 0: trivially a Lie algebroid")
             return chk.report(PASS)
         table = self.battery_table
-        batt = table.rows
-        # [phi e_i, psi e_j] + [psi e_j, phi e_i] = phi psi ([e_i, e_j] + [e_j, e_i]):
-        # the anchor terms of the two brackets cancel
-        values = [[table.get(self.bracket, p, q) for q in batt.frames] for p in batt.frames]
-        sums = [[value + values[j][i] for j, value in enumerate(row)]
-                for i, row in enumerate(values)]
-        products = [[phi * psi for psi in batt.functions] for phi in batt.functions]
-        for p, label1 in enumerate(batt.labels):
-            i, f = batt.factors(p)
-            for q, label2 in enumerate(batt.labels):
-                j, g = batt.factors(q)
-                chk.record("antisymmetry", f"({label1}; {label2})",
-                           sums[i][j].scale(products[f][g]))
+        record_symmetrized(chk, "antisymmetry", table, self.bracket, scaled=1)
         # [[q_i, q_j], s] + [q_j, [q_i, s]] - [q_i, [q_j, s]]: the Courant form negated
         record_jacobi(chk, "jacobi", table, self.bracket, negate=True, anchor=self.anchor)
         rng = random.Random(seed)
@@ -227,11 +216,6 @@ class BatteryTable:
         if value is None:
             value = self._entries[p][q] = op(self.rows.sections[p], self.cols.sections[q])
         return value
-
-    def full(self, op: Callable[[Section, Section], Section]) -> Table:
-        """Every entry, in row order."""
-        return [[self.get(op, p, q) for q in range(len(self.cols.sections))]
-                for p in range(len(self.rows.sections))]
 
 
 def frame_jacobiators(table: BatteryTable, op: Callable, inner: Sequence[int]
@@ -317,23 +301,75 @@ def _scaled_jacobiator(batt: Battery, jacs: Sequence[Section], defect: Terms,
     return value
 
 
-def record_symmetrized(chk: Checker, identity: str, batt: Battery, table: Table,
-                       exact: Optional[Callable[[int, int], Section]] = None) -> None:
-    """[s_p, s_q] + [s_q, s_p] = exact(p, q), zero when exact is not given."""
-    for p, label1 in enumerate(batt.labels):
-        for q, label2 in enumerate(batt.labels):
-            value = table[p][q] + table[q][p]
-            chk.record(identity, f"({label1}; {label2})",
-                       value if exact is None else value - exact(p, q))
+def record_symmetrized(chk: Checker, identity: str, table: BatteryTable, op: Callable,
+                       exact: Optional[Callable[[int, int], Section]] = None,
+                       scaled: int = 0) -> None:
+    """[s_p, s_q] + [s_q, s_p] = exact(p, q), zero when exact is not given,
+    over the battery table.rows, reading op lazily from table.  With
+    scaled (see _record_cases), the case phi e_i, psi e_j is phi psi S_ij,
+    S_ij the case e_i, e_j, for op with the rules of `leibniz` and exact(p,
+    q) = D<s_p, s_q>.  Proof: the anchor terms of [phi e_i, psi e_j] and
+    [psi e_j, phi e_i] cancel in pairs, and D = dmat . grad is a
+    derivation, so their pairing terms <e_i, e_j> (psi D phi + phi D psi)
+    are those of D(phi psi <e_i, e_j>)."""
+    def case(p: int, q: int) -> Section:
+        value = table.get(op, p, q) + table.get(op, q, p)
+        return value if exact is None else value - exact(p, q)
+
+    _record_cases(chk, identity, table.rows, case, scaled)
 
 
-def record_anchor_morphism(chk: Checker, identity: str, batt: Battery, table: Table,
-                           anchor: HomSection, anchors: Sequence[Section]) -> None:
-    """rho[s_p, s_q] = [rho s_p, rho s_q], with anchors[p] = rho(s_p)."""
+def record_anchor_morphism(chk: Checker, identity: str, table: BatteryTable, op: Callable,
+                           anchor: HomSection, anchors: Sequence[Section],
+                           predual=None) -> None:
+    """rho[s_p, s_q] = [rho s_p, rho s_q], with anchors[p] = rho(s_p), over
+    the battery table.rows, reading op lazily from table.  Given the
+    pre-dual pair (<,>, D) of op, the case phi e_i, psi e_j, phi and psi
+    non-constant, is phi psi A_ij + psi <e_i, e_j> rho(D phi), A_ij the case
+    e_i, e_j.  Proof: by the rules of record_symmetrized, rho[phi e_i,
+    psi e_j] and [phi rho_i, psi rho_j] share the anchor terms
+    phi rho_i(psi) rho_j - psi rho_j(phi) rho_i, and the first also has
+    psi <e_i, e_j> rho(D phi), which is not assumed zero."""
+    functions, rho_d = table.rows.functions, {}
+
+    def case(p: int, q: int) -> Section:
+        return anchor.apply(table.get(op, p, q)) - vf_bracket(anchors[p], anchors[q])
+
+    def pairing_term(i: int, j: int, f: int, g: int) -> Section:
+        paired = predual.pairing[i][j]
+        if not paired._terms:
+            return anchor.target.zero_section()
+        if f not in rho_d:
+            rho_d[f] = anchor.apply(predual.d(functions[f]))
+        return rho_d[f].scale(functions[g] * paired)
+
+    _record_cases(chk, identity, table.rows, case, 0 if predual is None else 2, pairing_term)
+
+
+def _record_cases(chk: Checker, identity: str, batt: Battery, case: Callable[[int, int], Section],
+                  scaled: int, extra: Optional[Callable[[int, int, int, int], Section]] = None
+                  ) -> None:
+    """case(p, q) over every pair of battery positions, in row order.  Given
+    scaled (1 or 2), a case phi e_i, psi e_j with at least scaled
+    non-constant functions among phi and psi (battery functions f and g) is
+    phi psi case(e_i, e_j), plus extra(i, j, f, g) when given: the frame
+    case comes first in row order."""
+    functions = batt.functions if scaled else ()
+    products = [[phi * psi for psi in functions] for phi in functions]
+    frame: Dict[Tuple[int, int], Section] = {}
     for p, label1 in enumerate(batt.labels):
+        i, f = batt.factors(p) if scaled else (p, 0)
         for q, label2 in enumerate(batt.labels):
-            chk.record(identity, f"({label1}; {label2})",
-                       anchor.apply(table[p][q]) - vf_bracket(anchors[p], anchors[q]))
+            j, g = batt.factors(q) if scaled else (q, 0)
+            if scaled and (f > 0) + (g > 0) >= scaled:
+                value = frame[i, j].scale(products[f][g])
+                if extra is not None:
+                    value = value + extra(i, j, f, g)
+            else:
+                value = case(p, q)
+                if scaled and not f and not g:
+                    frame[i, j] = value
+            chk.record(identity, f"({label1}; {label2})", value)
 
 
 def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section], ScalarPoly],

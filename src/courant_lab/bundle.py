@@ -389,10 +389,11 @@ class Section:
     def scale(self, factor: Union[ScalarPoly, Rational]) -> "Section":
         if not isinstance(factor, ScalarPoly):
             factor = self.bundle.patch.const(factor)
-        if not factor._terms:
+        view = self.nonzero()
+        if not factor._terms or not view:
             return self.bundle._zero_section
         coeffs = list(self.coeffs)
-        for k, a in self.nonzero():
+        for k, a in view:
             coeffs[k] = factor * a
         return _nonzero(self.bundle, tuple(coeffs))
 

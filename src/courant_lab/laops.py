@@ -236,9 +236,8 @@ def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
     batt = lad.sigma_bundle.battery
     op = lad.dorfman_like_bracket
     table = BatteryTable(batt, batt)
-    pairs = table.full(op)
     images = [lad.image(s) for s in batt.sections]
-    record_symmetrized(chk, "symmetrization", batt, pairs, lambda p, q: db_canonical(
+    record_symmetrized(chk, "symmetrization", table, op, lambda p, q: db_canonical(
         lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))
     # the anchor of the bracket on A + T*M is rho pr_A = pr_TM (rho, rho*)
     record_jacobi(chk, "jacobi-leibniz", table, op,

@@ -31,7 +31,11 @@ the nose.
 
 A check evaluates each distinct operator value its loops need once, and
 its tables live only as long as the check; the generator table of a
-`GeneratorAlgebra` lives as long as the algebra.  A frame section times
+`GeneratorAlgebra` lives as long as the algebra.  The splitting theorems
+run `total_courant` on frame lifts only and derive each case with a
+battery function in a slot by `courant_right` and `courant_left`, the
+Leibniz rules of the total-space bracket; (Delta_v sigma)^ is still read
+from the connection's own table.  A frame section times
 a battery function is read from the battery of its bundle
 (Bundle.battery), and frame data (anchor images, the brackets [a, e_l])
 from the bracket and its battery table.
@@ -46,7 +50,7 @@ from typing import List, Sequence, Tuple
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi
 from .bundle import (COTM, TM, Battery, Bundle, BundleError, HomSection,
                      Patch, Section, column_section, column_table, courant_dorfman_form_part,
-                     db_canonical, dual_pair, lie_derivative_form, two_form_of_oneform,
+                     d_scalar, db_canonical, dual_pair, lie_derivative_form, two_form_of_oneform,
                      vf_apply, vf_apply_each, vf_bracket)
 from .dirac import VBTriple, check_dirac, dirac_verdicts
 from .dorfman import Connection, DorfmanConnection
@@ -145,6 +149,9 @@ class LiftedSection:
         self.vf = vf
         self.form = form
 
+    def __add__(self, other: "LiftedSection") -> "LiftedSection":
+        return LiftedSection(self.vf + other.vf, self.form + other.form)
+
     def __sub__(self, other: "LiftedSection") -> "LiftedSection":
         return LiftedSection(self.vf - other.vf, self.form - other.form)
 
@@ -166,7 +173,10 @@ class LiftedSection:
 
 def lift_core(tp: TotalPatch, delta: DorfmanConnection, sigma: Section) -> LiftedSection:
     """(f, theta)^ : vertical part f_k(x) d/dy_k plus the pullback form,
-    for sigma = (f, theta) in the B = E + T*M of delta."""
+    for sigma = (f, theta) in the B = E + T*M of delta; a zero sigma lifts
+    to the shared zero sections."""
+    if not sigma.nonzero():
+        return LiftedSection(tp.field(TM), tp.field(COTM))
     return _core_lift(tp, delta, [tp.embed(c) for c in sigma.coeffs])
 
 
@@ -218,6 +228,33 @@ def total_courant(s1: LiftedSection, s2: LiftedSection) -> LiftedSection:
     return LiftedSection(vf_bracket(s1.vf, s2.vf), Section(s1.form.bundle, form))
 
 
+def courant_right(a: LiftedSection, b: LiftedSection, ab: LiftedSection,
+                  psi: ScalarPoly) -> LiftedSection:
+    """[a, psi b] = psi [a, b] + X(psi) b from ab = [a, b] (total_courant),
+    X the vector field of a.  Proof: [X, psi Y] = psi [X, Y] + X(psi) Y and
+    L_X (psi eta) - i_{psi Y} d theta = psi (L_X eta - i_Y d theta) + X(psi) eta."""
+    x_psi = vf_apply(ab.vf.bundle.patch, a.vf.nonzero(), psi)
+    value = ab.scale(psi)
+    return value + b.scale(x_psi) if x_psi._terms else value
+
+
+def courant_left(a: LiftedSection, b: LiftedSection, ab: LiftedSection, ab_pair: ScalarPoly,
+                 phi: ScalarPoly) -> LiftedSection:
+    """[phi a, b] = phi [a, b] - Y(phi) a + <a, b> d phi from ab = [a, b] and
+    ab_pair = <a, b> (total_pairing), Y the vector field of b.  Proof, for
+    a = X + theta and b = Y + eta: [phi X, Y] = phi [X, Y] - Y(phi) X,
+    L_{phi X} eta = phi L_X eta + eta(X) d phi and i_Y d(phi theta) =
+    phi i_Y d theta + Y(phi) theta - theta(Y) d phi."""
+    patch = ab.vf.bundle.patch
+    value = ab.scale(phi)
+    y_phi = vf_apply(patch, b.vf.nonzero(), phi)
+    if y_phi._terms:
+        value = value - a.scale(y_phi)
+    if ab_pair._terms:
+        value = LiftedSection(value.vf, value.form + d_scalar(patch, phi).scale(ab_pair))
+    return value
+
+
 # -- the splitting theorems ---------------------------------------------------
 
 
@@ -249,21 +286,37 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             ell = tp.linear(delta.battery_skew(p1, p2).component(e_bundle.dual()).coeffs)
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        total_pairing(lifts[i], lifts[j]) - ell)
+    linear_core = [[total_pairing(lift, core) for _, _, core in cores] for lift in lifts]
     for i, v in enumerate(q_frames):
-        for label_s, s, core in cores:
+        for (label_s, s, _), paired in zip(cores, linear_core[i]):
             chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})",
-                       total_pairing(lifts[i], core) - tp.embed(delta.predual.pair(v, s)))
-    for label1, _, c1 in cores:
-        for label2, _, c2 in cores:
+                       paired - tp.embed(delta.predual.pair(v, s)))
+    # the cases with a battery function in a slot follow from frame brackets,
+    # right slot first: right(a)[t] = [a, s_t^]
+    functions = [tp.embed(phi) for phi in b_batt.functions]
+    factors = [b_batt.factors(t) for t in range(len(cores))]
+    frame_cores = [cores[t][2] for t in b_batt.frames]
+
+    def right(a: LiftedSection) -> List[LiftedSection]:
+        brackets = [total_courant(a, c) for c in frame_cores]
+        return [courant_right(a, frame_cores[m], brackets[m], functions[g]) for m, g in factors]
+
+    core_rows = [(c, right(c), [total_pairing(c, core) for _, _, core in cores])
+                 for c in frame_cores]
+    for label1, (m1, f1) in zip(b_batt.labels, factors):
+        c1, rights, pairs = core_rows[m1]
+        phi = functions[f1]
+        for (label2, _, c2), paired, value in zip(cores, pairs, rights):
             chk.record("pairing-core-core", f"({label1}; {label2})",
-                       total_pairing(c1, c2))
+                       paired * phi if paired._terms else paired)
             chk.record("bracket-core-core", f"({label1}; {label2})",
-                       total_courant(c1, c2))
-    for i in range(q.rank):
-        for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
-            lifted_v = lifts[i].scale(tp.embed(phi))
+                       courant_left(c1, c2, value, paired, phi) if f1 else value)
+    for i, lift in enumerate(lifts):
+        rights = right(lift)
+        for f, (phi, text) in enumerate(zip(functions, q_batt.texts)):
             for t, (label_s, _, core) in enumerate(cores):
-                lhs = total_courant(lifted_v, core)
+                lhs = courant_left(lift, core, rights[t], linear_core[i][t], phi) if f \
+                    else rights[t]
                 rhs = lift_core(tp, delta, delta.battery_apply(q_batt.pos(i, f), t))
                 chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
                            lhs - rhs)
@@ -651,15 +704,16 @@ def ta_generator_check(lad: LieAlgebroidData, delta: DorfmanConnection) -> Check
                     tuple(gens + [gen.scale(c) for c, gen in zip(factors, gens)]),
                     tuple(range(len(gens))))
     table = BatteryTable(elems, elems)
-    pairs = table.full(alg.bracket)
     anchors = [alg.theta(e) for e in elems.sections]
     no_form = tp.field(COTM)
     for p, n1 in enumerate(elems.labels):
         for q, n2 in enumerate(elems.labels):
-            chk.record("table-antisymmetric", f"({n1}; {n2})", pairs[p][q] + pairs[q][p])
+            value = table.get(alg.bracket, p, q)
+            chk.record("table-antisymmetric", f"({n1}; {n2})",
+                       value + table.get(alg.bracket, q, p))
             rhs = vf_bracket(anchors[p], anchors[q])
             chk.record("anchor-morphism", f"({n1}; {n2})",
-                       LiftedSection(alg.theta(pairs[p][q]) - rhs, no_form))
+                       LiftedSection(alg.theta(value) - rhs, no_form))
     # third slot: the generators and the first two weighted ones
     record_jacobi(chk, "jacobi", table, alg.bracket,
                   third=range(len(gens) + min(2, len(gens))))

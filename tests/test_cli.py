@@ -1063,11 +1063,14 @@ def test_a_new_parse_computes_its_own_table(monkeypatch):
 
 
 @pytest.mark.parametrize("entry,name,args,calls", [
-    # C = TM + T*M on R^2: a battery of n = 4 * 5 sections, n^2 table values
-    # read by the metric, symmetrized, anchor and right-Leibniz identities,
-    # and r^3 nested and outer Jacobi terms for r = 4 frame sections (the
-    # scaled third slots are derived from them)
-    ("bott-foliation", "courant-axioms", ["C"], 20 ** 2 + 2 * 4 ** 3),
+    # C = TM + T*M on R^2: a battery of n = 4 * 5 sections over r = 4 frame
+    # sections; the table values [s_p, e_j] of the frame columns, which the
+    # metric identity reads, and [e_i, s_q] of the frame rows, which
+    # right-Leibniz reads, 2 r n - r^2 of them (the r^2 frame pairs lie in
+    # both), from which the symmetrized and anchor identities derive the
+    # cases with a battery function in each slot; and r^3 nested and outer
+    # Jacobi terms (the scaled third slots are derived from them)
+    ("bott-foliation", "courant-axioms", ["C"], (2 * 4 * 20 - 4 ** 2) + 2 * 4 ** 3),
     # A of rank 2 on R^2: the r^2 frame values that antisymmetry and Jacobi
     # read, r^3 nested and outer Jacobi terms for r = 2, plus six random
     # Jacobiators of six brackets each, less the five inner brackets
@@ -1093,7 +1096,7 @@ def test_bracket_axiom_lines_evaluate_each_bracket_once(monkeypatch, entry, name
         monkeypatch.setattr(module, "leibniz", counting)
     reports = run_check(spec, name, args, 7)
     assert reports and all(report.status == "pass" for report in reports)
-    assert len(counted) == calls  # 528, 51 and 126
+    assert len(counted) == calls  # 272, 51 and 126
 
 
 def _anchor_applications(monkeypatch, name, args):

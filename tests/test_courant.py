@@ -187,9 +187,12 @@ def test_courant_data_rejects_asymmetric_pairing():
 
 def test_courant_axioms_apply_the_anchor_once_per_section(hom_apply_calls):
     # the metric axiom reads rho(e1) for every inner (e2, e3); it is taken once
-    # per battery section e1, and the anchor-morphism axiom applies it once to
-    # each bracket [e1, e2].  Calls are counted by the battery position of
-    # their argument, since a zero bracket is one shared section
+    # per battery section e1.  The anchor-morphism axiom applies it once to
+    # each bracket of a frame row or column, 2 r n - r^2 of them for r frame
+    # sections and n battery sections, and once to D phi for each
+    # non-constant battery function phi, from which it derives the rest.
+    # Calls are counted by the battery position of their argument, since a
+    # zero bracket is one shared section
     courant = standard_courant(BASE)
     hom_apply_calls.clear()  # the frame anchors, taken once as the structure is built
     assert courant.check_axioms().passed
@@ -197,4 +200,6 @@ def test_courant_axioms_apply_the_anchor_once_per_section(hom_apply_calls):
     counts = Counter(p for section in hom_apply_calls
                      for p, battery_section in enumerate(sections) if section is battery_section)
     assert sorted(counts) == list(range(len(sections))) and max(counts.values()) == 1
-    assert len(hom_apply_calls) == len(sections) + len(sections) ** 2
+    r, n = courant.bundle.rank, len(sections)
+    functions = courant.bundle.battery.functions
+    assert len(hom_apply_calls) == n + (2 * r * n - r ** 2) + len(functions) - 1

@@ -29,6 +29,19 @@ pair with non-constant frame pairings.  The lemmas rest on the Leibniz
 rules of Delta and of the dull bracket; a `leibniz` that breaks a rule of
 Delta is still caught by axiom (a) or (b) of `dorfman-axioms`, which stay
 literal.
+
+`courant-axioms` derives its symmetrized and anchor-morphism cases with a
+battery function in both slots (record_symmetrized, record_anchor_morphism);
+the oracle compares them with the literal table over the same fixtures,
+every Courant algebroid that a Manin pair builds (whose D is not rho* d),
+and one whose anchor makes rho(D phi) nonzero.  `splitting-theorems`
+derives its core-core and linear-core cases from frame brackets on the
+total space (prolong.courant_right, courant_left); its oracle brackets
+every lifted battery section literally, over every Dorfman connection on
+a canonical pre-dual pair, and again under a tilted core lift, which makes
+every term of the rules nonzero.  A `leibniz` that breaks left Leibniz
+still fails the literal `2-metric`, and a sign flip in the total-space
+bracket still fails `splitting-theorems`.
 """
 
 from collections import Counter
@@ -73,6 +86,7 @@ def oracle(monkeypatch):
     compared = {}
     real_jacobi = algebroid.record_jacobi
     real_lie = AnchoredBracket._lie_report
+    real_symmetrized, real_anchor = algebroid.record_symmetrized, algebroid.record_anchor_morphism
 
     def compare(identity, derived, literal):
         assert [(i, label) for i, label, _ in derived] == [(i, label) for i, label, _ in literal]
@@ -95,17 +109,35 @@ def oracle(monkeypatch):
         [lie] = [chk for chk in Recording.made[before:] if chk.name == "lie"]
         literal = Recording("literal", "")
         batt = self.bundle.battery
-        record_symmetrized(literal, "antisymmetry", batt,
-                           BatteryTable(batt, batt).full(self.bracket))
+        record_symmetrized(literal, "antisymmetry", BatteryTable(batt, batt), self.bracket)
         compare("antisymmetry", [v for v in lie.values if v[0] == "antisymmetry"],
                 literal.values)
         return report
+
+    def checked_symmetrized(chk, identity, table, op, exact=None, scaled=0):
+        if scaled:
+            derived, literal = Recording("derived", ""), Recording("literal", "")
+            real_symmetrized(derived, identity, table, op, exact, scaled)
+            real_symmetrized(literal, identity, BatteryTable(table.rows, table.cols), op, exact)
+            compare(identity, derived.values, literal.values)
+        real_symmetrized(chk, identity, table, op, exact, scaled)
+
+    def checked_anchor(chk, identity, table, op, anchor, anchors, predual=None):
+        if predual is not None:
+            derived, literal = Recording("derived", ""), Recording("literal", "")
+            real_anchor(derived, identity, table, op, anchor, anchors, predual)
+            real_anchor(literal, identity, BatteryTable(table.rows, table.cols), op, anchor,
+                        anchors)
+            compare(identity, derived.values, literal.values)
+        real_anchor(chk, identity, table, op, anchor, anchors, predual)
 
     monkeypatch.setattr(Recording, "made", [])
     monkeypatch.setattr(algebroid, "Checker", Recording)
     monkeypatch.setattr(AnchoredBracket, "_lie_report", checked_lie)
     for module in JACOBI_USERS:
         monkeypatch.setattr(module, "record_jacobi", checked_jacobi)
+    monkeypatch.setattr(courant, "record_symmetrized", checked_symmetrized)
+    monkeypatch.setattr(courant, "record_anchor_morphism", checked_anchor)
     return compared
 
 
@@ -130,16 +162,49 @@ def test_derived_battery_cases_equal_the_nested_brackets(oracle, monkeypatch):
     names = {name.split("/")[0] for name, _, _ in texts}
     assert {"bracket-axioms", "x3-anchor", "perturbed-r3-7", "perturbed-r3-11",
             "scaling-r3-7", "scaling-r3-11", "im2form-zero", "bott-foliation"} <= names
+    built = []  # the Courant algebroid of every Manin pair the lines build
+    real_build = courant.build_manin_pair
+
+    def keeping(lad, triple):
+        mp, report = real_build(lad, triple)
+        if mp is not None:
+            built.append(mp.courant)
+        return mp, report
+
+    monkeypatch.setattr(checks, "build_manin_pair", keeping)
     for name, text, seed in texts:
         spec = parse_spec(text)
         for check, args, _ in spec.checks:
             checks.run_check(spec, check, list(args), seed)
+    assert built
+    before = len(oracle["3-symmetrized"])
+    for courant_data in built:  # its D is the Manin pair's, not rho* d
+        courant_data.check_axioms()
+    assert len(oracle["3-symmetrized"]) > before
+    # rho D = rho rho* d vanishes on a Courant algebroid; this one has no such
+    # anchor, so the term psi <e_i, e_j> rho(D phi) is nonzero
+    _tilted_anchor().check_axioms()
     # every derived identity was compared, on passing and on failing cases
-    assert set(oracle) == {"antisymmetry", "jacobi", "1-leibniz-jacobi", "jacobi-leibniz"}
+    assert set(oracle) == {"antisymmetry", "jacobi", "1-leibniz-jacobi", "jacobi-leibniz",
+                           "3-symmetrized", "4-anchor-morphism"}
     for identity, values in oracle.items():
         assert len(values) > 100, identity
-    for identity in ("antisymmetry", "jacobi", "1-leibniz-jacobi"):  # the failing fixtures
+    for identity in ("antisymmetry", "jacobi", "1-leibniz-jacobi", "3-symmetrized",
+                     "4-anchor-morphism"):  # the failing fixtures
         assert any(not value.is_zero() for value in oracle[identity]), identity
+
+
+def _tilted_anchor():
+    """TM + T*M with the standard pairing and symbols, and an anchor that
+    also sends dx1 to x2*Dx1, so rho rho* d is not zero; no axiom needs to
+    hold for the lemmas."""
+    base = patch("x1", "x2")
+    std = standard_courant(base)
+    tangent = Bundle.tangent(base)
+    anchor = HomSection.from_columns(std.bundle, tangent, [
+        tangent.section(Dx1=1), tangent.section(Dx2=1), tangent.section(Dx1="x2"),
+        tangent.zero_section()])
+    return courant.CourantData(std.bundle, anchor, std.pairing, std.symbols)
 
 
 def test_rank_zero_batteries_derive_nothing(oracle):
@@ -192,6 +257,36 @@ def test_a_leibniz_that_breaks_right_leibniz_still_fails_lie_and_courant_axioms(
     [axioms] = checks.run_check(spec, "courant-axioms", ["C"], 7)
     assert axioms.status == "fail"
     assert "5-right-leibniz" in {w.identity for w in axioms.witnesses}
+
+
+def test_a_leibniz_that_breaks_left_leibniz_still_fails_courant_axioms(monkeypatch):
+    # doubling the pairing term breaks [phi e1, e2] = phi [e1, e2] - rho(e2)(phi) e1
+    # + <e1, e2> D phi; 3-symmetrized derives its scaled cases by that rule,
+    # and the literal 2-metric, which reads the frame columns [phi e1, e_j],
+    # still fails
+    _double_leibniz_term(monkeypatch, "pairing")
+    spec = parse_spec(catalog_text("bott-foliation"))
+    [axioms] = checks.run_check(spec, "courant-axioms", ["C"], 7)
+    assert axioms.status == "fail"
+    assert "2-metric" in {w.identity for w in axioms.witnesses}
+
+
+def test_a_sign_flip_in_the_total_space_bracket_still_fails_splitting_theorems(monkeypatch):
+    # the frame brackets, from which the scaled cases are derived, come from
+    # courant_dorfman_form_part; the mutant flips the sign of its i_{X2} d theta1
+    real = bundle.courant_dorfman_form_part
+
+    def flipped(x1, theta1, x2, theta2, base):
+        lie = bundle.lie_form_comps(base, x1, theta2)
+        return [2 * a - b for a, b in zip(lie, real(x1, theta1, x2, theta2, base))]
+
+    spec = parse_spec(catalog_text("line-bundle-r2"))
+    assert checks.run_check(spec, "splitting-theorems", ["Delta"], 7)[0].passed
+    monkeypatch.setattr(prolong, "courant_dorfman_form_part", flipped)
+    [report] = checks.run_check(parse_spec(catalog_text("line-bundle-r2")),
+                                "splitting-theorems", ["Delta"], 7)
+    assert report.status == "fail"
+    assert "bracket-linear-core" in {w.identity for w in report.witnesses}
 
 
 def test_the_mutant_breaks_right_leibniz_of_a_bracket(monkeypatch):
@@ -332,3 +427,100 @@ def test_derived_curvature_cases_equal_the_nested_applications(monkeypatch):
     assert sum(compared.values()) > 10000
     # the failing fixtures: the shifted connections and the two built to fail
     assert all(nonzero[identity] for identity in compared), nonzero
+
+
+# the identities of splitting-theorems whose scaled cases are derived
+SPLITTING_DERIVED = ("pairing-core-core", "bracket-core-core", "bracket-linear-core")
+
+
+def _literal_splitting_cases(delta):
+    """(identity, inputs, value) of the derived identities of
+    splitting-theorems in the order the check records them, each evaluated
+    literally on the total space: the pairing and bracket of the lifts of
+    two battery sections, and [phi q_i~, s^] on the scaled linear lift."""
+    tp = prolong.total_patch_of(delta.e)
+    q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
+    lifts = [prolong.lift_linear(tp, delta, v) for v in delta.q.frame_sections()]
+    cores = [(label, prolong.lift_core(tp, delta, s))
+             for label, s in zip(b_batt.labels, b_batt.sections)]
+    cases = []
+    for label1, c1 in cores:
+        for label2, c2 in cores:
+            inputs = f"({label1}; {label2})"
+            cases += [("pairing-core-core", inputs, prolong.total_pairing(c1, c2)),
+                      ("bracket-core-core", inputs, prolong.total_courant(c1, c2))]
+    for i, lift in enumerate(lifts):
+        for f, (phi, text) in enumerate(zip(q_batt.functions, q_batt.texts)):
+            scaled = lift.scale(tp.embed(phi))
+            for t, (label, core) in enumerate(cores):
+                rhs = prolong.lift_core(tp, delta, delta.battery_apply(q_batt.pos(i, f), t))
+                cases.append(("bracket-linear-core", f"(({text})*{delta.q.frame[i]}; {label})",
+                              prolong.total_courant(scaled, core) - rhs))
+    return cases
+
+
+def _same(value, expected):
+    """Equal normal forms; the check and the oracle build their own total
+    patch, so a lifted section is compared by its coefficients."""
+    if isinstance(value, prolong.LiftedSection):
+        return (value.vf.coeffs == expected.vf.coeffs
+                and value.form.coeffs == expected.form.coeffs)
+    return value == expected
+
+
+def _tilt_core_lifts(monkeypatch):
+    """Rebind prolong.lift_core to a C-infinity(M)-linear lift that is not
+    vertical: the lift of sigma gains (sum_k sigma_k) (d/dx1 + dy1).  The
+    lemmas assume no shape of a lift, and under this one every term of
+    courant_right and courant_left, the -Y(phi) a term and the pairing of
+    two cores included, is nonzero somewhere, as no true core lift makes
+    them."""
+    real = prolong.lift_core
+
+    def tilted(tp, delta, sigma):
+        total = tp.zero()
+        for _, c in sigma.nonzero():
+            total = total + tp.embed(c)
+        zero = tp.zero()
+        extra = prolong.LiftedSection(
+            tp.field(bundle.TM, base=[total] + [zero] * (len(tp.base_coords) - 1)),
+            tp.field(bundle.COTM, fiber=[total] + [zero] * (len(tp.fiber_coords) - 1)))
+        return real(tp, delta, sigma) + extra
+
+    monkeypatch.setattr(prolong, "lift_core", tilted)
+
+
+def _compare_splitting(monkeypatch, delta, compared, nonzero):
+    chk = Recording("derived", "")
+    monkeypatch.setattr(prolong, "Checker", lambda *args: chk)
+    prolong.verify_splitting_theorems(delta)
+    derived = [case for case in chk.values if case[0] in SPLITTING_DERIVED]
+    literal = _literal_splitting_cases(delta)
+    assert [case[:2] for case in derived] == [case[:2] for case in literal]
+    for (identity, inputs, value), (_, _, expected) in zip(derived, literal):
+        assert _same(value, expected), (identity, inputs)
+        compared[identity] += 1
+        nonzero[identity] += not value.is_zero()
+
+
+def test_derived_splitting_cases_equal_the_total_space_brackets(monkeypatch):
+    texts = _spec_texts(monkeypatch)
+    connections = [(f"{name.split('/')[0]}: {label}", delta) for name, text, _ in texts
+                   for label, delta in parse_spec(text).objects["dorfman"].items()
+                   if delta.predual.e is not None]
+    assert {"line-bundle-r2: Delta", "curvature-shifts: DeltaE", "scaling-r3-7: Delta",
+            "scaling-r3-11: Delta", "perturbed-r3-7: Delta",
+            "perturbed-r3-11: Delta"} <= {name for name, _ in connections}
+    compared, nonzero = Counter(), Counter()
+    for _, delta in connections:
+        _compare_splitting(monkeypatch, delta, compared, nonzero)
+    assert set(compared) == set(SPLITTING_DERIVED) and sum(compared.values()) > 10000
+    # B1, P3 and B2 hold for every Leibniz extension, the failing fixtures'
+    # included, so the cases vanish; the tilted lifts make every term nonzero
+    assert nonzero == Counter()
+    _tilt_core_lifts(monkeypatch)
+    compared, nonzero = Counter(), Counter()
+    for name, delta in connections:
+        if name in ("line-bundle-r2: Delta", "curvature-shifts: DeltaE"):
+            _compare_splitting(monkeypatch, delta, compared, nonzero)
+    assert set(nonzero) == set(SPLITTING_DERIVED)

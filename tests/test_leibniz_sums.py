@@ -56,8 +56,9 @@ def test_verify_all_sums_leibniz_terms_once_and_skips_zero_functions(monkeypatch
         return real_vf_apply(base, x_terms, phi)
 
     for module in MODULES:  # bundle and every module that imports the kernels
-        for name, wrapper in (("leibniz", leibniz), ("vf_apply", vf_apply)):
-            if getattr(module, name, None) is getattr(bundle, name):
+        for name, real, wrapper in (("leibniz", real_leibniz, leibniz),
+                                    ("vf_apply", real_vf_apply, vf_apply)):
+            if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, wrapper)
     # the wrapper's frame sits between a caller and the real leibniz, so the
     # caller test above still sees the real leibniz's own calls

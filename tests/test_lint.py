@@ -48,6 +48,11 @@ defined, only `PreDual` calls `pairing_rows`, so the rows of every pairing
 that `matrix_pair` and `leibniz` read, a Courant algebroid's included,
 are those of one pre-dual pair.
 
+The total-space oracle stays independent of the operator under test:
+`prolong` reads no `leibniz`, neither by import nor as an attribute, so
+its brackets come from the Cartan kernels on the total space.  (Its
+generator calculus reaches `leibniz` only through `AnchoredBracket`.)
+
 A section keeps its nonzero components (`Section.nonzero()`), and that
 view is the one way to read them: outside `bundle.py` no module rebuilds
 the scan, either as `nonzero_terms(<x>.coeffs)` or as a comprehension
@@ -356,3 +361,27 @@ def test_the_rescan_rule_sees_both_forms():
     assert not any(_rescans(node) for node in ast.walk(ast.parse(
         "terms = nonzero_terms(row); xs = [c for i, c in enumerate(x.coeffs)]; "
         "zs = [c for c in s.form.coeffs if c._terms]")))
+
+
+def _leibniz_reads(tree):
+    """The nodes of tree that read `leibniz`: an import of it, by either
+    import form, or an attribute `<x>.leibniz`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "leibniz" for alias in node.names):
+                yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "leibniz":
+            yield node
+
+
+def test_prolong_reads_no_leibniz():
+    assert [f"line {node.lineno}" for node in _leibniz_reads(TREES["prolong.py"])] == []
+
+
+def test_the_leibniz_rule_sees_every_form():
+    # the rule is not vacuous: it flags both import forms and an attribute read
+    for text in ("from .bundle import Section, leibniz", "import courant_lab.bundle.leibniz",
+                 "value = bundle.leibniz(x, y, frame, target)"):
+        assert any(True for _ in _leibniz_reads(ast.parse(text))), text
+    assert not any(True for _ in _leibniz_reads(ast.parse(
+        "from .algebroid import AnchoredBracket; value = self.anchored.bracket(x, y)")))

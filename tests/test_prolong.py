@@ -236,6 +236,38 @@ def test_splitting_theorems(ex_a):
     assert verify_splitting_theorems(ex_a).passed
 
 
+def test_splitting_theorems_bracket_only_frame_lifts(monkeypatch):
+    # on line-bundle-r2, Q = TM + E* and B = E + T*M have rank 3: total_courant
+    # runs once on each frame pair of the core-core, linear-core and
+    # linear-linear identities, 3 * 3^2 calls, and the cases with a battery
+    # function in a slot are derived from them
+    delta = parse_spec(catalog_text("line-bundle-r2")).objects["dorfman"]["Delta"]
+    frames = set(delta.q.frame_sections()) | set(delta.b.frame_sections())
+    frame_lifts, calls = [], []  # kept alive, so ids name them
+    real_core, real_linear, real_courant = (prolong.lift_core, prolong.lift_linear,
+                                            prolong.total_courant)
+
+    def lifting(real):
+        def lift(tp, delta, section, *args):
+            lifted = real(tp, delta, section, *args)
+            if section in frames:
+                frame_lifts.append(lifted)
+            return lifted
+        return lift
+
+    def counting(s1, s2):
+        calls.append((s1, s2))
+        return real_courant(s1, s2)
+
+    monkeypatch.setattr(prolong, "lift_core", lifting(real_core))
+    monkeypatch.setattr(prolong, "lift_linear", lifting(real_linear))
+    monkeypatch.setattr(prolong, "total_courant", counting)
+    assert verify_splitting_theorems(delta).passed
+    assert len(calls) == len({(id(s1), id(s2)) for s1, s2 in calls}) == 3 * 3 ** 2
+    lifted = {id(s) for s in frame_lifts}
+    assert all(id(s1) in lifted and id(s2) in lifted for s1, s2 in calls)
+
+
 def test_splitting_theorems_break_under_wrong_symbols(ex_a):
     symbols = [list(row) for row in ex_a.symbols]
     symbols[0][0] = symbols[0][0] + ex_a.b.section(eps="x2")
