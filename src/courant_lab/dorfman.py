@@ -294,16 +294,6 @@ class DorfmanConnection:
 
     # -- curvature ---------------------------------------------------------
 
-    def curvature(self, v1: Section, v2: Section) -> HomSection:
-        """R(v1,v2) = Delta_{v1} Delta_{v2} - Delta_{v2} Delta_{v1} - Delta_{[v1,v2]}."""
-        lie = self.bracket.bracket(v1, v2)
-        cols = []
-        for bf in self.b.frame_sections():
-            cols.append(self.apply(v1, self.apply(v2, bf))
-                        - self.apply(v2, self.apply(v1, bf))
-                        - self.apply(lie, bf))
-        return HomSection.from_columns(self.b, self.b, cols)
-
     def frame_curvature(self, i: int, j: int) -> HomSection:
         """R(q_i, q_j) for the Q-frame elements q_i, q_j."""
         return self._frame_curvatures[i][j]

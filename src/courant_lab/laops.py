@@ -27,20 +27,16 @@ A = T*M (TM + A* would repeat TM), ends in a BundleError that names it.
 
 Each operator value is evaluated once per spec.  LieAlgebroidData, built
 once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
-(rho,rho*) sigma, Delta_v sigma, the dull bracket [[u, v]], Omega_v a,
-L_a sigma, L_a v, the Dorfman-like bracket and nabla^bas_a v and sigma,
-keyed by the operator, the Dorfman connection where the value depends on
-one and the coefficient tuples of the arguments, of fixed and checked
-bundles.  A method computes a value on its first read, with the bracket,
-the pair map, Delta or the module function of the same name.  L_a xi on
-A* is Delta_a xi for the Dorfman connection on (A, A*) of
-lie_derivative_dorfman (lie_derivative, built once).  So every line
-naming the algebroid reads the same values (R^bas(phi a, b) v and
-R^bas(b, phi a) v share their terms), the anchor is applied to each
-section value once, a value is reused only for the same operator on equal
-arguments, and a new parse starts with an empty table.  The Omega,
-linearity and tensoriality checks read phi a and phi v, for frame
-sections a and v, from the battery of their bundle (Bundle.battery).
+(rho,rho*) sigma, Delta_v sigma, [[u, v]], Omega_v a, L_a sigma, L_a v,
+the Dorfman-like bracket and nabla^bas_a v and sigma, keyed by the
+operator, its Dorfman connection if any and the coefficients of the
+arguments; a method computes a value on its first read.  L_a xi on A* is
+Delta_a xi for lie_derivative_dorfman (lie_derivative).  So every line
+naming the algebroid reads the same values, the anchor is applied to each
+section value once, and a new parse starts with an empty table.  The Omega
+and basic-curvature checks read phi a and phi v from the battery of their
+bundle (Bundle.battery); the Dorfman-like and basic-connection checks
+evaluate frame sections only and derive the battery cases.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ from .bundle import (Bundle, BundleError, HomSection, Section,
                      vf_apply, vf_bracket)
 from .dirac import VBTriple
 from .dorfman import DorfmanConnection, lie_derivative_dorfman, pr_tm_hom
+from .poly import sum_of_products
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
@@ -231,14 +228,23 @@ def basic_curvature(lad: LieAlgebroidData, delta: DorfmanConnection,
 
 
 def check_dlike(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
-    """Symmetrization and Leibniz-Jacobi identities of the bracket on A + T*M."""
+    """Symmetrization and Leibniz-Jacobi identities of the bracket on A + T*M.
+
+    With s1 = (a, theta), s2 = (b, omega), <s1, s2> = omega(rho a) + theta(rho b) and D =
+    db_canonical, the bracket has the rules of `leibniz`: [s1, phi s2] = phi [s1, s2] +
+    rho(a)(phi) s2 and [phi s1, s2] = phi [s1, s2] - rho(b)(phi) s1 + <s1, s2> D phi, by the
+    Leibniz rules of [,]_A and of L_X omega in X and omega, and i_Y d(phi theta) = phi i_Y d
+    theta + Y(phi) theta - theta(Y) d phi.  So both identities read frame pairs only:
+    record_jacobi derives the scaled third slot and, on the canonical pre-dual of A (whose
+    pairing is <,>), record_symmetrized the rest.
+    """
     chk = Checker("dorfman-like", "symmetrized bracket is exact; Jacobi in Leibniz form")
     batt = lad.sigma_bundle.battery
     op = lad.dorfman_like_bracket
     table = BatteryTable(batt, batt)
-    images = [lad.image(s) for s in batt.sections]
     record_symmetrized(chk, "symmetrization", table, op, lambda p, q: db_canonical(
-        lad.sigma_bundle, delta.predual.pair(images[q], batt.sections[p])))
+        lad.sigma_bundle, delta.predual.pair(lad.image(batt.sections[q]), batt.sections[p])),
+        scaled=int(delta.predual.canonical))
     # the anchor of the bracket on A + T*M is rho pr_A = pr_TM (rho, rho*)
     record_jacobi(chk, "jacobi-leibniz", table, op,
                   anchor=pr_tm_hom(lad.v_bundle).compose(lad.pair_map))
@@ -275,60 +281,96 @@ def check_omega_properties(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
 
 
 def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> CheckReport:
-    """Connection laws plus the duality defect and intertwining identities."""
+    """Connection laws plus the duality defect and intertwining identities.
+
+    nabla^bas is evaluated for frame a and frame t only (and on (rho,rho*) sigma for frame
+    sigma); every case with a battery function is derived.  Let P = (rho,rho*), w = (X_w, xi_w)
+    be t on TM + A* and P t for t = (b, theta) on A + T*M, g = <w, (a, 0)>, d_B = delta.predual.d,
+    D = db_canonical, d_{A*} the d of lie_derivative, O = rho_Delta(w)(phi) (a, 0) - g D phi and
+    T_a(phi; t) = g (d_B - D) phi, under P on TM + A*.  Then, assuming no axiom:
+      nabla_{phi a} t - phi nabla_a t = P O + (-X_w(phi) rho(a), <a, xi_w> d_{A*} phi) on
+        TM + A*, and O - X_w(phi) (a, 0) + theta(rho a) D phi on A + T*M;
+      nabla_a (phi t) - phi nabla_a t - rho(a)(phi) t = T_a(phi; t);
+      D(a; phi v; psi sigma) = phi psi D(a; v; sigma) + psi <T_a(phi; v), sigma>
+        + phi <v, T_a(psi; sigma)>;
+      I(a; psi sigma) = psi I(a; sigma) + T_a(psi; P sigma) - P T_a(psi; sigma).
+    Proof: by the rules of `leibniz`, Delta_{phi w} s = phi Delta_w s + <w, s> d_B phi and
+    Delta_w (phi s) = phi Delta_w s + rho_Delta(w)(phi) s; with D(phi g) = phi D g + g D phi,
+    Omega_w (phi a) = phi Omega_w a + O and Omega_{phi w} a = phi Omega_w a + T.  L_{phi a} adds
+    (-X(phi) rho(a), <a, xi> d_{A*} phi) to phi L_a (X, xi), by vf_bracket and the first rule
+    for lie_derivative, and (-rho(b)(phi) a, theta(rho a) D phi) to phi L_a (b, theta), by the
+    rule of [,]_A and L_{phi Y} theta = phi L_Y theta + theta(Y) d phi, where rho(b) = X_w.  L_a
+    (phi t) adds rho(a)(phi) t, by the second rules.  In D the rho(a)(phi) and rho(a)(psi) terms
+    are those of rho(a)(phi psi <v, sigma>), and Skew(phi v, psi w) = phi psi Skew(v, w) by the
+    Leibniz rules of the dull bracket; in I the rho(a)(psi) P sigma terms cancel.  No term is
+    assumed zero; on the canonical pre-dual rho_Delta(w) = X_w and d_B = D cancel them.
+    """
     chk = Checker("basic-connections",
                   "basic connections: linearity, derivation law, duality defect, intertwining")
-    battery = lad.base.battery
+    base, pm, pair = lad.base, lad.pair_map, delta.predual.pair
+    functions, texts = lad.a_bundle.battery.functions, lad.a_bundle.battery.texts
     a_frames = lad.a_bundle.frame_sections()
-    a_batt, v_batt, s_batt = lad.a_bundle.battery, lad.v_bundle.battery, lad.sigma_bundle.battery
-    targets = list(zip(v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections))
+    v_batt, s_batt = lad.v_bundle.battery, lad.sigma_bundle.battery
     n_v = len(v_batt.sections)
-    t_scaled = [[t.scale(phi) for phi, _ in battery] for _, t in targets]
-    anchors = lad.bracket.frame_table.anchors
-    # nablas[k][t] = nabla^bas_{a_k} t over v_batt + s_batt, for every loop below
-    nablas = []
+    labels, targets = v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections
+    ws = targets[:n_v] + tuple(lad.image(sigma) for sigma in s_batt.sections)
+    # (rho_Delta(w)(phi), X_w(phi)) for each target and battery function
+    acting = [[(vf_apply(base, rho_w, phi), vf_apply(base, x_w, phi)) for phi in functions]
+              for rho_w, x_w in ((delta.bracket.rho(w).nonzero(),
+                                  w.component(Bundle.tangent(base)).nonzero()) for w in ws)]
+    d_phis = [db_canonical(lad.sigma_bundle, phi) for phi in functions]
+    d_gaps = [delta.predual.d(phi) - d_phi for phi, d_phi in zip(functions, d_phis)]
+    d_duals = [lad.lie_derivative.predual.d(phi) for phi in functions]
+    tees = {}  # tees[k, t, f] = T_a(phi; t) for a = a_k
     for k, a in enumerate(a_frames):
-        aname = lad.a_bundle.frame[k]
-        rho_phi = [vf_apply(lad.base, anchors[k], phi) for phi, _ in battery]
-        row = []
-        for t_i, (label_t, t) in enumerate(targets):
-            basic = lad.basic_v if t_i < n_v else lad.basic_sigma
-            base_val = basic(delta, a, t)
-            row.append(base_val)
-            for f, (phi, text) in enumerate(battery):
-                scaled_val = base_val.scale(phi)
-                chk.record("linear-in-a", f"(({text})*{aname}; {label_t})",
-                           basic(delta, a_batt.sections[a_batt.pos(k, f)], t) - scaled_val)
-                chk.record("derivation-in-t", f"({aname}; ({text})*{label_t})",
-                           basic(delta, a, t_scaled[t_i][f])
-                           - scaled_val
-                           - t.scale(rho_phi[f]))
-        nablas.append(row)
-    if not a_frames:  # the loops below are empty; build no table for them
-        return chk.report()
-    images = [lad.image(sigma) for sigma in s_batt.sections]
-    # the symmetrization Skew(v, (rho,rho*) sigma); the defect pairs it with (a, 0)
-    skew = [[lad.dull_bracket(delta, v, image) + lad.dull_bracket(delta, image, v)
-             for image in images] for v in v_batt.sections]
-    pairings = [[delta.predual.pair(v, sigma) for sigma in s_batt.sections]
-                for v in v_batt.sections]
+        aname, a_lift, rho_a = lad.a_bundle.frame[k], lad.sigma_bundle.join(a), lad.rho(a)
+        for t, (label_t, w) in enumerate(zip(labels, ws)):
+            g, on_v = pair(w, a_lift), t < n_v
+            h = (lad.lie_derivative.predual.pair(a, w.component(lad.a_bundle.dual())) if on_v
+                 else dual_pair(targets[t].component(Bundle.cotangent(base)), rho_a))
+            for f, text in enumerate(texts):
+                rho_phi, x_phi = acting[t][f]
+                o_part, tee = a_lift.scale(rho_phi) - d_phis[f].scale(g), d_gaps[f].scale(g)
+                lin = (pm.apply(o_part) + lad.v_bundle.join(rho_a.scale(-x_phi), d_duals[f].scale(h))
+                       if on_v else o_part - a_lift.scale(x_phi) + d_phis[f].scale(h))
+                tees[k, t, f] = tee = pm.apply(tee) if on_v else tee
+                chk.record("linear-in-a", f"(({text})*{aname}; {label_t})", lin)
+                chk.record("derivation-in-t", f"({aname}; ({text})*{label_t})", tee)
+    v_frames, s_frames = [targets[p] for p in v_batt.frames], [targets[n_v + p] for p in s_batt.frames]
+    images = [ws[n_v + p] for p in s_batt.frames]
+    products = [[phi * psi for psi in functions] for phi in functions]
     for k, a in enumerate(a_frames):
-        aname = lad.a_bundle.frame[k]
-        a_lift = lad.sigma_bundle.join(a)
-        for p, (label_v, v) in enumerate(targets[:n_v]):
-            for q, (label_s, sigma) in enumerate(targets[n_v:]):
-                lhs = (delta.predual.pair(nablas[k][p], sigma)
-                       + delta.predual.pair(v, nablas[k][n_v + q]))
-                paired = pairings[p][q]
-                rhs = vf_apply(lad.base, anchors[k], paired) if paired._terms else paired
-                defect = delta.predual.pair(skew[p][q], a_lift)
-                if defect._terms:
-                    rhs = rhs - defect
+        aname, a_lift, rho_a = lad.a_bundle.frame[k], lad.sigma_bundle.join(a), lad.rho(a).nonzero()
+        nabla_s = [lad.basic_sigma(delta, a, sigma) for sigma in s_frames]
+        defects = [[] for _ in v_frames]  # defects[i][j] = D(a; v_i; sigma_j)
+        for i, v in enumerate(v_frames):
+            nabla_v = lad.basic_v(delta, a, v)
+            for j, (sigma, image) in enumerate(zip(s_frames, images)):
+                # Skew(v, (rho,rho*) sigma), paired with (a, 0)
+                skew = lad.dull_bracket(delta, v, image) + lad.dull_bracket(delta, image, v)
+                value = pair(nabla_v, sigma) + pair(v, nabla_s[j]) + pair(skew, a_lift)
+                paired = pair(v, sigma)  # rho(a) of it, less a zero subtrahend
+                rhs = vf_apply(base, rho_a, paired) if paired._terms else paired
+                defects[i].append(value - rhs if rhs._terms else value)
+        # <T_a(phi; v_i), sigma_j> and <v_i, T_a(psi; sigma_j)>
+        t_v = [[[pair(tees[k, p, f], sigma) for sigma in s_frames] for f in range(len(texts))]
+               for p in v_batt.frames]
+        t_s = [[[pair(v, tees[k, n_v + p, g]) for v in v_frames] for g in range(len(texts))]
+               for p in s_batt.frames]
+        for p, label_v in enumerate(v_batt.labels):
+            i, f = v_batt.factors(p)
+            for q, label_s in enumerate(s_batt.labels):
+                j, g = s_batt.factors(q)
+                terms = [(x, y, 1) for x, y in ((products[f][g], defects[i][j]), (
+                    functions[g], t_v[i][f][j]), (functions[f], t_s[j][g][i])) if y._terms]
                 chk.record("duality-defect", f"({aname}; {label_v}; {label_s})",
-                           lhs - rhs if rhs._terms else lhs)
-        for q, label_s in enumerate(s_batt.labels):
-            chk.record("intertwining", f"({aname}; {label_s})",
-                       lad.basic_v(delta, a, images[q]) - lad.image(nablas[k][n_v + q]))
+                           sum_of_products(base.zero(), terms) if terms else base.zero())
+        for j, image in enumerate(images):
+            intertwined = lad.basic_v(delta, a, image) - lad.image(nabla_s[j])
+            for g, psi in enumerate(functions):  # the two T terms, as the lemma has them
+                chk.record("intertwining", f"({aname}; {s_batt.labels[s_batt.pos(j, g)]})",
+                           intertwined.scale(psi) + pm.apply(d_gaps[g].scale(pair(image, a_lift)))
+                           - pm.apply(tees[k, n_v + s_batt.frames[j], g]))
     return chk.report()
 
 

@@ -55,8 +55,9 @@ because polynomials are never mutated (``terms`` hands out a copy).  For the sam
 one zero and one unit polynomial per patch, and every vector field acting
 on a polynomial goes through the single kernel ``bundle.vf_apply``.  A
 difference of two operands with equal terms over one denominator, the
-vanishing difference every checked identity ends in, returns a zero at
-once, without copying a term dict; the variable check comes first.
+vanishing difference every checked identity ends in, returns the one
+``ScalarPoly.zero(vars)`` at once, as any cancelling sum does; the
+variable check comes first.
 ``==`` tests for a ``ScalarPoly`` operand before an ``int`` or
 ``Fraction`` one, since comparing two sections' coefficient tuples calls
 it once per coefficient.
@@ -147,6 +148,7 @@ def _guards(width: int) -> int:
 # reads its mask here, and only a key over more variables forms its own
 _TABLED = 64
 _GUARDS = tuple(_guards(width) for width in range(_TABLED))
+_ZEROS: Dict[Tuple[str, ...], "ScalarPoly"] = {}  # ScalarPoly.zero, one per vars tuple value
 
 
 def _overflow(key: int, width: int) -> PolyError:
@@ -198,7 +200,11 @@ class ScalarPoly:
 
     @classmethod
     def zero(cls, vars: Iterable[str]) -> "ScalarPoly":
-        return _normal(tuple(vars), {}, 1)
+        vars = tuple(vars)
+        zero = _ZEROS.get(vars)
+        if zero is None or zero.vars is not vars:  # rebuilt over an equal tuple of another object
+            zero = _ZEROS[vars] = _normal(vars, {}, 1)
+        return zero
 
     @classmethod
     def const(cls, vars: Iterable[str], value: Rational) -> "ScalarPoly":
@@ -273,7 +279,7 @@ class ScalarPoly:
                     terms[exps] = total
                 else:
                     del terms[exps]
-        return _reduced(self.vars, terms, den)
+        return _reduced(self.vars, terms, den) if terms else ScalarPoly.zero(self.vars)
 
     __radd__ = __add__
 
@@ -292,7 +298,7 @@ class ScalarPoly:
         den = self._den
         if den == other._den:
             if self._terms == other._terms:  # the operands cancel
-                return _normal(self.vars, {}, 1)
+                return ScalarPoly.zero(self.vars)
             terms, rhs = dict(self._terms), other._terms
         else:
             terms, rhs, den = _over_common_den(self, other)
@@ -306,7 +312,7 @@ class ScalarPoly:
                     terms[exps] = total
                 else:
                     del terms[exps]
-        return _reduced(self.vars, terms, den)
+        return _reduced(self.vars, terms, den) if terms else ScalarPoly.zero(self.vars)
 
     def __rsub__(self, other: Rational) -> "ScalarPoly":
         return self._coerce(other) - self

@@ -1,10 +1,12 @@
 """Trivial structures the tests build often and the package never needs:
-the flat connection, the identity bundle map, and the canonical pairing of
+the flat connection, the identity bundle map, the canonical pairing of
 two sections straight from its matrix (a reference for the frame-level
-pairings the package reads)."""
+pairings the package reads), and the curvature of a Dorfman connection
+straight from its definition (the oracle for the frame curvatures that
+the package reads from its battery tables)."""
 
 from courant_lab.bundle import Bundle, HomSection, Section, pairing_matrix
-from courant_lab.dorfman import Connection
+from courant_lab.dorfman import Connection, DorfmanConnection
 from courant_lab.poly import ScalarPoly
 
 
@@ -30,3 +32,11 @@ def canonical_pairing(v: Section, s: Section) -> ScalarPoly:
             if matrix[i][j]:
                 total = total + a * b * matrix[i][j]
     return total
+
+
+def curvature(delta: DorfmanConnection, v1: Section, v2: Section) -> HomSection:
+    """R(v1,v2) = Delta_{v1} Delta_{v2} - Delta_{v2} Delta_{v1} - Delta_{[v1,v2]}."""
+    lie = delta.bracket.bracket(v1, v2)
+    cols = [delta.apply(v1, delta.apply(v2, bf)) - delta.apply(v2, delta.apply(v1, bf))
+            - delta.apply(lie, bf) for bf in delta.b.frame_sections()]
+    return HomSection.from_columns(delta.b, delta.b, cols)

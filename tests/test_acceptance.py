@@ -30,7 +30,7 @@ from courant_lab.prolong import (canonical_form_check, check_geometric_dirac,
                                  total_patch_of, vertical_hom,
                                  verify_splitting_theorems, _closure_residual)
 from courant_lab.specfile import parse_spec
-from builders import canonical_pairing, flat_connection
+from builders import canonical_pairing, curvature, flat_connection
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -87,7 +87,7 @@ def test_criterion_01_standard_dorfman_curvature():
     conn, delta = _ex_a()
     tm = Bundle.tangent(BASE)
 
-    hom = delta.curvature(delta.q.section(Dx1=1), delta.q.section(Dx2=1))
+    hom = curvature(delta, delta.q.section(Dx1=1), delta.q.section(Dx2=1))
     ok = hom.apply(delta.b.section(eps=1)) == delta.b.section(eps=1)
 
     def closed_form(v1, v2, s):
@@ -109,7 +109,7 @@ def test_criterion_01_standard_dorfman_curvature():
 
     for v1 in delta.q.frame_sections():
         for v2 in delta.q.frame_sections():
-            value = delta.curvature(v1, v2)
+            value = curvature(delta, v1, v2)
             for s in delta.b.frame_sections():
                 ok = ok and value.apply(s) == closed_form(v1, v2, s)
     _verdict("criterion 1: curvature of the standard connection, definition "
@@ -175,7 +175,7 @@ def test_criterion_04_dirac_triples():
     l1 = lift_linear(tp, delta_a, delta_a.q.section(Dx1=1))
     l2 = lift_linear(tp, delta_a, delta_a.q.section(Dx2=1))
     residual = _closure_residual(tp, triple_a, u_lifts, total_courant(l1, l2))
-    hom = delta_a.curvature(delta_a.q.section(Dx1=1), delta_a.q.section(Dx2=1))
+    hom = curvature(delta_a, delta_a.q.section(Dx1=1), delta_a.q.section(Dx2=1))
     e_cols = [hom.apply(delta_a.b.frame_section(0))]
     lifted_curv = vertical_hom(tp, delta_a, HomSection.from_columns(
         Bundle.vector(BASE, "E", ("eps",)), delta_a.b, e_cols))

@@ -4,7 +4,7 @@ from courant_lab import algebroid
 from courant_lab.algebroid import AnchoredBracket
 from courant_lab.bundle import Bundle, HomSection, Section, SubBundle, patch, vf_bracket
 from courant_lab.dorfman import Connection, standard_dorfman
-from builders import identity_map
+from builders import curvature, identity_map
 
 BASE = patch("x1", "x2")
 PT = patch()
@@ -88,7 +88,7 @@ def test_nonflat_dual_bracket_fails_lie_with_jacobiator_witness():
         triple = (delta.bracket.bracket(delta.bracket.bracket(q1, q2), q3)
                   + delta.bracket.bracket(q2, delta.bracket.bracket(q1, q3))
                   - delta.bracket.bracket(q1, delta.bracket.bracket(q2, q3)))
-        hom = delta.curvature(q1, q2)
+        hom = curvature(delta, q1, q2)
         for b in delta.b.frame_sections():
             assert delta.predual.pair(q3, hom.apply(b)) == delta.predual.pair(triple, b)
 

@@ -792,19 +792,30 @@ def test_ruth_compat_applies_delta_once_per_pair(monkeypatch):
 
 
 def test_dorfman_like_check_brackets_each_pair_once(monkeypatch):
+    # A + T*M has r = 4 frame sections on im2form-zero, and the check
+    # brackets frame pairs only: the r^2 = 16 that symmetrization reads
+    # (every other case is derived) and the frame Jacobiators of
+    # jacobi-leibniz.  Every frame bracket [e_q, e_t] is zero there, so the
+    # nested [e_p, [e_q, e_t]] add the 4 pairs (e_p, 0) and the outer
+    # [[e_i, e_j], e_t] the 4 pairs (0, e_t): 24 pairs, each bracketed once
     lad, delta = _im2form_zero_objects()
     counts = _count_pairs(monkeypatch, laops, "dorfman_like_bracket")
     assert laops.check_dlike(lad, delta).passed
-    assert counts and max(counts.values()) == 1
+    assert len(counts) == 16 + 4 + 4 and max(counts.values()) == 1
 
 
 def test_basic_identities_evaluate_each_pair_once(monkeypatch):
+    # nabla^bas_a t is evaluated for the 2 frame sections a of A and the
+    # 4 frame targets t of each of TM + A* and A + T*M, and basic_v on the
+    # images (rho,rho*) sigma of the 4 frame sigma, which on im2form-zero
+    # (rho the identity of TM) are the frame sections Dx1, Dx2, a1s and a2s
+    # themselves: 2 * 4 pairs each, every other case derived
     lad, delta = _im2form_zero_objects()
     counts_v = _count_pairs(monkeypatch, laops, "basic_v")
     counts_sigma = _count_pairs(monkeypatch, laops, "basic_sigma")
     assert laops.check_basic_identities(lad, delta).passed
-    assert counts_v and max(counts_v.values()) == 1
-    assert counts_sigma and max(counts_sigma.values()) == 1
+    assert len(counts_v) == 2 * 4 and max(counts_v.values()) == 1
+    assert len(counts_sigma) == 2 * 4 and max(counts_sigma.values()) == 1
 
 
 CURVED = """

@@ -42,6 +42,20 @@ a canonical pre-dual pair, and again under a tilted core lift, which makes
 every term of the rules nonzero.  A `leibniz` that breaks left Leibniz
 still fails the literal `2-metric`, and a sign flip in the total-space
 bracket still fails `splitting-theorems`.
+
+`section4` derives the symmetrization of `dorfman-like` like
+`3-symmetrized`, and `basic-connections` evaluates nabla^bas on frame
+sections only (`laops.check_basic_identities`): `linear-in-a`,
+`derivation-in-t`, `duality-defect` and `intertwining` are the correction
+terms and T terms of its lemmas.  The oracle re-evaluates every case
+literally, over every section4 line of the catalog and the golden specs,
+and over a built connection whose d_B is not (0, d) and whose dull anchor
+is not pr_TM, once on a Lie algebroid and once on a bracket whose anchor
+is no morphism, so that each term, the T terms included, is nonzero
+somewhere.  Under the `leibniz` mutants the pinned set of failing lines
+of the catalog and the golden specs may not shrink: where a derived
+family stops reporting a mutant, a literal line still does (`omega` and
+`basic-curvature` for section4's).
 """
 
 from collections import Counter
@@ -54,7 +68,7 @@ from courant_lab.algebroid import AnchoredBracket, BatteryTable, record_symmetri
 from courant_lab.bundle import Bundle, FrameTable, HomSection, SubBundle, patch
 from courant_lab.catalog import catalog_names, catalog_text
 from courant_lab.courant import standard_courant
-from courant_lab.report import Checker
+from courant_lab.report import Checker, CheckReport, PASS
 from courant_lab.specfile import parse_spec
 
 from builders import flat_connection, identity_map
@@ -136,7 +150,8 @@ def oracle(monkeypatch):
     monkeypatch.setattr(AnchoredBracket, "_lie_report", checked_lie)
     for module in JACOBI_USERS:
         monkeypatch.setattr(module, "record_jacobi", checked_jacobi)
-    monkeypatch.setattr(courant, "record_symmetrized", checked_symmetrized)
+    for module in (courant, laops):  # every module that calls record_symmetrized with scaled
+        monkeypatch.setattr(module, "record_symmetrized", checked_symmetrized)
     monkeypatch.setattr(courant, "record_anchor_morphism", checked_anchor)
     return compared
 
@@ -186,7 +201,7 @@ def test_derived_battery_cases_equal_the_nested_brackets(oracle, monkeypatch):
     _tilted_anchor().check_axioms()
     # every derived identity was compared, on passing and on failing cases
     assert set(oracle) == {"antisymmetry", "jacobi", "1-leibniz-jacobi", "jacobi-leibniz",
-                           "3-symmetrized", "4-anchor-morphism"}
+                           "3-symmetrized", "4-anchor-morphism", "symmetrization"}
     for identity, values in oracle.items():
         assert len(values) > 100, identity
     for identity in ("antisymmetry", "jacobi", "1-leibniz-jacobi", "3-symmetrized",
@@ -524,3 +539,185 @@ def test_derived_splitting_cases_equal_the_total_space_brackets(monkeypatch):
         if name in ("line-bundle-r2: Delta", "curvature-shifts: DeltaE"):
             _compare_splitting(monkeypatch, delta, compared, nonzero)
     assert set(nonzero) == set(SPLITTING_DERIVED)
+
+
+# the identities of basic-connections whose battery cases are derived
+BASIC_DERIVED = ("linear-in-a", "derivation-in-t", "duality-defect", "intertwining")
+
+
+def _literal_basic_cases(lad, delta):
+    """(identity, inputs, value) of basic-connections in the order the check
+    records them, each evaluated literally: nabla^bas at every battery
+    position, the duality defect and the intertwining of every battery pair."""
+    battery, pair = lad.base.battery, delta.predual.pair
+    a_batt, v_batt, s_batt = lad.a_bundle.battery, lad.v_bundle.battery, lad.sigma_bundle.battery
+    targets = list(zip(v_batt.labels + s_batt.labels, v_batt.sections + s_batt.sections))
+    n_v, anchors = len(v_batt.sections), lad.bracket.frame_table.anchors
+    a_frames, cases, nablas = lad.a_bundle.frame_sections(), [], []
+    for k, a in enumerate(a_frames):
+        aname = lad.a_bundle.frame[k]
+        rho_phi = [bundle.vf_apply(lad.base, anchors[k], phi) for phi, _ in battery]
+        nablas.append([])
+        for t_i, (label_t, t) in enumerate(targets):
+            basic = lad.basic_v if t_i < n_v else lad.basic_sigma
+            nabla = basic(delta, a, t)
+            nablas[k].append(nabla)
+            for f, (phi, text) in enumerate(battery):
+                cases.append(("linear-in-a", f"(({text})*{aname}; {label_t})",
+                              basic(delta, a_batt.sections[a_batt.pos(k, f)], t) - nabla.scale(phi)))
+                cases.append(("derivation-in-t", f"({aname}; ({text})*{label_t})",
+                              basic(delta, a, t.scale(phi)) - nabla.scale(phi) - t.scale(rho_phi[f])))
+    for k, a in enumerate(a_frames):
+        aname, a_lift = lad.a_bundle.frame[k], lad.sigma_bundle.join(a)
+        for p, (label_v, v) in enumerate(targets[:n_v]):
+            for q, (label_s, sigma) in enumerate(targets[n_v:]):
+                image = lad.image(sigma)
+                skew = lad.dull_bracket(delta, v, image) + lad.dull_bracket(delta, image, v)
+                cases.append(("duality-defect", f"({aname}; {label_v}; {label_s})",
+                              pair(nablas[k][p], sigma) + pair(v, nablas[k][n_v + q])
+                              - bundle.vf_apply(lad.base, anchors[k], pair(v, sigma))
+                              + pair(skew, a_lift)))
+        for q, (label_s, sigma) in enumerate(targets[n_v:]):
+            cases.append(("intertwining", f"({aname}; {label_s})",
+                          lad.basic_v(delta, a, lad.image(sigma))
+                          - lad.pair_map.apply(nablas[k][n_v + q])))
+    return cases
+
+
+def _tilted_dorfman(lad):
+    """A Dorfman connection on TM + A* and A + T*M whose d_B is (0, d) plus
+    x2 d_1 phi (a_1, 0), whose dull bracket's anchor is not pr_TM and whose
+    symbols are not constant; the pairing is the canonical one.  So every
+    term of the basic-connection lemmas, the T terms and the corrections of
+    linear-in-a included, is nonzero somewhere, as on no declared
+    connection.  No axiom needs to hold for the lemmas."""
+    canonical = dorfman.canonical_predual(lad.a_bundle)
+    q, b, base = canonical.q, canonical.b, lad.base
+    x1, x2 = base.coord("x1"), base.coord("x2")
+    dmat = [list(row) for row in canonical.dmat]
+    dmat[0][0] = x2
+    predual = dorfman.PreDual(q, b, canonical.pairing, dmat)
+    tangent = Bundle.tangent(base)
+    anchor = HomSection.from_columns(q, tangent, [
+        tangent.section(Dx1=1), tangent.section(Dx2=1), tangent.section(Dx2="x1"),
+        tangent.section(Dx1="x2")])
+    bracket = AnchoredBracket.from_pairs(q, anchor, {(0, 2): q.section(Dx1="x2")})
+    frames = b.frame_sections()
+    symbols = [[frames[(i + j) % b.rank].scale(x1 if (i + j) % 2 else x2) for j in range(b.rank)]
+               for i in range(q.rank)]
+    return dorfman.DorfmanConnection(predual, bracket, symbols)
+
+
+def _section4_pairs(monkeypatch):
+    """(name, lad, delta) for every section4 line of the catalog and the
+    golden specs (the generated workloads run none)."""
+    pairs = []
+    for name, text, seed in _spec_texts(monkeypatch):
+        spec = parse_spec(text)
+        for check, args, _ in spec.checks:
+            if check == "section4":
+                bracket, delta = spec.resolve(check, list(args))
+                pairs.append((name, checks._lad(spec, seed, bracket, delta), delta))
+    return pairs
+
+
+def test_derived_basic_connection_cases_equal_the_literal_values(monkeypatch):
+    pairs = _section4_pairs(monkeypatch)
+    assert {name for name, _, _ in pairs} == {"im2form-zero", "point-bialgebroid",
+                                              "curvature-shifts"}
+    [lad] = [lad for name, lad, _ in pairs if name == "im2form-zero"]
+    tilted = _tilted_dorfman(lad)
+    pairs.append(("tilted", laops.LieAlgebroidData(lad.bracket, lad.lie_report), tilted))
+    # the bracket of ANCHOR_DEFECT is no Lie algebroid, so its data is built
+    # past the gate: the lemmas assume no axiom, and there the intertwining
+    # L_a (rho,rho*) sigma - (rho,rho*) L_a sigma, which vanishes on every Lie
+    # algebroid, is nonzero
+    skewed = laops.LieAlgebroidData(parse_spec(ANCHOR_DEFECT).lookup("bracket", "A"),
+                                    CheckReport("lie", "", PASS))
+    pairs.append(("anchor-defect", skewed, _tilted_dorfman(skewed)))
+    compared, nonzero = Counter(), Counter()
+    for name, lad, delta in pairs:
+        chk = Recording("derived", "")
+        monkeypatch.setattr(laops, "Checker", lambda *args: chk)
+        laops.check_basic_identities(lad, delta)
+        literal = _literal_basic_cases(lad, delta)
+        assert [case[:2] for case in chk.values] == [case[:2] for case in literal]
+        for (identity, inputs, value), (_, _, expected) in zip(chk.values, literal):
+            assert value == expected, (name, identity, inputs)
+            compared[name, identity] += 1
+            # on A + T*M a target's label names a frame element of A or T*M
+            on_sigma = any(f"{s})" in inputs for s in lad.sigma_bundle.frame)
+            nonzero[name, identity, on_sigma] += not value.is_zero()
+    assert compared["im2form-zero", "duality-defect"] == 2 * 20 * 20
+    assert all(compared["point-bialgebroid", identity] for identity in BASIC_DERIVED)
+    # curvature-shifts fails its duality defect; the tilted connections make
+    # every lemma term nonzero: d_B is not D, so the T terms (derivation-in-t)
+    # are nonzero on both kinds of target, and rho_Delta(w) is not X_w
+    x1 = lad.base.coord("x1")
+    assert tilted.predual.d(x1) != bundle.db_canonical(lad.sigma_bundle, x1)
+    assert nonzero["curvature-shifts", "duality-defect", True]
+    for name in ("tilted", "anchor-defect"):
+        for identity in ("linear-in-a", "derivation-in-t"):
+            assert nonzero[name, identity, False] and nonzero[name, identity, True], identity
+        assert nonzero[name, "duality-defect", True]
+    assert nonzero["anchor-defect", "intertwining", True]
+    assert not nonzero["tilted", "intertwining", True]
+
+
+# (spec, line) that ends in fail or error under each mutant of
+# _double_leibniz_term, over the catalog and tests/golden/*.spec at seed 7,
+# as measured while section4 still evaluated every battery pair literally;
+# a derived family may move which identity reports a mutant, never the set
+KILLED_BY_BOTH = {
+    "bott-foliation": ("bott-dorfman(C, K)", "courant-axioms(C)"),
+    "bracket-axioms": ("anchor-compat(A)", "courant-axioms(C)", "dorfman-axioms(DeltaE)",
+                       "duality(DeltaE)", "lie(A)"),
+    "broken-bott": ("bott-dorfman(C, K)",),
+    "broken-dorfman": ("dorfman-axioms(Delta)",),
+    "broken-manin": ("recover-perturbed(A, Delta, U, K)",),
+    "curvature-shifts": ("curvature(DeltaE)", "la-dirac(A, Delta, U, K)", "section4(A, Delta)",
+                         "splitting-theorems(DeltaE)", "ta-generators(A, Delta)"),
+    "foliation": ("dorfman-axioms(Delta)",),
+    "im2form": ("dorfman-axioms(Delta)", "splitting-theorems(Delta)"),
+    "im2form-zero": ("identity-lemmas(A, Delta, U, K)", "manin-pair(A, Delta, U, K)",
+                     "section4(A, Delta)", "ta-generators(A, Delta)"),
+    "line-bundle-r2": ("dirac(Delta, U, K)", "dorfman-axioms(Delta)", "duality(Delta)",
+                       "geometric-dirac(Delta, U, K)", "splitting-theorems(Delta)"),
+    "nonholonomic": ("dorfman-axioms(Delta)", "splitting-theorems(Delta)"),
+    "x3-anchor": ("anchor-compat(A)", "lie(A)"),
+}
+KILLED_BY_ONE = {
+    "anchor": {
+        "curvature-shifts": ("ruth-compat(A, Delta, U, K)",),
+        "foliation": ("dirac(Delta, U, K)", "geometric-dirac(Delta, U, K)"),
+        "im2form": ("canonical-form(sigma, nabla)", "dirac(Delta, U, K)",
+                    "geometric-dirac(Delta, U, K)"),
+        "im2form-zero": ("dirac(Delta, U, K)", "geometric-dirac(Delta, U, K)",
+                         "k-algebroid(A, Delta, U, K)", "la-dirac(A, Delta, U, K)", "lie(A)",
+                         "roundtrip(A, Delta, U, K)", "ruth-compat(A, Delta, U, K)",
+                         "standard-iso(A, Delta, U, K, sigma0)"),
+        "line-bundle-r2": ("skew(Delta)",),
+        "nonholonomic": ("dirac(Delta, U, K)", "geometric-dirac(Delta, U, K)"),
+        "point-bialgebroid": ("ta-generators(A, Delta)",),
+        "tangent-poisson": ("anchor-compat(A)", "lie(A)", "linear-poisson(A)"),
+        "trivial": ("anchor-compat(Q)", "dorfman-axioms(T)"),
+    },
+    "pairing": {"line-bundle-r2": ("curvature(Delta)",)},
+}
+
+
+@pytest.mark.parametrize("term", ["anchor", "pairing"])
+def test_each_leibniz_mutant_still_fails_the_pinned_lines(monkeypatch, term):
+    _double_leibniz_term(monkeypatch, term)
+    texts = [(name, catalog_text(name)) for name in catalog_names()]
+    texts += [(path.stem, path.read_text()) for path in sorted(GOLDEN.glob("*.spec"))]
+    killed = set()
+    for name, text in texts:
+        spec = parse_spec(text)
+        for check, args, _ in spec.checks:
+            reports = checks.run_check(spec, check, list(args), 7)
+            if any(report.status in ("fail", "error") for report in reports):
+                killed.add((name, f"{check}({', '.join(args)})"))
+    pinned = {(name, line) for table in (KILLED_BY_BOTH, KILLED_BY_ONE[term])
+              for name, lines in table.items() for line in lines}
+    assert pinned - killed == set()

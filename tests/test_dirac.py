@@ -8,7 +8,7 @@ from courant_lab.dirac import (VBTriple, check_bracket_well_defined_on_u,
                                shift_dorfman)
 from courant_lab.dorfman import (Connection, DorfmanConnection, im2form_dorfman,
                                  standard_dorfman)
-from builders import flat_connection
+from builders import curvature, flat_connection
 
 BASE = patch("x1", "x2")
 
@@ -67,13 +67,14 @@ def test_curvature_into_k_applies_delta_once_per_term(monkeypatch):
     report = check_dirac(triple)
     monkeypatch.undo()
     r_u, r_b = triple.u_sub.rank, delta.b.rank
-    # 63 applications, where the public curvature takes five per (u_i, u_j, b_m): 135
+    # 63 applications, where the definition (builders.curvature) takes five per
+    # (u_i, u_j, b_m): 135
     assert len(calls) == r_u * r_b + 2 * r_u ** 2 * r_b
-    # the shared terms give the witnesses of the public curvature
+    # the shared terms give the witnesses of the definition
     u_secs = triple.u_sub.sections
     expected = [(f"(u{i + 1}; u{j + 1}; {delta.b.frame[m]})", str(column))
                 for i, u1 in enumerate(u_secs) for j, u2 in enumerate(u_secs)
-                for m, column in enumerate(delta.curvature(u1, u2).column(m)
+                for m, column in enumerate(curvature(delta, u1, u2).column(m)
                                            for m in range(r_b))
                 if not column.is_zero()]
     found = [(w.inputs, w.difference) for w in report.witnesses

@@ -16,7 +16,9 @@ of a `Bundle`, or the positional battery tables of an `AnchoredBracket`
 and a `DorfmanConnection`; or a per-instance slot on an immutable object,
 such as the gradient and the hash of a `ScalarPoly` and the view of the
 nonzero components of a `Section`), in the value table of the per-spec
-`LieAlgebroidData`, or in a table local to one check.
+`LieAlgebroidData`, or in a table local to one check.  The one table at
+module level is `poly`'s zero per variable tuple, one entry per tuple
+value.
 
 The stored form of a polynomial (int numerators over one denominator) is
 private to `poly.py`: every other module reads `._terms` only as a zero
@@ -108,8 +110,6 @@ def _defs(tree, private):
 TEST_ONLY_METHODS = {
     "bundle.py: section": "a section from {frame name: coefficient} data, "
                           "the builder API of the tests",
-    "dorfman.py: curvature": "R(v1, v2) straight from its definition, the oracle "
-                             "for the frame curvatures read from the battery tables",
 }
 
 

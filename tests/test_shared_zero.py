@@ -4,7 +4,9 @@ Every identity of the package is checked as `lhs - rhs == 0`, so most of
 the values a passing run builds vanish.  A `Patch` owns one zero
 polynomial and a `Bundle` one zero section, and every kernel below whose
 result vanishes returns that owner's zero, or an operand it hands back
-unchanged, never a zero of its own.  The test counts, over one
+unchanged, never a zero of its own.  A polynomial sum or difference that
+cancels has no patch to ask: it returns the one zero over its variable
+tuple, which is the patch's zero too (`ScalarPoly.zero`).  The test counts, over one
 `verify-all --seed 7`, the vanishing results that are neither.  It counts
 the zero components of a Section `+` or `-` result too: one that cancels
 is the patch's zero, and any other is the left operand's own component.
@@ -89,6 +91,8 @@ METHODS = {
     (HomSection, "apply"): _section_kernel((1,)),
     (SubBundle, "residual"): _section_kernel(()),
     (ScalarPoly, "__neg__"): _poly_kernel(None, (0,)),
+    (ScalarPoly, "__add__"): _poly_kernel(lambda args: ScalarPoly.zero(args[0].vars), (0, 1)),
+    (ScalarPoly, "__sub__"): _poly_kernel(lambda args: ScalarPoly.zero(args[0].vars), (0, 1)),
     (prolong.TotalPatch, "embed"): _poly_kernel(lambda args: args[0].zero()),
 }
 FUNCTIONS = {
@@ -167,6 +171,18 @@ def test_equal_polynomials_subtract_to_zero_over_one():
     for difference in (p - q, p - p):
         assert difference.is_zero()
         assert difference == ScalarPoly.zero(vars)  # == compares the denominator too
+
+
+def test_cancelling_polynomials_return_the_zero_of_their_variable_tuple():
+    base = patch("x1", "x2")
+    p, zero = parse_poly("1/2*x1^2 - 3/4*x2", base.coords), base.zero()
+    assert p.vars is base.coords and zero is ScalarPoly.zero(base.coords)
+    for vanishing in (p - p, p + -p, -p + p, p - parse_poly("-3/4*x2 + 1/2*x1^2", base.coords)):
+        assert vanishing is zero
+    # an equal tuple of another object gets a zero over that object
+    other = tuple(list(base.coords))
+    q = parse_poly("x1", other)
+    assert q - q is ScalarPoly.zero(other) and (q - q).vars is other
 
 
 def test_cancelling_operands_are_still_checked_first():
