@@ -27,10 +27,11 @@ record_jacobi reads the Jacobiator on frame triples and derives each case
 phi e_k of its third slot by the lemma in its docstring;
 record_symmetrized and record_anchor_morphism derive the cases with a
 battery function in one slot (the Lie check) or in both (courant-axioms)
-from the frame pair.  So the Lie check reads only the frame entries of
-its table, courant-axioms only its frame rows and columns, and the
-derived values are the very normal forms that the nested brackets give
-(tests/test_derived_battery.py).
+from the frame pair; given the anchor and d_B of a Dorfman connection,
+record_metric derives axiom (c) at phi q_i from frame v.  So the Lie
+check reads only the frame entries of its table, courant-axioms only its
+frame rows and columns, and the derived values are the very normal forms
+that the nested brackets give (tests/test_derived_battery.py).
 The battery itself is unchanged, and so is what it cannot see.
 """
 
@@ -43,7 +44,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .bundle import (Battery, Bundle, BundleError, FrameTable, HomSection, Section, SubBundle,
                      Terms, leibniz, random_sections, vf_apply, vf_bracket,
                      BATTERY_SEED)
-from .poly import ScalarPoly
+from .poly import ScalarPoly, sum_of_products
 from .report import Checker, CheckReport, PASS
 
 Entries = Sequence[Tuple[str, Section]]  # labelled sections
@@ -183,17 +184,18 @@ class AnchoredBracket:
         return cls(small, anchor, [[Section(small, tuple(sub.coords(value))) for value in row]
                                    for row in values])
 
-    def restrict(self, sub: SubBundle) -> "AnchoredBracket":
-        """The induced bracket on a constant subbundle closed under it."""
-        values = []
-        for s1 in sub.sections:
-            values.append([])
-            for s2 in sub.sections:
-                value = self.bracket(s1, s2)
+    def restrict(self, sub: SubBundle,
+                 values: Optional[Sequence[Sequence[Section]]] = None) -> "AnchoredBracket":
+        """The induced bracket on a constant subbundle closed under it;
+        values[i][j], when given, is the bracket of its i-th and j-th frame
+        sections, computed here otherwise."""
+        if values is None:
+            values = [[self.bracket(s1, s2) for s2 in sub.sections] for s1 in sub.sections]
+        for s1, row in zip(sub.sections, values):
+            for s2, value in zip(sub.sections, row):
                 if not sub.contains(value):
                     raise BundleError(
                         f"bracket does not restrict to {sub.name}: [{s1}; {s2}] = {value}")
-                values[-1].append(value)
         return AnchoredBracket.induced(sub, [self.rho(sec) for sec in sub.sections], values)
 
 
@@ -373,21 +375,88 @@ def _record_cases(chk: Checker, identity: str, batt: Battery, case: Callable[[in
 
 
 def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section], ScalarPoly],
-                  w_entries: Entries, s_entries: Entries,
-                  rows: Iterable[tuple]) -> None:
+                  w_entries: Entries, s_entries: Entries, rows: Iterable[tuple],
+                  anchor: Optional[HomSection] = None,
+                  d: Optional[Callable[[ScalarPoly], Section]] = None) -> None:
     """rho(v)<w, s> = <[v, w], s> + <w, Delta_v s> (axiom (c)) for w and s
     over the labelled entries; rows yields, one v at a time, its label,
-    rho(v), [v, w] over w_entries and Delta_v s over s_entries."""
+    rho(v), [v, w] over w_entries and Delta_v s over s_entries.
+
+    Without an anchor, every case is evaluated as rows gives it.  Given the
+    anchor rho of the bracket, on Q, and the d_B of Delta, v runs over the
+    battery of Q and rows yields only its frame sections q_i, in frame
+    order; each case phi q_i is derived by the lemma
+
+        C(phi q_i, w, s) = phi C(q_i, w, s) + <q_i, s> (rho(w)(phi) - <w, d_B phi>),
+
+    C(v, w, s) = rho(v)<w, s> - <[v, w], s> - <w, Delta_v s> the recorded
+    difference.  Proof: rho(phi q_i) = phi rho(q_i), the anchor being a
+    bundle map; [phi q_i, w] = phi [q_i, w] - rho(w)(phi) q_i by the left
+    Leibniz rule of a dull bracket, and Delta_{phi q_i} s = phi Delta_{q_i}
+    s + <q_i, s> d_B phi by the pairing rule, both of which `leibniz`
+    satisfies term by term; the pairing is C-infinity-bilinear, so the phi
+    terms add up to phi C(q_i, w, s) and what is left is <q_i, s>
+    rho(w)(phi) - <q_i, s> <w, d_B phi>.  The correction rho(w)(phi) -
+    <w, d_B phi> is formed once per (w, phi) and is not assumed zero (with
+    the canonical pairing and rho = pr_TM it is X_w(phi) - X_w(phi)).  So
+    the derived value is the normal form that the literal route gives, and
+    only the cases of frame v apply Delta and the bracket.
+    """
     pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
-    for label, rho_v, brackets, applied in rows:
+
+    def frame_row(rho_v: Section, brackets: Sequence[Section],
+                  applied: Sequence[Section]) -> List[List[ScalarPoly]]:
+        """C(v, w, s) over w_entries and s_entries, evaluated."""
         rho_terms, base = rho_v.nonzero(), rho_v.bundle.patch
-        for j, (name, w) in enumerate(w_entries):
-            for k, (label_s, s) in enumerate(s_entries):
+        values = []
+        for j, (_, w) in enumerate(w_entries):
+            values.append([])
+            for k, (_, s) in enumerate(s_entries):
                 paired = pairings[j][k]
                 lhs = vf_apply(base, rho_terms, paired) if paired._terms else paired
                 rhs = pair(brackets[j], s) + pair(w, applied[k])
-                chk.record(identity, f"({label}; {name}; {label_s})",
-                           lhs - rhs if rhs._terms else lhs)
+                values[-1].append(lhs - rhs if rhs._terms else lhs)
+        return values
+
+    def record_row(label: str, values: List[List[ScalarPoly]]) -> None:
+        for (name, _), row in zip(w_entries, values):
+            for (label_s, _), value in zip(s_entries, row):
+                chk.record(identity, f"({label}; {name}; {label_s})", value)
+
+    if anchor is None:
+        for label, rho_v, brackets, applied in rows:
+            record_row(label, frame_row(rho_v, brackets, applied))
+        return
+    batt, base = anchor.source.battery, anchor.source.patch
+    functions, zero = batt.functions, base.zero()
+    # corrections[j][f] = rho(w_j)(phi_f) - <w_j, d_B phi_f>; function 0 is 1
+    d_phis, corrections = [d(phi) for phi in functions[1:]], []
+    for _, w in w_entries:
+        rho_w = anchor.apply(w).nonzero()
+        corrections.append([zero])
+        for phi, d_phi in zip(functions[1:], d_phis):
+            acted, paired = vf_apply(base, rho_w, phi), pair(w, d_phi)
+            corrections[-1].append(acted - paired if paired._terms else acted)
+    for i, (label, rho_v, brackets, applied) in enumerate(rows):
+        values = frame_row(rho_v, brackets, applied)
+        record_row(label, values)
+        v_pairings = [pair(batt.sections[batt.frames[i]], s) for _, s in s_entries]
+        for f, phi in enumerate(functions[1:], 1):
+            scaled = []
+            for row, correction in zip(values, corrections):
+                c = correction[f]
+                scaled.append([_sum_of_products(zero, ((phi, value), (v_paired, c)))
+                               for value, v_paired in zip(row, v_pairings)] if c._terms
+                              else [phi * value if value._terms else zero for value in row])
+            record_row(batt.labels[batt.pos(i, f)], scaled)
+
+
+def _sum_of_products(zero: ScalarPoly, pairs: Iterable[Tuple[ScalarPoly, ScalarPoly]]
+                     ) -> ScalarPoly:
+    """The sum of a * b over the pairs whose factors are both nonzero, or
+    zero: no product has a zero operand."""
+    terms = [(a, b, 1) for a, b in pairs if a._terms and b._terms]
+    return sum_of_products(zero, terms) if terms else zero
 
 
 def record_right_leibniz(chk: Checker, identity: str, label: str, rho: Sequence[ScalarPoly],

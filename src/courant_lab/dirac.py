@@ -39,10 +39,18 @@ class VBTriple:
         return self.u_sub.annihilator_in(self.delta.b, "Uann")
 
     @cached_property
+    def u_brackets(self) -> Tuple[Tuple[Section, ...], ...]:
+        """[[u_i, u_j]] on every pair of the U-frame, for the restricted
+        bracket and for skew-UU, the constant row of bracket-restricts and
+        curvature-into-K of the Dirac conditions."""
+        bracket, sections = self.delta.bracket.bracket, self.u_sub.sections
+        return tuple(tuple(bracket(u1, u2) for u2 in sections) for u1 in sections)
+
+    @cached_property
     def restricted_bracket(self) -> AnchoredBracket:
         """The dull bracket restricted to U; raises BundleError unless
         [[U, U]] lies in U on the U-frame."""
-        return self.delta.bracket.restrict(self.u_sub)
+        return self.delta.bracket.restrict(self.u_sub, self.u_brackets)
 
     @cached_property
     def _dirac(self) -> CheckReport:
@@ -109,10 +117,10 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
                 chk.record("closure", f"(({text})*u{ui + 1}; k{ki + 1})",
                            k_sub.residual(delta.apply(scaled_u, k)))
 
-    for i, u1 in enumerate(u_sub.sections):
-        for j, u2 in enumerate(u_sub.sections):
-            chk.record("skew-UU", f"(u{i + 1}; u{j + 1})",
-                       delta.skew_symmetrization(u1, u2))
+    lies = triple.u_brackets
+    for i, row in enumerate(lies):
+        for j, lie in enumerate(row):
+            chk.record("skew-UU", f"(u{i + 1}; u{j + 1})", lie + lies[j][i])
 
     u_ann = triple.u_annihilator
     for ki, k in enumerate(k_sub.sections):
@@ -123,9 +131,10 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
 
     restricts = True
     for i, u1 in enumerate(u_sub.sections):
-        for phi, text in delta.q.patch.battery:
+        for f, (phi, text) in enumerate(delta.q.patch.battery):
             for j, u2 in enumerate(u_sub.sections):
-                value = delta.bracket.bracket(u1.scale(phi), u2)
+                # battery function 0 is 1
+                value = delta.bracket.bracket(u1.scale(phi), u2) if f else lies[i][j]
                 if not chk.record("bracket-restricts", f"(({text})*u{i + 1}; u{j + 1})",
                                   u_sub.residual(value)):
                     restricts = False
@@ -145,9 +154,8 @@ def _dirac_conditions(triple: VBTriple) -> CheckReport:
     moved = [[delta.apply(u, bf) for bf in b_frames] for u in u_sub.sections]
     twice = [[[delta.apply(u1, value) for value in row] for row in moved]
              for u1 in u_sub.sections]
-    for i, u1 in enumerate(u_sub.sections):
-        for j, u2 in enumerate(u_sub.sections):
-            lie = delta.bracket.bracket(u1, u2)
+    for i, row in enumerate(lies):
+        for j, lie in enumerate(row):
             for m, bf in enumerate(b_frames):
                 curvature = twice[i][j][m] - twice[j][i][m] - delta.apply(lie, bf)
                 chk.record("curvature-into-K",

@@ -31,8 +31,14 @@ connection also keeps R(q_i, q_j) on the Q-frame, built once from nested
 applications on frame triples and read by the curvature, Jacobiator and
 splitting checks.  R is evaluated nowhere else: the tensoriality check
 derives each case with a battery function in one slot from the frame
-values by a Leibniz lemma (check_curvature_tensorial), which gives the
-very normal form that nested applications would.
+values by a Leibniz lemma (check_curvature_tensorial), and the
+curvature-Jacobiator pairing applies R(q_i, q_j) to the B-frame only and
+scales the frame case by the battery function of psi b_m
+(curvature_vs_jacobiator).  Axiom (c), in `dorfman-axioms` and
+`duality`, is evaluated for frame v only: algebroid.record_metric
+derives each case phi q_i by a Leibniz lemma, while the s slot stays
+literal over the positions each check reads.  Each derived value is the
+very normal form that the literal route would give.
 """
 
 from __future__ import annotations
@@ -282,15 +288,19 @@ class DorfmanConnection:
         return chk.report()
 
     def _record_axiom_c(self, chk: Checker, s_positions: Sequence[int]) -> None:
-        """Axiom (c): v over the Q-battery, w over the Q-frame, s at B-battery s_positions."""
+        """Axiom (c): v over the Q-battery, w over the Q-frame, s at B-battery
+        s_positions.  Only frame v is evaluated; record_metric derives the
+        cases phi q_i from them."""
         q_batt, b_batt = self.battery_table.rows, self.battery_table.cols
         q_frames = [(q_batt.labels[t], q_batt.sections[t]) for t in q_batt.frames]
         s_entries = [(b_batt.labels[t], b_batt.sections[t]) for t in s_positions]
-        rows = ((label, self.bracket.rho(v),
+        # rho(q_i) is column i of the anchor, which record_metric applies to w
+        rows = ((q_batt.labels[p], self.bracket.anchor.column(i),
                  [self.bracket.battery_bracket(p, t) for t in q_batt.frames],
                  [self.battery_apply(p, t) for t in s_positions])
-                for p, (label, v) in enumerate(zip(q_batt.labels, q_batt.sections)))
-        record_metric(chk, "axiom-c", self.predual.pair, q_frames, s_entries, rows)
+                for i, p in enumerate(q_batt.frames))
+        record_metric(chk, "axiom-c", self.predual.pair, q_frames, s_entries, rows,
+                      anchor=self.bracket.anchor, d=self.predual.d)
 
     # -- curvature ---------------------------------------------------------
 
@@ -413,23 +423,39 @@ class DorfmanConnection:
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
-        """<R(q1,q2) b, q3> equals the pairing with the bracket Jacobiator."""
+        """<R(q1,q2) b, q3> equals the pairing with the bracket Jacobiator.
+
+        `pairing` runs over frame q1, q2, q3 and b over the battery of B.
+        Only the cases b = b_m of the B-frame are evaluated; the case psi b_m
+        is psi times the case b_m.  Proof: R(q_i, q_j) is applied as a
+        HomSection (frame_curvature), a matrix of functions, so R(q_i,
+        q_j)(psi b_m) = psi R(q_i, q_j) b_m; and both pairings are
+        C-infinity-bilinear, so <q_k, R(q_i, q_j)(psi b_m)> - <J_ijk, psi
+        b_m> = psi (<q_k, R(q_i, q_j) b_m> - <J_ijk, b_m>), J_ijk the
+        Jacobiator.  No correction term is left, and the product is the
+        normal form that the literal pairings give.
+        """
         chk = Checker("curvature-jacobiator",
                       "curvature pairs as the Jacobiator of the dual bracket")
         names = self.q.frame
         table = self.bracket.battery_table
-        q_batt, b_cols = table.rows, self.battery_table.cols
-        b_batt = list(zip(b_cols.labels, b_cols.sections))
+        q_batt, b_batt = table.rows, self.battery_table.cols
+        b_frames = [b_batt.sections[t] for t in b_batt.frames]
+        functions, layout = b_batt.functions, [b_batt.factors(t) for t in range(len(b_batt.labels))]
         for i, j, jacs in frame_jacobiators(table, self.bracket.bracket, q_batt.frames):
-            images = [self.frame_curvature(i, j).apply(bsec) for _, bsec in b_batt]
+            images = [self.frame_curvature(i, j).apply(bsec) for bsec in b_frames]
             for k, jac in enumerate(jacs):
                 q3 = q_batt.sections[q_batt.frames[k]]
                 triple = -jac  # [[q_i, q_j], q_k] + [q_j, [q_i, q_k]] - [q_i, [q_j, q_k]]
-                for t, (label_b, bsec) in enumerate(b_batt):
-                    lhs = self.predual.pair(q3, images[t])
+                cases = []  # cases[m]: the case on b_m
+                for bsec, image in zip(b_frames, images):
+                    lhs = self.predual.pair(q3, image)
                     rhs = self.predual.pair(triple, bsec)
+                    cases.append(lhs - rhs if rhs._terms else lhs)
+                for label_b, (m, f) in zip(b_batt.labels, layout):
+                    value = cases[m]
                     chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
-                               lhs - rhs if rhs._terms else lhs)
+                               functions[f] * value if f and value._terms else value)
         if self.predual.e is not None:
             forms = self.b.positions(Bundle.cotangent(self.q.patch))
             for i in range(self.q.rank):
@@ -442,10 +468,6 @@ class DorfmanConnection:
         return chk.report()
 
     # -- skew tensor ---------------------------------------------------------
-
-    def skew_symmetrization(self, v1: Section, v2: Section) -> Section:
-        """[[v1,v2]] + [[v2,v1]]; its E*-part is the skew tensor."""
-        return self.bracket.bracket(v1, v2) + self.bracket.bracket(v2, v1)
 
     def battery_skew(self, p: int, q: int) -> Section:
         """[[s_p, s_q]] + [[s_q, s_p]] for the Q-battery positions p and q."""

@@ -293,7 +293,7 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
       nabla_a (phi t) - phi nabla_a t - rho(a)(phi) t = T_a(phi; t);
       D(a; phi v; psi sigma) = phi psi D(a; v; sigma) + psi <T_a(phi; v), sigma>
         + phi <v, T_a(psi; sigma)>;
-      I(a; psi sigma) = psi I(a; sigma) + T_a(psi; P sigma) - P T_a(psi; sigma).
+      I(a; psi sigma) = psi I(a; sigma).
     Proof: by the rules of `leibniz`, Delta_{phi w} s = phi Delta_w s + <w, s> d_B phi and
     Delta_w (phi s) = phi Delta_w s + rho_Delta(w)(phi) s; with D(phi g) = phi D g + g D phi,
     Omega_w (phi a) = phi Omega_w a + O and Omega_{phi w} a = phi Omega_w a + T.  L_{phi a} adds
@@ -302,8 +302,11 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     rule of [,]_A and L_{phi Y} theta = phi L_Y theta + theta(Y) d phi, where rho(b) = X_w.  L_a
     (phi t) adds rho(a)(phi) t, by the second rules.  In D the rho(a)(phi) and rho(a)(psi) terms
     are those of rho(a)(phi psi <v, sigma>), and Skew(phi v, psi w) = phi psi Skew(v, w) by the
-    Leibniz rules of the dull bracket; in I the rho(a)(psi) P sigma terms cancel.  No term is
-    assumed zero; on the canonical pre-dual rho_Delta(w) = X_w and d_B = D cancel them.
+    Leibniz rules of the dull bracket.  In I the rho(a)(psi) P sigma terms cancel, and what
+    is left is T_a(psi; P sigma) - P T_a(psi; sigma); T reads sigma only through w = P sigma,
+    so both are P(g (d_B - D) psi) with the same g = <P sigma, (a, 0)>, and they cancel too.
+    No other term is assumed zero; on the canonical pre-dual rho_Delta(w) = X_w and d_B = D
+    cancel them.
     """
     chk = Checker("basic-connections",
                   "basic connections: linearity, derivation law, duality defect, intertwining")
@@ -367,10 +370,9 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                            sum_of_products(base.zero(), terms) if terms else base.zero())
         for j, image in enumerate(images):
             intertwined = lad.basic_v(delta, a, image) - lad.image(nabla_s[j])
-            for g, psi in enumerate(functions):  # the two T terms, as the lemma has them
+            for g, psi in enumerate(functions):
                 chk.record("intertwining", f"({aname}; {s_batt.labels[s_batt.pos(j, g)]})",
-                           intertwined.scale(psi) + pm.apply(d_gaps[g].scale(pair(image, a_lift)))
-                           - pm.apply(tees[k, n_v + s_batt.frames[j], g]))
+                           intertwined.scale(psi))
     return chk.report()
 
 

@@ -1,9 +1,9 @@
 """Trivial structures the tests build often and the package never needs:
 the flat connection, the identity bundle map, the canonical pairing of
 two sections straight from its matrix (a reference for the frame-level
-pairings the package reads), and the curvature of a Dorfman connection
-straight from its definition (the oracle for the frame curvatures that
-the package reads from its battery tables)."""
+pairings the package reads), and the curvature and the symmetrized dull
+bracket of a Dorfman connection straight from their definitions (the
+oracles for the frame values that the package reads from its tables)."""
 
 from courant_lab.bundle import Bundle, HomSection, Section, pairing_matrix
 from courant_lab.dorfman import Connection, DorfmanConnection
@@ -40,3 +40,8 @@ def curvature(delta: DorfmanConnection, v1: Section, v2: Section) -> HomSection:
     cols = [delta.apply(v1, delta.apply(v2, bf)) - delta.apply(v2, delta.apply(v1, bf))
             - delta.apply(lie, bf) for bf in delta.b.frame_sections()]
     return HomSection.from_columns(delta.b, delta.b, cols)
+
+
+def skew_symmetrization(delta: DorfmanConnection, v1: Section, v2: Section) -> Section:
+    """[[v1,v2]] + [[v2,v1]]; its E*-part is the skew tensor."""
+    return delta.bracket.bracket(v1, v2) + delta.bracket.bracket(v2, v1)

@@ -52,7 +52,19 @@ literally, over every section4 line of the catalog and the golden specs,
 and over a built connection whose d_B is not (0, d) and whose dull anchor
 is not pr_TM, once on a Lie algebroid and once on a bracket whose anchor
 is no morphism, so that each term, the T terms included, is nonzero
-somewhere.  Under the `leibniz` mutants the pinned set of failing lines
+somewhere.
+
+Axiom (c) of `dorfman-axioms` and `duality` is evaluated for frame v only,
+and `record_metric` derives the case phi q_i by the lemma in its
+docstring; the `pairing` of `curvature-jacobiator` is evaluated on the
+B-frame, and its case psi b_m is psi times the frame case.  Their oracle
+evaluates every case literally, through the public rho, bracket and apply
+and R(q_i, q_j) applied to every battery section of B, over every Dorfman
+connection of the catalog, the golden specs and the generated workloads
+at seeds 7 and 11, and over the tilted connection, where the correction
+<q_i, s> (rho(w)(phi) - <w, d_B phi>) is nonzero.
+
+Under the `leibniz` mutants the pinned set of failing lines
 of the catalog and the golden specs may not shrink: where a derived
 family stops reporting a mutant, a literal line still does (`omega` and
 `basic-curvature` for section4's).
@@ -662,6 +674,108 @@ def test_derived_basic_connection_cases_equal_the_literal_values(monkeypatch):
         assert nonzero[name, "duality-defect", True]
     assert nonzero["anchor-defect", "intertwining", True]
     assert not nonzero["tilted", "intertwining", True]
+
+
+def _literal_axiom_c_cases(delta, s_positions):
+    """(inputs, value) of axiom-c in the order the checks record them, v over
+    the battery of Q, w over its frame and s at s_positions of the battery
+    of B, each evaluated literally: rho(v)<w, s> - <[v, w], s> - <w,
+    Delta_v s> through the public rho, bracket and apply."""
+    q_batt, b_batt = delta.q.battery, delta.b.battery
+    pair, base = delta.predual.pair, delta.q.patch
+    ws = [(q_batt.labels[t], q_batt.sections[t]) for t in q_batt.frames]
+    cases = []
+    for label, v in zip(q_batt.labels, q_batt.sections):
+        rho_v = delta.bracket.rho(v).nonzero()
+        applied = [delta.apply(v, b_batt.sections[p]) for p in s_positions]
+        for name, w in ws:
+            lie = delta.bracket.bracket(v, w)
+            for p, delta_v in zip(s_positions, applied):
+                s = b_batt.sections[p]
+                cases.append((f"({label}; {name}; {b_batt.labels[p]})",
+                              bundle.vf_apply(base, rho_v, pair(w, s)) - pair(lie, s)
+                              - pair(w, delta_v)))
+    return cases
+
+
+def _literal_pairing_cases(delta):
+    """(inputs, value) of the pairing of curvature-jacobiator in the order the
+    check records them, with R(q_i, q_j) applied to every battery section
+    of B and the Jacobiator of the frame triple from nested brackets."""
+    q_batt, b_batt = delta.q.battery, delta.b.battery
+    bracket, pair, names = delta.bracket.bracket, delta.predual.pair, delta.q.frame
+    frames = [q_batt.sections[t] for t in q_batt.frames]
+    cases = []
+    for i, qi in enumerate(frames):
+        for j, qj in enumerate(frames):
+            images = [delta.frame_curvature(i, j).apply(b) for b in b_batt.sections]
+            for k, qk in enumerate(frames):
+                triple = (bracket(bracket(qi, qj), qk) + bracket(qj, bracket(qi, qk))
+                          - bracket(qi, bracket(qj, qk)))
+                for label_b, b, image in zip(b_batt.labels, b_batt.sections, images):
+                    cases.append((f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
+                                  pair(qk, image) - pair(triple, b)))
+    return cases
+
+
+def _recorded(monkeypatch, check, identity):
+    """(inputs, value) of identity in the report of the call check()."""
+    chk = Recording("derived", "")
+    monkeypatch.setattr(dorfman, "Checker", lambda *args: chk)
+    check()
+    return [(inputs, value) for name, inputs, value in chk.values if name == identity]
+
+
+def _scaled_from_frame(delta, cases, slot_batt, slot):
+    """How many cases differ from phi times the case of the frame section
+    that phi scales in the given slot of the inputs: the cases whose
+    correction term is nonzero."""
+    by_inputs = dict(cases)
+    differing = 0
+    for inputs, value in cases:
+        parts = inputs[1:-1].split("; ")
+        p = slot_batt.labels.index(parts[slot])
+        l, f = slot_batt.factors(p)
+        if f:
+            parts[slot] = slot_batt.labels[slot_batt.frames[l]]
+            frame_value = by_inputs[f"({'; '.join(parts)})"]
+            differing += value != slot_batt.functions[f] * frame_value
+    return differing
+
+
+def test_derived_axiom_c_and_pairing_cases_equal_the_literal_values(monkeypatch):
+    texts = _spec_texts(monkeypatch) + [("anchor-defect", ANCHOR_DEFECT, 7)]
+    connections = [(f"{name.split('/')[0]}: {label}", delta) for name, text, _ in texts
+                   for label, delta in parse_spec(text).objects["dorfman"].items()]
+    spec = parse_spec(catalog_text("im2form-zero"))
+    tilted = _tilted_dorfman(checks._lad(spec, 7, spec.lookup("bracket", "A")))
+    connections += [("nonconstant-pairing", _nonconstant_pairing()), ("tilted", tilted)]
+    assert {"line-bundle-r2: Delta", "curvature-shifts: DeltaE", "bracket-axioms: DeltaE",
+            "scaling-r3-7: Delta", "scaling-r3-11: Delta", "perturbed-r3-7: Delta",
+            "perturbed-r3-11: Delta"} <= {name for name, _ in connections}
+    compared, nonzero, corrected = Counter(), Counter(), Counter()
+    for name, delta in connections:
+        b_batt = delta.b.battery
+        for check, identity, literal in (
+                (delta.check_axioms, "axiom-c", _literal_axiom_c_cases(delta, b_batt.frames)),
+                (delta.check_duality, "axiom-c",
+                 _literal_axiom_c_cases(delta, range(len(b_batt.sections)))),
+                (delta.curvature_vs_jacobiator, "pairing", _literal_pairing_cases(delta))):
+            derived = _recorded(monkeypatch, check, identity)
+            assert [inputs for inputs, _ in derived] == [inputs for inputs, _ in literal]
+            for (inputs, value), (_, expected) in zip(derived, literal):
+                assert value == expected, (name, identity, inputs)
+                nonzero[identity] += not value.is_zero()
+            compared[identity] += len(derived)
+            if identity == "axiom-c":
+                corrected[name] += _scaled_from_frame(delta, literal, delta.q.battery, 0)
+    assert compared["axiom-c"] > 10000 and compared["pairing"] > 10000
+    # the failing fixtures: the shifted connections and the ones built to fail
+    assert nonzero["axiom-c"] and nonzero["pairing"]
+    # on the tilted connection <q_i, s> (rho(w)(phi) - <w, d_B phi>) is
+    # nonzero in some case; on a canonical pre-dual with rho = pr_TM the
+    # correction vanishes
+    assert corrected["tilted"] and not corrected["line-bundle-r2: Delta"]
 
 
 # (spec, line) that ends in fail or error under each mutant of

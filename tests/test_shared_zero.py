@@ -7,7 +7,8 @@ result vanishes returns that owner's zero, or an operand it hands back
 unchanged, never a zero of its own.  A polynomial sum or difference that
 cancels has no patch to ask: it returns the one zero over its variable
 tuple, which is the patch's zero too (`ScalarPoly.zero`).  The test counts, over one
-`verify-all --seed 7`, the vanishing results that are neither.  It counts
+`verify-all --seed 7` and a `run --seed 7` of every `tests/golden/*.spec`,
+the vanishing results that are neither.  It counts
 the zero components of a Section `+` or `-` result too: one that cancels
 is the patch's zero, and any other is the left operand's own component.
 
@@ -24,6 +25,7 @@ import pkgutil
 import random
 from collections import Counter
 from contextlib import redirect_stdout
+from pathlib import Path
 from copy import copy
 
 import pytest
@@ -34,6 +36,7 @@ from courant_lab.bundle import Bundle, BundleError, HomSection, Section, SubBund
 from courant_lab.cli import main
 from courant_lab.poly import ScalarPoly, VariableMismatchError, parse_poly
 
+GOLDEN = Path(__file__).parent / "golden"
 MODULES = [importlib.import_module(f"courant_lab.{info.name}")
            for info in pkgutil.iter_modules(courant_lab.__path__)]
 
@@ -138,6 +141,8 @@ def zero_results(monkeypatch):
 def test_verify_all_builds_no_zero_of_its_own(zero_results):
     with redirect_stdout(io.StringIO()):
         assert main(["verify-all", "--seed", "7"]) == 0
+        for spec in sorted(GOLDEN.glob("*.spec")):
+            assert main(["run", "--seed", "7", str(spec)]) == 0
     kernels = [f"{cls.__name__}.{attr}" for cls, attr in METHODS] + list(FUNCTIONS)
     # every kernel ran, and the run met vanishing results: the count is not vacuous
     assert all(zero_results[name, "calls"] for name in kernels)
