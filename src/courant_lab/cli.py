@@ -79,8 +79,7 @@ def _emit_text(document: dict, out) -> None:
 
 def _emit(document: dict, fmt: str, out) -> None:
     if fmt == "json":
-        json.dump(document, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
     else:
         _emit_text(document, out)
 

@@ -32,8 +32,9 @@ applications on frame triples and read by the curvature, Jacobiator and
 splitting checks.  R is evaluated nowhere else: the tensoriality check
 derives each case with a battery function in one slot from the frame
 values by a Leibniz lemma (check_curvature_tensorial), and the
-curvature-Jacobiator pairing applies R(q_i, q_j) to the B-frame only and
-scales the frame case by the battery function of psi b_m
+curvature-Jacobiator pairing applies R(q_i, q_j) to the B-frame only,
+scales the frame case by the battery function of psi b_m, and reads its
+images of the T*M frame again for `vanishes-on-forms`
 (curvature_vs_jacobiator).  Axiom (c), in `dorfman-axioms` and
 `duality`, is evaluated for frame v only: algebroid.record_metric
 derives each case phi q_i by a Leibniz lemma, while the s slot stays
@@ -433,7 +434,9 @@ class DorfmanConnection:
         C-infinity-bilinear, so <q_k, R(q_i, q_j)(psi b_m)> - <J_ijk, psi
         b_m> = psi (<q_k, R(q_i, q_j) b_m> - <J_ijk, b_m>), J_ijk the
         Jacobiator.  No correction term is left, and the product is the
-        normal form that the literal pairings give.
+        normal form that the literal pairings give.  `vanishes-on-forms`
+        (on a canonical pre-dual) reads the images of the T*M frame of B
+        that the pairing loop forms, and is recorded after every pairing.
         """
         chk = Checker("curvature-jacobiator",
                       "curvature pairs as the Jacobiator of the dual bracket")
@@ -442,8 +445,13 @@ class DorfmanConnection:
         q_batt, b_batt = table.rows, self.battery_table.cols
         b_frames = [b_batt.sections[t] for t in b_batt.frames]
         functions, layout = b_batt.functions, [b_batt.factors(t) for t in range(len(b_batt.labels))]
+        # the images of the T*M frame of B, recorded after every pairing
+        forms = self.b.positions(Bundle.cotangent(self.q.patch)) if self.predual.e is not None \
+            else ()
+        form_images = []  # (i, j, [R(q_i, q_j) b_k for k in forms])
         for i, j, jacs in frame_jacobiators(table, self.bracket.bracket, q_batt.frames):
             images = [self.frame_curvature(i, j).apply(bsec) for bsec in b_frames]
+            form_images.append((i, j, [images[k] for k in forms]))
             for k, jac in enumerate(jacs):
                 q3 = q_batt.sections[q_batt.frames[k]]
                 triple = -jac  # [[q_i, q_j], q_k] + [q_j, [q_i, q_k]] - [q_i, [q_j, q_k]]
@@ -456,15 +464,10 @@ class DorfmanConnection:
                     value = cases[m]
                     chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
                                functions[f] * value if f and value._terms else value)
-        if self.predual.e is not None:
-            forms = self.b.positions(Bundle.cotangent(self.q.patch))
-            for i in range(self.q.rank):
-                for j in range(self.q.rank):
-                    hom = self.frame_curvature(i, j)
-                    for k in forms:
-                        chk.record("vanishes-on-forms",
-                                   f"({names[i]}; {names[j]}; {self.b.frame[k]})",
-                                   hom.apply(self.b.frame_section(k)))
+        for i, j, images in form_images:
+            for k, image in zip(forms, images):
+                chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {self.b.frame[k]})",
+                           image)
         return chk.report()
 
     # -- skew tensor ---------------------------------------------------------

@@ -34,8 +34,10 @@ its tables live only as long as the check; the generator table of a
 `GeneratorAlgebra` lives as long as the algebra.  The splitting theorems
 run `total_courant` on frame lifts only and derive each case with a
 battery function in a slot by `courant_right` and `courant_left`, the
-Leibniz rules of the total-space bracket; (Delta_v sigma)^ is still read
-from the connection's own table.  A frame section times
+Leibniz rules of the total-space bracket.  B2 lifts (Delta_v sigma)^ on
+the frames only; each of its scaled cases reads its value of the
+connection's own table in base coordinates, and lifts the defect of a
+Leibniz rule of Delta only where it is nonzero.  A frame section times
 a battery function is read from the battery of its bundle
 (Bundle.battery), and frame data (anchor images, the brackets [a, e_l])
 from the bracket and its battery table.
@@ -265,6 +267,37 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     (P3) <sigma1^, sigma2^> = 0;  (B1) [sigma1^, sigma2^] = 0;
     (B2) [v~, sigma^] = (Delta_v sigma)^;
     (B3) [v1~, v2~] = [[v1,v2]]~ - R(v1,v2)(., 0)^.
+
+    B2 (`bracket-linear-core`) records F(phi q_i; s) = [phi q_i~, s^] -
+    (Delta_{phi q_i} s)^ for frame q_i, phi pulled back, and s over the
+    battery of B.  `total_courant` runs on the B-frame only, for the frame
+    defects F_m = F(q_i; b_m).  Write <a, b> = a.form(b.vf) + b.form(a.vf)
+    on the total space (`total_pairing`, no factor 1/2) and <q, s> for the
+    pre-dual pairing, rho_i for the anchor of q_i, and X and Y for the
+    vector fields of q_i~ and s^.  Then
+
+        F(q_i; psi b_m) = psi F_m + (X(psi) - rho_i(psi)) b_m^ - B^,
+            B = Delta_{q_i}(psi b_m) - psi Delta_{q_i} b_m - rho_i(psi) b_m;
+        F(phi q_i; s) = phi F(q_i; s) - Y(phi) q_i~ + <q_i~, s^> dphi
+                        - <q_i, s> (d_B phi)^ - A^,
+            A = Delta_{phi q_i} s - phi Delta_{q_i} s - <q_i, s> d_B phi.
+
+    Proof: `courant_right` gives [q_i~, psi b_m^] = psi [q_i~, b_m^] +
+    X(psi) b_m^, and `courant_left` gives [phi q_i~, s^] = phi [q_i~, s^] -
+    Y(phi) q_i~ + <q_i~, s^> dphi; both are exact rules of the total-space
+    bracket for any two lifted sections.  `lift_core` is C-infinity(M)-
+    linear, so (psi b_m)^ = psi b_m^, and by the definitions of B and A,
+    (Delta_{q_i}(psi b_m))^ = psi (Delta_{q_i} b_m)^ + rho_i(psi) b_m^ + B^
+    and (Delta_{phi q_i} s)^ = phi (Delta_{q_i} s)^ + <q_i, s> (d_B phi)^
+    + A^.  Subtracting gives both lines.
+
+    A and B vanish for a Leibniz extension of Delta, and the other new
+    terms for the vertical core lift when rho = pr_TM; none is assumed
+    zero.  A and B are formed in base coordinates from every table value
+    Delta_{s_p} t_q the case reads, X(psi) - rho_i(psi) once per (i, psi),
+    and the dphi term as (<q_i~, s^> - <q_i, s>) dphi + <q_i, s> (dphi -
+    (d_B phi)^), from the `pairing-linear-core` value and one lift of d_B
+    phi per function; a term is lifted or added only where it is nonzero.
     """
     chk = Checker("splitting-theorems",
                   "lifted sections reproduce the connection calculus exactly")
@@ -286,11 +319,13 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
             ell = tp.linear(delta.battery_skew(p1, p2).component(e_bundle.dual()).coeffs)
             chk.record("pairing-linear-linear", f"({q.frame[i]}; {q.frame[j]})",
                        total_pairing(lifts[i], lifts[j]) - ell)
-    linear_core = [[total_pairing(lift, core) for _, _, core in cores] for lift in lifts]
-    for i, v in enumerate(q_frames):
-        for (label_s, s, _), paired in zip(cores, linear_core[i]):
-            chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})",
-                       paired - tp.embed(delta.predual.pair(v, s)))
+    # base_pairs[i][t] = <q_i, s_t>, read again by bracket-linear-core
+    base_pairs = [[delta.predual.pair(v, s) for _, s, _ in cores] for v in q_frames]
+    pair_defects = [[total_pairing(lift, core) - tp.embed(p) for (_, _, core), p in zip(cores, row)]
+                    for lift, row in zip(lifts, base_pairs)]
+    for i in range(q.rank):
+        for (label_s, _, _), value in zip(cores, pair_defects[i]):
+            chk.record("pairing-linear-core", f"({q.frame[i]}; {label_s})", value)
     # the cases with a battery function in a slot follow from frame brackets,
     # right slot first: right(a)[t] = [a, s_t^]
     functions = [tp.embed(phi) for phi in b_batt.functions]
@@ -311,15 +346,58 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                        paired * phi if paired._terms else paired)
             chk.record("bracket-core-core", f"({label1}; {label2})",
                        courant_left(c1, c2, value, paired, phi) if f1 else value)
+    # B2 from the frame defects [q_i~, b_m^] - (Delta_{q_i} b_m)^ and the
+    # base defects A and B of the Leibniz rules of Delta (see the docstring)
+    base, anchors = q.patch, delta.bracket.frame_table.anchors
+    base_functions, b_frames = b_batt.functions, [b_batt.sections[t] for t in b_batt.frames]
+    d_b = [delta.predual.d(phi) for phi in base_functions]
+    d_forms = [d_scalar(tp.patch, phi) for phi in functions]
+    # dphi - (d_B phi)^, zero for a vertical core lift
+    d_shifts = [LiftedSection(tp.field(TM), form) - lift_core(tp, delta, db)
+                for form, db in zip(d_forms, d_b)]
+    # y_phis[f][t] = Y(phi), Y the vector field of s_t^
+    y_phis = [[vf_apply(tp.patch, core.vf.nonzero(), phi) for _, _, core in cores]
+              for phi in functions]
     for i, lift in enumerate(lifts):
-        rights = right(lift)
+        row, x_terms = q_batt.frames[i], lift.vf.nonzero()
+        values = [delta.battery_apply(row, t) for t in range(len(cores))]  # Delta_{q_i} s_t
+        frame_defects = [total_courant(lift, c) - lift_core(tp, delta, values[t])
+                         for c, t in zip(frame_cores, b_batt.frames)]
+        rho_psi = [vf_apply(base, anchors[i], psi) for psi in base_functions]
+        # X(psi) - rho_i(psi), X the vector field of q_i~
+        x_shifts = [vf_apply(tp.patch, x_terms, psi) - tp.embed(r)
+                    for psi, r in zip(functions, rho_psi)]
+        defects = []  # defects[t] = [q_i~, s_t^] - (Delta_{q_i} s_t)^
+        for t, (m, g) in enumerate(factors):
+            value = frame_defects[m]
+            if g:
+                value = value.scale(functions[g])
+                if x_shifts[g]._terms:
+                    value = value + frame_cores[m].scale(x_shifts[g])
+                b_defect = (values[t] - values[b_batt.frames[m]].scale(base_functions[g])
+                            - b_frames[m].scale(rho_psi[g]))
+                if not b_defect.is_zero():
+                    value = value - lift_core(tp, delta, b_defect)
+            defects.append(value)
         for f, (phi, text) in enumerate(zip(functions, q_batt.texts)):
-            for t, (label_s, _, core) in enumerate(cores):
-                lhs = courant_left(lift, core, rights[t], linear_core[i][t], phi) if f \
-                    else rights[t]
-                rhs = lift_core(tp, delta, delta.battery_apply(q_batt.pos(i, f), t))
-                chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})",
-                           lhs - rhs)
+            for t, (label_s, _, _) in enumerate(cores):
+                value = defects[t]
+                if f:
+                    if not value.is_zero():
+                        value = value.scale(phi)
+                    y_phi = y_phis[f][t]
+                    if y_phi._terms:
+                        value = value - lift.scale(y_phi)
+                    paired, defect = base_pairs[i][t], pair_defects[i][t]
+                    if defect._terms:
+                        value = LiftedSection(value.vf, value.form + d_forms[f].scale(defect))
+                    if paired._terms and not d_shifts[f].is_zero():
+                        value = value + d_shifts[f].scale(tp.embed(paired))
+                    a_defect = (delta.battery_apply(q_batt.pos(i, f), t)
+                                - values[t].scale(base_functions[f]) - d_b[f].scale(paired))
+                    if not a_defect.is_zero():
+                        value = value - lift_core(tp, delta, a_defect)
+                chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})", value)
     for i, p1 in enumerate(q_batt.frames):
         for j, p2 in enumerate(q_batt.frames):
             lhs = total_courant(lifts[i], lifts[j])

@@ -972,6 +972,26 @@ def test_dorfman_lines_evaluate_each_battery_entry_once_per_spec(monkeypatch):
     assert len(second) == len(first)
 
 
+@pytest.mark.parametrize("name,lifts", [("rank1-r3", 41), ("rank2-r3", 55)])
+def test_splitting_theorems_lifts_no_scaled_case_on_the_scaling_workload(monkeypatch, name,
+                                                                         lifts):
+    # over R^3 (5 battery functions) with B = E + T*M of rank r (4 or 5) and
+    # Q of the same rank: the r * 5 battery sections of B, the r^2 frame values
+    # Delta_{q_i} b_m and d_B phi for each battery function, r^2 + 5r + 5 core
+    # lifts; the scaled cases of bracket-linear-core lift nothing, since their
+    # defects A and B vanish (420 and 650 lifts when each case was lifted)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    [text] = [spec.text for spec in workloads.generate("scaling-r3", 7) if spec.name == name]
+    spec = parse_spec(text)
+    calls = []
+    real = prolong.lift_core
+    monkeypatch.setattr(prolong, "lift_core", lambda *args: calls.append(1) or real(*args))
+    assert all(r.passed for r in run_check(spec, "splitting-theorems", ["Delta"], 7))
+    assert len(calls) == lifts
+
+
 def test_catalog_bundle_comparisons_are_settled_by_identity(monkeypatch, capsys):
     # a Patch and a Bundle are equal only to themselves, and each patch builds
     # one bundle per atoms tuple, so every bundle comparison is an `is` test:

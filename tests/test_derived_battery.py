@@ -517,7 +517,7 @@ def _tilt_core_lifts(monkeypatch):
     monkeypatch.setattr(prolong, "lift_core", tilted)
 
 
-def _compare_splitting(monkeypatch, delta, compared, nonzero):
+def _compare_splitting(monkeypatch, delta, compared, nonzero, terms=None):
     chk = Recording("derived", "")
     monkeypatch.setattr(prolong, "Checker", lambda *args: chk)
     prolong.verify_splitting_theorems(delta)
@@ -528,13 +528,73 @@ def _compare_splitting(monkeypatch, delta, compared, nonzero):
         assert _same(value, expected), (identity, inputs)
         compared[identity] += 1
         nonzero[identity] += not value.is_zero()
+    if terms is not None:
+        terms.update(_nonzero_splitting_terms(delta))
+
+
+# the terms that the B2 identities add to the frame defects
+# (prolong.verify_splitting_theorems)
+SPLITTING_TERMS = ("A^", "B^", "(X(psi) - rho_i(psi)) b_m^",
+                   "<q_i~, s^> dphi - <q_i, s> (d_B phi)^")
+
+
+def _nonzero_splitting_terms(delta):
+    """How many scaled cases of bracket-linear-core have each term of
+    SPLITTING_TERMS nonzero, every term evaluated literally: Delta by
+    apply, rho_i(psi) by the anchor, the lifts of A and B, and the pairing
+    term by total_pairing and the lift of d_B phi."""
+    tp = prolong.total_patch_of(delta.e)
+    q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
+    base, cores = delta.q.patch, [prolong.lift_core(tp, delta, s) for s in b_batt.sections]
+    no_vf = tp.field(bundle.TM)
+    counts = Counter()
+    for i, q_i in enumerate(delta.q.frame_sections()):
+        lift, rho_i = prolong.lift_linear(tp, delta, q_i), delta.bracket.rho(q_i).nonzero()
+        for t, s in enumerate(b_batt.sections):
+            m, g = b_batt.factors(t)
+            b_m, psi = b_batt.sections[b_batt.frames[m]], b_batt.functions[g]
+            rho_psi = bundle.vf_apply(base, rho_i, psi)
+            b_defect = delta.apply(q_i, s) - delta.apply(q_i, b_m).scale(psi) - b_m.scale(rho_psi)
+            x_psi = bundle.vf_apply(tp.patch, lift.vf.nonzero(), tp.embed(psi))
+            counts["B^"] += not prolong.lift_core(tp, delta, b_defect).is_zero()
+            counts[SPLITTING_TERMS[2]] += not cores[b_batt.frames[m]].scale(
+                x_psi - tp.embed(rho_psi)).is_zero()
+        for phi in q_batt.functions[1:]:
+            d_phi = prolong.LiftedSection(no_vf, bundle.d_scalar(tp.patch, tp.embed(phi)))
+            d_b = delta.predual.d(phi)
+            for s, core in zip(b_batt.sections, cores):
+                paired = delta.predual.pair(q_i, s)
+                a_defect = (delta.apply(q_i.scale(phi), s) - delta.apply(q_i, s).scale(phi)
+                            - d_b.scale(paired))
+                pairing = (d_phi.scale(prolong.total_pairing(lift, core))
+                           - prolong.lift_core(tp, delta, d_b).scale(tp.embed(paired)))
+                counts["A^"] += not prolong.lift_core(tp, delta, a_defect).is_zero()
+                counts[SPLITTING_TERMS[3]] += not pairing.is_zero()
+    return counts
+
+
+def _splitting_connections(texts):
+    return [(f"{name.split('/')[0]}: {label}", delta) for name, text, _ in texts
+            for label, delta in parse_spec(text).objects["dorfman"].items()
+            if delta.predual.e is not None]
+
+
+def _reanchored(delta):
+    """delta with a dull anchor that is not pr_TM: each rho(q_k) gains
+    x_n d/dx1, x_n the last coordinate, so X(psi) - rho_i(psi) is nonzero
+    for the linear lift, whose vector field still projects to pr_TM q_i."""
+    base = delta.q.patch
+    tangent = Bundle.tangent(base)
+    shift = tangent.frame_section(0).scale(base.coord(base.coords[-1]))
+    anchor = HomSection.from_columns(delta.q, tangent, [delta.bracket.rho(q) + shift
+                                                        for q in delta.q.frame_sections()])
+    return dorfman.DorfmanConnection(
+        delta.predual, AnchoredBracket(delta.q, anchor, delta.bracket.structure), delta.symbols)
 
 
 def test_derived_splitting_cases_equal_the_total_space_brackets(monkeypatch):
     texts = _spec_texts(monkeypatch)
-    connections = [(f"{name.split('/')[0]}: {label}", delta) for name, text, _ in texts
-                   for label, delta in parse_spec(text).objects["dorfman"].items()
-                   if delta.predual.e is not None]
+    connections = _splitting_connections(texts)
     assert {"line-bundle-r2: Delta", "curvature-shifts: DeltaE", "scaling-r3-7: Delta",
             "scaling-r3-11: Delta", "perturbed-r3-7: Delta",
             "perturbed-r3-11: Delta"} <= {name for name, _ in connections}
@@ -543,14 +603,31 @@ def test_derived_splitting_cases_equal_the_total_space_brackets(monkeypatch):
         _compare_splitting(monkeypatch, delta, compared, nonzero)
     assert set(compared) == set(SPLITTING_DERIVED) and sum(compared.values()) > 10000
     # B1, P3 and B2 hold for every Leibniz extension, the failing fixtures'
-    # included, so the cases vanish; the tilted lifts make every term nonzero
+    # included, so the cases vanish
     assert nonzero == Counter()
+    # each term of the B2 identities is nonzero somewhere: A under the
+    # mutant that doubles the pairing term, B under the one that doubles the
+    # anchor term (fresh parses, since a table keeps its values), X(psi) -
+    # rho_i(psi) under a dull anchor that is not pr_TM, and the pairing term
+    # under the tilted core lifts
+    terms = Counter()
+    for term in ("anchor", "pairing"):
+        with monkeypatch.context() as mutated:
+            _double_leibniz_term(mutated, term)
+            mutants, broken = Counter(), Counter()
+            for _, delta in _splitting_connections(texts):
+                _compare_splitting(mutated, delta, mutants, broken, terms)
+            assert broken["bracket-linear-core"], term
+    line_bundle = dict(connections)["line-bundle-r2: Delta"]
+    _compare_splitting(monkeypatch, _reanchored(line_bundle), compared, nonzero, terms)
     _tilt_core_lifts(monkeypatch)
     compared, nonzero = Counter(), Counter()
     for name, delta in connections:
         if name in ("line-bundle-r2: Delta", "curvature-shifts: DeltaE"):
-            _compare_splitting(monkeypatch, delta, compared, nonzero)
+            _compare_splitting(monkeypatch, delta, compared, nonzero, terms)
+    # the tilted lifts make every term of courant_right and courant_left nonzero
     assert set(nonzero) == set(SPLITTING_DERIVED)
+    assert all(terms[term] for term in SPLITTING_TERMS), terms
 
 
 # the identities of basic-connections whose battery cases are derived

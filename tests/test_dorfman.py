@@ -185,6 +185,20 @@ def test_curvature_examples(ex_a):
     assert d.curvature_vs_jacobiator().passed
 
 
+def test_curvature_jacobiator_applies_each_frame_curvature_once_per_frame_section(
+        hom_apply_calls):
+    # R(q_i, q_j) is applied to the B-frame only, and vanishes-on-forms reads
+    # the images of its T*M frame that the pairing loop formed
+    d = standard_dorfman(Connection(E, [[E.zero_section()], [E.section(eps="x1")]]))
+    for i in range(d.q.rank):
+        for j in range(d.q.rank):
+            d.frame_curvature(i, j)
+    hom_apply_calls.clear()
+    report = d.curvature_vs_jacobiator()
+    assert report.passed and "vanishes-on-forms: pass" in report.details
+    assert len(hom_apply_calls) == d.q.rank ** 2 * d.b.rank
+
+
 def test_flat_connection_gives_flat_curvature():
     flat = standard_dorfman(flat_connection(E))
     for v1 in flat.q.frame_sections():
