@@ -36,10 +36,13 @@ the oracle compares them with the literal table over the same fixtures,
 every Courant algebroid that a Manin pair builds (whose D is not rho* d),
 and one whose anchor makes rho(D phi) nonzero.  `splitting-theorems`
 derives its core-core and linear-core cases from frame brackets on the
-total space (prolong.courant_right, courant_left); its oracle brackets
-every lifted battery section literally, over every Dorfman connection on
-a canonical pre-dual pair, and again under a tilted core lift, which makes
-every term of the rules nonzero.  A `leibniz` that breaks left Leibniz
+total space (prolong.courant_right, courant_left), and B2 from the frame
+defects and the defects A and B of the Leibniz rules of Delta; its
+oracle brackets every lifted battery section literally, over every
+Dorfman connection on a canonical pre-dual pair, again under each
+`leibniz` mutant (A or B nonzero) and a dull anchor that is not pr_TM,
+and under a tilted core lift, which makes every term of the rules
+nonzero.  A `leibniz` that breaks left Leibniz
 still fails the literal `2-metric`, and a sign flip in the total-space
 bracket still fails `splitting-theorems`.
 
@@ -547,6 +550,7 @@ def _nonzero_splitting_terms(delta):
     q_batt, b_batt = delta.battery_table.rows, delta.battery_table.cols
     base, cores = delta.q.patch, [prolong.lift_core(tp, delta, s) for s in b_batt.sections]
     no_vf = tp.field(bundle.TM)
+    a_term, b_term, x_term, pairing_term = SPLITTING_TERMS
     counts = Counter()
     for i, q_i in enumerate(delta.q.frame_sections()):
         lift, rho_i = prolong.lift_linear(tp, delta, q_i), delta.bracket.rho(q_i).nonzero()
@@ -556,8 +560,8 @@ def _nonzero_splitting_terms(delta):
             rho_psi = bundle.vf_apply(base, rho_i, psi)
             b_defect = delta.apply(q_i, s) - delta.apply(q_i, b_m).scale(psi) - b_m.scale(rho_psi)
             x_psi = bundle.vf_apply(tp.patch, lift.vf.nonzero(), tp.embed(psi))
-            counts["B^"] += not prolong.lift_core(tp, delta, b_defect).is_zero()
-            counts[SPLITTING_TERMS[2]] += not cores[b_batt.frames[m]].scale(
+            counts[b_term] += not prolong.lift_core(tp, delta, b_defect).is_zero()
+            counts[x_term] += not cores[b_batt.frames[m]].scale(
                 x_psi - tp.embed(rho_psi)).is_zero()
         for phi in q_batt.functions[1:]:
             d_phi = prolong.LiftedSection(no_vf, bundle.d_scalar(tp.patch, tp.embed(phi)))
@@ -568,8 +572,8 @@ def _nonzero_splitting_terms(delta):
                             - d_b.scale(paired))
                 pairing = (d_phi.scale(prolong.total_pairing(lift, core))
                            - prolong.lift_core(tp, delta, d_b).scale(tp.embed(paired)))
-                counts["A^"] += not prolong.lift_core(tp, delta, a_defect).is_zero()
-                counts[SPLITTING_TERMS[3]] += not pairing.is_zero()
+                counts[a_term] += not prolong.lift_core(tp, delta, a_defect).is_zero()
+                counts[pairing_term] += not pairing.is_zero()
     return counts
 
 
