@@ -33,6 +33,11 @@ check reads only the frame entries of its table, courant-axioms only its
 frame rows and columns, and the derived values are the very normal forms
 that the nested brackets give (tests/test_derived_battery.py).
 The battery itself is unchanged, and so is what it cannot see.
+
+A block of cases that a lemma shows to vanish, because every frame value
+and correction term it reads is zero, is recorded in bulk
+(report.Checker.passes): no value is built and no label formatted.  So is
+a block of evaluated values that are all zero (Checker.record_block).
 """
 
 from __future__ import annotations
@@ -260,7 +265,8 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     a Courant bracket and the Dorfman-like bracket with anchor rho pr_A,
     so the derived value is the normal form the nested brackets give.  The
     battery needs a function layout (Battery.factors); D_ij is formed once
-    per frame pair, by anchor_defect.
+    per frame pair, by anchor_defect.  When every J_ijk vanishes and D_ij is
+    empty, the cases of (e_i, e_j) all vanish and are recorded in bulk.
     """
     batt, frames = table.rows, table.rows.frames
     third = range(len(batt.sections)) if third is None else third
@@ -269,12 +275,22 @@ def record_jacobi(chk: Checker, identity: str, table: BatteryTable, op: Callable
     columns = [] if anchor is None else [anchor.column(l) for l in range(len(frames))]
     for i, j, jacs in frame_jacobiators(table, op, inner):
         p, q = frames[i], frames[j]
+        nonzero = any(jac.nonzero() for jac in jacs)
         if anchor is not None:
             defect = anchor_defect(anchor, columns[i], columns[j], table.get(op, p, q))
-            jacs = [_scaled_jacobiator(batt, jacs, defect, t) for t in third]
-        for t, jac in zip(third, jacs):
-            chk.record(identity, f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})",
-                       -jac if negate else jac)
+            # with every J_ijk zero and D_ij empty, phi J_ijk + D_ij(phi) e_k vanishes
+            nonzero = nonzero or bool(defect)
+            if nonzero:
+                jacs = [_scaled_jacobiator(batt, jacs, defect, t) for t in third]
+
+        def labels() -> List[str]:
+            return [f"({batt.labels[p]}; {batt.labels[q]}; {batt.labels[t]})" for t in third]
+
+        if not nonzero:
+            chk.passes(identity, len(third), labels)
+            continue
+        for label, jac in zip(labels(), jacs):
+            chk.record(identity, label, -jac if negate else jac)
 
 
 def anchor_defect(anchor: HomSection, rho_i: Section, rho_j: Section, outer: Section) -> Terms:
@@ -337,41 +353,49 @@ def record_anchor_morphism(chk: Checker, identity: str, table: BatteryTable, op:
     def case(p: int, q: int) -> Section:
         return anchor.apply(table.get(op, p, q)) - vf_bracket(anchors[p], anchors[q])
 
-    def pairing_term(i: int, j: int, f: int, g: int) -> Section:
+    def pairing_term(i: int, j: int, f: int, g: int) -> Optional[Section]:
         paired = predual.pairing[i][j]
         if not paired._terms:
-            return anchor.target.zero_section()
+            return None
         if f not in rho_d:
             rho_d[f] = anchor.apply(predual.d(functions[f]))
-        return rho_d[f].scale(functions[g] * paired)
+        return rho_d[f].scale(functions[g] * paired) if rho_d[f].nonzero() else None
 
     _record_cases(chk, identity, table.rows, case, 0 if predual is None else 2, pairing_term)
 
 
 def _record_cases(chk: Checker, identity: str, batt: Battery, case: Callable[[int, int], Section],
-                  scaled: int, extra: Optional[Callable[[int, int, int, int], Section]] = None
-                  ) -> None:
+                  scaled: int, extra: Optional[Callable[[int, int, int, int], Optional[Section]]]
+                  = None) -> None:
     """case(p, q) over every pair of battery positions, in row order.  Given
     scaled (1 or 2), a case phi e_i, psi e_j with at least scaled
     non-constant functions among phi and psi (battery functions f and g) is
-    phi psi case(e_i, e_j), plus extra(i, j, f, g) when given: the frame
-    case comes first in row order."""
+    phi psi case(e_i, e_j), plus extra(i, j, f, g) unless that is None (no
+    such term): the frame case comes first in row order.  A derived case
+    whose frame case vanishes and that has no extra term is that zero frame
+    case, and a row p whose cases all vanish is recorded in bulk."""
     functions = batt.functions if scaled else ()
     products = [[phi * psi for psi in functions] for phi in functions]
     frame: Dict[Tuple[int, int], Section] = {}
     for p, label1 in enumerate(batt.labels):
         i, f = batt.factors(p) if scaled else (p, 0)
-        for q, label2 in enumerate(batt.labels):
+        values = []
+        for q in range(len(batt.labels)):
             j, g = batt.factors(q) if scaled else (q, 0)
             if scaled and (f > 0) + (g > 0) >= scaled:
-                value = frame[i, j].scale(products[f][g])
-                if extra is not None:
-                    value = value + extra(i, j, f, g)
+                value = frame[i, j]
+                if value.nonzero():
+                    value = value.scale(products[f][g])
+                term = None if extra is None else extra(i, j, f, g)
+                if term is not None:
+                    value = value + term
             else:
                 value = case(p, q)
                 if scaled and not f and not g:
                     frame[i, j] = value
-            chk.record(identity, f"({label1}; {label2})", value)
+            values.append(value)
+        chk.record_block(identity, values, lambda: [f"({label1}; {label2})"
+                                                    for label2 in batt.labels])
 
 
 def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section], ScalarPoly],
@@ -400,7 +424,9 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
     <w, d_B phi> is formed once per (w, phi) and is not assumed zero (with
     the canonical pairing and rho = pr_TM it is X_w(phi) - X_w(phi)).  So
     the derived value is the normal form that the literal route gives, and
-    only the cases of frame v apply Delta and the bracket.
+    only the cases of frame v apply Delta and the bracket.  The cases
+    (phi q_i; w; s) over s are recorded in bulk when C(q_i, w, s) vanishes
+    for every s and so does the correction for (w, phi).
     """
     pairings = [[pair(w, s) for _, s in s_entries] for _, w in w_entries]
 
@@ -418,14 +444,20 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
                 values[-1].append(lhs - rhs if rhs._terms else lhs)
         return values
 
-    def record_row(label: str, values: List[List[ScalarPoly]]) -> None:
-        for (name, _), row in zip(w_entries, values):
-            for (label_s, _), value in zip(s_entries, row):
-                chk.record(identity, f"({label}; {name}; {label_s})", value)
+    def record_row(label: str, name: str, values: Optional[Sequence[ScalarPoly]]) -> None:
+        """The cases (v; w; s) over s_entries; values None for a row that vanishes."""
+        def labels() -> List[str]:
+            return [f"({label}; {name}; {label_s})" for label_s, _ in s_entries]
+
+        if values is None:
+            chk.passes(identity, len(s_entries), labels)
+        else:
+            chk.record_block(identity, values, labels)
 
     if anchor is None:
         for label, rho_v, brackets, applied in rows:
-            record_row(label, frame_row(rho_v, brackets, applied))
+            for (name, _), row in zip(w_entries, frame_row(rho_v, brackets, applied)):
+                record_row(label, name, row)
         return
     batt, base = anchor.source.battery, anchor.source.patch
     functions, zero = batt.functions, base.zero()
@@ -439,16 +471,23 @@ def record_metric(chk: Checker, identity: str, pair: Callable[[Section, Section]
             corrections[-1].append(acted - paired if paired._terms else acted)
     for i, (label, rho_v, brackets, applied) in enumerate(rows):
         values = frame_row(rho_v, brackets, applied)
-        record_row(label, values)
+        for (name, _), row in zip(w_entries, values):
+            record_row(label, name, row)
         v_pairings = [pair(batt.sections[batt.frames[i]], s) for _, s in s_entries]
+        vanishing = [not any(value._terms for value in row) for row in values]
         for f, phi in enumerate(functions[1:], 1):
-            scaled = []
-            for row, correction in zip(values, corrections):
+            label = batt.labels[batt.pos(i, f)]
+            for (name, _), row, correction, vanishes in zip(w_entries, values, corrections,
+                                                             vanishing):
                 c = correction[f]
-                scaled.append([_sum_of_products(zero, ((phi, value), (v_paired, c)))
-                               for value, v_paired in zip(row, v_pairings)] if c._terms
-                              else [phi * value if value._terms else zero for value in row])
-            record_row(batt.labels[batt.pos(i, f)], scaled)
+                if c._terms:
+                    record_row(label, name, [_sum_of_products(zero, ((phi, value), (paired, c)))
+                                             for value, paired in zip(row, v_pairings)])
+                elif vanishes:  # phi C(q_i, w, s) with C(q_i, w, s) = 0, and no correction
+                    record_row(label, name, None)
+                else:
+                    record_row(label, name, [phi * value if value._terms else zero
+                                             for value in row])
 
 
 def _sum_of_products(zero: ScalarPoly, pairs: Iterable[Tuple[ScalarPoly, ScalarPoly]]

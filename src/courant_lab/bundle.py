@@ -330,9 +330,10 @@ class Section:
     coefficient) pairs in a slot of the instance, and every section kernel
     (`+`, `-`, `scale`, `is_zero`, the pairings, HomSection.apply, `leibniz`
     and the SubBundle decompositions) iterates that view instead of the
-    coefficients.  A battery section f*e_i has one entry in it."""
+    coefficients.  A battery section f*e_i has one entry in it.  Its hash
+    is kept in a slot as well, from the first call of __hash__."""
 
-    __slots__ = ("bundle", "coeffs", "_nonzero")  # see nonzero()
+    __slots__ = ("bundle", "coeffs", "_nonzero", "_hash")  # see nonzero(), __hash__
 
     def __init__(self, bundle: Bundle, coeffs: Sequence[ScalarPoly]):
         if len(coeffs) != bundle.rank:
@@ -418,7 +419,11 @@ class Section:
         return self.bundle is other.bundle and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.bundle, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:  # the first call, as in ScalarPoly.__hash__
+            self._hash = hash((self.bundle, self.coeffs))
+            return self._hash
 
     def __str__(self) -> str:
         pieces = []

@@ -39,7 +39,10 @@ images of the T*M frame again for `vanishes-on-forms`
 `duality`, is evaluated for frame v only: algebroid.record_metric
 derives each case phi q_i by a Leibniz lemma, while the s slot stays
 literal over the positions each check reads.  Each derived value is the
-very normal form that the literal route would give.
+very normal form that the literal route would give.  A block of cases
+that vanishes, a pairing block (q_i; q_j; q_k; .) whose B-frame cases
+are all zero or a block of evaluated values that are all zero, is
+recorded in bulk (report.Checker.passes), with no label formatted.
 """
 
 from __future__ import annotations
@@ -358,7 +361,11 @@ class DorfmanConnection:
         dull bracket, so the derived difference is the normal form that the
         nested applications give (tests/test_derived_battery.py).  Delta_j
         dphi comes from the table entries Delta_j t_k by the rule in b, so
-        beyond the frame curvatures the check applies Delta to nothing.
+        beyond the frame curvatures the check applies Delta to nothing.  The
+        block of `linear-in-b` cases of (q_i, q_j, phi) is recorded in bulk
+        where D_ij is zero or phi is 1.  The cases in q1 are not built where
+        every coefficient of dphi and every <q_i, t> vanishes, and likewise
+        in q2; the q1 and q2 cases alternate, so each still goes to `record`.
         """
         chk = Checker("curvature-tensorial",
                       "R(v,v') is C-infinity linear in every argument")
@@ -402,25 +409,35 @@ class DorfmanConnection:
                 # the coefficients of dphi in the lemmas for q1 and q2
                 coeff_q1 = [first[i][j][k] - lies[k] for k in range(self.b.rank)]
                 coeff_q2 = [-(first[j][i][k] + lies[k]) for k in range(self.b.rank)]
-                inputs = f"({q_names[i]}; {q_names[j]})"
+                # with no dphi coefficient and no pairing <q, t>, the lemma leaves nothing
+                q1_vanishes = not any(c._terms for c in coeff_q1 + pairings[i])
+                q2_vanishes = not any(c._terms for c in coeff_q2 + pairings[j])
                 for f, text in enumerate(q_batt.texts):
+                    def labels() -> List[str]:
+                        return [f"({q_names[i]}; {q_names[j]}) on ({text})*{name}"
+                                for name in b_names]
+
+                    if f and defect:
+                        d_ij = vf_apply(base, defect, functions[f])
+                        chk.record_block("linear-in-b", [t.scale(d_ij) for t in b_frames], labels)
+                    else:  # D_ij(phi) t with D_ij = 0, or phi = 1
+                        chk.passes("linear-in-b", self.b.rank, labels)
+                    in_q1 = in_q2 = [zero] * self.b.rank
                     if f:
                         dphi, shift = d_phis[f - 1], shifts[f - 1]
-                        d_ij = vf_apply(base, defect, functions[f])
-                        in_b = [t.scale(d_ij) for t in b_frames]
-                        in_q1 = [dphi.scale(c) - shift[j].scale(pairings[i][k])
-                                 for k, c in enumerate(coeff_q1)]
-                        in_q2 = [dphi.scale(c) + shift[i].scale(pairings[j][k])
-                                 for k, c in enumerate(coeff_q2)]
-                    else:
-                        in_b = in_q1 = in_q2 = [zero] * self.b.rank
-                    for k in range(self.b.rank):
-                        chk.record("linear-in-b", inputs + f" on ({text})*{b_names[k]}", in_b[k])
-                    for k in range(self.b.rank):
-                        chk.record("linear-in-q1", f"(({text})*{q_names[i]}; {q_names[j]}) on "
-                                   f"{b_names[k]}", in_q1[k])
-                        chk.record("linear-in-q2", f"({q_names[i]}; ({text})*{q_names[j]}) on "
-                                   f"{b_names[k]}", in_q2[k])
+                        if not q1_vanishes:
+                            in_q1 = [dphi.scale(c) - shift[j].scale(pairings[i][k])
+                                     for k, c in enumerate(coeff_q1)]
+                        if not q2_vanishes:
+                            in_q2 = [dphi.scale(c) + shift[i].scale(pairings[j][k])
+                                     for k, c in enumerate(coeff_q2)]
+                    # the q1 and q2 cases alternate, so each goes to record, its
+                    # label the block's prefix and the name of t
+                    at_q1 = f"(({text})*{q_names[i]}; {q_names[j]}) on "
+                    at_q2 = f"({q_names[i]}; ({text})*{q_names[j]}) on "
+                    for name, value1, value2 in zip(b_names, in_q1, in_q2):
+                        chk.record("linear-in-q1", at_q1 + name, value1)
+                        chk.record("linear-in-q2", at_q2 + name, value2)
         return chk.report()
 
     def curvature_vs_jacobiator(self) -> CheckReport:
@@ -434,9 +451,11 @@ class DorfmanConnection:
         C-infinity-bilinear, so <q_k, R(q_i, q_j)(psi b_m)> - <J_ijk, psi
         b_m> = psi (<q_k, R(q_i, q_j) b_m> - <J_ijk, b_m>), J_ijk the
         Jacobiator.  No correction term is left, and the product is the
-        normal form that the literal pairings give.  `vanishes-on-forms`
-        (on a canonical pre-dual) reads the images of the T*M frame of B
-        that the pairing loop forms, and is recorded after every pairing.
+        normal form that the literal pairings give, and a block (q_i; q_j;
+        q_k; .) whose B-frame cases all vanish is recorded in bulk.
+        `vanishes-on-forms` (on a canonical pre-dual) reads the images of the
+        T*M frame of B that the pairing loop forms, and is recorded after
+        every pairing.
         """
         chk = Checker("curvature-jacobiator",
                       "curvature pairs as the Jacobiator of the dual bracket")
@@ -460,14 +479,21 @@ class DorfmanConnection:
                     lhs = self.predual.pair(q3, image)
                     rhs = self.predual.pair(triple, bsec)
                     cases.append(lhs - rhs if rhs._terms else lhs)
-                for label_b, (m, f) in zip(b_batt.labels, layout):
+
+                def labels() -> List[str]:
+                    return [f"({names[i]}; {names[j]}; {names[k]}; {label_b})"
+                            for label_b in b_batt.labels]
+
+                if not any(value._terms for value in cases):  # psi times a zero frame case
+                    chk.passes("pairing", len(layout), labels)
+                    continue
+                for inputs, (m, f) in zip(labels(), layout):
                     value = cases[m]
-                    chk.record("pairing", f"({names[i]}; {names[j]}; {names[k]}; {label_b})",
+                    chk.record("pairing", inputs,
                                functions[f] * value if f and value._terms else value)
         for i, j, images in form_images:
-            for k, image in zip(forms, images):
-                chk.record("vanishes-on-forms", f"({names[i]}; {names[j]}; {self.b.frame[k]})",
-                           image)
+            chk.record_block("vanishes-on-forms", images, lambda: [
+                f"({names[i]}; {names[j]}; {self.b.frame[k]})" for k in forms])
         return chk.report()
 
     # -- skew tensor ---------------------------------------------------------

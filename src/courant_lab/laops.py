@@ -29,21 +29,23 @@ Each operator value is evaluated once per spec.  LieAlgebroidData, built
 once per (bracket, seed) of a spec, keeps one table of rho(a), [a, b]_A,
 (rho,rho*) sigma, Delta_v sigma, [[u, v]], Omega_v a, L_a sigma, L_a v,
 the Dorfman-like bracket and nabla^bas_a v and sigma, keyed by the
-operator, its Dorfman connection if any and the coefficients of the
-arguments; a method computes a value on its first read.  L_a xi on A* is
-Delta_a xi for lie_derivative_dorfman (lie_derivative).  So every line
-naming the algebroid reads the same values, the anchor is applied to each
-section value once, and a new parse starts with an empty table.  The Omega
-and basic-curvature checks read phi a and phi v from the battery of their
-bundle (Bundle.battery); the Dorfman-like and basic-connection checks
-evaluate frame sections only and derive the battery cases.
+operator, its Dorfman connection if any and the argument sections (equal
+sections are one key); a method computes a value on its first read.  L_a
+xi on A* is Delta_a xi for lie_derivative_dorfman (lie_derivative).  So
+every line naming the algebroid reads the same values, the anchor is
+applied to each section value once, and a new parse starts with an empty
+table.  The Omega and basic-curvature checks read phi a and phi v from the
+battery of their bundle (Bundle.battery); the Dorfman-like and
+basic-connection checks evaluate frame sections only and derive the
+battery cases, and record a block of them that vanishes in bulk
+(report.Checker.passes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .algebroid import AnchoredBracket, BatteryTable, record_jacobi, record_symmetrized
 from .bundle import (Bundle, BundleError, HomSection, Section,
@@ -55,12 +57,14 @@ from .poly import sum_of_products
 from .report import Checker, CheckReport, NOT_APPLICABLE
 
 
-def _coeffs(section: Section, bundle: Bundle) -> tuple:
-    """The coefficients of a section of bundle, as part of a table key."""
+def _checked(section: Section, bundle: Bundle) -> Section:
+    """section, checked to be a section of bundle, as part of a table key: a
+    Section is hashed once (its hash is kept in a slot), and equal sections
+    are the same key."""
     if section.bundle is not bundle:
         raise BundleError(f"expected a section of {bundle.label()}, "
                           f"got one of {section.bundle.label()}")
-    return section.coeffs
+    return section
 
 
 @dataclass
@@ -128,47 +132,47 @@ class LieAlgebroidData:
         return value
 
     def rho(self, a: Section) -> Section:
-        return self._once(("rho", _coeffs(a, self.a_bundle)), self.bracket.rho, a)
+        return self._once(("rho", _checked(a, self.a_bundle)), self.bracket.rho, a)
 
     def a_bracket(self, a: Section, b: Section) -> Section:
-        return self._once(("bracket", _coeffs(a, self.a_bundle), _coeffs(b, self.a_bundle)),
+        return self._once(("bracket", _checked(a, self.a_bundle), _checked(b, self.a_bundle)),
                           self.bracket.bracket, a, b)
 
     def image(self, sigma: Section) -> Section:  # (rho,rho*) sigma
-        return self._once(("image", _coeffs(sigma, self.sigma_bundle)),
+        return self._once(("image", _checked(sigma, self.sigma_bundle)),
                           self.pair_map.apply, sigma)
 
     def dorfman(self, delta: DorfmanConnection, v: Section, sigma: Section) -> Section:
-        return self._once(("dorfman", delta, _coeffs(v, delta.q), _coeffs(sigma, delta.b)),
+        return self._once(("dorfman", delta, _checked(v, delta.q), _checked(sigma, delta.b)),
                           delta.apply, v, sigma)
 
     def dull_bracket(self, delta: DorfmanConnection, u: Section, v: Section) -> Section:
-        return self._once(("dull", delta, _coeffs(u, self.v_bundle), _coeffs(v, self.v_bundle)),
+        return self._once(("dull", delta, _checked(u, self.v_bundle), _checked(v, self.v_bundle)),
                           delta.bracket.bracket, u, v)
 
     def omega(self, delta: DorfmanConnection, v: Section, a: Section) -> Section:
-        return self._once(("omega", delta, _coeffs(v, self.v_bundle), _coeffs(a, self.a_bundle)),
+        return self._once(("omega", delta, _checked(v, self.v_bundle), _checked(a, self.a_bundle)),
                           omega, self, delta, v, a)
 
     def lie_der_sigma(self, a: Section, sigma: Section) -> Section:
-        return self._once(("lie_sigma", _coeffs(a, self.a_bundle),
-                           _coeffs(sigma, self.sigma_bundle)), lie_der_sigma, self, a, sigma)
+        return self._once(("lie_sigma", _checked(a, self.a_bundle),
+                           _checked(sigma, self.sigma_bundle)), lie_der_sigma, self, a, sigma)
 
     def lie_der_v(self, a: Section, v: Section) -> Section:
-        return self._once(("lie_v", _coeffs(a, self.a_bundle), _coeffs(v, self.v_bundle)),
+        return self._once(("lie_v", _checked(a, self.a_bundle), _checked(v, self.v_bundle)),
                           lie_der_v, self, a, v)
 
     def dorfman_like_bracket(self, s1: Section, s2: Section) -> Section:
-        return self._once(("dlike", _coeffs(s1, self.sigma_bundle),
-                           _coeffs(s2, self.sigma_bundle)), dorfman_like_bracket, self, s1, s2)
+        return self._once(("dlike", _checked(s1, self.sigma_bundle),
+                           _checked(s2, self.sigma_bundle)), dorfman_like_bracket, self, s1, s2)
 
     def basic_v(self, delta: DorfmanConnection, a: Section, v: Section) -> Section:
-        return self._once(("basic_v", delta, _coeffs(a, self.a_bundle), _coeffs(v, self.v_bundle)),
+        return self._once(("basic_v", delta, _checked(a, self.a_bundle), _checked(v, self.v_bundle)),
                           basic_v, self, delta, a, v)
 
     def basic_sigma(self, delta: DorfmanConnection, a: Section, sigma: Section) -> Section:
-        return self._once(("basic_sigma", delta, _coeffs(a, self.a_bundle),
-                           _coeffs(sigma, self.sigma_bundle)), basic_sigma, self, delta, a, sigma)
+        return self._once(("basic_sigma", delta, _checked(a, self.a_bundle),
+                           _checked(sigma, self.sigma_bundle)), basic_sigma, self, delta, a, sigma)
 
 
 # -- the operators of the table: each reads its sub-terms from the table ----
@@ -306,7 +310,9 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
     is left is T_a(psi; P sigma) - P T_a(psi; sigma); T reads sigma only through w = P sigma,
     so both are P(g (d_B - D) psi) with the same g = <P sigma, (a, 0)>, and they cancel too.
     No other term is assumed zero; on the canonical pre-dual rho_Delta(w) = X_w and d_B = D
-    cancel them.
+    cancel them.  A row (phi v_i; .) of D is recorded in bulk where D(a; v_i; .), <T_a(phi;
+    v_i), .> and every <v_i, T_a(psi; .)> vanish, and the column (psi sigma_j) of I where
+    I(a; sigma_j) does (report.Checker.passes).
     """
     chk = Checker("basic-connections",
                   "basic connections: linearity, derivation law, duality defect, intertwining")
@@ -360,19 +366,38 @@ def check_basic_identities(lad: LieAlgebroidData, delta: DorfmanConnection) -> C
                for p in v_batt.frames]
         t_s = [[[pair(v, tees[k, n_v + p, g]) for v in v_frames] for g in range(len(texts))]
                for p in s_batt.frames]
+        # a row (phi v_i; .) vanishes when D(a; v_i; .), <T_a(phi; v_i), .> and
+        # every <v_i, T_a(psi; .)> do
+        t_s_zero = [not any(t_s[j][g][i]._terms for j in range(len(s_frames))
+                            for g in range(len(texts))) for i in range(len(v_frames))]
         for p, label_v in enumerate(v_batt.labels):
             i, f = v_batt.factors(p)
-            for q, label_s in enumerate(s_batt.labels):
+
+            def row_labels() -> List[str]:
+                return [f"({aname}; {label_v}; {label_s})" for label_s in s_batt.labels]
+
+            if t_s_zero[i] and not any(x._terms for x in defects[i] + t_v[i][f]):
+                chk.passes("duality-defect", len(s_batt.labels), row_labels)
+                continue
+            values = []
+            for q in range(len(s_batt.labels)):
                 j, g = s_batt.factors(q)
                 terms = [(x, y, 1) for x, y in ((products[f][g], defects[i][j]), (
                     functions[g], t_v[i][f][j]), (functions[f], t_s[j][g][i])) if y._terms]
-                chk.record("duality-defect", f"({aname}; {label_v}; {label_s})",
-                           sum_of_products(base.zero(), terms) if terms else base.zero())
+                values.append(sum_of_products(base.zero(), terms) if terms else base.zero())
+            chk.record_block("duality-defect", values, row_labels)
         for j, image in enumerate(images):
             intertwined = lad.basic_v(delta, a, image) - lad.image(nabla_s[j])
-            for g, psi in enumerate(functions):
-                chk.record("intertwining", f"({aname}; {s_batt.labels[s_batt.pos(j, g)]})",
-                           intertwined.scale(psi))
+
+            def column_labels() -> List[str]:
+                return [f"({aname}; {s_batt.labels[s_batt.pos(j, g)]})"
+                        for g in range(len(functions))]
+
+            if intertwined.nonzero():  # psi I(a; sigma_j), nonzero for every psi
+                chk.record_block("intertwining", [intertwined.scale(psi) for psi in functions],
+                                 column_labels)
+            else:
+                chk.passes("intertwining", len(functions), column_labels)
     return chk.report()
 
 

@@ -37,7 +37,9 @@ battery function in a slot by `courant_right` and `courant_left`, the
 Leibniz rules of the total-space bracket.  B2 lifts (Delta_v sigma)^ on
 the frames only; each of its scaled cases reads its value of the
 connection's own table in base coordinates, and lifts the defect of a
-Leibniz rule of Delta only where it is nonzero.  A frame section times
+Leibniz rule of Delta only where it is nonzero, and a block of B2 cases
+(phi q_i; .) that all vanish is recorded in bulk (report.Checker.passes),
+with no label formatted.  A frame section times
 a battery function is read from the battery of its bundle
 (Bundle.battery), and frame data (anchor images, the brackets [a, e_l])
 from the bracket and its battery table.
@@ -298,6 +300,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
     and the dphi term as (<q_i~, s^> - <q_i, s>) dphi + <q_i, s> (dphi -
     (d_B phi)^), from the `pairing-linear-core` value and one lift of d_B
     phi per function; a term is lifted or added only where it is nonzero.
+    The cases (phi q_i; .) are tested for zero as one block before any
+    label is formatted (Checker.record_block); the core-core identities
+    alternate case by case, so each of their cases goes to `record`.
     """
     chk = Checker("splitting-theorems",
                   "lifted sections reproduce the connection calculus exactly")
@@ -342,9 +347,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
         c1, rights, pairs = core_rows[m1]
         phi = functions[f1]
         for (label2, _, c2), paired, value in zip(cores, pairs, rights):
-            chk.record("pairing-core-core", f"({label1}; {label2})",
-                       paired * phi if paired._terms else paired)
-            chk.record("bracket-core-core", f"({label1}; {label2})",
+            inputs = f"({label1}; {label2})"  # the two identities alternate on one label
+            chk.record("pairing-core-core", inputs, paired * phi if paired._terms else paired)
+            chk.record("bracket-core-core", inputs,
                        courant_left(c1, c2, value, paired, phi) if f1 else value)
     # B2 from the frame defects [q_i~, b_m^] - (Delta_{q_i} b_m)^ and the
     # base defects A and B of the Leibniz rules of Delta (see the docstring)
@@ -380,7 +385,8 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                     value = value - lift_core(tp, delta, b_defect)
             defects.append(value)
         for f, (phi, text) in enumerate(zip(functions, q_batt.texts)):
-            for t, (label_s, _, _) in enumerate(cores):
+            cases = []
+            for t in range(len(cores)):
                 value = defects[t]
                 if f:
                     if not value.is_zero():
@@ -397,7 +403,9 @@ def verify_splitting_theorems(delta: DorfmanConnection) -> CheckReport:
                                 - values[t].scale(base_functions[f]) - d_b[f].scale(paired))
                     if not a_defect.is_zero():
                         value = value - lift_core(tp, delta, a_defect)
-                chk.record("bracket-linear-core", f"(({text})*{q.frame[i]}; {label_s})", value)
+                cases.append(value)
+            chk.record_block("bracket-linear-core", cases, lambda: [
+                f"(({text})*{q.frame[i]}; {label_s})" for label_s, _, _ in cores])
     for i, p1 in enumerate(q_batt.frames):
         for j, p2 in enumerate(q_batt.frames):
             lhs = total_courant(lifts[i], lifts[j])

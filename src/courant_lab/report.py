@@ -4,12 +4,18 @@ Every verification in the package returns a CheckReport.  A failing check
 always carries at least one witness: the identity that broke, the inputs it
 broke on, and the nonzero symbolic difference, printed in normal form so
 reports are byte-stable across runs.
+
+A check whose cases are derived from frame values by a Leibniz lemma
+(algebroid, dorfman, prolong, laops) hands a block of cases that the
+lemma shows to vanish to Checker.passes in one call: no difference is
+built, no input label is formatted, and the identity is marked exactly
+as that many zero `record` calls would mark it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Callable, List, Sequence
 
 PASS = "pass"
 FAIL = "fail"
@@ -62,16 +68,43 @@ class Checker:
 
     def record(self, identity: str, inputs: str, difference) -> bool:
         """Record one equality outcome; difference must be zero to pass."""
-        is_zero = difference.is_zero()
-        if not is_zero:
-            self.witnesses.append(Witness(identity, inputs, str(difference)))
-        self._mark(identity, is_zero)
-        return is_zero
+        if difference.is_zero():
+            self._sub_status.setdefault(identity, True)
+            return True
+        self._fail(identity, inputs, str(difference))
+        return False
+
+    def passes(self, identity: str, count: int, labels: Callable[[], List[str]]) -> None:
+        """Record count cases of identity whose differences vanish, as count
+        zero `record` calls would: they add no witness, and they mark the
+        identity passing unless it failed before.  With count 0 nothing is
+        marked, so a check that evaluated no case stays not-applicable.
+
+        labels() gives the inputs of the count cases in the order in which
+        `record` would have seen them.  Checker never calls it: the point of
+        a block is that no label is formatted for a case that cannot be a
+        witness.  A subclass that keeps every case (the oracle tests) calls
+        it during this call, so labels may read the loop variables of its
+        caller."""
+        if count:
+            self._sub_status.setdefault(identity, True)
+
+    def record_block(self, identity: str, values: Sequence, labels: Callable[[], List[str]]
+                     ) -> None:
+        """Record values under the inputs labels() in order, or, when every
+        value vanishes, the whole block by passes, without a label."""
+        for value in values:
+            if not value.is_zero():
+                for inputs, case in zip(labels(), values):
+                    self.record(identity, inputs, case)
+                return
+        self.passes(identity, len(values), labels)
 
     def require(self, identity: str, inputs: str, condition: bool, note: str = "violated") -> bool:
-        if not condition:
-            self.witnesses.append(Witness(identity, inputs, note))
-        self._mark(identity, condition)
+        if condition:
+            self._sub_status.setdefault(identity, True)
+        else:
+            self._fail(identity, inputs, note)
         return condition
 
     def relay(self, identity: str, nested: CheckReport, inputs: str) -> None:
@@ -83,15 +116,15 @@ class Checker:
             self.require(identity, inputs, True)
 
     def error(self, identity: str, inputs: str, message: str) -> None:
-        self.witnesses.append(Witness(identity, inputs, message))
-        self._mark(identity, False)
+        self._fail(identity, inputs, message)
         self._errored = True
 
     def note(self, line: str) -> None:
         self.details.append(line)
 
-    def _mark(self, identity: str, ok: bool) -> None:
-        self._sub_status[identity] = self._sub_status.get(identity, True) and ok
+    def _fail(self, identity: str, inputs: str, text: str) -> None:
+        self.witnesses.append(Witness(identity, inputs, text))
+        self._sub_status[identity] = False
 
     def sub_passed(self, identity: str) -> bool:
         return self._sub_status.get(identity, True)

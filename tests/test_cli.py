@@ -628,7 +628,9 @@ def test_rank_zero_bundle_runs_the_splitting_theorems(tmp_path, capsys):
 def _count_computations(monkeypatch):
     """Counts real computations: each run of check_lie draws its random
     sections once, and the LA-Dirac gate and the Manin pair each open one
-    Checker of their name."""
+    Checker of their name.  The cases a Checker records are counted by its
+    name too: ("record", name) per `record` call, ("passes", name) per case
+    recorded in bulk."""
     counts = Counter()
     real_random_sections = algebroid.random_sections
 
@@ -641,9 +643,17 @@ def _count_computations(monkeypatch):
             counts[name] += 1
             super().__init__(name, statement)
 
+        def record(self, identity, inputs, difference):
+            counts["record", self.name] += 1
+            return super().record(identity, inputs, difference)
+
+        def passes(self, identity, count, labels):
+            counts["passes", self.name] += count
+            return super().passes(identity, count, labels)
+
     monkeypatch.setattr(algebroid, "random_sections", random_sections)
-    monkeypatch.setattr(laops, "Checker", CountingChecker)
-    monkeypatch.setattr(courant, "Checker", CountingChecker)
+    for module in (laops, courant, dorfman):
+        monkeypatch.setattr(module, "Checker", CountingChecker)
     return counts
 
 
@@ -990,6 +1000,25 @@ def test_splitting_theorems_lifts_no_scaled_case_on_the_scaling_workload(monkeyp
     monkeypatch.setattr(prolong, "lift_core", lambda *args: calls.append(1) or real(*args))
     assert all(r.passed for r in run_check(spec, "splitting-theorems", ["Delta"], 7))
     assert len(calls) == lifts
+
+
+@pytest.mark.parametrize("line,cases", [
+    ("duality", {"duality": (100, 3125)}),
+    ("curvature", {"curvature-tensorial": (1250, 625), "curvature-jacobiator": (0, 3200)})])
+def test_dorfman_lines_record_vanishing_blocks_in_bulk(monkeypatch, line, cases):
+    # (record calls, cases recorded in bulk) per report of a line on the
+    # seed-7 scaling-r3 rank-2 text, where every case passes: of duality only
+    # the literal roundtrip and forms-rule cases reach record; the linear-in-q1
+    # and linear-in-q2 cases of curvature-tensorial alternate, so each reaches
+    # record, and its linear-in-b cases go in bulk (3,225, 1,875 and 3,200
+    # record calls when each case was one)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    [text] = [spec.text for spec in workloads.generate("scaling-r3", 7) if spec.name == "rank2-r3"]
+    counts = _count_computations(monkeypatch)
+    assert all(r.passed for r in run_check(parse_spec(text), line, ["Delta"], 7))
+    assert {name: (counts["record", name], counts["passes", name]) for name in cases} == cases
 
 
 def test_catalog_bundle_comparisons_are_settled_by_identity(monkeypatch, capsys):

@@ -93,8 +93,28 @@ GOLDEN = ROOT / "tests" / "golden"
 JACOBI_USERS = (algebroid, courant, laops, prolong)  # every module that calls record_jacobi
 
 
+class Vanished:
+    """The difference of a case that a check records in bulk (Checker.passes):
+    zero, and equal to every value that is zero, of any type."""
+
+    __hash__ = None
+
+    def is_zero(self):
+        return True
+
+    def __eq__(self, other):
+        return other.is_zero()
+
+    def __str__(self):
+        return "0"
+
+
+VANISHED = Vanished()
+
+
 class Recording(Checker):
-    """A Checker that keeps every recorded (identity, inputs, difference)."""
+    """A Checker that keeps every recorded (identity, inputs, difference); a
+    block recorded in bulk is expanded into its cases, each VANISHED."""
 
     made: list = []
 
@@ -106,6 +126,12 @@ class Recording(Checker):
     def record(self, identity, inputs, difference):
         self.values.append((identity, inputs, difference))
         return super().record(identity, inputs, difference)
+
+    def passes(self, identity, count, labels):
+        inputs = labels()
+        assert len(inputs) == count, (identity, inputs, count)
+        self.values.extend((identity, label, VANISHED) for label in inputs)
+        return super().passes(identity, count, labels)
 
 
 @pytest.fixture

@@ -15,8 +15,9 @@ is derived from (`cached_property`, such as the battery of a `Patch` and
 of a `Bundle`, or the positional battery tables of an `AnchoredBracket`
 and a `DorfmanConnection`; or a per-instance slot on an immutable object,
 such as the gradient and the hash of a `ScalarPoly` and the view of the
-nonzero components of a `Section`), in the value table of the per-spec
-`LieAlgebroidData`, or in a table local to one check.  The one table at
+nonzero components and the hash of a `Section`), in the value table of the
+per-spec `LieAlgebroidData` (keyed by the argument sections), or in a
+table local to one check.  The one table at
 module level is `poly`'s zero per variable tuple, one entry per tuple
 value.
 
